@@ -33,7 +33,7 @@ from repro.common.metrics import (
 )
 from repro.relational.generator import GeneratorRelation
 from repro.relational.index import IndexSet
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, rows_bytes
 from repro.caql.psj import PSJQuery
 from repro.core.canonical import canonical_key
 
@@ -701,7 +701,8 @@ class Cache:
         Raises :class:`~repro.common.errors.InvariantViolation` when any
         structural property the implementation must maintain is broken:
         the definition-key bijection, the predicate index, refcount sanity,
-        and the disjointness/reachability rules for the condemned set.
+        each element's memoized size against a from-scratch recount, and
+        the disjointness/reachability rules for the condemned set.
         Called from tests and after every fuzzer query.
         """
         from repro.common.errors import InvariantViolation
@@ -727,9 +728,18 @@ class Cache:
                 raise InvariantViolation(
                     f"{element_id} is live but flagged condemned"
                 )
-            if element.estimated_bytes() < 0:
+            # The size is memoized per row on the append-only contract of
+            # ``Relation``; an in-place row mutation would skew eviction
+            # silently, so recount from scratch (a recount is never
+            # negative, so neither is a size that equals it).
+            stored = element.relation
+            if isinstance(stored, GeneratorRelation):
+                stored = stored._memo
+            memoized, recount = element.estimated_bytes(), rows_bytes(stored) + 64
+            if memoized != recount:
                 raise InvariantViolation(
-                    f"{element_id}: negative size estimate"
+                    f"{element_id}: memoized size {memoized} but its rows "
+                    f"recount to {recount} (rows mutated in place?)"
                 )
             if element.derivation_seconds < 0 or element.saved_seconds < 0:
                 raise InvariantViolation(

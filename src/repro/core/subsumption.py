@@ -125,6 +125,7 @@ def match_element(
     element: CacheElement,
     query: PSJQuery,
     reasons: list[str] | None = None,
+    query_conditions: ConditionSet | None = None,
 ) -> Iterator[SubsumptionMatch]:
     """All ways ``element`` can derive a component of ``query``.
 
@@ -132,13 +133,18 @@ def match_element(
     human-readable rejection reason to it — the raw material for
     ``explain``-style subsumption rationale.  The match search itself is
     unchanged (and pays nothing) when ``reasons`` is None.
+
+    ``query_conditions`` is ``ConditionSet(query.conditions)``, which a
+    caller probing many elements with one query builds once; built here
+    when omitted.
     """
     element_def = element.definition
     if not element_def.occurrences:
         if reasons is not None:
             reasons.append("element definition has no relation occurrences")
         return
-    query_conditions = ConditionSet(query.conditions)
+    if query_conditions is None:
+        query_conditions = ConditionSet(query.conditions)
 
     found_assignment = False
     for tag_map in _assignments(element_def, query):
@@ -267,6 +273,7 @@ def find_relevant(cache: Cache, query: PSJQuery) -> list[SubsumptionMatch]:
     cache's predicate index, full matches first, larger coverage first.
     """
     query_preds = set(query.predicates())
+    query_conditions = ConditionSet(query.conditions)
     seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     # Walk predicates in query order, not set order: the sort below is
@@ -280,7 +287,9 @@ def find_relevant(cache: Cache, query: PSJQuery) -> list[SubsumptionMatch]:
             # Quick reject: every element predicate must appear in the query.
             if not set(element.definition.predicates()) <= query_preds:
                 continue
-            matches.extend(match_element(element, query))
+            matches.extend(
+                match_element(element, query, query_conditions=query_conditions)
+            )
     matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
     return matches
 
@@ -311,6 +320,7 @@ def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
     this bookkeeping.
     """
     query_preds = set(query.predicates())
+    query_conditions = ConditionSet(query.conditions)
     seen: set[str] = set()
     reports: list[CandidateReport] = []
     for pred in sorted(query_preds):
@@ -333,7 +343,11 @@ def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
                 )
                 continue
             reasons: list[str] = []
-            matches = tuple(match_element(element, query, reasons=reasons))
+            matches = tuple(
+                match_element(
+                    element, query, reasons=reasons, query_conditions=query_conditions
+                )
+            )
             reports.append(
                 CandidateReport(
                     element_id=element.element_id,

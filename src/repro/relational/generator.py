@@ -80,17 +80,15 @@ class GeneratorRelation:
         """
         index = 0
         while True:
-            prefix = self._memo.rows
-            while index < len(prefix):
-                yield prefix[index]
+            # The memo's row list is append-only, so it is read in place
+            # (no per-row copy) and ``index`` stays valid while concurrent
+            # iterators extend it: all replay one shared order.
+            memoized = self._memo._rows
+            while index < len(memoized):
+                yield memoized[index]
                 index += 1
-            if self._exhausted:
+            if self._exhausted or self._pull() is None:
                 return
-            row = self._pull()
-            if row is None:
-                return
-            # The pulled row landed in the memo; the outer loop re-reads it
-            # so concurrent producers are replayed in a consistent order.
 
     def take(self, n: int) -> list[tuple]:
         """The first ``n`` rows (producing only as many as needed)."""

@@ -18,16 +18,32 @@ class Relation:
     Rows are tuples whose length must match the schema arity.  Duplicate
     rows are silently dropped; insertion order of first occurrences is
     preserved so results are deterministic.
+
+    **Append-only contract.**  :meth:`insert` is the only mutator: a row,
+    once in, is never changed, moved or removed, and row values are
+    immutable.  :meth:`estimated_bytes` relies on it (it sizes each row
+    once), as do ``renamed()`` aliases and a growing
+    :class:`~repro.relational.generator.GeneratorRelation` memo, which
+    read a shared row list while it is appended to.
+    ``Cache.check_invariants`` recounts from scratch to catch a breach.
     """
 
-    __slots__ = ("schema", "_rows", "_row_set")
+    __slots__ = ("schema", "_rows", "_row_set", "_sized_rows", "_sized_bytes")
 
     def __init__(self, schema: Schema, rows: Iterable[tuple] = ()):
+        # Bulk form of ``insert``: the same coercion, arity check and
+        # first-occurrence dedupe, one pass each instead of a call per row.
+        staged = [row if isinstance(row, tuple) else tuple(row) for row in rows]
+        arity = schema.arity
+        for row in staged:
+            if len(row) != arity:
+                raise _arity_error(row, schema)
+        distinct = dict.fromkeys(staged)
         self.schema = schema
-        self._rows: list[tuple] = []
-        self._row_set: set[tuple] = set()
-        for row in rows:
-            self.insert(row)
+        self._rows: list[tuple] = list(distinct)
+        self._row_set: set[tuple] = set(distinct)
+        self._sized_rows = 0
+        self._sized_bytes = 0
 
     # -- mutation ---------------------------------------------------------------
     def insert(self, row: tuple) -> bool:
@@ -35,10 +51,7 @@ class Relation:
         if not isinstance(row, tuple):
             row = tuple(row)
         if len(row) != self.schema.arity:
-            raise SchemaError(
-                f"row arity {len(row)} does not match schema {self.schema} "
-                f"(arity {self.schema.arity})"
-            )
+            raise _arity_error(row, self.schema)
         if row in self._row_set:
             return False
         self._rows.append(row)
@@ -53,16 +66,20 @@ class Relation:
     def from_distinct_rows(cls, schema: Schema, rows: list[tuple]) -> "Relation":
         """Adopt rows known to be distinct tuples of the right arity.
 
-        This is the columnar engine's materialization exit: batch kernels
-        preserve distinctness structurally, so the per-row membership and
-        arity checks of :meth:`insert` would be pure overhead.  The claim
-        is audited, not assumed — ``check_invariants`` on the stream (and
-        the differential fuzzer's post-query audits) still verify it.
+        This is the materialization exit for rows whose distinctness is
+        structural — columnar batch kernels, and rows re-read from another
+        relation (a copy, a reordering, a re-labelled schema) — so the
+        per-row membership and arity checks of :meth:`insert` would be
+        pure overhead.  The claim is audited, not assumed —
+        ``check_invariants`` on the stream (and the differential fuzzer's
+        post-query audits) still verify it.
         """
         out = cls.__new__(cls)
         out.schema = schema
         out._rows = rows
         out._row_set = set(rows)
+        out._sized_rows = 0
+        out._sized_bytes = 0
         return out
 
     # -- access --------------------------------------------------------------------
@@ -109,7 +126,7 @@ class Relation:
         """A new relation with rows ordered by the given attributes."""
         positions = self.schema.positions(tuple(attributes))
         ordered = sorted(self._rows, key=lambda row: tuple(row[i] for i in positions), reverse=reverse)
-        return Relation(self.schema, ordered)
+        return Relation.from_distinct_rows(self.schema, ordered)
 
     def renamed(self, name: str) -> "Relation":
         """The same rows under a renamed schema (rows are shared)."""
@@ -117,25 +134,31 @@ class Relation:
         out.schema = self.schema.renamed(name)
         out._rows = self._rows
         out._row_set = self._row_set
+        # The sized prefix of a shared append-only list is the alias's too.
+        out._sized_rows = self._sized_rows
+        out._sized_bytes = self._sized_bytes
         return out
 
     def copy(self) -> "Relation":
         """An independent copy (mutations do not propagate)."""
-        return Relation(self.schema, self._rows)
+        return Relation.from_distinct_rows(self.schema, self.rows)
 
     def estimated_bytes(self) -> int:
         """A coarse size estimate used for cache capacity accounting.
 
-        Counts 8 bytes per field plus 16 per string character beyond 8.
+        Counts 8 bytes per field plus 2 per string character beyond 8.
         Precision does not matter; monotonicity with actual size does.
+
+        Incremental: rows are append-only, so each is sized once and a
+        call scans only the rows added since the previous one — O(1) when
+        nothing was inserted.
         """
-        total = 0
-        for row in self._rows:
-            total += 8 * len(row)
-            for value in row:
-                if isinstance(value, str) and len(value) > 8:
-                    total += 2 * (len(value) - 8)
-        return total
+        rows = self._rows
+        sized = self._sized_rows
+        if sized != len(rows):
+            self._sized_bytes += rows_bytes(rows[sized:])
+            self._sized_rows = len(rows)
+        return self._sized_bytes
 
     def pretty(self, limit: int = 20) -> str:
         """A fixed-width text rendering (for examples and debugging)."""
@@ -155,6 +178,24 @@ class Relation:
         if len(self._rows) > limit:
             lines.append(f"... ({len(self._rows) - limit} more rows)")
         return "\n".join(lines)
+
+
+def rows_bytes(rows: Iterable[tuple]) -> int:
+    """The size formula of :meth:`Relation.estimated_bytes`, from scratch."""
+    total = 0
+    for row in rows:
+        total += 8 * len(row)
+        for value in row:
+            if isinstance(value, str) and len(value) > 8:
+                total += 2 * (len(value) - 8)
+    return total
+
+
+def _arity_error(row: tuple, schema: Schema) -> SchemaError:
+    return SchemaError(
+        f"row arity {len(row)} does not match schema {schema} "
+        f"(arity {schema.arity})"
+    )
 
 
 def relation_from_columns(name: str, /, **columns: list) -> Relation:

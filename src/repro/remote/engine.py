@@ -74,7 +74,9 @@ class PurePythonEngine:
             base = self.table(ref.table)
             attrs = tuple(_qualified(ref.alias, a) for a in base.schema.attributes)
             schema = Schema(ref.alias, attrs)
-            loaded[ref.alias] = Relation(schema, iter(base))
+            # Same rows under alias-qualified names: already distinct and
+            # arity-checked, so adopt a copy instead of re-inserting.
+            loaded[ref.alias] = Relation.from_distinct_rows(schema, base.rows)
             touched += len(base)
 
         # Apply shipped binding sets (semijoin IN-lists) as pushed-down

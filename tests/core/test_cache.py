@@ -184,6 +184,74 @@ class TestEviction:
         assert cache.used_bytes() == 0
 
 
+class CountingRows(list):
+    """A row list that counts every row it hands out."""
+
+    visited = 0
+
+    def __iter__(self):
+        for row in list.__iter__(self):
+            self.visited += 1
+            yield row
+
+    def __getitem__(self, index):
+        out = list.__getitem__(self, index)
+        self.visited += len(out) if isinstance(index, slice) else 1
+        return out
+
+
+class TestAdmissionCost:
+    """Storing an element costs rows of that element, not of the cache."""
+
+    ROWS_EACH = 5
+
+    def counted_store(self, cache, n):
+        psj = make_psj(f"d{n}(X, Y) :- b{n}(X, Y)")
+        rows = CountingRows(make_relation(psj.name, self.ROWS_EACH).rows)
+        relation = Relation.from_distinct_rows(result_schema(psj.name, 2), rows)
+        rows.visited = 0  # construction hashed every row once
+        cache.store(psj, relation, derivation_seconds=1.0)
+        return rows
+
+    def test_nth_store_visits_only_its_own_rows(self):
+        cache = Cache()
+        resident = [self.counted_store(cache, n) for n in range(20)]
+        assert [rows.visited for rows in resident] == [self.ROWS_EACH] * 20
+        for rows in resident:
+            rows.visited = 0
+        incoming = self.counted_store(cache, 20)
+        assert incoming.visited == self.ROWS_EACH
+        assert [rows.visited for rows in resident] == [0] * 20
+        cache.used_bytes()
+        assert incoming.visited == self.ROWS_EACH
+
+    def test_eviction_rounds_do_not_rescan_candidates(self):
+        probe = Cache()
+        self.counted_store(probe, 0)
+        cache = Cache(capacity_bytes=4 * probe.used_bytes())  # room for four
+        resident = [self.counted_store(cache, n) for n in range(4)]
+        for rows in resident:
+            rows.visited = 0
+        for n in range(4, 10):  # every store scores and evicts a victim
+            self.counted_store(cache, n)
+        assert cache.eviction_count == 6
+        assert [rows.visited for rows in resident] == [0] * 4
+
+    def test_a_growing_generator_memo_is_sized_by_what_was_added(self):
+        cache = Cache()
+        psj = make_psj("d1(X, Y) :- b1(X, Y)")
+        gen = generator_from_rows(result_schema("d1", 2), [(i, "x" * 20) for i in range(6)])
+        element = cache.store(psj, gen)
+        assert cache.used_bytes() == 64
+        gen.take(2)
+        assert cache.used_bytes() == 64 + 2 * (16 + 24)
+        gen.take(5)
+        rows = gen._memo._rows = CountingRows(gen._memo._rows)
+        assert cache.used_bytes() == element.estimated_bytes() == 64 + 5 * (16 + 24)
+        assert rows.visited == 3
+        cache.check_invariants()
+
+
 class TestCacheElement:
     def test_generator_element(self):
         psj = make_psj("d1(X, Y) :- b1(X, Y)")

@@ -240,6 +240,25 @@ class TestFindRelevant:
         full = [m.element.element_id for m in matches if m.is_full]
         assert full == [e.element_id for e in elements]
 
+    def test_one_shared_condition_set_matches_like_one_per_element(self):
+        # find_relevant digests the query's conditions once and hands the
+        # same ConditionSet to every candidate; probing with it must leave
+        # nothing behind that changes a later candidate's verdict.
+        cache, elements = cache_with(
+            "narrow(X, Y) :- b3(X, c2, Y), Y < 1",
+            "e12(X, Y) :- b3(X, c2, Y)",
+            "joined(X, Z) :- b2(X, Z), b3(Z, c2, c6)",
+            "e13(X, Y, Z) :- b3(X, Y, Z)",
+        )
+        query = make_psj("d2(X, Y) :- b2(X, Z), b3(Z, c2, Y), Y < 2")
+        one_by_one = [m for e in elements for m in match_element(e, query)]
+        assert one_by_one
+        assert sorted(find_relevant(cache, query), key=str) == sorted(one_by_one, key=str)
+        assert {m.element.element_id for m in one_by_one} == {
+            elements[1].element_id,
+            elements[3].element_id,
+        }
+
     def test_unrelated_elements_ignored(self):
         cache, _ = cache_with("other(X, Z) :- b2(X, Z)")
         query = make_psj("q(X, Y, Z) :- b3(X, Y, Z)")

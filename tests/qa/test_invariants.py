@@ -49,6 +49,24 @@ class TestCacheInvariants:
         with pytest.raises(InvariantViolation, match="condemned"):
             cache.check_invariants()
 
+    def test_row_mutated_in_place_after_sizing(self):
+        # Breaks Relation's append-only contract: the memoized size no
+        # longer matches what a recount of the rows gives.
+        cache, element = stored_cache()
+        cache.used_bytes()
+        element.relation._rows[0] = ("a string long enough to count", 2)
+        with pytest.raises(InvariantViolation, match="recount"):
+            cache.check_invariants()
+
+    def test_growing_generator_element_recounts_clean(self):
+        cache = Cache()
+        psj = psj_of(parse_query("e(X, Y) :- r(X, Y)"))
+        lazy = GeneratorRelation(result_schema("e", 2), lambda: iter(DB["r"]))
+        cache.store(psj, lazy)
+        for taken in (1, 2, 3):
+            lazy.take(taken)
+            cache.check_invariants()
+
     def test_element_missing_from_predicate_index(self):
         cache, element = stored_cache()
         cache._by_predicate["r"].pop(element.element_id, None)

@@ -64,6 +64,24 @@ class TestMemoization:
         assert next(second) == (1, "x")  # replayed from memo
         assert len(pulled) == 1
 
+    def test_interleaved_readers_and_a_late_third_replay_one_order(self):
+        rows = [(i, "x") for i in range(6)] + [(0, "x")]  # one duplicate
+        pulled = []
+        gen = GeneratorRelation(SCHEMA, counting_source(rows, pulled))
+        first, second = iter(gen), iter(gen)
+        seen_first = [next(first), next(first), next(first)]
+        seen_second = [next(second)]  # replays while `first` is ahead
+        seen_second += [next(second) for _ in range(3)]  # overtakes: pulls row 3
+        seen_first.append(next(first))  # replays what `second` pulled
+        third = iter(gen)  # joins late, mid-production
+        seen_third = [next(third) for _ in range(5)]  # memo, then pulls row 4
+        seen_first += list(first)  # drains the source
+        seen_second += list(second)
+        seen_third += list(third)
+        assert seen_first == seen_second == seen_third == rows[:6]
+        assert len(pulled) == len(rows)  # source consumed exactly once
+        assert list(gen) == rows[:6]
+
     def test_duplicates_eliminated(self):
         gen = generator_from_rows(SCHEMA, [(1, "x"), (1, "x"), (2, "y")])
         assert list(gen) == [(1, "x"), (2, "y")]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SchemaError
-from repro.relational.relation import Relation, relation_from_columns
+from repro.relational.relation import Relation, relation_from_columns, rows_bytes
 from repro.relational.schema import Schema
 
 
@@ -46,6 +46,66 @@ class TestInsert:
     def test_order_stable(self):
         r = Relation(Schema("p", ("a",)), [(3,), (1,), (2,)])
         assert r.rows == [(3,), (1,), (2,)]
+
+
+def inserted_one_by_one(schema, rows):
+    """The per-row reference the bulk constructor must agree with."""
+    out = Relation(schema)
+    for row in rows:
+        out.insert(row)
+    return out
+
+
+class TestBulkConstructor:
+    SCHEMA = Schema("p", ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(1, "x"), (2, "y")],
+            [(2, "y"), (1, "x"), (2, "y"), (1, "x"), (3, "z")],  # duplicates
+            [[1, "x"], (1, "x"), [2, "y"]],  # list rows, equal to a tuple row
+            [(1, 2), (1.0, 2), (True, 2)],  # ==-equal spellings: first wins
+        ],
+    )
+    def test_same_rows_same_order_as_per_row_insert(self, rows):
+        bulk = Relation(self.SCHEMA, rows)
+        reference = inserted_one_by_one(self.SCHEMA, rows)
+        assert bulk.rows == reference.rows
+        assert [type(v) for row in bulk for v in row] == [
+            type(v) for row in reference for v in row
+        ]
+        assert all(type(row) is tuple for row in bulk)
+        assert bulk == reference
+        assert bulk.estimated_bytes() == reference.estimated_bytes()
+
+    def test_generator_input_is_consumed_once(self):
+        pulled = []
+
+        def source():
+            for row in [(1, "x"), (1, "x"), (2, "y")]:
+                pulled.append(row)
+                yield row
+
+        assert Relation(self.SCHEMA, source()).rows == [(1, "x"), (2, "y")]
+        assert len(pulled) == 3
+
+    def test_bulk_built_relation_still_dedupes_on_insert(self):
+        r = Relation(self.SCHEMA, [(1, "x")])
+        assert not r.insert((1, "x"))
+        assert r.insert((2, "y"))
+        assert (2, "y") in r
+
+    def test_wrong_arity_raises_the_insert_error_with_nothing_half_built(self):
+        rows = [(1, "x"), (1, "x", "extra"), (2, "y")]
+        with pytest.raises(SchemaError) as per_row:
+            inserted_one_by_one(self.SCHEMA, rows)
+        shell = Relation.__new__(Relation)
+        with pytest.raises(SchemaError) as bulk:
+            shell.__init__(self.SCHEMA, rows)
+        assert str(bulk.value) == str(per_row.value)
+        assert not hasattr(shell, "_rows") and not hasattr(shell, "_row_set")
 
 
 class TestAccess:
@@ -104,6 +164,34 @@ class TestDerivation:
         short = Relation(Schema("p", ("a",)), [("x",)])
         long = Relation(Schema("p", ("a",)), [("x" * 100,)])
         assert long.estimated_bytes() > short.estimated_bytes()
+
+
+    def test_estimated_bytes_formula(self):
+        # 8 per field, plus 2 per string character beyond 8.
+        r = Relation(Schema("p", ("a", "b")), [(1, "x" * 8), (2, "x" * 11)])
+        assert r.estimated_bytes() == 8 * 4 + 2 * 3
+
+    def test_estimated_bytes_follows_inserts(self):
+        r = Relation(Schema("p", ("a",)), [("x" * 20,)])
+        assert r.estimated_bytes() == rows_bytes(r.rows)
+        r.insert(("y" * 30,))
+        r.insert(("y" * 30,))  # duplicate: not counted twice
+        assert r.estimated_bytes() == rows_bytes(r.rows) == 16 + 2 * 12 + 2 * 22
+
+    def test_estimated_bytes_of_aliases_follows_either_side(self, emp):
+        staff = emp.renamed("staff")
+        assert staff.estimated_bytes() == emp.estimated_bytes()
+        staff.insert((4, "a-rather-long-name", "hw"))
+        emp.insert((5, "eve", "sw"))
+        assert emp.estimated_bytes() == staff.estimated_bytes() == rows_bytes(emp.rows)
+
+    def test_copy_and_sorted_keep_size_and_independence(self, emp):
+        size = emp.estimated_bytes()
+        dup, ordered = emp.copy(), emp.sorted_by(["name"], reverse=True)
+        emp.insert((4, "a-rather-long-name", "hw"))
+        assert dup.estimated_bytes() == ordered.estimated_bytes() == size
+        assert (4, "a-rather-long-name", "hw") not in dup
+        assert not dup.insert((1, "ann", "hw")) and not ordered.insert((1, "ann", "hw"))
 
 
 class TestHelpers:
