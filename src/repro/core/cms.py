@@ -31,7 +31,6 @@ from repro.common.errors import (
     PlanningError,
     RemoteDBMSError,
     StalePlanError,
-    TranslationError,
 )
 from repro.common.metrics import (
     CACHE_GENERALIZATIONS,
@@ -74,7 +73,7 @@ from repro.caql.psj import PSJQuery, psj_from_literals
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache, StaleArchive, lru_scorer
 from repro.core.cache_model import cache_model, cache_statistics
-from repro.core.executor import ExecutionMonitor, ResultStream
+from repro.core.executor import ExecutionMonitor, ResultStream, to_relation
 from repro.core.planner import PlannerFeatures, QueryPlanner
 from repro.core.rdi import RemoteInterface
 
@@ -274,15 +273,11 @@ class CacheManagementSystem:
             )
         else:
             self.cache.scorer = base
-        # Federated links expose a gather-part sink: each unreduced
-        # per-backend part becomes an intermediate with lineage, so later
-        # spanning queries can subsume single-backend shares from cache.
-        if hasattr(self.rdi, "intermediate_sink"):
-            self.rdi.intermediate_sink = (
-                self._store_gather_part
-                if self.features.caching and self.features.intermediates
-                else None
-            )
+        # The RDI's gather-part sink is the monitor's own registration
+        # route (a federated link offers each unreduced per-backend part,
+        # so later spanning queries can subsume single-backend shares from
+        # cache); whether anything is stored is the monitor's guard.
+        self.rdi.intermediate_sink = self.monitor.register_intermediate
 
     # -- metadata for the IE ---------------------------------------------------------
     def schema_of(self, table: str) -> Schema:
@@ -404,7 +399,7 @@ class CacheManagementSystem:
         # machinery, then run the built-ins row-wise in the CMS (operations
         # the remote DBMS does not support, Section 5.3).
         self._last_degraded = False
-        core_result = self._materialize(self._answer_psj(psj))
+        core_result = to_relation(self._answer_psj(psj))
         final = self._apply_evaluable(q, core_vars, evaluable, core_result)
         self._prefetch_companions(q.name)
         return ResultStream(final, q.name, degraded=self._last_degraded)
@@ -522,7 +517,7 @@ class CacheManagementSystem:
         if self._archive is not None and plan.touches_remote:
             # Remember the fresh answer for degraded service during a
             # future outage (survives eviction from the cache proper).
-            self._archive.store(psj, self._materialize(result))
+            self._archive.store(psj, to_relation(result))
 
         if plan.cache_result and plan.strategy != "exact":
             try:
@@ -533,7 +528,7 @@ class CacheManagementSystem:
                 # time — the price a future reuse avoids re-paying.
                 element = self.cache.store(
                     psj,
-                    self._cacheable(result),
+                    to_relation(result, drain=False),
                     derivation_seconds=self.clock.now - derivation_started,
                 )
             except CacheCapacityError:
@@ -551,23 +546,9 @@ class CacheManagementSystem:
             self._build_indexes(element, plan.index_positions)
         return result
 
-    def _store_gather_part(self, psj: PSJQuery, relation: Relation, seconds: float) -> None:
-        """Federated gather sink: register one backend's unreduced part as
-        an operator-level intermediate (best-effort: a full or all-pinned
-        cache must never fail the query the part was fetched for)."""
-        try:
-            self.cache.store(
-                psj,
-                relation,
-                use="intermediate",
-                kind="intermediate",
-                operator="federated-gather",
-                derivation_seconds=max(seconds, 0.0),
-            )
-        except CacheCapacityError:
-            pass
-
-    def _degraded_answer(self, psj: PSJQuery, plan, error: RemoteDBMSError) -> Relation:
+    def _degraded_answer(
+        self, psj: PSJQuery, plan, error: RemoteDBMSError
+    ) -> Relation | ColumnarBatch:
         """Answer from stale/partial cache data after a remote failure.
 
         Preference order (the paper's bias toward answering from cache):
@@ -600,20 +581,6 @@ class CacheManagementSystem:
             logger.debug("degraded[%s]: partial answer from surviving backends", psj.name)
             return survivors
         raise error
-
-    def _materialize(self, result) -> Relation:
-        if isinstance(result, GeneratorRelation):
-            return result.to_extension()
-        if isinstance(result, ColumnarBatch):
-            return result.to_relation()
-        return result
-
-    def _cacheable(self, result):
-        """What goes into the cache: batches materialize, generators stay
-        lazy (lazy caching is the point of storing the generator)."""
-        if isinstance(result, ColumnarBatch):
-            return result.to_relation()
-        return result
 
     def _apply_evaluable(
         self,
@@ -669,7 +636,7 @@ class CacheManagementSystem:
             return
         wanted: list[tuple[str, PSJQuery]] = []
         for companion in self.advice_manager.prefetch_candidates(view_name):
-            general = self._general_psj_of_view(companion)
+            general = self.planner.generalization_of(companion)
             if general is None or self.cache.lookup_exact(general) is not None:
                 continue
             logger.debug("prefetch: %s (companion of %s)", companion, view_name)
@@ -704,19 +671,3 @@ class CacheManagementSystem:
             except (CacheCapacityError, RemoteDBMSError):
                 continue
             self.metrics.incr(CACHE_PREFETCHES)
-
-    def _general_psj_of_view(self, view_name: str) -> PSJQuery | None:
-        view = self.advice_manager.view(view_name)
-        if view is None:
-            return None
-        definition = view.definition
-        relations = definition.relation_literals()
-        comparisons = definition.comparison_literals()
-        if len(relations) + len(comparisons) != len(definition.literals):
-            return None  # evaluable literals: not prefetchable
-        try:
-            return psj_from_literals(
-                f"{view_name}__general", relations, comparisons, definition.answers
-            )
-        except TranslationError:
-            return None  # externally-bound comparison: not prefetchable

@@ -19,10 +19,16 @@ An engine works on *handles* (its native relation representation).
 ``ingest`` converts a materialized :class:`Relation` into a handle,
 ``materialize`` converts a handle back; the tuple engine's handles are
 the relations themselves, so both are identities there.
+
+:func:`combine_parts` is the one combine kernel written against that
+facade: the Execution Monitor's combine stage, its degraded (partial)
+variant, and the federated interface's gather all fold their parts
+through it.
 """
 
 from __future__ import annotations
 
+from repro.common.errors import PlanningError
 from repro.caql.eval import result_schema
 from repro.caql.psj import ConstProj, PSJQuery
 from repro.relational import operators
@@ -36,7 +42,13 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core import subsumption
 
-__all__ = ["ColumnarEngine", "TupleEngine", "make_engine"]
+__all__ = [
+    "ColumnarEngine",
+    "TupleEngine",
+    "combine_parts",
+    "make_engine",
+    "unit_result",
+]
 
 
 class TupleEngine:
@@ -150,3 +162,88 @@ def make_engine(name: str):
     if name == "columnar":
         return ColumnarEngine()
     raise ValueError(f"unknown engine {name!r} (expected 'tuple' or 'columnar')")
+
+
+def unit_result(query: PSJQuery) -> Relation:
+    """The one-row answer of a query that reads no column: its constant
+    projection entries, or ``(True,)`` when it projects nothing."""
+    row = tuple(
+        entry.value if isinstance(entry, ConstProj) else None
+        for entry in query.projection
+    )
+    return Relation(
+        result_schema(query.name, query.arity),
+        [row] if query.projection else [(True,)],
+    )
+
+
+def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = False):
+    """Join ``parts`` left to right under ``conditions`` and project to
+    ``query``'s answer shape — the combine stage of Section 5.3.3.
+
+    ``parts`` are materialized relations whose attributes are qualified
+    query columns (or one ``_exists_*`` column, which simply cross-joins);
+    ``conditions`` are the comparisons no part applied by itself.  At each
+    join the conditions whose columns have all arrived are consumed: an
+    equality with one column on each side drives the hash join, the others
+    ride along as residuals; whatever is left is selected at the end.
+
+    With ``partial`` some columns never arrived (a failed remote part, a
+    dark backend): conditions over them are dropped and projection entries
+    naming them come back ``None`` — the caller tags the answer degraded.
+    Otherwise a condition or projection entry over a missing column is a
+    planning bug and fails loudly in the engine.
+
+    Returns the result (an engine handle) and the rows the join fold
+    touched (every input part plus every join output); the caller charges
+    that, plus the result it keeps, at its own rate.
+    """
+    if not parts:
+        raise PlanningError("no parts produced anything to combine")
+    pending = list(conditions)
+    combined = engine.ingest(parts[0])
+    seen_cols = set(combined.schema.attributes)
+    touched = len(combined)
+    for relation in parts[1:]:
+        right_cols = set(relation.schema.attributes)
+        pairs, residual, remaining = [], [], []
+        for condition in pending:
+            cols = condition.columns()
+            if cols <= (seen_cols | right_cols):
+                left_side = cols & seen_cols
+                right_side = cols & right_cols
+                if (
+                    condition.op == "="
+                    and condition.is_col_col()
+                    and len(left_side) == 1
+                    and len(right_side) == 1
+                ):
+                    pairs.append((left_side.pop(), right_side.pop()))
+                else:
+                    residual.append(condition)
+            else:
+                remaining.append(condition)
+        combined = engine.join(
+            combined, engine.ingest(relation), pairs,
+            name="combine", conditions=residual,
+        )
+        seen_cols |= right_cols
+        touched += len(relation) + len(combined)
+        pending = remaining
+    if partial:
+        pending = [c for c in pending if c.columns() <= seen_cols]
+    if pending:
+        combined = engine.select(combined, pending)
+
+    schema = result_schema(query.name, query.arity)
+    entries: list[tuple[str, object]] = []
+    for entry in query.projection:
+        if isinstance(entry, ConstProj):
+            entries.append(("const", entry.value))
+        elif partial and entry not in combined.schema.attributes:
+            entries.append(("const", None))  # the missing side had it
+        else:
+            entries.append(("col", combined.schema.position(entry)))
+    if entries:
+        return engine.project_entries(combined, entries, schema), touched
+    return Relation(schema, [(True,)] if len(combined) else []), touched

@@ -35,10 +35,16 @@ from repro.relational.operators import join, select
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.eval import result_schema
-from repro.caql.psj import ConstProj, PSJQuery
+from repro.caql.psj import PSJQuery
 from repro.core.cache import Cache
-from repro.core.engine import make_engine
-from repro.core.plan import CachePart, QueryPlan, RemotePart
+from repro.core.engine import combine_parts, make_engine, unit_result
+from repro.core.plan import (
+    CachePart,
+    QueryPlan,
+    RemotePart,
+    distinct_values,
+    label_part,
+)
 from repro.core.rdi import RemoteInterface
 from repro.obs.tracer import Tracer
 from repro.core.subsumption import (
@@ -49,9 +55,25 @@ from repro.core.subsumption import (
     derive_part,
 )
 
+#: ``join`` has no caller in this module since the combine stage moved to
+#: :func:`repro.core.engine.combine_parts`; the binding stays because the
+#: wall benchmark's probe table patches it by name.
+__all__ = ["ExecutionMonitor", "LocalResult", "ResultStream", "join", "to_relation"]
+
 #: What the executor may hand back to the CMS: the tuple engine produces
 #: extensions or generators, the columnar engine produces batches.
 LocalResult = Relation | GeneratorRelation | ColumnarBatch
+
+
+def to_relation(result: LocalResult, drain: bool = True) -> Relation | GeneratorRelation:
+    """``result`` as an extension: a batch pivots back to rows, a generator
+    drains — or, with ``drain=False``, stays lazy (what the cache stores:
+    lazy caching is the point of keeping the generator)."""
+    if isinstance(result, ColumnarBatch):
+        return result.to_relation()
+    if drain and isinstance(result, GeneratorRelation):
+        return result.to_extension()
+    return result
 
 
 class ResultStream:
@@ -100,11 +122,7 @@ class ResultStream:
 
     def as_relation(self) -> Relation:
         """The full result as an extension (drains a generator)."""
-        if isinstance(self._relation, GeneratorRelation):
-            return self._relation.to_extension()
-        if isinstance(self._relation, ColumnarBatch):
-            return self._relation.to_relation()
-        return self._relation
+        return to_relation(self._relation)
 
     def check_invariants(self) -> None:
         """Audit the stream's internal consistency (cheap, read-only).
@@ -258,7 +276,7 @@ class ExecutionMonitor:
         if strategy == "unsatisfiable":
             return Relation(result_schema(plan.query.name, plan.query.arity))
         if strategy == "unit":
-            return self._unit_result(plan.query)
+            return unit_result(plan.query)
         if strategy == "exact":
             return self._execute_exact(plan)
         if strategy == "cache-full":
@@ -282,14 +300,6 @@ class ExecutionMonitor:
                 previous()
 
         relation.on_exhausted = release
-
-    def _unit_result(self, query: PSJQuery) -> Relation:
-        schema = result_schema(query.name, query.arity)
-        row = tuple(
-            entry.value if isinstance(entry, ConstProj) else None
-            for entry in query.projection
-        )
-        return Relation(schema, [row] if query.projection else [(True,)])
 
     def _execute_exact(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         element = self.cache.lookup_exact(plan.query)
@@ -378,48 +388,36 @@ class ExecutionMonitor:
         cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
 
         def run_remote() -> None:
-            if self.batch_remote and len(remote_parts) > 1:
-                shared: dict[int, Relation] = {}
-                missing: list[int] = []
-                for index, part in enumerate(remote_parts):
-                    reused = self._shared_subplan(part)
-                    if reused is not None:
-                        shared[index] = reused
-                    else:
-                        missing.append(index)
+            # A batch ships every part in one round trip; otherwise each
+            # part is a group of one with a round trip of its own.
+            batch = self.batch_remote and len(remote_parts) > 1
+            for group in [remote_parts] if batch else [[p] for p in remote_parts]:
+                relations = [self._shared_subplan(part) for part in group]
+                missing = [i for i, found in enumerate(relations) if found is None]
                 if missing:
-                    relations = self.rdi.fetch_many(
-                        [remote_parts[i].sub_query for i in missing]
-                    )
-                    for index, relation in zip(missing, relations):
-                        part = remote_parts[index]
-                        shared[index] = relation
-                        self._publish_subplan(part, relation)
-                        self._register_intermediate(
-                            part.sub_query,
-                            relation,
-                            operator="remote-fetch",
-                            measured=self._remote_part_estimate(relation),
-                        )
-                for index, part in enumerate(remote_parts):
-                    produced.append(
-                        self._with_columns(shared[index], part.columns, "remote")
-                    )
-                return
-            for part in remote_parts:
-                relation = self._shared_subplan(part)
-                if relation is None:
+                    wanted = [group[i].sub_query for i in missing]
                     started = self.clock.now
-                    relation = self.rdi.fetch(part.sub_query)
-                    measured = self.clock.now - started
-                    self._publish_subplan(part, relation)
-                    self._register_intermediate(
-                        part.sub_query,
-                        relation,
-                        operator="remote-fetch",
-                        measured=measured or self._remote_part_estimate(relation),
+                    fetched = (
+                        self.rdi.fetch_many(wanted)
+                        if batch
+                        else [self.rdi.fetch(wanted[0])]
                     )
-                produced.append(self._with_columns(relation, part.columns, "remote"))
+                    # A lone fetch is priced by the clock; a batch's shared
+                    # round trip is not attributable per part, so each part
+                    # carries the cost model's price (as does a fetch whose
+                    # clock delta reads zero).
+                    elapsed = 0.0 if batch else self.clock.now - started
+                    for i, relation in zip(missing, fetched):
+                        relations[i] = relation
+                        self._publish_subplan(group[i], relation)
+                        self.register_intermediate(
+                            group[i].sub_query,
+                            relation,
+                            "remote-fetch",
+                            elapsed or self._remote_part_estimate(relation),
+                        )
+                for part, relation in zip(group, relations):
+                    produced.append(label_part(relation, part.columns, "remote"))
 
         def run_cache() -> None:
             for part in cache_parts:
@@ -427,7 +425,7 @@ class ExecutionMonitor:
                 self.cache.note_hit(part.match.element)
                 self.cache.credit_saving(part.match.element)
                 source_rows = part.match.element.rows_materialized()
-                relation = self._cache_part_relation(part)
+                relation = derive_part(part.match, list(part.columns))
                 self._charge_local(source_rows + len(relation))
                 self._register_cache_part(plan, part, relation, source_rows)
                 produced.append(relation)
@@ -442,9 +440,7 @@ class ExecutionMonitor:
                 produced.append(
                     self._fetch_semijoined(plan, part, binding_source, cache_parts)
                 )
-            result = self._combine(produced, plan)
-            self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
-            return result
+            return self._combine(produced, plan)
 
         if self.parallel and remote_parts and cache_parts:
             with self.tracer.span(
@@ -467,12 +463,7 @@ class ExecutionMonitor:
             run_remote()
             run_cache()
 
-        result = self._combine(produced, plan)
-        self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
-        return result
-
-    def _cache_part_relation(self, part: CachePart) -> Relation:
-        return derive_part(part.match, list(part.columns))
+        return self._combine(produced, plan)
 
     # -- shared multi-query optimization (MQO) --------------------------------------
     def _shared_subplan(self, part: RemotePart) -> Relation | None:
@@ -511,7 +502,7 @@ class ExecutionMonitor:
             + len(relation) * self.profile.transfer_per_tuple
         )
 
-    def _register_intermediate(
+    def register_intermediate(
         self,
         definition: PSJQuery,
         relation: Relation,
@@ -522,7 +513,11 @@ class ExecutionMonitor:
         """Best-effort registration of an operator-level result as a cache
         element carrying derivation lineage.  A no-op when the feature is
         off, and silently dropped when the cache cannot make room (a tiny
-        cache whose every resident element this very plan has pinned)."""
+        cache whose every resident element this very plan has pinned).
+
+        This is the one intermediate sink: every executor route ends here,
+        and the CMS hands this method to the RDI as its gather-part sink
+        (operator ``"federated-gather"``)."""
         if not self.cache_intermediates or not isinstance(relation, Relation):
             return
         if not definition.projection:
@@ -554,23 +549,16 @@ class ExecutionMonitor:
         )
         tag_map = dict(match.tag_mapping)
         attr_to_query = {attr: q_col for q_col, attr in match.column_map}
-        conditions: list[Comparison] = []
-        seen: set[str] = set()
-        for condition in match.element.definition.conditions:
-            renamed = _rename_condition(condition, tag_map)
-            key = str(renamed.normalized())
-            if key not in seen:
-                seen.add(key)
-                conditions.append(renamed)
-        for condition in match.residual_conditions:
-            renamed = condition.rename_columns(
+        conditions = [
+            _rename_condition(condition, tag_map)
+            for condition in match.element.definition.conditions
+        ] + [
+            condition.rename_columns(
                 {c: attr_to_query[c] for c in condition.columns()}
             )
-            key = str(renamed.normalized())
-            if key not in seen:
-                seen.add(key)
-                conditions.append(renamed)
-        return occurrences, tuple(conditions)
+            for condition in match.residual_conditions
+        ]
+        return occurrences, _distinct_conditions(conditions)
 
     def _register_cache_part(
         self, plan: QueryPlan, part: CachePart, relation: Relation, source_rows: int
@@ -606,7 +594,7 @@ class ExecutionMonitor:
             * self.profile.cache_per_tuple
             * self._local_cost_factor
         )
-        self._register_intermediate(
+        self.register_intermediate(
             definition,
             stored,
             operator="select-project",
@@ -663,7 +651,7 @@ class ExecutionMonitor:
         if not self.cache_intermediates:
             return
         if not applied:
-            self._register_intermediate(
+            self.register_intermediate(
                 part.sub_query,
                 relation,
                 operator="remote-fetch",
@@ -733,13 +721,6 @@ class ExecutionMonitor:
                     lambda row, m=mapping, rp=remote_pos, sp=position: m[row[rp]][sp]
                 )
                 taken.add(q_col)
-        deduped: list[Comparison] = []
-        seen: set[str] = set()
-        for condition in conditions:
-            key = str(condition.normalized())
-            if key not in seen:
-                seen.add(key)
-                deduped.append(condition)
         projection = tuple(part.sub_query.projection) + tuple(widen_names)
         stored = relation
         if widen_names:
@@ -759,10 +740,10 @@ class ExecutionMonitor:
         definition = PSJQuery(
             f"{part.sub_query.name}#semijoin",
             tuple(occurrences),
-            tuple(deduped),
+            _distinct_conditions(conditions),
             projection,
         )
-        self._register_intermediate(
+        self.register_intermediate(
             definition,
             stored,
             operator="semijoin-fetch",
@@ -776,7 +757,7 @@ class ExecutionMonitor:
         plan: QueryPlan,
         part: RemotePart,
         binding_source: list[Relation],
-        cache_parts: list | None = None,
+        cache_parts: list,
     ) -> Relation:
         """Fetch one remote part reduced by bindings from the cache track.
 
@@ -787,10 +768,12 @@ class ExecutionMonitor:
         bindings: dict[str, tuple[object, ...]] = {}
         applied: list[tuple[object, int]] = []  # (spec, binding source index)
         for spec in part.bind_columns:
-            found = self._extract_bindings(spec.cache_column, binding_source)
+            found = distinct_values(spec.cache_column, binding_source)
             if found is None:
                 continue  # source column not exposed: fall back to unbound
             source_index, values = found
+            # The extraction pass re-reads the part's rows.
+            self._charge_local(len(binding_source[source_index]))
             if not values:
                 self.tracer.event(
                     "rdi.semijoin",
@@ -799,9 +782,7 @@ class ExecutionMonitor:
                     values=0,
                     short_circuit=True,
                 )
-                if part.columns:
-                    return Relation(Schema("remote", part.columns), [])
-                return Relation(Schema("remote", ("_exists_remote",)), [])
+                return label_part((), part.columns, "remote")
             bindings[spec.remote_column] = values
             applied.append((spec, source_index))
         started = self.clock.now
@@ -811,32 +792,10 @@ class ExecutionMonitor:
             part,
             relation,
             applied,
-            cache_parts if cache_parts is not None else [],
+            cache_parts,
             self.clock.now - started,
         )
-        return self._with_columns(relation, part.columns, "remote")
-
-    def _extract_bindings(
-        self, cache_column: str, produced: list[Relation]
-    ) -> tuple[int, tuple[object, ...]] | None:
-        """Distinct values of ``cache_column`` from the first produced cache
-        part exposing it, with that part's index (None when no part exposes
-        the column)."""
-        for index, relation in enumerate(produced):
-            if cache_column not in relation.schema.attributes:
-                continue
-            position = relation.schema.position(cache_column)
-            seen: set[object] = set()
-            values: list[object] = []
-            for row in relation:
-                value = row[position]
-                if value not in seen:
-                    seen.add(value)
-                    values.append(value)
-            # The extraction pass re-reads the part's rows.
-            self._charge_local(len(relation))
-            return index, tuple(values)
-        return None
+        return label_part(relation, part.columns, "remote")
 
     # -- graceful degradation (remote unreachable) ---------------------------------
     def derive_degraded(self, match: SubsumptionMatch, query: PSJQuery) -> Relation:
@@ -853,7 +812,7 @@ class ExecutionMonitor:
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
-    def execute_degraded(self, plan: QueryPlan) -> Relation | None:
+    def execute_degraded(self, plan: QueryPlan) -> LocalResult | None:
         """Best-effort partial answer from the plan's cache parts alone.
 
         The remote part failed; ship what the cache can prove.  Columns
@@ -870,122 +829,31 @@ class ExecutionMonitor:
             self.cache.touch(part.match.element)
             self.cache.credit_saving(part.match.element)
             source_rows = part.match.element.rows_materialized()
-            relation = self._cache_part_relation(part)
+            relation = derive_part(part.match, list(part.columns))
             self._charge_local(source_rows + len(relation))
             produced.append(relation)
-        result = self._combine_degraded(produced, plan)
+        return self._combine(produced, plan, partial=True)
+
+    def _combine(
+        self, parts: list[Relation], plan: QueryPlan, partial: bool = False
+    ) -> LocalResult:
+        """The combine stage: fold the produced parts through the shared
+        kernel on this monitor's engine and charge the rows it touched.
+        ``partial`` is the degraded variant — some columns never arrived,
+        so unverifiable conditions are dropped and missing projection
+        columns come back ``None``."""
+        result, touched = combine_parts(
+            self.engine, parts, plan.cross_conditions, plan.query, partial=partial
+        )
+        self._charge_local(touched + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
-    def _combine_degraded(self, parts: list[Relation], plan: QueryPlan) -> Relation:
-        """The combine stage when some columns never arrived: join the
-        available parts, drop unverifiable conditions, null out missing
-        projection columns."""
-        pending = list(plan.cross_conditions)
-        combined = parts[0]
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = join(combined, relation, pairs, name="combine", conditions=residual)
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        applicable = [c for c in pending if c.columns() <= seen_cols]
-        if applicable:
-            combined = select(combined, applicable)
 
-        schema = result_schema(plan.query.name, plan.query.arity)
-        entries: list[tuple[str, object]] = []
-        for entry in plan.query.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            elif entry in combined.schema.attributes:
-                entries.append(("col", combined.schema.position(entry)))
-            else:
-                entries.append(("const", None))  # the remote side had it
-        if entries:
-            rows = (
-                tuple(v if kind == "const" else row[v] for kind, v in entries)
-                for row in combined
-            )
-            result = Relation(schema, rows)
-        else:
-            result = Relation(schema, [(True,)] if len(combined) else [])
-        self._charge_local(input_rows + len(result))
-        return result
-
-    def _with_columns(self, relation: Relation, columns: tuple[str, ...], label: str) -> Relation:
-        if not columns:
-            schema = Schema(label, (f"_exists_{label}",))
-            return Relation(schema, [(True,)] if len(relation) else [])
-        schema = Schema(label, columns)
-        return Relation(schema, iter(relation))
-
-    def _combine(self, parts: list[Relation], plan: QueryPlan) -> LocalResult:
-        if not parts:
-            raise PlanningError("no parts produced anything to combine")
-        engine = self.engine
-        pending = list(plan.cross_conditions)
-        combined = engine.ingest(parts[0])
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = engine.join(
-                combined, engine.ingest(relation), pairs,
-                name="combine", conditions=residual,
-            )
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        if pending:
-            combined = engine.select(combined, pending)
-
-        schema = result_schema(plan.query.name, plan.query.arity)
-        entries = []
-        for entry in plan.query.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            else:
-                entries.append(("col", combined.schema.position(entry)))
-        if entries:
-            result = engine.project_entries(combined, entries, schema)
-        else:
-            result = Relation(schema, [(True,)] if len(combined) else [])
-        self._charge_local(input_rows + len(result))
-        return result
+def _distinct_conditions(conditions: list[Comparison]) -> tuple[Comparison, ...]:
+    """``conditions`` without repeats of the same normalized comparison
+    (first spelling wins, order kept)."""
+    by_form = {}
+    for condition in conditions:
+        by_form.setdefault(str(condition.normalized()), condition)
+    return tuple(by_form.values())

@@ -14,8 +14,80 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.relational.expressions import Comparison
-from repro.caql.psj import PSJQuery
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.caql.psj import ConstProj, PSJQuery
 from repro.core.subsumption import SubsumptionMatch
+
+
+# ---------------------------------------------------------------------------
+# part construction — shared by the planner (cache/remote parts) and the
+# federated interface (per-backend parts), so every part composes the same way
+# ---------------------------------------------------------------------------
+
+
+def needed_columns(query: PSJQuery, tags: frozenset[str]) -> list[str]:
+    """Query columns a part covering ``tags`` must expose: projection
+    columns inside the part plus the covered side of conditions crossing
+    the part boundary."""
+    prefixes = tuple(tag + "." for tag in tags)
+    needed: list[str] = []
+
+    def want(col: str) -> None:
+        if col.startswith(prefixes) and col not in needed:
+            needed.append(col)
+
+    for entry in query.projection:
+        if not isinstance(entry, ConstProj):
+            want(entry)
+    for condition in query.conditions:
+        cols = condition.columns()
+        inside = {c for c in cols if c.startswith(prefixes)}
+        if inside and inside != cols:
+            for col in inside:
+                want(col)
+    return needed
+
+
+def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
+    """The component of ``query`` over ``tags`` as a self-contained PSJ
+    query: conditions entirely inside the part are pushed down, the
+    projection is narrowed to :func:`needed_columns`."""
+    prefixes = tuple(tag + "." for tag in tags)
+    occurrences = tuple(o for o in query.occurrences if o.tag in tags)
+    conditions = tuple(
+        c
+        for c in query.conditions
+        if c.columns() and all(col.startswith(prefixes) for col in c.columns())
+    )
+    return PSJQuery(
+        name, occurrences, conditions, tuple(needed_columns(query, tags))
+    )
+
+
+def label_part(rows, columns: tuple[str, ...], label: str) -> Relation:
+    """A part's positional result (any sized iterable of rows) under the
+    qualified query column names the combine stage joins on.  A part that
+    exposes no columns is a pure existence check: one ``_exists_<label>``
+    column holding a single ``True`` row when ``rows`` is non-empty."""
+    if not columns:
+        schema = Schema(label, (f"_exists_{label}",))
+        return Relation(schema, [(True,)] if len(rows) else [])
+    return Relation(Schema(label, columns), iter(rows))
+
+
+def distinct_values(
+    column: str, parts: list[Relation]
+) -> tuple[int, tuple[object, ...]] | None:
+    """Distinct values of ``column`` (first-occurrence order) from the first
+    of ``parts`` exposing it, with that part's index — the binding set a
+    semijoin ships.  None when no part exposes the column.  The pass
+    re-reads the part's rows; charging it is the caller's."""
+    for index, relation in enumerate(parts):
+        if column in relation.schema.attributes:
+            position = relation.schema.position(column)
+            return index, tuple(dict.fromkeys(row[position] for row in relation))
+    return None
 
 
 @dataclass(frozen=True)
@@ -204,6 +276,16 @@ class QueryPlan:
                             f"semijoin binding targets {spec.remote_column}, "
                             "which the remote sub-query does not mention"
                         )
+
+    def part_labels(self) -> list[str]:
+        """One label per plan part (``cache:E3``, ``remote:view__rest``,
+        ``remote:view__rest+semijoin``) — what traces and ``explain`` show."""
+        return [
+            f"cache:{p.match.element.element_id}"
+            if isinstance(p, CachePart)
+            else f"remote:{p.sub_query.name}" + ("+semijoin" if p.bind_columns else "")
+            for p in self.parts
+        ]
 
     def describe(self) -> str:
         """A readable multi-line rendering of the plan."""

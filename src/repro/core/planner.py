@@ -22,12 +22,25 @@ from repro.common.clock import CostProfile
 from repro.common.errors import TranslationError
 from repro.relational.expressions import Comparison
 from repro.relational.statistics import RelationStatistics
-from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
+from repro.caql.psj import ConstProj, PSJQuery, parse_column, psj_from_literals
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
 from repro.core.canonical import canonicalize
-from repro.core.plan import BindingSpec, CachePart, PlanPart, QueryPlan, RemotePart
-from repro.core.subsumption import SubsumptionMatch, explain_candidates, find_relevant
+from repro.core.plan import (
+    BindingSpec,
+    CachePart,
+    PlanPart,
+    QueryPlan,
+    RemotePart,
+    needed_columns,
+    sub_query,
+)
+from repro.core.subsumption import (
+    CandidateReport,
+    SubsumptionMatch,
+    find_relevant,
+    ranked,
+)
 from repro.obs.tracer import Tracer
 
 
@@ -109,21 +122,29 @@ class QueryPlanner:
         which makes planning safe under multi-session interleaving.
         """
         with self.tracer.span("planner.plan", view=query.name) as span:
-            plan = self._plan(query)
+            # With a real tracer attached, the probe ``_plan`` runs also
+            # records its per-candidate rationale for ``_trace_decision``.
+            reports: list[CandidateReport] | None = (
+                [] if self.tracer.enabled else None
+            )
+            plan = self._plan(query, reports)
             plan.epoch = self.cache.epoch
             if self.audit:
                 plan.check_invariants()
-            if self.tracer.enabled:
-                self._trace_decision(span, query, plan)
+            if reports is not None:
+                self._trace_decision(span, query, plan, reports)
             return plan
 
-    def _trace_decision(self, span, query: PSJQuery, plan: QueryPlan) -> None:
+    def _trace_decision(
+        self, span, query: PSJQuery, plan: QueryPlan, reports: list[CandidateReport]
+    ) -> None:
         """Record the planner's full rationale on its span (tracing only).
 
-        The subsumption probe is replayed with rejection recording
-        (:func:`explain_candidates`) — pure bookkeeping over an unchanged
-        cache, so it cannot perturb the plan; the cost is paid only when a
-        real tracer is attached.
+        The subsumption rationale comes from ``reports``, collected by the
+        probe ``_plan`` ran.  Only a plan answered *before* subsumption
+        (exact hit, unsatisfiable, unit) never probed; for those the probe
+        runs here — pure bookkeeping over an unchanged cache, so it cannot
+        perturb the plan.
         """
         span.set("strategy", plan.strategy)
         span.set("lazy", plan.lazy)
@@ -131,23 +152,16 @@ class QueryPlanner:
         span.set("expendable", plan.expendable)
         span.set("epoch", plan.epoch)
         span.set("notes", list(plan.notes))
-        span.set(
-            "parts",
-            [
-                f"cache:{p.match.element.element_id}"
-                if isinstance(p, CachePart)
-                else f"remote:{p.sub_query.name}"
-                + ("+semijoin" if p.bind_columns else "")
-                for p in plan.parts
-            ],
-        )
+        span.set("parts", plan.part_labels())
         if plan.prefetches:
             span.set("prefetches", [p.name for p in plan.prefetches])
         span.set("estimated_local_cost", plan.estimated_local_cost)
         span.set("estimated_remote_cost", plan.estimated_remote_cost)
         span.set("remote_available", self.remote_available())
         if self.features.caching and self.features.subsumption:
-            for report in explain_candidates(self.cache, query):
+            if plan.strategy in ("exact", "unsatisfiable", "unit"):
+                find_relevant(self.cache, query, reports)
+            for report in ranked(reports):
                 if report.matched:
                     best = report.matches[0]
                     span.event(
@@ -166,7 +180,9 @@ class QueryPlanner:
                         reasons=list(report.rejections),
                     )
 
-    def _plan(self, query: PSJQuery) -> QueryPlan:
+    def _plan(
+        self, query: PSJQuery, reports: list[CandidateReport] | None
+    ) -> QueryPlan:
         if query.unsatisfiable:
             return QueryPlan(query, "unsatisfiable", cache_result=False)
         if self.features.canonical and canonicalize(query).unsatisfiable:
@@ -229,7 +245,7 @@ class QueryPlanner:
                     canonical_hit=canonical_hit,
                 )
             if self.features.subsumption:
-                matches = find_relevant(self.cache, query)
+                matches = find_relevant(self.cache, query, reports)
             else:
                 matches = []
             full = next((m for m in matches if m.is_full), None)
@@ -261,7 +277,7 @@ class QueryPlanner:
             and self.features.caching
             and self.advice.should_generalize(view_name)
         ):
-            general = self.generalization_of(query)
+            general = self.generalization_of(view_name)
             if general is not None and self.cache.lookup_exact(general) is None:
                 prefetches.append(general)
                 notes.append(f"generalize: fetch {general.name} unconstrained")
@@ -289,10 +305,13 @@ class QueryPlanner:
         ]
 
     # -- step 1 helpers -----------------------------------------------------------
-    def generalization_of(self, query: PSJQuery) -> PSJQuery | None:
-        """The generalized query: the advice view's own (uninstantiated)
-        definition, which subsumes every instance the IE will send."""
-        view = self.advice.view(query.name)
+    def generalization_of(self, view_name: str) -> PSJQuery | None:
+        """The generalized query of an advised view: its own
+        (uninstantiated) definition, which subsumes every instance the IE
+        will send.  None when there is no such view or it cannot be
+        fetched as one PSJ query (then it is neither generalizable nor
+        prefetchable)."""
+        view = self.advice.view(view_name)
         if view is None:
             return None
         definition = view.definition
@@ -337,31 +356,10 @@ class QueryPlanner:
 
     def _part_columns_available(self, query: PSJQuery, match: SubsumptionMatch) -> bool:
         available = match.available()
-        for col in self._needed_columns(query, match.covered_tags):
+        for col in needed_columns(query, match.covered_tags):
             if col not in available:
                 return False
         return True
-
-    def _needed_columns(self, query: PSJQuery, tags: frozenset[str]) -> list[str]:
-        """Query columns a part must expose: projection columns plus the
-        covered side of cross-part conditions."""
-        prefixes = tuple(tag + "." for tag in tags)
-        needed: list[str] = []
-
-        def want(col: str) -> None:
-            if col.startswith(prefixes) and col not in needed:
-                needed.append(col)
-
-        for entry in query.projection:
-            if not isinstance(entry, ConstProj):
-                want(entry)
-        for condition in query.conditions:
-            cols = condition.columns()
-            inside = {c for c in cols if c.startswith(prefixes)}
-            if inside and inside != cols:
-                for col in inside:
-                    want(col)
-        return needed
 
     def _assemble(
         self, query: PSJQuery, chosen: list[SubsumptionMatch], notes: list[str]
@@ -374,14 +372,14 @@ class QueryPlanner:
 
         parts: list[PlanPart] = []
         for match in chosen:
-            columns = tuple(self._needed_columns(query, match.covered_tags))
+            columns = tuple(needed_columns(query, match.covered_tags))
             parts.append(CachePart(match=match, columns=columns))
 
         remote_cost = 0.0
         local_cost = sum(self._derive_cost(m) for m in chosen)
         semijoined = False
         if uncovered:
-            sub = self._remote_sub_query(query, frozenset(uncovered))
+            sub = sub_query(query, frozenset(uncovered), f"{query.name}__rest")
             remote_part = RemotePart(
                 sub_query=sub,
                 columns=tuple(str(p) for p in sub.projection),
@@ -494,23 +492,6 @@ class QueryPlanner:
                 out.append(condition)
         return out
 
-    def _remote_sub_query(self, query: PSJQuery, tags: frozenset[str]) -> PSJQuery:
-        """The uncovered component as a self-contained PSJ query."""
-        prefixes = tuple(tag + "." for tag in tags)
-        occurrences = tuple(o for o in query.occurrences if o.tag in tags)
-        conditions = tuple(
-            c
-            for c in query.conditions
-            if c.columns() and all(col.startswith(prefixes) for col in c.columns())
-        )
-        projection = tuple(self._needed_columns(query, tags))
-        return PSJQuery(
-            f"{query.name}__rest",
-            occurrences,
-            conditions,
-            projection,
-        )
-
     # -- semijoin reduction -------------------------------------------------------------
     def _binding_candidates(
         self,
@@ -527,7 +508,7 @@ class QueryPlanner:
         uncovered_prefixes = tuple(tag + "." for tag in uncovered)
         exposed: dict[str, SubsumptionMatch] = {}
         for match in chosen:
-            for col in self._needed_columns(query, match.covered_tags):
+            for col in needed_columns(query, match.covered_tags):
                 exposed.setdefault(col, match)
 
         specs: list[BindingSpec] = []
@@ -570,7 +551,7 @@ class QueryPlanner:
         the remote fetch entirely).
         """
         domain = self._distinct_of(query, cache_col)
-        tag, _ = _split(cache_col)
+        tag, _ = parse_column(cache_col)
         stats = self.stats_of(query.occurrence(tag).pred)
         local = query.column_conditions(tag)
         renamed = [
@@ -607,7 +588,7 @@ class QueryPlanner:
 
     def _distinct_of(self, query: PSJQuery, qualified: str) -> float:
         """Distinct-value estimate for a qualified query column."""
-        tag, position = _split(qualified)
+        tag, position = parse_column(qualified)
         stats = self.stats_of(query.occurrence(tag).pred)
         positional = _positional_stats(stats)
         attr = positional.attributes.get(f"a{position}")
@@ -631,8 +612,8 @@ class QueryPlanner:
         # One join-selectivity factor per cross-occurrence equality.
         for condition in psj.conditions:
             if condition.op == "=" and condition.is_col_col():
-                left_tag, _ = _split(condition.left.name)
-                right_tag, _ = _split(condition.right.name)
+                left_tag, _ = parse_column(condition.left.name)
+                right_tag, _ = parse_column(condition.right.name)
                 if left_tag != right_tag:
                     rows *= 0.1
         return max(rows, 0.0)
@@ -684,14 +665,8 @@ class QueryPlanner:
         return self.profile.cache_per_tuple * factor * (rows + 1)
 
 
-def _split(col: str) -> tuple[str, int]:
-    from repro.caql.psj import parse_column
-
-    return parse_column(col)
-
-
 def _position_attr(col: str) -> str:
-    _tag, position = _split(col)
+    _tag, position = parse_column(col)
     return f"a{position}"
 
 

@@ -9,8 +9,9 @@ advice session's usage statistics.
 The planner itself is side-effect free (it reads the cache, the advice,
 and cached statistics), so explanation is simply: normalize the query the
 same way :meth:`~repro.core.cms.CacheManagementSystem.query` would, plan
-it, and replay the subsumption probe with rejection recording
-(:func:`~repro.core.subsumption.explain_candidates`).
+it, and run the subsumption probe with rejection recording
+(:func:`~repro.core.subsumption.explain_candidates` — the planner's own
+:func:`~repro.core.subsumption.find_relevant` walk, collecting reports).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.caql.ast import (
 )
 from repro.caql.eval import core_plan
 from repro.caql.psj import psj_from_literals
-from repro.core.plan import CachePart
 from repro.core.subsumption import CandidateReport, explain_candidates
 
 
@@ -158,13 +158,7 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
     else:
         candidates = ()
 
-    parts = tuple(
-        f"cache:{p.match.element.element_id}"
-        if isinstance(p, CachePart)
-        else f"remote:{p.sub_query.name}"
-        + ("+semijoin" if p.bind_columns else "")
-        for p in plan.parts
-    )
+    parts = tuple(plan.part_labels())
     if plan.full_match is not None:
         parts = (f"cache:{plan.full_match.element.element_id}",) + parts
 

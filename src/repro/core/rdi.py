@@ -113,6 +113,13 @@ class RemoteInterface:
             name=getattr(server, "name", ""),
         )
 
+    #: Gather-part sink (part of the RDI contract; the CMS installs its
+    #: Execution Monitor's ``register_intermediate`` here).  A single link
+    #: gathers nothing — whole fetches are registered by the executor — so
+    #: it never calls the sink; the federated interface offers each
+    #: unreduced per-backend part of a scatter to it.
+    intermediate_sink = None
+
     @property
     def breaker(self) -> CircuitBreaker:
         """The link's circuit breaker (observable state for tests/planner)."""

@@ -265,35 +265,6 @@ def match_element(
         )
 
 
-def find_relevant(cache: Cache, query: PSJQuery) -> list[SubsumptionMatch]:
-    """All subsumption matches from the cache for ``query``.
-
-    This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
-    planner chooses among them.  Candidates are prefiltered through the
-    cache's predicate index, full matches first, larger coverage first.
-    """
-    query_preds = set(query.predicates())
-    query_conditions = ConditionSet(query.conditions)
-    seen: set[str] = set()
-    matches: list[SubsumptionMatch] = []
-    # Walk predicates in query order, not set order: the sort below is
-    # stable, so ties between matches keep visit order, and visit order
-    # must not depend on per-process string hashing.
-    for pred in dict.fromkeys(query.predicates()):
-        for element in cache.elements_for_predicate(pred):
-            if element.element_id in seen:
-                continue
-            seen.add(element.element_id)
-            # Quick reject: every element predicate must appear in the query.
-            if not set(element.definition.predicates()) <= query_preds:
-                continue
-            matches.extend(
-                match_element(element, query, query_conditions=query_conditions)
-            )
-    matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
-    return matches
-
-
 @dataclass(frozen=True)
 class CandidateReport:
     """Why one cache element did (or did not) subsume part of a query."""
@@ -309,55 +280,77 @@ class CandidateReport:
         return bool(self.matches)
 
 
-def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
-    """The subsumption probe with its working shown.
+def find_relevant(
+    cache: Cache, query: PSJQuery, reports: list[CandidateReport] | None = None
+) -> list[SubsumptionMatch]:
+    """All subsumption matches from the cache for ``query``.
 
-    Walks the same predicate-index candidate set as :func:`find_relevant`
-    but records, for every candidate element, either its matches or the
-    reason each occurrence mapping was rejected.  This is the rationale
-    behind ``cms.explain`` and the planner's subsumption trace events; the
-    plain query path keeps using :func:`find_relevant`, which pays none of
-    this bookkeeping.
+    This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
+    planner chooses among them.  Candidates are prefiltered through the
+    cache's predicate index, full matches first, larger coverage first.
+
+    When ``reports`` is given, the walk also shows its working: one
+    :class:`CandidateReport` per candidate element is appended, in visit
+    order, holding either its matches or the reason each occurrence
+    mapping was rejected — the rationale behind ``cms.explain`` and the
+    planner's subsumption trace events.  The returned matches are the same
+    either way, and the plain query path (``reports`` None) pays none of
+    the bookkeeping.
     """
     query_preds = set(query.predicates())
     query_conditions = ConditionSet(query.conditions)
     seen: set[str] = set()
-    reports: list[CandidateReport] = []
-    for pred in sorted(query_preds):
+    matches: list[SubsumptionMatch] = []
+    # Walk predicates in query order, not set order: the sort below is
+    # stable, so ties between matches keep visit order, and visit order
+    # must not depend on per-process string hashing.
+    for pred in dict.fromkeys(query.predicates()):
         for element in cache.elements_for_predicate(pred):
             if element.element_id in seen:
                 continue
             seen.add(element.element_id)
+            reasons: list[str] | None = None if reports is None else []
             extra = set(element.definition.predicates()) - query_preds
             if extra:
+                # Quick reject: every element predicate must appear in the query.
+                found: tuple[SubsumptionMatch, ...] = ()
+                if reasons is not None:
+                    reasons.append(
+                        "element mentions predicate(s) absent from the "
+                        f"query: {', '.join(sorted(extra))}"
+                    )
+            else:
+                found = tuple(
+                    match_element(
+                        element, query, reasons, query_conditions=query_conditions
+                    )
+                )
+                matches.extend(found)
+            if reports is not None:
                 reports.append(
                     CandidateReport(
                         element_id=element.element_id,
                         view_name=element.definition.name,
-                        matches=(),
-                        rejections=(
-                            "element mentions predicate(s) absent from the "
-                            f"query: {', '.join(sorted(extra))}",
-                        ),
+                        matches=found,
+                        rejections=tuple(reasons),
                     )
                 )
-                continue
-            reasons: list[str] = []
-            matches = tuple(
-                match_element(
-                    element, query, reasons=reasons, query_conditions=query_conditions
-                )
-            )
-            reports.append(
-                CandidateReport(
-                    element_id=element.element_id,
-                    view_name=element.definition.name,
-                    matches=matches,
-                    rejections=tuple(reasons),
-                )
-            )
-    reports.sort(key=lambda r: (not r.matched, r.element_id))
-    return reports
+    matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
+    return matches
+
+
+def ranked(reports: list[CandidateReport]) -> list[CandidateReport]:
+    """Reports in presentation order: matched candidates first, then by
+    element id (the order ``explain`` and the planner trace show)."""
+    return sorted(reports, key=lambda r: (not r.matched, r.element_id))
+
+
+def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
+    """The subsumption probe with its working shown: :func:`find_relevant`
+    run for its per-candidate reports, in presentation order."""
+    reports: list[CandidateReport] = []
+    find_relevant(cache, query, reports)
+    return ranked(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +403,7 @@ def derive_full_lazy(match: SubsumptionMatch, query: PSJQuery) -> GeneratorRelat
 
     def source() -> Iterator[tuple]:
         stored = match.element.relation  # may itself be a generator
-        stored_schema = (
-            stored.schema if isinstance(stored, GeneratorRelation) else stored.schema
-        )
+        stored_schema = stored.schema
         rows: Iterator[tuple] = iter(stored)
         if match.residual_conditions:
             rows = select_iter(rows, stored_schema, list(match.residual_conditions))

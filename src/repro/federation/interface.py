@@ -7,9 +7,9 @@ budget, and circuit breaker.  A query whose base relations all live on one
 backend is routed straight through (``rdi.route``).  A query spanning
 backends is **scatter-gathered**:
 
-1. partition the occurrences by home backend (the planner's sub-query
-   construction, reused here: per-backend conditions are pushed down,
-   projections narrowed to needed columns),
+1. partition the occurrences by home backend (the planner's own part
+   builder, :func:`repro.core.plan.sub_query`: per-backend conditions are
+   pushed down, projections narrowed to needed columns),
 2. fetch the cheapest part first (per-backend statistics drive the order),
 3. ship the distinct join-column values of already-fetched parts to later
    backends as IN-lists — the PR 4 semijoin reduction, applied *between*
@@ -17,7 +17,9 @@ backends is **scatter-gathered**:
    wire deterministic,
 4. short-circuit the remaining round trips when any part (or binding set)
    comes back empty — a conjunctive join with an empty input is empty,
-5. join the parts locally (the executor's combine idiom) and project.
+5. join the parts locally and project — through
+   :func:`repro.core.engine.combine_parts`, the same kernel the Execution
+   Monitor's combine stage runs.
 
 Each per-backend link is a full :class:`~repro.core.rdi.RemoteInterface`,
 so retries, timeouts, and circuit breaking happen per backend; one dark
@@ -34,12 +36,13 @@ from dataclasses import dataclass
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import RemoteDBMSError, UnknownRelationError
 from repro.common.metrics import CACHE_TUPLES_PROCESSED, Metrics
-from repro.relational.operators import join, select
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.caql.eval import result_schema
-from repro.caql.psj import ConstProj, PSJQuery, parse_column
+from repro.caql.psj import PSJQuery, parse_column
+from repro.core.engine import TupleEngine, combine_parts, unit_result
+from repro.core.plan import distinct_values, label_part, sub_query
 from repro.core.rdi import RemoteInterface, canonical_bindings
 from repro.remote.faults import RetryPolicy
 from repro.federation.catalog import FederatedCatalog
@@ -60,42 +63,6 @@ class FederatedPart:
     columns: tuple[str, ...]
     #: Touched-cardinality estimate, used to order the scatter.
     estimate: float
-
-
-def _needed_columns(query: PSJQuery, tags: frozenset[str]) -> list[str]:
-    """Columns a part must expose: projection columns inside ``tags`` plus
-    the covered side of conditions crossing the part boundary (the planner's
-    rule, reused so parts compose exactly like cache/remote plan parts)."""
-    prefixes = tuple(tag + "." for tag in tags)
-    needed: list[str] = []
-
-    def want(col: str) -> None:
-        if col.startswith(prefixes) and col not in needed:
-            needed.append(col)
-
-    for entry in query.projection:
-        if not isinstance(entry, ConstProj):
-            want(entry)
-    for condition in query.conditions:
-        cols = condition.columns()
-        inside = {c for c in cols if c.startswith(prefixes)}
-        if inside and inside != cols:
-            for col in inside:
-                want(col)
-    return needed
-
-
-def _sub_query(query: PSJQuery, tags: frozenset[str], label: str) -> PSJQuery:
-    """One backend's share of ``query`` as a self-contained PSJ query."""
-    prefixes = tuple(tag + "." for tag in tags)
-    occurrences = tuple(o for o in query.occurrences if o.tag in tags)
-    conditions = tuple(
-        c
-        for c in query.conditions
-        if c.columns() and all(col.startswith(prefixes) for col in c.columns())
-    )
-    projection = tuple(_needed_columns(query, tags))
-    return PSJQuery(f"{query.name}__{label}", occurrences, conditions, projection)
 
 
 class FederatedInterface:
@@ -140,11 +107,14 @@ class FederatedInterface:
         #: fetch issued inside a frozen ``parallel()`` region observes 0.
         self.slo = slo
         #: Optional gather-part sink, ``callable(sub_psj, relation,
-        #: derivation_seconds)``: the CMS installs one so each *unreduced*
+        #: operator, derivation_seconds)``: the CMS installs its Execution
+        #: Monitor's ``register_intermediate`` so each *unreduced*
         #: per-backend part of a scatter becomes an operator-level cache
         #: intermediate (semijoin-reduced parts are skipped — their rows
         #: depend on the binding set, not on ``sub_psj`` alone).
         self.intermediate_sink = None
+        #: Gather runs on the tuple engine (the semantic reference).
+        self._engine = TupleEngine()
         retries = retries or {}
         #: One resilient link per backend: its own retry budget, its own
         #: breaker (tagged with the backend name in traces).
@@ -206,7 +176,7 @@ class FederatedInterface:
         parts: list[FederatedPart] = []
         for backend in sorted(groups):
             tags = frozenset(groups[backend])
-            sub = _sub_query(psj, tags, backend)
+            sub = sub_query(psj, tags, f"{psj.name}__{backend}")
             estimate = float(
                 sum(self.statistics_of(o.pred).cardinality for o in sub.occurrences)
             )
@@ -215,11 +185,24 @@ class FederatedInterface:
             )
         return parts
 
-    def _observe_backend(self, backend: str, started: float) -> None:
-        """Feed one backend round trip's simulated latency to the SLO
-        monitor (a no-op without one; never advances the clock)."""
+    def _route(self, backend: str, psj: PSJQuery) -> None:
+        """Announce that ``psj`` goes to ``backend`` (``rdi.route``)."""
+        self.tracer.event(
+            "rdi.route",
+            view=psj.name,
+            backend=backend,
+            tables=sorted({o.pred for o in psj.occurrences}),
+        )
+
+    def _round_trip(self, backend: str, call):
+        """One round trip ``call(link)`` over ``backend``'s link, its
+        simulated latency fed to the SLO monitor (a no-op without one;
+        never advances the clock).  A failing call propagates unobserved."""
+        started = self.clock.now
+        result = call(self.links[backend])
         if self.slo is not None:
             self.slo.observe(backend, self.clock.now - started)
+        return result
 
     # -- contract: execution ----------------------------------------------------
     def fetch(
@@ -231,17 +214,11 @@ class FederatedInterface:
         relation, scatter-gather otherwise."""
         parts = self.partition(psj)
         if len(parts) == 1:
-            part = parts[0]
-            self.tracer.event(
-                "rdi.route",
-                view=psj.name,
-                backend=part.backend,
-                tables=sorted({o.pred for o in psj.occurrences}),
+            backend = parts[0].backend
+            self._route(backend, psj)
+            return self._round_trip(
+                backend, lambda link: link.fetch(psj, bindings=bindings)
             )
-            started = self.clock.now
-            relation = self.links[part.backend].fetch(psj, bindings=bindings)
-            self._observe_backend(part.backend, started)
-            return relation
         return self._scatter_gather(psj, parts, bindings)
 
     def fetch_many(self, psjs: list[PSJQuery]) -> list[Relation]:
@@ -262,16 +239,10 @@ class FederatedInterface:
         results: dict[int, Relation] = {}
         for backend in sorted(grouped):
             indexes = grouped[backend]
-            for index in indexes:
-                self.tracer.event(
-                    "rdi.route",
-                    view=psjs[index].name,
-                    backend=backend,
-                    tables=sorted({o.pred for o in psjs[index].occurrences}),
-                )
-            started = self.clock.now
-            batch = self.links[backend].fetch_many([psjs[i] for i in indexes])
-            self._observe_backend(backend, started)
+            wanted = [psjs[i] for i in indexes]
+            for psj in wanted:
+                self._route(backend, psj)
+            batch = self._round_trip(backend, lambda link: link.fetch_many(wanted))
             for index, relation in zip(indexes, batch):
                 results[index] = relation
         for index in spanning:
@@ -286,10 +257,9 @@ class FederatedInterface:
         self.tracer.event(
             "rdi.route", view=table, backend=backend, tables=[table]
         )
-        started = self.clock.now
-        relation = self.links[backend].fetch_base_relation(table)
-        self._observe_backend(backend, started)
-        return relation
+        return self._round_trip(
+            backend, lambda link: link.fetch_base_relation(table)
+        )
 
     # -- scatter-gather ---------------------------------------------------------
     def _scatter_gather(
@@ -313,15 +283,10 @@ class FederatedInterface:
         fetched: list[tuple[FederatedPart, Relation]] = []
         empty = False
         for part in ordered:
-            self.tracer.event(
-                "rdi.route",
-                view=part.sub.name,
-                backend=part.backend,
-                tables=sorted({o.pred for o in part.sub.occurrences}),
-            )
+            self._route(part.backend, part.sub)
             if empty:
                 # Conjunctive join already known empty: no round trip.
-                fetched.append((part, self._empty_part(part)))
+                fetched.append((part, label_part((), part.columns, part.backend)))
                 continue
             part_bindings = self._part_bindings(psj, part, supplied, fetched)
             if part_bindings is None:
@@ -333,18 +298,18 @@ class FederatedInterface:
                     backend=part.backend,
                 )
                 empty = True
-                fetched.append((part, self._empty_part(part)))
+                fetched.append((part, label_part((), part.columns, part.backend)))
                 continue
             started = self.clock.now
-            relation = self.links[part.backend].fetch(
-                part.sub, bindings=part_bindings or None
+            relation = self._round_trip(
+                part.backend,
+                lambda link: link.fetch(part.sub, bindings=part_bindings or None),
             )
-            self._observe_backend(part.backend, started)
             if self.intermediate_sink is not None and not part_bindings:
                 self.intermediate_sink(
-                    part.sub, relation, self.clock.now - started
+                    part.sub, relation, "federated-gather", self.clock.now - started
                 )
-            labeled = self._labeled(part, relation)
+            labeled = label_part(relation, part.columns, part.backend)
             if self.semijoin and not len(labeled):
                 empty = True
             fetched.append((part, labeled))
@@ -374,6 +339,7 @@ class FederatedInterface:
             if tag in part.tags:
                 out[column] = values
         if self.semijoin:
+            relations = [relation for _part, relation in fetched]
             for condition in psj.conditions:
                 if condition.op != "=" or not condition.is_col_col():
                     continue
@@ -383,9 +349,12 @@ class FederatedInterface:
                 if left_in == right_in:
                     continue
                 inside, outside = (left, right) if left_in else (right, left)
-                values = self._column_values(outside, fetched)
-                if values is None:
+                found = distinct_values(outside, relations)
+                if found is None:
                     continue
+                source_index, values = found
+                # The extraction pass re-reads the part's rows.
+                self._charge_local(len(relations[source_index]))
                 if inside in out:
                     existing = set(out[inside])
                     values = tuple(v for v in values if v in existing)
@@ -395,37 +364,6 @@ class FederatedInterface:
                 return None
         return out
 
-    def _column_values(
-        self, column: str, fetched: list[tuple[FederatedPart, Relation]]
-    ) -> tuple[object, ...] | None:
-        """Distinct values of a qualified column across fetched parts."""
-        for _part, relation in fetched:
-            if column not in relation.schema.attributes:
-                continue
-            position = relation.schema.position(column)
-            seen: set[object] = set()
-            values: list[object] = []
-            for row in relation:
-                value = row[position]
-                if value not in seen:
-                    seen.add(value)
-                    values.append(value)
-            self._charge_local(len(relation))  # the extraction re-read
-            return tuple(values)
-        return None
-
-    def _labeled(self, part: FederatedPart, relation: Relation) -> Relation:
-        """Expose a part's positional result under qualified column names."""
-        if not part.columns:
-            schema = Schema(part.backend, (f"_exists_{part.backend}",))
-            return Relation(schema, [(True,)] if len(relation) else [])
-        return Relation(Schema(part.backend, part.columns), iter(relation))
-
-    def _empty_part(self, part: FederatedPart) -> Relation:
-        if not part.columns:
-            return Relation(Schema(part.backend, (f"_exists_{part.backend}",)), [])
-        return Relation(Schema(part.backend, part.columns), [])
-
     def _gather(
         self,
         psj: PSJQuery,
@@ -433,13 +371,14 @@ class FederatedInterface:
         partial: bool = False,
     ) -> Relation:
         """Join the gathered parts locally and project to the query shape
-        (the executor's combine idiom: equality pairs drive hash joins,
-        other cross conditions ride as residuals).
+        (the Execution Monitor's combine kernel, on the tuple engine).
 
-        With ``partial`` (some backends were dark), conditions touching
-        columns that never arrived are dropped and those projection
-        columns come back ``None`` — the caller tags the stream
-        ``degraded``."""
+        Existence-only parts are not joined: they gate the answer — any
+        empty one empties it — and the kernel sees only the parts that
+        carry values.  With ``partial`` (some backends were dark),
+        conditions touching columns that never arrived are dropped and
+        those projection columns come back ``None`` — the caller tags the
+        stream ``degraded``."""
         pushed: list = []
         for part, _relation in fetched:
             pushed.extend(part.sub.conditions)
@@ -449,77 +388,15 @@ class FederatedInterface:
         )
         value_parts = [relation for part, relation in fetched if part.columns]
         schema = result_schema(psj.name, psj.arity)
-
         if not value_parts:
             # Every part was an existence check; projection is constants.
-            if not exists_ok:
-                return Relation(schema, [])
-            if psj.projection:
-                row = tuple(
-                    entry.value if isinstance(entry, ConstProj) else None
-                    for entry in psj.projection
-                )
-            else:
-                row = (True,)
-            return Relation(schema, [row])
-
-        combined = value_parts[0]
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in value_parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = join(
-                combined, relation, pairs, name="gather", conditions=residual
-            )
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        if pending:
-            # In a full gather every pending condition is applicable (its
-            # columns are needed columns of some part); in a partial one,
-            # conditions touching a dark backend's columns are dropped.
-            applicable = [c for c in pending if c.columns() <= seen_cols]
-            if applicable:
-                combined = select(combined, applicable)
-
-        entries: list[tuple[str, object]] = []
-        for entry in psj.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            elif not partial or entry in combined.schema.attributes:
-                entries.append(("col", combined.schema.position(entry)))
-            else:
-                entries.append(("const", None))  # a dark backend owned it
-        if entries:
-            rows = (
-                tuple(v if kind == "const" else row[v] for kind, v in entries)
-                for row in combined
-            )
-            result = (
-                Relation(schema, rows) if exists_ok else Relation(schema, [])
-            )
-        else:
-            result = Relation(
-                schema, [(True,)] if (len(combined) and exists_ok) else []
-            )
-        self._charge_local(input_rows + len(result))
+            return unit_result(psj) if exists_ok else Relation(schema, [])
+        result, touched = combine_parts(
+            self._engine, value_parts, pending, psj, partial=partial
+        )
+        if not exists_ok:
+            result = Relation(schema, [])
+        self._charge_local(touched + len(result))
         return result
 
     # -- degraded answers -------------------------------------------------------
@@ -540,10 +417,10 @@ class FederatedInterface:
         survivors: list[tuple[FederatedPart, Relation]] = []
         lost: list[str] = []
         for part in parts:
-            started = self.clock.now
             try:
-                relation = self.links[part.backend].fetch(part.sub)
-                self._observe_backend(part.backend, started)
+                relation = self._round_trip(
+                    part.backend, lambda link: link.fetch(part.sub)
+                )
             except RemoteDBMSError:
                 lost.append(part.backend)
                 self.tracer.event(
@@ -552,7 +429,7 @@ class FederatedInterface:
                     backend=part.backend,
                 )
                 continue
-            survivors.append((part, self._labeled(part, relation)))
+            survivors.append((part, label_part(relation, part.columns, part.backend)))
         if not survivors:
             return None
         return self._gather(psj, survivors, partial=bool(lost))

@@ -8,8 +8,6 @@ property-tested in ``test_canonical_property.py``; the fuzzer's
 ``variants`` profile carries the end-to-end argument.
 """
 
-import pytest
-
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 from repro.core.canonical import (

@@ -1,0 +1,221 @@
+"""The combine kernel (:func:`repro.core.engine.combine_parts`).
+
+One fold — classify pending conditions, join, select, project — serves
+the Execution Monitor's combine stage, its degraded variant, and the
+federated gather.  The properties here hold it to direct evaluation
+(:mod:`repro.caql.eval`, the independent oracle) on both local engines,
+over random queries cut into random parts by the shared part builder.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.clock import CostProfile, SimClock
+from repro.common.errors import PlanningError, SchemaError
+from repro.common.metrics import Metrics
+from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.relation import Relation
+from repro.caql.eval import evaluate_psj, result_schema
+from repro.caql.psj import ConstProj, Occurrence, PSJQuery, column
+from repro.core.cache import Cache
+from repro.core.engine import ColumnarEngine, TupleEngine, combine_parts
+from repro.core.executor import ExecutionMonitor
+from repro.core.plan import QueryPlan, label_part, sub_query
+
+ARITIES = {"r": 2, "s": 3, "t": 1}
+
+
+@st.composite
+def databases(draw):
+    """Small integer tables; any of them may come out empty."""
+    db = {}
+    for pred, arity in ARITIES.items():
+        rows = draw(
+            st.lists(
+                st.tuples(*[st.integers(0, 3)] * arity), max_size=6, unique=True
+            )
+        )
+        db[pred] = Relation(result_schema(pred, arity), rows)
+    return db
+
+
+@st.composite
+def cut_queries(draw):
+    """A PSJ query plus a partition of its occurrence tags into parts."""
+    preds = draw(st.lists(st.sampled_from(sorted(ARITIES)), min_size=2, max_size=3))
+    occurrences = tuple(
+        Occurrence(f"t{i}", pred, ARITIES[pred]) for i, pred in enumerate(preds)
+    )
+    columns = [col for occ in occurrences for col in occ.columns()]
+    conditions = []
+    for _ in range(draw(st.integers(0, 4))):
+        left = draw(st.sampled_from(columns))
+        if draw(st.booleans()):
+            right = Col(draw(st.sampled_from([c for c in columns if c != left])))
+            op = draw(st.sampled_from(["=", "=", "<", "!="]))
+        else:
+            right = Lit(draw(st.integers(0, 3)))
+            op = draw(st.sampled_from(["=", "<", ">=", "!="]))
+        condition = Comparison(Col(left), op, right)
+        if condition not in conditions:
+            conditions.append(condition)
+    projection = tuple(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(columns), st.builds(ConstProj, st.integers(7, 9))
+                ),
+                max_size=4,
+            )
+        )
+    )
+    query = PSJQuery("q", occurrences, tuple(conditions), projection)
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(preds), max_size=len(preds)))
+    partition = [
+        frozenset(occ.tag for occ, g in zip(occurrences, groups) if g == group)
+        for group in sorted(set(groups))
+    ]
+    return query, partition
+
+
+def cut(query, partition, db):
+    """Evaluate each part by itself (the oracle stands in for the cache
+    and the backends) and label it the way plan parts are labelled.
+    Returns the parts and the conditions no part could apply alone."""
+    parts, pushed = [], []
+    for index, tags in enumerate(partition):
+        sub = sub_query(query, tags, f"q__p{index}")
+        pushed.extend(sub.conditions)
+        rows = evaluate_psj(sub, db.__getitem__)
+        parts.append(label_part(rows, tuple(sub.projection), f"p{index}"))
+    cross = [c for c in query.conditions if c not in pushed]
+    return parts, cross
+
+
+@settings(max_examples=150, deadline=None)
+@given(databases(), cut_queries())
+def test_both_engines_agree_with_direct_evaluation(db, cut_query):
+    query, partition = cut_query
+    parts, cross = cut(query, partition, db)
+    tuple_result, tuple_touched = combine_parts(TupleEngine(), parts, cross, query)
+    batch_result, batch_touched = combine_parts(ColumnarEngine(), parts, cross, query)
+    # Same rows in the same order, same work counted — on either engine.
+    assert list(tuple_result) == list(batch_result)
+    assert tuple_touched == batch_touched
+    assert set(tuple_result) == set(evaluate_psj(query, db.__getitem__))
+
+
+@settings(max_examples=150, deadline=None)
+@given(databases(), cut_queries(), st.data())
+def test_partial_nulls_exactly_the_missing_columns(db, cut_query, data):
+    query, partition = cut_query
+    parts, cross = cut(query, partition, db)
+    if len(parts) < 2:
+        return
+    lost = data.draw(st.integers(0, len(parts) - 1))
+    surviving_tags = frozenset().union(
+        *(tags for index, tags in enumerate(partition) if index != lost)
+    )
+    survivors = parts[:lost] + parts[lost + 1:]
+    arrived = {col for part in survivors for col in part.schema.attributes}
+
+    # What is still checkable: the query over the surviving occurrences,
+    # conditions entirely inside them, lost projection columns pinned None.
+    prefixes = tuple(tag + "." for tag in surviving_tags)
+    expected_query = PSJQuery(
+        "q",
+        tuple(o for o in query.occurrences if o.tag in surviving_tags),
+        tuple(
+            c for c in query.conditions
+            if all(col.startswith(prefixes) for col in c.columns())
+        ),
+        tuple(
+            entry if isinstance(entry, ConstProj) or entry in arrived
+            else ConstProj(None)
+            for entry in query.projection
+        ),
+    )
+    expected = set(evaluate_psj(expected_query, db.__getitem__))
+    for engine in (TupleEngine(), ColumnarEngine()):
+        result, _touched = combine_parts(engine, survivors, cross, query, partial=True)
+        assert set(result) == expected
+        for row in result:
+            for entry, value in zip(query.projection, row):
+                if not isinstance(entry, ConstProj):
+                    assert (value is None) == (entry not in arrived)
+
+
+class TestStrictMode:
+    """Without ``partial`` a missing column is a planning bug, not data."""
+
+    R = Relation(result_schema("r", 2), [(1, 2), (3, 4)])
+    OCCS = (Occurrence("t0", "r", 2), Occurrence("t1", "r", 2))
+
+    def part(self):
+        return label_part(self.R, (column("t0", 0), column("t0", 1)), "p0")
+
+    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
+    def test_inapplicable_condition_raises(self, engine):
+        query = PSJQuery("q", self.OCCS, (), (column("t0", 0),))
+        dangling = Comparison(Col(column("t0", 1)), "=", Col(column("t1", 0)))
+        with pytest.raises(SchemaError):
+            combine_parts(engine, [self.part()], [dangling], query)
+        result, _ = combine_parts(engine, [self.part()], [dangling], query, partial=True)
+        assert list(result) == [(1,), (3,)]
+
+    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
+    def test_partial_still_applies_what_it_can_check(self, engine):
+        query = PSJQuery("q", self.OCCS, (), (column("t0", 0),))
+        dangling = Comparison(Col(column("t0", 1)), "=", Col(column("t1", 0)))
+        checkable = Comparison(Col(column("t0", 0)), ">", Lit(1))
+        result, _ = combine_parts(
+            engine, [self.part()], [dangling, checkable], query, partial=True
+        )
+        assert list(result) == [(3,)]
+
+    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
+    def test_missing_projection_column_raises(self, engine):
+        query = PSJQuery("q", self.OCCS, (), (column("t0", 0), column("t1", 1)))
+        with pytest.raises(SchemaError):
+            combine_parts(engine, [self.part()], [], query)
+        result, _ = combine_parts(engine, [self.part()], [], query, partial=True)
+        assert list(result) == [(1, None), (3, None)]
+
+    def test_no_parts_is_a_planning_error(self):
+        query = PSJQuery("q", self.OCCS, (), ())
+        with pytest.raises(PlanningError):
+            combine_parts(TupleEngine(), [], [], query)
+
+
+def test_executor_combine_and_federated_gather_agree():
+    """The same parts through the Execution Monitor's combine stage and
+    through the federated gather: equal rows, equal rows-touched charge."""
+    from tests.federation.conftest import SPAN3, base_tables, make_federation, psj
+
+    query = psj(SPAN3)
+    federation = make_federation()
+    interface = federation.interface
+    tables = base_tables()
+    fetched = []
+    for part in interface.partition(query):
+        rows = evaluate_psj(part.sub, tables.__getitem__)
+        fetched.append((part, label_part(rows, part.columns, part.backend)))
+
+    before = interface.clock.now
+    gathered = interface._gather(query, fetched)
+    gather_seconds = interface.clock.now - before
+
+    clock, profile = SimClock(), CostProfile()
+    monitor = ExecutionMonitor(Cache(), None, clock, profile, Metrics())
+    pushed = [c for part, _ in fetched for c in part.sub.conditions]
+    plan = QueryPlan(
+        query,
+        "remote",
+        cross_conditions=tuple(c for c in query.conditions if c not in pushed),
+    )
+    combined = monitor._combine([relation for _, relation in fetched], plan)
+
+    assert list(combined) == list(gathered)
+    assert set(combined) == set(evaluate_psj(query, tables.__getitem__))
+    assert clock.now == pytest.approx(gather_seconds)

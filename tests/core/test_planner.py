@@ -227,3 +227,85 @@ class TestCostModel:
         planner = make_planner()
         plan = planner.plan(make_psj("q(X, Z) :- b2(X, Z)"))
         assert "remote" in plan.describe()
+
+
+class TestTracedProbe:
+    """With a real tracer the planner reports its subsumption rationale
+    from the probe it runs anyway — not from a second one."""
+
+    ELEMENTS = (
+        "e1(X, Z) :- b2(X, Z)",
+        "e2(X, Z) :- b2(X, Z), X < 3",
+        "e3(Z) :- b2(1, Z)",
+        "e4(X, Y) :- b3(X, c2, Y)",
+    )
+
+    @pytest.mark.parametrize(
+        "text, strategy, candidates",
+        [
+            ("q(X, Z) :- b2(X, Z), X < 2", "cache-full", 3),
+            ("q(X, Y) :- b2(X, Z), b3(Z, c3, Y)", "hybrid", 4),
+            ("q(X, Y) :- b3(X, c3, Y)", "remote", 1),
+        ],
+    )
+    def test_one_match_per_candidate_and_the_same_plan(
+        self, monkeypatch, text, strategy, candidates
+    ):
+        from repro.common.clock import SimClock
+        from repro.core import subsumption
+        from repro.obs.tracer import Tracer
+
+        cache = cache_with(*self.ELEMENTS)
+        psj = make_psj(text)
+        untraced = make_planner(cache).plan(psj)
+        assert untraced.strategy == strategy
+        expected = subsumption.explain_candidates(cache, psj)
+        assert len(expected) == candidates
+
+        examined = []
+        real = subsumption.match_element
+
+        def counting(element, *args, **kwargs):
+            examined.append(element.element_id)
+            return real(element, *args, **kwargs)
+
+        monkeypatch.setattr(subsumption, "match_element", counting)
+        tracer = Tracer(SimClock())
+        planner = make_planner(cache)
+        planner.tracer = tracer
+        traced = planner.plan(psj)
+
+        # Each candidate went through match_element exactly once ...
+        assert sorted(examined) == sorted(r.element_id for r in expected)
+        # ... tracing did not perturb the plan ...
+        assert traced.strategy == untraced.strategy
+        assert traced.part_labels() == untraced.part_labels()
+        assert traced.full_match == untraced.full_match
+        assert traced.notes == untraced.notes
+        # ... and the span carries the full rationale, in explain's order.
+        (span,) = [s for s in tracer.spans if s.name == "planner.plan"]
+        events = [
+            (e.name, e.attributes_dict()["element"], e.attributes_dict().get("reasons"))
+            for e in span.events
+            if e.name.startswith("subsume.")
+        ]
+        assert events == [
+            ("subsume.match", r.element_id, None)
+            if r.matched
+            else ("subsume.reject", r.element_id, list(r.rejections))
+            for r in expected
+        ]
+
+    def test_a_plan_answered_before_the_probe_still_explains_itself(self):
+        from repro.common.clock import SimClock
+        from repro.obs.tracer import Tracer
+
+        cache = cache_with(*self.ELEMENTS)
+        tracer = Tracer(SimClock())
+        planner = make_planner(cache)
+        planner.tracer = tracer
+        plan = planner.plan(make_psj("again(X, Z) :- b2(X, Z)"))
+        assert plan.strategy == "exact"
+        (span,) = tracer.spans
+        assert [e.name for e in span.events].count("subsume.match") == 1
+        assert [e.name for e in span.events].count("subsume.reject") == 2

@@ -16,6 +16,7 @@ from repro.core.subsumption import (
     derive_full,
     derive_full_lazy,
     derive_part,
+    explain_candidates,
     find_relevant,
     match_element,
 )
@@ -298,25 +299,23 @@ class TestLazyDerivation:
 
 # -- property test: subsumption-derived results equal direct evaluation -----------
 
-element_texts = st.sampled_from(
-    [
-        "e(X, Z) :- b2(X, Z)",
-        "e(X, Z) :- b2(X, Z), X < 3",
-        "e(Z) :- b2(1, Z)",
-        "e(X, Z, C, Y) :- b2(X, Z), b3(Z, C, Y)",
-        "e(X, Y) :- b3(X, c2, Y)",
-    ]
-)
-query_texts = st.sampled_from(
-    [
-        "q(Z) :- b2(1, Z)",
-        "q(X, Z) :- b2(X, Z), X < 2",
-        "q(X) :- b2(X, 2)",
-        "q(X, Y) :- b2(X, Z), b3(Z, c2, Y)",
-        "q(Y) :- b3(1, c2, Y)",
-        "q(X, Z) :- b2(X, Z)",
-    ]
-)
+ELEMENT_TEXTS = [
+    "e(X, Z) :- b2(X, Z)",
+    "e(X, Z) :- b2(X, Z), X < 3",
+    "e(Z) :- b2(1, Z)",
+    "e(X, Z, C, Y) :- b2(X, Z), b3(Z, C, Y)",
+    "e(X, Y) :- b3(X, c2, Y)",
+]
+QUERY_TEXTS = [
+    "q(Z) :- b2(1, Z)",
+    "q(X, Z) :- b2(X, Z), X < 2",
+    "q(X) :- b2(X, 2)",
+    "q(X, Y) :- b2(X, Z), b3(Z, c2, Y)",
+    "q(Y) :- b3(1, c2, Y)",
+    "q(X, Z) :- b2(X, Z)",
+]
+element_texts = st.sampled_from(ELEMENT_TEXTS)
+query_texts = st.sampled_from(QUERY_TEXTS)
 
 
 @given(element_texts, query_texts)
@@ -331,3 +330,37 @@ def test_full_match_derivation_is_correct(element_text, query_text):
         if match.is_full:
             derived = derive_full(match, query)
             assert derived == evaluate_psj(query, DB.__getitem__)
+
+
+# -- the probe and its rationale are one walk ---------------------------------------
+
+
+@pytest.mark.parametrize("query_text", QUERY_TEXTS)
+def test_collecting_reports_does_not_change_the_probe(query_text):
+    """``find_relevant`` returns the same matches with and without report
+    collection, and the reports are that same walk: their matches, in visit
+    order, are the returned list before its (stable) sort."""
+    cache, elements = cache_with(*ELEMENT_TEXTS)
+    query = make_psj(query_text)
+    plain = find_relevant(cache, query)
+    reports = []
+    collected = find_relevant(cache, query, reports)
+    assert collected == plain
+
+    visited = [match for report in reports for match in report.matches]
+    assert sorted(
+        visited,
+        key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)),
+    ) == plain
+    # One report per candidate sharing a predicate with the query, each
+    # either matched or carrying the reason it was rejected.
+    query_preds = set(query.predicates())
+    candidates = [
+        e.element_id for e in elements if query_preds & set(e.definition.predicates())
+    ]
+    assert sorted(r.element_id for r in reports) == sorted(candidates)
+    assert all(r.matched or r.rejections for r in reports)
+    # ``explain_candidates`` is the same reports, matched ones first.
+    assert explain_candidates(cache, query) == sorted(
+        reports, key=lambda r: (not r.matched, r.element_id)
+    )

@@ -205,3 +205,33 @@ class TestNaiveBaseline:
         naive = federation.naive()
         naive.query(parse_query(SPAN2)).fetch_all()
         assert federation.metrics.get(REMOTE_SEMIJOIN_REQUESTS) == 0
+
+
+class TestGatherIntermediates:
+    """Through a CMS, each unreduced per-backend part of a scatter is
+    offered to the Execution Monitor's one registration route."""
+
+    EXISTS = "qx(S, C) :- sup(S, C), part(P, 1)"
+
+    def run(self, features=None):
+        cms = make_federation().cms(features=features)
+        cms.begin_session()
+        rows = cms.query(parse_query(self.EXISTS)).fetch_all()
+        assert set(rows) == oracle(self.EXISTS)
+        return cms.cache.elements()
+
+    def test_value_parts_register_existence_parts_do_not(self):
+        # alpha's share carries rows a later query can subsume; beta's is a
+        # bare existence check (empty projection) with nothing to reuse —
+        # the guard every other registration route already applied.
+        elements = self.run()
+        gathered = [e for e in elements if e.operator == "federated-gather"]
+        assert [e.definition.name for e in gathered] == ["qx__rest__alpha"]
+        assert all(e.kind == "intermediate" for e in gathered)
+        assert all(e.definition.projection for e in elements)
+
+    def test_intermediates_off_registers_nothing(self):
+        from repro.core.cms import CMSFeatures
+
+        elements = self.run(CMSFeatures(intermediates=False))
+        assert [e.kind for e in elements] == ["view"]

@@ -6,8 +6,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 from repro.obs.regress import (
     compare,
     dump_baseline,

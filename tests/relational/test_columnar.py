@@ -14,7 +14,7 @@ from repro.relational.columnar import (
     reset_predicate_cache,
     select_batch,
 )
-from repro.relational.expressions import Col, Comparison, Lit, col_eq, eq
+from repro.relational.expressions import Col, Comparison, Lit, eq
 from repro.relational.operators import join, project, select
 from repro.relational.relation import Relation, relation_from_columns
 from repro.relational.schema import Schema
