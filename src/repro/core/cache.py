@@ -34,6 +34,7 @@ from repro.common.metrics import (
 from repro.relational.generator import GeneratorRelation
 from repro.relational.index import IndexSet
 from repro.relational.relation import Relation, rows_bytes
+from repro.caql.implication import ContainmentSignature
 from repro.caql.psj import PSJQuery
 from repro.core.canonical import canonical_key
 
@@ -109,6 +110,20 @@ class CacheElement:
     advice_weight: float = 1.0
     _indexes: IndexSet | None = field(default=None, repr=False)
     _sorted_views: dict | None = field(default=None, repr=False)
+    #: The definition's containment signature: what the subsumption walk
+    #: tests before it tries any occurrence mapping.  Derived from
+    #: ``definition`` and only ever replaced together with it
+    #: (:meth:`redefine`); ``Cache.check_invariants`` recomputes it.
+    signature: ContainmentSignature = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.signature = ContainmentSignature.of(self.definition)
+
+    def redefine(self, definition: PSJQuery) -> None:
+        """Adopt an alpha-equivalent definition (same canonical key), and
+        the signature that goes with its occurrence tags."""
+        self.definition = definition
+        self.signature = ContainmentSignature.of(definition)
 
     @property
     def pinned(self) -> bool:
@@ -307,7 +322,7 @@ class Cache:
                 # canonical key, but the *view's* name is what path
                 # expressions track).  Lineage is kept.
                 element.kind = "view"
-                element.definition = definition
+                element.redefine(definition)
             if element.derivation_seconds <= 0.0:
                 element.derivation_seconds = max(derivation_seconds, 0.0)
             if use:
@@ -701,8 +716,10 @@ class Cache:
         Raises :class:`~repro.common.errors.InvariantViolation` when any
         structural property the implementation must maintain is broken:
         the definition-key bijection, the predicate index, refcount sanity,
-        each element's memoized size against a from-scratch recount, and
-        the disjointness/reachability rules for the condemned set.
+        each element's memoized size against a from-scratch recount, its
+        containment signature against a recomputation from its current
+        definition, and the disjointness/reachability rules for the
+        condemned set.
         Called from tests and after every fuzzer query.
         """
         from repro.common.errors import InvariantViolation
@@ -776,6 +793,14 @@ class Cache:
                         f"{element_id} missing from live parent "
                         f"{parent_id}'s children index"
                     )
+            # A stale signature makes the subsumption walk reject (or
+            # rename conditions for) a definition the element no longer has.
+            if element.signature != ContainmentSignature.of(element.definition):
+                raise InvariantViolation(
+                    f"{element_id}: containment signature does not describe "
+                    "its current definition (definition replaced without "
+                    "redefine()?)"
+                )
             key = key_of(element.definition)
             live_keys.add(key)
             if self._by_key.get(key) != element_id:
@@ -886,11 +911,21 @@ class StaleArchive:
     def __len__(self) -> int:
         return len(self.cache)
 
-    def find_full(self, query: PSJQuery):
-        """A full subsumption match from the archive, or None."""
-        from repro.core.subsumption import find_relevant
+    def find_full(self, query: PSJQuery, audit: bool = False):
+        """A full subsumption match from the archive, or None.
 
-        for match in find_relevant(self.cache, query):
+        With ``audit`` (the CMS passes :attr:`QueryPlanner.audit`), every
+        archived copy the containment signature turned away is put through
+        the full test after all, as the planner does for its own probes: a
+        false reject here would turn a stale answer into a failure.
+        """
+        from repro.core.subsumption import audit_prefilter, find_relevant
+
+        reports = [] if audit else None
+        matches = find_relevant(self.cache, query, reports)
+        if audit:
+            audit_prefilter(self.cache, query, reports)
+        for match in matches:
             if match.is_full:
                 return match
         return None

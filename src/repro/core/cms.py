@@ -561,7 +561,7 @@ class CacheManagementSystem:
         if not self.features.degradation:
             raise error
         if self._archive is not None:
-            match = self._archive.find_full(psj)
+            match = self._archive.find_full(psj, audit=self.planner.audit)
             if match is not None:
                 logger.debug(
                     "degraded[%s]: stale archive copy %s",

@@ -49,7 +49,6 @@ from repro.core.rdi import RemoteInterface
 from repro.obs.tracer import Tracer
 from repro.core.subsumption import (
     SubsumptionMatch,
-    _rename_condition,
     derive_full,
     derive_full_lazy,
     derive_part,
@@ -549,10 +548,7 @@ class ExecutionMonitor:
         )
         tag_map = dict(match.tag_mapping)
         attr_to_query = {attr: q_col for q_col, attr in match.column_map}
-        conditions = [
-            _rename_condition(condition, tag_map)
-            for condition in match.element.definition.conditions
-        ] + [
+        conditions = match.element.signature.renamed_conditions(tag_map) + [
             condition.rename_columns(
                 {c: attr_to_query[c] for c in condition.columns()}
             )

@@ -38,6 +38,7 @@ from repro.core.plan import (
 from repro.core.subsumption import (
     CandidateReport,
     SubsumptionMatch,
+    audit_prefilter,
     find_relevant,
     ranked,
 )
@@ -109,7 +110,9 @@ class QueryPlanner:
         #: keeps the original one-profile cost formulas byte-for-byte.
         self.backend_of = backend_of
         #: When set, every produced plan is run through
-        #: :meth:`QueryPlan.check_invariants` before it leaves the planner.
+        #: :meth:`QueryPlan.check_invariants` before it leaves the planner,
+        #: and every candidate its probe rejected on the containment
+        #: signature is put through the full subsumption test after all.
         #: Off by default (tests and the fuzzer flip it on).
         self.audit = False
 
@@ -122,16 +125,18 @@ class QueryPlanner:
         which makes planning safe under multi-session interleaving.
         """
         with self.tracer.span("planner.plan", view=query.name) as span:
-            # With a real tracer attached, the probe ``_plan`` runs also
-            # records its per-candidate rationale for ``_trace_decision``.
+            # With a real tracer attached (or under audit), the probe
+            # ``_plan`` runs also records its per-candidate rationale, for
+            # ``_trace_decision`` (and ``audit_prefilter``).
             reports: list[CandidateReport] | None = (
-                [] if self.tracer.enabled else None
+                [] if self.tracer.enabled or self.audit else None
             )
             plan = self._plan(query, reports)
             plan.epoch = self.cache.epoch
             if self.audit:
                 plan.check_invariants()
-            if reports is not None:
+                audit_prefilter(self.cache, query, reports)
+            if self.tracer.enabled:
                 self._trace_decision(span, query, plan, reports)
             return plan
 

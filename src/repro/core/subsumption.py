@@ -12,7 +12,11 @@ range-condition implication engine:
 1. **Candidate filtering** through the ``(predicate name, cache element)``
    index, with one-directional matching: every occurrence in E's
    definition must map (injectively, same predicate and arity) onto an
-   occurrence of Q.
+   occurrence of Q.  The index alone returns every element that mentions
+   a relation of Q, so each candidate is first held against its stored
+   :class:`~repro.caql.implication.ContainmentSignature` — conditions
+   necessary for any mapping to succeed, decided without enumerating one
+   (:func:`find_relevant`).
 2. **Condition checking**: under that occurrence mapping, every condition
    of E must be implied by Q's conditions (E is no more restrictive than
    Q), and every condition of Q over the covered occurrences must be
@@ -25,12 +29,13 @@ the covered occurrences appears in E; re-applying Q's non-implied covered
 conditions (all of whose columns survive E's projection — checked) then
 yields exactly the covered component of Q.
 
-Subsumption is the cache's *second* lookup tier: variant spellings of a
-cached definition (conjuncts reordered, variables renamed, bounds
-respelled) are recognized up front by :mod:`repro.core.canonical` and
-served as canonical-key exact hits without entering the search here.
+Subsumption comes after the exact and canonical lookup tiers: variant
+spellings of a cached definition (conjuncts reordered, variables renamed,
+bounds respelled) are recognized up front by :mod:`repro.core.canonical`
+and served as canonical-key exact hits without entering the search here.
 What reaches this module is genuine containment — a strictly more
-specific query derivable from a strictly more general element.
+specific query derivable from a strictly more general element — in two
+tiers of its own: the signature test, then :func:`match_element`.
 """
 
 from __future__ import annotations
@@ -38,12 +43,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.common.errors import InvariantViolation
 from repro.relational.expressions import Comparison
 from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import select, select_iter
 from repro.relational.relation import Relation
 from repro.caql.eval import result_schema
-from repro.caql.implication import ConditionSet
+from repro.caql.implication import (
+    ConditionSet,
+    ContainmentProbe,
+    ContainmentSignature,
+    SignatureRejection,
+)
 from repro.caql.psj import ConstProj, PSJQuery, column, parse_column
 from repro.core.cache import Cache, CacheElement
 
@@ -78,19 +89,6 @@ class SubsumptionMatch:
     def __str__(self) -> str:
         kind = "full" if self.is_full else f"partial({len(self.covered_tags)} occ)"
         return f"{self.element.element_id} ⊇ query [{kind}, {len(self.residual_conditions)} residual]"
-
-
-def _rename_condition(condition: Comparison, tag_map: dict[str, str]) -> Comparison:
-    """Map a condition from element column space into query column space."""
-
-    def rename(name: str) -> str:
-        tag, position = parse_column(name)
-        return column(tag_map[tag], position)
-
-    mapping = {}
-    for col in condition.columns():
-        mapping[col] = rename(col)
-    return condition.rename_columns(mapping)
 
 
 def _assignments(
@@ -154,7 +152,7 @@ def match_element(
             if reasons is not None
             else ""
         )
-        renamed = [_rename_condition(c, tag_map) for c in element_def.conditions]
+        renamed = element.signature.renamed_conditions(tag_map)
         not_implied = [c for c in renamed if not query_conditions.implies(c)]
         if not_implied:
             if reasons is not None:
@@ -272,12 +270,56 @@ class CandidateReport:
     element_id: str
     view_name: str
     matches: tuple[SubsumptionMatch, ...]
-    #: Rejection reasons, one per failed candidate occurrence mapping.
+    #: Rejection reasons: one per failed candidate occurrence mapping, or
+    #: the single reason the containment signature ruled the element out.
     rejections: tuple[str, ...]
+    #: True when the containment signature rejected the element, so
+    #: :func:`match_element` never ran on it.
+    prefiltered: bool = False
 
     @property
     def matched(self) -> bool:
         return bool(self.matches)
+
+
+def _signature_reason(
+    signature: ContainmentSignature,
+    probe: ContainmentProbe,
+    rejection: SignatureRejection,
+) -> str:
+    """A signature rejection in the vocabulary of :func:`match_element`'s
+    own reasons (rendered only when a caller collects reports)."""
+    relation, tag = rejection
+    if tag is None:
+        absent = {pred for (pred, _), _ in signature.relation_counts} - {
+            pred for pred, _ in probe.occurrences
+        }
+        if absent:
+            return (
+                "element mentions predicate(s) absent from the "
+                f"query: {', '.join(sorted(absent))}"
+            )
+        pred, arity = relation
+        return (
+            "no injective occurrence mapping: the element has "
+            f"{dict(signature.relation_counts)[relation]} occurrence(s) of "
+            f"{pred}/{arity}, the query has "
+            f"{len(probe.occurrences.get(relation, ()))}"
+        )
+    # Name the first condition that failed at the first occurrence tried.
+    candidates = probe.occurrences[relation]
+    tried = "|".join(q_tag for q_tag, _ in candidates)
+    columns = candidates[0][1]
+    literal = next(lit for e_tag, _, lit in signature.occurrences if e_tag == tag)
+    col, op, value = next(
+        (columns[position], op, value)
+        for position, op, value in literal
+        if not probe.conditions.implies_literal(columns[position], op, value)
+    )
+    return (
+        f"[{tag}->{tried}] element condition {col} {op} {value!r} is not "
+        "implied by the query (the element is more restrictive)"
+    )
 
 
 def find_relevant(
@@ -286,19 +328,23 @@ def find_relevant(
     """All subsumption matches from the cache for ``query``.
 
     This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
-    planner chooses among them.  Candidates are prefiltered through the
-    cache's predicate index, full matches first, larger coverage first.
+    planner chooses among them.  Candidates come from the cache's predicate
+    index; each is first tested against its stored
+    :class:`~repro.caql.implication.ContainmentSignature` — too few
+    occurrences of a relation in the query, or an element occurrence whose
+    pins and bounds no query occurrence implies — and only the survivors
+    pay for :func:`match_element`'s occurrence-mapping search.  Full matches
+    sort first, larger coverage first.
 
     When ``reports`` is given, the walk also shows its working: one
     :class:`CandidateReport` per candidate element is appended, in visit
-    order, holding either its matches or the reason each occurrence
-    mapping was rejected — the rationale behind ``cms.explain`` and the
-    planner's subsumption trace events.  The returned matches are the same
-    either way, and the plain query path (``reports`` None) pays none of
-    the bookkeeping.
+    order, holding either its matches or the reason it was rejected (by
+    the signature, or per occurrence mapping) — the rationale behind
+    ``cms.explain`` and the planner's subsumption trace events.  The
+    returned matches are the same either way, and the plain query path
+    (``reports`` None) pays none of the bookkeeping.
     """
-    query_preds = set(query.predicates())
-    query_conditions = ConditionSet(query.conditions)
+    probe = ContainmentProbe(query)
     seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     # Walk predicates in query order, not set order: the sort below is
@@ -310,19 +356,17 @@ def find_relevant(
                 continue
             seen.add(element.element_id)
             reasons: list[str] | None = None if reports is None else []
-            extra = set(element.definition.predicates()) - query_preds
-            if extra:
-                # Quick reject: every element predicate must appear in the query.
+            rejection = probe.rejection(element.signature)
+            if rejection is not None:
                 found: tuple[SubsumptionMatch, ...] = ()
                 if reasons is not None:
                     reasons.append(
-                        "element mentions predicate(s) absent from the "
-                        f"query: {', '.join(sorted(extra))}"
+                        _signature_reason(element.signature, probe, rejection)
                     )
             else:
                 found = tuple(
                     match_element(
-                        element, query, reasons, query_conditions=query_conditions
+                        element, query, reasons, query_conditions=probe.conditions
                     )
                 )
                 matches.extend(found)
@@ -333,10 +377,33 @@ def find_relevant(
                         view_name=element.definition.name,
                         matches=found,
                         rejections=tuple(reasons),
+                        prefiltered=rejection is not None,
                     )
                 )
     matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
     return matches
+
+
+def audit_prefilter(
+    cache: Cache, query: PSJQuery, reports: list[CandidateReport]
+) -> None:
+    """Re-run the full test on every candidate the signature rejected.
+
+    A false reject never changes an answer, only a plan and its cost, so
+    no oracle sees it; this is the check that does.  Raises
+    :class:`~repro.common.errors.InvariantViolation` when a rejected
+    element matches after all.
+    """
+    for report in reports:
+        element = cache.get(report.element_id) if report.prefiltered else None
+        if element is None:
+            continue
+        for match in match_element(element, query):
+            raise InvariantViolation(
+                f"containment signature rejected {report.element_id} "
+                f"({'; '.join(report.rejections)}) but it matches "
+                f"{query.name}: {match}"
+            )
 
 
 def ranked(reports: list[CandidateReport]) -> list[CandidateReport]:

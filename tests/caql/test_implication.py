@@ -160,6 +160,55 @@ class TestSatisfiability:
         assert cs.implies(c(B, "=", 99))
 
 
+class TestBuiltOnce:
+    """A set never changes after construction, so nothing about it is
+    re-derived per ``implies`` call."""
+
+    def test_satisfiability_is_decided_at_construction(self, monkeypatch):
+        from repro.caql import implication
+
+        cs = ConditionSet([c(A, ">", 1), c(B, "=", 2), c(A, "<", 9)])
+        contradictory = ConditionSet([c(A, "=", 1), c(A, "=", 2)])
+
+        def rescan(self):
+            raise AssertionError("class scanned for satisfiability after build")
+
+        monkeypatch.setattr(implication._ClassInfo, "is_unsatisfiable", rescan)
+        assert cs.is_satisfiable() and cs.implies(c(A, ">", 0))
+        assert not contradictory.is_satisfiable()
+        assert contradictory.implies(c(C, "=", 99))
+
+    def test_unconstrained_columns_share_one_read_only_info(self):
+        cs = ConditionSet([c(A, "<", 5)])
+        assert cs._info(B) is cs._info(C) is ConditionSet([])._info(A)
+        assert cs._info(B).forced() == (False, None)
+        # Asking about a column the set never mentions leaves no trace.
+        before = dict(cs._parent)
+        assert not cs.implies(c(B, "<", 5)) and not cs.implies(c(B, "!=", 5))
+        assert cs._parent == before
+
+    def test_equality_chains_are_flat_after_build_so_reads_write_nothing(self):
+        # Unions in an order that leaves a three-deep parent chain behind.
+        D, E = "t1.c1", "t2.c0"
+        cs = ConditionSet([c(A, "=", B), c(C, "=", D), c(B, "=", D), c(D, "=", E), c(E, "=", 7)])
+        root = cs._find(E)
+        assert all(cs._parent.get(col, col) == root for col in (A, B, C, D, E))
+        before = dict(cs._parent)
+        assert cs.same_class(A, C) and cs.pinned_value(A) == (True, 7)
+        assert cs.implies(c(A, "=", 7)) and cs.implies(c(C, "=", A))
+        assert cs._parent == before
+
+    def test_implies_literal_is_implies_without_the_comparison(self):
+        cs = ConditionSet([c(A, "=", B), c(B, "=", 3), c(C, ">=", 2), c(C, "<=", 2)])
+        for col, op, value in [
+            (A, "=", 3), (A, "=", 3.0), (A, "<", 3), (A, "!=", "3"),
+            (C, "=", 2), (C, "=", True), (C, ">", 2), (B, "<=", 3),
+        ]:
+            assert cs.implies_literal(col, op, value) == cs.implies(c(col, op, value))
+        unsat = ConditionSet([c(A, ">", 5), c(A, "<", 3)])
+        assert unsat.implies_literal(C, "=", 99)
+
+
 class TestTypeSafety:
     def test_mixed_types_never_imply(self):
         cs = ConditionSet([c(A, "<", 5)])

@@ -100,6 +100,42 @@ class TestLineage:
             cache.check_invariants()
 
 
+class TestSignatureFollowsDefinition:
+    """The containment signature is derived from the definition and must
+    be replaced with it: a stale one renames conditions onto the wrong
+    occurrence tags."""
+
+    INTERMEDIATE = "m(X, Z) :- b2(Y, Z), b1(X, Y), X >= 3"
+    VIEW = "v(X, Z) :- b1(X, Y), b2(Y, Z), X >= 3"  # same key, tags swapped
+
+    def test_promotion_to_a_view_refreshes_the_signature(self):
+        from repro.caql.implication import ContainmentSignature
+        from repro.core.subsumption import find_relevant
+
+        cache = Cache()
+        element = store(cache, self.INTERMEDIATE, kind="intermediate")
+        before = element.signature
+        assert before == ContainmentSignature.of(make_psj(self.INTERMEDIATE))
+        promoted = store(cache, self.VIEW)
+        assert promoted is element and element.kind == "view"
+        assert element.definition.name == "v"
+        assert element.signature == ContainmentSignature.of(make_psj(self.VIEW))
+        assert element.signature != before
+        cache.check_invariants()
+        # And the walk still derives a tighter query from it.
+        (match,) = find_relevant(
+            cache, make_psj("q(X, Z) :- b1(X, Y), b2(Y, Z), X >= 5")
+        )
+        assert match.is_full and match.element is element
+
+    def test_a_definition_swapped_behind_the_signature_is_caught(self):
+        cache = Cache()
+        element = store(cache, self.INTERMEDIATE, kind="intermediate")
+        element.definition = make_psj(self.VIEW)  # not via redefine()
+        with pytest.raises(InvariantViolation, match="containment signature"):
+            cache.check_invariants()
+
+
 class TestPinnedDescendantProtection:
     def test_ancestor_of_pinned_element_is_never_victim(self):
         clock = SimClock()

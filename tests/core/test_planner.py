@@ -275,8 +275,12 @@ class TestTracedProbe:
         planner.tracer = tracer
         traced = planner.plan(psj)
 
-        # Each candidate went through match_element exactly once ...
-        assert sorted(examined) == sorted(r.element_id for r in expected)
+        # Each candidate the containment signature let through went
+        # through match_element exactly once, the others never ...
+        assert sorted(examined) == sorted(
+            r.element_id for r in expected if not r.prefiltered
+        )
+        assert len(examined) < candidates  # every case has a signature reject
         # ... tracing did not perturb the plan ...
         assert traced.strategy == untraced.strategy
         assert traced.part_labels() == untraced.part_labels()
@@ -309,3 +313,28 @@ class TestTracedProbe:
         (span,) = tracer.spans
         assert [e.name for e in span.events].count("subsume.match") == 1
         assert [e.name for e in span.events].count("subsume.reject") == 2
+
+
+class TestPrefilterAudit:
+    """Under ``audit`` the planner puts every candidate its probe rejected
+    on the containment signature through ``match_element`` after all."""
+
+    def test_a_false_reject_raises_only_under_audit(self, monkeypatch):
+        from repro.caql.implication import ContainmentProbe
+        from repro.common.errors import InvariantViolation
+
+        cache = cache_with(*TestTracedProbe.ELEMENTS)
+        psj = make_psj("q(X, Z) :- b2(X, Z), X < 2")
+        planner = make_planner(cache)
+        planner.audit = True
+        assert planner.plan(psj).strategy == "cache-full"  # sound: silent
+
+        def reject_everything(self, signature):
+            return signature.occurrences[0][1], None
+
+        monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
+        with pytest.raises(InvariantViolation, match="signature rejected E1"):
+            planner.plan(psj)
+        # Unaudited, the same bug is only a worse plan.
+        planner.audit = False
+        assert planner.plan(psj).strategy == "remote"

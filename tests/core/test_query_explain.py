@@ -166,6 +166,52 @@ class TestRationale:
             )),
         ]
 
+    def test_signature_rejections_verbatim(self, cms):
+        """A candidate the containment signature turns away carries one
+        reason, in the same vocabulary: the query occurrences tried and
+        the first condition that failed at the first of them, or the
+        relation the query has too few occurrences of."""
+        for text in [
+            "q(Y) :- parent(tom, Y)",
+            "qa(X, Y) :- parent(X, Y)",
+            "qg(X, Z) :- parent(X, Y), parent(Y, Z)",
+            "qo(P, A) :- age(P, A), A > 30, A =< 60",
+        ]:
+            cms.query(parse_query(text)).fetch_all()
+
+        def rationale(text):
+            return [
+                (c.element_id, c.matched, c.prefiltered, c.rejections)
+                for c in cms.explain(parse_query(text)).candidates
+            ]
+
+        assert rationale("q2(X, Z) :- parent(X, Y), parent(Y, Z), X \\= tom") == [
+            ("E2", True, False, ()),
+            ("E3", True, False, (
+                "[t0->t1, t1->t0] element condition t1.c1 = t0.c0 is not implied "
+                "by the query (the element is more restrictive)",
+            )),
+            ("E1", False, True, (
+                "[t0->t0|t1] element condition t0.c0 = 'tom' is not implied by "
+                "the query (the element is more restrictive)",
+            )),
+        ]
+        assert rationale("q3(A) :- parent(bob, Y), age(Y, A), A > 40") == [
+            ("E2", True, False, ()),
+            ("E1", False, True, (
+                "[t0->t0] element condition t0.c0 = 'tom' is not implied by "
+                "the query (the element is more restrictive)",
+            )),
+            ("E3", False, True, (
+                "no injective occurrence mapping: the element has 2 "
+                "occurrence(s) of parent/2, the query has 1",
+            )),
+            ("E4", False, True, (
+                "[t0->t1] element condition t1.c1 <= 60 is not implied by the "
+                "query (the element is more restrictive)",
+            )),
+        ]
+
     def test_unrelated_predicates_are_not_candidates(self, cms):
         cms.query(parse_query("q(Y) :- parent(tom, Y)")).fetch_all()
         explanation = cms.explain(parse_query("q2(A) :- age(tom, A)"))

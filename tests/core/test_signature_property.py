@@ -1,0 +1,160 @@
+"""The containment signature is a *necessary* condition, nothing more.
+
+``find_relevant`` tests every candidate against its stored
+:class:`~repro.caql.implication.ContainmentSignature` before it pays for
+``match_element``.  A false reject never changes an answer — only a plan
+and its simulated cost — so no oracle comparison can see one.  These
+properties are the net:
+
+* **signature-reject ⇒ no match** — whenever the probe rejects an element,
+  ``match_element`` on that pair yields nothing;
+* **the walk is unchanged** — ``find_relevant`` returns the same matches,
+  in the same order, as the same walk with the prefilter switched off.
+
+Pairs come from the pools of ``test_subsumption_property`` and
+``tests/qa/test_property_subsumption`` plus a generator that aims at the
+corners the signature must not get wrong: self-joins, one constant in
+several spellings (``1``/``1.0``/``True``/``'1'``), closed ``[v, v]``
+ranges that pin, pins reached through equality classes, ``\\=``
+exclusions and unsatisfiable queries.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.caql.eval import psj_of, result_schema
+from repro.caql.implication import ContainmentProbe
+from repro.caql.parser import parse_query
+from repro.core.cache import Cache
+from repro.core.subsumption import find_relevant, match_element
+from repro.relational.expressions import Comparison, Lit
+from repro.relational.relation import Relation
+from tests.core.test_subsumption_property import ELEMENT_TEXTS, QUERY_TEXTS
+from tests.qa.test_property_subsumption import CONDITIONS, query_text
+
+ARITY = {"r": 2, "s": 3}
+VARIABLES = ("X", "Y", "Z", "W")
+#: One value in four spellings (``True`` has no CAQL spelling; see
+#: ``with_booleans``), two more numbers, and a string that only looks equal.
+CONSTANTS = ("1", "1.0", "'1'", "0", "2", "3")
+OPERATORS = ("<", "=<", ">", ">=", "=", "\\=")
+
+#: Hand-picked corners, usable on either side of a pair.
+CORNERS = [
+    "c(X, Y) :- r(X, Y), Y >= 2, Y =< 2",  # closed range pins Y
+    "c(X) :- r(X, 2)",
+    "c(X) :- r(X, 2.0)",
+    "c(X, Y) :- r(X, Y), X = Y, Y = 3",  # X pinned through its class
+    "c(X) :- r(X, 3)",
+    "c(X, Y) :- r(X, Y), Y \\= 1",
+    "c(X, Y) :- r(X, Y), Y > 1",
+    "c(X, Y) :- r(X, Y), Y > 5, Y < 3",  # unsatisfiable
+    "c(X, Y) :- r(X, Y), Y = 1, Y = 2",  # unsatisfiable
+    "c(X, Z) :- r(X, Y), r(Y, Z)",
+    "c(X, Z) :- r(X, Y), r(Y, Z), X = 1, Z = 2",
+    "c(X, Z) :- r(1, X), r(2, Z)",
+    "c(X, Y) :- r(X, Y), Y = '1'",  # type clash against numeric bounds
+    "c(X, Y) :- r(X, Y), Y < 2",
+    "c(A, B, C) :- s(A, B, C), s(C, B, A), B =< 1",
+]
+
+
+@st.composite
+def generated_texts(draw):
+    """``name(vars) :- atoms, comparisons`` over r/2 and s/3, one to three
+    occurrences (so self-joins are common), constants in argument
+    positions and in comparisons."""
+    preds = draw(st.lists(st.sampled_from(sorted(ARITY)), min_size=1, max_size=3))
+    term = st.one_of(st.sampled_from(VARIABLES), st.sampled_from(CONSTANTS))
+    atoms, bound = [], []
+    for pred in preds:
+        args = [draw(term) for _ in range(ARITY[pred])]
+        if not any(a in VARIABLES for a in args):
+            args[0] = draw(st.sampled_from(VARIABLES))
+        bound.extend(a for a in args if a in VARIABLES)
+        atoms.append(f"{pred}({', '.join(args)})")
+    variables = sorted(set(bound))
+    comparisons = draw(
+        st.lists(
+            st.builds(
+                lambda var, op, const: f"{var} {op} {const}",
+                st.sampled_from(variables),
+                st.sampled_from(OPERATORS),
+                st.one_of(st.sampled_from(CONSTANTS), st.sampled_from(variables)),
+            ),
+            max_size=3,
+        )
+    )
+    return f"g({', '.join(variables)}) :- {', '.join(atoms + comparisons)}"
+
+
+texts = st.one_of(
+    st.sampled_from(ELEMENT_TEXTS + QUERY_TEXTS + CORNERS),
+    st.builds(
+        query_text, st.lists(st.sampled_from(CONDITIONS), unique=True, max_size=3)
+    ),
+    generated_texts(),
+)
+
+
+def with_booleans(psj, flips):
+    """Respell some ``1`` literals as ``True`` (``==``-equal, another type)."""
+    flips = iter(flips)
+    conditions = []
+    for condition in psj.conditions:
+        right = condition.right
+        if isinstance(right, Lit) and right.value == 1 and next(flips, False):
+            condition = Comparison(condition.left, condition.op, Lit(True))
+        conditions.append(condition)
+    return replace(psj, conditions=tuple(conditions))
+
+
+@st.composite
+def definitions(draw, name):
+    psj = psj_of(parse_query(draw(texts)))
+    flips = draw(st.lists(st.booleans(), max_size=4))
+    return replace(with_booleans(psj, flips), name=name)
+
+
+def stored(cache, psj):
+    width = max(psj.arity, 1)
+    return cache.store(psj, Relation(result_schema(psj.name, width)))
+
+
+def unfiltered(cache, query, reports=None):
+    """``find_relevant`` with the signature test switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContainmentProbe, "rejection", lambda self, signature: None)
+        return find_relevant(cache, query, reports)
+
+
+@settings(max_examples=400, deadline=None)
+@given(definitions("e"), definitions("q"))
+def test_signature_reject_implies_no_match(element_psj, query):
+    element = stored(Cache(), element_psj)
+    if ContainmentProbe(query).rejection(element.signature) is not None:
+        assert tuple(match_element(element, query)) == (), (
+            f"false reject: {element_psj} | {query}"
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(definitions("e"), min_size=1, max_size=6), definitions("q"))
+def test_walk_equals_the_walk_without_the_prefilter(element_psjs, query):
+    cache = Cache()
+    for index, psj in enumerate(element_psjs):
+        stored(cache, replace(psj, name=f"e{index}"))
+    reports, plain_reports = [], []
+    filtered = find_relevant(cache, query, reports)
+    assert filtered == find_relevant(cache, query)
+    assert filtered == unfiltered(cache, query, plain_reports)
+    # Same candidates in the same visit order, the same ones matched, and a
+    # signature reject only ever where the full test found nothing.
+    assert [(r.element_id, r.matches) for r in reports] == [
+        (r.element_id, r.matches) for r in plain_reports
+    ]
+    assert all(len(r.rejections) == 1 for r in reports if r.prefiltered)
+    assert not any(r.prefiltered for r in plain_reports)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.common.errors import CacheError
+from repro.common.errors import CacheError, InvariantViolation
 from repro.common.metrics import REMOTE_DEGRADED_ANSWERS
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
+from repro.caql.implication import ContainmentProbe
 from repro.core.cache import StaleArchive
 from repro.core.cms import CacheManagementSystem
 from repro.remote.faults import FaultPolicy
@@ -24,6 +25,12 @@ def make_relation(name, rows, width=2):
 
 def archive_query(i):
     return make_psj(f"d{i}(X, Y) :- b{i}(X, Y)")
+
+
+def reject_everything(self, signature):
+    """A containment probe that turns every candidate away (a planted
+    false reject)."""
+    return signature.occurrences[0][1], None
 
 
 class TestCountBoundEviction:
@@ -80,6 +87,56 @@ class TestSubsumingMatch:
         assert match is not None
         assert match.is_full
 
+    def test_full_match_found_through_the_signature_prefilter(self, monkeypatch):
+        from repro.core import subsumption
+
+        archive = StaleArchive()
+        for n in range(8):  # narrow copies the signature turns away
+            archive.store(
+                make_psj(f"n{n}(Y) :- b({n}, Y)"), make_relation(f"n{n}", [(n,)], 1)
+            )
+        archive.store(
+            make_psj("d(X, Y) :- b(X, Y)"), make_relation("d", [(1, 10), (99, 20)])
+        )
+        examined = []
+        real = subsumption.match_element
+
+        def counting(element, *args, **kwargs):
+            examined.append(element.view_name)
+            return real(element, *args, **kwargs)
+
+        monkeypatch.setattr(subsumption, "match_element", counting)
+        match = archive.find_full(make_psj("q(Y) :- b(99, Y)"))
+        assert match is not None and match.is_full
+        assert match.element.view_name == "d"
+        assert examined == ["d"]
+
+    def test_audit_puts_signature_rejects_through_the_full_test(self, monkeypatch):
+        archive = StaleArchive()
+        archive.store(make_psj("d(X, Y) :- b(X, Y)"), make_relation("d", [(1, 10)]))
+        narrow = make_psj("q(Y) :- b(1, Y)")
+        assert archive.find_full(narrow, audit=True) is not None  # sound: silent
+        monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
+        # Unaudited, a false reject silently costs the degraded answer.
+        assert archive.find_full(narrow) is None
+        with pytest.raises(InvariantViolation, match="signature rejected"):
+            archive.find_full(narrow, audit=True)
+
+    def test_refresh_leaves_the_signature_describing_the_kept_definition(self):
+        archive = StaleArchive()
+        archive.store(
+            make_psj("d(X, Z) :- b(X, Y), c(Y, Z), X >= 3"), make_relation("d", [(3, 1)])
+        )
+        # The same answer under an alpha-equivalent spelling (tags swapped).
+        archive.store(
+            make_psj("e(X, Z) :- c(Y, Z), b(X, Y), X >= 3"), make_relation("e", [(4, 2)])
+        )
+        assert len(archive) == 1
+        archive.cache.check_invariants()
+        match = archive.find_full(make_psj("q(X, Z) :- b(X, Y), c(Y, Z), X >= 4"))
+        assert match is not None
+        assert match.element.relation.rows == [(4, 2)]
+
     def test_partial_overlap_is_not_served(self):
         archive = StaleArchive()
         constrained = make_psj("d(X, Y) :- b(X, Y), Y >= 20")
@@ -116,6 +173,16 @@ class TestDegradedInteraction:
         assert sorted(stale.fetch_all()) == fresh_rows
         assert stale.degraded
         assert cms.metrics.get(REMOTE_DEGRADED_ANSWERS) == 1
+
+    def test_archive_probe_is_audited_when_the_planner_is(self, monkeypatch):
+        cms, remote = self.make_cms()
+        cms.planner.audit = True
+        cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
+        remote.set_fault_policy(FaultPolicy(seed=1, transient_rate=1.0))
+        cms.cache.clear()  # only the archive's copy is left to turn away
+        monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
+        with pytest.raises(InvariantViolation, match="signature rejected"):
+            cms.query(parse_query("q2(I, V) :- item(I, cat0, V)")).fetch_all()
 
     def test_archive_survives_cache_eviction(self):
         # The archive sits outside the cache's byte budget: a tiny cache

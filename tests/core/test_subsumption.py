@@ -271,6 +271,53 @@ class TestFindRelevant:
         assert find_relevant(cache, query) == []
 
 
+class TestProbeCost:
+    """A probe pays ``match_element`` for what can match, not for what
+    shares a relation name."""
+
+    @staticmethod
+    def examined_by_a_new_drill(monkeypatch, stored_drills):
+        from repro.core import subsumption
+
+        cache = Cache()
+        texts = ["wide(X, Z) :- b2(X, Z)"]
+        # Narrow drills under the wide view, no two alike: a pin on either
+        # column, or a range, each with its own constant.
+        for n in range(stored_drills):
+            texts.append(
+                [
+                    f"d{n}(Z) :- b2({n}, Z)",
+                    f"d{n}(X) :- b2(X, {n})",
+                    f"d{n}(X, Z) :- b2(X, Z), X >= {n}, X < {n + 2}",
+                ][n % 3]
+            )
+        for text in texts:
+            psj = make_psj(text)
+            cache.store(psj, Relation(result_schema(psj.name, psj.arity)))
+        assert len(cache) == stored_drills + 1
+
+        examined = []
+        real = subsumption.match_element
+
+        def counting(element, *args, **kwargs):
+            examined.append(element.definition.name)
+            return real(element, *args, **kwargs)
+
+        monkeypatch.setattr(subsumption, "match_element", counting)
+        reports = []
+        query = make_psj("q(X, Z) :- b2(X, Z), X >= 1000, X < 1001, Z = 2000")
+        matches = find_relevant(cache, query, reports)
+        assert [m.element.definition.name for m in matches] == ["wide"]
+        assert len(reports) == stored_drills + 1  # every candidate is still listed
+        return examined
+
+    def test_match_element_calls_do_not_grow_with_the_cache(self, monkeypatch):
+        few = self.examined_by_a_new_drill(monkeypatch, 6)
+        monkeypatch.undo()
+        many = self.examined_by_a_new_drill(monkeypatch, 60)
+        assert few == many == ["wide"]
+
+
 class TestLazyDerivation:
     def test_lazy_matches_eager(self):
         cache, (element,) = cache_with("scan(X, Z) :- b2(X, Z)")

@@ -1,0 +1,101 @@
+"""Acceptance: a planted containment-signature bug is caught by the audit hook.
+
+Companion of ``test_canonical_planted_bug``, for the prefilter in front of
+``match_element``.  A signature that rejects *too much* is the dangerous
+direction and the invisible one: a falsely rejected element only costs its
+plan (a remote fetch where the cache would have served), every answer stays
+right, and no oracle comparison can tell.  What tells is
+``QueryPlanner.audit`` — the differential runner sets it on every CMS — which
+puts each signature-rejected candidate of a probe through the full test
+after all.
+
+Two mutants, both applied where the signature is built:
+
+* ``strict`` — an element's ``=<`` bound is checked as ``<``, so a query
+  whose bound *equals* the element's is turned away;
+* ``shifted`` — a pin is compared one argument position over.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import repro.core.planner as planner_module
+from repro.caql.implication import ContainmentSignature
+from repro.qa import CaseConfig, CaseGenerator, case_failure, run_case, shrink
+
+CORPUS = 40  # well inside the CI smoke's 150 healthy cases
+
+real_of = ContainmentSignature.of.__func__
+
+
+def _strict(condition, relation):
+    position, op, value = condition
+    return position, "<" if op == "<=" else op, value
+
+
+def _shifted(condition, relation):
+    position, op, value = condition
+    return ((position + 1) % relation[1] if op == "=" else position), op, value
+
+
+def _mutant(rewrite):
+    def of(cls, definition):
+        signature = real_of(cls, definition)
+        return replace(
+            signature,
+            occurrences=tuple(
+                (tag, relation, tuple(rewrite(c, relation) for c in literal))
+                for tag, relation, literal in signature.occurrences
+            ),
+        )
+
+    return classmethod(of)
+
+
+@pytest.fixture(params=[_strict, _shifted], ids=["strict", "shifted"])
+def planted_bug(request, monkeypatch):
+    monkeypatch.setattr(ContainmentSignature, "of", _mutant(request.param))
+
+
+def _failing_case():
+    for case in CaseGenerator(0, CaseConfig()).corpus(CORPUS):
+        if case_failure(case) is not None:
+            return case
+    pytest.fail("planted signature bug escaped the healthy corpus")
+
+
+class TestPlantedSignatureBugIsCaught:
+    def test_caught_by_the_audit_hook_and_by_nothing_else(
+        self, planted_bug, monkeypatch
+    ):
+        case = _failing_case()
+        report = run_case(case)
+        assert report.failed
+        # The audit raises inside planning, which the runner reports as an
+        # error on the auditing variants; no variant returns wrong rows.
+        assert {d.kind for d in report.divergences} == {"unexpected-error"}
+        assert all(
+            "InvariantViolation: containment signature rejected" in d.detail
+            for d in report.divergences
+        )
+        # Without the hook the mutant is silent: right answers, worse plans.
+        monkeypatch.setattr(planner_module, "audit_prefilter", lambda *args: None)
+        assert case_failure(case) is None
+
+    def test_shrinks_to_a_tiny_repro(self, planted_bug):
+        case = _failing_case()
+        result = shrink(case, case_failure)
+        # One query to store the element, one to be falsely turned away.
+        assert result.queries <= 3, (
+            f"shrunk case still has {result.queries} queries "
+            f"(from {result.original_queries})"
+        )
+        assert result.queries < result.original_queries
+        assert "unexpected-error" in result.reason
+        assert case_failure(result.case) == result.reason
+
+    def test_clean_again_once_the_bug_is_fixed(self, planted_bug, monkeypatch):
+        case = _failing_case()
+        monkeypatch.setattr(ContainmentSignature, "of", classmethod(real_of))
+        assert case_failure(case) is None
