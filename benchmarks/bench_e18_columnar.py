@@ -1,38 +1,36 @@
-"""E18 — columnar batch kernels vs the tuple engine (wall clock).
+"""E18 — columnar batch kernels vs the tuple engine (wall clock, a report).
 
 Unlike E1–E17, whose headline numbers are *simulated* communication
 costs, E18 measures the implementation itself: raw tuples/second of the
-columnar kernels (compiled predicates, index-gather selection, hash
-join) against the tuple-at-a-time operators they replace, on identical
-inputs with identical answers.
+columnar kernels (column-sweep filter, index-gather selection, hash
+join) next to the tuple operators, on identical inputs with identical
+answers.  Both engines run the same generated predicate
+(``repro.relational.expressions``), so what the table shows is what the
+batch *layout* still buys: one call per batch instead of one per row,
+and gathered columns instead of concatenated row tuples.
 
 Workload (fixed seed-free generators — identical relations every run,
 so the answers and row counts in ``results/E18.json`` never move; only
 the timings do):
 
-* **scan** — a pass-all predicate over 10^5 rows: the per-row
-  interpreter dispatch vs one compiled comprehension.
+* **scan** — a pass-all predicate over 10^5 rows.
 * **filter** — a ~1% selective predicate over the same rows.
 * **join** — two-way hash join, 10^5 probe rows x 10^4 build rows
   (foreign-key shape, ~10^5 output rows).
-* **scan-1M** — the 10^6-row scan, *report-only*: it tracks how the
-  gap scales but is too slow-moving to gate CI on.
+* **scan-1M** — the 10^6-row scan: how the gap scales.
 
-The acceptance bar (asserted): columnar >= MIN_SPEEDUP x tuples/sec on
-scan and join.  The default bar is 5.0; ``BRAID_E18_MIN_SPEEDUP``
-overrides it for noisy shared runners.  Timings are best-of-3
-``perf_counter``.  Each engine is timed producing its *native*
-representation — the tuple operators build a ``Relation`` (hashed row
-set and all, as they always do mid-plan), the kernels build a
-``ColumnarBatch`` (distinctness is preserved structurally, the whole
-point of the design; the next kernel or the ResultStream consumes the
-batch as-is).  Answer equality is asserted tuple-for-tuple *outside*
-the timed region.
+Nothing here asserts a ratio: the gated wall-clock numbers are the
+``benchmarks/wall`` ledger's.  What *is* asserted is that the two engines
+return the same answer, tuple for tuple, outside the timed region.
+Timings are best-of-3 ``perf_counter``.  Each engine is timed producing
+its *native* representation — the tuple operators build a ``Relation``
+(hashed row set and all, as they always do mid-plan), the kernels build a
+``ColumnarBatch`` (distinctness is preserved structurally; the next
+kernel or the ResultStream consumes the batch as-is).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -50,7 +48,6 @@ from repro.relational.relation import Relation
 
 from benchmarks.harness import format_table, record
 
-MIN_SPEEDUP = float(os.environ.get("BRAID_E18_MIN_SPEEDUP", "5.0"))
 REPS = 3
 
 SCAN_ROWS = 100_000
@@ -168,30 +165,14 @@ def test_report(results):
         "columnar batch kernels vs tuple-at-a-time operators (wall clock)",
         format_table(headers, rows),
         notes=(
-            "Claim: compiled predicates and index-gather kernels beat the "
-            f"per-row interpreter by >= {MIN_SPEEDUP}x tuples/sec on the "
-            "scan and join workloads, with identical answers (asserted "
-            "tuple-for-tuple before any timing is reported).  scan-1M is "
-            "report-only.  Wall clock, best of "
-            f"{REPS}; unlike E1-E17 these are NOT simulated seconds."
+            "Both engines share one compiled predicate; what columnar still "
+            "buys is the batch layout.  Answers are identical (asserted "
+            "tuple-for-tuple before any timing is reported); the ratios are "
+            f"reported, not gated.  Wall clock, best of {REPS}; unlike "
+            "E1-E17 these are NOT simulated seconds."
         ),
-        data={"min_speedup": MIN_SPEEDUP, "workloads": list(results.values())},
+        data={"workloads": list(results.values())},
     )
-
-
-@pytest.mark.parametrize("workload", ["scan", "join"])
-def test_meets_the_speedup_bar(results, workload):
-    r = results[workload]
-    assert r["speedup"] >= MIN_SPEEDUP, (
-        f"{workload}: columnar only {r['speedup']}x the tuple engine "
-        f"(bar: {MIN_SPEEDUP}x; override with BRAID_E18_MIN_SPEEDUP)"
-    )
-
-
-def test_filter_is_not_slower(results):
-    # The selective filter moves little data; columnar must still win,
-    # just without a gated multiple (the gather is a tiny fraction of it).
-    assert results["filter"]["speedup"] > 1.0
 
 
 def test_big_scan_reported(results):

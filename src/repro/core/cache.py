@@ -717,6 +717,7 @@ class Cache:
         structural property the implementation must maintain is broken:
         the definition-key bijection, the predicate index, refcount sanity,
         each element's memoized size against a from-scratch recount, its
+        stored rows against set semantics and the schema arity, its
         containment signature against a recomputation from its current
         definition, and the disjointness/reachability rules for the
         condemned set.
@@ -758,6 +759,9 @@ class Cache:
                     f"{element_id}: memoized size {memoized} but its rows "
                     f"recount to {recount} (rows mutated in place?)"
                 )
+            # Selections and joins adopt their output unchecked (distinct by
+            # construction); recount it for intermediates no stream audits.
+            stored.check_invariants(element_id)
             if element.derivation_seconds < 0 or element.saved_seconds < 0:
                 raise InvariantViolation(
                     f"{element_id}: negative efficacy accounting "

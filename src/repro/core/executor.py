@@ -134,31 +134,12 @@ class ResultStream:
         """
         from repro.common.errors import InvariantViolation
 
-        if isinstance(self._relation, ColumnarBatch):
-            # Batch consistency (column count, raggedness, distinctness) is
-            # the batch's own audit; rows are tuples by construction.
-            self._relation.check_invariants(self.name)
-            return
-        arity = self._relation.schema.arity
-        if isinstance(self._relation, GeneratorRelation):
-            memo = self._relation._memo
-        else:
-            memo = self._relation
-        if len(memo._rows) != len(memo._row_set):
-            raise InvariantViolation(
-                f"stream {self.name}: {len(memo._rows)} rows in order but "
-                f"{len(memo._row_set)} distinct — duplicate production"
-            )
-        for row in memo._rows:
-            if not isinstance(row, tuple):
-                raise InvariantViolation(
-                    f"stream {self.name}: produced a non-tuple row {row!r}"
-                )
-            if len(row) != arity:
-                raise InvariantViolation(
-                    f"stream {self.name}: row {row!r} has arity {len(row)}, "
-                    f"schema says {arity}"
-                )
+        # Set semantics and arity (for a batch, column layout too) are the
+        # audit of whatever holds the rows: extension, batch, or memo.
+        stored = self._relation
+        if isinstance(stored, GeneratorRelation):
+            stored = stored._memo
+        stored.check_invariants(f"stream {self.name}")
         if isinstance(self._relation, GeneratorRelation) and self._relation.exhausted:
             before = self._relation.produced_count
             replayed = sum(1 for _ in self._relation)

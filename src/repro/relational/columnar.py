@@ -1,12 +1,12 @@
 """Columnar batch representation and vectorized kernels.
 
-The tuple-at-a-time engine (:mod:`repro.relational.operators`) pays
-per-row Python overhead for every predicate check and every
-:meth:`Relation.insert`.  This module is the raw-speed rebuild of ROADMAP
-item 3: relations held as **per-attribute columns**, operators as
-**batch kernels** that sweep whole columns in tight generated loops, and
-CAQL conjuncts **compiled once per plan** into closures instead of being
-re-interpreted per row.
+The tuple engine (:mod:`repro.relational.operators`) holds a relation as a
+list of row tuples and pays a Python call per row for every predicate check.
+This module holds relations as **per-attribute columns** and runs operators
+as **batch kernels** that sweep whole columns in tight generated loops.  The
+predicates themselves are the same generated code the tuple engine runs
+(:func:`repro.relational.expressions.conjunction_code`): what the batch
+layout buys is one call per batch instead of one per row.
 
 Design rules, all load-bearing for correctness:
 
@@ -24,13 +24,12 @@ Design rules, all load-bearing for correctness:
   :func:`repro.core.rdi.canonical_bindings` dedups by, and exactly what
   the tuple engine's dict-based join does.  Keying by ``(type, repr)``
   would *split* those classes and lose join rows.
-* **Compiled predicates are observationally identical to interpreted
-  ones.**  The generated code wraps the conjunction in ``try/except
-  TypeError`` returning False, matching
-  :meth:`repro.relational.expressions.Comparison.compile`; any condition
-  the compiler does not support falls back to the interpreter.  The
+* **Both engines run one predicate compiler.**  The filter kernel is a
+  second template over the same conjunction shape as the row predicate,
+  emitted together with it, so the engines cannot drift apart; the
   hypothesis suite in ``tests/relational/test_columnar_property.py``
-  checks equivalence over randomized conjuncts and value soups.
+  checks both kernels against a reference built from
+  :func:`repro.relational.expressions.holds`.
 
 Typed columns: :meth:`ColumnarBatch.compact` converts homogeneous
 ``int``/``float`` columns to :mod:`array` typed arrays (8 bytes/value,
@@ -43,10 +42,16 @@ type, which the qa row encoding distinguishes.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.common.errors import InvariantViolation, SchemaError
-from repro.relational.expressions import Col, Comparison, Lit, compile_conjunction
+from repro.relational.expressions import (
+    Comparison,
+    compile_stats,
+    conjunction_code,
+    predicate_cache_size,
+    reset_predicate_cache,
+)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -231,209 +236,31 @@ class ColumnarBatch:
 # predicate compilation
 # ---------------------------------------------------------------------------
 
-#: Literal types the code generator accepts; anything else falls back to
-#: the interpreter (arbitrary objects have no stable cache identity).
-_SAFE_LITERALS = (int, float, str, bool, type(None))
 
-#: Cache of compiled conjunctions, keyed per (schema attributes, canonical
-#: condition keys) — "cached per plan": re-planning the same conjunct over
-#: the same schema reuses the closure instead of re-generating code.
-_PREDICATE_CACHE: dict[tuple, "CompiledConjunction"] = {}
-_PREDICATE_CACHE_LIMIT = 2048
+class CompiledConjunction(NamedTuple):
+    """A conjunction's two generated kernels, bound to its literals."""
 
-#: Observability for tests and benchmarks.
-compile_stats = {"hits": 0, "misses": 0, "fallbacks": 0}
-
-
-def reset_predicate_cache() -> None:
-    """Drop all compiled predicates and zero the counters (test helper)."""
-    _PREDICATE_CACHE.clear()
-    compile_stats.update(hits=0, misses=0, fallbacks=0)
-
-
-def predicate_cache_size() -> int:
-    """How many compiled conjunctions are currently cached."""
-    return len(_PREDICATE_CACHE)
-
-
-class CompiledConjunction:
-    """A conjunction compiled to closures (or interpreter fallbacks).
-
-    ``row`` is a row predicate ``tuple -> bool``; ``filter`` maps a column
-    list to the list of selected row indices.  ``fallback`` is True when
-    code generation was skipped and both callables wrap the interpreter.
-    """
-
-    __slots__ = ("row", "filter", "fallback", "source")
-
-    def __init__(
-        self,
-        row: Callable[[tuple], bool],
-        filter: Callable[[list], list[int]],
-        fallback: bool,
-        source: str,
-    ):
-        self.row = row
-        self.filter = filter
-        self.fallback = fallback
-        self.source = source
-
-
-def _operand_key(operand) -> tuple | None:
-    if isinstance(operand, Col):
-        return ("col", operand.name)
-    if isinstance(operand, Lit):
-        value = operand.value
-        if type(value) in _SAFE_LITERALS:
-            return ("lit", type(value).__name__, repr(value))
-    return None
-
-
-def _conjunction_key(
-    conditions: Sequence[Comparison], schema: Schema
-) -> tuple | None:
-    """A cache key for the conjunction, or None when uncompilable."""
-    keys = []
-    for condition in conditions:
-        if not isinstance(condition, Comparison):
-            return None
-        left = _operand_key(condition.left)
-        right = _operand_key(condition.right)
-        if left is None or right is None:
-            return None
-        for operand in (condition.left, condition.right):
-            if isinstance(operand, Col) and not schema.has(operand.name):
-                return None  # let the interpreter raise its SchemaError
-        keys.append((left, condition.op, right))
-    return (schema.attributes, tuple(keys))
-
-
-#: CAQL comparison operator -> Python source operator.
-_PY_OPS = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
-
-
-def _emit_expression(
-    conditions: Sequence[Comparison],
-    schema: Schema,
-    ref: Callable[[int], str],
-    constants: list,
-) -> str:
-    """The conjunction as a Python expression over ``ref(position)``."""
-    terms = []
-    for condition in conditions:
-        sides = []
-        for operand in (condition.left, condition.right):
-            if isinstance(operand, Col):
-                sides.append(ref(schema.position(operand.name)))
-            else:
-                constants.append(operand.value)
-                sides.append(f"_k{len(constants) - 1}")
-        terms.append(f"({sides[0]} {_PY_OPS[condition.op]} {sides[1]})")
-    return " and ".join(terms)
-
-
-def _interpreted(
-    conditions: Sequence[Comparison], schema: Schema
-) -> CompiledConjunction:
-    """The fallback: both callables wrap the tuple-engine interpreter."""
-    predicate = compile_conjunction(list(conditions), schema)
-
-    def filter_indices(columns: list) -> list[int]:
-        return [i for i, row in enumerate(zip(*columns)) if predicate(row)]
-
-    return CompiledConjunction(predicate, filter_indices, True, "<interpreted>")
+    #: Row predicate ``tuple -> bool``.
+    row: Callable[[tuple], bool]
+    #: Maps a column list to the list of selected row indices.
+    filter: Callable[[list], list[int]]
+    #: The generated code both came from (shared by the whole shape).
+    source: str
 
 
 def compile_batch_predicate(
     conditions: Sequence[Comparison], schema: Schema
 ) -> CompiledConjunction:
-    """Compile a conjunction against a schema; cached, with fallback.
+    """The conjunction's row predicate and column-sweep filter kernel.
 
-    The generated row predicate evaluates the whole conjunction inside one
-    ``try/except TypeError -> False``, which is observationally identical
-    to the interpreter's per-condition handling: a type clash anywhere
-    excludes the row either way.  The filter kernel sweeps only the
-    referenced columns.
+    Both come from the one emitter and shape cache in
+    :mod:`repro.relational.expressions`, so they cannot disagree with the
+    tuple engine's predicates: same code generator, same ``try/except
+    TypeError -> False`` around the whole conjunction.  The filter kernel
+    sweeps only the referenced columns.
     """
-    key = _conjunction_key(conditions, schema)
-    if key is None:
-        compile_stats["fallbacks"] += 1
-        return _interpreted(conditions, schema)
-    cached = _PREDICATE_CACHE.get(key)
-    if cached is not None:
-        compile_stats["hits"] += 1
-        return cached
-    compile_stats["misses"] += 1
-
-    constants: list = []
-    row_expr = _emit_expression(
-        conditions, schema, lambda position: f"row[{position}]", constants
-    )
-    positions = sorted(
-        {
-            schema.position(operand.name)
-            for condition in conditions
-            for operand in (condition.left, condition.right)
-            if isinstance(operand, Col)
-        }
-    )
-    kernel_constants: list = []
-    kernel_expr = _emit_expression(
-        conditions, schema, lambda position: f"_v{position}", kernel_constants
-    )
-    binding = ", ".join(
-        f"_k{i}=_CONSTANTS[{i}]" for i in range(len(constants))
-    )
-    signature = f", {binding}" if binding else ""
-    predicate_source = (
-        f"def _row_predicate(row{signature}):\n"
-        f"    try:\n"
-        f"        return {row_expr or 'True'}\n"
-        f"    except TypeError:\n"
-        f"        return False\n"
-    )
-    if not positions:
-        # Row-independent conjunction (empty, or constant-only terms):
-        # evaluate once and keep everything or nothing.
-        filter_source = (
-            f"def _filter(_columns{signature}):\n"
-            f"    try:\n"
-            f"        _keep = {kernel_expr or 'True'}\n"
-            f"    except TypeError:\n"
-            f"        _keep = False\n"
-            f"    if not _keep:\n"
-            f"        return []\n"
-            f"    return list(range(len(_columns[0]) if _columns else 0))\n"
-        )
-    else:
-        if len(positions) == 1:
-            loop_vars = f"_v{positions[0]}"
-            iterable = f"_columns[{positions[0]}]"
-        else:
-            loop_vars = "(" + ", ".join(f"_v{p}" for p in positions) + ")"
-            iterable = "zip(" + ", ".join(f"_columns[{p}]" for p in positions) + ")"
-        filter_source = (
-            f"def _filter(_columns{signature}):\n"
-            f"    _out = []\n"
-            f"    _append = _out.append\n"
-            f"    for _i, {loop_vars} in enumerate({iterable}):\n"
-            f"        try:\n"
-            f"            if {kernel_expr or 'True'}:\n"
-            f"                _append(_i)\n"
-            f"        except TypeError:\n"
-            f"            pass\n"
-            f"    return _out\n"
-        )
-    source = predicate_source + "\n" + filter_source
-    namespace = {"_CONSTANTS": tuple(constants)}
-    exec(compile(source, "<columnar-predicate>", "exec"), namespace)
-    compiled = CompiledConjunction(
-        namespace["_row_predicate"], namespace["_filter"], False, source
-    )
-    if len(_PREDICATE_CACHE) >= _PREDICATE_CACHE_LIMIT:
-        _PREDICATE_CACHE.clear()  # bounded memory; recompilation is cheap
-    _PREDICATE_CACHE[key] = compiled
-    return compiled
+    (make_row, make_filter, source), literals = conjunction_code(conditions, schema)
+    return CompiledConjunction(make_row(*literals), make_filter(*literals), source)
 
 
 # ---------------------------------------------------------------------------

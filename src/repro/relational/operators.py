@@ -11,6 +11,7 @@ All operators use set semantics (matching :class:`Relation`).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import EvaluationError, SchemaError
@@ -27,15 +28,15 @@ from repro.relational.schema import Schema
 def select(relation: Relation, conditions: Sequence[Comparison]) -> Relation:
     """Rows of ``relation`` satisfying every condition."""
     predicate = compile_conjunction(conditions, relation.schema)
-    return Relation(relation.schema, (row for row in relation if predicate(row)))
+    # Selection keeps distinct rows distinct and their arity: adopt them.
+    return Relation.from_distinct_rows(relation.schema, list(filter(predicate, relation)))
 
 
 def select_iter(
     rows: Iterable[tuple], schema: Schema, conditions: Sequence[Comparison]
 ) -> Iterator[tuple]:
     """Pipelined selection."""
-    predicate = compile_conjunction(conditions, schema)
-    return (row for row in rows if predicate(row))
+    return filter(compile_conjunction(conditions, schema), rows)
 
 
 def select_via_index(
@@ -44,8 +45,7 @@ def select_via_index(
     """Index-assisted equality selection with optional residual filter."""
     rows = index.lookup(values)
     if residual:
-        predicate = compile_conjunction(residual, relation.schema)
-        rows = (row for row in rows if predicate(row))
+        rows = filter(compile_conjunction(residual, relation.schema), rows)
     return Relation(relation.schema, rows)
 
 
@@ -79,6 +79,27 @@ def project_iter(
 # ---------------------------------------------------------------------------
 
 
+def _key(schema: Schema, attributes: Sequence[str]) -> Callable[[tuple], object]:
+    """The join key of a row: its value on one attribute, a tuple on several.
+
+    Either way keys compare by Python equality (``1``/``1.0``/``True``
+    share a bucket, ``'1'`` does not); both sides of a join take their
+    getter from equally long attribute lists, so the two forms never meet.
+    With no attributes every row has the same key: a cross product.
+    """
+    if not attributes:
+        return lambda _row: ()
+    return itemgetter(*schema.positions(tuple(attributes)))
+
+
+def _buckets(rows: Iterable[tuple], key: Callable[[tuple], object]) -> dict:
+    """The build side of a hash join: rows grouped by key, in row order."""
+    table: dict[object, list[tuple]] = {}
+    for row in rows:
+        table.setdefault(key(row), []).append(row)
+    return table
+
+
 def join(
     left: Relation,
     right: Relation,
@@ -94,32 +115,21 @@ def join(
     """
     schema = left.schema.concat(right.schema, name)
     if not pairs:
-        combined = (l + r for l in left for r in right)
+        combined: Iterable[tuple] = (l + r for l in left for r in right)
     else:
-        left_positions = left.schema.positions(tuple(p[0] for p in pairs))
-        right_positions = right.schema.positions(tuple(p[1] for p in pairs))
+        left_key = _key(left.schema, [p[0] for p in pairs])
+        right_key = _key(right.schema, [p[1] for p in pairs])
         if len(left) <= len(right):
-            table: dict[tuple, list[tuple]] = {}
-            for row in left:
-                table.setdefault(tuple(row[i] for i in left_positions), []).append(row)
-            combined = (
-                l + r
-                for r in right
-                for l in table.get(tuple(r[i] for i in right_positions), ())
-            )
+            matches = _buckets(left, left_key).get
+            combined = (l + r for r in right for l in matches(right_key(r), ()))
         else:
-            table = {}
-            for row in right:
-                table.setdefault(tuple(row[i] for i in right_positions), []).append(row)
-            combined = (
-                l + r
-                for l in left
-                for r in table.get(tuple(l[i] for i in left_positions), ())
-            )
+            matches = _buckets(right, right_key).get
+            combined = (l + r for l in left for r in matches(left_key(l), ()))
     if conditions:
-        predicate = compile_conjunction(conditions, schema)
-        combined = (row for row in combined if predicate(row))
-    return Relation(schema, combined)
+        combined = filter(compile_conjunction(conditions, schema), combined)
+    # Concatenations of distinct (left row, right row) pairs of fixed
+    # arities are distinct rows of the combined arity: adopt them.
+    return Relation.from_distinct_rows(schema, list(combined))
 
 
 def join_iter(
@@ -138,20 +148,14 @@ def join_iter(
     """
     schema = left_schema.concat(right.schema, name)
     predicate = compile_conjunction(conditions, schema) if conditions else None
-    left_positions = left_schema.positions(tuple(p[0] for p in pairs)) if pairs else ()
-    table: dict[tuple, list[tuple]] | None = None
+    left_key = _key(left_schema, [p[0] for p in pairs])
+    right_key = _key(right.schema, [p[1] for p in pairs])
+    matches = None
 
     for l in left_rows:
-        if table is None:
-            table = {}
-            if pairs:
-                right_positions = right.schema.positions(tuple(p[1] for p in pairs))
-                for row in right:
-                    table.setdefault(tuple(row[i] for i in right_positions), []).append(row)
-            else:
-                table[()] = right.rows
-        key = tuple(l[i] for i in left_positions)
-        for r in table.get(key, ()):
+        if matches is None:
+            matches = _buckets(right, right_key).get
+        for r in matches(left_key(l), ()):
             out = l + r
             if predicate is None or predicate(out):
                 yield out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.common.errors import SchemaError
+from repro.common.errors import InvariantViolation, SchemaError
 from repro.relational.schema import Schema
 
 
@@ -70,9 +70,9 @@ class Relation:
         structural — columnar batch kernels, and rows re-read from another
         relation (a copy, a reordering, a re-labelled schema) — so the
         per-row membership and arity checks of :meth:`insert` would be
-        pure overhead.  The claim is audited, not assumed —
-        ``check_invariants`` on the stream (and the differential fuzzer's
-        post-query audits) still verify it.
+        pure overhead.  The claim is audited, not assumed:
+        :meth:`check_invariants` recounts, and the differential fuzzer runs
+        it on every answer stream and every cached relation after each query.
         """
         out = cls.__new__(cls)
         out.schema = schema
@@ -128,16 +128,27 @@ class Relation:
         ordered = sorted(self._rows, key=lambda row: tuple(row[i] for i in positions), reverse=reverse)
         return Relation.from_distinct_rows(self.schema, ordered)
 
-    def renamed(self, name: str) -> "Relation":
-        """The same rows under a renamed schema (rows are shared)."""
+    def with_schema(self, schema: Schema) -> "Relation":
+        """The same rows under another schema of the same arity.
+
+        Rows are shared, not copied: the alias reads (and an insert
+        through it extends) the owner's append-only row list in place, so
+        it costs O(1) whatever the relation's size.
+        """
+        if schema.arity != self.schema.arity:
+            raise SchemaError(f"cannot view {self.schema} as {schema}: arity differs")
         out = Relation.__new__(Relation)
-        out.schema = self.schema.renamed(name)
+        out.schema = schema
         out._rows = self._rows
         out._row_set = self._row_set
         # The sized prefix of a shared append-only list is the alias's too.
         out._sized_rows = self._sized_rows
         out._sized_bytes = self._sized_bytes
         return out
+
+    def renamed(self, name: str) -> "Relation":
+        """The same rows under a renamed schema (rows are shared)."""
+        return self.with_schema(self.schema.renamed(name))
 
     def copy(self) -> "Relation":
         """An independent copy (mutations do not propagate)."""
@@ -159,6 +170,28 @@ class Relation:
             self._sized_bytes += rows_bytes(rows[sized:])
             self._sized_rows = len(rows)
         return self._sized_bytes
+
+    def check_invariants(self, label: str | None = None) -> None:
+        """Audit set semantics and arity (read-only, one pass over the rows).
+
+        This is what holds :meth:`from_distinct_rows` adopters to their
+        claim: raises :class:`~repro.common.errors.InvariantViolation` on a
+        duplicate row, a non-tuple row, or a row of the wrong arity.
+        """
+        label = label or f"relation {self.schema.name}"
+        if len(self._rows) != len(self._row_set):
+            raise InvariantViolation(
+                f"{label}: {len(self._rows)} rows in order but "
+                f"{len(self._row_set)} distinct — duplicate production"
+            )
+        arity = self.schema.arity
+        for row in self._rows:
+            if not isinstance(row, tuple):
+                raise InvariantViolation(f"{label}: produced a non-tuple row {row!r}")
+            if len(row) != arity:
+                raise InvariantViolation(
+                    f"{label}: row {row!r} has arity {len(row)}, schema says {arity}"
+                )
 
     def pretty(self, limit: int = 20) -> str:
         """A fixed-width text rendering (for examples and debugging)."""

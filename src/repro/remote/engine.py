@@ -68,15 +68,14 @@ class PurePythonEngine:
     def _execute_select(self, query: SelectQuery) -> EngineResult:
         touched = 0
 
-        # Load each FROM entry under alias-qualified attribute names.
+        # Read each FROM entry in place under alias-qualified attribute
+        # names: every operator below builds a new relation, so the shared
+        # rows are only ever scanned and never leave this method.
         loaded: dict[str, Relation] = {}
         for ref in query.tables:
             base = self.table(ref.table)
             attrs = tuple(_qualified(ref.alias, a) for a in base.schema.attributes)
-            schema = Schema(ref.alias, attrs)
-            # Same rows under alias-qualified names: already distinct and
-            # arity-checked, so adopt a copy instead of re-inserting.
-            loaded[ref.alias] = Relation.from_distinct_rows(schema, base.rows)
+            loaded[ref.alias] = base.with_schema(Schema(ref.alias, attrs))
             touched += len(base)
 
         # Apply shipped binding sets (semijoin IN-lists) as pushed-down
@@ -92,9 +91,8 @@ class PurePythonEngine:
                 _qualified(alias, term.column.attr)
             )
             allowed = set(term.values)
-            loaded[alias] = Relation(
-                relation.schema,
-                (row for row in relation if row[position] in allowed),
+            loaded[alias] = Relation.from_distinct_rows(
+                relation.schema, [row for row in relation if row[position] in allowed]
             )
 
         # Classify WHERE conditions.

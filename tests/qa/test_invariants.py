@@ -14,7 +14,15 @@ from repro.common.metrics import Metrics
 from repro.core.cache import Cache
 from repro.core.executor import ResultStream
 from repro.core.plan import BindingSpec, QueryPlan, RemotePart
-from repro.qa import InvariantViolation, audit, audit_cms, collect_violations
+from repro.qa import (
+    CaseConfig,
+    CaseGenerator,
+    InvariantViolation,
+    audit,
+    audit_cms,
+    collect_violations,
+    run_corpus,
+)
 from repro.relational.generator import GeneratorRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -57,6 +65,33 @@ class TestCacheInvariants:
         element.relation._rows[0] = ("a string long enough to count", 2)
         with pytest.raises(InvariantViolation, match="recount"):
             cache.check_invariants()
+
+    def test_planted_duplicate_row_in_a_stored_element(self):
+        # Selections and joins adopt their output without a dedupe pass;
+        # a kernel that produced a duplicate must not survive the audit
+        # even when the relation never reaches a ResultStream.
+        cache, element = stored_cache()
+        rows = element.relation.rows
+        element.relation = Relation.from_distinct_rows(
+            element.relation.schema, rows + rows[:1]
+        )
+        with pytest.raises(InvariantViolation, match="duplicate"):
+            cache.check_invariants()
+
+    def test_stored_row_of_the_wrong_arity(self):
+        cache, element = stored_cache()
+        element.relation = Relation.from_distinct_rows(
+            element.relation.schema, element.relation.rows + [(9, 9, 9)]
+        )
+        with pytest.raises(InvariantViolation, match="arity"):
+            cache.check_invariants()
+
+    def test_churny_corpus_audits_clean(self):
+        # Small caches, many queries, intermediates: every stored element
+        # is recounted after every query, on both engines.
+        cases = CaseGenerator(7, CaseConfig.churny()).corpus(4)
+        report = run_corpus(cases, seed=7)
+        assert report.clean, f"violations={report.violations}"
 
     def test_growing_generator_element_recounts_clean(self):
         cache = Cache()

@@ -14,7 +14,7 @@ from repro.relational.columnar import (
     reset_predicate_cache,
     select_batch,
 )
-from repro.relational.expressions import Col, Comparison, Lit, eq
+from repro.relational.expressions import Col, Comparison, Lit, compile_conjunction, eq
 from repro.relational.operators import join, project, select
 from repro.relational.relation import Relation, relation_from_columns
 from repro.relational.schema import Schema
@@ -245,37 +245,58 @@ class TestHashJoinKernel:
 
 
 class TestCompilationCache:
+    """The cache is keyed by conjunction *shape* (positions and operators,
+    constants left out), and it is the tuple engine's cache too."""
+
     def test_cache_hit_on_identical_conjunct(self):
         schema = sample().schema
         conditions = [Comparison(Col("x"), ">", Lit(2))]
         first = compile_batch_predicate(conditions, schema)
         second = compile_batch_predicate(list(conditions), schema)
-        assert first is second
+        assert first.row.__code__ is second.row.__code__
+        assert first.filter.__code__ is second.filter.__code__
         assert compile_stats["misses"] == 1
         assert compile_stats["hits"] == 1
         assert predicate_cache_size() == 1
 
-    def test_distinct_literal_spellings_get_distinct_entries(self):
-        # 1 and 1.0 compare equal but are different constants; caching by
-        # value would conflate predicates that behave differently under
-        # e.g. string comparisons. Keys use (type, repr).
-        schema = sample().schema
+    def test_literal_spellings_share_code_not_constants(self):
+        # 1 and 1.0 compare equal but are different constants: they share
+        # one shape (so one code generation) and get a closure each, bound
+        # to their own constant -- nothing is conflated by value.
+        schema = Schema("t", ("x",))
         a = compile_batch_predicate([eq("x", 1)], schema)
-        b = compile_batch_predicate([eq("x", 1.0)], schema)
-        assert a is not b
-        assert predicate_cache_size() == 2
+        b = compile_batch_predicate([eq("x", "1")], schema)
+        c = compile_batch_predicate([eq("x", 1.0)], schema)
+        assert a.row is not c.row and a.row.__code__ is c.row.__code__
+        assert a.source is b.source is c.source
+        assert predicate_cache_size() == 1 and compile_stats["misses"] == 1
+        rows = [(1,), ("1",), (1.0,), (True,)]
+        assert [a.row(r) for r in rows] == [True, False, True, True]
+        assert [b.row(r) for r in rows] == [False, True, False, False]
+        assert a.filter([[1, "1", 1.0, True]]) == c.filter([[1, "1", 1.0, True]]) == [0, 2, 3]
+        assert b.filter([[1, "1", 1.0, True]]) == [1]
 
-    def test_unsupported_literal_falls_back_to_interpreter(self):
+    def test_tuple_valued_literal_compiles(self):
+        # Constants are arguments of the generated factory, never source
+        # text, so any literal compiles -- there is no interpreter to fall
+        # back to.
         schema = Schema("t", ("v",))
         compiled = compile_batch_predicate([eq("v", (1, 2))], schema)
-        assert compiled.fallback
-        assert compile_stats["fallbacks"] == 1
+        assert "(1, 2)" not in compiled.source
         assert compiled.row(((1, 2),)) is True
         assert compiled.filter([[(1, 2), (3, 4)]]) == [0]
 
+    def test_tuple_engine_shares_the_cache(self):
+        schema = sample().schema
+        conditions = [Comparison(Col("x"), ">", Lit(2))]
+        select(sample(), conditions)
+        compiled = compile_batch_predicate(conditions, schema)
+        assert compile_stats == {"hits": 1, "misses": 1}
+        assert compile_conjunction(conditions, schema).__code__ is compiled.row.__code__
+
     def test_unknown_column_raises_the_interpreter_schema_error(self):
         # Same behaviour as tuple-engine select(): unknown columns fail at
-        # predicate-compile time with the interpreter's SchemaError.
+        # predicate-compile time with the schema's own SchemaError.
         schema = Schema("t", ("v",))
         with pytest.raises(SchemaError, match="missing"):
             compile_batch_predicate(
@@ -285,9 +306,9 @@ class TestCompilationCache:
     def test_compiled_row_predicate_matches_interpreter_on_type_clash(self):
         schema = Schema("t", ("v",))
         compiled = compile_batch_predicate([Comparison(Col("v"), "<", Lit(5))], schema)
-        assert not compiled.fallback
         assert compiled.row(("str",)) is False
         assert compiled.row((3,)) is True
+        assert compiled.filter([["str", 3]]) == [1]
 
 
 class TestBatchInvariants:

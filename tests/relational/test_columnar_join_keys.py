@@ -13,8 +13,9 @@ import pytest
 
 from repro.core.rdi import canonical_bindings
 from repro.relational.columnar import ColumnarBatch, hash_join_batch
-from repro.relational.operators import join
-from repro.relational.relation import relation_from_columns
+from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.operators import join, join_iter
+from repro.relational.relation import Relation, relation_from_columns
 
 
 def left_keys():
@@ -27,12 +28,13 @@ def right_keys():
     return relation_from_columns("r", key=[1.0, "1", True, 2], val=[10, 20, 30, 40])
 
 
-def batch_join(left, right, pairs):
+def batch_join(left, right, pairs, conditions=()):
     return hash_join_batch(
         ColumnarBatch.from_relation(left),
         ColumnarBatch.from_relation(right),
         pairs,
         name="j",
+        conditions=conditions,
     )
 
 
@@ -113,3 +115,78 @@ class TestRegressionOneVersusOnePointZero:
             (1, "int", True, 5),
             (1.0, "float", True, 5),
         }
+
+
+#: One NaN object: as a join key it matches itself (dict lookup checks
+#: identity first) and no other NaN, in every join implementation alike.
+NAN = float("nan")
+
+KEY = [("key", "key")]
+
+
+def nan_left():
+    return relation_from_columns("l", key=[NAN, 1, float("nan")], tag=["n", "one", "m"])
+
+
+def nan_right():
+    return relation_from_columns("r", key=[1.0, NAN], val=[10, 20])
+
+
+def two_column_left():
+    return relation_from_columns("l", a=[1, NAN, "1", 2], b=[2.0, 2, 2.0, NAN])
+
+
+def two_column_right():
+    return relation_from_columns(
+        "r", a=[1.0, NAN, "1", 2], b=[2, 2.0, "2", NAN], c=[7, 8, 9, 10]
+    )
+
+
+JOINS = {
+    "mixed-types": (left_keys, right_keys, KEY, ()),
+    "build-side-swap": (right_keys, left_keys, KEY, ()),
+    "nan-key": (nan_left, nan_right, KEY, ()),
+    "nan-in-a-two-column-key": (
+        two_column_left, two_column_right, [("a", "a"), ("b", "b")], (),
+    ),
+    "empty-left": (lambda: Relation(left_keys().schema), right_keys, KEY, ()),
+    "empty-right": (left_keys, lambda: Relation(right_keys().schema), KEY, ()),
+    "residual": (
+        left_keys, right_keys, KEY, [Comparison(Col("val"), ">", Lit(10))],
+    ),
+    "residual-between-sides": (
+        left_keys, right_keys, KEY, [Comparison(Col("key"), "!=", Col("r_key"))],
+    ),
+    "cross-product": (nan_left, nan_right, [], [Comparison(Col("val"), "<", Lit(20))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOINS))
+class TestJoinImplementationsAgreeRowForRow:
+    def test_join_and_hash_join_batch_in_order(self, case):
+        make_left, make_right, pairs, conditions = JOINS[case]
+        left, right = make_left(), make_right()
+        expected = join(left, right, pairs, name="j", conditions=conditions)
+        got = batch_join(left, right, pairs, conditions)
+        expected.check_invariants()  # join adopts its output: audit the claim
+        assert got.schema == expected.schema
+        assert got.rows == expected.rows
+
+    def test_join_iter_streams_the_same_rows_left_major(self, case):
+        make_left, make_right, pairs, conditions = JOINS[case]
+        left, right = make_left(), make_right()
+        expected = join(left, right, pairs, name="j", conditions=conditions)
+        streamed = list(join_iter(iter(left), left.schema, right, pairs, conditions))
+        order = {row: i for i, row in enumerate(left)}
+        assert streamed == sorted(expected, key=lambda row: order[row[:2]])
+
+
+def test_nan_key_matches_only_itself():
+    out = join(nan_left(), nan_right(), KEY, name="j")
+    # The other NaN object of nan_left() finds no partner, not even NAN.
+    assert out.rows == [(NAN, "n", NAN, 20), (1, "one", 1.0, 10)]
+
+
+def test_two_column_key_collapses_by_equality_per_component():
+    out = join(two_column_left(), two_column_right(), [("a", "a"), ("b", "b")], name="j")
+    assert out.rows == [(1, 2.0, 1.0, 2, 7), (NAN, 2, NAN, 2.0, 8), (2, NAN, 2, NAN, 10)]

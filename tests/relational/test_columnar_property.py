@@ -1,20 +1,30 @@
-"""Property suite: compiled predicates ≡ the interpreter, always.
+"""Property suite: generated predicates ≡ a reference interpreter, always.
 
-Hypothesis drives randomized conjuncts (mixed int/float/str constants,
-column-to-column comparisons, every operator) over randomized value soups
-including empty relations and repr-colliding values (``1`` vs ``1.0`` vs
-``"1"`` vs ``True``).  The compiled closure and filter kernel must agree
-with :func:`repro.relational.expressions.compile_conjunction` row for
-row, and ``select_batch`` must agree with tuple-engine ``select``.
+There is one predicate compiler (:mod:`repro.relational.expressions`) and
+every engine runs its output, so the reference cannot be another engine.
+It is :func:`interpret` below: each conjunct evaluated on concrete values
+through :func:`repro.relational.expressions.holds` — the function
+``caql.implication`` decides with — sharing no code with the emitter.
+
+Hypothesis drives randomized conjuncts (every operator, constants and
+columns on either side, so ``5 < x`` and constant-only terms occur) over
+randomized value soups: repr-colliders (``1`` vs ``1.0`` vs ``"1"`` vs
+``True``), ``None``, NaN, a tuple-valued literal, empty relations.  The
+generated row predicate, the generated filter kernel, tuple-engine
+``select`` and ``select_batch`` must each agree with the interpreter row
+for row and in order.  ``tests/qa/test_predicate_planted_bug.py`` plants
+two emitter mutants to prove these properties bite.
 
 Counterexamples hypothesis shrinks to are ALSO written out as standard
 repro.qa repro files (``BRAID_QA_REPRO_DIR``, default ``.qa-repros``),
 replayable with ``scripts/braid_fuzz.py --replay`` — the same pattern as
-the subsumption property suite.  Conjuncts whose constants have no CAQL
-spelling (the parser has no quoted strings) are saved as a full-scan
-query over the same rows, with the conjunct recorded in the reason.
+the subsumption property suite.  Conjuncts with no CAQL spelling (the
+parser has no quoted strings; NaN, None and tuples are not terms) are
+saved as a full-scan query over the same rows, with the conjunct recorded
+in the reason.
 """
 
+import math
 import os
 import re
 
@@ -34,26 +44,61 @@ from repro.relational.expressions import (
     Comparison,
     Lit,
     compile_conjunction,
+    holds,
 )
 from repro.relational.operators import select
 from repro.relational.relation import Relation
 
 SCHEMA = result_schema("r", 3)  # attributes a0, a1, a2
 
+#: One NaN object: a row holding it equals itself (tuple equality checks
+#: identity first), so set semantics stay well defined.
+NAN = float("nan")
+
 #: The value soup: repr-colliders on purpose.  1 == 1.0 == True but
 #: 1 != "1"; "one" is a CAQL-spellable atom, "1" is not.
-VALUES = [0, 1, 2, -1, 1.0, 2.5, -0.5, "1", "one", "b", True, False, None]
+VALUES = [0, 1, 2, -1, 1.0, 2.5, -0.5, "1", "one", "b", True, False, None, NAN]
 
 OPS = ["=", "!=", "<", ">", "<=", ">="]
 
 values = st.sampled_from(VALUES)
 columns = st.sampled_from([Col(a) for a in SCHEMA.attributes])
-operands = st.one_of(columns, values.map(Lit))
-conditions = st.builds(Comparison, columns, st.sampled_from(OPS), operands)
-conjunctions = st.lists(conditions, max_size=3)
+#: Literals also take a tuple value no row holds: it must compile (it is a
+#: factory argument, never source text) and never match.
+operands = st.one_of(columns, st.sampled_from(VALUES + [(1, 2)]).map(Lit))
+conditions = st.builds(Comparison, operands, st.sampled_from(OPS), operands)
+#: Up to three conjuncts, each slot present or absent on its own, so a
+#: counterexample shrinks conjunct by conjunct (a ``lists(max_size=3)``
+#: drawn at its maximum does not shrink in length).
+conjunctions = st.tuples(*[st.none() | conditions] * 3).map(
+    lambda slots: [c for c in slots if c is not None]
+)
 rows = st.lists(
     st.tuples(values, values, values), max_size=12
 )
+
+
+class Divergence(AssertionError):
+    """A subject disagreed with the interpreter on these inputs."""
+
+    def __init__(self, message, conjunction, row_list):
+        super().__init__(f"{message} for {[str(c) for c in conjunction]}")
+        self.conjunction = conjunction
+        self.rows = row_list
+
+
+def interpret(conjunction, row) -> bool:
+    """The reference: every conjunct through ``holds``, no generated code."""
+
+    def value(operand):
+        if isinstance(operand, Col):
+            return row[SCHEMA.position(operand.name)]
+        return operand.value
+
+    return all(
+        holds(value(c.left), c.op, value(c.right)) for c in conjunction
+    )
+
 
 ATOM = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -62,11 +107,11 @@ def _caql_constant(value) -> str | None:
     """The CAQL spelling of a constant, or None when it has none."""
     if type(value) is int:
         return repr(value)
-    if type(value) is float:
+    if type(value) is float and math.isfinite(value):
         return repr(value)
     if isinstance(value, str) and ATOM.match(value):
         return value
-    return None  # bools, None, non-atom strings: not spellable
+    return None  # bools, None, NaN, tuples, non-atom strings: not spellable
 
 
 def _caql_query(conjunction) -> str | None:
@@ -74,6 +119,9 @@ def _caql_query(conjunction) -> str | None:
     var_of = {a: f"X{i}" for i, a in enumerate(SCHEMA.attributes)}
     rendered = []
     for condition in conjunction:
+        condition = condition.normalized()  # ``5 < X`` is spelled ``X > 5``
+        if not isinstance(condition.left, Col):
+            return None  # constant-only term
         sides = []
         for operand in (condition.left, condition.right):
             if isinstance(operand, Col):
@@ -90,7 +138,13 @@ def _caql_query(conjunction) -> str | None:
 
 
 def save_counterexample(reason, conjunction, row_list):
-    """Persist the (shrunk) failing inputs as a replayable repro file."""
+    """Persist the (shrunk) failing inputs as a replayable repro file.
+
+    Rows holding NaN have no JSON spelling, so they are not saved: the
+    :class:`Divergence` message carries them instead.
+    """
+    if any(value != value for row in row_list for value in row):
+        return None
     directory = os.environ.get("BRAID_QA_REPRO_DIR", ".qa-repros")
     os.makedirs(directory, exist_ok=True)
     relation = Relation(SCHEMA, row_list)
@@ -109,51 +163,75 @@ def save_counterexample(reason, conjunction, row_list):
     return path
 
 
-@settings(max_examples=200, deadline=None)
-@given(conjunctions, rows)
-def test_compiled_row_predicate_matches_interpreter(conjunction, row_list):
+def check_row_predicate(conjunction, row_list):
     compiled = compile_batch_predicate(conjunction, SCHEMA)
-    interpreted = compile_conjunction(conjunction, SCHEMA)
+    predicate = compile_conjunction(conjunction, SCHEMA)
     for row in dict.fromkeys(row_list):
-        if bool(compiled.row(row)) != bool(interpreted(row)):
+        expected = interpret(conjunction, row)
+        if bool(compiled.row(row)) != expected or bool(predicate(row)) != expected:
             save_counterexample(
-                "property: compiled row predicate diverges from interpreter",
+                "property: generated row predicate diverges from holds()",
                 conjunction, row_list,
             )
-            raise AssertionError(
-                f"compiled != interpreted on {row!r} for {conjunction}"
-            )
+            raise Divergence(f"row predicate wrong on {row!r}", conjunction, row_list)
 
 
-@settings(max_examples=200, deadline=None)
-@given(conjunctions, rows)
-def test_filter_kernel_selects_interpreter_rows(conjunction, row_list):
+def check_filter_kernel(conjunction, row_list):
     distinct = list(dict.fromkeys(row_list))
     batch = ColumnarBatch.from_rows(SCHEMA, distinct, distinct=True)
     compiled = compile_batch_predicate(conjunction, SCHEMA)
-    interpreted = compile_conjunction(conjunction, SCHEMA)
-    expected = [i for i, row in enumerate(distinct) if interpreted(row)]
+    expected = [i for i, row in enumerate(distinct) if interpret(conjunction, row)]
     got = compiled.filter(batch.columns)
     if got != expected:
         save_counterexample(
-            "property: filter kernel index set diverges from interpreter",
+            "property: filter kernel index list diverges from holds()",
             conjunction, row_list,
         )
-        raise AssertionError(f"filter {got} != {expected} for {conjunction}")
+        raise Divergence(f"filter {got} != {expected}", conjunction, row_list)
 
 
-@settings(max_examples=150, deadline=None)
+def check_select_operators(conjunction, row_list):
+    relation = Relation(SCHEMA, row_list)
+    expected = [row for row in relation if interpret(conjunction, row)]
+    by_rows = select(relation, conjunction)
+    by_batch = select_batch(ColumnarBatch.from_relation(relation), conjunction)
+    by_rows.check_invariants()
+    by_batch.check_invariants()
+    if by_rows.rows != expected or by_batch.rows != expected:
+        save_counterexample(
+            "property: select / select_batch diverge from holds()",
+            conjunction, row_list,
+        )
+        raise Divergence(
+            f"select {by_rows.rows} / select_batch {by_batch.rows} != {expected}",
+            conjunction, row_list,
+        )
+
+
+#: ``(check, example budget)``: what the planted-mutant tests re-run.
+PROPERTIES = {
+    "row": (check_row_predicate, 200),
+    "filter": (check_filter_kernel, 200),
+    "select": (check_select_operators, 150),
+}
+
+
+@settings(max_examples=PROPERTIES["row"][1], deadline=None)
+@given(conjunctions, rows)
+def test_compiled_row_predicate_matches_interpreter(conjunction, row_list):
+    check_row_predicate(conjunction, row_list)
+
+
+@settings(max_examples=PROPERTIES["filter"][1], deadline=None)
+@given(conjunctions, rows)
+def test_filter_kernel_selects_interpreter_rows(conjunction, row_list):
+    check_filter_kernel(conjunction, row_list)
+
+
+@settings(max_examples=PROPERTIES["select"][1], deadline=None)
 @given(conjunctions, rows)
 def test_select_batch_matches_tuple_select(conjunction, row_list):
-    relation = Relation(SCHEMA, row_list)
-    expected = select(relation, conjunction)
-    got = select_batch(ColumnarBatch.from_relation(relation), conjunction)
-    if got.to_relation() != expected or got.rows != expected.rows:
-        save_counterexample(
-            "property: select_batch diverges from tuple-engine select",
-            conjunction, row_list,
-        )
-        raise AssertionError(f"select_batch != select for {conjunction}")
+    check_select_operators(conjunction, row_list)
 
 
 def test_empty_relation_survives_every_kernel():

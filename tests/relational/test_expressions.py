@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import SchemaError
+from repro.relational import expressions
+from repro.relational.columnar import compile_batch_predicate
 from repro.relational.expressions import (
     Col,
     Comparison,
@@ -10,6 +12,8 @@ from repro.relational.expressions import (
     col_eq,
     compile_conjunction,
     eq,
+    predicate_cache_size,
+    reset_predicate_cache,
 )
 from repro.relational.schema import Schema
 
@@ -101,3 +105,61 @@ class TestConjunction:
     def test_single_condition_fast_path(self):
         predicate = compile_conjunction([eq("id", 1)], SCHEMA)
         assert predicate((1, 0, ""))
+
+
+class TestCompileOnce:
+    """Code is generated per conjunction *shape*; constants are arguments."""
+
+    @pytest.fixture(autouse=True)
+    def generations(self, monkeypatch):
+        """Shapes handed to the module's one ``compile(...)`` call site."""
+        reset_predicate_cache()
+        generated = []
+        real_generate = expressions._generate
+
+        def counting_generate(shape):
+            generated.append(shape)
+            return real_generate(shape)
+
+        monkeypatch.setattr(expressions, "_generate", counting_generate)
+        return generated
+
+    @pytest.mark.parametrize(
+        "compiler",
+        [compile_conjunction, lambda c, s: compile_batch_predicate(c, s).row],
+        ids=["compile_conjunction", "compile_batch_predicate"],
+    )
+    def test_never_repeating_constants_generate_code_once(self, generations, compiler):
+        for k in range(200):
+            predicate = compiler(
+                [eq("dept", f"d{k}"), Comparison(Lit(k), "<", Col("age"))], SCHEMA
+            )
+            assert predicate((1, k + 1, f"d{k}"))
+            assert not predicate((1, k, f"d{k}"))
+            assert not predicate((1, k + 1, f"d{k + 1}"))
+        assert len(generations) == 1 and predicate_cache_size() == 1
+
+    def test_shape_is_positions_and_operators_not_names(self, generations):
+        other = Schema("staff", ("key", "years", "unit"))
+        compile_conjunction([eq("dept", "sw")], SCHEMA)
+        compile_conjunction([eq("unit", "hw")], other)
+        compile_conjunction([eq("age", 3)], SCHEMA)  # another position
+        compile_conjunction([Comparison(Col("dept"), "!=", Lit("sw"))], SCHEMA)
+        assert generations == [((2, "=", -1),), ((1, "=", -1),), ((2, "!=", -1),)]
+
+    def test_any_literal_compiles_and_none_reaches_the_source(self, generations):
+        hostile = "x') or __import__('os').system('true') or ('"
+        for literal in [(1, 2), frozenset({1}), None, float("nan"), hostile, object()]:
+            predicate = compile_conjunction([eq("dept", literal)], SCHEMA)
+            assert predicate((1, 2, literal)) is (literal == literal)
+            assert predicate((1, 2, "other")) is False
+        assert len(generations) == 1
+        ((_row, _filter, source),) = expressions._SHAPE_CACHE.values()
+        assert "import" not in source and "(1, 2)" not in source and "dept" not in source
+
+    def test_unknown_column_raises_the_schema_error_at_compile_time(self):
+        with pytest.raises(SchemaError) as compiled:
+            compile_conjunction([eq("salary", 1)], SCHEMA)
+        with pytest.raises(SchemaError) as looked_up:
+            SCHEMA.position("salary")
+        assert str(compiled.value) == str(looked_up.value)

@@ -150,6 +150,12 @@ class TestDerivation:
         emp.insert((4, "dan", "hw"))
         assert len(staff) == 4
 
+    def test_with_schema_shares_rows_under_new_attribute_names(self, emp):
+        view = emp.with_schema(Schema("e", ("e.id", "e.name", "e.dept")))
+        assert view._rows is emp._rows and view.column("e.name") == emp.column("name")
+        with pytest.raises(SchemaError, match="arity"):
+            emp.with_schema(Schema("e", ("only",)))
+
     def test_copy_is_independent(self, emp):
         dup = emp.copy()
         emp.insert((4, "dan", "hw"))
