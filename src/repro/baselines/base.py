@@ -32,7 +32,7 @@ from repro.caql.eval import (
     evaluate_quantified,
     evaluate_setof,
 )
-from repro.caql.psj import PSJQuery, psj_from_literals
+from repro.caql.psj import PSJQuery
 from repro.core.executor import ResultStream
 from repro.core.rdi import RemoteInterface
 
@@ -87,9 +87,6 @@ class BaselineInterface:
         self.metrics.incr(IE_CAQL_QUERIES)
         psj, core_vars, evaluable = core_plan(q, self.builtins)
         if not evaluable:
-            psj = psj_from_literals(
-                q.name, q.relation_literals(), q.comparison_literals(), q.answers
-            )
             return ResultStream(self._answer_psj(psj), q.name)
 
         core_result = self._answer_psj(psj)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.common.errors import EvaluationError
+from repro.common.errors import EvaluationError, TranslationError
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.relational.expressions import Comparison
@@ -20,7 +20,12 @@ from repro.relational.operators import aggregate as relational_aggregate
 from repro.relational.operators import join, select
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.caql.ast import AggregateQuery, ConjunctiveQuery, SetOfQuery
+from repro.caql.ast import (
+    COMPARISON_PREDS,
+    AggregateQuery,
+    ConjunctiveQuery,
+    SetOfQuery,
+)
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 
 #: Resolves a base-relation name to its extension (cache lookup).
@@ -227,10 +232,27 @@ def _pipeline(psj: PSJQuery, lookup: RelationLookup) -> tuple[Iterator[tuple], S
 def split_literals(
     query: ConjunctiveQuery, builtins: BuiltinRegistry
 ) -> tuple[list[Atom], list[Atom], list[Atom]]:
-    """Partition body literals into (relations, comparisons, evaluable)."""
+    """Partition body literals into (relations, comparisons, evaluable).
+
+    Every translation — the CMS's, the baselines', ``explain``'s and the
+    oracle's — starts here, so this is where the two literals no PSJ
+    condition can express are refused: a negated one (the conjunctive core
+    is negation-free; dropping it, or joining it positively, answers a
+    different query) and a comparison predicate that is not binary.
+    """
     relations, comparisons, evaluable = [], [], []
     for literal in query.literals:
-        if literal.pred in {"<", ">", "=<", ">=", "=", "\\="} and literal.arity == 2:
+        if literal.negated:
+            raise TranslationError(
+                f"negated literal {literal} in {query.name}: "
+                "CAQL's conjunctive core is negation-free"
+            )
+        if literal.pred in COMPARISON_PREDS:
+            if literal.arity != 2:
+                raise TranslationError(
+                    f"comparison {literal} in {query.name} takes two "
+                    f"arguments, not {literal.arity}"
+                )
             comparisons.append(literal)
         elif builtins.is_builtin(literal):
             evaluable.append(literal)
@@ -249,8 +271,16 @@ def core_plan(
     further bindings (e.g. ``S`` in ``plus(A, 1, S)``).  Returns the core
     PSJ query (projecting the core variables in a fixed order), that order,
     and the evaluable literals.
+
+    With no evaluable residue the core *is* the query: the PSJ projects
+    ``query.answers`` as they stand (constants included) and there is no
+    core-variable order to thread, so callers answer it directly — one
+    translation per query, and this is the only place the CMS does it.
     """
     relations, comparisons, evaluable = split_literals(query, registry)
+    if not evaluable:
+        psj = psj_from_literals(query.name, relations, comparisons, query.answers)
+        return psj, [], evaluable
     relation_bound: set[Var] = set()
     for literal in relations:
         relation_bound |= literal.variables()
@@ -280,9 +310,6 @@ def psj_of(query: ConjunctiveQuery, builtins: BuiltinRegistry | None = None) -> 
     for the complete pipeline.
     """
     registry = builtins if builtins is not None else BuiltinRegistry()
-    relations, comparisons, evaluable = split_literals(query, registry)
-    if not evaluable:
-        return psj_from_literals(query.name, relations, comparisons, query.answers)
     psj, _core_vars, _evaluable = core_plan(query, registry)
     return psj
 

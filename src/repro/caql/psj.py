@@ -142,19 +142,31 @@ class PSJQuery:
 
         Tags are already assigned in occurrence order, so two queries built
         from the same literal sequence get the same key.  Used by
-        exact-match result caching.
+        exact-match result caching.  Rendered once per instance: the class
+        is frozen, so the key is kept in the instance dict (where ``==``,
+        ``hash``, ``repr`` and ``dataclasses.replace`` never look) and a
+        stored definition pays for it on its first comparison only.
         """
-        return (
-            tuple((o.pred, o.arity) for o in self.occurrences),
-            tuple(sorted(str(c.normalized()) for c in self.conditions)),
-            tuple(str(p) for p in self.projection),
-        )
+        carried = self.__dict__
+        key = carried.get("_structural_key")
+        if key is None:
+            key = carried["_structural_key"] = _structural_key(self)
+        return key
 
     def __str__(self) -> str:
         occs = ", ".join(str(o) for o in self.occurrences)
         conds = " & ".join(str(c) for c in self.conditions) or "true"
         proj = ", ".join(str(p) for p in self.projection)
         return f"PSJ {self.name}: [{occs}] where {conds} project ({proj})"
+
+
+def _structural_key(query: PSJQuery) -> tuple:
+    """Render :meth:`PSJQuery.canonical_key` (its one uncached step)."""
+    return (
+        tuple((o.pred, o.arity) for o in query.occurrences),
+        tuple(sorted(str(c.normalized()) for c in query.conditions)),
+        tuple(str(p) for p in query.projection),
+    )
 
 
 def psj_from_literals(
@@ -202,8 +214,8 @@ def psj_from_literals(
         return Col(rep)
 
     for literal in comparison_literals:
-        if literal.pred not in _OP_MAP:
-            raise TranslationError(f"{literal.pred} is not a comparison predicate")
+        if literal.pred not in _OP_MAP or literal.arity != 2:
+            raise TranslationError(f"{literal} is not a binary comparison in {name}")
         op = _OP_MAP[literal.pred]
         left_term, right_term = literal.args
         if isinstance(left_term, Const) and isinstance(right_term, Const):

@@ -36,7 +36,7 @@ from repro.relational.index import IndexSet
 from repro.relational.relation import Relation, rows_bytes
 from repro.caql.implication import ContainmentSignature
 from repro.caql.psj import PSJQuery
-from repro.core.canonical import canonical_key
+from repro.core.canonical import audit_canonical, canonical_key
 
 #: Scores an element's eviction priority; higher = evict sooner.
 EvictionScorer = Callable[["CacheElement"], float]
@@ -805,7 +805,10 @@ class Cache:
                     "its current definition (definition replaced without "
                     "redefine()?)"
                 )
-            key = key_of(element.definition)
+            # Recomputed with neither the form the definition carries nor
+            # the memo row it shares (raises when either disagrees), so the
+            # index is checked against what the definition *means*.
+            key = audit_canonical(element.definition)
             live_keys.add(key)
             if self._by_key.get(key) != element_id:
                 raise InvariantViolation(

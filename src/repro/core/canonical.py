@@ -46,6 +46,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from repro.common.errors import InvariantViolation
 from repro.caql.psj import ConstProj, Occurrence, PSJQuery
 from repro.relational.expressions import Col, Comparison, FLIPPED, Lit, holds
 
@@ -179,25 +180,58 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The canonicalizer's output for one PSJ query."""
+    """The canonicalizer's output for one PSJ query.
 
-    #: The normalized expression: canonical occurrence order and tags,
-    #: folded conditions with canonical constant spellings.  Evaluates
-    #: to the same answers as the input query.
-    query: PSJQuery
+    A form is shared by every query that agrees on what :func:`_build`
+    reads — through the memo, by queries that differ only in ``name`` or
+    variable names — so it holds nothing of any one query: the normalized
+    *expression* is :func:`normalized`, built on demand.
+    """
+
     #: The stable canonical key — nested tuples of strings only, so
     #: comparison and hashing never hit a cross-type ``TypeError``.
     key: tuple
     #: True when folding proved the query empty.
     unsatisfiable: bool
+    #: What :func:`normalized` rebuilds the expression from: the folded
+    #: facts and the winning occurrence order, ``(classes, general,
+    #: order)``; ``None`` when unsatisfiable.  Shared with the form, so
+    #: read-only once ``_build`` has returned.
+    _recipe: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def canonicalize(query: PSJQuery) -> CanonicalForm:
-    """The canonical form of ``query`` (memoized; pure)."""
+    """The canonical form of ``query`` (pure; derived once per object).
+
+    The first call leaves the form on the query instance — ``PSJQuery`` is
+    frozen, so the form can never go stale, and it lives in the instance
+    dict, which ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never
+    read — and every later call on the same object (the planner's lookup,
+    the executor's, a stored definition's for as long as it is stored) is
+    a dict probe.  The carried form remembers the fold seams it was built
+    with: a monkeypatched seam (the planted-bug test) gets its own answer.
+    """
+    carried = query.__dict__.get("_canonical")
+    if (
+        carried is not None
+        and carried[1] is _fold_lower
+        and carried[2] is _fold_upper
+    ):
+        return carried[0]
     try:
-        return _canonicalize_cached(query, _spelling(query), _fold_lower, _fold_upper)
+        form = _canonicalize_cached(
+            query.occurrences,
+            query.conditions,
+            query.projection,
+            query.unsatisfiable,
+            _spelling(query),
+            _fold_lower,
+            _fold_upper,
+        )
     except TypeError:  # an unhashable constant somewhere: compute directly
-        return _build(query)
+        form = _build(query)
+    query.__dict__["_canonical"] = (form, _fold_lower, _fold_upper)
+    return form
 
 
 def _spelling(query: PSJQuery) -> tuple[str, ...]:
@@ -220,16 +254,57 @@ def _spelling(query: PSJQuery) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _canonicalize_cached(query: PSJQuery, _spelled, _lo, _hi) -> CanonicalForm:
-    # ``_spelled`` disambiguates ==-equal queries with different constant
-    # spellings; ``_lo``/``_hi`` are the current fold seams, passed only
-    # so a monkeypatched seam (the planted-bug test) gets its own rows.
-    return _build(query)
+def _canonicalize_cached(
+    occurrences, conditions, projection, unsatisfiable, _spelled, _lo, _hi
+) -> CanonicalForm:
+    # Keyed on exactly what ``_build`` reads: not the query's name and not
+    # its variable names, so a re-ask under fresh variable names (the IE
+    # renames apart on every resolution step) and a sub-query that differs
+    # from its query in name alone share the row.  ``_spelled``
+    # disambiguates ==-equal queries with different constant spellings;
+    # ``_lo``/``_hi`` are the current fold seams, passed only so a
+    # monkeypatched seam (the planted-bug test) gets its own rows.
+    return _build(
+        PSJQuery("", occurrences, conditions, projection, unsatisfiable=unsatisfiable)
+    )
 
 
 def canonical_key(query: PSJQuery) -> tuple:
     """Just the key — what :func:`repro.core.cache.key_of` indexes by."""
     return canonicalize(query).key
+
+
+def normalized(query: PSJQuery) -> PSJQuery:
+    """The normalized expression of ``query``.
+
+    Canonical occurrence order and tags, folded conditions with canonical
+    constant spellings; evaluates to the same answers as ``query`` and is
+    a fixed point of canonicalization.  Nothing on the query path reads
+    it — tests and diagnostics do — so it is built here, on demand, from
+    the form's recipe.
+    """
+    form = canonicalize(query)
+    if form.unsatisfiable:
+        return query if query.unsatisfiable else replace(query, unsatisfiable=True)
+    return _normalized_query(query, *form._recipe)
+
+
+def audit_canonical(query: PSJQuery) -> tuple:
+    """The key of ``query`` recomputed from scratch — no carry, no memo.
+
+    Both shortcuts hand a query a form that was built for another object;
+    this is the check that they only ever do so for a query the form is
+    right for.  Raises :class:`~repro.common.errors.InvariantViolation`
+    when :func:`canonicalize` disagrees with the recomputation.
+    """
+    fresh = _build(query)
+    form = canonicalize(query)
+    if (form.key, form.unsatisfiable) != (fresh.key, fresh.unsatisfiable):
+        raise InvariantViolation(
+            f"canonical form of {query.name} is not what building it from "
+            f"scratch gives: carried/memoised {form.key}, fresh {fresh.key}"
+        )
+    return fresh.key
 
 
 def clear_cache() -> None:
@@ -241,12 +316,7 @@ def clear_cache() -> None:
 
 
 def _unsat_form(query: PSJQuery) -> CanonicalForm:
-    normalized = query if query.unsatisfiable else replace(query, unsatisfiable=True)
-    return CanonicalForm(
-        query=normalized,
-        key=("unsat", str(query.arity)),
-        unsatisfiable=True,
-    )
+    return CanonicalForm(key=("unsat", str(query.arity)), unsatisfiable=True)
 
 
 def _build(query: PSJQuery) -> CanonicalForm:
@@ -278,8 +348,9 @@ def _build(query: PSJQuery) -> CanonicalForm:
             best_key = key
             best_order = order
 
-    normalized = _normalized_query(query, classes, general, best_order)
-    return CanonicalForm(query=normalized, key=best_key, unsatisfiable=False)
+    return CanonicalForm(
+        key=best_key, unsatisfiable=False, _recipe=(classes, general, best_order)
+    )
 
 
 def _digest(query: PSJQuery):

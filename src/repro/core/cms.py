@@ -77,6 +77,11 @@ from repro.core.executor import ExecutionMonitor, ResultStream, to_relation
 from repro.core.planner import PlannerFeatures, QueryPlanner
 from repro.core.rdi import RemoteInterface
 
+#: ``psj_from_literals`` has no caller in this module since ``core_plan``
+#: became the only CAQL -> PSJ translation on the query path; the binding
+#: stays because the wall benchmark's probe table patches it by name.
+__all__ = ["CMSFeatures", "CacheManagementSystem", "psj_from_literals"]
+
 logger = logging.getLogger("repro.cms")
 
 
@@ -387,9 +392,6 @@ class CacheManagementSystem:
 
         psj, core_vars, evaluable = core_plan(q, self.builtins)
         if not evaluable:
-            psj = psj_from_literals(
-                q.name, q.relation_literals(), q.comparison_literals(), q.answers
-            )
             self._last_degraded = False
             result = self._answer_psj(psj)
             self._prefetch_companions(q.name)

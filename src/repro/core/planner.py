@@ -25,7 +25,7 @@ from repro.relational.statistics import RelationStatistics
 from repro.caql.psj import ConstProj, PSJQuery, parse_column, psj_from_literals
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
-from repro.core.canonical import canonicalize
+from repro.core.canonical import audit_canonical, canonicalize
 from repro.core.plan import (
     BindingSpec,
     CachePart,
@@ -111,8 +111,9 @@ class QueryPlanner:
         self.backend_of = backend_of
         #: When set, every produced plan is run through
         #: :meth:`QueryPlan.check_invariants` before it leaves the planner,
-        #: and every candidate its probe rejected on the containment
-        #: signature is put through the full subsumption test after all.
+        #: every candidate its probe rejected on the containment signature
+        #: is put through the full subsumption test after all, and the
+        #: query's carried canonical form is recomputed from scratch.
         #: Off by default (tests and the fuzzer flip it on).
         self.audit = False
 
@@ -136,6 +137,7 @@ class QueryPlanner:
             if self.audit:
                 plan.check_invariants()
                 audit_prefilter(self.cache, query, reports)
+                audit_canonical(query)
             if self.tracer.enabled:
                 self._trace_decision(span, query, plan, reports)
             return plan

@@ -27,7 +27,6 @@ from repro.caql.ast import (
     SetOfQuery,
 )
 from repro.caql.eval import core_plan
-from repro.caql.psj import psj_from_literals
 from repro.core.subsumption import CandidateReport, explain_candidates
 
 
@@ -146,11 +145,7 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
     if not isinstance(q, ConjunctiveQuery):
         raise PlanningError(f"not a CAQL query: {q!r}")
 
-    psj, _core_vars, evaluable = core_plan(q, cms.builtins)
-    if not evaluable:
-        psj = psj_from_literals(
-            q.name, q.relation_literals(), q.comparison_literals(), q.answers
-        )
+    psj, _core_vars, _evaluable = core_plan(q, cms.builtins)
 
     plan = cms.planner.plan(psj)
     if cms.features.caching and cms.features.subsumption:

@@ -72,14 +72,15 @@ class Comparison:
         """Constant, if any, on the right; column names ordered on col-col.
 
         Normalization makes structural equality of conditions meaningful,
-        which the subsumption checker relies on.
+        which the subsumption checker relies on.  An already-normal
+        condition (every one ``psj_from_literals`` emits) is returned as is.
         """
-        left, op, right = self.left, self.op, self.right
-        if isinstance(left, Lit) and isinstance(right, Col):
-            left, op, right = right, FLIPPED[op], left
-        elif isinstance(left, Col) and isinstance(right, Col) and right.name < left.name:
-            left, op, right = right, FLIPPED[op], left
-        return Comparison(left, op, right)
+        left, right = self.left, self.right
+        if isinstance(right, Col) and (
+            isinstance(left, Lit) or right.name < left.name
+        ):
+            return Comparison(right, FLIPPED[self.op], left)
+        return self
 
     def negated(self) -> "Comparison":
         """The logically complementary condition."""

@@ -7,9 +7,14 @@ from repro.relational.relation import relation_from_columns
 from repro.relational.schema import Schema
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import render_sql
+from repro.baselines import LooseCoupling
+from repro.caql.ast import ConjunctiveQuery
+from repro.caql.eval import evaluate_conjunctive
 from repro.caql.parser import parse_query
 from repro.caql.psj import psj_from_literals
 from repro.caql.translate import sql_from_psj
+from repro.core.cms import CacheManagementSystem
+from repro.logic.terms import Atom, Const, Var
 
 SCHEMAS = {
     "parent": Schema("parent", ("par", "child")),
@@ -149,3 +154,58 @@ class TestEndToEnd:
         shipped = server.execute(translation.query)
         result = translation.rebuild(shipped.rows)
         assert set(result.rows) == {("bob", "tom"), ("liz", "tom")}
+
+
+class TestUntranslatableLiterals:
+    """Literals no PSJ condition can express end in ``TranslationError`` —
+    on the CMS, ``explain``, the baselines and the oracle alike, from the
+    one place all four start (``split_literals``).  Before, the CMS dropped
+    a negated literal and the oracle joined it positively; both answered."""
+
+    NEGATED = parse_query("d(X) :- b0(X, Y), \\+ b1(X, Z)")
+    #: Only constructible programmatically: the parser emits binary ones.
+    TERNARY = ConjunctiveQuery(
+        "d",
+        (Var("X"),),
+        (Atom("b0", (Var("X"), Var("Y"))), Atom("<", (Var("X"), Var("Y"), Const(3)))),
+    )
+
+    TABLES = {
+        "b0": relation_from_columns("b0", a=[1, 3], b=[2, 4]),
+        "b1": relation_from_columns("b1", a=[1], b=[9]),
+    }
+
+    @pytest.fixture
+    def server(self):
+        dbms = RemoteDBMS()
+        for table in self.TABLES.values():
+            dbms.load_table(table)
+        return dbms
+
+    @pytest.mark.parametrize(
+        "query, names",
+        [(NEGATED, "\\+b1(X, Z)"), (TERNARY, "<(X, Y, 3)")],
+        ids=["negated", "ternary-comparison"],
+    )
+    def test_every_path_refuses_alike(self, server, query, names):
+        cms = CacheManagementSystem(server)
+        cms.begin_session()
+        for ask in (
+            cms.query,
+            cms.explain,
+            LooseCoupling(server).query,
+            lambda q: evaluate_conjunctive(q, self.TABLES.__getitem__),
+        ):
+            with pytest.raises(TranslationError) as refusal:
+                ask(query)
+            assert f"{names} in d" in str(refusal.value)
+        assert len(cms.cache) == 0
+
+    def test_psj_from_literals_refuses_a_non_binary_comparison_itself(self):
+        # ``planner.generalization_of`` hands advised view definitions to
+        # it directly, without going through ``split_literals``.
+        with pytest.raises(TranslationError):
+            psj_from_literals(
+                "d", self.TERNARY.relation_literals(),
+                self.TERNARY.comparison_literals(), self.TERNARY.answers,
+            )

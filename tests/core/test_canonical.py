@@ -14,6 +14,7 @@ from repro.core.canonical import (
     canonical_constant,
     canonical_key,
     canonicalize,
+    normalized,
 )
 from repro.relational.expressions import Col, Comparison, Lit
 
@@ -197,10 +198,19 @@ class TestAlphaEquivalence:
 class TestNormalizedExpression:
     def test_canonicalization_is_idempotent(self):
         query = psj("d0(X, Y) :- b1(Z, Y), X > 5, X > 3, b0(X, Z), X \\= 1")
-        form = canonicalize(query)
-        again = canonicalize(form.query)
-        assert again.key == form.key
-        assert again.query == form.query
+        expression = normalized(query)
+        assert canonical_key(expression) == canonical_key(query)
+        assert normalized(expression) == expression
+
+    def test_unsatisfiable_query_normalizes_to_itself_flagged(self):
+        # No expression to rebuild: the query comes back marked empty (the
+        # very object when constant folding had already marked it).
+        folded = psj("d0(X, Y) :- b0(X, Y), X > 5, X < 3")
+        assert not folded.unsatisfiable
+        expression = normalized(folded)
+        assert expression.unsatisfiable
+        assert expression.conditions == folded.conditions
+        assert normalized(expression) is expression
 
     def test_trivial_self_comparisons_fold(self):
         base = psj("d0(X) :- b0(X, Y)")

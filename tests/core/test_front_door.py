@@ -1,0 +1,205 @@
+"""The front door derives once and carries: counts, not timings.
+
+Every op pays text -> PSJ -> canonical key -> exact lookup, so what these
+tests pin is *how often* each step runs, counted by wrapping the module
+attributes the steps are reached through: one translation and at most one
+memo lookup per query, no cold build for a query the memo has seen under
+other variable names, and a carried form that never leaks to a different
+value.  Answers are the oracle's business (``tests/qa``); only the last
+class here looks at them.
+"""
+
+from dataclasses import fields, replace
+
+import pytest
+
+import repro.caql.eval as eval_module
+import repro.caql.psj as psj_module
+import repro.core.canonical as canonical
+import repro.core.cms as cms_module
+from repro.braid import BraidSystem
+from repro.caql.eval import core_plan, psj_of
+from repro.caql.parser import parse_query
+from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
+from repro.core.canonical import canonical_key, canonicalize
+from repro.core.cms import CacheManagementSystem
+from repro.core.plan import sub_query
+from repro.logic.builtins import BuiltinRegistry
+from repro.qa import CaseConfig, CaseGenerator
+from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.relation import relation_from_columns
+from repro.remote.server import RemoteDBMS
+from repro.workloads import genealogy
+
+
+class Counter:
+    """Wraps a callable; ``calls`` is how often it was entered."""
+
+    def __init__(self, function):
+        self.function = function
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.function(*args, **kwargs)
+
+
+def count(monkeypatch, *sites):
+    """One shared counter over every ``(module, attribute)`` binding of a
+    function (import-site bindings are what the callers resolve)."""
+    counter = Counter(getattr(*sites[0]))
+    for module, attribute in sites:
+        monkeypatch.setattr(module, attribute, counter)
+    return counter
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    canonical.clear_cache()
+    yield
+    canonical.clear_cache()
+
+
+def psj(text: str) -> PSJQuery:
+    return psj_of(parse_query(text))
+
+
+class TestWarmedExactHit:
+    def test_one_translation_one_memo_lookup_no_build(self, monkeypatch):
+        remote = RemoteDBMS()
+        remote.load_table(
+            relation_from_columns("b0", a=[1, 2, 3, 4], b=[10, 20, 30, 40])
+        )
+        cms = CacheManagementSystem(remote)
+        cms.begin_session()
+        text = "d0(X, Y) :- b0(X, Y), X > 1, Y < 40"
+        cms.query(parse_query(text)).fetch_all()  # the miss that stores it
+        warm = cms.query(parse_query(text)).fetch_all()  # its first hit
+
+        translations = count(
+            monkeypatch,
+            (eval_module, "psj_from_literals"),
+            (cms_module, "psj_from_literals"),
+        )
+        builds = count(monkeypatch, (canonical, "_build"))
+        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        renders = count(monkeypatch, (psj_module, "_structural_key"))
+
+        stream = cms.query(parse_query(text))
+        assert cms.last_plan.strategy == "exact"
+        assert stream.fetch_all() == warm
+        assert translations.calls == 1
+        assert builds.calls == 0
+        assert lookups.calls <= 1
+        # The stored definition rendered its structural key on its first
+        # hit; from then on only the fresh query renders one.
+        assert renders.calls == 1
+
+
+class TestReaskUnderFreshVariableNames:
+    def test_genealogy_reask_builds_nothing(self, monkeypatch):
+        system = BraidSystem.from_workload(genealogy())
+        builds = count(monkeypatch, (canonical, "_build"))
+        first = system.ask_all("ancestor(p0, W)")
+        cold = builds.calls
+        assert 0 < cold <= 18
+        # The IE renames apart on every resolution step, so the re-ask's
+        # CAQL queries differ from the first ask's in variable names only.
+        again = system.ask_all("ancestor(p0, W)")
+        assert builds.calls == cold
+        assert again == first
+
+    def test_name_and_variable_names_are_not_in_the_memo_key(self, monkeypatch):
+        builds = count(monkeypatch, (canonical, "_build"))
+        one = psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2")
+        other = psj("view9(U, W) :- b0(U, V), b1(V, W), U > 2")
+        assert one != other and one.var_columns != other.var_columns
+        assert canonical_key(one) == canonical_key(other)
+        assert builds.calls == 1
+
+
+class TestTheCarryNeverCrossesValues:
+    def test_replace_and_sub_query_start_uncarried(self):
+        query = psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2")
+        form, structural = canonicalize(query), query.canonical_key()
+        assert canonicalize(query) is form  # the same object: a dict probe
+        assert query.canonical_key() is structural
+
+        tighter = replace(
+            query,
+            conditions=query.conditions + (Comparison(Col("t0.c0"), "<", Lit(9)),),
+        )
+        part = sub_query(query, frozenset({"t0"}), "d0__part")
+        for derived in (tighter, part):
+            assert vars(derived).keys() == {f.name for f in fields(PSJQuery)}
+            assert canonicalize(derived).key != form.key
+            assert derived.canonical_key() != structural
+        # ... and the carried form is invisible to value semantics.
+        assert query == psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2")
+        assert hash(query) == hash(psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2"))
+        assert "_canonical" not in repr(query)
+
+    def test_spellings_still_get_their_own_rows(self, monkeypatch):
+        builds = count(monkeypatch, (canonical, "_build"))
+        base = psj("d0(X) :- b0(X, Y)")
+        one = replace(base, projection=(ConstProj(1),) + base.projection)
+        one_f = replace(base, projection=(ConstProj(1.0),) + base.projection)
+        assert one == one_f  # ==-equal, so only the spelling tells them apart
+        assert canonical_key(one) != canonical_key(one_f)
+        assert builds.calls == 2
+
+        pinned = replace(base, conditions=(Comparison(Col("t0.c0"), "=", Lit(1)),))
+        pinned_f = replace(base, conditions=(Comparison(Col("t0.c0"), "=", Lit(1.0)),))
+        assert pinned == pinned_f
+        assert canonical_key(pinned) == canonical_key(pinned_f)
+        assert builds.calls == 4
+
+    def test_unhashable_constant_takes_the_fallback(self, monkeypatch):
+        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        base = psj("d0(X) :- b0(X, Y)")
+        listed = replace(
+            base, conditions=(Comparison(Col("t0.c0"), "=", Lit([1, 2])),)
+        )
+        form = canonicalize(listed)
+        assert "t0.c0 = list![1, 2]" in form.key[2]
+        assert canonicalize(listed) is form  # carried all the same
+        assert lookups.calls == 1
+
+    def test_a_patched_fold_seam_gets_its_own_answer(self, monkeypatch):
+        query = psj("d0(X) :- b0(X, Y), X < 3")
+        sound = canonicalize(query)
+        monkeypatch.setattr(canonical, "_fold_upper", lambda *args: None)
+        assert canonicalize(query).key != sound.key
+        monkeypatch.undo()
+        assert canonicalize(query).key == sound.key
+
+
+class TestNothingElseChanged:
+    def test_normalized_is_idempotent_and_returns_normal_conditions_as_is(self):
+        for condition in (
+            Comparison(Lit(3), "<", Col("t0.c0")),
+            Comparison(Col("t1.c0"), ">=", Col("t0.c1")),
+            Comparison(Col("t0.c0"), "=", Lit(3)),
+            Comparison(Col("t0.c0"), "<=", Col("t0.c0")),
+        ):
+            normal = condition.normalized()
+            assert normal.normalized() is normal
+        swapped = Comparison(Lit(3), "<", Col("t0.c0")).normalized()
+        assert swapped == Comparison(Col("t0.c0"), ">", Lit(3))
+
+    def test_core_plan_is_the_translation_the_cms_used_to_redo(self):
+        registry = BuiltinRegistry()
+        seen = 0
+        for case in CaseGenerator(0, CaseConfig()).corpus(40):
+            for text in case.queries + case.advice_views:
+                query = parse_query(text)
+                translated, _core_vars, evaluable = core_plan(query, registry)
+                assert not evaluable
+                assert translated == psj_from_literals(
+                    query.name,
+                    query.relation_literals(),
+                    query.comparison_literals(),
+                    query.answers,
+                )
+                seen += 1
+        assert seen > 200

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caql.ast import ConjunctiveQuery
 from repro.caql.parser import parse_query
 from repro.common.errors import ServerOverloadError
 from repro.common.metrics import (
@@ -9,6 +10,7 @@ from repro.common.metrics import (
     SERVER_REQUESTS_REJECTED,
     Metrics,
 )
+from repro.logic.terms import Atom, Const, Var
 from repro.server import BraidServer, ServerConfig
 from repro.server.admission import AdmissionController
 from repro.server.session import Request, Session
@@ -145,3 +147,46 @@ class TestServerBackpressure:
         assert server.admission.queued == 0
         server.open_session("bob")
         server.submit("bob", self.queries(1)[0])  # capacity is back
+
+
+class TestUntranslatableRequestReleasesItsSlot:
+    """A request the translator refuses is *finished* with a typed error.
+
+    A non-binary comparison used to escape ``cms.query`` as a bare
+    ``ValueError``, past ``_execute``'s ``except BraidError``: the request
+    was popped from the backlog, never finished, and its admission slot
+    leaked.  A negated literal was silently dropped and answered."""
+
+    NEGATED = parse_query("d(I) :- item(I, C, V), \\+ item(I, cat1, V)")
+    TERNARY = ConjunctiveQuery(
+        "d",
+        (Var("I"),),
+        (
+            Atom("item", (Var("I"), Var("C"), Var("V"))),
+            Atom("<", (Var("I"), Var("V"), Const(3))),
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "query", [NEGATED, TERNARY], ids=["negated", "ternary-comparison"]
+    )
+    def test_finished_with_error_and_the_session_carries_on(self, query):
+        server = BraidServer(
+            tables=selection_universe(rows=30, seed=5).tables,
+            config=ServerConfig(max_queue_depth=2, max_inflight_per_session=1),
+        )
+        server.open_session("alice")
+        refused = server.submit("alice", query)
+        server.run_until_idle()
+        assert refused.finished
+        assert refused.error.startswith("TranslationError")
+        assert refused.rows is None
+        assert server.admission.utilization() == 0
+
+        served = server.submit(
+            "alice", parse_query("q(I, V) :- item(I, cat1, V)")
+        )
+        server.run_until_idle()
+        assert served.finished and served.error is None
+        assert served.rows
+        assert server.admission.utilization() == 0
