@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 
 from repro.common.errors import TranslationError
 from repro.relational.expressions import Col
+from repro.relational.operators import project_entries
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.remote.sql import SelectQuery, SqlCol, SqlCondition, SqlInList, SqlLit, TableRef
@@ -40,19 +41,13 @@ class SQLTranslation:
     output: tuple[tuple[str, object], ...]
     result_name: str
 
-    def rebuild_row(self, shipped: tuple) -> tuple:
-        """One result row reassembled from a shipped row."""
-        return tuple(
-            value if kind == "const" else shipped[value] for kind, value in self.output
-        )
-
     def rebuild(self, shipped_rows: list[tuple]) -> Relation:
         """Assemble the final result relation from shipped rows."""
         schema = result_schema(self.result_name, len(self.output))
         if not self.output:
             rows = [(True,)] if shipped_rows else []
             return Relation(schema, rows)
-        return Relation(schema, (self.rebuild_row(row) for row in shipped_rows))
+        return project_entries(shipped_rows, self.output, schema)
 
 
 def sql_from_psj(

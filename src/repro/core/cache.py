@@ -437,7 +437,10 @@ class Cache:
                 f"element of ~{incoming_bytes} bytes exceeds cache capacity "
                 f"{self.capacity_bytes}"
             )
-        while self.used_bytes() + incoming_bytes > self.capacity_bytes:
+        # Sized once: a victim is never pinned, so ``discard`` reclaims it
+        # at once and the total drops by exactly its bytes.
+        used = self.used_bytes()
+        while used + incoming_bytes > self.capacity_bytes:
             victim = self._pick_victim(exempt)
             if victim is None:
                 raise CacheCapacityError(
@@ -461,6 +464,7 @@ class Cache:
                 bytes=victim_bytes,
             )
             self.discard(victim.element_id)
+            used -= victim_bytes
             self.eviction_count += 1
 
     def _pick_victim(self, exempt: set[str]) -> CacheElement | None:

@@ -75,11 +75,7 @@ class TupleEngine:
         )
 
     def project_entries(self, handle: Relation, entries, schema: Schema) -> Relation:
-        rows = (
-            tuple(value if kind == "const" else row[value] for kind, value in entries)
-            for row in handle
-        )
-        return Relation(schema, rows)
+        return operators.project_entries(handle, list(entries), schema)
 
     def derive_full(
         self, match, query: PSJQuery, prefiltered: Relation | None = None

@@ -348,7 +348,7 @@ class ExecutionMonitor:
                     if attr not in index.attributes
                 ]
                 source = element.extension()
-                filtered = Relation(source.schema, rows)
+                filtered = Relation.from_distinct_rows(source.schema, rows)
                 if residual:
                     filtered = select(filtered, residual)
                 self.clock.charge("local", self.profile.index_probe)

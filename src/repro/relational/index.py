@@ -8,7 +8,8 @@ mark attributes as "prime candidates for indexing".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from repro.relational.relation import Relation
 
@@ -16,20 +17,26 @@ from repro.relational.relation import Relation
 class HashIndex:
     """A hash index on one or more attributes of a relation extension.
 
-    The index is built once from the relation's current rows; callers that
-    mutate the relation afterwards must rebuild (cache elements are
-    immutable once cached, so this suits the CMS).
+    A bucket holds row *positions* (the relation's stable order), as an
+    index in a conventional DBMS holds tuple ids: one key's rows, or the
+    union of several keys' rows, come back in relation order.
+
+    The index covers the rows the relation had when it was built.  Rows
+    are append-only, so :attr:`is_current` — the relation is still that
+    long — is the whole staleness test; :meth:`IndexSet.ensure` rebuilds
+    on it.
     """
 
-    __slots__ = ("attributes", "_positions", "_buckets", "_probes", "_source_len")
+    __slots__ = ("attributes", "_relation", "_positions", "_buckets", "_probes", "_source_len")
 
     def __init__(self, relation: Relation, attributes: tuple[str, ...] | list[str]):
         self.attributes = tuple(attributes)
+        self._relation = relation
         self._positions = relation.schema.positions(self.attributes)
-        self._buckets: dict[tuple, list[tuple]] = defaultdict(list)
-        for row in relation:
+        self._buckets: dict[tuple, list[int]] = defaultdict(list)
+        for ordinal, row in enumerate(relation):
             key = tuple(row[i] for i in self._positions)
-            self._buckets[key].append(row)
+            self._buckets[key].append(ordinal)
         self._probes = 0
         self._source_len = len(relation)
 
@@ -37,8 +44,21 @@ class HashIndex:
         """Rows whose indexed attributes equal ``values``."""
         if not isinstance(values, tuple):
             values = (values,)
-        self._probes += 1
-        return list(self._buckets.get(values, ()))
+        return self.lookup_any((values,))
+
+    def lookup_any(self, keys: Iterable[tuple]) -> list[tuple]:
+        """Rows whose indexed attributes equal one of ``keys`` (tuples, one
+        value per indexed attribute), each row once, in relation order.
+
+        Keys meet rows by Python equality, as everywhere else: ``1``,
+        ``1.0`` and ``True`` are one key, ``"1"`` is another, and a NaN
+        finds only the rows holding that very object.
+        """
+        distinct = set(keys)
+        self._probes += len(distinct)
+        buckets = self._buckets
+        found = [buckets[key] for key in distinct if key in buckets]
+        return self._relation.rows_at(sorted(chain.from_iterable(found)))
 
     def lookup_iter(self, values: tuple) -> Iterator[tuple]:
         """Iterator form of :meth:`lookup` (for lazy pipelines)."""
@@ -64,6 +84,11 @@ class HashIndex:
         """How many rows were indexed (for cost accounting)."""
         return self._source_len
 
+    @property
+    def is_current(self) -> bool:
+        """True while the relation has exactly the rows that were indexed."""
+        return self._source_len == len(self._relation)
+
     def __repr__(self) -> str:
         return f"HashIndex(on={self.attributes}, keys={self.key_count})"
 
@@ -78,17 +103,18 @@ class IndexSet:
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
 
     def ensure(self, attributes: tuple[str, ...] | list[str]) -> HashIndex:
-        """Return the index on ``attributes``, building it if absent."""
+        """Return the index on ``attributes``, building it if absent and
+        rebuilding it if the relation has grown since it was built."""
         key = tuple(attributes)
         index = self._indexes.get(key)
-        if index is None:
-            index = HashIndex(self._relation, key)
-            self._indexes[key] = index
+        if index is None or not index.is_current:
+            index = self._indexes[key] = HashIndex(self._relation, key)
         return index
 
     def get(self, attributes: tuple[str, ...] | list[str]) -> HashIndex | None:
-        """The existing index on ``attributes``, or None."""
-        return self._indexes.get(tuple(attributes))
+        """The existing index on ``attributes`` (brought up to date), or None."""
+        key = tuple(attributes)
+        return self.ensure(key) if key in self._indexes else None
 
     def find_covering(self, attributes: set[str]) -> HashIndex | None:
         """An existing index whose key is a subset of ``attributes``.
@@ -96,11 +122,11 @@ class IndexSet:
         Such an index can answer an equality selection on ``attributes``
         with a probe plus residual filtering.  Prefers the widest key.
         """
-        best: HashIndex | None = None
-        for key, index in self._indexes.items():
-            if set(key) <= attributes and (best is None or len(key) > len(best.attributes)):
-                best = index
-        return best
+        best: tuple[str, ...] | None = None
+        for key in self._indexes:
+            if set(key) <= attributes and (best is None or len(key) > len(best)):
+                best = key
+        return self.ensure(best) if best is not None else None
 
     @property
     def attribute_sets(self) -> list[tuple[str, ...]]:

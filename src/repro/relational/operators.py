@@ -45,8 +45,9 @@ def select_via_index(
     """Index-assisted equality selection with optional residual filter."""
     rows = index.lookup(values)
     if residual:
-        rows = filter(compile_conjunction(residual, relation.schema), rows)
-    return Relation(relation.schema, rows)
+        rows = list(filter(compile_conjunction(residual, relation.schema), rows))
+    # A bucket holds rows of the indexed relation, each once: adopt them.
+    return Relation.from_distinct_rows(relation.schema, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +55,46 @@ def select_via_index(
 # ---------------------------------------------------------------------------
 
 
+def distinct_projection(rows: Iterable[tuple], positions: Sequence[int]) -> list[tuple]:
+    """``rows`` cut down to ``positions`` (at least one), duplicates dropped,
+    first occurrences in order — without a Python-level step per row.
+
+    The result is what :meth:`Relation.from_distinct_rows` asks for:
+    distinct tuples of arity ``len(positions)``.
+    """
+    if len(positions) == 1:
+        # ``itemgetter`` of one position yields the bare value; ``zip`` of
+        # one iterable wraps each in a 1-tuple.
+        projected: Iterable[tuple] = zip(map(itemgetter(positions[0]), rows))
+    else:
+        projected = map(itemgetter(*positions), rows)
+    return list(dict.fromkeys(projected))
+
+
 def project(relation: Relation, attributes: Sequence[str], name: str | None = None) -> Relation:
     """Projection onto ``attributes`` (duplicates eliminated)."""
     schema = relation.schema.project(tuple(attributes), name)
     positions = relation.schema.positions(tuple(attributes))
-    return Relation(schema, (tuple(row[i] for i in positions) for row in relation))
+    return Relation.from_distinct_rows(schema, distinct_projection(relation, positions))
+
+
+def project_entries(
+    rows: Iterable[tuple], entries: Sequence[tuple[str, object]], schema: Schema
+) -> Relation:
+    """Rows rebuilt slot by slot under ``schema``: entry ``("col", i)`` takes
+    position ``i`` of the source row, ``("const", v)`` inserts ``v``
+    (duplicates eliminated).  The tuple twin of ``project_entries_batch``.
+    """
+    if entries and all(kind == "col" for kind, _value in entries):
+        positions = [position for _kind, position in entries]
+        return Relation.from_distinct_rows(schema, distinct_projection(rows, positions))
+    return Relation(
+        schema,
+        (
+            tuple(value if kind == "const" else row[value] for kind, value in entries)
+            for row in rows
+        ),
+    )
 
 
 def project_iter(
@@ -106,12 +142,18 @@ def join(
     pairs: Sequence[tuple[str, str]],
     name: str = "join",
     conditions: Sequence[Comparison] = (),
+    build_left: bool | None = None,
 ) -> Relation:
     """Equi-join on ``pairs`` of (left attribute, right attribute).
 
     Implemented as a hash join with the smaller side as the build input.
     ``conditions`` are extra predicates evaluated on the combined schema.
     An empty ``pairs`` degenerates to a (filtered) cross product.
+
+    Result rows come in the order of the *other* (streamed) side, so the
+    choice of build side is visible.  A caller that has cut one input down
+    to its joining rows passes the ``build_left`` the inputs had before, and
+    gets the rows, in the order, the uncut join would have produced.
     """
     schema = left.schema.concat(right.schema, name)
     if not pairs:
@@ -119,7 +161,9 @@ def join(
     else:
         left_key = _key(left.schema, [p[0] for p in pairs])
         right_key = _key(right.schema, [p[1] for p in pairs])
-        if len(left) <= len(right):
+        if build_left is None:
+            build_left = len(left) <= len(right)
+        if build_left:
             matches = _buckets(left, left_key).get
             combined = (l + r for r in right for l in matches(right_key(r), ()))
         else:

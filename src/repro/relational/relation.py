@@ -112,6 +112,12 @@ class Relation:
         """The rows, in stable order (a copy; mutate via insert only)."""
         return list(self._rows)
 
+    def rows_at(self, ordinals: Iterable[int]) -> list[tuple]:
+        """The rows at these positions of the stable order (what an index
+        bucket of row positions resolves through)."""
+        rows = self._rows
+        return [rows[i] for i in ordinals]
+
     def column(self, attribute: str) -> list[object]:
         """All values of one attribute, in row order (with duplicates)."""
         position = self.schema.position(attribute)

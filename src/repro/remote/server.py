@@ -16,6 +16,7 @@ before the complete result to the DBMS query has been processed."
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Protocol
 
 from repro.common.clock import CostProfile, SimClock
@@ -53,15 +54,17 @@ class RemoteResultStream:
 
     def __init__(
         self,
-        rows: list[tuple],
-        schema: Schema,
+        result: Relation,
         network: NetworkModel,
         buffer_size: int,
         pipelined: bool,
         fail_after_buffers: int | None = None,
     ):
-        self.schema = schema
-        self._rows = rows
+        # The engine's result is nobody else's: its rows are read where
+        # they are, a buffer at a time, not copied into the stream first.
+        self.schema = result.schema
+        self._rows = iter(result)
+        self._total = len(result)
         self._network = network
         self._buffer_size = max(1, buffer_size)
         self._pipelined = pipelined
@@ -69,17 +72,17 @@ class RemoteResultStream:
         self._fail_after = fail_after_buffers
         self._buffers_pulled = 0
         if not pipelined:
-            network.charge_transfer(len(rows))
+            network.charge_transfer(self._total)
 
     def next_buffer(self) -> list[tuple]:
         """The next buffer of rows; empty when the result is exhausted."""
-        if self._position >= len(self._rows):
+        if self._position >= self._total:
             return []
         if self._fail_after is not None and self._buffers_pulled >= self._fail_after:
             raise TransientRemoteError(
                 f"connection dropped mid-stream after {self._buffers_pulled} buffers"
             )
-        chunk = self._rows[self._position:self._position + self._buffer_size]
+        chunk = list(islice(self._rows, self._buffer_size))
         self._position += len(chunk)
         self._buffers_pulled += 1
         if self._pipelined:
@@ -89,12 +92,12 @@ class RemoteResultStream:
     @property
     def exhausted(self) -> bool:
         """True once every row has been pulled."""
-        return self._position >= len(self._rows)
+        return self._position >= self._total
 
     @property
     def total_rows(self) -> int:
         """Size of the full result (known server-side)."""
-        return len(self._rows)
+        return self._total
 
 
 class RemoteDBMS:
@@ -234,8 +237,7 @@ class RemoteDBMS:
         result = self.engine.execute(request)
         self.network.charge_server_work(result.tuples_touched)
         return RemoteResultStream(
-            result.relation.rows,
-            result.relation.schema,
+            result.relation,
             self.network,
             buffer_size,
             pipelined=self.supports_pipelining,
@@ -266,8 +268,7 @@ class RemoteDBMS:
             self.network.charge_server_work(result.tuples_touched)
             streams.append(
                 RemoteResultStream(
-                    result.relation.rows,
-                    result.relation.schema,
+                    result.relation,
                     self.network,
                     buffer_size,
                     pipelined=self.supports_pipelining,

@@ -105,6 +105,21 @@ class TestRebuild:
         relation = translation.rebuild([("tom",)])
         assert relation.rows == [("tom", "tom")]
 
+    def test_rebuild_of_columns_only_is_the_row_by_row_rebuild(self):
+        translation = translate("q(Y, X, Y) :- parent(X, Y)")
+        # SELECT lists a column once, at its first use: shipped rows are (Y, X).
+        shipped = [("bob", "tom"), ("liz", "tom"), ("bob", "tom")]
+        relation = translation.rebuild(shipped)
+        relation.check_invariants()
+        assert relation.rows == [("bob", "tom", "bob"), ("liz", "tom", "liz")]
+        assert relation.rows == list(dict.fromkeys((y, x, y) for y, x in shipped))
+        assert relation.schema.name == "q" and relation.schema.arity == 3
+
+    def test_rebuild_of_one_column_yields_tuples(self):
+        relation = translate("q(X) :- parent(X, Y)").rebuild([("tom",), ("bob",), ("tom",)])
+        relation.check_invariants()
+        assert relation.rows == [("tom",), ("bob",)]
+
     def test_rebuild_boolean_nonempty(self):
         translation = translate("q(tom, bob) :- parent(tom, bob)")
         relation = translation.rebuild([("tom",)])

@@ -237,6 +237,26 @@ class TestAdmissionCost:
         assert cache.eviction_count == 6
         assert [rows.visited for rows in resident] == [0] * 4
 
+    def test_making_room_sizes_the_cache_once_however_many_it_evicts(self, monkeypatch):
+        probe = Cache()
+        self.counted_store(probe, 0)
+        one = probe.used_bytes()
+        cache = Cache(capacity_bytes=6 * one)
+        for n in range(6):
+            self.counted_store(cache, n)
+        sizings = []
+        used_bytes = Cache.used_bytes
+        monkeypatch.setattr(
+            Cache, "used_bytes", lambda self: sizings.append(1) or used_bytes(self)
+        )
+        # An element three times the size pushes three residents out.
+        psj = make_psj("big(X, Y) :- b9(X, Y)")
+        cache.store(psj, make_relation(psj.name, 3 * self.ROWS_EACH + 2), derivation_seconds=1.0)
+        assert cache.eviction_count == 3 and len(sizings) == 1
+        assert sorted(e.view_name for e in cache.elements()) == ["big", "d3", "d4", "d5"]
+        monkeypatch.undo()
+        cache.check_invariants()  # the from-scratch recount agrees
+
     def test_a_growing_generator_memo_is_sized_by_what_was_added(self):
         cache = Cache()
         psj = make_psj("d1(X, Y) :- b1(X, Y)")

@@ -13,6 +13,7 @@ from repro.common.clock import CostProfile
 from repro.core.cms import CacheManagementSystem, CMSFeatures
 from repro.core.engine import ColumnarEngine, TupleEngine, make_engine
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.remote.server import RemoteDBMS
 from repro.remote.sqlite_backend import SqliteEngine
 
@@ -63,6 +64,40 @@ class TestEngineSelection:
         cms = CacheManagementSystem(remote, features=CMSFeatures.none())
         assert cms.features.columnar is False
         assert cms.monitor.engine.name == "tuple"
+
+
+class TestProjectEntries:
+    """Both engines cut rows down alike; the tuple engine adopts the rows
+    of an all-column projection instead of re-validating them."""
+
+    ROWS = [(1, "a", 10), (2, "a", 10), (1, "b", 10)]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [("col", 1)],
+            [("col", 2), ("col", 1)],
+            [("col", 1), ("col", 1), ("col", 0)],
+            [("const", "k"), ("col", 1)],
+            [("const", "k")],
+        ],
+        ids=lambda entries: "+".join(kind for kind, _value in entries),
+    )
+    def test_engines_agree_row_for_row(self, entries):
+        source = Relation(Schema("s", ("x", "y", "z")), self.ROWS)
+        schema = Schema("out", tuple(f"a{i}" for i in range(len(entries))))
+        expected = list(
+            dict.fromkeys(
+                tuple(v if kind == "const" else row[v] for kind, v in entries)
+                for row in self.ROWS
+            )
+        )
+        for engine in (TupleEngine(), ColumnarEngine()):
+            out = engine.materialize(
+                engine.project_entries(engine.ingest(source), iter(entries), schema)
+            )
+            out.check_invariants(engine.name)
+            assert out.rows == expected and out.schema is schema
 
 
 @pytest.mark.parametrize("backend", ["pure", "sqlite"])

@@ -53,6 +53,38 @@ class TestHashIndex:
         index = HashIndex(make_emp(), ("dept",))
         assert len(list(index.lookup_iter(("hw",)))) == 2
 
+    def test_lookup_returns_rows_in_relation_order(self):
+        index = HashIndex(make_emp(), ("dept",))
+        assert index.lookup("hw") == [(1, "ann", "hw"), (4, "dan", "hw")]
+
+    def test_lookup_any_merges_buckets_in_relation_order(self):
+        emp = make_emp()
+        index = HashIndex(emp, ("name",))
+        keys = [("dan",), ("ann",), ("zed",), ("cat",), ("ann",)]
+        assert index.lookup_any(keys) == [emp.rows[0], emp.rows[2], emp.rows[3]]
+        assert index.lookup_any([]) == []
+        assert index.probe_count == 4  # one per distinct key
+
+    def test_lookup_any_keys_meet_rows_by_python_equality(self):
+        nan = float("nan")
+        soup = relation_from_columns(
+            "soup", k=[1, "1", 1.0, True, nan, float("nan"), None], n=list(range(7))
+        )
+        index = HashIndex(soup, ("k",))
+        assert [n for _k, n in index.lookup_any([(1.0,)])] == [0, 2, 3]
+        assert [n for _k, n in index.lookup_any([("1",), (None,)])] == [1, 6]
+        assert [n for _k, n in index.lookup_any([(nan,)])] == [4]
+        assert index.lookup_any([(float("nan"),)]) == []
+
+    def test_is_current_until_the_relation_grows(self):
+        emp = make_emp()
+        index = HashIndex(emp, ("dept",))
+        assert index.is_current
+        assert not emp.insert((1, "ann", "hw")) and index.is_current  # a duplicate
+        emp.insert((5, "eve", "sw"))
+        assert not index.is_current
+        assert len(index.lookup("sw")) == 2  # a snapshot of the rows it indexed
+
 
 class TestIndexSet:
     def test_ensure_builds_once(self):
@@ -65,6 +97,22 @@ class TestIndexSet:
     def test_get_absent(self):
         indexes = IndexSet(make_emp())
         assert indexes.get(("dept",)) is None
+
+    def test_a_grown_relation_is_never_served_from_a_stale_index(self):
+        emp = make_emp()
+        indexes = IndexSet(emp)
+        stale = indexes.ensure(("dept",))
+        emp.insert((5, "eve", "sw"))
+        for fresh in (
+            indexes.ensure(("dept",)),
+            indexes.get(("dept",)),
+            indexes.find_covering({"dept", "name"}),
+        ):
+            assert fresh is not stale and fresh.build_size == 5
+            assert fresh.lookup("sw")[-1] == (5, "eve", "sw")
+        # Rebuilt once, not on every call.
+        assert indexes.ensure(("dept",)) is indexes.get(("dept",))
+        assert len(indexes) == 1
 
     def test_find_covering_subset(self):
         indexes = IndexSet(make_emp())

@@ -11,6 +11,7 @@ from repro.relational.operators import (
     aggregate,
     cross,
     difference,
+    distinct_projection,
     intersection,
     join,
     join_iter,
@@ -66,6 +67,13 @@ class TestSelect:
         out = select_via_index(emp, index, ("sw",), [eq("name", "cat")])
         assert out.column("id") == [3]
 
+    def test_select_via_index_adopts_a_relation_of_its_own(self, emp):
+        index = HashIndex(emp, ("dept",))
+        out = select_via_index(emp, index, ("sw",))
+        out.check_invariants()
+        assert out.insert((9, "zed", "sw")) and (3, "cat", "sw") in out
+        assert len(emp) == 4 and len(index.lookup("sw")) == 2
+
 
 class TestProject:
     def test_projects_and_dedups(self, emp):
@@ -75,6 +83,17 @@ class TestProject:
     def test_reorders(self, emp):
         out = project(emp, ["name", "id"])
         assert out.rows[0] == ("ann", 1)
+
+    def test_single_column_rows_are_tuples_in_first_occurrence_order(self, emp):
+        out = project(emp, ["dept"], name="d")
+        out.check_invariants()
+        assert out.rows == [("hw",), ("sw",)] and out.schema.name == "d"
+
+    def test_distinct_projection_is_the_per_row_rebuild(self, emp):
+        rows = emp.rows + [(5, "ann", "hw")]
+        for positions in [(2,), (1, 2), (2, 1, 2), (0, 1, 2)]:
+            expected = list(dict.fromkeys(tuple(r[i] for i in positions) for r in rows))
+            assert distinct_projection(iter(rows), positions) == expected
 
     def test_project_iter_streaming_dedup(self, emp):
         rows = list(project_iter(iter(emp), emp.schema, ["dept"]))
@@ -105,6 +124,14 @@ class TestJoin:
     def test_join_sides_swappable(self, emp, dept):
         small_left = join(dept, emp, [("code", "dept")])
         assert len(small_left) == 4
+
+    def test_rows_come_in_the_streamed_sides_order(self, emp, dept):
+        # ``dept`` is smaller, so it is built and ``emp`` is streamed ...
+        assert [row[0] for row in join(emp, dept, [("dept", "code")])] == [1, 2, 3, 4]
+        # ... unless the caller holds the build side fixed.
+        forced = join(emp, dept, [("dept", "code")], build_left=True)
+        assert [row[0] for row in forced] == [1, 4, 2, 3]
+        assert forced == join(emp, dept, [("dept", "code")])
 
     def test_schema_clash_disambiguated(self):
         left = relation_from_columns("l", x=[1], y=[2])

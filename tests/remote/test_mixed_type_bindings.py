@@ -11,7 +11,13 @@ when join columns hold heterogeneous data.  These tests pin down:
   same equality notion the membership check will;
 * engine parity — both engines answer mixed-type IN-lists identically
   (sqlite columns are declared without affinity on purpose, so ``1``
-  never silently equals ``'1'`` on one engine but not the other).
+  never silently equals ``'1'`` on one engine but not the other);
+* access paths — the pure-Python engine answers IN-lists, equality pins
+  and joins through hash indexes, whose bucket keys must meet values the
+  way ``==`` does: every query here runs twice (the first use builds the
+  index, the second finds it) and must match sqlite both times.
+  ``tests/qa/test_access_path_planted_bug.py`` plants a type-strict key
+  and expects this file to kill it.
 """
 
 import pytest
@@ -20,7 +26,14 @@ from repro.core.rdi import canonical_bindings
 from repro.common.errors import TranslationError
 from repro.relational.relation import relation_from_columns
 from repro.remote.engine import PurePythonEngine
-from repro.remote.sql import SelectQuery, SqlCol, SqlInList, TableRef
+from repro.remote.sql import (
+    SelectQuery,
+    SqlCol,
+    SqlCondition,
+    SqlInList,
+    SqlLit,
+    TableRef,
+)
 from repro.remote.sqlite_backend import SqliteEngine
 
 
@@ -99,6 +112,22 @@ def in_list_query(values):
     )
 
 
+def pinned_query(value):
+    return SelectQuery(
+        tables=(TableRef("k", "k"),),
+        select=(SqlCol("k", "key"), SqlCol("k", "tag")),
+        where=(SqlCondition(SqlCol("k", "key"), "=", SqlLit(value)),),
+    )
+
+
+def twice(engine, query):
+    """The answer, asked twice: with and without an index to build."""
+    first = engine.execute(query).relation
+    again = engine.execute(query).relation
+    assert first.rows == again.rows
+    return set(again.rows)
+
+
 class TestEngineParityOnMixedKeys:
     def test_int_binding_does_not_match_stringly_key(self, engine):
         result = engine.execute(in_list_query((1, 2))).relation
@@ -126,3 +155,36 @@ class TestEngineParityOnMixedKeys:
             )
         finally:
             lite.close()
+
+
+class TestAccessPathsOnMixedKeys:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3.0, {(3, "c")}),
+            (True, {(1, "a")}),
+            ("1", {("1", "d")}),
+            (2, {(2, "b")}),
+            ("3", set()),
+        ],
+        ids=repr,
+    )
+    def test_a_pin_meets_keys_the_way_equality_does(self, engine, value, expected):
+        assert twice(engine, pinned_query(value)) == expected
+
+    def test_an_in_list_finds_the_same_rows_from_its_index(self, engine):
+        assert twice(engine, in_list_query((2.0, "1"))) == {(2, "b"), ("1", "d")}
+
+    def test_a_join_meets_keys_the_way_equality_does(self, engine):
+        engine.create_table(
+            relation_from_columns("j", key=[1.0, "2", 3, "x"], n=["p", "q", "r", "s"])
+        )
+        query = SelectQuery(
+            tables=(TableRef("j", "j"), TableRef("k", "k")),
+            select=(SqlCol("k", "tag"), SqlCol("j", "n")),
+            where=(
+                SqlCondition(SqlCol("j", "key"), "=", SqlCol("k", "key")),
+                SqlCondition(SqlCol("j", "n"), "!=", SqlLit("s")),
+            ),
+        )
+        assert twice(engine, query) == {("a", "p"), ("e", "q"), ("c", "r")}

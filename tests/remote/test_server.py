@@ -123,6 +123,22 @@ class TestStreams:
         dbms.execute_stream(FetchTableQuery("t"), buffer_size=1)
         assert dbms.metrics.get(REMOTE_TUPLES) == 3
 
+    def test_streams_read_the_result_where_it_is(self, server, monkeypatch):
+        # The engine's result is the stream's alone: buffers are cut from
+        # it as they are pulled, it is never copied whole into the stream.
+        from repro.relational.relation import Relation
+
+        def no_copy(self):
+            raise AssertionError("a stream copied its whole result")
+
+        monkeypatch.setattr(Relation, "rows", property(no_copy))
+        stream = server.execute_stream(SW_QUERY, buffer_size=1)
+        (batch,) = server.execute_batch([SW_QUERY], buffer_size=8)
+        assert stream.next_buffer() == [(2, "bob")]
+        assert stream.next_buffer() == [(3, "cat")] and stream.exhausted
+        assert batch.next_buffer() == [(2, "bob"), (3, "cat")]
+        assert stream.next_buffer() == batch.next_buffer() == []
+
     def test_stream_total_rows(self, server):
         stream = server.execute_stream(FetchTableQuery("emp"))
         assert stream.total_rows == 4
