@@ -30,13 +30,13 @@ import time
 
 from repro.qa import (
     FEDERATED_VARIANT,
+    VARIANTS,
     CaseConfig,
     CaseGenerator,
     case_failure,
     replay,
     run_corpus,
     shrink,
-    variants_for,
     write_repro,
 )
 
@@ -67,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "eviction churn (small caches, many queries, intermediates), or "
         "equivalent-query variants (mutated spellings that must hit the "
         "canonical cache tier with identical answers)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("tuple", "columnar", "both"),
-        default="both",
-        help="local-engine axis: tuple-at-a-time only, columnar vs full "
-        "head-to-head, or both engines beside every baseline (default)",
     )
     parser.add_argument(
         "--check-determinism",
@@ -127,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         return replay_one(args.replay)
 
     config = PROFILES[args.profile]()
-    variants = variants_for(args.engine)
+    variants = VARIANTS
     if args.profile == "federated":
         # The federation axis: the full CMS again, over the case's tables
         # scattered across 2-3 backends, cross-checked like the rest.
@@ -139,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.time() - started
 
     print(
-        f"fuzz[{args.profile}/{args.engine}] seed={args.seed} cases={report.cases} "
+        f"fuzz[{args.profile}] seed={args.seed} cases={report.cases} "
         f"divergences={report.divergences} violations={report.violations} "
         f"degraded={report.degraded_answers} ({elapsed:.1f}s)"
     )

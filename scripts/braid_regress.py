@@ -4,7 +4,7 @@
 Diffs a fresh ``benchmarks/results/BENCH_summary.json`` against the
 committed baseline ``benchmarks/results/BASELINE.json`` using
 :mod:`repro.obs.regress`.  Simulated metrics are deterministic, so they
-are compared exactly; wall-clock metrics (E18, "wall" columns) are
+are compared exactly; wall-clock metrics ("wall" columns) are
 ignored.  Exit codes: 0 = pass, 1 = regression (or a baseline metric went
 missing), 2 = IO/usage error.
 

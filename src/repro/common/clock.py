@@ -46,17 +46,9 @@ class CostProfile:
     index_build_per_tuple: float = 0.015e-3
     #: Cost charged by the IE for one inference step (resolution attempt).
     inference_step: float = 0.005e-3
-    #: Relative per-tuple cost of local work on the columnar batch engine
-    #: (dimensionless ratio applied to ``cache_per_tuple``; E18 measures
-    #: the real wall-clock ratio this models).
-    columnar_tuple_factor: float = 0.25
 
     def scaled(self, factor: float) -> "CostProfile":
-        """Return a copy with every unit cost multiplied by ``factor``.
-
-        ``columnar_tuple_factor`` is a ratio between local engines, not a
-        unit cost, so it is copied unscaled.
-        """
+        """Return a copy with every unit cost multiplied by ``factor``."""
         return CostProfile(
             remote_latency=self.remote_latency * factor,
             transfer_per_tuple=self.transfer_per_tuple * factor,
@@ -66,7 +58,6 @@ class CostProfile:
             index_probe=self.index_probe * factor,
             index_build_per_tuple=self.index_build_per_tuple * factor,
             inference_step=self.inference_step * factor,
-            columnar_tuple_factor=self.columnar_tuple_factor,
         )
 
 

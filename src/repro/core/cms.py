@@ -48,7 +48,6 @@ from repro.common.metrics import (
 )
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
-from repro.relational.columnar import ColumnarBatch
 from repro.relational.generator import GeneratorRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -87,7 +86,8 @@ logger = logging.getLogger("repro.cms")
 
 @dataclass
 class CMSFeatures(PlannerFeatures):
-    """All CMS technique toggles (extends the planner's)."""
+    """All CMS technique toggles (extends the planner's), each varied by an
+    experiment (E1, E8, E17, E21) or by the failure-injection suite."""
 
     advice_replacement: bool = True
     #: Register operator-level intermediates (remote plan parts, derived
@@ -105,15 +105,12 @@ class CMSFeatures(PlannerFeatures):
     #: Batch independently-needed remote fetches (prefetch companions,
     #: multi-part remote plans) into one round trip.
     batching: bool = True
-    buffer_size: int = 64
     #: Client-side resilience for the remote link (retries, backoff,
     #: timeout, circuit breaker).  The default policy is inert on a
     #: healthy link.
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Serve stale/partial cache answers when retries are exhausted.
     degradation: bool = True
-    #: How many remote answers the stale archive retains for degradation.
-    archive_elements: int = 64
 
     @classmethod
     def none(cls) -> "CMSFeatures":
@@ -128,7 +125,6 @@ class CMSFeatures(PlannerFeatures):
             indexing=False,
             parallel=False,
             semijoin=False,
-            columnar=False,
             advice_replacement=False,
             intermediates=False,
             mqo=False,
@@ -193,15 +189,9 @@ class CacheManagementSystem:
         self.rdi = (
             rdi
             if rdi is not None
-            else RemoteInterface(
-                remote, self.features.buffer_size, self.features.retry_policy
-            )
+            else RemoteInterface(remote, retry=self.features.retry_policy)
         )
-        self._archive = (
-            StaleArchive(self.features.archive_elements)
-            if self.features.degradation
-            else None
-        )
+        self._archive = StaleArchive() if self.features.degradation else None
         self._last_degraded = False
         #: The most recent plan the planner produced for this CMS (the one
         #: actually executed, post-replan).  Purely observational: the qa
@@ -228,7 +218,6 @@ class CacheManagementSystem:
             pin_streams=pin_streams,
             tracer=self.tracer,
             batch_remote=self.features.batching,
-            engine="columnar" if self.features.columnar else "tuple",
             cache_intermediates=(
                 self.features.caching and self.features.intermediates
             ),
@@ -452,7 +441,7 @@ class CacheManagementSystem:
         if self.last_plan is not None:
             self.last_plan.check_invariants()
 
-    def _answer_psj(self, psj: PSJQuery) -> Relation | GeneratorRelation | ColumnarBatch:
+    def _answer_psj(self, psj: PSJQuery) -> Relation | GeneratorRelation:
         plan = self.planner.plan(psj)
         self.last_plan = plan
 
@@ -523,14 +512,12 @@ class CacheManagementSystem:
 
         if plan.cache_result and plan.strategy != "exact":
             try:
-                # The cache stores extensions/generators; a columnar batch
-                # is materialized for storage while the batch itself still
-                # flows to the result stream.  The efficacy ledger records
-                # what deriving this answer actually cost in simulated
-                # time — the price a future reuse avoids re-paying.
+                # The efficacy ledger records what deriving this answer
+                # actually cost in simulated time — the price a future
+                # reuse avoids re-paying.
                 element = self.cache.store(
                     psj,
-                    to_relation(result, drain=False),
+                    result,
                     derivation_seconds=self.clock.now - derivation_started,
                 )
             except CacheCapacityError:
@@ -550,7 +537,7 @@ class CacheManagementSystem:
 
     def _degraded_answer(
         self, psj: PSJQuery, plan, error: RemoteDBMSError
-    ) -> Relation | ColumnarBatch:
+    ) -> Relation:
         """Answer from stale/partial cache data after a remote failure.
 
         Preference order (the paper's bias toward answering from cache):

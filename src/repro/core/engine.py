@@ -1,29 +1,16 @@
-"""Local execution engines behind one interface.
+"""The local execution engine and the combine kernel written against it.
 
-The Execution Monitor's combine stage and full-subsumption derivations
-are expressed against this small facade so the CMS can run either engine:
+:class:`TupleEngine` is the four operators the Execution Monitor's combine
+stage and full-subsumption derivations run on — the tuple-at-a-time
+operators of :mod:`repro.relational.operators` — behind one boundary, so
+the wall benchmark can attribute local operator time to an ``engine``
+layer.  They work on materialized :class:`Relation`s with the substrate's
+contract: set semantics, Python-equality join keys,
+first-occurrence-ordered duplicate elimination.
 
-* :class:`TupleEngine` — the original tuple-at-a-time operators from
-  :mod:`repro.relational.operators` (the semantic reference);
-* :class:`ColumnarEngine` — the vectorized kernels from
-  :mod:`repro.relational.columnar` with compiled predicates.
-
-Both engines implement the same relational contract — set semantics,
-Python-equality join keys, first-occurrence-ordered duplicate
-elimination — and the differential fuzzer's engine axis
-(``scripts/braid_fuzz.py --engine both``) holds them to it: every fuzz
-case must produce tuple-set-identical answers on both engines and the
-direct-evaluation oracle.
-
-An engine works on *handles* (its native relation representation).
-``ingest`` converts a materialized :class:`Relation` into a handle,
-``materialize`` converts a handle back; the tuple engine's handles are
-the relations themselves, so both are identities there.
-
-:func:`combine_parts` is the one combine kernel written against that
-facade: the Execution Monitor's combine stage, its degraded (partial)
-variant, and the federated interface's gather all fold their parts
-through it.
+:func:`combine_parts` is the one combine kernel: the Execution Monitor's
+combine stage, its degraded (partial) variant, and the federated
+interface's gather all fold their parts through it.
 """
 
 from __future__ import annotations
@@ -32,40 +19,24 @@ from repro.common.errors import PlanningError
 from repro.caql.eval import result_schema
 from repro.caql.psj import ConstProj, PSJQuery
 from repro.relational import operators
-from repro.relational.columnar import (
-    ColumnarBatch,
-    hash_join_batch,
-    project_entries_batch,
-    select_batch,
-)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core import subsumption
 
 __all__ = [
+    "ENGINE",
     "ColumnarEngine",
     "TupleEngine",
     "combine_parts",
-    "make_engine",
     "unit_result",
 ]
 
 
 class TupleEngine:
-    """The tuple-at-a-time reference engine (handles are relations)."""
+    """The local operators (tuple-at-a-time, on relations)."""
 
-    name = "tuple"
-
-    def ingest(self, relation: Relation) -> Relation:
-        """A relation is already this engine's native handle."""
-        return relation
-
-    def materialize(self, handle: Relation) -> Relation:
-        """Identity: tuple-engine handles are relations."""
-        return handle
-
-    def select(self, handle: Relation, conditions) -> Relation:
-        return operators.select(handle, list(conditions))
+    def select(self, relation: Relation, conditions) -> Relation:
+        return operators.select(relation, list(conditions))
 
     def join(
         self, left: Relation, right: Relation, pairs, name: str, conditions=()
@@ -74,8 +45,8 @@ class TupleEngine:
             left, right, list(pairs), name=name, conditions=list(conditions)
         )
 
-    def project_entries(self, handle: Relation, entries, schema: Schema) -> Relation:
-        return operators.project_entries(handle, list(entries), schema)
+    def project_entries(self, relation: Relation, entries, schema: Schema) -> Relation:
+        return operators.project_entries(relation, list(entries), schema)
 
     def derive_full(
         self, match, query: PSJQuery, prefiltered: Relation | None = None
@@ -83,81 +54,15 @@ class TupleEngine:
         return subsumption.derive_full(match, query, prefiltered=prefiltered)
 
 
-class ColumnarEngine:
-    """The batch engine: columnar handles, compiled predicates."""
-
-    name = "columnar"
-
-    def ingest(self, relation: Relation) -> ColumnarBatch:
-        """Pivot a materialized relation into a columnar batch."""
-        if isinstance(relation, ColumnarBatch):
-            return relation
-        return ColumnarBatch.from_relation(relation)
-
-    def materialize(self, handle) -> Relation:
-        """A batch handle back as a plain extension."""
-        if isinstance(handle, ColumnarBatch):
-            return handle.to_relation()
-        return handle
-
-    def select(self, handle: ColumnarBatch, conditions) -> ColumnarBatch:
-        return select_batch(handle, list(conditions))
-
-    def join(
-        self,
-        left: ColumnarBatch,
-        right: ColumnarBatch,
-        pairs,
-        name: str,
-        conditions=(),
-    ) -> ColumnarBatch:
-        return hash_join_batch(
-            left, right, list(pairs), name=name, conditions=list(conditions)
-        )
-
-    def project_entries(
-        self, handle: ColumnarBatch, entries, schema: Schema
-    ) -> ColumnarBatch:
-        return project_entries_batch(handle, list(entries), schema)
-
-    def derive_full(
-        self, match, query: PSJQuery, prefiltered: Relation | None = None
-    ) -> ColumnarBatch:
-        """Batch analogue of :func:`repro.core.subsumption.derive_full`.
-
-        Same contract: ``prefiltered`` rows are already restricted by the
-        residual conditions (the index fast path skips re-selection);
-        otherwise residuals run here, on the compiled kernel.
-        """
-        if not match.is_full or match.projection is None:
-            raise ValueError("derive_full requires a full match")
-        if prefiltered is not None:
-            batch = self.ingest(prefiltered)
-        else:
-            batch = self.ingest(match.element.extension())
-            if match.residual_conditions:
-                batch = select_batch(batch, list(match.residual_conditions))
-        schema = result_schema(query.name, query.arity)
-        if not match.projection:
-            return ColumnarBatch.from_rows(
-                schema, [(True,)] if len(batch) else [], distinct=True
-            )
-        entries = [
-            ("const", entry.value)
-            if isinstance(entry, ConstProj)
-            else ("col", batch.schema.position(entry))
-            for entry in match.projection
-        ]
-        return project_entries_batch(batch, entries, schema)
+class ColumnarEngine(TupleEngine):
+    """No engine of its own: the binding stays because the wall benchmark's
+    probe table patches its four methods by name.  A subclass rather than
+    an alias, so those patches land here and :class:`TupleEngine`'s
+    methods are wrapped once."""
 
 
-def make_engine(name: str):
-    """Engine by name (``tuple`` or ``columnar``)."""
-    if name == "tuple":
-        return TupleEngine()
-    if name == "columnar":
-        return ColumnarEngine()
-    raise ValueError(f"unknown engine {name!r} (expected 'tuple' or 'columnar')")
+#: The one instance every local derivation and combine fold runs on.
+ENGINE = TupleEngine()
 
 
 def unit_result(query: PSJQuery) -> Relation:
@@ -173,7 +78,7 @@ def unit_result(query: PSJQuery) -> Relation:
     )
 
 
-def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = False):
+def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
     """Join ``parts`` left to right under ``conditions`` and project to
     ``query``'s answer shape — the combine stage of Section 5.3.3.
 
@@ -188,16 +93,16 @@ def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = Fa
     dark backend): conditions over them are dropped and projection entries
     naming them come back ``None`` — the caller tags the answer degraded.
     Otherwise a condition or projection entry over a missing column is a
-    planning bug and fails loudly in the engine.
+    planning bug and fails loudly in the operators.
 
-    Returns the result (an engine handle) and the rows the join fold
-    touched (every input part plus every join output); the caller charges
-    that, plus the result it keeps, at its own rate.
+    Returns the result and the rows the join fold touched (every input
+    part plus every join output); the caller charges that, plus the result
+    it keeps, at its own rate.
     """
     if not parts:
         raise PlanningError("no parts produced anything to combine")
     pending = list(conditions)
-    combined = engine.ingest(parts[0])
+    combined = parts[0]
     seen_cols = set(combined.schema.attributes)
     touched = len(combined)
     for relation in parts[1:]:
@@ -219,9 +124,8 @@ def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = Fa
                     residual.append(condition)
             else:
                 remaining.append(condition)
-        combined = engine.join(
-            combined, engine.ingest(relation), pairs,
-            name="combine", conditions=residual,
+        combined = ENGINE.join(
+            combined, relation, pairs, name="combine", conditions=residual
         )
         seen_cols |= right_cols
         touched += len(relation) + len(combined)
@@ -229,7 +133,7 @@ def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = Fa
     if partial:
         pending = [c for c in pending if c.columns() <= seen_cols]
     if pending:
-        combined = engine.select(combined, pending)
+        combined = ENGINE.select(combined, pending)
 
     schema = result_schema(query.name, query.arity)
     entries: list[tuple[str, object]] = []
@@ -241,5 +145,5 @@ def combine_parts(engine, parts, conditions, query: PSJQuery, partial: bool = Fa
         else:
             entries.append(("col", combined.schema.position(entry)))
     if entries:
-        return engine.project_entries(combined, entries, schema), touched
+        return ENGINE.project_entries(combined, entries, schema), touched
     return Relation(schema, [(True,)] if len(combined) else []), touched

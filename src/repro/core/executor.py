@@ -28,7 +28,6 @@ from repro.common.metrics import (
     SERVER_SHARED_SUBPLANS,
     Metrics,
 )
-from repro.relational.columnar import ColumnarBatch
 from repro.relational.expressions import Comparison
 from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import join, select
@@ -37,7 +36,7 @@ from repro.relational.schema import Schema
 from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery
 from repro.core.cache import Cache
-from repro.core.engine import combine_parts, make_engine, unit_result
+from repro.core.engine import ENGINE, combine_parts, unit_result
 from repro.core.plan import (
     CachePart,
     QueryPlan,
@@ -57,20 +56,12 @@ from repro.core.subsumption import (
 #: ``join`` has no caller in this module since the combine stage moved to
 #: :func:`repro.core.engine.combine_parts`; the binding stays because the
 #: wall benchmark's probe table patches it by name.
-__all__ = ["ExecutionMonitor", "LocalResult", "ResultStream", "join", "to_relation"]
-
-#: What the executor may hand back to the CMS: the tuple engine produces
-#: extensions or generators, the columnar engine produces batches.
-LocalResult = Relation | GeneratorRelation | ColumnarBatch
+__all__ = ["ExecutionMonitor", "ResultStream", "join", "to_relation"]
 
 
-def to_relation(result: LocalResult, drain: bool = True) -> Relation | GeneratorRelation:
-    """``result`` as an extension: a batch pivots back to rows, a generator
-    drains — or, with ``drain=False``, stays lazy (what the cache stores:
-    lazy caching is the point of keeping the generator)."""
-    if isinstance(result, ColumnarBatch):
-        return result.to_relation()
-    if drain and isinstance(result, GeneratorRelation):
+def to_relation(result: Relation | GeneratorRelation) -> Relation:
+    """``result`` as an extension (drains a generator)."""
+    if isinstance(result, GeneratorRelation):
         return result.to_extension()
     return result
 
@@ -80,7 +71,7 @@ class ResultStream:
 
     def __init__(
         self,
-        relation: LocalResult,
+        relation: Relation | GeneratorRelation,
         name: str,
         degraded: bool = False,
     ):
@@ -134,8 +125,8 @@ class ResultStream:
         """
         from repro.common.errors import InvariantViolation
 
-        # Set semantics and arity (for a batch, column layout too) are the
-        # audit of whatever holds the rows: extension, batch, or memo.
+        # Set semantics and arity are the audit of whatever holds the
+        # rows: extension or memo.
         stored = self._relation
         if isinstance(stored, GeneratorRelation):
             stored = stored._memo
@@ -171,7 +162,6 @@ class ExecutionMonitor:
         pin_streams: bool = False,
         tracer=None,
         batch_remote: bool = True,
-        engine: str = "tuple",
         cache_intermediates: bool = False,
         subplan_registry=None,
     ):
@@ -181,13 +171,6 @@ class ExecutionMonitor:
         self.profile = profile
         self.metrics = metrics
         self.parallel = parallel
-        #: The local execution engine (tuple-at-a-time or columnar batch).
-        self.engine = make_engine(engine)
-        #: Per-tuple local work is cheaper on the batch engine; the same
-        #: factor the planner's cost model applies (CostProfile).
-        self._local_cost_factor = (
-            profile.columnar_tuple_factor if self.engine.name == "columnar" else 1.0
-        )
         #: Ship independently-needed remote parts as one batched round trip.
         self.batch_remote = batch_remote
         self.tracer = tracer if tracer is not None else Tracer.disabled()
@@ -213,14 +196,11 @@ class ExecutionMonitor:
     # -- cost helpers ----------------------------------------------------------------
     def _charge_local(self, tuples: int) -> None:
         self.metrics.incr(CACHE_TUPLES_PROCESSED, tuples)
-        self.clock.charge(
-            "local",
-            self.profile.cache_per_tuple * self._local_cost_factor * tuples,
-        )
+        self.clock.charge("local", self.profile.cache_per_tuple * tuples)
 
     # -- execution ---------------------------------------------------------------------
-    def execute(self, plan: QueryPlan) -> LocalResult:
-        """Run a query plan; returns a relation, generator, or batch.
+    def execute(self, plan: QueryPlan) -> Relation | GeneratorRelation:
+        """Run a query plan; returns a relation or a generator.
 
         Every cache element the plan reads is pinned for the duration of
         the call (and, for lazy results with :attr:`pin_streams`, for the
@@ -251,7 +231,7 @@ class ExecutionMonitor:
             for element in elements:
                 self.cache.unpin(element)
 
-    def _dispatch(self, plan: QueryPlan) -> LocalResult:
+    def _dispatch(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         strategy = plan.strategy
         if strategy == "unsatisfiable":
             return Relation(result_schema(plan.query.name, plan.query.arity))
@@ -292,7 +272,7 @@ class ExecutionMonitor:
         self._pin_for_stream(element, element.relation)
         return element.relation
 
-    def _execute_cache_full(self, plan: QueryPlan) -> LocalResult:
+    def _execute_cache_full(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         match = plan.full_match
         if match is None:
             raise PlanningError("cache-full plan without a match")
@@ -309,7 +289,7 @@ class ExecutionMonitor:
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
-    def _derive_full_indexed(self, match, query: PSJQuery) -> tuple[LocalResult, int]:
+    def _derive_full_indexed(self, match, query: PSJQuery) -> tuple[Relation, int]:
         """derive_full, using a hash index for equality residuals when one
         exists on the element (Section 5.4: hash indices speed up joins and
         some selections).  Returns the result and the number of element
@@ -324,7 +304,10 @@ class ExecutionMonitor:
             else:
                 rest.append(condition)
         if equalities and not element.is_generator:
-            by_attr = {attr: value for attr, value, _cond in equalities}
+            # One equality per attribute can be the probe; every other one
+            # (a second, possibly contradictory pin of the same attribute
+            # included) stays a residual.
+            by_attr = {attr: (value, cond) for attr, value, cond in equalities}
             index = element.indexes().find_covering(set(by_attr))
             if index is None and self.should_index(query.name):
                 # Consumer-annotated view: build the index the advice asked
@@ -340,12 +323,12 @@ class ExecutionMonitor:
                 )
                 index = element.indexes().find_covering(set(by_attr))
             if index is not None:
-                key = tuple(by_attr[a] for a in index.attributes)
+                key = tuple(by_attr[a][0] for a in index.attributes)
                 rows = index.lookup(key)
                 residual = rest + [
                     cond
                     for attr, _value, cond in equalities
-                    if attr not in index.attributes
+                    if attr not in index.attributes or by_attr[attr][1] is not cond
                 ]
                 source = element.extension()
                 filtered = Relation.from_distinct_rows(source.schema, rows)
@@ -353,16 +336,16 @@ class ExecutionMonitor:
                     filtered = select(filtered, residual)
                 self.clock.charge("local", self.profile.index_probe)
                 return (
-                    self.engine.derive_full(match, query, prefiltered=filtered),
+                    ENGINE.derive_full(match, query, prefiltered=filtered),
                     len(rows),
                 )
-        return self.engine.derive_full(match, query), match.element.rows_materialized()
+        return ENGINE.derive_full(match, query), match.element.rows_materialized()
 
     def _on_lazy_tuple(self, _row: tuple) -> None:
         self.metrics.incr(LAZY_TUPLES_PRODUCED)
         self.clock.charge("local", self.profile.cache_per_tuple)
 
-    def _execute_parts(self, plan: QueryPlan) -> LocalResult:
+    def _execute_parts(self, plan: QueryPlan) -> Relation:
         produced: list[Relation] = []
         remote_parts = [p for p in plan.parts if isinstance(p, RemotePart)]
         cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
@@ -566,11 +549,7 @@ class ExecutionMonitor:
         stored = Relation(
             result_schema(definition.name, len(part.columns)), iter(relation)
         )
-        derive_seconds = (
-            (source_rows + len(relation))
-            * self.profile.cache_per_tuple
-            * self._local_cost_factor
-        )
+        derive_seconds = (source_rows + len(relation)) * self.profile.cache_per_tuple
         self.register_intermediate(
             definition,
             stored,
@@ -789,7 +768,7 @@ class ExecutionMonitor:
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
-    def execute_degraded(self, plan: QueryPlan) -> LocalResult | None:
+    def execute_degraded(self, plan: QueryPlan) -> Relation | None:
         """Best-effort partial answer from the plan's cache parts alone.
 
         The remote part failed; ship what the cache can prove.  Columns
@@ -813,14 +792,14 @@ class ExecutionMonitor:
 
     def _combine(
         self, parts: list[Relation], plan: QueryPlan, partial: bool = False
-    ) -> LocalResult:
+    ) -> Relation:
         """The combine stage: fold the produced parts through the shared
-        kernel on this monitor's engine and charge the rows it touched.
+        kernel and charge the rows it touched.
         ``partial`` is the degraded variant — some columns never arrived,
         so unverifiable conditions are dropped and missing projection
         columns come back ``None``."""
         result, touched = combine_parts(
-            self.engine, parts, plan.cross_conditions, plan.query, partial=partial
+            parts, plan.cross_conditions, plan.query, partial=partial
         )
         self._charge_local(touched + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))

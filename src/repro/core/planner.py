@@ -47,7 +47,12 @@ from repro.obs.tracer import Tracer
 
 @dataclass
 class PlannerFeatures:
-    """Which CMS techniques the planner may use (the E1 ablation knobs)."""
+    """Which CMS techniques the planner may use.
+
+    Every field is varied by an experiment in EXPERIMENTS.md (E1's
+    ablations, E3-E7, E10, E17, E22); a toggle nothing varies does not
+    belong here.
+    """
 
     caching: bool = True
     subsumption: bool = True
@@ -67,11 +72,6 @@ class PlannerFeatures:
     #: a cache part pins (an IN-list) instead of pulling the base relation
     #: unreduced.  Chosen per query by cost, never unconditionally.
     semijoin: bool = True
-    #: Run local operators on the columnar batch engine (compiled
-    #: predicates, vectorized kernels) instead of tuple-at-a-time.  Same
-    #: answers — the differential fuzzer's engine axis proves it — with
-    #: cheaper per-tuple local work in the cost model.
-    columnar: bool = False
 
 
 #: Resolves a base-relation name to its remote statistics.
@@ -668,8 +668,7 @@ class QueryPlanner:
 
     def _derive_cost(self, match: SubsumptionMatch) -> float:
         rows = match.element.rows_materialized()
-        factor = self.profile.columnar_tuple_factor if self.features.columnar else 1.0
-        return self.profile.cache_per_tuple * factor * (rows + 1)
+        return self.profile.cache_per_tuple * (rows + 1)
 
 
 def _position_attr(col: str) -> str:

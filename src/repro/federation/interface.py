@@ -41,7 +41,7 @@ from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery, parse_column
-from repro.core.engine import TupleEngine, combine_parts, unit_result
+from repro.core.engine import combine_parts, unit_result
 from repro.core.plan import distinct_values, label_part, sub_query
 from repro.core.rdi import RemoteInterface, canonical_bindings
 from repro.remote.faults import RetryPolicy
@@ -113,8 +113,6 @@ class FederatedInterface:
         #: intermediate (semijoin-reduced parts are skipped — their rows
         #: depend on the binding set, not on ``sub_psj`` alone).
         self.intermediate_sink = None
-        #: Gather runs on the tuple engine (the semantic reference).
-        self._engine = TupleEngine()
         retries = retries or {}
         #: One resilient link per backend: its own retry budget, its own
         #: breaker (tagged with the backend name in traces).
@@ -371,7 +369,7 @@ class FederatedInterface:
         partial: bool = False,
     ) -> Relation:
         """Join the gathered parts locally and project to the query shape
-        (the Execution Monitor's combine kernel, on the tuple engine).
+        (the Execution Monitor's combine kernel).
 
         Existence-only parts are not joined: they gate the answer — any
         empty one empties it — and the kernel sees only the parts that
@@ -391,9 +389,7 @@ class FederatedInterface:
         if not value_parts:
             # Every part was an existence check; projection is constants.
             return unit_result(psj) if exists_ok else Relation(schema, [])
-        result, touched = combine_parts(
-            self._engine, value_parts, pending, psj, partial=partial
-        )
+        result, touched = combine_parts(value_parts, pending, psj, partial=partial)
         if not exists_ok:
             result = Relation(schema, [])
         self._charge_local(touched + len(result))

@@ -3,8 +3,8 @@
 The E-series reports two kinds of numbers.  **Simulated** metrics (sim
 seconds, requests, tuples shipped, hit counts) are fully deterministic —
 same seed, same bytes — so the gate compares them *exactly* (within a
-tiny float epsilon).  **Wall-clock** metrics (E18's kernel timings, E16's
-wall column) vary run to run and are ignored by default.
+tiny float epsilon).  **Wall-clock** metrics (E16's wall column) vary run
+to run and are ignored by default.
 
 A baseline (``benchmarks/results/BASELINE.json``) is a frozen copy of the
 summary's experiments plus comparison policy: a default tolerance,
@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-#: Path substrings ignored by default: wall-clock quantities.  E18 is the
-#: wall-clock kernel benchmark end to end; "wall" catches E16's column.
-DEFAULT_IGNORE = ("E18.", "wall")
+#: Path substrings ignored by default: wall-clock quantities ("wall"
+#: catches E16's column).
+DEFAULT_IGNORE = ("wall",)
 
 #: Relative band treated as float noise even at tolerance 0.
 EPSILON = 1e-9

@@ -18,7 +18,6 @@ from repro.qa.generator import (
     render_query,
 )
 from repro.qa.differential import (
-    COLUMNAR_VARIANT,
     FEDERATED_VARIANT,
     VARIANTS,
     CaseReport,
@@ -28,7 +27,6 @@ from repro.qa.differential import (
     case_failure,
     run_case,
     run_corpus,
-    variants_for,
 )
 from repro.qa.invariants import (
     InvariantViolation,
@@ -54,10 +52,8 @@ __all__ = [
     "fingerprint",
     "mutate_equivalent",
     "render_query",
-    "COLUMNAR_VARIANT",
     "FEDERATED_VARIANT",
     "VARIANTS",
-    "variants_for",
     "CaseReport",
     "Divergence",
     "FuzzReport",

@@ -40,12 +40,6 @@ from repro.qa.invariants import audit_cms, audit_stream
 #: test; the rest are the cross-checks.
 VARIANTS = ("full", "nocache", "loose", "exact-cache", "relation-buffer")
 
-#: The engine axis: the full CMS again, but with local execution on the
-#: columnar batch engine (compiled predicates, vectorized kernels).  Not
-#: part of :data:`VARIANTS` for compatibility of existing report shapes;
-#: :func:`variants_for` adds it when the engine axis is requested.
-COLUMNAR_VARIANT = "columnar"
-
 #: The federation axis: the full CMS again, but with the case's base
 #: tables spread across several backends (``FuzzCase.backends``) behind a
 #: :class:`~repro.federation.interface.FederatedInterface`.  Cross-backend
@@ -53,24 +47,6 @@ COLUMNAR_VARIANT = "columnar"
 #: must still be tuple-set-equal to the single-backend oracle.  Added by
 #: ``braid_fuzz.py --profile federated``.
 FEDERATED_VARIANT = "federated"
-
-
-def variants_for(engine: str) -> tuple[str, ...]:
-    """The variant tuple for an ``--engine`` selection.
-
-    * ``tuple`` — the historical five variants (no engine axis);
-    * ``both`` — those five plus the columnar engine, every answer
-      cross-checked against all of them and the oracle;
-    * ``columnar`` — just the two full-CMS engines head to head (a fast
-      engine-equivalence run).
-    """
-    if engine == "tuple":
-        return VARIANTS
-    if engine == "both":
-        return VARIANTS + (COLUMNAR_VARIANT,)
-    if engine == "columnar":
-        return ("full", COLUMNAR_VARIANT)
-    raise ValueError(f"unknown engine {engine!r} (expected tuple/columnar/both)")
 
 
 @dataclass
@@ -233,17 +209,6 @@ def build_variant(case: FuzzCase, variant: str):
         )
         cms.planner.audit = True
         return cms
-    if variant == COLUMNAR_VARIANT:
-        # The full CMS on the columnar batch engine.  Its link stays
-        # healthy (like every cross-check): the engine axis tests engine
-        # equivalence, not fault handling.
-        cms = CacheManagementSystem(
-            _load_server(case),
-            capacity_bytes=case.cache_bytes,
-            features=CMSFeatures(columnar=True),
-        )
-        cms.planner.audit = True
-        return cms
     if variant == FEDERATED_VARIANT:
         # The full CMS over the case's tables scattered across backends.
         # Healthy links (like every cross-check): the federation axis
@@ -332,7 +297,7 @@ def run_case(case: FuzzCase, variants: tuple[str, ...] = VARIANTS) -> CaseReport
                 )
             try:
                 audit_stream(stream)
-                if name in ("full", "nocache", COLUMNAR_VARIANT, FEDERATED_VARIANT):
+                if name in ("full", "nocache", FEDERATED_VARIANT):
                     audit_cms(system)
             except InvariantViolation as violation:
                 report.violations.append(f"q{q_index}/{name}: {violation}")

@@ -16,16 +16,11 @@ from repro.relational.generator import (
 from repro.relational.index import HashIndex, IndexSet
 from repro.relational.operators import (
     aggregate,
-    cross,
-    difference,
-    intersection,
     join,
     join_iter,
     project,
-    project_iter,
     select,
     select_iter,
-    select_via_index,
     transitive_closure,
     union,
 )
@@ -51,22 +46,17 @@ __all__ = [
     "aggregate",
     "col_eq",
     "compile_conjunction",
-    "cross",
-    "difference",
     "eq",
     "estimate_join_size",
     "generator_from_relation",
     "generator_from_rows",
     "generic_schema",
-    "intersection",
     "join",
     "join_iter",
     "project",
-    "project_iter",
     "relation_from_columns",
     "select",
     "select_iter",
-    "select_via_index",
     "transitive_closure",
     "union",
 ]

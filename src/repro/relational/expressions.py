@@ -4,8 +4,8 @@ Conditions are built from attribute references and literals combined with
 comparison operators; conjunctions of these form the selection/join
 conditions of PSJ queries.  A conjunction compiles against a schema to
 generated Python — one function for the whole conjunction — and this module
-is the only place that happens: the tuple operators, the remote engine and
-the columnar kernels all get their predicates from :func:`conjunction_code`.
+is the only place that happens: the tuple operators and the remote engine
+both get their predicates from :func:`compile_conjunction`.
 """
 
 from __future__ import annotations
@@ -149,20 +149,16 @@ def col_eq(left: str, right: str) -> Comparison:
 #: from: no column name and no constant of a query ever becomes code.
 _PY_OPS = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
-#: Generated code per conjunction *shape*: ``(row factory, filter factory,
-#: source)``.  Constants are not part of a shape, so a query stream whose
-#: constants never repeat still generates code once per shape.
-_SHAPE_CACHE: dict[tuple, tuple[Callable, Callable, str]] = {}
+#: Generated code per conjunction *shape*: ``(predicate factory, source)``.
+#: Constants are not part of a shape, so a query stream whose constants
+#: never repeat still generates code once per shape.
+_SHAPE_CACHE: dict[tuple, tuple[Callable, str]] = {}
 _SHAPE_CACHE_LIMIT = 2048
-
-#: Observability for tests and benchmarks: a miss is one code generation.
-compile_stats = {"hits": 0, "misses": 0}
 
 
 def reset_predicate_cache() -> None:
-    """Drop all generated code and zero the counters (test helper)."""
+    """Drop all generated code (test helper)."""
     _SHAPE_CACHE.clear()
-    compile_stats.update(hits=0, misses=0)
 
 
 def predicate_cache_size() -> int:
@@ -170,17 +166,19 @@ def predicate_cache_size() -> int:
     return len(_SHAPE_CACHE)
 
 
-def conjunction_code(
+def compile_conjunction(
     conditions: Sequence[Comparison], schema: Schema
-) -> tuple[tuple[Callable, Callable, str], list]:
-    """Generated code for the conjunction's shape, plus its literals.
+) -> Callable[[tuple], bool]:
+    """A row predicate that is the AND of every condition.
 
-    The shape is ``((left, op, right), ...)`` in condition order, an operand
-    being a column's position in ``schema`` (an unknown column raises
-    ``SchemaError`` here, at compile time) or ``~slot`` for the literal that
-    fills argument ``slot`` of both factories.  Calling a factory with the
-    literals yields the kernel: ``row -> bool``, or ``columns -> indices of
-    the selected rows``.
+    Code is generated per *shape*: ``((left, op, right), ...)`` in condition
+    order, an operand being a column's position in ``schema`` (an unknown
+    column raises ``SchemaError`` here, at compile time) or ``~slot`` for
+    the literal that fills argument ``slot`` of the generated factory.
+
+    A type clash anywhere excludes the row: the whole conjunction runs
+    under one ``try/except TypeError -> False``, which is what a guard per
+    condition would give, since ``and`` stops at the first false term.
     """
     shape = []
     literals: list = []
@@ -196,91 +194,36 @@ def conjunction_code(
     key = tuple(shape)
     code = _SHAPE_CACHE.get(key)
     if code is None:
-        compile_stats["misses"] += 1
         if len(_SHAPE_CACHE) >= _SHAPE_CACHE_LIMIT:
             _SHAPE_CACHE.clear()  # bounded memory; regeneration is cheap
         code = _SHAPE_CACHE[key] = _generate(key)
-    else:
-        compile_stats["hits"] += 1
-    return code, literals
-
-
-def compile_conjunction(
-    conditions: Sequence[Comparison], schema: Schema
-) -> Callable[[tuple], bool]:
-    """A row predicate that is the AND of every condition.
-
-    A type clash anywhere excludes the row: the whole conjunction runs
-    under one ``try/except TypeError -> False``, which is what a guard per
-    condition would give, since ``and`` stops at the first false term.
-    """
-    (make_row, _make_filter, _source), literals = conjunction_code(conditions, schema)
+    make_row, _source = code
     return make_row(*literals)
 
 
-def _expression(shape: tuple, ref: Callable[[int], str]) -> str:
-    """``shape`` as a Python expression over ``ref(position)`` and slots."""
+def _generate(shape: tuple) -> tuple[Callable, str]:
+    """Emit the row predicate of ``shape`` behind a factory whose arguments
+    are the literals (so they are bound, never spelled)."""
 
     def side(operand: int) -> str:
-        return ref(operand) if operand >= 0 else f"_k{~operand}"
+        return f"row[{operand}]" if operand >= 0 else f"_k{~operand}"
 
     terms = [f"{side(left)} {_PY_OPS[op]} {side(right)}" for left, op, right in shape]
-    return " and ".join(terms) or "True"
-
-
-def _generate(shape: tuple) -> tuple[Callable, Callable, str]:
-    """Emit both kernels of ``shape``, each behind a factory whose
-    arguments are the literals (so they are bound, never spelled)."""
-    operands = [operand for left, _op, right in shape for operand in (left, right)]
-    slots = ", ".join(f"_k{~operand}" for operand in operands if operand < 0)
-    positions = sorted({operand for operand in operands if operand >= 0})
-    row_expr = _expression(shape, "row[{}]".format)
-    sweep_expr = _expression(shape, "_v{}".format)
-    if not positions:
-        # Row-independent conjunction (empty, or constant-only terms):
-        # evaluate once and keep everything or nothing.
-        sweep = (
-            f"        try:\n"
-            f"            _keep = {sweep_expr}\n"
-            f"        except TypeError:\n"
-            f"            _keep = False\n"
-            f"        if not _keep:\n"
-            f"            return []\n"
-            f"        return list(range(len(_columns[0]) if _columns else 0))\n"
-        )
-    else:
-        # Sweep only the referenced columns.
-        if len(positions) == 1:
-            loop_vars = f"_v{positions[0]}"
-            iterable = f"_columns[{positions[0]}]"
-        else:
-            loop_vars = "(" + ", ".join(f"_v{p}" for p in positions) + ")"
-            iterable = "zip(" + ", ".join(f"_columns[{p}]" for p in positions) + ")"
-        sweep = (
-            f"        _out = []\n"
-            f"        _append = _out.append\n"
-            f"        for _i, {loop_vars} in enumerate({iterable}):\n"
-            f"            try:\n"
-            f"                if {sweep_expr}:\n"
-            f"                    _append(_i)\n"
-            f"            except TypeError:\n"
-            f"                pass\n"
-            f"        return _out\n"
-        )
+    slots = ", ".join(
+        f"_k{~operand}"
+        for left, _op, right in shape
+        for operand in (left, right)
+        if operand < 0
+    )
     source = (
         f"def _make_row({slots}):\n"
         f"    def _row(row):\n"
         f"        try:\n"
-        f"            return {row_expr}\n"
+        f"            return {' and '.join(terms) or 'True'}\n"
         f"        except TypeError:\n"
         f"            return False\n"
         f"    return _row\n"
-        f"\n"
-        f"def _make_filter({slots}):\n"
-        f"    def _filter(_columns):\n"
-        f"{sweep}"
-        f"    return _filter\n"
     )
     namespace: dict = {}
     exec(compile(source, "<conjunction>", "exec"), namespace)
-    return namespace["_make_row"], namespace["_make_filter"], source
+    return namespace["_make_row"], source

@@ -1,10 +1,10 @@
 """Relational algebra operators, in eager and pipelined (lazy) forms.
 
-Eager operators map :class:`Relation` to :class:`Relation`.  Each has a
-pipelined twin (``*_iter``) operating on row iterators, used to assemble the
-generator representations of Section 5.1: a lazy cache element is a
-:class:`~repro.relational.generator.GeneratorRelation` whose source is a
-composition of these iterator stages.
+Eager operators map :class:`Relation` to :class:`Relation`.  Selection and
+join have pipelined twins (``*_iter``) operating on row iterators, used to
+assemble the generator representations of Section 5.1: a lazy cache element
+is a :class:`~repro.relational.generator.GeneratorRelation` whose source is
+a composition of these iterator stages.
 
 All operators use set semantics (matching :class:`Relation`).
 """
@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import EvaluationError, SchemaError
 from repro.relational.expressions import Comparison, compile_conjunction
-from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -37,17 +36,6 @@ def select_iter(
 ) -> Iterator[tuple]:
     """Pipelined selection."""
     return filter(compile_conjunction(conditions, schema), rows)
-
-
-def select_via_index(
-    relation: Relation, index: HashIndex, values: tuple, residual: Sequence[Comparison] = ()
-) -> Relation:
-    """Index-assisted equality selection with optional residual filter."""
-    rows = index.lookup(values)
-    if residual:
-        rows = list(filter(compile_conjunction(residual, relation.schema), rows))
-    # A bucket holds rows of the indexed relation, each once: adopt them.
-    return Relation.from_distinct_rows(relation.schema, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +71,7 @@ def project_entries(
 ) -> Relation:
     """Rows rebuilt slot by slot under ``schema``: entry ``("col", i)`` takes
     position ``i`` of the source row, ``("const", v)`` inserts ``v``
-    (duplicates eliminated).  The tuple twin of ``project_entries_batch``.
+    (duplicates eliminated).
     """
     if entries and all(kind == "col" for kind, _value in entries):
         positions = [position for _kind, position in entries]
@@ -95,19 +83,6 @@ def project_entries(
             for row in rows
         ),
     )
-
-
-def project_iter(
-    rows: Iterable[tuple], schema: Schema, attributes: Sequence[str]
-) -> Iterator[tuple]:
-    """Pipelined projection with streaming duplicate elimination."""
-    positions = schema.positions(tuple(attributes))
-    seen: set[tuple] = set()
-    for row in rows:
-        out = tuple(row[i] for i in positions)
-        if out not in seen:
-            seen.add(out)
-            yield out
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +180,20 @@ def join_iter(
                 yield out
 
 
-def cross(left: Relation, right: Relation, name: str = "cross") -> Relation:
-    """Cross product."""
-    return join(left, right, (), name)
-
-
 # ---------------------------------------------------------------------------
 # set operations
 # ---------------------------------------------------------------------------
 
 
-def _check_compatible(left: Relation, right: Relation, op: str) -> None:
-    if left.schema.arity != right.schema.arity:
-        raise SchemaError(
-            f"{op}: arity mismatch ({left.schema.arity} vs {right.schema.arity})"
-        )
-
-
 def union(left: Relation, right: Relation) -> Relation:
     """Set union (schema of the left operand)."""
-    _check_compatible(left, right, "union")
+    if left.schema.arity != right.schema.arity:
+        raise SchemaError(
+            f"union: arity mismatch ({left.schema.arity} vs {right.schema.arity})"
+        )
     out = Relation(left.schema, left)
     out.insert_all(iter(right))
     return out
-
-
-def difference(left: Relation, right: Relation) -> Relation:
-    """Rows of ``left`` not in ``right``."""
-    _check_compatible(left, right, "difference")
-    exclude = set(iter(right))
-    return Relation(left.schema, (row for row in left if row not in exclude))
-
-
-def intersection(left: Relation, right: Relation) -> Relation:
-    """Rows in both relations."""
-    _check_compatible(left, right, "intersection")
-    keep = set(iter(right))
-    return Relation(left.schema, (row for row in left if row in keep))
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,10 @@ class Relation:
         """Adopt rows known to be distinct tuples of the right arity.
 
         This is the materialization exit for rows whose distinctness is
-        structural — columnar batch kernels, and rows re-read from another
-        relation (a copy, a reordering, a re-labelled schema) — so the
-        per-row membership and arity checks of :meth:`insert` would be
-        pure overhead.  The claim is audited, not assumed:
+        structural — rows re-read from another relation (a selection, a
+        copy, a reordering, a re-labelled schema) — so the per-row
+        membership and arity checks of :meth:`insert` would be pure
+        overhead.  The claim is audited, not assumed:
         :meth:`check_invariants` recounts, and the differential fuzzer runs
         it on every answer stream and every cached relation after each query.
         """

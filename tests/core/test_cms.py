@@ -311,3 +311,29 @@ class TestCanonicalTier:
         result = cms.query(parse_query("q(X) :- age(X, A), A > 30, A < 20"))
         assert result.fetch_all() == []
         assert cms.metrics.get(REMOTE_REQUESTS) == before
+
+
+class TestIndexedDerivation:
+    """Equality residuals served through an element's hash index."""
+
+    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("indexed", [True, False], ids=["index", "scan"])
+    def test_two_pins_of_one_attribute_both_apply(self, indexed, lazy):
+        # Without the canonical tier nothing spots the contradiction before
+        # the executor: one pin becomes the index probe, the other must
+        # still filter the bucket.
+        system = CacheManagementSystem(
+            load_tables(RemoteDBMS()),
+            features=CMSFeatures(canonical=False, lazy=lazy),
+        )
+        system.begin_session()
+        system.query(parse_query("v(P, C) :- parent(P, C)")).fetch_all()
+        (element,) = system.cache.elements()
+        if indexed:
+            element.indexes().ensure(("a0",))
+        ask = "q(C) :- parent(P, C), P = tom, P = bob"
+        assert system.query(parse_query(ask)).fetch_all() == []
+        assert system.last_plan.strategy == "cache-full"
+        # ... and no wrong answer was stored for the other spelling to hit.
+        respelled = "q(C) :- parent(P, C), P = bob, P = tom"
+        assert system.query(parse_query(respelled)).fetch_all() == []

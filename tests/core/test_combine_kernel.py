@@ -3,8 +3,8 @@
 One fold — classify pending conditions, join, select, project — serves
 the Execution Monitor's combine stage, its degraded variant, and the
 federated gather.  The properties here hold it to direct evaluation
-(:mod:`repro.caql.eval`, the independent oracle) on both local engines,
-over random queries cut into random parts by the shared part builder.
+(:mod:`repro.caql.eval`, the independent oracle) over random queries cut
+into random parts by the shared part builder.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.relational.relation import Relation
 from repro.caql.eval import evaluate_psj, result_schema
 from repro.caql.psj import ConstProj, Occurrence, PSJQuery, column
 from repro.core.cache import Cache
-from repro.core.engine import ColumnarEngine, TupleEngine, combine_parts
+from repro.core.engine import combine_parts
 from repro.core.executor import ExecutionMonitor
 from repro.core.plan import QueryPlan, label_part, sub_query
 
@@ -95,15 +95,11 @@ def cut(query, partition, db):
 
 @settings(max_examples=150, deadline=None)
 @given(databases(), cut_queries())
-def test_both_engines_agree_with_direct_evaluation(db, cut_query):
+def test_combine_agrees_with_direct_evaluation(db, cut_query):
     query, partition = cut_query
     parts, cross = cut(query, partition, db)
-    tuple_result, tuple_touched = combine_parts(TupleEngine(), parts, cross, query)
-    batch_result, batch_touched = combine_parts(ColumnarEngine(), parts, cross, query)
-    # Same rows in the same order, same work counted — on either engine.
-    assert list(tuple_result) == list(batch_result)
-    assert tuple_touched == batch_touched
-    assert set(tuple_result) == set(evaluate_psj(query, db.__getitem__))
+    result, _touched = combine_parts(parts, cross, query)
+    assert set(result) == set(evaluate_psj(query, db.__getitem__))
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,13 +133,12 @@ def test_partial_nulls_exactly_the_missing_columns(db, cut_query, data):
         ),
     )
     expected = set(evaluate_psj(expected_query, db.__getitem__))
-    for engine in (TupleEngine(), ColumnarEngine()):
-        result, _touched = combine_parts(engine, survivors, cross, query, partial=True)
-        assert set(result) == expected
-        for row in result:
-            for entry, value in zip(query.projection, row):
-                if not isinstance(entry, ConstProj):
-                    assert (value is None) == (entry not in arrived)
+    result, _touched = combine_parts(survivors, cross, query, partial=True)
+    assert set(result) == expected
+    for row in result:
+        for entry, value in zip(query.projection, row):
+            if not isinstance(entry, ConstProj):
+                assert (value is None) == (entry not in arrived)
 
 
 class TestStrictMode:
@@ -155,37 +150,34 @@ class TestStrictMode:
     def part(self):
         return label_part(self.R, (column("t0", 0), column("t0", 1)), "p0")
 
-    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
-    def test_inapplicable_condition_raises(self, engine):
+    def test_inapplicable_condition_raises(self):
         query = PSJQuery("q", self.OCCS, (), (column("t0", 0),))
         dangling = Comparison(Col(column("t0", 1)), "=", Col(column("t1", 0)))
         with pytest.raises(SchemaError):
-            combine_parts(engine, [self.part()], [dangling], query)
-        result, _ = combine_parts(engine, [self.part()], [dangling], query, partial=True)
+            combine_parts([self.part()], [dangling], query)
+        result, _ = combine_parts([self.part()], [dangling], query, partial=True)
         assert list(result) == [(1,), (3,)]
 
-    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
-    def test_partial_still_applies_what_it_can_check(self, engine):
+    def test_partial_still_applies_what_it_can_check(self):
         query = PSJQuery("q", self.OCCS, (), (column("t0", 0),))
         dangling = Comparison(Col(column("t0", 1)), "=", Col(column("t1", 0)))
         checkable = Comparison(Col(column("t0", 0)), ">", Lit(1))
         result, _ = combine_parts(
-            engine, [self.part()], [dangling, checkable], query, partial=True
+            [self.part()], [dangling, checkable], query, partial=True
         )
         assert list(result) == [(3,)]
 
-    @pytest.mark.parametrize("engine", [TupleEngine(), ColumnarEngine()])
-    def test_missing_projection_column_raises(self, engine):
+    def test_missing_projection_column_raises(self):
         query = PSJQuery("q", self.OCCS, (), (column("t0", 0), column("t1", 1)))
         with pytest.raises(SchemaError):
-            combine_parts(engine, [self.part()], [], query)
-        result, _ = combine_parts(engine, [self.part()], [], query, partial=True)
+            combine_parts([self.part()], [], query)
+        result, _ = combine_parts([self.part()], [], query, partial=True)
         assert list(result) == [(1, None), (3, None)]
 
     def test_no_parts_is_a_planning_error(self):
         query = PSJQuery("q", self.OCCS, (), ())
         with pytest.raises(PlanningError):
-            combine_parts(TupleEngine(), [], [], query)
+            combine_parts([], [], query)
 
 
 def test_executor_combine_and_federated_gather_agree():

@@ -29,10 +29,10 @@ def summary(**overrides) -> dict:
                     "rows": [["full", 10, 1.5], ["no-cache", 40, 6.0]],
                 },
             },
-            "E18": {
-                "experiment": "E18",
-                "title": "columnar",
-                "results": {"workloads": [{"columnar_seconds": 0.01}]},
+            "E16": {
+                "experiment": "E16",
+                "title": "observability",
+                "results": {"runs": [{"wall_ms": 29.9}]},
             },
         },
     }
@@ -45,7 +45,7 @@ class TestFlatten:
         flat = flatten(summary())
         assert flat["E1.full.requests"] == 10
         assert flat["E1.no-cache.sim time (s)"] == 6.0
-        assert flat["E18.workloads[0].columnar_seconds"] == 0.01
+        assert flat["E16.runs[0].wall_ms"] == 29.9
 
     def test_duplicate_row_keys_are_disambiguated(self):
         document = summary()
@@ -80,9 +80,7 @@ class TestCompare:
     def test_wall_clock_paths_are_ignored(self):
         baseline = make_baseline(summary())
         fresh = summary()
-        fresh["experiments"]["E18"]["results"]["workloads"][0][
-            "columnar_seconds"
-        ] = 99.0
+        fresh["experiments"]["E16"]["results"]["runs"][0]["wall_ms"] = 99.0
         report = compare(baseline, fresh)
         assert report.ok
         assert report.ignored > 0

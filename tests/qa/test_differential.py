@@ -66,7 +66,7 @@ def _residual_dropping_derive_full(match, query, prefiltered=None):
 
 @pytest.fixture
 def planted_bug(monkeypatch):
-    # Patch the subsumption module itself: the tuple engine resolves
+    # Patch the subsumption module itself: the engine resolves
     # ``subsumption.derive_full`` at call time, so the bug lands on the
     # derivation seam both cache-using variants actually execute.
     monkeypatch.setattr(

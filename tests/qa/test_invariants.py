@@ -88,7 +88,7 @@ class TestCacheInvariants:
 
     def test_churny_corpus_audits_clean(self):
         # Small caches, many queries, intermediates: every stored element
-        # is recounted after every query, on both engines.
+        # is recounted after every query.
         cases = CaseGenerator(7, CaseConfig.churny()).corpus(4)
         report = run_corpus(cases, seed=7)
         assert report.clean, f"violations={report.violations}"

@@ -1,11 +1,11 @@
 """Acceptance: planted predicate-emitter bugs are killed by the property suite.
 
-Every engine runs the one compiler in ``repro.relational.expressions``, so a
+Everything runs the one compiler in ``repro.relational.expressions``, so a
 bug in it is a bug everywhere at once — including in the differential
 fuzzer's oracle, which evaluates through ``operators.select`` (see
 docs/testing.md for which fuzz profiles still see each mutant).  The net
 under the emitter is therefore the hypothesis suite in
-``tests/relational/test_columnar_property.py``, whose reference is built
+``tests/relational/test_predicate_property.py``, whose reference is built
 from ``holds`` and shares nothing with generated code.  This file proves
 that net bites.
 
@@ -15,7 +15,7 @@ Two mutants, both applied where source is emitted:
 * ``swapped`` — a literal-left condition (``5 < x``) is emitted with its
   operands exchanged and its operator kept (``x < 5``).
 
-Each of the three properties must kill each mutant inside its own example
+Each of the two properties must kill each mutant inside its own example
 budget and shrink the counterexample to one conjunct over one row.
 """
 
@@ -26,7 +26,7 @@ from hypothesis import Phase, given, settings
 
 from repro.relational import expressions
 from repro.relational.expressions import Col, Lit, reset_predicate_cache
-from tests.relational.test_columnar_property import (
+from tests.relational.test_predicate_property import (
     PROPERTIES,
     Divergence,
     conjunctions,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import SchemaError
 from repro.relational import expressions
-from repro.relational.columnar import compile_batch_predicate
 from repro.relational.expressions import (
     Col,
     Comparison,
@@ -124,14 +123,9 @@ class TestCompileOnce:
         monkeypatch.setattr(expressions, "_generate", counting_generate)
         return generated
 
-    @pytest.mark.parametrize(
-        "compiler",
-        [compile_conjunction, lambda c, s: compile_batch_predicate(c, s).row],
-        ids=["compile_conjunction", "compile_batch_predicate"],
-    )
-    def test_never_repeating_constants_generate_code_once(self, generations, compiler):
+    def test_never_repeating_constants_generate_code_once(self, generations):
         for k in range(200):
-            predicate = compiler(
+            predicate = compile_conjunction(
                 [eq("dept", f"d{k}"), Comparison(Lit(k), "<", Col("age"))], SCHEMA
             )
             assert predicate((1, k + 1, f"d{k}"))
@@ -154,7 +148,7 @@ class TestCompileOnce:
             assert predicate((1, 2, literal)) is (literal == literal)
             assert predicate((1, 2, "other")) is False
         assert len(generations) == 1
-        ((_row, _filter, source),) = expressions._SHAPE_CACHE.values()
+        ((_make_row, source),) = expressions._SHAPE_CACHE.values()
         assert "import" not in source and "(1, 2)" not in source and "dept" not in source
 
     def test_unknown_column_raises_the_schema_error_at_compile_time(self):

@@ -1,21 +1,23 @@
-"""Mixed-type keys through the local hash joins (tuple and columnar).
+"""Mixed-type keys through the local hash joins (``join`` and ``join_iter``).
 
 The local mirror of ``tests/remote/test_mixed_type_bindings.py``: Python
 lets ``1 == 1.0 == True`` while ``1 != "1"`` even though their reprs
 collide.  :func:`repro.core.rdi.canonical_bindings` dedups binding sets
 by exactly those equality classes, so the local hash joins must bucket
 keys the same way — a join keyed by ``(type, repr)`` would *split* the
-classes and silently lose join rows that the remote semijoin (and the
-tuple engine's dict-based join) would produce.
+classes and silently lose join rows that the remote semijoin would
+produce.
 """
 
 import pytest
 
 from repro.core.rdi import canonical_bindings
-from repro.relational.columnar import ColumnarBatch, hash_join_batch
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.operators import join, join_iter
 from repro.relational.relation import Relation, relation_from_columns
+
+
+KEY = [("key", "key")]
 
 
 def left_keys():
@@ -28,19 +30,9 @@ def right_keys():
     return relation_from_columns("r", key=[1.0, "1", True, 2], val=[10, 20, 30, 40])
 
 
-def batch_join(left, right, pairs, conditions=()):
-    return hash_join_batch(
-        ColumnarBatch.from_relation(left),
-        ColumnarBatch.from_relation(right),
-        pairs,
-        name="j",
-        conditions=conditions,
-    )
-
-
-class TestColumnarJoinEqualityClasses:
+class TestJoinEqualityClasses:
     def test_float_key_matches_equal_int_key(self):
-        out = batch_join(left_keys(), right_keys(), [("key", "key")])
+        out = join(left_keys(), right_keys(), KEY)
         # 1 == 1.0 == True: the int-1 left row matches three right rows.
         assert {(r[2], r[3]) for r in out.rows if r[0] == 1 and r[0] is not True} >= {
             (1.0, 10),
@@ -48,33 +40,25 @@ class TestColumnarJoinEqualityClasses:
         }
 
     def test_string_key_does_not_match_numeric_key(self):
-        out = batch_join(left_keys(), right_keys(), [("key", "key")])
+        out = join(left_keys(), right_keys(), KEY)
         string_matches = {tuple(r) for r in out.rows if r[0] == "1"}
         assert string_matches == {("1", "d", "1", 20)}
-
-    def test_matches_the_tuple_engine_join_exactly(self):
-        expected = join(left_keys(), right_keys(), [("key", "key")], name="j")
-        got = batch_join(left_keys(), right_keys(), [("key", "key")])
-        assert got.to_relation() == expected
 
     def test_multi_key_equality_classes(self):
         left = relation_from_columns("l", a=[1, "1"], b=[2.0, 2.0])
         right = relation_from_columns("r", a=[1.0, "1"], b=[2, "2"], c=[7, 8])
-        pairs = [("a", "a"), ("b", "b")]
-        expected = join(left, right, pairs, name="j")
-        got = batch_join(left, right, pairs)
-        assert got.to_relation() == expected
+        got = join(left, right, [("a", "a"), ("b", "b")])
         # (1, 2.0) joins (1.0, 2) — both components collapse by equality —
         # while ("1", 2.0) matches nothing ("2" != 2.0).
         assert set(got.rows) == {(1, 2.0, 1.0, 2, 7)}
 
     def test_build_side_swap_preserves_equality_classes(self):
-        # The kernel builds on the smaller side; growing one side must
+        # The join builds on the smaller side; growing one side must
         # never change which equality classes match.
         left = left_keys()
         small = relation_from_columns("r", key=[1.0], val=[99])
-        a = batch_join(left, small, [("key", "key")])
-        b = batch_join(small, left, [("key", "key")])
+        a = join(left, small, KEY)
+        b = join(small, left, KEY)
         assert {(r[0], r[1]) for r in a.rows} == {(r[2], r[3]) for r in b.rows}
 
     def test_same_classes_as_canonical_bindings(self):
@@ -86,12 +70,10 @@ class TestColumnarJoinEqualityClasses:
             "l", key=list(values), pos=list(range(len(values)))
         )
         probe = relation_from_columns("r", key=list(canonical))
-        out = batch_join(left, probe, [("key", "key")])
+        out = join(left, probe, KEY)
         # Every left row joins exactly one canonical representative: the
         # classes coincide, neither side splits or merges differently.
         assert len(out) == len(left.rows)
-        tuple_out = join(left, probe, [("key", "key")], name="j")
-        assert out.to_relation() == tuple_out
 
 
 class TestRegressionOneVersusOnePointZero:
@@ -101,7 +83,7 @@ class TestRegressionOneVersusOnePointZero:
     def test_each_spelling_probes_the_same_bucket(self, spelling):
         left = relation_from_columns("l", key=[1], tag=["only"])
         right = relation_from_columns("r", key=[spelling], val=[5])
-        out = batch_join(left, right, [("key", "key")])
+        out = join(left, right, KEY)
         assert len(out) == 1
         assert out.rows[0][:2] == (1, "only")
 
@@ -110,7 +92,7 @@ class TestRegressionOneVersusOnePointZero:
         # Relation dedups (1,) vs (1.0,)? No: tags differ, rows distinct.
         assert len(left) == 2
         right = relation_from_columns("r", key=[True], val=[5])
-        out = batch_join(left, right, [("key", "key")])
+        out = join(left, right, KEY)
         assert {tuple(r) for r in out.rows} == {
             (1, "int", True, 5),
             (1.0, "float", True, 5),
@@ -120,8 +102,6 @@ class TestRegressionOneVersusOnePointZero:
 #: One NaN object: as a join key it matches itself (dict lookup checks
 #: identity first) and no other NaN, in every join implementation alike.
 NAN = float("nan")
-
-KEY = [("key", "key")]
 
 
 def nan_left():
@@ -163,19 +143,11 @@ JOINS = {
 
 @pytest.mark.parametrize("case", sorted(JOINS))
 class TestJoinImplementationsAgreeRowForRow:
-    def test_join_and_hash_join_batch_in_order(self, case):
-        make_left, make_right, pairs, conditions = JOINS[case]
-        left, right = make_left(), make_right()
-        expected = join(left, right, pairs, name="j", conditions=conditions)
-        got = batch_join(left, right, pairs, conditions)
-        expected.check_invariants()  # join adopts its output: audit the claim
-        assert got.schema == expected.schema
-        assert got.rows == expected.rows
-
     def test_join_iter_streams_the_same_rows_left_major(self, case):
         make_left, make_right, pairs, conditions = JOINS[case]
         left, right = make_left(), make_right()
         expected = join(left, right, pairs, name="j", conditions=conditions)
+        expected.check_invariants()  # join adopts its output: audit the claim
         streamed = list(join_iter(iter(left), left.schema, right, pairs, conditions))
         order = {row: i for i, row in enumerate(left)}
         assert streamed == sorted(expected, key=lambda row: order[row[:2]])

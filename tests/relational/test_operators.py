@@ -6,20 +6,14 @@ from hypothesis import strategies as st
 
 from repro.common.errors import EvaluationError, SchemaError
 from repro.relational.expressions import Col, Comparison, Lit, eq
-from repro.relational.index import HashIndex
 from repro.relational.operators import (
     aggregate,
-    cross,
-    difference,
     distinct_projection,
-    intersection,
     join,
     join_iter,
     project,
-    project_iter,
     select,
     select_iter,
-    select_via_index,
     transitive_closure,
     union,
 )
@@ -57,23 +51,6 @@ class TestSelect:
         rows = select_iter(iter(emp), emp.schema, [eq("dept", "hw")])
         assert next(rows) == (1, "ann", "hw")
 
-    def test_select_via_index(self, emp):
-        index = HashIndex(emp, ("dept",))
-        out = select_via_index(emp, index, ("sw",))
-        assert len(out) == 2
-
-    def test_select_via_index_with_residual(self, emp):
-        index = HashIndex(emp, ("dept",))
-        out = select_via_index(emp, index, ("sw",), [eq("name", "cat")])
-        assert out.column("id") == [3]
-
-    def test_select_via_index_adopts_a_relation_of_its_own(self, emp):
-        index = HashIndex(emp, ("dept",))
-        out = select_via_index(emp, index, ("sw",))
-        out.check_invariants()
-        assert out.insert((9, "zed", "sw")) and (3, "cat", "sw") in out
-        assert len(emp) == 4 and len(index.lookup("sw")) == 2
-
 
 class TestProject:
     def test_projects_and_dedups(self, emp):
@@ -95,10 +72,6 @@ class TestProject:
             expected = list(dict.fromkeys(tuple(r[i] for i in positions) for r in rows))
             assert distinct_projection(iter(rows), positions) == expected
 
-    def test_project_iter_streaming_dedup(self, emp):
-        rows = list(project_iter(iter(emp), emp.schema, ["dept"]))
-        assert rows == [("hw",), ("sw",)]
-
 
 class TestJoin:
     def test_equi_join(self, emp, dept):
@@ -117,9 +90,6 @@ class TestJoin:
 
     def test_empty_pairs_is_cross(self, emp, dept):
         assert len(join(emp, dept, [])) == len(emp) * len(dept)
-
-    def test_cross(self, emp, dept):
-        assert len(cross(emp, dept)) == 8
 
     def test_join_sides_swappable(self, emp, dept):
         small_left = join(dept, emp, [("code", "dept")])
@@ -159,16 +129,6 @@ class TestSetOperations:
         a = Relation(Schema("p", ("x",)), [(1,), (2,)])
         b = Relation(Schema("p", ("x",)), [(2,), (3,)])
         assert len(union(a, b)) == 3
-
-    def test_difference(self):
-        a = Relation(Schema("p", ("x",)), [(1,), (2,)])
-        b = Relation(Schema("p", ("x",)), [(2,)])
-        assert difference(a, b).rows == [(1,)]
-
-    def test_intersection(self):
-        a = Relation(Schema("p", ("x",)), [(1,), (2,)])
-        b = Relation(Schema("p", ("x",)), [(2,), (3,)])
-        assert intersection(a, b).rows == [(2,)]
 
     def test_arity_mismatch_rejected(self):
         a = Relation(Schema("p", ("x",)), [(1,)])
@@ -275,11 +235,3 @@ def test_closure_is_transitive(pairs):
         for c, d in rows_set:
             if b == c:
                 assert (a, d) in rows_set
-
-
-@given(rows, rows)
-def test_difference_disjoint_from_right(left_pairs, right_pairs):
-    left = Relation(Schema("p", ("x", "y")), left_pairs)
-    right = Relation(Schema("p", ("x", "y")), right_pairs)
-    out = difference(left, right)
-    assert not (set(out.rows) & set(right.rows))

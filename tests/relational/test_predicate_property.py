@@ -1,8 +1,9 @@
 """Property suite: generated predicates ≡ a reference interpreter, always.
 
 There is one predicate compiler (:mod:`repro.relational.expressions`) and
-every engine runs its output, so the reference cannot be another engine.
-It is :func:`interpret` below: each conjunct evaluated on concrete values
+the local operators, the remote engine and the fuzzer's oracle all run
+its output, so the reference cannot be any of them.  It is
+:func:`interpret` below: each conjunct evaluated on concrete values
 through :func:`repro.relational.expressions.holds` — the function
 ``caql.implication`` decides with — sharing no code with the emitter.
 
@@ -10,10 +11,10 @@ Hypothesis drives randomized conjuncts (every operator, constants and
 columns on either side, so ``5 < x`` and constant-only terms occur) over
 randomized value soups: repr-colliders (``1`` vs ``1.0`` vs ``"1"`` vs
 ``True``), ``None``, NaN, a tuple-valued literal, empty relations.  The
-generated row predicate, the generated filter kernel, tuple-engine
-``select`` and ``select_batch`` must each agree with the interpreter row
-for row and in order.  ``tests/qa/test_predicate_planted_bug.py`` plants
-two emitter mutants to prove these properties bite.
+generated row predicate and ``select`` must each agree with the
+interpreter row for row and in order.
+``tests/qa/test_predicate_planted_bug.py`` plants two emitter mutants to
+prove these properties bite.
 
 Counterexamples hypothesis shrinks to are ALSO written out as standard
 repro.qa repro files (``BRAID_QA_REPRO_DIR``, default ``.qa-repros``),
@@ -34,11 +35,6 @@ from hypothesis import strategies as st
 from repro.caql.eval import result_schema
 from repro.qa import write_repro
 from repro.qa.generator import case_from_relations
-from repro.relational.columnar import (
-    ColumnarBatch,
-    compile_batch_predicate,
-    select_batch,
-)
 from repro.relational.expressions import (
     Col,
     Comparison,
@@ -157,18 +153,16 @@ def save_counterexample(reason, conjunction, row_list):
         text = "q(X0, X1, X2) :- r(X0, X1, X2)"
     case = case_from_relations({"r": relation}, [text])
     path = os.path.join(
-        directory, f"repro-columnar-{case.fingerprint()[:12]}.json"
+        directory, f"repro-predicate-{case.fingerprint()[:12]}.json"
     )
     write_repro(path, case, reason=reason)
     return path
 
 
 def check_row_predicate(conjunction, row_list):
-    compiled = compile_batch_predicate(conjunction, SCHEMA)
     predicate = compile_conjunction(conjunction, SCHEMA)
     for row in dict.fromkeys(row_list):
-        expected = interpret(conjunction, row)
-        if bool(compiled.row(row)) != expected or bool(predicate(row)) != expected:
+        if bool(predicate(row)) != interpret(conjunction, row):
             save_counterexample(
                 "property: generated row predicate diverges from holds()",
                 conjunction, row_list,
@@ -176,43 +170,24 @@ def check_row_predicate(conjunction, row_list):
             raise Divergence(f"row predicate wrong on {row!r}", conjunction, row_list)
 
 
-def check_filter_kernel(conjunction, row_list):
-    distinct = list(dict.fromkeys(row_list))
-    batch = ColumnarBatch.from_rows(SCHEMA, distinct, distinct=True)
-    compiled = compile_batch_predicate(conjunction, SCHEMA)
-    expected = [i for i, row in enumerate(distinct) if interpret(conjunction, row)]
-    got = compiled.filter(batch.columns)
-    if got != expected:
-        save_counterexample(
-            "property: filter kernel index list diverges from holds()",
-            conjunction, row_list,
-        )
-        raise Divergence(f"filter {got} != {expected}", conjunction, row_list)
-
-
-def check_select_operators(conjunction, row_list):
+def check_select(conjunction, row_list):
     relation = Relation(SCHEMA, row_list)
     expected = [row for row in relation if interpret(conjunction, row)]
-    by_rows = select(relation, conjunction)
-    by_batch = select_batch(ColumnarBatch.from_relation(relation), conjunction)
-    by_rows.check_invariants()
-    by_batch.check_invariants()
-    if by_rows.rows != expected or by_batch.rows != expected:
+    selected = select(relation, conjunction)
+    selected.check_invariants()
+    if selected.rows != expected:
         save_counterexample(
-            "property: select / select_batch diverge from holds()",
-            conjunction, row_list,
+            "property: select diverges from holds()", conjunction, row_list
         )
         raise Divergence(
-            f"select {by_rows.rows} / select_batch {by_batch.rows} != {expected}",
-            conjunction, row_list,
+            f"select {selected.rows} != {expected}", conjunction, row_list
         )
 
 
 #: ``(check, example budget)``: what the planted-mutant tests re-run.
 PROPERTIES = {
     "row": (check_row_predicate, 200),
-    "filter": (check_filter_kernel, 200),
-    "select": (check_select_operators, 150),
+    "select": (check_select, 150),
 }
 
 
@@ -222,24 +197,10 @@ def test_compiled_row_predicate_matches_interpreter(conjunction, row_list):
     check_row_predicate(conjunction, row_list)
 
 
-@settings(max_examples=PROPERTIES["filter"][1], deadline=None)
-@given(conjunctions, rows)
-def test_filter_kernel_selects_interpreter_rows(conjunction, row_list):
-    check_filter_kernel(conjunction, row_list)
-
-
 @settings(max_examples=PROPERTIES["select"][1], deadline=None)
 @given(conjunctions, rows)
-def test_select_batch_matches_tuple_select(conjunction, row_list):
-    check_select_operators(conjunction, row_list)
-
-
-def test_empty_relation_survives_every_kernel():
-    conjunction = [Comparison(Col("a0"), ">", Lit(1))]
-    batch = ColumnarBatch.from_relation(Relation(SCHEMA))
-    out = select_batch(batch, conjunction)
-    assert len(out) == 0
-    assert out.to_relation() == Relation(SCHEMA)
+def test_select_matches_interpreter(conjunction, row_list):
+    check_select(conjunction, row_list)
 
 
 def test_repr_colliders_follow_python_equality():
@@ -249,9 +210,7 @@ def test_repr_colliders_follow_python_equality():
     # 1.0 and True dedup against 1 only when ALL columns collide; here the
     # other columns differ so all four rows survive as distinct.
     assert len(relation) == 4
-    conjunction = [Comparison(Col("a0"), "=", Lit(1))]
-    got = select_batch(ColumnarBatch.from_relation(relation), conjunction)
-    assert got.to_relation() == select(relation, conjunction)
+    got = select(relation, [Comparison(Col("a0"), "=", Lit(1))])
     assert ("1", 2, 2) not in set(got.rows)
     assert len(got) == 3  # 1, 1.0, True all equal 1
 

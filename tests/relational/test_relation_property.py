@@ -6,14 +6,12 @@ Hypothesis interleaves every operation that creates a relation or adds a
 row — ``insert``, ``estimated_bytes`` itself (which moves the sized
 prefix), ``renamed``, ``copy``, ``from_distinct_rows`` — over a pool of
 relations, and after every step each relation's memoized size must equal
-``rows_bytes`` over its rows and ``ColumnarBatch.estimated_bytes`` over
-the same rows pivoted.
+``rows_bytes`` over its rows.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.columnar import ColumnarBatch
 from repro.relational.relation import Relation, rows_bytes
 from repro.relational.schema import Schema
 
@@ -42,7 +40,6 @@ def assert_sizes_agree(pool):
         recount = rows_bytes(relation.rows)
         assert relation.estimated_bytes() == recount
         assert relation.estimated_bytes() == recount  # and stays put when idle
-        assert ColumnarBatch.from_relation(relation).estimated_bytes() == recount
 
 
 @settings(max_examples=200, deadline=None)
