@@ -71,7 +71,6 @@ def build_server(cache_bytes: int, intermediates: bool, mqo: bool) -> BraidServe
         config=ServerConfig(
             cache_capacity_bytes=cache_bytes,
             features=CMSFeatures(intermediates=intermediates, mqo=mqo),
-            mqo=mqo,
             max_queue_depth=SPEC.clients * SPEC.requests_per_client + 16,
             scheduler_seed=SEED,
         ),

@@ -56,10 +56,6 @@ class QueryPattern:
             return self.view
         return f"{self.view}({', '.join(self.args)})"
 
-    def consumer_arg_positions(self) -> tuple[int, ...]:
-        """Argument positions sketched as bound (trailing ``?``)."""
-        return tuple(i for i, a in enumerate(self.args) if a.endswith("?"))
-
 
 @dataclass(frozen=True)
 class Sequence:
@@ -100,11 +96,6 @@ class Alternation:
                 f"selection term {self.selection} out of range for "
                 f"{len(self.members)} members"
             )
-
-    @property
-    def mutually_exclusive(self) -> bool:
-        """True when the selection term is 1."""
-        return self.selection == 1
 
     def __str__(self) -> str:
         inner = ", ".join(str(m) for m in self.members)

@@ -182,47 +182,10 @@ class PathTracker:
         self._current = nxt
         return True
 
-    def reset(self) -> None:
-        """Re-anchor at the start of the expression (new session)."""
-        self._current = self._initial
-        self.lost = False
-        self.observed = []
-
-    # -- state snapshots (multi-session support) -------------------------------
-    def state_key(self) -> tuple:
-        """A canonical, hashable fingerprint of the tracker's position.
-
-        Two trackers over the same expression that have observed the same
-        query sequence produce equal keys, so a server can assert that a
-        suspended-and-resumed session is exactly where it left off (and a
-        benchmark can fingerprint per-session state across runs).
-        """
-        return (tuple(sorted(self._current)), self.lost, tuple(self.observed))
-
-    def clone(self) -> "PathTracker":
-        """An independent tracker at the same position.
-
-        The NFA is shared (it is immutable after construction); only the
-        simulation state is copied.  Used when one session's advice is
-        speculatively advanced without disturbing the live tracker.
-        """
-        twin = PathTracker.__new__(PathTracker)
-        twin.expression = self.expression
-        twin._nfa = self._nfa
-        twin._initial = self._initial
-        twin._current = self._current
-        twin.lost = self.lost
-        twin.observed = list(self.observed)
-        return twin
-
     # -- prediction --------------------------------------------------------------
     def predicted_next(self) -> set[str]:
         """Views that may be requested by the very next query."""
         return self._nfa.outgoing_symbols(self._current)
-
-    def expects(self, view: str) -> bool:
-        """True when ``view`` may be the very next query."""
-        return view in self.predicted_next()
 
     def distance_to(self, view: str, horizon: int = 50) -> int | None:
         """Minimum number of future queries before ``view`` could appear.

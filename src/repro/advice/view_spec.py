@@ -63,22 +63,11 @@ class ViewSpecification:
         """The view's name (its definition's head symbol)."""
         return self.definition.name
 
-    @property
-    def arity(self) -> int:
-        """Number of answer positions."""
-        return self.definition.arity
-
     # -- annotation queries -------------------------------------------------------
     def consumer_positions(self) -> tuple[int, ...]:
         """Answer positions the IE will supply constants for (index these)."""
         return tuple(
             i for i, a in enumerate(self.annotations) if a is Binding.CONSUMER
-        )
-
-    def producer_positions(self) -> tuple[int, ...]:
-        """Answer positions the CAQL query will produce bindings for."""
-        return tuple(
-            i for i, a in enumerate(self.annotations) if a is Binding.PRODUCER
         )
 
     def is_pure_producer(self) -> bool:

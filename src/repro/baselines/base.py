@@ -14,7 +14,6 @@ from repro.common.errors import PlanningError
 from repro.common.metrics import IE_CAQL_QUERIES, Metrics
 from repro.logic.builtins import BuiltinRegistry
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.remote.server import RemoteDBMS
 from repro.advice.language import AdviceSet
@@ -58,10 +57,6 @@ class BaselineInterface:
         the IE's session protocol works unchanged."""
 
     # -- metadata --------------------------------------------------------------------
-    def schema_of(self, table: str) -> Schema:
-        """Remote schema lookup (cached by the RDI)."""
-        return self.rdi.schema_of(table)
-
     def statistics_of(self, table: str) -> RelationStatistics:
         """Remote statistics lookup (cached by the RDI)."""
         return self.rdi.statistics_of(table)

@@ -62,8 +62,3 @@ class ExactMatchCache(BaselineInterface):
     def used_bytes(self) -> int:
         """Estimated bytes held by cached results."""
         return sum(r.estimated_bytes() for r in self._results.values())
-
-    @property
-    def cached_result_count(self) -> int:
-        """How many query results are currently cached."""
-        return len(self._results)

@@ -71,8 +71,3 @@ class SingleRelationBuffer(BaselineInterface):
     def used_bytes(self) -> int:
         """Estimated bytes held by the buffered relations."""
         return sum(r.estimated_bytes() for r in self._buffers.values())
-
-    @property
-    def buffered_relations(self) -> list[str]:
-        """Names of the currently buffered base relations."""
-        return list(self._buffers)

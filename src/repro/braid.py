@@ -170,8 +170,3 @@ class BraidSystem:
     def trace_fingerprint(self) -> str:
         """SHA-256 over the span trace (same seed → same fingerprint)."""
         return self.tracer.fingerprint()
-
-    def reset_measurements(self) -> None:
-        """Zero the clock and counters (cache contents are kept)."""
-        self.metrics.reset()
-        self.clock.reset()

@@ -16,7 +16,6 @@ from repro.caql.eval import (
     evaluate_psj,
     evaluate_quantified,
     evaluate_setof,
-    lazy_psj,
     psj_of,
     result_schema,
     split_literals,
@@ -53,7 +52,6 @@ __all__ = [
     "evaluate_quantified",
     "evaluate_psj",
     "evaluate_setof",
-    "lazy_psj",
     "parse_column",
     "parse_query",
     "parse_query_pattern",

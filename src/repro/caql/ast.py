@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import TranslationError
-from repro.logic.terms import Atom, Const, Substitution, Term, Var
+from repro.logic.terms import Atom, Substitution, Term, Var
 
 #: Comparison predicates the PSJ core can absorb into conditions.
 COMPARISON_PREDS = {"<", ">", "=<", ">=", "=", "\\="}
@@ -65,10 +65,6 @@ class ConjunctiveQuery:
             out |= literal.variables()
         return out
 
-    def answer_variables(self) -> list[Var]:
-        """The answer terms that are variables, in head order."""
-        return [t for t in self.answers if isinstance(t, Var)]
-
     def relation_literals(self) -> list[Atom]:
         """Body literals that are neither comparisons nor negated."""
         return [
@@ -96,17 +92,6 @@ class ConjunctiveQuery:
         )
         literals = tuple(bindings.apply(lit) for lit in self.literals)
         return ConjunctiveQuery(self.name, answers, literals)
-
-    def bind_answers(self, values: dict[int, object]) -> "ConjunctiveQuery":
-        """Instantiate answer positions by index with constant values."""
-        bindings = Substitution(
-            {
-                term: Const(value)
-                for position, value in values.items()
-                if isinstance(term := self.answers[position], Var)
-            }
-        )
-        return self.instantiate(bindings)
 
     def __str__(self) -> str:
         head_args = ", ".join(str(a) for a in self.answers)

@@ -1,10 +1,10 @@
 """Evaluation of PSJ queries and conjunctive CAQL queries over relations.
 
-This is the machinery behind the Cache Manager's Query Processor (Section
-5.4): it executes PSJ plans against in-memory relations, in both eager
-(extension-producing) and lazy (generator pipeline) forms, and applies the
-CAQL operations a conventional remote DBMS lacks (evaluable functions,
-AGG/SETOF) on top of the conjunctive core.
+The eager evaluator of PSJ plans against in-memory relations (the
+baselines' query processor, and the oracle the CMS's answers are compared
+with), plus the CAQL operations a conventional remote DBMS lacks (evaluable
+functions, AGG/SETOF) on top of the conjunctive core.  Lazy, generator-form
+results are :func:`repro.core.subsumption.derive_full_lazy`'s job.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.common.errors import EvaluationError, TranslationError
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.relational.expressions import Comparison
-from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import aggregate as relational_aggregate
 from repro.relational.operators import join, select
 from repro.relational.relation import Relation
@@ -127,101 +126,6 @@ def _project_result(combined: Relation, psj: PSJQuery, schema: Schema) -> Relati
         for row in combined
     )
     return Relation(schema, out_rows)
-
-
-# ---------------------------------------------------------------------------
-# lazy PSJ evaluation
-# ---------------------------------------------------------------------------
-
-
-def lazy_psj(psj: PSJQuery, lookup: RelationLookup) -> GeneratorRelation:
-    """A generator relation computing the PSJ result on demand.
-
-    The pipeline streams the first occurrence and hash-joins the rest;
-    nothing is computed until the first row is pulled, satisfying the
-    paper's lazy-evaluation requirement (Section 5.1).  Inputs are fetched
-    through ``lookup`` lazily too, so the generator is legal exactly when
-    all inputs are cached at pull time.
-    """
-    schema = result_schema(psj.name, psj.arity)
-
-    def source() -> Iterator[tuple]:
-        if psj.unsatisfiable:
-            return
-        rows, combined_schema = _pipeline(psj, lookup)
-        if not psj.projection:
-            # Boolean query: one "yes" row iff any row exists.
-            for _row in rows:
-                yield (True,)
-                return
-            return
-        positions: list[tuple[str, object]] = []
-        for entry in psj.projection:
-            if isinstance(entry, ConstProj):
-                positions.append(("const", entry.value))
-            else:
-                positions.append(("col", combined_schema.position(entry)))
-        for row in rows:
-            yield tuple(
-                value if kind == "const" else row[value] for kind, value in positions
-            )
-
-    return GeneratorRelation(schema, source)
-
-
-def _pipeline(psj: PSJQuery, lookup: RelationLookup) -> tuple[Iterator[tuple], Schema]:
-    """A streaming plan: the leftmost occurrence is scanned lazily, inner
-    occurrences become hash-join build sides (materialized on first pull
-    inside :func:`join_iter`)."""
-    from repro.relational.operators import join_iter, select_iter
-
-    if not psj.occurrences:
-        unit = Schema("unit", ("_unit",))
-        return iter([(None,)]), unit
-
-    consumed: set[Comparison] = set()
-    for occ in psj.occurrences:
-        consumed.update(psj.column_conditions(occ.tag))
-
-    first = psj.occurrences[0]
-    current_schema = Schema(first.tag, tuple(first.columns()))
-    base = lookup(first.pred)
-    if base.schema.arity != first.arity:
-        raise EvaluationError(
-            f"relation {first.pred} has arity {base.schema.arity}, query expects {first.arity}"
-        )
-    rows: Iterator[tuple] = select_iter(
-        iter(base.rows), current_schema, psj.column_conditions(first.tag)
-    )
-    seen_cols = set(current_schema.attributes)
-    pending = [c for c in psj.conditions if c not in consumed]
-    for occ in psj.occurrences[1:]:
-        right = _occurrence_relation(psj, occ, lookup)
-        right_cols = set(right.schema.attributes)
-        pairs, residual, remaining = [], [], []
-        for condition in pending:
-            cols = condition.columns()
-            if cols <= (seen_cols | right_cols):
-                left_side = cols & seen_cols
-                right_side = cols & right_cols
-                if (
-                    condition.op == "="
-                    and condition.is_col_col()
-                    and len(left_side) == 1
-                    and len(right_side) == 1
-                ):
-                    pairs.append((left_side.pop(), right_side.pop()))
-                else:
-                    residual.append(condition)
-            else:
-                remaining.append(condition)
-        rows = join_iter(rows, current_schema, right, pairs, conditions=residual)
-        current_schema = current_schema.concat(right.schema, "join")
-        seen_cols |= right_cols
-        pending = remaining
-    if pending:
-        rows = select_iter(rows, current_schema, pending)
-    return rows, current_schema
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,6 @@ class ConditionSet:
         """(True, v) when the column is forced to the single value v."""
         return self._info(col).forced()
 
-    def is_satisfiable(self) -> bool:
-        """A cheap (sound, incomplete) satisfiability check."""
-        return self._satisfiable
-
     def implies(self, condition: Comparison) -> bool:
         """True only if every assignment satisfying this set satisfies
         ``condition``.  (An unsatisfiable set implies everything.)"""
@@ -230,10 +226,6 @@ class ConditionSet:
         without building the :class:`Comparison` — the one place a
         column-vs-literal implication is decided."""
         return not self._satisfiable or self._implies_col_lit(col, op, value)
-
-    def implies_all(self, conditions: Iterable[Comparison]) -> bool:
-        """True when every condition is implied."""
-        return all(self.implies(c) for c in conditions)
 
     # -- implication cases ---------------------------------------------------------
     def _implies_col_lit(self, col: str, op: str, value: object) -> bool:

@@ -120,13 +120,6 @@ class PSJQuery:
             out.extend(occ.columns())
         return out
 
-    def columns_of_var(self, var_name: str) -> tuple[str, ...]:
-        """All columns bound to the named variable (first is representative)."""
-        for name, cols in self.var_columns:
-            if name == var_name:
-                return cols
-        return ()
-
     def column_conditions(self, tag: str) -> list[Comparison]:
         """Conditions that only mention columns of occurrence ``tag``."""
         prefix = tag + "."

@@ -3,7 +3,6 @@
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import (
     AdviceError,
-    ArityError,
     BraidError,
     CacheCapacityError,
     CacheError,
@@ -15,14 +14,12 @@ from repro.common.errors import (
     RemoteDBMSError,
     SchemaError,
     TranslationError,
-    UnificationError,
     UnknownRelationError,
 )
 from repro.common.metrics import Metrics
 
 __all__ = [
     "AdviceError",
-    "ArityError",
     "BraidError",
     "CacheCapacityError",
     "CacheError",
@@ -37,6 +34,5 @@ __all__ = [
     "SchemaError",
     "SimClock",
     "TranslationError",
-    "UnificationError",
     "UnknownRelationError",
 ]

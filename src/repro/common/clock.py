@@ -101,12 +101,6 @@ class SimClock:
         """Open a parallel region; use as a context manager."""
         return ParallelRegion(self)
 
-    def reset(self) -> None:
-        """Reset simulated time to zero (tracks must be closed)."""
-        if self._tracks is not None:
-            raise RuntimeError("cannot reset the clock inside a parallel region")
-        self.now = 0.0
-
 
 class ParallelRegion:
     """Context manager that merges concurrent track times as a maximum."""

@@ -32,10 +32,6 @@ class ParseError(BraidError):
         return base
 
 
-class UnificationError(BraidError):
-    """Two terms could not be unified (used internally; most APIs return None)."""
-
-
 class SchemaError(BraidError):
     """A relation was used inconsistently with its declared schema."""
 
@@ -46,16 +42,6 @@ class UnknownRelationError(SchemaError):
     def __init__(self, name: str):
         super().__init__(f"unknown relation: {name!r}")
         self.name = name
-
-
-class ArityError(SchemaError):
-    """A predicate or relation was used with the wrong number of arguments."""
-
-    def __init__(self, name: str, expected: int, actual: int):
-        super().__init__(f"relation {name!r} expects {expected} arguments, got {actual}")
-        self.name = name
-        self.expected = expected
-        self.actual = actual
 
 
 class EvaluationError(BraidError):

@@ -66,21 +66,6 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram.
-
-        Observations keep arrival order (self's first, then other's), so
-        merging the same histograms in the same order is deterministic.
-        ``other`` is not modified.
-        """
-        self.values.extend(other.values)
-
-    def copy(self) -> "Histogram":
-        """An independent copy (mutating it never touches the original)."""
-        fresh = Histogram()
-        fresh.values = list(self.values)
-        return fresh
-
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, total={self.total:.6g})"
 
@@ -153,10 +138,6 @@ class Metrics:
         if self.parent is not None:
             self.parent.observe(name, value)
 
-    def histogram(self, name: str) -> Histogram | None:
-        """The histogram called ``name``, or None if nothing was observed."""
-        return self.histograms.get(name)
-
     def histogram_summaries(self) -> dict[str, dict[str, float]]:
         """Summary statistics for every histogram, sorted by name."""
         return {
@@ -212,18 +193,6 @@ class Metrics:
             if name == prefix or name.startswith(dotted)
         }
 
-    def total(self, prefix: str) -> float:
-        """Sum of all counters under ``prefix``."""
-        return sum(self.by_prefix(prefix).values())
-
-    def reset(self) -> None:
-        """Zero every counter and histogram (in this ledger and every
-        child scope)."""
-        self.counters.clear()
-        self.histograms.clear()
-        for child in self._children.values():
-            child.reset()
-
     def snapshot(self) -> dict[str, float]:
         """An immutable copy of all counters, sorted by name."""
         return dict(sorted(self.counters.items()))
@@ -231,9 +200,8 @@ class Metrics:
     def diff(self, earlier: dict[str, float]) -> dict[str, float]:
         """Counters that changed since ``earlier`` (a prior snapshot).
 
-        Counters present in ``earlier`` but since reset to zero show up
-        as negative deltas — a ``diff`` after ``reset`` reports the drop
-        rather than silently claiming nothing changed.
+        A counter that reads lower than in ``earlier`` (or is gone) shows
+        up as a negative delta rather than silently as "unchanged".
         """
         out: dict[str, float] = {}
         for name in sorted(set(self.counters) | set(earlier)):

@@ -73,11 +73,6 @@ class AdviceManager:
             self.tracker = None
             self._repeating_views = set()
 
-    @property
-    def has_advice(self) -> bool:
-        """True when the session carries any advice."""
-        return not self.advice.is_empty()
-
     def view(self, name: str) -> ViewSpecification | None:
         """The advised view specification named ``name``, or None."""
         return self.advice.view(name)

@@ -109,7 +109,6 @@ class CacheElement:
     #: expects reuse, zeroed for expendable elements.
     advice_weight: float = 1.0
     _indexes: IndexSet | None = field(default=None, repr=False)
-    _sorted_views: dict | None = field(default=None, repr=False)
     #: The definition's containment signature: what the subsumption walk
     #: tests before it tries any occurrence mapping.  Derived from
     #: ``definition`` and only ever replaced together with it
@@ -129,15 +128,6 @@ class CacheElement:
     def pinned(self) -> bool:
         """True while at least one in-flight use holds a pin."""
         return self.pin_count > 0
-
-    @pinned.setter
-    def pinned(self, value: bool) -> None:
-        # Back-compat boolean view over the reference count: True pins the
-        # element (once), False force-releases every pin.
-        if value:
-            self.pin_count = max(1, self.pin_count)
-        else:
-            self.pin_count = 0
 
     @property
     def is_generator(self) -> bool:
@@ -179,29 +169,6 @@ class CacheElement:
     def has_index_on(self, attributes: tuple[str, ...]) -> bool:
         """True when an index on exactly these attributes exists."""
         return self._indexes is not None and self._indexes.get(attributes) is not None
-
-    def promote(self) -> Relation:
-        """Convert a generator element to its extension in place."""
-        if isinstance(self.relation, GeneratorRelation):
-            self.relation = self.relation.to_extension()
-        return self.relation
-
-    # -- alternative sortings (Section 5.2) --------------------------------------
-    def sorted_view(self, attributes: tuple[str, ...], reverse: bool = False) -> Relation:
-        """A memoized sorted representation of this element.
-
-        Section 5.2: "Consider, for example, the case where alternative
-        sortings are required" — each requested ordering is computed once
-        and co-exists with the unsorted instance.
-        """
-        key = (tuple(attributes), reverse)
-        if self._sorted_views is None:
-            self._sorted_views = {}
-        view = self._sorted_views.get(key)
-        if view is None:
-            view = self.extension().sorted_by(list(attributes), reverse=reverse)
-            self._sorted_views[key] = view
-        return view
 
 
 def lru_scorer(element: CacheElement) -> float:
@@ -632,10 +599,6 @@ class Cache:
             e.estimated_bytes() for e in self._condemned.values()
         )
 
-    def condemned_elements(self) -> list[CacheElement]:
-        """Elements awaiting reclamation (discarded while pinned)."""
-        return list(self._condemned.values())
-
     # -- efficacy ledger -----------------------------------------------------------
     def element_report(self, element: CacheElement) -> dict:
         """One element's efficacy ledger entry (JSON-friendly)."""
@@ -917,7 +880,6 @@ class StaleArchive:
             # Same definition seen again: keep the freshest copy.
             element.relation = relation
             element._indexes = None
-            element._sorted_views = None
 
     def __len__(self) -> int:
         return len(self.cache)

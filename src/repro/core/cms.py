@@ -50,7 +50,6 @@ from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.relational.generator import GeneratorRelation
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.remote.faults import RetryPolicy
 from repro.remote.server import RemoteDBMS
@@ -102,8 +101,7 @@ class CMSFeatures(PlannerFeatures):
     #: past their LRU recency (``Cache.cost_scorer``).  Off = plain LRU as
     #: the base scorer (advice offsets, if any, still apply on top).
     cost_replacement: bool = True
-    #: Batch independently-needed remote fetches (prefetch companions,
-    #: multi-part remote plans) into one round trip.
+    #: Batch a path expression's prefetch companions into one round trip.
     batching: bool = True
     #: Client-side resilience for the remote link (retries, backoff,
     #: timeout, circuit breaker).  The default policy is inert on a
@@ -217,7 +215,6 @@ class CacheManagementSystem:
             should_index=self._should_auto_index,
             pin_streams=pin_streams,
             tracer=self.tracer,
-            batch_remote=self.features.batching,
             cache_intermediates=(
                 self.features.caching and self.features.intermediates
             ),
@@ -274,10 +271,6 @@ class CacheManagementSystem:
         self.rdi.intermediate_sink = self.monitor.register_intermediate
 
     # -- metadata for the IE ---------------------------------------------------------
-    def schema_of(self, table: str) -> Schema:
-        """Remote schema lookup for the IE (cached)."""
-        return self.rdi.schema_of(table)
-
     def statistics_of(self, table: str) -> RelationStatistics:
         """Remote statistics lookup for the IE (cached)."""
         return self.rdi.statistics_of(table)
@@ -428,12 +421,15 @@ class CacheManagementSystem:
     def check_invariants(self) -> None:
         """Audit every auditable structure this CMS touches.
 
-        Runs the ``check_invariants`` hooks of the cache, the metrics
-        ledger (from its root, so sibling session scopes are covered too),
-        and the last produced plan.  Cheap enough to call after every
-        query; the fuzzer does exactly that.
+        Runs the ``check_invariants`` hooks of the cache, the stale
+        archive's inner cache (whose elements ``StaleArchive.store``
+        refreshes in place), the metrics ledger (from its root, so sibling
+        session scopes are covered too), and the last produced plan.  Cheap
+        enough to call after every query; the fuzzer does exactly that.
         """
         self.cache.check_invariants()
+        if self._archive is not None:
+            self._archive.cache.check_invariants()
         root = self.metrics
         while root.parent is not None:
             root = root.parent

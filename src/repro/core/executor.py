@@ -32,7 +32,6 @@ from repro.relational.expressions import Comparison
 from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import join, select
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery
 from repro.core.cache import Cache
@@ -88,11 +87,6 @@ class ResultStream:
     def lazy(self) -> bool:
         """True when backed by a generator (tuples computed on demand)."""
         return isinstance(self._relation, GeneratorRelation)
-
-    @property
-    def schema(self) -> Schema:
-        """The result's schema (positional attributes)."""
-        return self._relation.schema
 
     def next(self) -> tuple | None:
         """The next solution, or None when exhausted (single-solution
@@ -161,7 +155,6 @@ class ExecutionMonitor:
         should_index=None,
         pin_streams: bool = False,
         tracer=None,
-        batch_remote: bool = True,
         cache_intermediates: bool = False,
         subplan_registry=None,
     ):
@@ -171,8 +164,6 @@ class ExecutionMonitor:
         self.profile = profile
         self.metrics = metrics
         self.parallel = parallel
-        #: Ship independently-needed remote parts as one batched round trip.
-        self.batch_remote = batch_remote
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         #: Callback: should derivations for this view name auto-index the
         #: matched element's probe attributes?  (Consumer-annotation
@@ -262,9 +253,9 @@ class ExecutionMonitor:
         relation.on_exhausted = release
 
     def _execute_exact(self, plan: QueryPlan) -> Relation | GeneratorRelation:
-        element = self.cache.lookup_exact(plan.query)
+        element = plan.exact_element
         if element is None:
-            raise StalePlanError("exact plan but the element vanished")
+            raise PlanningError("exact plan without an element")
         self.cache.touch(element)
         self.cache.note_hit(element)
         self.cache.credit_saving(element)
@@ -347,40 +338,15 @@ class ExecutionMonitor:
 
     def _execute_parts(self, plan: QueryPlan) -> Relation:
         produced: list[Relation] = []
-        remote_parts = [p for p in plan.parts if isinstance(p, RemotePart)]
         cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
+        # The planner designates at most one remote sub-query per plan.
+        remote = next((p for p in plan.parts if isinstance(p, RemotePart)), None)
 
         def run_remote() -> None:
-            # A batch ships every part in one round trip; otherwise each
-            # part is a group of one with a round trip of its own.
-            batch = self.batch_remote and len(remote_parts) > 1
-            for group in [remote_parts] if batch else [[p] for p in remote_parts]:
-                relations = [self._shared_subplan(part) for part in group]
-                missing = [i for i, found in enumerate(relations) if found is None]
-                if missing:
-                    wanted = [group[i].sub_query for i in missing]
-                    started = self.clock.now
-                    fetched = (
-                        self.rdi.fetch_many(wanted)
-                        if batch
-                        else [self.rdi.fetch(wanted[0])]
-                    )
-                    # A lone fetch is priced by the clock; a batch's shared
-                    # round trip is not attributable per part, so each part
-                    # carries the cost model's price (as does a fetch whose
-                    # clock delta reads zero).
-                    elapsed = 0.0 if batch else self.clock.now - started
-                    for i, relation in zip(missing, fetched):
-                        relations[i] = relation
-                        self._publish_subplan(group[i], relation)
-                        self.register_intermediate(
-                            group[i].sub_query,
-                            relation,
-                            "remote-fetch",
-                            elapsed or self._remote_part_estimate(relation),
-                        )
-                for part, relation in zip(group, relations):
-                    produced.append(label_part(relation, part.columns, "remote"))
+            if remote is not None:
+                produced.append(
+                    self._fetch_remote(plan, remote, produced, cache_parts)
+                )
 
         def run_cache() -> None:
             for part in cache_parts:
@@ -393,19 +359,13 @@ class ExecutionMonitor:
                 self._register_cache_part(plan, part, relation, source_rows)
                 produced.append(relation)
 
-        if any(p.bind_columns for p in remote_parts):
+        if remote is not None and remote.bind_columns:
             # Semijoin path: the cache track must run first — its produced
             # relations are the binding source — so the two tracks are
             # sequential by construction (the planner priced that in).
             run_cache()
-            binding_source = list(produced)
-            for part in remote_parts:
-                produced.append(
-                    self._fetch_semijoined(plan, part, binding_source, cache_parts)
-                )
-            return self._combine(produced, plan)
-
-        if self.parallel and remote_parts and cache_parts:
+            run_remote()
+        elif self.parallel and remote is not None and cache_parts:
             with self.tracer.span(
                 "executor.parallel_tracks", view=plan.query.name
             ) as span:
@@ -707,20 +667,26 @@ class ExecutionMonitor:
             parents=tuple(dict.fromkeys(parents)),
         )
 
-    # -- semijoin reduction ---------------------------------------------------------
-    def _fetch_semijoined(
+    # -- the plan's remote part ------------------------------------------------------
+    def _fetch_remote(
         self,
         plan: QueryPlan,
         part: RemotePart,
         binding_source: list[Relation],
         cache_parts: list,
     ) -> Relation:
-        """Fetch one remote part reduced by bindings from the cache track.
+        """Fetch the plan's remote part: a concurrent session's identical
+        round trip if the MQO registry holds one, else a fetch reduced by
+        whatever bindings the cache track (``binding_source``) yields,
+        published to the registry and registered as an intermediate.
 
         An empty binding set proves the combine-stage join empty, so the
         round trip is skipped entirely (zero requests) and an empty part
         relation is produced instead.
         """
+        shared = self._shared_subplan(part)
+        if shared is not None:
+            return label_part(shared, part.columns, "remote")
         bindings: dict[str, tuple[object, ...]] = {}
         applied: list[tuple[object, int]] = []  # (spec, binding source index)
         for spec in part.bind_columns:
@@ -743,6 +709,7 @@ class ExecutionMonitor:
             applied.append((spec, source_index))
         started = self.clock.now
         relation = self.rdi.fetch(part.sub_query, bindings=bindings or None)
+        self._publish_subplan(part, relation)
         self._register_semijoin_fetch(
             plan,
             part,

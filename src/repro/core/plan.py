@@ -2,11 +2,15 @@
 
 A plan "consists of a partially ordered set of subqueries where each
 subquery is designated for execution by either the Cache Manager or by the
-remote DBMS".  Here the partial order has two levels: all **parts** (cache
-derivations and at most one remote fetch) are mutually independent — the
-Execution Monitor runs them in one parallel region — followed by the
-**combine** stage (join + residual conditions + projection) on the
-workstation.
+remote DBMS".  Here a plan has any number of cache derivations and **at
+most one** remote sub-query (:meth:`QueryPlan.check_invariants` enforces
+it; the Execution Monitor has one route for that part).  The partial
+order has two levels: the **parts** are mutually independent and run in
+one parallel region — unless the remote part is semijoin-reduced, in which
+case the cache parts run first and feed it their binding values — followed
+by the **combine** stage (join + residual conditions + projection) on the
+workstation.  An exact plan has no parts: it carries the cache element
+whose stored relation is the answer.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from repro.relational.expressions import Comparison
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.psj import ConstProj, PSJQuery
+from repro.core.cache import CacheElement
 from repro.core.subsumption import SubsumptionMatch
 
 
@@ -134,11 +139,6 @@ class RemotePart:
     #: from cache parts and ship as IN-lists.  Empty = unreduced fetch.
     bind_columns: tuple[BindingSpec, ...] = ()
 
-    @property
-    def semijoin(self) -> bool:
-        """True when this fetch is semijoin-reduced by shipped bindings."""
-        return bool(self.bind_columns)
-
 
 PlanPart = CachePart | RemotePart
 
@@ -151,8 +151,10 @@ class QueryPlan:
     #: One of: exact, cache-full, hybrid, remote, unsatisfiable, unit.
     strategy: str
     parts: tuple[PlanPart, ...] = ()
-    #: For exact / cache-full strategies: the match to derive from.
+    #: Cache-full strategy: the match to derive from.
     full_match: SubsumptionMatch | None = None
+    #: Exact strategy: the element whose stored relation *is* the answer.
+    exact_element: CacheElement | None = None
     #: Conditions spanning parts, applied at the combine stage.
     cross_conditions: tuple[Comparison, ...] = ()
     #: Evaluate lazily (only legal when nothing remote is involved).
@@ -186,8 +188,11 @@ class QueryPlan:
         return any(isinstance(p, RemotePart) for p in self.parts)
 
     def cache_elements(self):
-        """Every cache element this plan reads (full match + cache parts)."""
+        """Every cache element this plan reads (exact element, full match,
+        cache parts)."""
         elements = []
+        if self.exact_element is not None:
+            elements.append(self.exact_element)
         if self.full_match is not None:
             elements.append(self.full_match.element)
         for part in self.parts:
@@ -202,8 +207,9 @@ class QueryPlan:
         plan could not possibly execute correctly: an occurrence of the
         query left uncovered by any part, a part claiming a tag the query
         does not have, a missing epoch stamp on a plan that reads the
-        cache, a lazy plan that touches the remote DBMS, or a semijoin
-        binding whose source column no cache part exposes.
+        cache, an exact plan without its element, a lazy plan that touches
+        the remote DBMS, a second remote part, or a semijoin binding whose
+        source column no cache part exposes.
         """
         from repro.common.errors import InvariantViolation
 
@@ -214,6 +220,10 @@ class QueryPlan:
             if self.strategy == "cache-full" and self.full_match is None:
                 raise InvariantViolation(
                     f"cache-full plan for {self.query.name} has no full match"
+                )
+            if self.strategy == "exact" and self.exact_element is None:
+                raise InvariantViolation(
+                    f"exact plan for {self.query.name} carries no element"
                 )
             if self.epoch < 0:
                 raise InvariantViolation(
@@ -243,6 +253,10 @@ class QueryPlan:
         if self.lazy and self.touches_remote:
             raise InvariantViolation(
                 f"lazy plan for {self.query.name} touches the remote DBMS"
+            )
+        if sum(isinstance(p, RemotePart) for p in self.parts) > 1:
+            raise InvariantViolation(
+                f"plan for {self.query.name} has more than one remote part"
             )
         reads_cache = any(isinstance(p, CachePart) for p in self.parts)
         if reads_cache and self.epoch < 0:
@@ -286,24 +300,3 @@ class QueryPlan:
             else f"remote:{p.sub_query.name}" + ("+semijoin" if p.bind_columns else "")
             for p in self.parts
         ]
-
-    def describe(self) -> str:
-        """A readable multi-line rendering of the plan."""
-        lines = [f"plan[{self.strategy}] for {self.query.name}"]
-        for part in self.parts:
-            if isinstance(part, CachePart):
-                lines.append(f"  cache: {part.match}")
-            else:
-                lines.append(f"  remote: {part.sub_query}")
-                for spec in part.bind_columns:
-                    lines.append(
-                        f"    semijoin: {spec.remote_column} IN bindings of "
-                        f"{spec.cache_column} (~{spec.estimated_values:.0f} values)"
-                    )
-        if self.full_match is not None:
-            lines.append(f"  derive-from: {self.full_match}")
-        if self.lazy:
-            lines.append("  lazy evaluation")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)

@@ -246,6 +246,7 @@ class QueryPlanner:
                 return QueryPlan(
                     query,
                     "exact",
+                    exact_element=exact,
                     cache_result=False,  # already cached
                     lazy=False,
                     notes=exact_notes,

@@ -157,16 +157,9 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
     if plan.full_match is not None:
         parts = (f"cache:{plan.full_match.element.element_id}",) + parts
 
-    plan_elements = list(plan.cache_elements())
-    if plan.strategy == "exact" and not plan_elements:
-        # An exact plan carries no match (the executor re-probes); resolve
-        # the element the same way it will.
-        exact = cms.cache.lookup_exact(psj)
-        if exact is not None:
-            plan_elements.append(exact)
     seen_ids: set[str] = set()
     efficacy = []
-    for element in plan_elements:
+    for element in plan.cache_elements():
         if element.element_id in seen_ids:
             continue
         seen_ids.add(element.element_id)

@@ -48,6 +48,11 @@ from repro.caql.translate import sql_from_psj
 
 T = TypeVar("T")
 
+#: Tuples per buffer the RDI asks the server to stream back ("buffers the
+#: data returned by the DBMS prior to passing buffer control to the Cache
+#: Manager").
+BUFFER_SIZE = 64
+
 
 def canonical_bindings(
     bindings: dict[str, tuple[object, ...]] | None,
@@ -92,11 +97,9 @@ class RemoteInterface:
     def __init__(
         self,
         server: RemoteDBMS,
-        buffer_size: int = 64,
         retry: RetryPolicy | None = None,
     ):
         self._server = server
-        self._buffer_size = buffer_size
         self._schema_cache: dict[str, Schema] = {}
         self._statistics_cache: dict[str, RelationStatistics] = {}
         self._retry = retry if retry is not None else RetryPolicy()
@@ -124,11 +127,6 @@ class RemoteInterface:
     def breaker(self) -> CircuitBreaker:
         """The link's circuit breaker (observable state for tests/planner)."""
         return self._breaker
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The active client-side resilience policy."""
-        return self._retry
 
     def remote_available(self) -> bool:
         """Planner hook: would a remote request be allowed right now?"""
@@ -255,15 +253,6 @@ class RemoteInterface:
         """
         return None
 
-    def estimate_cost(self, tuples_touched: float, tuples_shipped: float) -> float:
-        """Planner hook: simulated seconds a remote request would cost.
-
-        Fractional estimates flow through unchanged — truncating them to
-        ints made sub-tuple estimates look free and biased the planner
-        toward remote execution for small queries.
-        """
-        return self._server.network.request_cost(tuples_touched, tuples_shipped)
-
     # -- resilience ---------------------------------------------------------------------
     def _attempt_fetch(self, request: DMLRequest) -> tuple[list[tuple], Schema]:
         """One attempt: issue the request and drain the stream, metering the
@@ -271,7 +260,7 @@ class RemoteInterface:
         network = self._server.network
         timeout = self._retry.timeout_seconds
         start = network.charged_seconds
-        stream = self._server.execute_stream(request, self._buffer_size)
+        stream = self._server.execute_stream(request, BUFFER_SIZE)
         return self._drain(stream, start, timeout), stream.schema
 
     def _attempt_fetch_batch(
@@ -282,7 +271,7 @@ class RemoteInterface:
         network = self._server.network
         timeout = self._retry.timeout_seconds
         start = network.charged_seconds
-        streams = self._server.execute_batch(requests, self._buffer_size)
+        streams = self._server.execute_batch(requests, BUFFER_SIZE)
         return [
             (self._drain(stream, start, timeout), stream.schema)
             for stream in streams

@@ -77,11 +77,6 @@ class SubsumptionMatch:
     #: For full matches: the query's projection over element attributes.
     projection: tuple[object, ...] | None = None
 
-    @property
-    def exact(self) -> bool:
-        """True when no remainder work is needed beyond projection."""
-        return self.is_full and not self.residual_conditions
-
     def available(self) -> dict[str, str]:
         """query column -> element attribute, as a dict."""
         return dict(self.column_map)

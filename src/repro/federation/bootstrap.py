@@ -67,7 +67,6 @@ class Federation:
         metrics: Metrics,
         tracer,
         profile: CostProfile,
-        buffer_size: int = 64,
     ):
         self.catalog = catalog
         self.interface = interface
@@ -78,12 +77,6 @@ class Federation:
         self.tracer = tracer
         #: Workstation-side profile (cache work, local joins).
         self.profile = profile
-        self._buffer_size = buffer_size
-
-    @property
-    def slo(self):
-        """The interface's per-backend SLO monitor (None when unset)."""
-        return self.interface.slo
 
     # -- backends ---------------------------------------------------------------
     def backends(self) -> list[str]:
@@ -104,11 +97,6 @@ class Federation:
         the differential runner drives)."""
         for name in self.catalog.backends():
             self.catalog.backend(name).set_fault_policy(faults)
-
-    def refresh_statistics(self) -> None:
-        """Re-sync every backend's catalog statistics with its engine."""
-        for name in self.catalog.backends():
-            self.catalog.backend(name).refresh_statistics()
 
     # -- clients ----------------------------------------------------------------
     def cms(
@@ -142,7 +130,6 @@ class Federation:
         clean comparison build a second federation from the same specs)."""
         unreduced = FederatedInterface(
             self.catalog,
-            buffer_size=self._buffer_size,
             metrics=self.metrics,
             tracer=self.tracer,
             local_profile=self.profile,
@@ -157,7 +144,6 @@ def build_federation(
     metrics: Metrics | None = None,
     tracer=None,
     profile: CostProfile | None = None,
-    buffer_size: int = 64,
     slo_policy=None,
 ) -> Federation:
     """Wire up servers, catalog, and interface from backend specs.
@@ -207,13 +193,10 @@ def build_federation(
         slo = SLOMonitor(slo_policy, clock, metrics, tracer)
     interface = FederatedInterface(
         catalog,
-        buffer_size=buffer_size,
         retries=retries,
         metrics=metrics,
         tracer=tracer,
         local_profile=profile,
         slo=slo,
     )
-    return Federation(
-        catalog, interface, clock, metrics, tracer, profile, buffer_size
-    )
+    return Federation(catalog, interface, clock, metrics, tracer, profile)

@@ -47,23 +47,6 @@ class FederatedCatalog:
         for table in server.catalog.tables():
             self._home[table] = name
 
-    def rescan(self) -> None:
-        """Re-discover table ownership after backend-side DDL.
-
-        Tables loaded into a backend *after* :meth:`register` become
-        routable; a table claimed by two backends raises ``ValueError``.
-        """
-        home: dict[str, str] = {}
-        for name in sorted(self._backends):
-            for table in self._backends[name].catalog.tables():
-                owner = home.get(table)
-                if owner is not None:
-                    raise ValueError(
-                        f"table {table!r} owned by both {owner!r} and {name!r}"
-                    )
-                home[table] = name
-        self._home = home
-
     # -- lookups ---------------------------------------------------------------
     def home_of(self, table: str) -> str:
         """Name of the backend owning ``table``; raises when unowned."""
@@ -71,10 +54,6 @@ class FederatedCatalog:
             return self._home[table]
         except KeyError:
             raise UnknownRelationError(table) from None
-
-    def server_of(self, table: str) -> RemoteDBMS:
-        """The backend server owning ``table``."""
-        return self._backends[self.home_of(table)]
 
     def backend(self, name: str) -> RemoteDBMS:
         """The backend server registered under ``name``."""
@@ -90,12 +69,3 @@ class FederatedCatalog:
     def has(self, table: str) -> bool:
         """True when some backend owns ``table``."""
         return table in self._home
-
-    def tables(self) -> list[str]:
-        """Every owned table name, sorted."""
-        return sorted(self._home)
-
-    def tables_of(self, name: str) -> list[str]:
-        """Tables owned by backend ``name``, sorted."""
-        self.backend(name)
-        return sorted(t for t, owner in self._home.items() if owner == name)

@@ -37,7 +37,6 @@ from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import RemoteDBMSError, UnknownRelationError
 from repro.common.metrics import CACHE_TUPLES_PROCESSED, Metrics
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery, parse_column
@@ -71,7 +70,6 @@ class FederatedInterface:
     def __init__(
         self,
         catalog: FederatedCatalog,
-        buffer_size: int = 64,
         retries: dict[str, RetryPolicy] | None = None,
         default_retry: RetryPolicy | None = None,
         metrics: Metrics | None = None,
@@ -118,9 +116,7 @@ class FederatedInterface:
         #: breaker (tagged with the backend name in traces).
         self.links: dict[str, RemoteInterface] = {
             name: RemoteInterface(
-                catalog.backend(name),
-                buffer_size,
-                retries.get(name, default_retry),
+                catalog.backend(name), retries.get(name, default_retry)
             )
             for name in backends
         }
@@ -130,36 +126,19 @@ class FederatedInterface:
         """The resilient link to the backend owning ``table``."""
         return self.links[self.catalog.home_of(table)]
 
-    def breaker_of(self, backend: str):
-        """The named backend's circuit breaker (observability/tests)."""
-        return self.links[backend].breaker
-
     def remote_available(self) -> bool:
         """Planner hook: at least one backend would accept a request."""
         return any(
             self.links[name].remote_available() for name in self.catalog.backends()
         )
 
-    def schema_of(self, table: str) -> Schema:
-        return self.link_for(table).schema_of(table)
-
     def statistics_of(self, table: str) -> RelationStatistics:
         return self.link_for(table).statistics_of(table)
-
-    def has_table(self, table: str) -> bool:
-        return self.catalog.has(table)
 
     def cost_profile_of(self, table: str) -> tuple[str, CostProfile]:
         """Planner hook: home backend name and cost profile of ``table``."""
         name = self.catalog.home_of(table)
         return name, self.catalog.backend(name).profile
-
-    def estimate_cost(self, tuples_touched: float, tuples_shipped: float) -> float:
-        """Conservative planner estimate: the most expensive backend."""
-        return max(
-            self.links[name].estimate_cost(tuples_touched, tuples_shipped)
-            for name in self.catalog.backends()
-        )
 
     # -- partitioning -----------------------------------------------------------
     def partition(self, psj: PSJQuery) -> list[FederatedPart]:

@@ -14,10 +14,6 @@ from repro.ie.problem_graph import (
     USER,
     AndNode,
     OrNode,
-    database_leaves,
-    iter_and_nodes,
-    iter_or_nodes,
-    render,
 )
 from repro.ie.shaper import shape
 from repro.ie.strategies import (
@@ -53,14 +49,10 @@ __all__ = [
     "UNKNOWN",
     "USER",
     "create_path_expression",
-    "database_leaves",
     "extract_problem_graph",
     "flatten_graph",
     "generate_advice",
-    "iter_and_nodes",
-    "iter_or_nodes",
     "minimal_argument_set",
-    "render",
     "shape",
     "simplest_advice",
     "specifier_config_for",

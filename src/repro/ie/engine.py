@@ -77,10 +77,6 @@ class Solutions:
         """Every solution, fully enumerated."""
         return list(self)
 
-    def exists(self) -> bool:
-        """True when at least one solution exists (computes at most one)."""
-        return self.first() is not None
-
 
 class InferenceEngine:
     """A logic-based AI system tailored for DBMS use."""

@@ -58,41 +58,5 @@ class OrNode:
     alternatives: list[AndNode] = field(default_factory=list)
     node_id: int = field(default_factory=lambda: next(_node_counter))
 
-    @property
-    def is_leaf(self) -> bool:
-        """True for database/built-in/recursive-ref/unknown nodes."""
-        return self.kind in (DATABASE, BUILTIN, RECURSIVE_REF, UNKNOWN)
-
     def __str__(self) -> str:
         return f"OR[{self.kind}] {self.goal}"
-
-
-def iter_and_nodes(root: OrNode):
-    """Every AND node in the graph, preorder."""
-    for alternative in root.alternatives:
-        yield alternative
-        for child in alternative.body:
-            yield from iter_and_nodes(child)
-
-
-def iter_or_nodes(root: OrNode):
-    """Every OR node in the graph, preorder (including the root)."""
-    yield root
-    for alternative in root.alternatives:
-        for child in alternative.body:
-            yield from iter_or_nodes(child)
-
-
-def database_leaves(root: OrNode) -> list[OrNode]:
-    """All database-relation leaves, left to right."""
-    return [node for node in iter_or_nodes(root) if node.kind == DATABASE]
-
-
-def render(root: OrNode, indent: int = 0) -> str:
-    """A readable tree dump (debugging aid)."""
-    lines = [" " * indent + str(root)]
-    for alternative in root.alternatives:
-        lines.append(" " * (indent + 2) + str(alternative))
-        for child in alternative.body:
-            lines.append(render(child, indent + 4))
-    return "\n".join(lines)

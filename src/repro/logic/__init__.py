@@ -1,12 +1,11 @@
 """Logic substrate: terms, unification, parsing, knowledge bases, SOAs."""
 
 from repro.logic.builtins import DEFAULT_BUILTINS, BuiltinRegistry
-from repro.logic.kb import KnowledgeBase, knowledge_base_from_source
+from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import (
     Clause,
     parse_atom,
     parse_clause,
-    parse_literals,
     parse_program,
 )
 from repro.logic.soa import (
@@ -25,7 +24,7 @@ from repro.logic.terms import (
     fresh_var,
     rename_apart,
 )
-from repro.logic.unify import instance_of, match_one_way, unify, unify_terms, variant
+from repro.logic.unify import unify, unify_terms
 
 __all__ = [
     "Atom",
@@ -43,15 +42,10 @@ __all__ = [
     "Term",
     "Var",
     "fresh_var",
-    "instance_of",
-    "knowledge_base_from_source",
-    "match_one_way",
     "parse_atom",
     "parse_clause",
-    "parse_literals",
     "parse_program",
     "rename_apart",
     "unify",
     "unify_terms",
-    "variant",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.common.errors import KnowledgeBaseError
 from repro.logic.builtins import DEFAULT_BUILTINS, BuiltinRegistry
@@ -203,18 +203,3 @@ class KnowledgeBase:
                         f"{positive.pred}/{positive.arity}"
                     )
         return problems
-
-
-def knowledge_base_from_source(
-    rules: str,
-    database: Iterable[Signature] = (),
-    soas: Iterable[MutualExclusion | FunctionalDependency | RecursiveStructure] = (),
-) -> KnowledgeBase:
-    """Convenience constructor: declare database relations, then parse rules."""
-    kb = KnowledgeBase()
-    for pred, arity in database:
-        kb.declare_database(pred, arity)
-    kb.add_rules(rules)
-    for soa in soas:
-        kb.add_soa(soa)
-    return kb

@@ -219,17 +219,3 @@ def parse_atom(text: str) -> Atom:
     if not parser.at_end():
         raise ParseError("trailing input after atom", text=text)
     return atom
-
-
-def parse_literals(text: str) -> list[Atom]:
-    """Parse a comma-separated conjunction of literals (a query body)."""
-    parser = _Parser(text)
-    literals = [parser.parse_literal()]
-    while parser._at("PUNCT", ","):
-        parser._next()
-        literals.append(parser.parse_literal())
-    if parser._at("PUNCT", "."):
-        parser._next()
-    if not parser.at_end():
-        raise ParseError("trailing input after literals", text=text)
-    return literals

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import KnowledgeBaseError
-from repro.logic.terms import Atom, Const, Substitution
+from repro.logic.terms import Atom, Substitution
 from repro.logic.unify import unify
 
 
@@ -101,18 +101,6 @@ class FunctionalDependency:
         if set(self.determinants) & set(self.dependents):
             raise KnowledgeBaseError("FD determinant and dependent positions overlap")
 
-    def key_bound(self, atom: Atom) -> bool:
-        """True when every determinant position of ``atom`` is a constant."""
-        if atom.signature != (self.pred, self.arity):
-            return False
-        return all(isinstance(atom.args[i], Const) for i in self.determinants)
-
-    def determined_positions(self, atom: Atom) -> tuple[int, ...]:
-        """Dependent positions that become single-valued once the key is bound."""
-        if not self.key_bound(atom):
-            return ()
-        return self.dependents
-
     def __str__(self) -> str:
         det = ",".join(str(i) for i in self.determinants)
         dep = ",".join(str(i) for i in self.dependents)
@@ -174,14 +162,6 @@ class SOARegistry:
             if rs.closure_pred == pred:
                 return rs
         return None
-
-    def exclusions_mentioning(self, pred: str) -> list[MutualExclusion]:
-        """Mutual exclusions with an alternative on ``pred``."""
-        return [
-            me
-            for me in self.mutual_exclusions
-            if any(alt.pred == pred for alt in me.alternatives)
-        ]
 
     def exclusive_pair(self, a: Atom, b: Atom) -> bool:
         """True when some mutual-exclusion SOA covers both goals."""

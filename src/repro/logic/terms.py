@@ -60,12 +60,6 @@ def fresh_var(hint: str = "") -> Var:
     return Var(f"_G{hint}{next(_fresh_counter)}")
 
 
-def reset_fresh_counter() -> None:
-    """Restart fresh-variable numbering (tests only; not thread safe)."""
-    global _fresh_counter
-    _fresh_counter = itertools.count(1)
-
-
 @dataclass(frozen=True, slots=True)
 class Atom:
     """An atomic formula ``pred(t1, ..., tn)``.
@@ -95,10 +89,6 @@ class Atom:
     def variables(self) -> set[Var]:
         """The set of variables occurring in the atom."""
         return {t for t in self.args if isinstance(t, Var)}
-
-    def constants(self) -> set[Const]:
-        """The set of constants occurring in the atom."""
-        return {t for t in self.args if isinstance(t, Const)}
 
     def is_ground(self) -> bool:
         """True when no argument is a variable."""
@@ -186,15 +176,6 @@ class Substitution(Mapping[Var, Term]):
     def apply_term(self, term: Term) -> Term:
         """Resolve a single term through the substitution."""
         return self.resolve(term) if isinstance(term, Var) else term
-
-    def compose(self, other: "Substitution") -> "Substitution":
-        """The substitution equivalent to applying ``self`` then ``other``."""
-        merged: dict[Var, Term] = {}
-        for var, term in self._map.items():
-            merged[var] = other.apply_term(term)
-        for var, term in other._map.items():
-            merged.setdefault(var, term)
-        return Substitution(merged)
 
     def restricted(self, variables: Iterable[Var]) -> "Substitution":
         """Only the bindings for the given variables."""

@@ -1,21 +1,17 @@
-"""Unification and one-directional (subsumption) matching.
+"""Unification, which drives the IE's resolution steps.
 
-Two flavours are needed by the paper:
-
-* full **unification** (:func:`unify`) drives the IE's resolution steps; and
-* **one-directional matching** (:func:`match_one_way`), the operation the
-  CMS uses when checking whether a cache element can subsume a query
-  (Section 5.3.2): "a constant in the predicate in the subquery can match
-  with the same constant or a variable at the corresponding position in the
-  predicate in the cache element, but a variable can only match with a
-  variable".
+The CMS's one-directional matching of Section 5.3.2 ("a constant in the
+predicate in the subquery can match with the same constant or a variable
+at the corresponding position in the predicate in the cache element, but a
+variable can only match with a variable") is decided on PSJ form, by
+:mod:`repro.core.subsumption`, not on atoms.
 
 The language is function-free so no occurs check is required.
 """
 
 from __future__ import annotations
 
-from repro.logic.terms import Atom, Const, Substitution, Term, Var
+from repro.logic.terms import Atom, Substitution, Term, Var
 
 
 def unify_terms(a: Term, b: Term, subst: Substitution) -> Substitution | None:
@@ -48,61 +44,3 @@ def unify(a: Atom, b: Atom, subst: Substitution | None = None) -> Substitution |
             return None
         subst = result
     return subst
-
-
-def match_one_way(general: Atom, specific: Atom, subst: Substitution | None = None) -> Substitution | None:
-    """Match ``general`` (cache-element predicate) against ``specific`` (query).
-
-    Bindings flow only from ``general``'s variables to ``specific``'s terms:
-
-    * a variable in ``general`` may match any term of ``specific``
-      (consistently across repeated occurrences);
-    * a constant in ``general`` matches only the identical constant.
-
-    This makes the returned substitution a witness that ``general``
-    *subsumes* ``specific`` positionally: every instance of ``specific``
-    is an instance of ``general``.
-    """
-    if general.pred != specific.pred or general.arity != specific.arity:
-        return None
-    if general.negated != specific.negated:
-        return None
-    # The two atoms live in separate variable namespaces (a cache-element
-    # definition vs a query), so the mapping must be kept raw: binding a
-    # general variable to a specific term must NOT dereference that term
-    # through earlier bindings, or shared variable names would collide.
-    mapping: dict[Var, Term] = dict(subst) if subst is not None else {}
-    for g, s in zip(general.args, specific.args):
-        if isinstance(g, Const):
-            if not isinstance(s, Const) or g.value != s.value:
-                return None
-            continue
-        if g in mapping:
-            # Repeated general variable: must agree exactly with s.
-            if mapping[g] != s:
-                return None
-        else:
-            mapping[g] = s
-    return Substitution(mapping)
-
-
-def instance_of(specific: Atom, general: Atom) -> bool:
-    """True when ``specific`` is an instance of ``general``."""
-    return match_one_way(general, specific) is not None
-
-
-def variant(a: Atom, b: Atom) -> bool:
-    """True when the atoms are equal up to variable renaming."""
-    forward = match_one_way(a, b)
-    if forward is None:
-        return False
-    backward = match_one_way(b, a)
-    if backward is None:
-        return False
-    # Both directions must be injective on variables to be a renaming.
-    return _injective(forward) and _injective(backward)
-
-
-def _injective(subst: Substitution) -> bool:
-    values = list(subst.values())
-    return all(isinstance(v, Var) for v in values) and len(values) == len(set(values))

@@ -3,8 +3,8 @@
 * :class:`~repro.obs.tracer.Tracer` — hierarchical spans and events
   stamped with simulated time; :meth:`Tracer.disabled` is the zero-cost
   opt-out every component defaults to.
-* :mod:`repro.obs.export` — canonical JSONL, Chrome trace-event format,
-  and SHA-256 trace fingerprints (same seed → same bytes).
+* :mod:`repro.obs.export` — canonical JSONL and SHA-256 trace
+  fingerprints (same seed → same bytes).
 * :mod:`repro.obs.telemetry` — fixed-cadence time-series sampling of the
   metrics ledger (counter deltas, gauges, histogram percentiles).
 * :mod:`repro.obs.profile` — trace-driven critical-path profiler
@@ -16,11 +16,8 @@
 """
 
 from repro.obs.export import (
-    chrome_trace,
     jsonl_trace,
     trace_fingerprint,
-    write_chrome,
-    write_jsonl,
 )
 from repro.obs.profile import PHASES, QueryProfile, TraceProfile, profile_trace
 from repro.obs.regress import RegressionReport, compare, make_baseline
@@ -45,7 +42,6 @@ __all__ = [
     "TelemetrySample",
     "TraceProfile",
     "Tracer",
-    "chrome_trace",
     "compare",
     "dump_series",
     "jsonl_trace",
@@ -53,6 +49,4 @@ __all__ = [
     "make_baseline",
     "profile_trace",
     "trace_fingerprint",
-    "write_chrome",
-    "write_jsonl",
 ]

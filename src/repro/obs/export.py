@@ -1,6 +1,6 @@
-"""Trace exporters: JSONL, Chrome trace-event format, and fingerprints.
+"""Trace exporters: JSONL and fingerprints.
 
-All three are **canonical**: attribute keys are sorted, JSON is emitted
+Both are **canonical**: attribute keys are sorted, JSON is emitted
 with a fixed separator style, and nothing derived from wall time or
 object identity is ever written.  Two same-seed runs therefore export
 byte-identical traces, and :func:`trace_fingerprint` (SHA-256 over the
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable
 
 
 def _json_safe(value: object) -> object:
@@ -68,12 +67,6 @@ def jsonl_trace(tracer) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_jsonl(tracer, path) -> None:
-    """Write the JSONL trace to ``path`` (a str or Path)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(jsonl_trace(tracer))
-
-
 def trace_fingerprint(tracer) -> str:
     """SHA-256 over the canonical JSONL export.
 
@@ -81,92 +74,3 @@ def trace_fingerprint(tracer) -> str:
     runs diverged somewhere, and the JSONL diff says exactly where.
     """
     return hashlib.sha256(jsonl_trace(tracer).encode()).hexdigest()
-
-
-# -- Chrome trace-event format -----------------------------------------------------
-
-#: Simulated seconds are scaled to microseconds for chrome://tracing.
-_US = 1_000_000
-
-
-def _tid_mapping(spans: Iterable) -> dict[str, int]:
-    """Stable session-name → thread-id mapping (sorted names, tid 1+)."""
-    names = sorted(
-        {
-            str(span.attributes["session"])
-            for span in spans
-            if span.attributes.get("session")
-        }
-    )
-    return {name: index + 1 for index, name in enumerate(names)}
-
-
-def chrome_trace(tracer) -> str:
-    """The trace in Chrome trace-event format (load in chrome://tracing
-    or Perfetto).  Spans become complete ("X") events on a per-session
-    thread lane; span events become instants ("i")."""
-    tids = _tid_mapping(tracer.spans)
-    records: list[dict] = [
-        {
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": "braid (simulated time)"},
-        }
-    ]
-    for name, tid in tids.items():
-        records.append(
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": f"session {name}"},
-            }
-        )
-    for span in tracer.spans:
-        tid = tids.get(str(span.attributes.get("session", "")), 0)
-        end = span.end if span.end is not None else span.start
-        records.append(
-            {
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "name": span.name,
-                "ts": span.start * _US,
-                "dur": (end - span.start) * _US,
-                "args": {k: _json_safe(v) for k, v in span.attributes.items()},
-            }
-        )
-        for event in span.events:
-            records.append(
-                {
-                    "ph": "i",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": event.name,
-                    "ts": event.time * _US,
-                    "s": "t",
-                    "args": {k: _json_safe(v) for k, v in event.attributes},
-                }
-            )
-    for event in tracer.orphan_events:
-        records.append(
-            {
-                "ph": "i",
-                "pid": 1,
-                "tid": 0,
-                "name": event.name,
-                "ts": event.time * _US,
-                "s": "g",
-                "args": {k: _json_safe(v) for k, v in event.attributes},
-            }
-        )
-    return _dumps({"traceEvents": records, "displayTimeUnit": "ms"})
-
-
-def write_chrome(tracer, path) -> None:
-    """Write the Chrome trace-event export to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chrome_trace(tracer))

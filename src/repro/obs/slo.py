@@ -165,11 +165,3 @@ class SLOMonitor:
                 entry[f"breach_p{percentile}"] = self.in_breach(scope, percentile)
             out[scope] = entry
         return out
-
-    def overall(self) -> Histogram:
-        """All scopes' current windows merged into one histogram
-        (:meth:`Histogram.merge` keeps the order deterministic)."""
-        merged = Histogram()
-        for scope in sorted(self._windows):
-            merged.merge(self._windows[scope].histogram())
-        return merged

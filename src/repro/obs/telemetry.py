@@ -182,10 +182,6 @@ class MetricsSampler:
         self._next_due = self._boundary_after(now)
         return self._take(due=due, label="")
 
-    def sample_now(self, label: str = "forced") -> TelemetrySample:
-        """Take an out-of-cadence sample right now (e.g. a final flush)."""
-        return self._take(due=self.clock.now, label=label)
-
     def _take(self, due: float, label: str) -> TelemetrySample:
         counters, gauges = _split_gauges(self.metrics.snapshot())
         scopes: dict[str, dict[str, dict[str, float]]] = {}
@@ -228,11 +224,6 @@ class MetricsSampler:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSONL export."""
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
-
-    def write(self, path) -> None:
-        """Write the JSONL series to ``path`` (a str or Path)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
 
 
 def dump_series(header: dict, samples: list[TelemetrySample]) -> str:

@@ -42,9 +42,6 @@ class SpanEvent:
     name: str
     attributes: tuple[tuple[str, object], ...] = ()
 
-    def attributes_dict(self) -> dict[str, object]:
-        return dict(self.attributes)
-
 
 @dataclass
 class Span:
@@ -70,15 +67,6 @@ class Span:
         self.events.append(
             SpanEvent(time, name, tuple(sorted(attributes.items())))
         )
-
-    @property
-    def duration(self) -> float:
-        """Simulated seconds between start and end (0 while open)."""
-        return (self.end - self.start) if self.end is not None else 0.0
-
-    @property
-    def closed(self) -> bool:
-        return self.end is not None
 
     # -- context manager ----------------------------------------------------------
     def __enter__(self) -> "Span":
@@ -112,8 +100,6 @@ class _NullSpan:
 
     attributes: dict[str, object] = {}
     events: tuple = ()
-    duration = 0.0
-    closed = True
 
     def set(self, key: str, value: object) -> "_NullSpan":
         return self
@@ -146,20 +132,9 @@ class _DisabledTracer:
     def event(self, name: str, **attributes: object) -> None:
         pass
 
-    def current(self) -> None:
-        return None
-
-    def reset(self) -> None:
-        pass
-
     # Exports of nothing, so callers need no special-casing.
     def to_jsonl(self) -> str:
         return ""
-
-    def to_chrome(self) -> str:
-        from repro.obs.export import chrome_trace
-
-        return chrome_trace(self)
 
     def fingerprint(self) -> str:
         from repro.obs.export import trace_fingerprint
@@ -220,27 +195,11 @@ class Tracer:
                 SpanEvent(self.clock.now, name, tuple(sorted(attributes.items())))
             )
 
-    def current(self) -> Span | None:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
-
-    def reset(self) -> None:
-        """Drop every recorded span and event (open spans included)."""
-        self.spans.clear()
-        self.orphan_events.clear()
-        self._stack.clear()
-        self._ids = itertools.count(1)
-
     # -- exports (delegated, so the formats live in one module) -------------------
     def to_jsonl(self) -> str:
         from repro.obs.export import jsonl_trace
 
         return jsonl_trace(self)
-
-    def to_chrome(self) -> str:
-        from repro.obs.export import chrome_trace
-
-        return chrome_trace(self)
 
     def fingerprint(self) -> str:
         from repro.obs.export import trace_fingerprint

@@ -33,7 +33,6 @@ from repro.qa.invariants import (
     audit,
     audit_cms,
     audit_stream,
-    collect_violations,
 )
 from repro.qa.shrink import (
     ShrinkResult,
@@ -65,7 +64,6 @@ __all__ = [
     "audit",
     "audit_cms",
     "audit_stream",
-    "collect_violations",
     "ShrinkResult",
     "load_repro",
     "replay",

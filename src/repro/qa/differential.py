@@ -134,10 +134,6 @@ class FuzzReport:
     reports: list[CaseReport] = field(default_factory=list)
     corpus_fingerprint: str = ""
 
-    @property
-    def clean(self) -> bool:
-        return not self.failed_cases
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

@@ -16,8 +16,8 @@ an internal consistency property is broken:
   non-finite counters, recursive over session scopes.
 
 This module only *aggregates*: it walks a CMS (or any collection of
-auditable objects) and either raises on the first violation or collects
-every violation message for reporting.  The differential runner calls
+auditable objects) and raises on the first violation.  The differential
+runner calls
 :func:`audit_cms` and :func:`audit_stream` after every query.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "audit",
     "audit_cms",
     "audit_stream",
-    "collect_violations",
 ]
 
 
@@ -53,18 +52,3 @@ def audit_cms(cms) -> None:
 def audit_stream(stream) -> None:
     """Audit one result stream.  Raises :class:`InvariantViolation`."""
     audit(stream)
-
-
-def collect_violations(*objects) -> list[str]:
-    """Like :func:`audit`, but returns every violation message instead of
-    raising — each object is checked even when an earlier one failed."""
-    violations: list[str] = []
-    for obj in objects:
-        hook = getattr(obj, "check_invariants", None)
-        if hook is None:
-            continue
-        try:
-            hook()
-        except InvariantViolation as violation:
-            violations.append(str(violation))
-    return violations

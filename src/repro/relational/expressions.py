@@ -29,9 +29,6 @@ _OPS: dict[str, Callable[[object, object], bool]] = {
 #: Operator with both sides swapped (for normalization).
 FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
-#: The negation of each operator.
-NEGATED = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
-
 
 @dataclass(frozen=True, slots=True)
 class Col:
@@ -82,10 +79,6 @@ class Comparison:
             return Comparison(right, FLIPPED[self.op], left)
         return self
 
-    def negated(self) -> "Comparison":
-        """The logically complementary condition."""
-        return Comparison(self.left, NEGATED[self.op], self.right)
-
     def columns(self) -> set[str]:
         """The column names this condition references."""
         cols = set()
@@ -103,10 +96,6 @@ class Comparison:
     def is_col_col(self) -> bool:
         """True for a condition between two columns."""
         return isinstance(self.left, Col) and isinstance(self.right, Col)
-
-    def compile(self, schema: Schema) -> Callable[[tuple], bool]:
-        """A fast row predicate bound to attribute positions of ``schema``."""
-        return compile_conjunction([self], schema)
 
     def rename_columns(self, mapping: dict[str, str]) -> "Comparison":
         """A copy with column names translated through ``mapping``."""
@@ -130,16 +119,6 @@ def holds(left: object, op: str, right: object) -> bool:
         return False
 
 
-def eq(column: str, value: object) -> Comparison:
-    """Shorthand for ``Col(column) = Lit(value)``."""
-    return Comparison(Col(column), "=", Lit(value))
-
-
-def col_eq(left: str, right: str) -> Comparison:
-    """Shorthand for an equi-join condition between two columns."""
-    return Comparison(Col(left), "=", Col(right))
-
-
 # ---------------------------------------------------------------------------
 # predicate compilation
 # ---------------------------------------------------------------------------
@@ -159,11 +138,6 @@ _SHAPE_CACHE_LIMIT = 2048
 def reset_predicate_cache() -> None:
     """Drop all generated code (test helper)."""
     _SHAPE_CACHE.clear()
-
-
-def predicate_cache_size() -> int:
-    """How many conjunction shapes currently have generated code."""
-    return len(_SHAPE_CACHE)
 
 
 def compile_conjunction(

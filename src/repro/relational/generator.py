@@ -90,15 +90,6 @@ class GeneratorRelation:
             if self._exhausted or self._pull() is None:
                 return
 
-    def take(self, n: int) -> list[tuple]:
-        """The first ``n`` rows (producing only as many as needed)."""
-        out = []
-        for row in self:
-            out.append(row)
-            if len(out) >= n:
-                break
-        return out
-
     # -- state ----------------------------------------------------------------------
     @property
     def produced_count(self) -> int:
@@ -120,18 +111,7 @@ class GeneratorRelation:
             pass
         return self._memo
 
-    def restart(self) -> None:
-        """Forget all memoized rows and recompute from the source."""
-        self._memo = Relation(self.schema)
-        self._iterator = None
-        self._exhausted = False
-
 
 def generator_from_rows(schema: Schema, rows: list[tuple]) -> GeneratorRelation:
     """A generator over a fixed row list (mostly for tests)."""
     return GeneratorRelation(schema, lambda: iter(list(rows)))
-
-
-def generator_from_relation(relation: Relation) -> GeneratorRelation:
-    """A generator view of an existing extension."""
-    return GeneratorRelation(relation.schema, lambda: iter(relation.rows))

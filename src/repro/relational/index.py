@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.relational.relation import Relation
 
@@ -27,7 +27,7 @@ class HashIndex:
     on it.
     """
 
-    __slots__ = ("attributes", "_relation", "_positions", "_buckets", "_probes", "_source_len")
+    __slots__ = ("attributes", "_relation", "_positions", "_buckets", "_source_len")
 
     def __init__(self, relation: Relation, attributes: tuple[str, ...] | list[str]):
         self.attributes = tuple(attributes)
@@ -37,7 +37,6 @@ class HashIndex:
         for ordinal, row in enumerate(relation):
             key = tuple(row[i] for i in self._positions)
             self._buckets[key].append(ordinal)
-        self._probes = 0
         self._source_len = len(relation)
 
     def lookup(self, values: tuple) -> list[tuple]:
@@ -55,14 +54,9 @@ class HashIndex:
         finds only the rows holding that very object.
         """
         distinct = set(keys)
-        self._probes += len(distinct)
         buckets = self._buckets
         found = [buckets[key] for key in distinct if key in buckets]
         return self._relation.rows_at(sorted(chain.from_iterable(found)))
-
-    def lookup_iter(self, values: tuple) -> Iterator[tuple]:
-        """Iterator form of :meth:`lookup` (for lazy pipelines)."""
-        yield from self.lookup(values)
 
     def __contains__(self, values: tuple) -> bool:
         if not isinstance(values, tuple):
@@ -70,19 +64,9 @@ class HashIndex:
         return values in self._buckets
 
     @property
-    def probe_count(self) -> int:
-        """How many lookups have been answered (metrics)."""
-        return self._probes
-
-    @property
     def key_count(self) -> int:
         """Number of distinct key values."""
         return len(self._buckets)
-
-    @property
-    def build_size(self) -> int:
-        """How many rows were indexed (for cost accounting)."""
-        return self._source_len
 
     @property
     def is_current(self) -> bool:
@@ -127,11 +111,6 @@ class IndexSet:
             if set(key) <= attributes and (best is None or len(key) > len(best)):
                 best = key
         return self.ensure(best) if best is not None else None
-
-    @property
-    def attribute_sets(self) -> list[tuple[str, ...]]:
-        """Key attribute tuples of every maintained index."""
-        return list(self._indexes)
 
     def __len__(self) -> int:
         return len(self._indexes)

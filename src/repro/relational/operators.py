@@ -1,10 +1,10 @@
-"""Relational algebra operators, in eager and pipelined (lazy) forms.
+"""Relational algebra operators.
 
-Eager operators map :class:`Relation` to :class:`Relation`.  Selection and
-join have pipelined twins (``*_iter``) operating on row iterators, used to
-assemble the generator representations of Section 5.1: a lazy cache element
-is a :class:`~repro.relational.generator.GeneratorRelation` whose source is
-a composition of these iterator stages.
+Eager operators map :class:`Relation` to :class:`Relation`.  Selection has
+a pipelined twin (:func:`select_iter`) over a row iterator: the stage
+:func:`repro.core.subsumption.derive_full_lazy` composes into the generator
+representation of Section 5.1 (a lazy cache element is a
+:class:`~repro.relational.generator.GeneratorRelation` over such a source).
 
 All operators use set semantics (matching :class:`Relation`).
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.common.errors import EvaluationError, SchemaError
+from repro.common.errors import EvaluationError
 from repro.relational.expressions import Comparison, compile_conjunction
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -149,51 +149,6 @@ def join(
     # Concatenations of distinct (left row, right row) pairs of fixed
     # arities are distinct rows of the combined arity: adopt them.
     return Relation.from_distinct_rows(schema, list(combined))
-
-
-def join_iter(
-    left_rows: Iterable[tuple],
-    left_schema: Schema,
-    right: Relation,
-    pairs: Sequence[tuple[str, str]],
-    conditions: Sequence[Comparison] = (),
-    name: str = "join",
-) -> Iterator[tuple]:
-    """Pipelined join: streams the left input, hashes the right relation.
-
-    The right side must be an extension (the paper's lazy evaluation only
-    applies when all inputs are cached).  The hash table on the right is
-    built on the first pulled row, so an unconsumed pipeline costs nothing.
-    """
-    schema = left_schema.concat(right.schema, name)
-    predicate = compile_conjunction(conditions, schema) if conditions else None
-    left_key = _key(left_schema, [p[0] for p in pairs])
-    right_key = _key(right.schema, [p[1] for p in pairs])
-    matches = None
-
-    for l in left_rows:
-        if matches is None:
-            matches = _buckets(right, right_key).get
-        for r in matches(left_key(l), ()):
-            out = l + r
-            if predicate is None or predicate(out):
-                yield out
-
-
-# ---------------------------------------------------------------------------
-# set operations
-# ---------------------------------------------------------------------------
-
-
-def union(left: Relation, right: Relation) -> Relation:
-    """Set union (schema of the left operand)."""
-    if left.schema.arity != right.schema.arity:
-        raise SchemaError(
-            f"union: arity mismatch ({left.schema.arity} vs {right.schema.arity})"
-        )
-    out = Relation(left.schema, left)
-    out.insert_all(iter(right))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,6 @@ class Relation:
         out._sized_bytes = self._sized_bytes
         return out
 
-    def renamed(self, name: str) -> "Relation":
-        """The same rows under a renamed schema (rows are shared)."""
-        return self.with_schema(self.schema.renamed(name))
-
     def copy(self) -> "Relation":
         """An independent copy (mutations do not propagate)."""
         return Relation.from_distinct_rows(self.schema, self.rows)

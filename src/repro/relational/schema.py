@@ -57,17 +57,9 @@ class Schema:
                 f"(has: {', '.join(self.attributes)})"
             ) from None
 
-    def has(self, attribute: str) -> bool:
-        """True when ``attribute`` is part of this schema."""
-        return attribute in self._positions
-
     def positions(self, attributes: tuple[str, ...] | list[str]) -> tuple[int, ...]:
         """Positions for several attributes at once."""
         return tuple(self.position(a) for a in attributes)
-
-    def renamed(self, name: str) -> "Schema":
-        """The same attributes under a different relation name."""
-        return Schema(name, self.attributes, self.key)
 
     def project(self, attributes: tuple[str, ...] | list[str], name: str | None = None) -> "Schema":
         """A schema containing only the given attributes, in the given order."""
@@ -97,12 +89,3 @@ class Schema:
     def __str__(self) -> str:
         inner = ", ".join(self.attributes)
         return f"{self.name}({inner})"
-
-
-def generic_schema(name: str, arity: int) -> Schema:
-    """A schema with positional attribute names ``a0..a{n-1}``.
-
-    Logic predicates carry no attribute names, so relations materialized
-    from CAQL queries use this shape.
-    """
-    return Schema(name, tuple(f"a{i}" for i in range(arity)))

@@ -117,18 +117,3 @@ class RelationStatistics:
     def estimate_selection(self, conditions: list[Comparison]) -> float:
         """Estimated output cardinality of a selection."""
         return self.cardinality * self.conjunction_selectivity(conditions)
-
-
-def estimate_join_size(
-    left: RelationStatistics,
-    right: RelationStatistics,
-    left_attr: str | None = None,
-    right_attr: str | None = None,
-) -> float:
-    """Estimated size of an equi-join (cross product when no attributes)."""
-    if left_attr is None or right_attr is None:
-        return float(left.cardinality) * float(right.cardinality)
-    distinct = max(left.attribute(left_attr).distinct, right.attribute(right_attr).distinct)
-    if distinct <= 0:
-        return float(left.cardinality) * float(right.cardinality) * DEFAULT_EQ_SELECTIVITY
-    return float(left.cardinality) * float(right.cardinality) / distinct

@@ -68,7 +68,3 @@ class Catalog:
     def tables(self) -> list[str]:
         """All registered table names, sorted."""
         return sorted(self._schemas)
-
-    def cardinality(self, table: str) -> int:
-        """Row count of ``table`` per its statistics."""
-        return self.statistics(table).cardinality

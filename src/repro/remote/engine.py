@@ -67,10 +67,6 @@ class PurePythonEngine:
         except KeyError:
             raise UnknownRelationError(name) from None
 
-    def tables(self) -> list[str]:
-        """Names of all stored tables, sorted."""
-        return sorted(self._tables)
-
     def rows_where(self, table: str, attribute: str, values: Iterable[object]) -> list[tuple]:
         """Rows of ``table`` whose ``attribute`` takes one of ``values``
         (hashable; Python equality), each once, in base-table order.

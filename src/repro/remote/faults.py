@@ -114,11 +114,6 @@ class FaultInjector:
         self._rng = random.Random(policy.seed)
         self.requests_seen = 0
 
-    def reset(self) -> None:
-        """Rewind the decision stream to the beginning (same seed)."""
-        self._rng = random.Random(self.policy.seed)
-        self.requests_seen = 0
-
     def on_request(self) -> FaultDecision:
         """Decide the fate of the next remote request."""
         policy = self.policy

@@ -90,21 +90,3 @@ class NetworkModel:
         if seconds < 0:
             raise ValueError("backoff seconds must be non-negative")
         self._charge(seconds)
-
-    def request_cost(
-        self,
-        tuples_touched: float,
-        tuples_shipped: float,
-        bindings_shipped: float = 0.0,
-    ) -> float:
-        """The simulated seconds a request would cost (for the planner).
-
-        Pure estimation — charges nothing.  ``bindings_shipped`` is the
-        uplink term: IN-list values a semijoin-reduced request would carry.
-        """
-        return (
-            self.profile.remote_latency
-            + self.profile.server_per_tuple * tuples_touched
-            + self.profile.transfer_per_tuple * tuples_shipped
-            + self.profile.uplink_per_value * bindings_shipped
-        )

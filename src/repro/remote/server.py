@@ -89,16 +89,6 @@ class RemoteResultStream:
             self._network.charge_transfer(len(chunk))
         return chunk
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every row has been pulled."""
-        return self._position >= self._total
-
-    @property
-    def total_rows(self) -> int:
-        """Size of the full result (known server-side)."""
-        return self._total
-
 
 class RemoteDBMS:
     """A conventional relational DBMS on the far side of the network."""

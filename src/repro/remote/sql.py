@@ -142,10 +142,6 @@ class SelectQuery:
                 if isinstance(operand, SqlCol) and operand.alias not in known:
                     raise TranslationError(f"WHERE operand {operand} references unknown alias")
 
-    def referenced_tables(self) -> set[str]:
-        """The set of table names in the FROM clause."""
-        return {t.table for t in self.tables}
-
     def binding_values_shipped(self) -> int:
         """Total IN-list values this request ships to the server."""
         return sum(

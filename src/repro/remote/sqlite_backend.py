@@ -6,11 +6,17 @@ system used as-is.  This backend demonstrates the same property with a real
 SQL engine: base tables live in an in-memory sqlite3 database and every
 request is rendered to SQL text and executed by sqlite.
 
-Behaviourally interchangeable with
-:class:`~repro.remote.engine.PurePythonEngine` (same requests, same result
-relations); the server-work metric is approximated as the sum of scanned
-base-table cardinalities plus the result size, since sqlite does not expose
-touched-tuple counts.
+Same requests, same result relations as
+:class:`~repro.remote.engine.PurePythonEngine`, under one rule sqlite does
+not share by itself: an ordered comparison (``<``, ``<=``, ``>``, ``>=``)
+between a number and a text value is *false*, as in the substrate's
+:func:`~repro.relational.expressions.holds` ("False on type clash"), where
+sqlite alone would order by storage class (numbers before text).  Every
+rendered ordered comparison is therefore guarded by its operands'
+``typeof()`` class, so an answer never depends on whether the remote or the
+cache applied the condition.  The server-work metric is approximated as the
+sum of scanned base-table cardinalities plus the result size, since sqlite
+does not expose touched-tuple counts.
 """
 
 from __future__ import annotations
@@ -31,8 +37,18 @@ from repro.remote.sql import (
 )
 
 
+_ORDERED = frozenset(("<", "<=", ">", ">="))
+
+
 def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
+
+
+def _is_numeric(operand, rendered: str) -> str:
+    """SQL for "this operand is a number" (a literal's class is known)."""
+    if isinstance(operand, SqlLit):
+        return "1" if isinstance(operand.value, (int, float)) else "0"
+    return f"typeof({rendered}) IN ('integer', 'real')"
 
 
 class SqliteEngine:
@@ -65,10 +81,6 @@ class SqliteEngine:
             return self._schemas[name]
         except KeyError:
             raise UnknownRelationError(name) from None
-
-    def tables(self) -> list[str]:
-        """Names of all loaded tables, sorted."""
-        return sorted(self._schemas)
 
     # -- execution ------------------------------------------------------------------
     def execute(self, request: SelectQuery | FetchTableQuery) -> EngineResult:
@@ -114,6 +126,13 @@ class SqliteEngine:
                     continue
                 left = self._render_operand(condition.left)
                 right = self._render_operand(condition.right)
+                if condition.op in _ORDERED:
+                    # Numbers order with numbers, text with text; a
+                    # cross-class pair is false (NULL is false either way).
+                    parts.append(
+                        f"({_is_numeric(condition.left, left)}) = "
+                        f"({_is_numeric(condition.right, right)})"
+                    )
                 parts.append(f"{left} {condition.op} {right}")
             sql += " WHERE " + " AND ".join(parts)
         return sql

@@ -77,13 +77,6 @@ class ServerConfig:
     telemetry_interval: float | None = None
     #: Per-session latency objectives; None disables SLO monitoring.
     slo: SLOPolicy | None = None
-    #: Shared multi-query optimization: concurrent sessions shipping the
-    #: same remote subplan reuse one in-flight result (see
-    #: :mod:`repro.server.mqo`).  The registry is cleared whenever the
-    #: server goes idle, so sharing only ever spans one concurrent burst.
-    mqo: bool = True
-    #: Bound on the in-flight subplan registry (FIFO beyond it).
-    mqo_max_entries: int = 64
 
     def __post_init__(self) -> None:
         if self.scheduler_policy not in POLICIES:
@@ -156,10 +149,14 @@ class BraidServer:
             tracer=tracer,
             clock=self.clock,
         )
-        #: In-flight shared-subplan registry (MQO), or None when disabled.
+        #: In-flight shared-subplan registry (MQO): concurrent sessions
+        #: shipping the same remote subplan reuse one in-flight result.
+        #: Built iff the sessions' features say ``mqo``; cleared whenever
+        #: the server goes idle, so sharing only spans one concurrent burst.
+        features = self.config.features
         self.subplan_registry = (
-            SharedSubplanRegistry(max_entries=self.config.mqo_max_entries)
-            if self.config.mqo
+            SharedSubplanRegistry()
+            if features is None or features.mqo
             else None
         )
         self.sessions = SessionManager(

@@ -25,6 +25,9 @@ from repro.relational.relation import Relation
 from repro.caql.psj import PSJQuery
 from repro.core.cache import key_of
 
+#: Bound on the in-flight registry (FIFO beyond it).
+MAX_ENTRIES = 64
+
 
 class SharedSubplanRegistry:
     """A bounded FIFO of recently fetched remote subplans, by definition.
@@ -35,7 +38,7 @@ class SharedSubplanRegistry:
     just maps canonical keys to relations.
     """
 
-    def __init__(self, max_entries: int = 64):
+    def __init__(self, max_entries: int = MAX_ENTRIES):
         self.max_entries = max_entries
         #: canonical key -> relation, in publication order (dict order is
         #: the FIFO; Python dicts preserve insertion order).

@@ -13,7 +13,7 @@ from repro.workloads.queries import (
     repeated_selection_stream,
 )
 from repro.workloads.suppliers import suppliers
-from repro.workloads.synthetic import chain, fanout_graph, selection_universe
+from repro.workloads.synthetic import chain, selection_universe
 from repro.workloads.workload import Workload
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "bom",
     "chain",
     "client_streams",
-    "fanout_graph",
     "genealogy",
     "range_query_stream",
     "repeated_selection_stream",

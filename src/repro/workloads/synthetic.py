@@ -5,9 +5,7 @@ Experiments need workloads whose *shape* is a controlled variable:
 * :func:`chain` — relations ``r0..r{k-1}`` with a chain rule joining them,
   for sweeping join width and the interpreted/compiled trade-off;
 * :func:`selection_universe` — one wide relation plus a family of
-  overlapping selection queries, for sweeping subsumption opportunity;
-* :func:`fanout_graph` — an edge relation with controlled out-degree, for
-  recursion-depth sweeps.
+  overlapping selection queries, for sweeping subsumption opportunity.
 
 Everything is seeded and deterministic.
 """
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 import random
 
-from repro.logic.soa import RecursiveStructure
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.workloads.workload import Workload
@@ -125,33 +122,4 @@ item_orders(I, V, Q) :- item(I, C, V), ord(I, Q).
             f"{rows} items, {len(ord_rows)} orders over a "
             f"{domain}-value domain"
         ),
-    )
-
-
-def fanout_graph(
-    nodes: int = 60,
-    out_degree: int = 2,
-    seed: int = 13,
-) -> Workload:
-    """A layered DAG ``edge(a, b)`` plus transitive reachability rules."""
-    rng = random.Random(seed)
-    edges = set()
-    for node in range(nodes - 1):
-        for _ in range(out_degree):
-            target = rng.randrange(node + 1, min(nodes, node + 10))
-            edges.add((f"n{node}", f"n{target}"))
-    tables = [Relation(Schema("edge", ("src", "dst")), sorted(edges))]
-    rules = """
-reach(X, Y) :- edge(X, Y).
-reach(X, Y) :- edge(X, Z), reach(Z, Y).
-neighbor(X, Y) :- edge(X, Y).
-"""
-    return Workload(
-        name="fanout-graph",
-        tables=tables,
-        rules=rules,
-        database=(("edge", 2),),
-        soas=(RecursiveStructure("reach", "edge"),),
-        example_queries={"reach_from_n0": "reach(n0, W)"},
-        description=f"layered DAG, {nodes} nodes, out-degree {out_degree}",
     )

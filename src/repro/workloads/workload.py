@@ -42,14 +42,3 @@ class Workload:
         for soa in self.soas:
             kb.add_soa(soa)
         return kb
-
-    def table(self, name: str) -> Relation:
-        """The base table named ``name``; raises KeyError when absent."""
-        for relation in self.tables:
-            if relation.schema.name == name:
-                return relation
-        raise KeyError(name)
-
-    def total_rows(self) -> int:
-        """Total rows across all base tables."""
-        return sum(len(t) for t in self.tables)

@@ -53,10 +53,6 @@ class TestConstruction:
         with pytest.raises(AdviceError):
             Alternation((d1, d2), selection=0)
 
-    def test_mutually_exclusive(self):
-        assert Alternation((d1, d2), selection=1).mutually_exclusive
-        assert not Alternation((d1, d2)).mutually_exclusive
-
 
 class TestRendering:
     def test_example1_rendering(self):
@@ -79,10 +75,6 @@ class TestTraversal:
 
     def test_view_names(self):
         assert view_names(example2()) == {"d1", "d2", "d3"}
-
-    def test_consumer_arg_positions(self):
-        assert d2.consumer_arg_positions() == (1,)
-        assert d1.consumer_arg_positions() == ()
 
 
 class TestSequenceCompanions:

@@ -50,7 +50,7 @@ class TestExample1:
         # term is <1,1>."
         tracker = PathTracker(example1())
         tracker.observe("d1")
-        assert not tracker.expects("d1")
+        assert "d1" not in tracker.predicted_next()
 
     def test_full_run(self):
         tracker = PathTracker(example1())
@@ -156,13 +156,6 @@ class TestLifecycle:
         assert not tracker.observe("d9")
         assert not tracker.observe("d1")
         assert tracker.predicted_next() == set()
-
-    def test_reset_reanchors(self):
-        tracker = PathTracker(example1())
-        tracker.observe("d9")
-        tracker.reset()
-        assert not tracker.lost
-        assert tracker.predicted_next() == {"d1"}
 
 
 class TestBounds:

@@ -27,7 +27,7 @@ class TestConjunctiveQuery:
 
     def test_constant_answers_allowed(self):
         query = ConjunctiveQuery("q", (Const(1), X), (Atom("p", (X,)),))
-        assert query.answer_variables() == [X]
+        assert query.answers == (Const(1), X) and query.arity == 2
 
     def test_body_variables(self):
         assert d2().body_variables() == {X, Y, Z}
@@ -42,16 +42,6 @@ class TestConjunctiveQuery:
         bound = query.instantiate(Substitution({Y: Const("c6")}))
         assert bound.answers == (X, Const("c6"))
         assert bound.literals[1].args[2] == Const("c6")
-
-    def test_bind_answers_by_position(self):
-        bound = d2().bind_answers({1: "c6"})
-        assert bound.answers[1] == Const("c6")
-        assert bound.answers[0] == X
-
-    def test_bind_answers_ignores_constant_positions(self):
-        query = ConjunctiveQuery("q", (Const(1), X), (Atom("p", (X,)),))
-        bound = query.bind_answers({0: 99, 1: "v"})
-        assert bound.answers == (Const(1), Const("v"))
 
     def test_str_roundtrip_shape(self):
         text = str(d2())

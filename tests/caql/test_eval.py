@@ -1,4 +1,4 @@
-"""Tests for PSJ and conjunctive-query evaluation (eager and lazy)."""
+"""Tests for PSJ and conjunctive-query evaluation."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.caql.eval import (
     evaluate_conjunctive,
     evaluate_psj,
     evaluate_setof,
-    lazy_psj,
     psj_of,
 )
 from repro.caql.parser import parse_query
@@ -100,35 +99,6 @@ class TestEagerPSJ:
             db,
         )
         assert set(result.rows) == {("tom", "ann", 8), ("tom", "pat", 10)}
-
-
-class TestLazyPSJ:
-    def test_same_answers_as_eager(self, db):
-        psj = normalize("q(X, Z) :- parent(X, Y), parent(Y, Z)")
-        eager = evaluate_psj(psj, db)
-        lazy = lazy_psj(psj, db)
-        assert set(lazy.to_extension().rows) == set(eager.rows)
-
-    def test_nothing_computed_before_pull(self):
-        def exploding(_name):
-            raise AssertionError("lookup must not run before first pull")
-
-        gen = lazy_psj(normalize("q(X, Y) :- parent(X, Y)"), exploding)
-        assert gen.produced_count == 0
-
-    def test_take_limits_production(self, db):
-        gen = lazy_psj(normalize("q(X, Y) :- parent(X, Y)"), db)
-        first = gen.take(1)
-        assert len(first) == 1
-        assert gen.produced_count == 1
-
-    def test_unsatisfiable_lazy_empty(self, db):
-        gen = lazy_psj(normalize("q(X) :- parent(X, Y), 1 > 2"), db)
-        assert list(gen) == []
-
-    def test_selection_pushed_into_stream(self, db):
-        gen = lazy_psj(normalize("q(Y) :- parent(tom, Y)"), db)
-        assert set(gen.to_extension().rows) == {("bob",), ("liz",)}
 
 
 class TestConjunctiveWithEvaluable:

@@ -21,6 +21,12 @@ def c(left, op, right):
 A, B, C = "t0.c0", "t0.c1", "t1.c0"
 
 
+def satisfiable(cs: ConditionSet) -> bool:
+    """What the digest decided: only a set it found contradictory implies a
+    pin on a column it never constrains (a contradiction implies anything)."""
+    return not cs.implies(c("t9.c9", "=", "no such value"))
+
+
 class TestColLit:
     def test_equality_implies_itself(self):
         assert ConditionSet([c(A, "=", 5)]).implies(c(A, "=", 5))
@@ -134,26 +140,26 @@ class TestColCol:
 
 class TestSatisfiability:
     def test_empty_is_satisfiable(self):
-        assert ConditionSet([]).is_satisfiable()
+        assert satisfiable(ConditionSet([]))
 
     def test_conflicting_pins(self):
-        assert not ConditionSet([c(A, "=", 1), c(A, "=", 2)]).is_satisfiable()
+        assert not satisfiable(ConditionSet([c(A, "=", 1), c(A, "=", 2)]))
 
     def test_conflicting_pins_through_class(self):
         cs = ConditionSet([c(A, "=", 1), c(B, "=", 2), c(A, "=", B)])
-        assert not cs.is_satisfiable()
+        assert not satisfiable(cs)
 
     def test_empty_range(self):
-        assert not ConditionSet([c(A, ">", 5), c(A, "<", 3)]).is_satisfiable()
+        assert not satisfiable(ConditionSet([c(A, ">", 5), c(A, "<", 3)]))
 
     def test_point_range_with_strict_bound(self):
-        assert not ConditionSet([c(A, ">=", 5), c(A, "<", 5)]).is_satisfiable()
+        assert not satisfiable(ConditionSet([c(A, ">=", 5), c(A, "<", 5)]))
 
     def test_pin_outside_range(self):
-        assert not ConditionSet([c(A, "=", 9), c(A, "<", 3)]).is_satisfiable()
+        assert not satisfiable(ConditionSet([c(A, "=", 9), c(A, "<", 3)]))
 
     def test_pin_excluded(self):
-        assert not ConditionSet([c(A, "=", 4), c(A, "!=", 4)]).is_satisfiable()
+        assert not satisfiable(ConditionSet([c(A, "=", 4), c(A, "!=", 4)]))
 
     def test_unsatisfiable_implies_everything(self):
         cs = ConditionSet([c(A, "=", 1), c(A, "=", 2)])
@@ -174,8 +180,8 @@ class TestBuiltOnce:
             raise AssertionError("class scanned for satisfiability after build")
 
         monkeypatch.setattr(implication._ClassInfo, "is_unsatisfiable", rescan)
-        assert cs.is_satisfiable() and cs.implies(c(A, ">", 0))
-        assert not contradictory.is_satisfiable()
+        assert satisfiable(cs) and cs.implies(c(A, ">", 0))
+        assert not satisfiable(contradictory)
         assert contradictory.implies(c(C, "=", 99))
 
     def test_unconstrained_columns_share_one_read_only_info(self):
@@ -213,11 +219,6 @@ class TestTypeSafety:
     def test_mixed_types_never_imply(self):
         cs = ConditionSet([c(A, "<", 5)])
         assert not cs.implies(c(A, "<", "zebra"))
-
-    def test_implies_all(self):
-        cs = ConditionSet([c(A, "=", 5)])
-        assert cs.implies_all([c(A, "<", 10), c(A, ">", 0)])
-        assert not cs.implies_all([c(A, "<", 10), c(A, ">", 10)])
 
 
 # -- property-based soundness check ------------------------------------------------
@@ -261,7 +262,7 @@ def test_implication_is_sound(premises, conclusion, assignment):
 
 @given(condition_sets, assignments)
 def test_unsatisfiability_is_sound(premises, assignment):
-    """If is_satisfiable() is False, no assignment satisfies the premises."""
+    """If the set is found unsatisfiable, no assignment satisfies the premises."""
     cs = ConditionSet(premises)
-    if not cs.is_satisfiable():
+    if not satisfiable(cs):
         assert not all(_evaluate(p, assignment) for p in premises)

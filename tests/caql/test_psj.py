@@ -91,8 +91,9 @@ class TestNormalization:
 
     def test_var_columns_recorded(self):
         psj = normalize("d2(X, Y) :- b2(X, Z), b3(Z, c2, Y)")
-        assert psj.columns_of_var("Z") == ("t0.c1", "t1.c0")
-        assert psj.columns_of_var("Nope") == ()
+        recorded = dict(psj.var_columns)
+        assert recorded["Z"] == ("t0.c1", "t1.c0")
+        assert "Nope" not in recorded
 
 
 class TestAccessors:

@@ -19,12 +19,6 @@ class TestAdvance:
         with pytest.raises(ValueError):
             SimClock().advance(-1.0)
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(3.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestParallelRegion:
     def test_parallel_takes_max_of_tracks(self):
@@ -79,12 +73,6 @@ class TestParallelRegion:
         with clock.parallel() as region:
             clock.charge("remote", 1.0)
             assert region.tracks == {"remote": 1.0}
-
-    def test_reset_inside_region_rejected(self):
-        clock = SimClock()
-        with clock.parallel():
-            with pytest.raises(RuntimeError):
-                clock.reset()
 
 
 class TestCostProfile:

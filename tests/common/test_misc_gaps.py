@@ -27,15 +27,6 @@ class TestNetworkValidation:
         network.charge_transfer(0)
         assert network.clock.now == 0.0
 
-    def test_request_cost_composition(self, network):
-        profile = network.profile
-        cost = network.request_cost(10, 5)
-        assert cost == pytest.approx(
-            profile.remote_latency
-            + 10 * profile.server_per_tuple
-            + 5 * profile.transfer_per_tuple
-        )
-
 
 class TestParseErrorRendering:
     def test_snippet_included(self):

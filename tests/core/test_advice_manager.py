@@ -43,18 +43,18 @@ def manager_with(advice):
 class TestSessionLifecycle:
     def test_no_advice(self):
         manager = manager_with(None)
-        assert not manager.has_advice
+        assert manager.advice.is_empty()
         assert manager.tracker is None
 
     def test_with_advice(self):
         manager = manager_with(paper_advice())
-        assert manager.has_advice
+        assert not manager.advice.is_empty()
         assert manager.tracker is not None
 
     def test_new_session_replaces_old(self):
         manager = manager_with(paper_advice())
         manager.begin_session(None)
-        assert not manager.has_advice
+        assert manager.advice.is_empty()
 
 
 class TestRepetitionDetection:

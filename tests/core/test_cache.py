@@ -1,5 +1,7 @@
 """Tests for cache storage, uses, and replacement."""
 
+from itertools import islice
+
 import pytest
 
 from repro.common.errors import CacheCapacityError, CacheError
@@ -138,7 +140,7 @@ class TestEviction:
     def test_pinned_elements_survive(self):
         cache = self.small_cache()
         e1 = store(cache, "d1(X, Y) :- b1(X, Y)")
-        e1.pinned = True
+        cache.pin(e1)
         e2 = store(cache, "d2(X, Y) :- b2(X, Y)")
         store(cache, "d3(X, Y) :- b3(X, Y)")
         assert e1.element_id in cache
@@ -153,7 +155,8 @@ class TestEviction:
         cache = self.small_cache()
         e1 = store(cache, "d1(X, Y) :- b1(X, Y)")
         e2 = store(cache, "d2(X, Y) :- b2(X, Y)")
-        e1.pinned = e2.pinned = True
+        cache.pin(e1)
+        cache.pin(e2)
         with pytest.raises(CacheCapacityError):
             store(cache, "d3(X, Y) :- b3(X, Y)")
 
@@ -263,9 +266,9 @@ class TestAdmissionCost:
         gen = generator_from_rows(result_schema("d1", 2), [(i, "x" * 20) for i in range(6)])
         element = cache.store(psj, gen)
         assert cache.used_bytes() == 64
-        gen.take(2)
+        list(islice(gen, 2))
         assert cache.used_bytes() == 64 + 2 * (16 + 24)
-        gen.take(5)
+        list(islice(gen, 5))
         rows = gen._memo._rows = CountingRows(gen._memo._rows)
         assert cache.used_bytes() == element.estimated_bytes() == 64 + 5 * (16 + 24)
         assert rows.visited == 3
@@ -280,16 +283,8 @@ class TestCacheElement:
         element = CacheElement("E1", psj, gen)
         assert element.is_generator
         assert element.rows_materialized() == 0
-        gen.take(1)
+        next(iter(gen))
         assert element.rows_materialized() == 1
-
-    def test_promote_generator(self):
-        psj = make_psj("d1(X, Y) :- b1(X, Y)")
-        gen = generator_from_rows(result_schema("d1", 2), [(1, 2)])
-        element = CacheElement("E1", psj, gen)
-        extension = element.promote()
-        assert not element.is_generator
-        assert extension.rows == [(1, 2)]
 
     def test_indexes_promote_generator(self):
         psj = make_psj("d1(X, Y) :- b1(X, Y)")

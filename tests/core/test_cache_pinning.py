@@ -48,16 +48,6 @@ class TestPinCounts:
         with pytest.raises(CacheError):
             cache.unpin(element)
 
-    def test_boolean_property_back_compat(self):
-        cache = Cache()
-        element = store(cache, "d1(X, Y) :- b1(X, Y)")
-        element.pinned = True
-        assert element.pin_count == 1
-        element.pinned = True  # idempotent, not additive
-        assert element.pin_count == 1
-        element.pinned = False
-        assert element.pin_count == 0
-
     def test_pinned_element_survives_replacement(self):
         cache = Cache(capacity_bytes=320)  # room for exactly two elements
         e1 = store(cache, "d1(X, Y) :- b1(X, Y)")
@@ -82,7 +72,6 @@ class TestCondemnation:
         assert cache.elements_for_predicate("b1") == []
         # ...but physically resident and accounted until the pin drops.
         assert element.condemned
-        assert cache.condemned_elements() == [element]
         assert cache.used_bytes() > 0
         assert cache.reclaim_count == 0
         assert metrics.get(CACHE_PIN_DEFERRALS) == 1
@@ -97,7 +86,6 @@ class TestCondemnation:
         assert cache.reclaim_count == 0  # one pin still holds it
         cache.unpin(element)
         assert cache.reclaim_count == 1
-        assert cache.condemned_elements() == []
         assert cache.used_bytes() == 0
         # No way to double-reclaim: the pin ledger is already empty.
         with pytest.raises(CacheError):

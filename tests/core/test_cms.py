@@ -102,6 +102,28 @@ class TestCachingBehaviour:
         assert cms.metrics.get(REMOTE_REQUESTS) == requests_before
         assert cms.metrics.get(CACHE_HITS_EXACT) == 1
 
+    def test_exact_plan_carries_the_element_it_found(self, cms, monkeypatch):
+        q = parse_query("q(Y) :- parent(tom, Y)")
+        cms.query(q)
+        (element,) = cms.cache.elements()
+        probes = []
+        real_lookup = type(cms.cache).lookup_exact
+
+        def counting_lookup(cache, definition):
+            probes.append(definition.name)
+            return real_lookup(cache, definition)
+
+        monkeypatch.setattr(type(cms.cache), "lookup_exact", counting_lookup)
+        assert set(cms.query(q).fetch_all()) == {("bob",), ("liz",)}
+        # One canonical-key probe per exact hit: the planner's.  The
+        # executor reads the element off the plan, pins and validates it.
+        assert probes == ["q"]
+        plan = cms.last_plan
+        assert plan.strategy == "exact" and plan.cache_elements() == [element]
+        assert plan.part_labels() == [] and element.pin_count == 0
+        assert cms.explain(q).element_efficacy[0]["element"] == element.element_id
+        assert probes == ["q", "q"]  # explain plans; it does not re-probe
+
     def test_subsumption_reuse(self, cms):
         cms.query(parse_query("scan(X, Y) :- parent(X, Y)"))
         requests_before = cms.metrics.get(REMOTE_REQUESTS)
@@ -262,12 +284,6 @@ class TestSecondOrderQueries:
 
 
 class TestMetadata:
-    def test_schema_passthrough_cached(self, cms):
-        cms.schema_of("parent")
-        before = cms.metrics.get(REMOTE_REQUESTS)
-        cms.schema_of("parent")
-        assert cms.metrics.get(REMOTE_REQUESTS) == before
-
     def test_statistics(self, cms):
         stats = cms.statistics_of("age")
         assert stats.cardinality == 6

@@ -34,8 +34,8 @@ B3 = Relation(
 
 def make_monitor(cache=None):
     server = RemoteDBMS()
-    server.load_table(B2.renamed("b2"))
-    server.load_table(B3.renamed("b3"))
+    server.load_table(B2)
+    server.load_table(B3)
     cache = cache if cache is not None else Cache()
     monitor = ExecutionMonitor(
         cache,
@@ -174,10 +174,6 @@ class TestResultStream:
         assert isinstance(relation, Relation)
         assert relation.rows == [(9,)]
 
-    def test_schema_passthrough(self):
-        relation = relation_from_columns("r", a=[1])
-        assert ResultStream(relation, "r").schema.attributes == ("a",)
-
     def test_degraded_flag_defaults_false(self):
         relation = relation_from_columns("r", a=[1])
         assert not ResultStream(relation, "r").degraded
@@ -274,8 +270,8 @@ class TestParallelEquivalence:
         server = RemoteDBMS()
         b2 = Relation(result_schema("b2", 2), b2_rows)
         b3 = Relation(result_schema("b3", 3), b3_rows)
-        server.load_table(b2.renamed("b2"))
-        server.load_table(b3.renamed("b3"))
+        server.load_table(b2)
+        server.load_table(b3)
         cache = Cache()
         lookup = {"b2": b2, "b3": b3}.__getitem__
         warm = make_psj(self.WARM)

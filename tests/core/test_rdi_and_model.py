@@ -74,31 +74,6 @@ class TestRemoteInterface:
         with pytest.raises(TranslationError):
             rdi.fetch(make_psj("q(I) :- emp(I, a), 1 > 2"))
 
-    def test_estimate_cost_positive(self):
-        rdi = RemoteInterface(make_server())
-        assert rdi.estimate_cost(100, 10) > 0
-
-    def test_estimate_cost_keeps_fractional_tuples(self):
-        # Regression: estimates were truncated to int, so sub-tuple
-        # expectations (selectivity * cardinality < 1) looked free and
-        # biased the planner toward remote execution.
-        server = make_server()
-        rdi = RemoteInterface(server)
-        base = rdi.estimate_cost(0, 0)
-        fractional = rdi.estimate_cost(0.5, 0.5)
-        assert fractional > base
-        expected = (
-            server.profile.remote_latency
-            + 0.5 * server.profile.server_per_tuple
-            + 0.5 * server.profile.transfer_per_tuple
-        )
-        assert fractional == pytest.approx(expected)
-
-    def test_estimate_cost_monotone_in_both_arguments(self):
-        rdi = RemoteInterface(make_server())
-        assert rdi.estimate_cost(10.2, 3.7) > rdi.estimate_cost(10.1, 3.7)
-        assert rdi.estimate_cost(10.2, 3.8) > rdi.estimate_cost(10.2, 3.7)
-
 
 class TestCacheModel:
     def fill_cache(self):

@@ -61,7 +61,7 @@ class TestPlannerDecision:
         assert len(specs) == 1
         assert specs[0].remote_column.endswith(".c0")
         assert specs[0].cache_column.endswith(".c0")
-        assert remote_parts[0].semijoin
+        assert remote_parts[0].bind_columns
         assert any("semijoin" in note for note in plan.notes)
 
     def test_feature_gate_disables_semijoin(self):
@@ -86,11 +86,6 @@ class TestPlannerDecision:
                 assert not part.bind_columns
         if plan.strategy == "hybrid":
             assert any("semijoin rejected" in note for note in plan.notes)
-
-    def test_describe_renders_the_binding_line(self):
-        cms = warmed_cms()
-        plan = cms.planner.plan(psj_of(parse_query(QUERY)))
-        assert "semijoin:" in plan.describe()
 
     def test_explain_marks_semijoin_parts(self):
         cms = warmed_cms()

@@ -228,3 +228,15 @@ class TestDegradedInteraction:
         repeat = cms.query(parse_query("q2(I, V) :- item(I, cat0, V)"))
         repeat.fetch_all()
         assert not repeat.degraded
+    def test_cms_audit_covers_the_archived_copies(self):
+        # ``StaleArchive.store`` replaces an archived element's relation in
+        # place, outside anything the live cache's audit sees.
+        cms, _remote = self.make_cms()
+        cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
+        cms.check_invariants()
+        (archived,) = cms._archive.cache.elements()
+        rows = archived.relation._rows
+        rows[0] = rows[0][:-1] + ("a value long enough to change the recount",)
+        cms.cache.check_invariants()  # the live cache holds its own, intact rows
+        with pytest.raises(InvariantViolation, match="rows mutated in place"):
+            cms.check_invariants()

@@ -36,8 +36,7 @@ class TestOwnership:
         assert catalog.home_of("t") == "a"
         assert catalog.home_of("v") == "b"
         assert catalog.backends() == ["a", "b"]
-        assert catalog.tables() == ["t", "u", "v"]
-        assert catalog.tables_of("a") == ["t", "u"]
+        assert catalog.home_of("u") == "a"
         assert catalog.has("u") and not catalog.has("w")
 
     def test_empty_name_rejected(self):
@@ -63,27 +62,6 @@ class TestOwnership:
             FederatedCatalog().home_of("nope")
         with pytest.raises(KeyError):
             FederatedCatalog().backend("nope")
-
-    def test_rescan_discovers_late_tables(self):
-        catalog = FederatedCatalog()
-        clock = SimClock()
-        server = make_server(clock, [table("t")])
-        catalog.register("a", server)
-        server.load_table(table("late"))
-        assert not catalog.has("late")
-        catalog.rescan()
-        assert catalog.home_of("late") == "a"
-
-    def test_rescan_rejects_double_ownership(self):
-        catalog = FederatedCatalog()
-        clock = SimClock()
-        a = make_server(clock, [table("t")])
-        b = make_server(clock, [table("u")])
-        catalog.register("a", a)
-        catalog.register("b", b)
-        b.load_table(table("t"))
-        with pytest.raises(ValueError, match="owned by both"):
-            catalog.rescan()
 
 
 class TestBootstrap:
@@ -125,8 +103,8 @@ class TestBootstrap:
 class TestStatisticsHonesty:
     def test_bootstrap_statistics_match_contents(self):
         federation = make_federation()
-        assert federation.backend("alpha").catalog.cardinality("sup") == 4
-        assert federation.backend("gamma").catalog.cardinality("ship") == 5
+        assert federation.backend("alpha").catalog.statistics("sup").cardinality == 4
+        assert federation.backend("gamma").catalog.statistics("ship").cardinality == 5
 
     def test_refresh_all_tracks_engine_side_reloads(self):
         federation = make_federation()
@@ -137,9 +115,9 @@ class TestStatisticsHonesty:
                 "sup", s=list(range(10)), city=[0] * 10
             )
         )
-        assert server.catalog.cardinality("sup") == 4
-        federation.refresh_statistics()
-        assert server.catalog.cardinality("sup") == 10
+        assert server.catalog.statistics("sup").cardinality == 4
+        server.refresh_statistics()
+        assert server.catalog.statistics("sup").cardinality == 10
 
     def test_partition_estimates_follow_refresh(self):
         from tests.federation.conftest import SPAN2, psj

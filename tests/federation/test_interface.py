@@ -55,7 +55,7 @@ class TestRouting:
             e for e in trace_events(federation.tracer) if e.name == "rdi.route"
         ]
         assert routes and all(
-            e.attributes_dict()["backend"] == "beta" for e in routes
+            dict(e.attributes)["backend"] == "beta" for e in routes
         )
 
     def test_fetch_base_relation_routes_home(self):
@@ -88,10 +88,10 @@ class TestScatterGather:
         gather = [e for e in events if e.name == "federation.gather"]
         assert len(scatter) == 1 and len(gather) == 1
         # Cheapest part first: the statistics-driven order.
-        assert scatter[0].attributes_dict()["backends"] == [
+        assert dict(scatter[0].attributes)["backends"] == [
             "beta", "alpha", "gamma",
         ]
-        assert gather[0].attributes_dict()["tuples"] == len(oracle(SPAN3))
+        assert dict(gather[0].attributes)["tuples"] == len(oracle(SPAN3))
 
     def test_mixed_engines_equal_oracle(self):
         federation = make_federation(engines={"beta": "sqlite"})

@@ -41,7 +41,7 @@ class TestTraceTagging:
         federation.interface.fetch(psj(SPAN3))
         by_name = {}
         for event in trace_events(federation.tracer):
-            by_name.setdefault(event.name, []).append(event.attributes_dict())
+            by_name.setdefault(event.name, []).append(dict(event.attributes))
         assert len(by_name["federation.scatter"]) == 1
         assert len(by_name["federation.gather"]) == 1
         routes = by_name["rdi.route"]
@@ -60,7 +60,7 @@ class TestTraceTagging:
         with pytest.raises(RemoteDBMSError):
             federation.interface.fetch(psj("q8(S) :- ship(S, P, Q)"))
         transitions = [
-            e.attributes_dict()
+            dict(e.attributes)
             for e in trace_events(federation.tracer)
             if e.name == "breaker.transition"
         ]

@@ -41,7 +41,7 @@ class TestPerBackendBreakers:
         with pytest.raises(TransientRemoteError):
             federation.interface.fetch(psj(LOCAL))
         assert (
-            federation.interface.breaker_of("beta").state == CircuitBreaker.OPEN
+            federation.interface.links["beta"].breaker.state == CircuitBreaker.OPEN
         )
         # beta now refuses locally; alpha and gamma still serve.
         with pytest.raises(CircuitOpenError):
@@ -78,7 +78,7 @@ class TestBatchResilienceUnit:
         # One injected fault killed the whole two-member batch — the
         # members were not retried or delivered individually.
         assert beta.get(REMOTE_FAULTS_INJECTED) == 1
-        assert federation.interface.breaker_of("beta").state == CircuitBreaker.OPEN
+        assert federation.interface.links["beta"].breaker.state == CircuitBreaker.OPEN
         # The batch is one unit for the breaker too: the next beta fetch
         # is refused locally, while alpha's member was never poisoned.
         with pytest.raises(CircuitOpenError):
@@ -98,7 +98,7 @@ class TestHalfOpenProbes:
         interface = federation.interface
         with pytest.raises(TransientRemoteError):
             interface.fetch(psj(LOCAL))
-        assert interface.breaker_of("beta").state == CircuitBreaker.OPEN
+        assert interface.links["beta"].breaker.state == CircuitBreaker.OPEN
         federation.clock.advance(5.0)  # past the cooldown
 
         alpha_net = federation.backend("alpha").network.charged_seconds
@@ -114,7 +114,7 @@ class TestHalfOpenProbes:
         assert (
             federation.backend("alpha").network.charged_seconds == alpha_net
         )
-        assert interface.breaker_of("beta").state == CircuitBreaker.OPEN
+        assert interface.links["beta"].breaker.state == CircuitBreaker.OPEN
 
     def test_successful_probe_closes_only_that_breaker(self):
         federation = make_federation(
@@ -129,8 +129,8 @@ class TestHalfOpenProbes:
         federation.clock.advance(5.0)
         result = interface.fetch(psj(LOCAL))
         assert set(result.rows) == oracle(LOCAL)
-        assert interface.breaker_of("beta").state == CircuitBreaker.CLOSED
-        assert interface.breaker_of("gamma").state == CircuitBreaker.OPEN
+        assert interface.links["beta"].breaker.state == CircuitBreaker.CLOSED
+        assert interface.links["gamma"].breaker.state == CircuitBreaker.OPEN
 
 
 class TestDegradedAnswers:

@@ -12,9 +12,6 @@ from repro.ie.problem_graph import (
     RECURSIVE_REF,
     UNKNOWN,
     USER,
-    database_leaves,
-    iter_and_nodes,
-    render,
 )
 
 
@@ -38,7 +35,7 @@ class TestLeaves:
     def test_database_goal_is_leaf(self, kb):
         graph = extract_problem_graph(kb, parse_atom("parent(tom, X)"))
         assert graph.kind == DATABASE
-        assert graph.is_leaf
+        assert graph.alternatives == []
 
     def test_builtin_goal_is_leaf(self, kb):
         from repro.logic.terms import Var
@@ -90,22 +87,6 @@ class TestExpansion:
 
 
 class TestHelpers:
-    def test_database_leaves_in_order(self, kb):
-        graph = extract_problem_graph(kb, parse_atom("ancestor(tom, W)"))
-        leaves = database_leaves(graph)
-        assert len(leaves) == 2  # one per rule's parent literal
-        assert all(leaf.goal.pred == "parent" for leaf in leaves)
-
-    def test_iter_and_nodes(self, kb):
-        graph = extract_problem_graph(kb, parse_atom("ancestor(tom, W)"))
-        assert len(list(iter_and_nodes(graph))) == 2
-
-    def test_render_contains_structure(self, kb):
-        graph = extract_problem_graph(kb, parse_atom("ancestor(tom, W)"))
-        text = render(graph)
-        assert "AND[R1]" in text
-        assert "recursive-ref" in text
-
     def test_variables_renamed_apart_between_rules(self, kb):
         graph = extract_problem_graph(kb, parse_atom("ancestor(tom, W)"))
         r1_vars = set()

@@ -78,7 +78,7 @@ class TestPaperExample1:
         _graph, result = specified(kb, "k1(X, Y)")
         d1 = result.views[0]
         assert [l.pred for l in d1.definition.literals] == ["b1"]
-        assert d1.arity == 1
+        assert d1.definition.arity == 1
         assert d1.annotations == (Binding.PRODUCER,)
         assert d1.rule_ids == ("R1",)
 
@@ -87,7 +87,7 @@ class TestPaperExample1:
         _graph, result = specified(kb, "k1(X, Y)")
         d2 = result.views[1]
         assert [l.pred for l in d2.definition.literals] == ["b2", "b3"]
-        assert d2.arity == 2
+        assert d2.definition.arity == 2
         # X is produced; Y was bound by d1 before k2 is invoked.
         assert d2.annotations == (Binding.PRODUCER, Binding.CONSUMER)
         assert d2.rule_ids == ("R2",)
@@ -195,7 +195,7 @@ class TestRootDatabaseQuery:
         assert result.root_view is not None
         view = result.by_name[result.root_view]
         assert view.definition.literals[0].pred == "b1"
-        assert view.arity == 1
+        assert view.definition.arity == 1
 
 
 class TestViewNameReuse:

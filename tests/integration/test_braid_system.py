@@ -8,7 +8,6 @@ from repro.common.metrics import REMOTE_REQUESTS
 from repro.core.cms import CMSFeatures
 from repro.workloads.genealogy import genealogy
 from repro.workloads.suppliers import suppliers
-from repro.workloads.synthetic import fanout_graph
 
 
 @pytest.fixture(scope="module")
@@ -91,13 +90,6 @@ class TestReporting:
         assert "remote.requests" in report
         assert "cache:" in report
 
-    def test_reset_measurements(self, family):
-        system = BraidSystem.from_workload(family)
-        system.ask_all("minor(X)")
-        system.reset_measurements()
-        assert system.clock.now == 0.0
-        assert system.metrics.get(REMOTE_REQUESTS) == 0
-
 
 class TestOtherWorkloads:
     def test_suppliers_queries(self):
@@ -106,9 +98,3 @@ class TestOtherWorkloads:
         assert all(set(s) == {"P"} for s in heavy)
         preferred = system.ask_all("preferred_source(S, P)")
         assert all(set(s) == {"S", "P"} for s in preferred)
-
-    def test_fanout_reachability_compiled(self):
-        workload = fanout_graph(nodes=25, seed=2)
-        system = BraidSystem.from_workload(workload, BraidConfig(strategy="compiled"))
-        reachable = system.ask_all("reach(n0, W)")
-        assert reachable  # n0 reaches something in a layered DAG

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.common.errors import KnowledgeBaseError
-from repro.logic.kb import KnowledgeBase, knowledge_base_from_source
+from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atom, parse_clause
-from repro.logic.soa import RecursiveStructure
 from repro.logic.terms import Atom, Var
 
 ANCESTOR_RULES = """
@@ -127,14 +126,3 @@ class TestValidation:
         problems = kb.validate()
         assert len(problems) == 1
         assert "q/1" in problems[0]
-
-
-class TestConvenienceConstructor:
-    def test_from_source(self):
-        kb = knowledge_base_from_source(
-            ANCESTOR_RULES,
-            database=[("parent", 2)],
-            soas=[RecursiveStructure("ancestor", "parent")],
-        )
-        assert kb.classify(parse_atom("parent(X, Y)")) == "database"
-        assert kb.soas.recursive_for("ancestor") is not None

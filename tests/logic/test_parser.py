@@ -6,10 +6,14 @@ from repro.common.errors import ParseError
 from repro.logic.parser import (
     parse_atom,
     parse_clause,
-    parse_literals,
     parse_program,
 )
 from repro.logic.terms import Atom, Const, Var
+
+
+def parse_literals(text):
+    """The literals of a conjunction, parsed as a rule body."""
+    return list(parse_clause(f"h(x) :- {text}.").body)
 
 
 class TestTerms:

@@ -64,21 +64,6 @@ class TestFunctionalDependency:
         with pytest.raises(KnowledgeBaseError):
             FunctionalDependency("p", 2, (0,), (0,))
 
-    def test_key_bound(self):
-        fd = FunctionalDependency("employee", 3, (0,), (1, 2))
-        assert fd.key_bound(Atom("employee", (a, X, Y)))
-        assert not fd.key_bound(Atom("employee", (X, a, b)))
-
-    def test_key_bound_wrong_signature(self):
-        fd = FunctionalDependency("employee", 3, (0,), (1, 2))
-        assert not fd.key_bound(Atom("employee", (a, X)))
-        assert not fd.key_bound(Atom("manager", (a, X, Y)))
-
-    def test_determined_positions(self):
-        fd = FunctionalDependency("employee", 3, (0,), (1, 2))
-        assert fd.determined_positions(Atom("employee", (a, X, Y))) == (1, 2)
-        assert fd.determined_positions(Atom("employee", (X, a, b))) == ()
-
 
 class TestRecursiveStructure:
     def test_transitive_closure_declared(self):
@@ -122,12 +107,6 @@ class TestRegistry:
         registry.add(MutualExclusion((Atom("male", (X,)), Atom("female", (X,)))))
         assert registry.exclusive_pair(Atom("male", (a,)), Atom("female", (a,)))
         assert not registry.exclusive_pair(Atom("male", (a,)), Atom("female", (b,)))
-
-    def test_exclusions_mentioning(self):
-        registry = SOARegistry()
-        registry.add(MutualExclusion((Atom("male", (X,)), Atom("female", (X,)))))
-        assert registry.exclusions_mentioning("male")
-        assert not registry.exclusions_mentioning("person")
 
     def test_unknown_type_rejected(self):
         registry = SOARegistry()

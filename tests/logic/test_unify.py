@@ -1,13 +1,13 @@
-"""Tests for unification and one-directional (subsumption) matching."""
+"""Tests for unification."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.logic.terms import Atom, Const, Substitution, Var
-from repro.logic.unify import instance_of, match_one_way, unify, unify_terms, variant
+from repro.logic.unify import unify, unify_terms
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
-a, b, c = Const("a"), Const("b"), Const("c")
+a, b = Const("a"), Const("b")
 
 
 class TestUnifyTerms:
@@ -58,56 +58,6 @@ class TestUnifyAtoms:
         assert s.apply(left) == s.apply(right)
 
 
-class TestMatchOneWay:
-    """The CMS subsumption-check matching rule of Section 5.3.2."""
-
-    def test_general_var_matches_query_constant(self):
-        # E = b21(X, Y) subsumes Q = b21(X, 2): Y may take the value 2.
-        s = match_one_way(Atom("b21", (X, Y)), Atom("b21", (X, Const(2))))
-        assert s is not None
-        assert s.resolve(Y) == Const(2)
-
-    def test_query_variable_cannot_match_element_constant(self):
-        # E = b21(3, Y) does not subsume Q = b21(X, 2): X ranges wider than 3.
-        assert match_one_way(Atom("b21", (Const(3), Y)), Atom("b21", (X, Const(2)))) is None
-
-    def test_identical_constants_match(self):
-        # E = b21(X, 2) subsumes Q = b21(X, 2) (paper's E3 example).
-        s = match_one_way(Atom("b21", (X, Const(2))), Atom("b21", (Y, Const(2))))
-        assert s is not None
-
-    def test_general_var_matches_query_variable(self):
-        s = match_one_way(Atom("p", (X,)), Atom("p", (Y,)))
-        assert s.resolve(X) == Y
-
-    def test_repeated_general_var_must_match_consistently(self):
-        assert match_one_way(Atom("p", (X, X)), Atom("p", (a, b))) is None
-        assert match_one_way(Atom("p", (X, X)), Atom("p", (a, a))) is not None
-
-    def test_predicate_and_arity_must_agree(self):
-        assert match_one_way(Atom("p", (X,)), Atom("q", (a,))) is None
-        assert match_one_way(Atom("p", (X,)), Atom("p", (a, b))) is None
-
-
-class TestInstanceAndVariant:
-    def test_instance_of(self):
-        assert instance_of(Atom("p", (a, b)), Atom("p", (X, Y)))
-        assert not instance_of(Atom("p", (X, b)), Atom("p", (a, Y)))
-
-    def test_every_atom_instance_of_itself(self):
-        atom = Atom("p", (X, a))
-        assert instance_of(atom, atom)
-
-    def test_variant_true_for_renaming(self):
-        assert variant(Atom("p", (X, Y)), Atom("p", (Z, X)))
-
-    def test_variant_false_for_collapsing(self):
-        assert not variant(Atom("p", (X, Y)), Atom("p", (Z, Z)))
-
-    def test_variant_false_for_specialization(self):
-        assert not variant(Atom("p", (X,)), Atom("p", (a,)))
-
-
 # -- property-based tests -------------------------------------------------------
 
 var_names = st.sampled_from(["X", "Y", "Z", "W"])
@@ -117,11 +67,6 @@ atoms = st.builds(
     Atom,
     pred=st.sampled_from(["p", "q"]),
     args=st.lists(terms, min_size=1, max_size=3).map(tuple),
-)
-ground_atoms = st.builds(
-    Atom,
-    pred=st.sampled_from(["p", "q"]),
-    args=st.lists(const_values.map(Const), min_size=1, max_size=3).map(tuple),
 )
 
 
@@ -140,17 +85,3 @@ def test_unifier_is_a_solution(left, right):
 @given(atoms)
 def test_unify_reflexive(atom):
     assert unify(atom, atom) is not None
-
-
-@given(atoms, ground_atoms)
-def test_match_one_way_sound(general, ground):
-    """If match succeeds, applying the match maps general onto the query."""
-    s = match_one_way(general, ground)
-    if s is not None:
-        assert s.apply(general) == ground
-
-
-@given(atoms, ground_atoms)
-def test_match_implies_unify(general, ground):
-    if match_one_way(general, ground) is not None:
-        assert unify(general, ground) is not None

@@ -4,7 +4,7 @@ import hashlib
 import json
 
 from repro.common.clock import SimClock
-from repro.obs import Tracer, chrome_trace, jsonl_trace, trace_fingerprint
+from repro.obs import Tracer, jsonl_trace, trace_fingerprint
 
 
 def sample_tracer() -> Tracer:
@@ -79,37 +79,3 @@ class TestFingerprint:
         other = sample_tracer()
         other.spans[0].set("extra", True)
         assert trace_fingerprint(tracer) != trace_fingerprint(other)
-
-
-class TestChrome:
-    def test_valid_trace_event_json(self):
-        doc = json.loads(chrome_trace(sample_tracer()))
-        assert set(doc) == {"traceEvents", "displayTimeUnit"}
-        phases = [record["ph"] for record in doc["traceEvents"]]
-        assert "M" in phases and "X" in phases and "i" in phases
-
-    def test_spans_become_complete_events_in_microseconds(self):
-        doc = json.loads(chrome_trace(sample_tracer()))
-        complete = [r for r in doc["traceEvents"] if r["ph"] == "X"]
-        query = next(r for r in complete if r["name"] == "cms.query")
-        assert query["ts"] == 0.0
-        assert query["dur"] == 750_000.0
-
-    def test_sessions_get_their_own_thread_lanes(self):
-        tracer = Tracer(SimClock())
-        with tracer.span("s", session="bob"):
-            pass
-        with tracer.span("s", session="alice"):
-            pass
-        doc = json.loads(chrome_trace(tracer))
-        names = {
-            r["args"]["name"]: r["tid"]
-            for r in doc["traceEvents"]
-            if r["ph"] == "M" and r["name"] == "thread_name"
-        }
-        # Sorted session names → stable tid assignment.
-        assert names == {"session alice": 1, "session bob": 2}
-
-    def test_disabled_tracer_exports_an_empty_document(self):
-        doc = json.loads(Tracer.disabled().to_chrome())
-        assert [r["ph"] for r in doc["traceEvents"]] == ["M"]

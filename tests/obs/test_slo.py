@@ -138,13 +138,3 @@ class TestReporting:
         assert report["b"]["breach_p99"] is True
         assert report["a"]["breach_p99"] is False
         assert report["a"]["samples"] == 3
-
-    def test_overall_merges_every_window(self):
-        _clock, _metrics, monitor = make()
-        for value in (0.1, 0.2):
-            monitor.observe("a", value)
-        for value in (0.3, 0.4):
-            monitor.observe("b", value)
-        merged = monitor.overall()
-        assert merged.count == 4
-        assert merged.percentile(99) == pytest.approx(0.4)

@@ -24,7 +24,7 @@ def faulty_reports():
 class TestDegradedContract:
     def test_faulted_corpus_has_no_divergences(self):
         _, report = faulty_reports()
-        assert report.clean, (
+        assert not report.failed_cases, (
             f"divergences={report.divergences} violations={report.violations}"
         )
 

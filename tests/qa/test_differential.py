@@ -27,7 +27,7 @@ class TestCleanCorpus:
     def test_healthy_corpus_is_clean(self):
         cases = CaseGenerator(0).corpus(CORPUS)
         report = run_corpus(cases, seed=0)
-        assert report.clean, (
+        assert not report.failed_cases, (
             f"divergences={report.divergences} violations={report.violations} "
             f"failed={report.failed_cases}"
         )

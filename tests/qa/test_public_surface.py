@@ -1,0 +1,118 @@
+"""Static check: ``src/repro`` keeps no public name that nothing runs.
+
+Every public function, class and method defined under ``src/repro`` must be
+referenced from ``src/``, ``benchmarks/``, ``scripts/`` or ``examples/`` —
+outside its own ``def``/``class`` line, import statements, ``__all__`` lists
+and docstrings — or be named in :data:`ALLOWED` with the reason it stays.
+Tests are deliberately not a reference: a helper only its own unit tests
+call is exactly what this test exists to keep out.
+
+The check is by *name* (AST identifiers, attribute names, and the dotted
+paths of the wall benchmark's probe table), so it cannot tell two methods of
+the same name apart; it holds the line, it does not prove reachability (the
+reachability audit in EXPERIMENTS.md does that, by tracing real traffic).
+"""
+
+import ast
+import re
+from functools import cache
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "repro"
+TRAFFIC = ("src", "benchmarks", "scripts", "examples")
+
+#: Public names nothing outside ``tests/`` references, and why each stays.
+ALLOWED = {
+    "advance": "SimClock.advance: how tests (and E-series set-ups) move simulated time by hand",
+    "case_from_relations": "test seam: lets property suites hand the differential runner a case built from their own relations",
+    "clear_cache": "test seam: planted-bug tests that patch the canonicalizer's fold seams must drop its memo",
+    "close_session": "BraidServer's session teardown (pins released, admission slots returned): API no workload exercises yet",
+    "generator_from_rows": "test seam: a GeneratorRelation over a fixed row list",
+    "parse_query_pattern": "text front end of cms.query_pattern (ROADMAP item 5 builds on it)",
+    "predicted_next": "PathTracker's position is otherwise unobservable: tests/advice and tests/ie assert on it",
+    "psj_of": "test seam: CAQL text -> PSJ in one call, used by a dozen test modules",
+    "reset_predicate_cache": "test seam: planted-bug tests must drop code generated before the mutant",
+    "served_from_cache": "PlanExplanation accessor (cms.explain, ROADMAP item 7)",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+@cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def _public_definitions() -> dict[str, list[str]]:
+    found: dict[str, list[str]] = {}
+
+    def walk(node, path, owner):
+        for child in node.body:
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not child.name.startswith("_"):
+                where = f"{path.relative_to(ROOT)}:{child.lineno} {owner}{child.name}"
+                found.setdefault(child.name, []).append(where)
+            if isinstance(child, ast.ClassDef):
+                walk(child, path, f"{owner}{child.name}.")
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        walk(_tree(path), path, "")
+    return found
+
+
+def _references() -> set[str]:
+    names: set[str] = set()
+    for top in TRAFFIC:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            nodes = list(ast.walk(_tree(path)))
+            skipped: set[int] = set()
+            aliases: dict[str, str] = {}
+            for node in nodes:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    skipped.update(id(n) for n in ast.walk(node))
+                elif isinstance(
+                    node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    first = node.body[0] if node.body else None
+                    if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                        skipped.add(id(first.value))  # a docstring mentions, it does not use
+                elif isinstance(node, ast.ImportFrom):
+                    aliases.update(
+                        {a.asname: a.name for a in node.names if a.asname is not None}
+                    )
+            for node in nodes:
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    # Names handed over as strings: getattr(...), and the probe
+                    # table's "package.module:Class" / "attribute" entries.
+                    if _DOTTED.fullmatch(node.value):
+                        names.update(re.split(r"[.:]", node.value))
+            names.update(original for alias, original in aliases.items() if alias in names)
+    return names
+
+
+def test_every_public_name_is_referenced_or_allow_listed():
+    definitions = _public_definitions()
+    unreferenced = set(definitions) - _references()
+    unexplained = sorted(unreferenced - set(ALLOWED))
+    assert not unexplained, "public names nothing but tests references:\n" + "\n".join(
+        f"  {name}: {', '.join(definitions[name])}" for name in unexplained
+    )
+    stale = sorted(set(ALLOWED) - unreferenced)
+    assert not stale, f"allow-listed but referenced (or gone): {stale}"
+    assert len(ALLOWED) <= 20
+
+
+def test_the_executor_has_one_route_for_a_plans_remote_part():
+    source = (PACKAGE / "core" / "executor.py").read_text()
+    assert source.count("self.rdi.fetch(") == 1
+    assert "fetch_many" not in source

@@ -1,10 +1,8 @@
 """Tests for the generator (lazy) relation representation."""
 
-from repro.relational.generator import (
-    GeneratorRelation,
-    generator_from_relation,
-    generator_from_rows,
-)
+from itertools import islice
+
+from repro.relational.generator import GeneratorRelation, generator_from_rows
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -33,12 +31,12 @@ class TestLaziness:
     def test_take_produces_only_what_is_needed(self):
         pulled = []
         gen = GeneratorRelation(SCHEMA, counting_source(ROWS, pulled))
-        assert gen.take(1) == [(1, "x")]
+        assert list(islice(gen, 1)) == [(1, "x")]
         assert len(pulled) == 1
 
     def test_take_more_than_available(self):
         gen = generator_from_rows(SCHEMA, ROWS)
-        assert len(gen.take(10)) == 3
+        assert len(list(islice(gen, 10))) == 3
 
     def test_exhausted_flag(self):
         gen = generator_from_rows(SCHEMA, ROWS)
@@ -112,28 +110,6 @@ class TestPromotion:
 
     def test_partial_consumption_then_promotion(self):
         gen = generator_from_rows(SCHEMA, ROWS)
-        gen.take(1)
+        next(iter(gen))
         extension = gen.to_extension()
         assert len(extension) == 3
-
-    def test_restart_recomputes(self):
-        pulled = []
-        gen = GeneratorRelation(SCHEMA, counting_source(ROWS, pulled))
-        list(gen)
-        gen.restart()
-        assert gen.produced_count == 0
-        assert list(gen) == ROWS
-        assert len(pulled) == 6
-
-
-class TestFromRelation:
-    def test_generator_view(self):
-        relation = Relation(SCHEMA, ROWS)
-        gen = generator_from_relation(relation)
-        assert list(gen) == ROWS
-
-    def test_snapshot_semantics_of_rows_copy(self):
-        relation = Relation(SCHEMA, ROWS)
-        gen = generator_from_relation(relation)
-        first = gen.take(1)
-        assert first == [(1, "x")]

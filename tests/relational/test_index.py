@@ -35,23 +35,9 @@ class TestHashIndex:
         assert ("sw",) in index
         assert ("xx",) not in index
 
-    def test_probe_count(self):
-        index = HashIndex(make_emp(), ("dept",))
-        index.lookup(("sw",))
-        index.lookup(("hw",))
-        assert index.probe_count == 2
-
     def test_key_count(self):
         index = HashIndex(make_emp(), ("dept",))
         assert index.key_count == 2
-
-    def test_build_size(self):
-        index = HashIndex(make_emp(), ("id",))
-        assert index.build_size == 4
-
-    def test_lookup_iter(self):
-        index = HashIndex(make_emp(), ("dept",))
-        assert len(list(index.lookup_iter(("hw",)))) == 2
 
     def test_lookup_returns_rows_in_relation_order(self):
         index = HashIndex(make_emp(), ("dept",))
@@ -63,7 +49,6 @@ class TestHashIndex:
         keys = [("dan",), ("ann",), ("zed",), ("cat",), ("ann",)]
         assert index.lookup_any(keys) == [emp.rows[0], emp.rows[2], emp.rows[3]]
         assert index.lookup_any([]) == []
-        assert index.probe_count == 4  # one per distinct key
 
     def test_lookup_any_keys_meet_rows_by_python_equality(self):
         nan = float("nan")
@@ -108,7 +93,7 @@ class TestIndexSet:
             indexes.get(("dept",)),
             indexes.find_covering({"dept", "name"}),
         ):
-            assert fresh is not stale and fresh.build_size == 5
+            assert fresh is not stale and fresh.is_current
             assert fresh.lookup("sw")[-1] == (5, "eve", "sw")
         # Rebuilt once, not on every call.
         assert indexes.ensure(("dept",)) is indexes.get(("dept",))
@@ -132,8 +117,3 @@ class TestIndexSet:
         indexes = IndexSet(make_emp())
         indexes.ensure(("dept",))
         assert indexes.find_covering({"name"}) is None
-
-    def test_attribute_sets(self):
-        indexes = IndexSet(make_emp())
-        indexes.ensure(("id",))
-        assert indexes.attribute_sets == [("id",)]

@@ -1,9 +1,9 @@
-"""Mixed-type keys through the local hash joins (``join`` and ``join_iter``).
+"""Mixed-type keys through the local hash join.
 
 The local mirror of ``tests/remote/test_mixed_type_bindings.py``: Python
 lets ``1 == 1.0 == True`` while ``1 != "1"`` even though their reprs
 collide.  :func:`repro.core.rdi.canonical_bindings` dedups binding sets
-by exactly those equality classes, so the local hash joins must bucket
+by exactly those equality classes, so the local hash join must bucket
 keys the same way — a join keyed by ``(type, repr)`` would *split* the
 classes and silently lose join rows that the remote semijoin would
 produce.
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.rdi import canonical_bindings
 from repro.relational.expressions import Col, Comparison, Lit
-from repro.relational.operators import join, join_iter
+from repro.relational.operators import join
 from repro.relational.relation import Relation, relation_from_columns
 
 
@@ -142,15 +142,18 @@ JOINS = {
 
 
 @pytest.mark.parametrize("case", sorted(JOINS))
-class TestJoinImplementationsAgreeRowForRow:
-    def test_join_iter_streams_the_same_rows_left_major(self, case):
+class TestBuildSidesAgreeRowForRow:
+    def test_either_build_side_yields_the_same_rows(self, case):
         make_left, make_right, pairs, conditions = JOINS[case]
         left, right = make_left(), make_right()
-        expected = join(left, right, pairs, name="j", conditions=conditions)
-        expected.check_invariants()  # join adopts its output: audit the claim
-        streamed = list(join_iter(iter(left), left.schema, right, pairs, conditions))
+        built_left = join(left, right, pairs, "j", conditions, build_left=True)
+        built_right = join(left, right, pairs, "j", conditions, build_left=False)
+        built_left.check_invariants()  # join adopts its output: audit the claim
+        built_right.check_invariants()
+        # Same rows whichever side is hashed; the streamed side sets the order.
         order = {row: i for i, row in enumerate(left)}
-        assert streamed == sorted(expected, key=lambda row: order[row[:2]])
+        width = left.schema.arity
+        assert built_right.rows == sorted(built_left, key=lambda row: order[row[:width]])
 
 
 def test_nan_key_matches_only_itself():

@@ -4,21 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.errors import EvaluationError, SchemaError
-from repro.relational.expressions import Col, Comparison, Lit, eq
+from repro.common.errors import EvaluationError
+from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.operators import (
     aggregate,
     distinct_projection,
     join,
-    join_iter,
     project,
     select,
     select_iter,
     transitive_closure,
-    union,
 )
 from repro.relational.relation import Relation, relation_from_columns
 from repro.relational.schema import Schema
+from tests.relational import eq
 
 
 @pytest.fixture
@@ -109,33 +108,6 @@ class TestJoin:
         out = join(left, right, [("y", "y")])
         assert len(set(out.schema.attributes)) == 4
 
-    def test_join_iter_streams_left(self, emp, dept):
-        rows = join_iter(iter(emp), emp.schema, dept, [("dept", "code")])
-        first = next(rows)
-        assert first[:3] == (1, "ann", "hw")
-
-    def test_join_iter_unconsumed_costs_nothing(self, dept):
-        def exploding():
-            raise AssertionError("left side should not be pulled")
-            yield  # pragma: no cover
-
-        rows = join_iter(exploding(), Schema("l", ("a",)), dept, [("a", "code")])
-        # Creating the pipeline must not pull anything.
-        assert rows is not None
-
-
-class TestSetOperations:
-    def test_union(self):
-        a = Relation(Schema("p", ("x",)), [(1,), (2,)])
-        b = Relation(Schema("p", ("x",)), [(2,), (3,)])
-        assert len(union(a, b)) == 3
-
-    def test_arity_mismatch_rejected(self):
-        a = Relation(Schema("p", ("x",)), [(1,)])
-        b = Relation(Schema("q", ("x", "y")), [(1, 2)])
-        with pytest.raises(SchemaError):
-            union(a, b)
-
 
 class TestAggregate:
     def test_group_count(self, emp):
@@ -201,12 +173,12 @@ rows = st.lists(
 
 @given(rows)
 def test_select_then_union_partition(pairs):
-    """select(P) ∪ select(¬P) == original."""
+    """select(P) ∪ select(¬P) == original, and the two are disjoint."""
     r = Relation(Schema("p", ("x", "y")), pairs)
-    cond = Comparison(Col("x"), "<", Lit(3))
-    low = select(r, [cond])
-    high = select(r, [cond.negated()])
-    assert union(low, high) == r
+    low = select(r, [Comparison(Col("x"), "<", Lit(3))])
+    high = select(r, [Comparison(Col("x"), ">=", Lit(3))])
+    assert set(low) | set(high) == set(r)
+    assert len(low) + len(high) == len(r)
 
 
 @given(rows)

@@ -53,7 +53,9 @@ def test_incremental_size_equals_recount(initial, script, check_each_step):
         elif step[0] == "size":
             target.estimated_bytes()
         elif step[0] == "renamed":
-            pool.append(target.renamed(f"alias{len(pool)}"))
+            pool.append(
+                target.with_schema(Schema(f"alias{len(pool)}", SCHEMA.attributes))
+            )
         elif step[0] == "copy":
             pool.append(target.copy())
         else:

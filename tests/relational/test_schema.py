@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SchemaError
-from repro.relational.schema import Schema, generic_schema
+from repro.relational.schema import Schema
 
 
 class TestConstruction:
@@ -47,18 +47,8 @@ class TestAccess:
         schema = Schema("emp", ("id", "name", "dept"))
         assert schema.positions(("dept", "id")) == (2, 0)
 
-    def test_has(self):
-        schema = Schema("emp", ("id",))
-        assert schema.has("id")
-        assert not schema.has("name")
-
 
 class TestDerivation:
-    def test_renamed(self):
-        schema = Schema("emp", ("id", "name")).renamed("staff")
-        assert schema.name == "staff"
-        assert schema.attributes == ("id", "name")
-
     def test_project(self):
         schema = Schema("emp", ("id", "name", "dept")).project(("dept", "id"))
         assert schema.attributes == ("dept", "id")
@@ -84,10 +74,6 @@ class TestDerivation:
         right = Schema("b", ("x",))
         combined = left.concat(right, "ab")
         assert len(set(combined.attributes)) == 3
-
-    def test_generic_schema(self):
-        schema = generic_schema("q1", 3)
-        assert schema.attributes == ("a0", "a1", "a2")
 
     def test_str(self):
         assert str(Schema("emp", ("id", "name"))) == "emp(id, name)"

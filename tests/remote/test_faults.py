@@ -116,12 +116,6 @@ class TestInjectorDeterminism:
             b.on_request() for _ in range(50)
         ]
 
-    def test_reset_rewinds_the_stream(self):
-        injector = FaultInjector(FaultPolicy(seed=9, transient_rate=0.5))
-        first = [injector.on_request() for _ in range(20)]
-        injector.reset()
-        assert [injector.on_request() for _ in range(20)] == first
-
     def test_draws_per_request_fixed(self):
         # Decision k depends only on (seed, k): two policies with the same
         # seed but different rates see the same underlying draws.
@@ -288,9 +282,7 @@ class TestTimeouts:
         # part-way through the buffered drain.
         server = make_server(rows=3000)
         rdi = RemoteInterface(
-            server,
-            buffer_size=100,
-            retry=RetryPolicy(max_retries=0, timeout_seconds=0.3),
+            server, retry=RetryPolicy(max_retries=0, timeout_seconds=0.3)
         )
         with pytest.raises(RemoteTimeoutError):
             rdi.fetch(make_psj())

@@ -75,11 +75,6 @@ class TestCostAccounting:
         assert server.metrics.get(REMOTE_REQUESTS) == 0
         assert server.clock.now == 0.0
 
-    def test_request_cost_estimation_charges_nothing(self, server):
-        cost = server.network.request_cost(100, 10)
-        assert cost > 0
-        assert server.clock.now == 0.0
-
 
 class TestCatalogAccess:
     def test_schema_of(self, server):
@@ -111,10 +106,8 @@ class TestStreams:
 
     def test_stream_exhaustion(self, server):
         stream = server.execute_stream(FetchTableQuery("emp"), buffer_size=3)
-        buffers = []
-        while not stream.exhausted:
-            buffers.append(stream.next_buffer())
-        assert sum(len(b) for b in buffers) == 4
+        buffers = [stream.next_buffer(), stream.next_buffer()]
+        assert [len(b) for b in buffers] == [3, 1]
         assert stream.next_buffer() == []
 
     def test_non_pipelined_ships_everything_upfront(self):
@@ -135,13 +128,9 @@ class TestStreams:
         stream = server.execute_stream(SW_QUERY, buffer_size=1)
         (batch,) = server.execute_batch([SW_QUERY], buffer_size=8)
         assert stream.next_buffer() == [(2, "bob")]
-        assert stream.next_buffer() == [(3, "cat")] and stream.exhausted
+        assert stream.next_buffer() == [(3, "cat")]
         assert batch.next_buffer() == [(2, "bob"), (3, "cat")]
         assert stream.next_buffer() == batch.next_buffer() == []
-
-    def test_stream_total_rows(self, server):
-        stream = server.execute_stream(FetchTableQuery("emp"))
-        assert stream.total_rows == 4
 
     def test_stream_schema(self, server):
         stream = server.execute_stream(FetchTableQuery("emp"))

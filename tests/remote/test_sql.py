@@ -62,7 +62,8 @@ class TestValidation:
             tables=(TableRef("emp", "e1"), TableRef("emp", "e2")),
             select=(SqlCol("e1", "name"),),
         )
-        assert query.referenced_tables() == {"emp"}
+        assert {ref.table for ref in query.tables} == {"emp"}
+        assert [ref.alias for ref in query.tables] == ["e1", "e2"]
 
 
 class TestRendering:

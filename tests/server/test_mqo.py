@@ -109,7 +109,6 @@ def run_server(mqo: bool, serial: bool = False):
         config=ServerConfig(
             cache_capacity_bytes=CHURN_BYTES,
             features=CMSFeatures(intermediates=True, mqo=mqo),
-            mqo=mqo,
             max_queue_depth=SPEC.clients * SPEC.requests_per_client + 16,
             scheduler_seed=21,
         ),

@@ -105,8 +105,8 @@ class TestSharedState:
         alice = manager.open("alice", advice=advice)
         bob = manager.open("bob")
         assert alice.cms.advice_manager is not bob.cms.advice_manager
-        assert alice.cms.advice_manager.has_advice
-        assert not bob.cms.advice_manager.has_advice
+        assert not alice.cms.advice_manager.advice.is_empty()
+        assert bob.cms.advice_manager.advice.is_empty()
 
 
 class TestMetricsIsolation:
@@ -178,4 +178,4 @@ class TestCloseReleasesPins:
         )
         manager.close("alice")
         assert all(e.pin_count == 0 for e in manager.cache._elements.values())
-        assert not manager.cache.condemned_elements()
+        assert not manager.cache._condemned

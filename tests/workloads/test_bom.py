@@ -4,6 +4,7 @@ import pytest
 
 from repro.braid import BraidConfig, BraidSystem
 from repro.workloads.bom import bom
+from tests.workloads import table
 
 
 @pytest.fixture(scope="module")
@@ -14,17 +15,17 @@ def workload():
 class TestGeneration:
     def test_deterministic(self, workload):
         again = bom(depth=4, fanout=3, basic_parts=30, seed=19)
-        assert workload.table("assembly").rows == again.table("assembly").rows
+        assert table(workload, "assembly").rows == table(again, "assembly").rows
 
     def test_components_reference_known_things(self, workload):
-        assemblies = workload.table("assembly").distinct_values("asm")
-        parts = workload.table("basic_part").distinct_values("p_id")
-        for _asm, component, _qty in workload.table("assembly"):
+        assemblies = table(workload, "assembly").distinct_values("asm")
+        parts = table(workload, "basic_part").distinct_values("p_id")
+        for _asm, component, _qty in table(workload, "assembly"):
             assert component in assemblies or component in parts
 
     def test_tree_is_acyclic(self, workload):
         children = {}
-        for asm, component, _qty in workload.table("assembly"):
+        for asm, component, _qty in table(workload, "assembly"):
             children.setdefault(asm, set()).add(component)
 
         def walk(node, path):
@@ -43,7 +44,7 @@ class TestGeneration:
 class TestQueries:
     def ground_truth_deep(self, workload, root="asm0"):
         children = {}
-        for asm, component, _qty in workload.table("assembly"):
+        for asm, component, _qty in table(workload, "assembly"):
             children.setdefault(asm, set()).add(component)
         seen: set[str] = set()
         frontier = [root]

@@ -9,39 +9,38 @@ from repro.workloads.queries import (
     repeated_selection_stream,
 )
 from repro.workloads.suppliers import suppliers
-from repro.workloads.synthetic import chain, fanout_graph, selection_universe
+from repro.workloads.synthetic import chain, selection_universe
+from tests.workloads import table
 
 
 class TestGenealogy:
     def test_deterministic(self):
         a, b = genealogy(seed=1), genealogy(seed=1)
-        assert a.table("parent").rows == b.table("parent").rows
+        assert table(a, "parent").rows == table(b, "parent").rows
 
     def test_seed_changes_data(self):
-        assert genealogy(seed=1).table("parent").rows != genealogy(seed=2).table("parent").rows
+        assert table(genealogy(seed=1), "parent").rows != table(genealogy(seed=2), "parent").rows
 
     def test_every_person_has_sex_and_age(self):
         w = genealogy()
         people = set()
-        for par, child in w.table("parent"):
+        for par, child in table(w, "parent"):
             people.add(par)
             people.add(child)
-        sexed = w.table("male").distinct_values("person") | w.table(
-            "female"
-        ).distinct_values("person")
-        aged = w.table("age").distinct_values("person")
+        sexed = table(w, "male").distinct_values("person") | table(w, "female").distinct_values("person")
+        aged = table(w, "age").distinct_values("person")
         assert people <= sexed
         assert people <= aged
 
     def test_sexes_disjoint(self):
         w = genealogy()
-        males = w.table("male").distinct_values("person")
-        females = w.table("female").distinct_values("person")
+        males = table(w, "male").distinct_values("person")
+        females = table(w, "female").distinct_values("person")
         assert not males & females
 
     def test_generation_structure(self):
         w = genealogy(generations=3, branching=2, roots=1, seed=5)
-        parents = w.table("parent")
+        parents = table(w, "parent")
         children = {c for _p, c in parents}
         roots = {p for p, _c in parents} - children
         assert roots == {"p0"}
@@ -55,17 +54,17 @@ class TestGenealogy:
 class TestSuppliers:
     def test_shipment_references_valid(self):
         w = suppliers()
-        supplier_ids = w.table("supplier").distinct_values("s_id")
-        part_ids = w.table("part").distinct_values("p_id")
-        for s_id, p_id, _qty, _cost in w.table("shipment"):
+        supplier_ids = table(w, "supplier").distinct_values("s_id")
+        part_ids = table(w, "part").distinct_values("p_id")
+        for s_id, p_id, _qty, _cost in table(w, "shipment"):
             assert s_id in supplier_ids
             assert p_id in part_ids
 
     def test_requested_sizes(self):
         w = suppliers(n_suppliers=5, n_parts=7, n_shipments=20)
-        assert len(w.table("supplier")) == 5
-        assert len(w.table("part")) == 7
-        assert len(w.table("shipment")) == 20
+        assert len(table(w, "supplier")) == 5
+        assert len(table(w, "part")) == 7
+        assert len(table(w, "shipment")) == 20
 
     def test_kb_builds_cleanly(self):
         kb = suppliers().build_kb()
@@ -94,19 +93,8 @@ class TestSynthetic:
 
     def test_selection_universe(self):
         w = selection_universe(rows=100, domain=50)
-        assert len(w.table("item")) == 100
-        assert all(0 <= v < 50 for _i, _c, v in w.table("item"))
-
-    def test_fanout_graph_is_dag(self):
-        w = fanout_graph(nodes=30)
-        for src, dst in w.table("edge"):
-            assert int(src[1:]) < int(dst[1:])
-
-    def test_workload_helpers(self):
-        w = chain(length=2)
-        assert w.total_rows() == sum(len(t) for t in w.tables)
-        with pytest.raises(KeyError):
-            w.table("nope")
+        assert len(table(w, "item")) == 100
+        assert all(0 <= v < 50 for _i, _c, v in table(w, "item"))
 
 
 class TestQueryStreams:
