@@ -14,10 +14,14 @@ engine below is sound and incomplete in the safe direction: ``implies``
 never answers True unless the implication holds; a False merely forgoes an
 optimization.
 
-Method: build equivalence classes of columns from equality conditions, then
-derive per-class bounds (lower/upper with strictness), pinned constants,
-and excluded values; check each candidate condition against those, plus a
-syntactic check for general column-column comparisons.
+Method: *fold* the conjunction once — equivalence classes of columns from
+the equality conditions, then per class an equality pin or, per
+comparability kind of constant, one lower and one upper bound, plus the
+excluded values — and check each candidate condition against the folded
+facts, plus a syntactic check for general column-column comparisons.
+:class:`ConditionSet` is the only code that folds; the canonicalizer
+(:mod:`repro.core.canonical`) renders its key from the same set, so the
+two can never disagree about what a conjunction means.
 
 The second half of the module is the *containment signature*: what a
 stored definition needs of any query it could subsume, digested once so
@@ -28,174 +32,305 @@ candidate before it enumerates a single occurrence mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
-from repro.relational.expressions import Col, Comparison, Lit, holds
+from repro.relational.expressions import FLIPPED, Col, Comparison, Lit, holds
 from repro.caql.psj import PSJQuery, column, parse_column
 
 
-@dataclass
-class _Bound:
+# -- constants -----------------------------------------------------------------------
+
+
+def canonical_constant(value: object) -> object:
+    """The canonical spelling of a constant's ``==``-equality class.
+
+    Numeric spellings (``bool``/``int``/``float``) that compare equal
+    select exactly the same rows, so they collapse to the float spelling
+    when it is exact (``1`` → ``1.0``, ``True`` → ``1.0``); integers
+    beyond float precision keep their own spelling.  Non-numeric values
+    (strings included — ``"1" != 1``) are returned unchanged.
+    """
+    if isinstance(value, (bool, int, float)):
+        try:
+            as_float = float(value)
+        except (OverflowError, ValueError):
+            return value
+        if as_float == value:
+            return as_float
+    return value
+
+
+def encode_constant(value: object) -> str:
+    """A total-ordered, collision-free rendering of a canonical constant."""
+    v = canonical_constant(value)
+    return f"{type(v).__name__}!{v!r}"
+
+
+def _kind(value: object) -> str:
+    """Comparability kind: values of one kind never raise on comparison."""
+    if isinstance(value, (bool, int, float)):
+        return "num"
+    return type(value).__name__
+
+
+# -- the fold ------------------------------------------------------------------------
+
+
+class _Bound(NamedTuple):
     value: object
     strict: bool  # True for < / >, False for <= / >=
 
 
 @dataclass
-class _ClassInfo:
-    """Derived constraints for one equivalence class of columns."""
+class _Interval:
+    """One comparability kind's folded range bounds."""
 
-    pinned: object | None = None  # equality constant (None = unpinned)
-    has_pin: bool = False
     lower: _Bound | None = None
     upper: _Bound | None = None
-    excluded: set = field(default_factory=set)
-    contradictory: bool = False
 
-    def pin(self, value: object) -> None:
-        if self.has_pin and self.pinned != value:
-            self.contradictory = True
-            return
-        self.pinned = value
-        self.has_pin = True
-
-    def tighten_lower(self, value: object, strict: bool) -> None:
-        current = self.lower
-        if current is None or holds(value, ">", current.value) or (
-            value == current.value and strict and not current.strict
-        ):
-            self.lower = _Bound(value, strict)
-
-    def tighten_upper(self, value: object, strict: bool) -> None:
-        current = self.upper
-        if current is None or holds(value, "<", current.value) or (
-            value == current.value and strict and not current.strict
-        ):
-            self.upper = _Bound(value, strict)
-
-    def forced(self) -> tuple[bool, object]:
-        """(True, v) when the class can only take the single value v: an
-        equality constant, or a closed ``[v, v]`` range."""
-        if self.has_pin:
-            return True, self.pinned
+    def admits(self, value: object) -> bool:
+        """False when a bound rules ``value`` out (a type clash does)."""
         lower, upper = self.lower, self.upper
-        if (
-            lower is not None
-            and upper is not None
-            and lower.value == upper.value
-            and not lower.strict
-            and not upper.strict
-        ):
-            return True, lower.value
-        return False, None
+        if lower is not None and not holds(value, ">" if lower.strict else ">=", lower.value):
+            return False
+        return upper is None or holds(value, "<" if upper.strict else "<=", upper.value)
 
-    def is_unsatisfiable(self) -> bool:
-        if self.contradictory:
-            return True
+
+_NO_BOUNDS = _Interval()  # shared, never written to
+
+
+def _fold_lower(interval: _Interval, value: object, strict: bool) -> None:
+    """Tighten ``interval``'s lower bound with ``> / >= value``."""
+    current = interval.lower
+    if (
+        current is None
+        or holds(value, ">", current.value)
+        or (value == current.value and strict and not current.strict)
+    ):
+        interval.lower = _Bound(value, strict)
+
+
+def _fold_upper(interval: _Interval, value: object, strict: bool) -> None:
+    """Tighten ``interval``'s upper bound with ``< / <= value``.
+
+    Module-level on purpose: this is the interval-folding seam the
+    planted-bug acceptance test replaces with a conjunct-dropping
+    mutant (mirroring PR 5's ``derive_full`` seam).
+    """
+    current = interval.upper
+    if (
+        current is None
+        or holds(value, "<", current.value)
+        or (value == current.value and strict and not current.strict)
+    ):
+        interval.upper = _Bound(value, strict)
+
+
+@dataclass
+class _ClassInfo:
+    """Folded constraints for one equivalence class of columns."""
+
+    #: Member columns, in order of first mention.
+    columns: list[str] = field(default_factory=list)
+    pinned: object | None = None  # equality constant (meaningful with has_pin)
+    has_pin: bool = False
+    #: Comparability kind -> that kind's bounds (empty once pinned).
+    intervals: dict[str, _Interval] = field(default_factory=dict)
+    #: ``!=`` constants, ``==``-deduplicated; a list, so an unhashable
+    #: constant is a value like any other.
+    excluded: list[object] = field(default_factory=list)
+
+    def admits(self, value: object) -> bool:
+        """False when some bound of the class rules ``value`` out."""
+        return all(interval.admits(value) for interval in self.intervals.values())
+
+    def settle(self) -> bool:
+        """Resolve the folded facts; False when they contradict.
+
+        A pin absorbs every other constraint (each is simply evaluated on
+        the pinned value — exactly what execution would do row by row); a
+        closed non-strict interval collapses to a pin; exclusions that the
+        interval of their own kind already rules out are dropped.
+        """
+        if not self.has_pin:
+            for interval in self.intervals.values():
+                lower, upper = interval.lower, interval.upper
+                if lower is None or upper is None:
+                    continue
+                if holds(lower.value, ">", upper.value):
+                    return False
+                if lower.value == upper.value:
+                    if lower.strict or upper.strict:
+                        return False
+                    self.pinned, self.has_pin = lower.value, True
+                    break
         if self.has_pin:
-            if self.pinned in self.excluded:
-                return True
-            if self.lower is not None and not _within_lower(self.pinned, self.lower):
-                return True
-            if self.upper is not None and not _within_upper(self.pinned, self.upper):
-                return True
-        if self.lower is not None and self.upper is not None:
-            if holds(self.lower.value, ">", self.upper.value):
-                return True
-            if self.lower.value == self.upper.value and (self.lower.strict or self.upper.strict):
-                return True
-        return False
+            pinned = self.pinned
+            if not self.admits(pinned) or any(pinned == v for v in self.excluded):
+                return False
+            self.intervals, self.excluded = {}, []
+            return True
+        self.excluded = [
+            value
+            for value in self.excluded
+            if self.intervals.get(_kind(value), _NO_BOUNDS).admits(value)
+        ]
+        return True
 
+    def literals(self) -> Iterator[tuple[str, object]]:
+        """The settled facts as ``(op, constant)`` conditions on the class."""
+        if self.has_pin:
+            yield "=", self.pinned
+        for kind in sorted(self.intervals):
+            lower, upper = self.intervals[kind].lower, self.intervals[kind].upper
+            if lower is not None:
+                yield (">" if lower.strict else ">="), lower.value
+            if upper is not None:
+                yield ("<" if upper.strict else "<="), upper.value
+        for value in self.excluded:
+            yield "!=", value
 
-def _within_lower(value: object, bound: _Bound) -> bool:
-    op = ">" if bound.strict else ">="
-    return holds(value, op, bound.value)
-
-
-def _within_upper(value: object, bound: _Bound) -> bool:
-    op = "<" if bound.strict else "<="
-    return holds(value, op, bound.value)
+    def ranges(self) -> dict[str, _Interval]:
+        """Per kind, the range the class lies in (a pin is a closed point)."""
+        if self.has_pin:
+            point = _Bound(self.pinned, False)
+            return {_kind(self.pinned): _Interval(point, point)}
+        return self.intervals
 
 
 #: What a column the set never constrains reads as: one shared instance,
-#: never written to (``excluded`` is a frozenset so a stray ``add`` raises).
-_UNCONSTRAINED = _ClassInfo(excluded=frozenset())
+#: never written to.
+_UNCONSTRAINED = _ClassInfo()
+
+
+def _before(upper: _Bound | None, lower: _Bound | None, strict: bool) -> bool:
+    """True when everything within ``upper`` is ``<`` (``strict``) or
+    ``<=`` everything within ``lower``."""
+    if upper is None or lower is None:
+        return False
+    if strict and not (upper.strict or lower.strict):
+        return holds(upper.value, "<", lower.value)
+    return holds(upper.value, "<=", lower.value)
 
 
 class ConditionSet:
-    """A conjunction of conditions, digested for implication queries.
+    """A conjunction of conditions, folded for implication queries.
+
+    The one fold of a conjunction: the implication questions below and the
+    canonical key (:mod:`repro.core.canonical` reads :attr:`classes` and
+    :attr:`general`) are answered from the same facts.
+
+    Answers are independent of conjunct order: bounds are folded in a
+    canonical order and per comparability kind, so no spelling of one
+    conjunction can be planned differently from another.
 
     Immutable once built: the equivalence classes are flattened and
     satisfiability decided at construction, and no query method writes to
-    the set, so one set can serve a whole subsumption probe."""
+    the set, so one set can serve every probe of its definition."""
 
     def __init__(self, conditions: Iterable[Comparison]):
-        self._conditions = [c.normalized() for c in conditions]
+        #: column -> root of its equivalence class, for every column mentioned.
         self._parent: dict[str, str] = {}
-        self._general: list[Comparison] = []  # non-equality col-col conditions
-        self._build()
-
-    # -- union-find (construction only) ------------------------------------------
-    def _root(self, col: str) -> str:
-        parent = self._parent.get(col, col)
-        if parent == col:
-            return col
-        root = self._root(parent)
-        self._parent[col] = root
-        return root
-
-    def _union(self, a: str, b: str) -> None:
-        ra, rb = self._root(a), self._root(b)
-        if ra != rb:
-            self._parent[ra] = rb
+        #: class root -> folded facts (partial when not :attr:`satisfiable`).
+        self.classes: dict[str, _ClassInfo] = {}
+        #: Non-equality column-column conditions between *different*
+        #: classes, as ``(left root, op, right root)``, deduplicated.
+        self.general: list[tuple[str, str, str]] = []
+        #: False when the fold proved that no assignment satisfies the set.
+        self.satisfiable = self._build(conditions)
 
     # -- digestion --------------------------------------------------------------
-    def _build(self) -> None:
-        for condition in self._conditions:
-            if condition.op == "=" and condition.is_col_col():
-                self._union(condition.left.name, condition.right.name)
+    def _build(self, conditions: Iterable[Comparison]) -> bool:
+        parent = self._parent
+
+        def find(col: str) -> str:
+            up = parent.setdefault(col, col)
+            if up == col:
+                return col
+            root = parent[col] = find(up)
+            return root
+
+        literal: list[tuple[str, str, object]] = []
+        general: list[tuple[str, str, str]] = []
+        for condition in conditions:
+            condition = condition.normalized()
+            left, op, right = condition.left, condition.op, condition.right
+            if isinstance(left, Lit):
+                continue  # literal vs literal: constant-folded upstream
+            if isinstance(right, Lit):
+                find(left.name)
+                literal.append((left.name, op, right.value))
+            elif op == "=":
+                left_root, right_root = find(left.name), find(right.name)
+                if left_root != right_root:
+                    parent[left_root] = right_root
+            else:
+                find(left.name)
+                find(right.name)
+                general.append((left.name, op, right.name))
         # Flatten: every column points straight at its class root, so from
         # here on ``_find`` is one lookup and writes nothing.
-        self._parent = {col: self._root(col) for col in list(self._parent)}
-        self._classes: dict[str, _ClassInfo] = {}
-        for condition in self._conditions:
-            left, op, right = condition.left, condition.op, condition.right
-            if isinstance(left, Col) and isinstance(right, Lit):
-                info = self._class_info(left.name)
-                value = right.value
-                if op == "=":
-                    info.pin(value)
-                elif op == "!=":
-                    info.excluded.add(value)
-                elif op == "<":
-                    info.tighten_upper(value, strict=True)
-                elif op == "<=":
-                    info.tighten_upper(value, strict=False)
-                elif op == ">":
-                    info.tighten_lower(value, strict=True)
-                elif op == ">=":
-                    info.tighten_lower(value, strict=False)
-            elif isinstance(left, Col) and isinstance(right, Col) and op != "=":
-                self._general.append(condition)
-        self._satisfiable = not any(
-            info.is_unsatisfiable() for info in self._classes.values()
-        )
+        for col in parent:
+            parent[col] = find(col)
+
+        classes = self.classes
+        for col, root in parent.items():
+            info = classes.get(root)
+            if info is None:
+                info = classes[root] = _ClassInfo()
+            info.columns.append(col)
+
+        bounds: dict[str, list[tuple[str, object]]] = {}
+        for col, op, value in literal:
+            root = parent[col]
+            info = classes[root]
+            if op == "=":
+                if not info.has_pin:
+                    info.pinned, info.has_pin = value, True
+                elif value != info.pinned:
+                    return False
+            elif op == "!=":
+                if not any(value == seen for seen in info.excluded):
+                    info.excluded.append(value)
+            else:
+                bounds.setdefault(root, []).append((op, value))
+        for root, entries in bounds.items():
+            intervals = classes[root].intervals
+            # Canonical digestion order, so folding (which calls ``holds``
+            # pairwise) cannot depend on source conjunct order.
+            if len(entries) > 1:
+                entries.sort(key=lambda e: (e[0], encode_constant(e[1])))
+            for op, value in entries:
+                kind = _kind(value)
+                interval = intervals.get(kind)
+                if interval is None:
+                    interval = intervals[kind] = _Interval()
+                if op[0] == "<":
+                    _fold_upper(interval, value, op == "<")
+                else:
+                    _fold_lower(interval, value, op == ">")
+        for info in classes.values():
+            if not info.settle():
+                return False
+
+        for left, op, right in general:
+            entry = (parent[left], op, parent[right])
+            if entry[0] == entry[2]:
+                if op in ("<", ">", "!="):
+                    return False  # x < x / x != x: never holds
+                continue  # x <= x / x >= x: always holds
+            if entry not in self.general:
+                self.general.append(entry)
+        return True
 
     def _find(self, col: str) -> str:
         """The root of the column's equivalence class (itself when the set
-        never equates it with another)."""
+        never mentions it)."""
         return self._parent.get(col, col)
-
-    def _class_info(self, col: str) -> _ClassInfo:
-        root = self._find(col)
-        info = self._classes.get(root)
-        if info is None:
-            info = _ClassInfo()
-            self._classes[root] = info
-        return info
 
     def _info(self, col: str) -> _ClassInfo:
         """Read-only class info (shared empty default)."""
-        return self._classes.get(self._find(col), _UNCONSTRAINED)
+        return self.classes.get(self._parent.get(col, col), _UNCONSTRAINED)
 
     # -- queries -----------------------------------------------------------------
     def same_class(self, a: str, b: str) -> bool:
@@ -203,113 +338,75 @@ class ConditionSet:
         return self._find(a) == self._find(b)
 
     def pinned_value(self, col: str) -> tuple[bool, object]:
-        """(True, v) when the column is forced to the single value v."""
-        return self._info(col).forced()
+        """(True, v) when the column is forced to the single value v: an
+        equality constant, or a closed ``[v, v]`` range."""
+        info = self._info(col)
+        return info.has_pin, info.pinned
 
     def implies(self, condition: Comparison) -> bool:
         """True only if every assignment satisfying this set satisfies
         ``condition``.  (An unsatisfiable set implies everything.)"""
         condition = condition.normalized()
         left, op, right = condition.left, condition.op, condition.right
-        if isinstance(left, Col) and isinstance(right, Lit):
+        if isinstance(left, Lit):  # normalized: then so is ``right``
+            return not self.satisfiable or holds(left.value, op, right.value)
+        if isinstance(right, Lit):
             return self.implies_literal(left.name, op, right.value)
-        if not self._satisfiable:
-            return True
-        if isinstance(left, Col) and isinstance(right, Col):
-            return self._implies_col_col(left.name, op, right.name)
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            return holds(left.value, op, right.value)
-        return False
+        return not self.satisfiable or self._implies_col_col(left.name, op, right.name)
 
     def implies_literal(self, col: str, op: str, value: object) -> bool:
         """:meth:`implies` for the normalized condition ``col op value``,
         without building the :class:`Comparison` — the one place a
         column-vs-literal implication is decided."""
-        return not self._satisfiable or self._implies_col_lit(col, op, value)
-
-    # -- implication cases ---------------------------------------------------------
-    def _implies_col_lit(self, col: str, op: str, value: object) -> bool:
+        if not self.satisfiable:
+            return True
         info = self._info(col)
-        pinned, pin = info.forced()
-        if pinned:
-            return holds(pin, op, value)
+        if info.has_pin:
+            return holds(info.pinned, op, value)
         if op == "=":
             return False  # unpinned class can take other values
         if op == "!=":
-            if value in info.excluded:
-                return True
-            if info.lower is not None and not _within_lower(value, info.lower):
-                return True
-            if info.upper is not None and not _within_upper(value, info.upper):
-                return True
-            return False
-        if op in ("<", "<="):
-            if info.upper is None:
-                return False
-            if op == "<":
-                # col <= u (< u) must guarantee col < value.
-                if info.upper.strict:
-                    return holds(info.upper.value, "<=", value)
-                return holds(info.upper.value, "<", value)
-            return holds(info.upper.value, "<=", value)
-        if op in (">", ">="):
-            if info.lower is None:
-                return False
-            if op == ">":
-                if info.lower.strict:
-                    return holds(info.lower.value, ">=", value)
-                return holds(info.lower.value, ">", value)
-            return holds(info.lower.value, ">=", value)
-        return False
+            return any(value == seen for seen in info.excluded) or not info.admits(value)
+        interval = info.intervals.get(_kind(value), _NO_BOUNDS)
+        if op[0] == "<":
+            bound = interval.upper
+            # col <= u guarantees col < value only when u < value.
+            return bound is not None and holds(
+                bound.value, "<" if op == "<" and not bound.strict else "<=", value
+            )
+        bound = interval.lower
+        return bound is not None and holds(
+            bound.value, ">" if op == ">" and not bound.strict else ">=", value
+        )
 
     def _implies_col_col(self, a: str, op: str, b: str) -> bool:
-        if op == "=":
-            if self.same_class(a, b):
-                return True
-            pa, va = self.pinned_value(a)
-            pb, vb = self.pinned_value(b)
-            return pa and pb and va == vb
-        # Syntactic presence (through equivalence classes).
-        for general in self._general:
-            if general.op == op and self.same_class(general.left.name, a) and self.same_class(
-                general.right.name, b
-            ):
-                return True
-        # Derivation from pinned values / bounds.
-        pa, va = self.pinned_value(a)
-        pb, vb = self.pinned_value(b)
-        if pa and pb:
-            return holds(va, op, vb)
-        info_a, info_b = self._info(a), self._info(b)
-        if op in ("<", "<="):
-            upper_a = _Bound(va, False) if pa else info_a.upper
-            lower_b = _Bound(vb, False) if pb else info_b.lower
-            if upper_a is None or lower_b is None:
-                return False
-            if op == "<":
-                if upper_a.strict or lower_b.strict:
-                    return holds(upper_a.value, "<=", lower_b.value)
-                return holds(upper_a.value, "<", lower_b.value)
-            return holds(upper_a.value, "<=", lower_b.value)
+        if op == "=" and self.same_class(a, b):
+            return True
         if op in (">", ">="):
-            return self._implies_col_col(b, "<" if op == ">" else "<=", a)
-        if op == "!=":
-            # Disjoint ranges imply inequality.
-            upper_a = _Bound(va, False) if pa else info_a.upper
-            lower_b = _Bound(vb, False) if pb else info_b.lower
-            if upper_a is not None and lower_b is not None:
-                if holds(upper_a.value, "<", lower_b.value) or (
-                    upper_a.value == lower_b.value and (upper_a.strict or lower_b.strict)
-                ):
-                    return True
-            upper_b = _Bound(vb, False) if pb else info_b.upper
-            lower_a = _Bound(va, False) if pa else info_a.lower
-            if upper_b is not None and lower_a is not None:
-                if holds(upper_b.value, "<", lower_a.value) or (
-                    upper_b.value == lower_a.value and (upper_b.strict or lower_a.strict)
-                ):
-                    return True
-            return False
+            a, op, b = b, FLIPPED[op], a
+        pinned_a, value_a = self.pinned_value(a)
+        pinned_b, value_b = self.pinned_value(b)
+        if op == "=":
+            return pinned_a and pinned_b and value_a == value_b
+        # Syntactic presence (through equivalence classes), either spelling.
+        root_a, root_b = self._find(a), self._find(b)
+        if (root_a, op, root_b) in self.general or (
+            root_b, FLIPPED[op], root_a
+        ) in self.general:
+            return True
+        # Derivation from pinned values / bounds of one comparability kind.
+        if pinned_a and pinned_b:
+            return holds(value_a, op, value_b)
+        ranges_b = self._info(b).ranges()
+        for kind, range_a in self._info(a).ranges().items():
+            range_b = ranges_b.get(kind)
+            if range_b is None:
+                continue
+            if _before(range_a.upper, range_b.lower, op != "<="):
+                return True
+            # Disjoint the other way round implies inequality just as well.
+            if op == "!=" and _before(range_b.upper, range_a.lower, True):
+                return True
         return False
 
 
@@ -408,10 +505,11 @@ class ContainmentSignature:
 class ContainmentProbe:
     """The query side of the signature test, built once per subsumption
     probe: the query's occurrences by relation (tag and column names) and
-    its digested conditions."""
+    ``conditions``, the fold of its conditions that the caller already
+    holds (the one its canonical form carries)."""
 
-    def __init__(self, query: PSJQuery):
-        self.conditions = ConditionSet(query.conditions)
+    def __init__(self, query: PSJQuery, conditions: ConditionSet):
+        self.conditions = conditions
         self.occurrences: dict[RelationKey, list[tuple[str, list[str]]]] = {}
         for occ in query.occurrences:
             self.occurrences.setdefault((occ.pred, occ.arity), []).append(

@@ -179,9 +179,9 @@ def lru_scorer(element: CacheElement) -> float:
 def key_of(definition: PSJQuery) -> tuple:
     """The canonical identity the cache and the MQO registry share.
 
-    This is the **canonical tier** of cache lookup (ROADMAP item 1):
-    the key comes from :func:`repro.core.canonical.canonical_key`, so
-    alpha-equivalent spellings — reordered conjuncts, renamed variables,
+    This is the **canonical lookup tier**: the key comes from
+    :func:`repro.core.canonical.canonical_key`, so alpha-equivalent
+    spellings — reordered conjuncts, renamed variables,
     foldable intervals (``x>5 ∧ x>3``), respelled constants (``1`` vs
     ``1.0``) — all index the same element and exact-canonical hits
     bypass subsumption scoring entirely.  ``PSJQuery.canonical_key()``
@@ -637,16 +637,11 @@ class Cache:
         recomputation cost x reuse / bytes) and advice mining need — see
         docs/observability.md.
         """
-        def element_order(element: CacheElement):
-            element_id = element.element_id
-            try:
-                return (0, int(element_id.lstrip("E")))
-            except ValueError:
-                return (1, 0)
-
         entries = [
             self.element_report(element)
-            for element in sorted(self._elements.values(), key=element_order)
+            for element in sorted(
+                self._elements.values(), key=lambda e: self._numeric_id(e.element_id)
+            )
         ]
         advised = [e for e in entries if e["advice_expected_reuse"] is not None]
         return {
@@ -773,8 +768,9 @@ class Cache:
                     "redefine()?)"
                 )
             # Recomputed with neither the form the definition carries nor
-            # the memo row it shares (raises when either disagrees), so the
-            # index is checked against what the definition *means*.
+            # the memo row it shares (raises when either disagrees — on the
+            # key, or on the fold the subsumption probe reads), so the index
+            # and the probe are checked against what the definition *means*.
             key = audit_canonical(element.definition)
             live_keys.add(key)
             if self._by_key.get(key) != element_id:

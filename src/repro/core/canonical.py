@@ -1,11 +1,14 @@
 """Deterministic canonicalization of PSJ queries — the semantic cache key.
 
-ROADMAP item 1: syntactically different but equivalent CAQL queries
-(reordered conjuncts, renamed variables, ``x>5 ∧ x>3``, constant
+The canonical lookup tier: syntactically different but equivalent CAQL
+queries (reordered conjuncts, renamed variables, ``x>5 ∧ x>3``, constant
 spellings ``1`` vs ``1.0``) should hit the same cache elements *before*
 the general subsumption machinery runs.  This module rewrites a
 :class:`~repro.caql.psj.PSJQuery` into a canonical normal form and
-derives a stable, hashable **canonical key** from it:
+derives a stable, hashable **canonical key** from it.  The conjunction is
+folded by :class:`~repro.caql.implication.ConditionSet` — the one fold,
+which subsumption asks its implication questions of too; what is this
+module's own is choosing the occurrence order and rendering the key:
 
 * **conjunct ordering** — every emitted condition is rendered to a
   string and the condition set is sorted, so conjunct order in the
@@ -45,10 +48,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Iterator
 
 from repro.common.errors import InvariantViolation
+from repro.caql.implication import ConditionSet, canonical_constant, encode_constant
 from repro.caql.psj import ConstProj, Occurrence, PSJQuery
-from repro.relational.expressions import Col, Comparison, FLIPPED, Lit, holds
+from repro.relational.expressions import Col, Comparison, FLIPPED, Lit
 
 #: Exhaustive-permutation budget for alpha-equivalent occurrence
 #: ordering.  3–4 same-signature occurrences stay exact; beyond that the
@@ -56,123 +61,9 @@ from repro.relational.expressions import Col, Comparison, FLIPPED, Lit, holds
 PERMUTATION_CAP = 720
 
 
-# -- constants -----------------------------------------------------------------------
-
-
-def canonical_constant(value: object) -> object:
-    """The canonical spelling of a constant's ``==``-equality class.
-
-    Numeric spellings (``bool``/``int``/``float``) that compare equal
-    select exactly the same rows, so they collapse to the float spelling
-    when it is exact (``1`` → ``1.0``, ``True`` → ``1.0``); integers
-    beyond float precision keep their own spelling.  Non-numeric values
-    (strings included — ``"1" != 1``) are returned unchanged.
-    """
-    if isinstance(value, (bool, int, float)):
-        try:
-            as_float = float(value)
-        except (OverflowError, ValueError):
-            return value
-        if as_float == value:
-            return as_float
-    return value
-
-
-def _encode(value: object) -> str:
-    """A total-ordered, collision-free rendering of a canonical constant."""
-    v = canonical_constant(value)
-    return f"{type(v).__name__}!{v!r}"
-
-
 def _encode_raw(value: object) -> str:
     """Spelling-preserving rendering (answer constants stay distinct)."""
     return f"{type(value).__name__}!{value!r}"
-
-
-def _kind(value: object) -> str:
-    """Comparability kind: values of one kind never raise on comparison."""
-    if isinstance(value, (bool, int, float)):
-        return "num"
-    return type(value).__name__
-
-
-# -- interval folding ----------------------------------------------------------------
-
-
-@dataclass
-class _Interval:
-    """One comparability kind's folded range bounds."""
-
-    lower: tuple[object, bool] | None = None  # (value, strict)
-    upper: tuple[object, bool] | None = None
-
-
-def _fold_lower(interval: _Interval, value: object, strict: bool) -> None:
-    """Tighten ``interval``'s lower bound with ``> / >= value``."""
-    current = interval.lower
-    if (
-        current is None
-        or holds(value, ">", current[0])
-        or (value == current[0] and strict and not current[1])
-    ):
-        interval.lower = (value, strict)
-
-
-def _fold_upper(interval: _Interval, value: object, strict: bool) -> None:
-    """Tighten ``interval``'s upper bound with ``< / <= value``.
-
-    Module-level on purpose: this is the interval-folding seam the
-    planted-bug acceptance test replaces with a conjunct-dropping
-    mutant (mirroring PR 5's ``derive_full`` seam).
-    """
-    current = interval.upper
-    if (
-        current is None
-        or holds(value, "<", current[0])
-        or (value == current[0] and strict and not current[1])
-    ):
-        interval.upper = (value, strict)
-
-
-@dataclass
-class _ClassFacts:
-    """Folded constraints for one equality class of columns."""
-
-    columns: list[str] = field(default_factory=list)
-    pinned: object | None = None
-    has_pin: bool = False
-    intervals: dict[str, _Interval] = field(default_factory=dict)
-    excluded: list[object] = field(default_factory=list)
-    contradictory: bool = False
-
-    def pin(self, value: object) -> None:
-        if self.has_pin:
-            if value != self.pinned:
-                self.contradictory = True
-            return
-        self.pinned = value
-        self.has_pin = True
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-
-    def find(self, col: str) -> str:
-        parent = self._parent.setdefault(col, col)
-        if parent == col:
-            return col
-        root = self.find(parent)
-        self._parent[col] = root
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def columns(self):
-        return list(self._parent)
 
 
 # -- the canonical form ---------------------------------------------------------------
@@ -186,6 +77,13 @@ class CanonicalForm:
     reads — through the memo, by queries that differ only in ``name`` or
     variable names — so it holds nothing of any one query: the normalized
     *expression* is :func:`normalized`, built on demand.
+
+    Besides the key it carries the fold the key was rendered from, so the
+    subsumption probe asks its implication questions of the same
+    :class:`~repro.caql.implication.ConditionSet` instead of folding the
+    conditions again.  A fold reads ``conditions`` alone, which the memo
+    keys on, so sharing it is exact; and it is read-only once ``_build``
+    has returned.
     """
 
     #: The stable canonical key — nested tuples of strings only, so
@@ -193,11 +91,11 @@ class CanonicalForm:
     key: tuple
     #: True when folding proved the query empty.
     unsatisfiable: bool
-    #: What :func:`normalized` rebuilds the expression from: the folded
-    #: facts and the winning occurrence order, ``(classes, general,
-    #: order)``; ``None`` when unsatisfiable.  Shared with the form, so
-    #: read-only once ``_build`` has returned.
-    _recipe: tuple | None = field(default=None, repr=False, compare=False)
+    #: The query's conditions, folded (over the query's own column names).
+    conditions: ConditionSet = field(repr=False, compare=False)
+    #: The winning occurrence order, which :func:`normalized` rebuilds
+    #: the expression in; ``None`` when unsatisfiable.
+    _order: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
 
 def canonicalize(query: PSJQuery) -> CanonicalForm:
@@ -207,30 +105,22 @@ def canonicalize(query: PSJQuery) -> CanonicalForm:
     frozen, so the form can never go stale, and it lives in the instance
     dict, which ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never
     read — and every later call on the same object (the planner's lookup,
-    the executor's, a stored definition's for as long as it is stored) is
-    a dict probe.  The carried form remembers the fold seams it was built
-    with: a monkeypatched seam (the planted-bug test) gets its own answer.
+    the subsumption probe's, a stored definition's for as long as it is
+    stored) is a dict probe.
     """
-    carried = query.__dict__.get("_canonical")
-    if (
-        carried is not None
-        and carried[1] is _fold_lower
-        and carried[2] is _fold_upper
-    ):
-        return carried[0]
-    try:
-        form = _canonicalize_cached(
-            query.occurrences,
-            query.conditions,
-            query.projection,
-            query.unsatisfiable,
-            _spelling(query),
-            _fold_lower,
-            _fold_upper,
-        )
-    except TypeError:  # an unhashable constant somewhere: compute directly
-        form = _build(query)
-    query.__dict__["_canonical"] = (form, _fold_lower, _fold_upper)
+    form = query.__dict__.get("_canonical")
+    if form is None:
+        try:
+            form = _canonicalize_cached(
+                query.occurrences,
+                query.conditions,
+                query.projection,
+                query.unsatisfiable,
+                _spelling(query),
+            )
+        except TypeError:  # an unhashable constant somewhere: compute directly
+            form = _build(query)
+        query.__dict__["_canonical"] = form
     return form
 
 
@@ -255,15 +145,13 @@ def _spelling(query: PSJQuery) -> tuple[str, ...]:
 
 @lru_cache(maxsize=4096)
 def _canonicalize_cached(
-    occurrences, conditions, projection, unsatisfiable, _spelled, _lo, _hi
+    occurrences, conditions, projection, unsatisfiable, _spelled
 ) -> CanonicalForm:
     # Keyed on exactly what ``_build`` reads: not the query's name and not
     # its variable names, so a re-ask under fresh variable names (the IE
     # renames apart on every resolution step) and a sub-query that differs
     # from its query in name alone share the row.  ``_spelled``
-    # disambiguates ==-equal queries with different constant spellings;
-    # ``_lo``/``_hi`` are the current fold seams, passed only so a
-    # monkeypatched seam (the planted-bug test) gets its own rows.
+    # disambiguates ==-equal queries with different constant spellings.
     return _build(
         PSJQuery("", occurrences, conditions, projection, unsatisfiable=unsatisfiable)
     )
@@ -281,12 +169,12 @@ def normalized(query: PSJQuery) -> PSJQuery:
     constant spellings; evaluates to the same answers as ``query`` and is
     a fixed point of canonicalization.  Nothing on the query path reads
     it — tests and diagnostics do — so it is built here, on demand, from
-    the form's recipe.
+    the form's fold and winning order.
     """
     form = canonicalize(query)
     if form.unsatisfiable:
         return query if query.unsatisfiable else replace(query, unsatisfiable=True)
-    return _normalized_query(query, *form._recipe)
+    return _normalized_query(query, form.conditions, form._order)
 
 
 def audit_canonical(query: PSJQuery) -> tuple:
@@ -294,8 +182,11 @@ def audit_canonical(query: PSJQuery) -> tuple:
 
     Both shortcuts hand a query a form that was built for another object;
     this is the check that they only ever do so for a query the form is
-    right for.  Raises :class:`~repro.common.errors.InvariantViolation`
-    when :func:`canonicalize` disagrees with the recomputation.
+    right for — its key, and the carried fold's every fact (classes, pins,
+    per-kind bounds, exclusions, general conditions), which is what the
+    subsumption probe reads.  Raises
+    :class:`~repro.common.errors.InvariantViolation` when
+    :func:`canonicalize` disagrees with the recomputation.
     """
     fresh = _build(query)
     form = canonicalize(query)
@@ -304,34 +195,31 @@ def audit_canonical(query: PSJQuery) -> tuple:
             f"canonical form of {query.name} is not what building it from "
             f"scratch gives: carried/memoised {form.key}, fresh {fresh.key}"
         )
+    if vars(form.conditions) != vars(fresh.conditions):
+        raise InvariantViolation(
+            f"carried fold of {query.name} is not what folding its conditions "
+            f"gives: carried/memoised {vars(form.conditions)}, fresh "
+            f"{vars(fresh.conditions)}"
+        )
     return fresh.key
 
 
 def clear_cache() -> None:
-    """Drop the memo table (tests that patch the fold seams use this)."""
+    """Drop the memo table (tests that patch the fold seam use this)."""
     _canonicalize_cached.cache_clear()
 
 
 # -- construction ---------------------------------------------------------------------
 
 
-def _unsat_form(query: PSJQuery) -> CanonicalForm:
-    return CanonicalForm(key=("unsat", str(query.arity)), unsatisfiable=True)
-
-
 def _build(query: PSJQuery) -> CanonicalForm:
-    if query.unsatisfiable:
-        return _unsat_form(query)
+    folded = ConditionSet(query.conditions)
+    if query.unsatisfiable or not folded.satisfiable:
+        return CanonicalForm(("unsat", str(query.arity)), True, folded)
 
-    facts = _digest(query)
-    if facts is None:
-        return _unsat_form(query)
-    classes, general = facts
-
-    orders = _candidate_orders(query, classes)
     best_key = None
     best_order = None
-    for order in orders:
+    for order in _candidate_orders(query, folded):
         mapping = {
             query.occurrences[old].tag: f"t{new}" for new, old in enumerate(order)
         }
@@ -341,148 +229,20 @@ def _build(query: PSJQuery) -> CanonicalForm:
                 f"{query.occurrences[old].pred}/{query.occurrences[old].arity}"
                 for old in order
             ),
-            tuple(sorted(_render_conditions(classes, general, mapping))),
+            tuple(sorted(_render_conditions(folded, mapping))),
             tuple(_render_projection(query, mapping)),
         )
         if best_key is None or key < best_key:
             best_key = key
             best_order = order
 
-    return CanonicalForm(
-        key=best_key, unsatisfiable=False, _recipe=(classes, general, best_order)
-    )
-
-
-def _digest(query: PSJQuery):
-    """Fold the condition set into per-class facts + general conditions.
-
-    Returns ``None`` when a contradiction makes the query empty.
-    """
-    uf = _UnionFind()
-    col_lit: list[Comparison] = []
-    col_col: list[Comparison] = []
-    for condition in query.conditions:
-        condition = condition.normalized()
-        if isinstance(condition.left, Col) and isinstance(condition.right, Lit):
-            uf.find(condition.left.name)
-            col_lit.append(condition)
-        elif condition.is_col_col():
-            if condition.op == "=":
-                uf.union(condition.left.name, condition.right.name)
-            else:
-                uf.find(condition.left.name)
-                uf.find(condition.right.name)
-                col_col.append(condition)
-        # Lit-op-Lit never survives normalization upstream; a degenerate
-        # one would have been constant-folded into ``unsatisfiable``.
-
-    classes: dict[str, _ClassFacts] = {}
-    for column in uf.columns():
-        root = uf.find(column)
-        classes.setdefault(root, _ClassFacts()).columns.append(column)
-
-    bounds: dict[str, list[tuple[str, object]]] = {}
-    for condition in col_lit:
-        root = uf.find(condition.left.name)
-        info = classes[root]
-        value = condition.right.value
-        if condition.op == "=":
-            info.pin(value)
-        elif condition.op == "!=":
-            if not any(value == seen for seen in info.excluded):
-                info.excluded.append(value)
-        else:
-            bounds.setdefault(root, []).append((condition.op, value))
-
-    for root, entries in bounds.items():
-        info = classes[root]
-        # Canonical digestion order, so folding (which calls ``holds``
-        # pairwise) cannot depend on source conjunct order.
-        entries.sort(key=lambda e: (e[0], _encode(e[1])))
-        for op, value in entries:
-            interval = info.intervals.setdefault(_kind(value), _Interval())
-            if op == "<":
-                _fold_upper(interval, value, True)
-            elif op == "<=":
-                _fold_upper(interval, value, False)
-            elif op == ">":
-                _fold_lower(interval, value, True)
-            elif op == ">=":
-                _fold_lower(interval, value, False)
-
-    for info in classes.values():
-        if not _settle(info):
-            return None
-
-    general: list[tuple[str, str, str]] = []
-    seen_general: set[tuple[str, str, str]] = set()
-    for condition in col_col:
-        left_root = uf.find(condition.left.name)
-        right_root = uf.find(condition.right.name)
-        if left_root == right_root:
-            if condition.op in ("<", ">", "!="):
-                return None  # x < x / x != x: never holds
-            continue  # x <= x / x >= x: always holds
-        entry = (left_root, condition.op, right_root)
-        if entry not in seen_general:
-            seen_general.add(entry)
-            general.append(entry)
-    return classes, general
-
-
-def _settle(info: _ClassFacts) -> bool:
-    """Resolve one class's facts; False when contradictory.
-
-    A pin absorbs every other constraint (each is simply evaluated on
-    the pinned value — exactly what execution would do row by row); a
-    closed non-strict interval collapses to a pin; exclusions that the
-    surviving interval already rules out are dropped as redundant.
-    """
-    if info.contradictory:
-        return False
-    if not info.has_pin:
-        for interval in info.intervals.values():
-            lower, upper = interval.lower, interval.upper
-            if lower is None or upper is None:
-                continue
-            if holds(lower[0], ">", upper[0]):
-                return False
-            if lower[0] == upper[0]:
-                if lower[1] or upper[1]:
-                    return False
-                info.pin(lower[0])
-                break
-    if info.has_pin:
-        pinned = info.pinned
-        for interval in info.intervals.values():
-            lower, upper = interval.lower, interval.upper
-            if lower is not None and not holds(pinned, ">" if lower[1] else ">=", lower[0]):
-                return False
-            if upper is not None and not holds(pinned, "<" if upper[1] else "<=", upper[0]):
-                return False
-        info.intervals.clear()
-        if any(pinned == value for value in info.excluded):
-            return False
-        info.excluded = []
-        return True
-    kept = []
-    for value in info.excluded:
-        interval = info.intervals.get(_kind(value))
-        if interval is not None:
-            lower, upper = interval.lower, interval.upper
-            if lower is not None and not holds(value, ">" if lower[1] else ">=", lower[0]):
-                continue  # already outside the range: x != v is implied
-            if upper is not None and not holds(value, "<" if upper[1] else "<=", upper[0]):
-                continue
-        kept.append(value)
-    info.excluded = kept
-    return True
+    return CanonicalForm(best_key, False, folded, tuple(best_order))
 
 
 # -- occurrence ordering --------------------------------------------------------------
 
 
-def _candidate_orders(query: PSJQuery, classes: dict[str, _ClassFacts]):
+def _candidate_orders(query: PSJQuery, folded: ConditionSet):
     """Occurrence orders to try: per-signature permutations, capped."""
     groups: dict[tuple[str, int], list[int]] = {}
     for index, occ in enumerate(query.occurrences):
@@ -496,7 +256,7 @@ def _candidate_orders(query: PSJQuery, classes: dict[str, _ClassFacts]):
         if total > PERMUTATION_CAP:
             break
     if total > PERMUTATION_CAP:
-        return [_refined_order(query, signatures, groups, classes)]
+        return [_refined_order(query, signatures, groups, folded)]
 
     per_group = [itertools.permutations(groups[s]) for s in signatures]
     orders = []
@@ -506,7 +266,7 @@ def _candidate_orders(query: PSJQuery, classes: dict[str, _ClassFacts]):
     return orders
 
 
-def _refined_order(query, signatures, groups, classes) -> list[int]:
+def _refined_order(query, signatures, groups, folded: ConditionSet) -> list[int]:
     """Deterministic fallback beyond the permutation cap.
 
     Occurrences are refined within their signature group by a
@@ -518,22 +278,14 @@ def _refined_order(query, signatures, groups, classes) -> list[int]:
     for index, occ in enumerate(query.occurrences):
         prefix = occ.tag + "."
         local: list[str] = []
-        for facts in classes.values():
-            for col in facts.columns:
-                if not col.startswith(prefix):
-                    continue
-                position = col.split(".c", 1)[1]
-                if facts.has_pin:
-                    local.append(f"c{position} = {_encode(facts.pinned)}")
-                for interval in facts.intervals.values():
-                    if interval.lower is not None:
-                        op = ">" if interval.lower[1] else ">="
-                        local.append(f"c{position} {op} {_encode(interval.lower[0])}")
-                    if interval.upper is not None:
-                        op = "<" if interval.upper[1] else "<="
-                        local.append(f"c{position} {op} {_encode(interval.upper[0])}")
-                for value in facts.excluded:
-                    local.append(f"c{position} != {_encode(value)}")
+        for info in folded.classes.values():
+            for col in info.columns:
+                if col.startswith(prefix):
+                    position = col.split(".c", 1)[1]
+                    local.extend(
+                        f"c{position} {op} {encode_constant(value)}"
+                        for op, value in info.literals()
+                    )
         digests[index] = (tuple(sorted(local)), index)
     order: list[int] = []
     for signature in signatures:
@@ -549,37 +301,33 @@ def _map_column(column: str, mapping: dict[str, str]) -> str:
     return f"{mapping[tag]}.{rest}"
 
 
-def _class_members(facts: _ClassFacts, mapping: dict[str, str]) -> list[str]:
-    return sorted(_map_column(c, mapping) for c in facts.columns)
-
-
-def _render_conditions(classes, general, mapping) -> list[str]:
+def _conditions(
+    folded: ConditionSet, mapping: dict[str, str]
+) -> Iterator[tuple[str, str, object, bool]]:
+    """The folded conjunction over ``mapping``'s tags, one condition at a
+    time as ``(left column, op, right, literal)``: ``right`` is a constant
+    when ``literal``, else a column.  Each class speaks through its least
+    member, so the conditions depend on the fold and the mapping alone."""
     reps: dict[str, str] = {}  # class root -> representative under mapping
-    out: list[str] = []
-    for root, facts in classes.items():
-        members = _class_members(facts, mapping)
-        rep = members[0]
-        reps[root] = rep
+    for root, info in folded.classes.items():
+        members = sorted(_map_column(c, mapping) for c in info.columns)
+        rep = reps[root] = members[0]
         for member in members[1:]:
-            out.append(f"{rep} = {member}")
-        if facts.has_pin:
-            out.append(f"{rep} = {_encode(facts.pinned)}")
-        for kind in sorted(facts.intervals):
-            interval = facts.intervals[kind]
-            if interval.lower is not None:
-                op = ">" if interval.lower[1] else ">="
-                out.append(f"{rep} {op} {_encode(interval.lower[0])}")
-            if interval.upper is not None:
-                op = "<" if interval.upper[1] else "<="
-                out.append(f"{rep} {op} {_encode(interval.upper[0])}")
-        for encoded in sorted(_encode(v) for v in facts.excluded):
-            out.append(f"{rep} != {encoded}")
-    for left_root, op, right_root in general:
+            yield rep, "=", member, False
+        for op, value in info.literals():
+            yield rep, op, value, True
+    for left_root, op, right_root in folded.general:
         left, right = reps[left_root], reps[right_root]
         if right < left:
             left, op, right = right, FLIPPED[op], left
-        out.append(f"{left} {op} {right}")
-    return out
+        yield left, op, right, False
+
+
+def _render_conditions(folded: ConditionSet, mapping: dict[str, str]) -> list[str]:
+    return [
+        f"{left} {op} {encode_constant(right) if literal else right}"
+        for left, op, right, literal in _conditions(folded, mapping)
+    ]
 
 
 def _render_projection(query: PSJQuery, mapping: dict[str, str]) -> list[str]:
@@ -595,7 +343,7 @@ def _render_projection(query: PSJQuery, mapping: dict[str, str]) -> list[str]:
 # -- the normalized expression --------------------------------------------------------
 
 
-def _normalized_query(query, classes, general, order) -> PSJQuery:
+def _normalized_query(query, folded: ConditionSet, order) -> PSJQuery:
     mapping = {query.occurrences[old].tag: f"t{new}" for new, old in enumerate(order)}
     occurrences = tuple(
         Occurrence(f"t{new}", query.occurrences[old].pred, query.occurrences[old].arity)
@@ -603,41 +351,15 @@ def _normalized_query(query, classes, general, order) -> PSJQuery:
     )
 
     conditions: list[tuple[str, Comparison]] = []
-    reps: dict[str, str] = {}
-    for root, facts in classes.items():
-        members = _class_members(facts, mapping)
-        rep = members[0]
-        reps[root] = rep
-        for member in members[1:]:
-            conditions.append((f"{rep} = {member}", Comparison(Col(rep), "=", Col(member))))
-        if facts.has_pin:
-            value = canonical_constant(facts.pinned)
-            conditions.append((f"{rep} = {_encode(value)}", Comparison(Col(rep), "=", Lit(value))))
-        for kind in sorted(facts.intervals):
-            interval = facts.intervals[kind]
-            if interval.lower is not None:
-                op = ">" if interval.lower[1] else ">="
-                value = canonical_constant(interval.lower[0])
-                conditions.append(
-                    (f"{rep} {op} {_encode(value)}", Comparison(Col(rep), op, Lit(value)))
-                )
-            if interval.upper is not None:
-                op = "<" if interval.upper[1] else "<="
-                value = canonical_constant(interval.upper[0])
-                conditions.append(
-                    (f"{rep} {op} {_encode(value)}", Comparison(Col(rep), op, Lit(value)))
-                )
-        for value in facts.excluded:
-            value = canonical_constant(value)
-            conditions.append(
-                (f"{rep} != {_encode(value)}", Comparison(Col(rep), "!=", Lit(value)))
-            )
-    for left_root, op, right_root in general:
-        left, right = reps[left_root], reps[right_root]
-        if right < left:
-            left, op, right = right, FLIPPED[op], left
-        conditions.append((f"{left} {op} {right}", Comparison(Col(left), op, Col(right))))
-
+    for left, op, right, literal in _conditions(folded, mapping):
+        if literal:
+            right = canonical_constant(right)
+            rendered, operand = encode_constant(right), Lit(right)
+        else:
+            rendered, operand = right, Col(right)
+        conditions.append(
+            (f"{left} {op} {rendered}", Comparison(Col(left), op, operand))
+        )
     conditions.sort(key=lambda pair: pair[0])
     projection = tuple(
         entry if isinstance(entry, ConstProj) else _map_column(entry, mapping)

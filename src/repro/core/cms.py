@@ -465,9 +465,7 @@ class CacheManagementSystem:
                 # Served by the canonical tier: a variant spelling of a
                 # stored definition, recognized without subsumption.
                 self.metrics.incr(CACHE_HITS_CANONICAL)
-        elif plan.strategy == "cache-full":
-            self.metrics.incr(CACHE_HITS_SUBSUMED)
-        elif plan.strategy == "hybrid":
+        elif plan.strategy in ("cache-full", "hybrid"):
             self.metrics.incr(CACHE_HITS_SUBSUMED)
         elif plan.strategy == "remote":
             self.metrics.incr(CACHE_MISSES)

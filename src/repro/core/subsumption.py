@@ -21,6 +21,10 @@ range-condition implication engine:
    of E must be implied by Q's conditions (E is no more restrictive than
    Q), and every condition of Q over the covered occurrences must be
    either implied by E's conditions or re-applicable on E's projection.
+   Both questions go to folds that already exist — the
+   :class:`~repro.caql.implication.ConditionSet` each definition's
+   canonical form carries — so a probe folds nothing, per candidate or
+   per mapping.
 
 Soundness argument for a produced match: E's stored rows are exactly the
 projection of all tuples satisfying E's conditions.  Since Q's conditions
@@ -50,13 +54,13 @@ from repro.relational.operators import select, select_iter
 from repro.relational.relation import Relation
 from repro.caql.eval import result_schema
 from repro.caql.implication import (
-    ConditionSet,
     ContainmentProbe,
     ContainmentSignature,
     SignatureRejection,
 )
 from repro.caql.psj import ConstProj, PSJQuery, column, parse_column
 from repro.core.cache import Cache, CacheElement
+from repro.core.canonical import canonicalize
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,25 @@ def _assignments(
     yield from backtrack(0, set(), {})
 
 
+def _element_columns(element_def: PSJQuery, tag_map: dict[str, str]) -> dict[str, str]:
+    """Covered query column -> the element column mapped onto it: the
+    inverse of an (injective) occurrence mapping, column by column, through
+    which a covered query condition is put to the element's own fold.
+
+    Module-level on purpose: the seam a planted-bug test replaces with a
+    mutant that crosses the occurrences of a self-join.
+    """
+    return {
+        column(tag_map[occ.tag], position): column(occ.tag, position)
+        for occ in element_def.occurrences
+        for position in range(occ.arity)
+    }
+
+
 def match_element(
     element: CacheElement,
     query: PSJQuery,
     reasons: list[str] | None = None,
-    query_conditions: ConditionSet | None = None,
 ) -> Iterator[SubsumptionMatch]:
     """All ways ``element`` can derive a component of ``query``.
 
@@ -127,17 +145,18 @@ def match_element(
     ``explain``-style subsumption rationale.  The match search itself is
     unchanged (and pays nothing) when ``reasons`` is None.
 
-    ``query_conditions`` is ``ConditionSet(query.conditions)``, which a
-    caller probing many elements with one query builds once; built here
-    when omitted.
+    Nothing is folded here: both implication questions are put to the
+    folds the two definitions' canonical forms carry — element conditions,
+    renamed onto the query, to the query's; covered query conditions,
+    renamed onto the element, to the element's.
     """
     element_def = element.definition
     if not element_def.occurrences:
         if reasons is not None:
             reasons.append("element definition has no relation occurrences")
         return
-    if query_conditions is None:
-        query_conditions = ConditionSet(query.conditions)
+    query_conditions = canonicalize(query).conditions
+    element_guarantees = canonicalize(element_def).conditions
 
     found_assignment = False
     for tag_map in _assignments(element_def, query):
@@ -158,7 +177,7 @@ def match_element(
             continue
 
         covered = frozenset(tag_map.values())
-        element_guarantees = ConditionSet(renamed)
+        to_element = _element_columns(element_def, tag_map)
 
         # Availability: which query columns survive the element's projection.
         available: dict[str, str] = {}
@@ -169,11 +188,6 @@ def match_element(
             q_col = column(tag_map[tag], position)
             available.setdefault(q_col, f"a{index}")
 
-        covered_prefixes = tuple(tag + "." for tag in covered)
-
-        def is_covered_col(name: str) -> bool:
-            return name.startswith(covered_prefixes)
-
         # Classify query conditions over the covered occurrences.
         residual: list[Comparison] = []
         feasible = True
@@ -181,13 +195,13 @@ def match_element(
             cols = condition.columns()
             if not cols:
                 continue
-            inside = [c for c in cols if is_covered_col(c)]
+            inside = [c for c in cols if c in to_element]
             if not inside:
                 continue  # entirely about uncovered occurrences
             if len(inside) == len(cols):
                 # Entirely covered: skip if the element guarantees it,
                 # else re-apply (requires availability).
-                if element_guarantees.implies(condition):
+                if element_guarantees.implies(condition.rename_columns(to_element)):
                     continue
                 if not all(c in available for c in cols):
                     feasible = False
@@ -224,7 +238,7 @@ def match_element(
                 if is_full:
                     projection.append(entry)
                 continue
-            if is_covered_col(entry):
+            if entry in to_element:
                 if entry not in available:
                     feasible = False
                     if reasons is not None:
@@ -339,7 +353,7 @@ def find_relevant(
     returned matches are the same either way, and the plain query path
     (``reports`` None) pays none of the bookkeeping.
     """
-    probe = ContainmentProbe(query)
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
     seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     # Walk predicates in query order, not set order: the sort below is
@@ -359,11 +373,7 @@ def find_relevant(
                         _signature_reason(element.signature, probe, rejection)
                     )
             else:
-                found = tuple(
-                    match_element(
-                        element, query, reasons, query_conditions=probe.conditions
-                    )
-                )
+                found = tuple(match_element(element, query, reasons))
                 matches.extend(found)
             if reports is not None:
                 reports.append(

@@ -1,6 +1,8 @@
 """Tests for the condition implication engine — soundness is critical."""
 
-from hypothesis import given
+from itertools import permutations
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.expressions import Col, Comparison, Lit
@@ -176,10 +178,10 @@ class TestBuiltOnce:
         cs = ConditionSet([c(A, ">", 1), c(B, "=", 2), c(A, "<", 9)])
         contradictory = ConditionSet([c(A, "=", 1), c(A, "=", 2)])
 
-        def rescan(self):
-            raise AssertionError("class scanned for satisfiability after build")
+        def resettle(self):
+            raise AssertionError("class settled for satisfiability after build")
 
-        monkeypatch.setattr(implication._ClassInfo, "is_unsatisfiable", rescan)
+        monkeypatch.setattr(implication._ClassInfo, "settle", resettle)
         assert satisfiable(cs) and cs.implies(c(A, ">", 0))
         assert not satisfiable(contradictory)
         assert contradictory.implies(c(C, "=", 99))
@@ -187,7 +189,7 @@ class TestBuiltOnce:
     def test_unconstrained_columns_share_one_read_only_info(self):
         cs = ConditionSet([c(A, "<", 5)])
         assert cs._info(B) is cs._info(C) is ConditionSet([])._info(A)
-        assert cs._info(B).forced() == (False, None)
+        assert cs.pinned_value(B) == (False, None)
         # Asking about a column the set never mentions leaves no trace.
         before = dict(cs._parent)
         assert not cs.implies(c(B, "<", 5)) and not cs.implies(c(B, "!=", 5))
@@ -220,12 +222,43 @@ class TestTypeSafety:
         cs = ConditionSet([c(A, "<", 5)])
         assert not cs.implies(c(A, "<", "zebra"))
 
+    def test_an_unhashable_constant_is_a_value_not_a_crash(self):
+        cs = ConditionSet([c(A, "!=", [1, 2]), c(A, "!=", [1, 2]), c(B, "=", [3])])
+        assert cs.implies(c(A, "!=", [1, 2])) and not cs.implies(c(A, "!=", [2, 1]))
+        assert cs.implies(c(B, "=", [3])) and cs.implies(c(B, "!=", [1, 2]))
+        assert cs.classes[A].excluded == [[1, 2]]  # ==-deduplicated
+
+
+class TestOneFoldOneAnswer:
+    """The edge cases on which two separate folds can differ, and one cannot."""
+
+    def test_mixed_kind_bounds_do_not_depend_on_conjunct_order(self):
+        # One interval per comparability kind: neither bound shadows the other.
+        for premises in permutations([c(A, ">", 5), c(A, ">", "a"), c(A, "<", 9)]):
+            cs = ConditionSet(premises)
+            assert cs.implies(c(A, ">", "A")) and cs.implies(c(A, ">", 4))
+            assert cs.implies(c(A, "<=", 9)) and not cs.implies(c(A, "<", "z"))
+
+    def test_a_strict_comparison_within_one_class_is_a_contradiction(self):
+        for op in ("<", ">", "!="):
+            assert not satisfiable(ConditionSet([c(A, "=", B), c(A, op, B)]))
+            assert not satisfiable(ConditionSet([c(A, op, C), c(B, "=", C), c(A, "=", B)]))
+        assert ConditionSet([c(A, "=", B), c(A, "<", B)]).implies(c(C, "=", 99))
+        assert satisfiable(ConditionSet([c(A, "=", B), c(A, "<=", B), c(B, ">=", A)]))
+
+    def test_general_conditions_match_in_either_spelling(self):
+        cs = ConditionSet([c(B, ">", C), c(A, "=", C)])
+        assert cs.implies(c(A, "<", B)) and cs.implies(c(B, ">", A))
+        assert not cs.implies(c(A, ">", B)) and not cs.implies(c(A, "<=", B))
+
 
 # -- property-based soundness check ------------------------------------------------
 
 columns = st.sampled_from([A, B, C])
 operators = st.sampled_from(["=", "!=", "<", ">", "<=", ">="])
-values = st.integers(0, 6)
+# Mixed comparability kinds on purpose: a bound of one kind must neither
+# shadow nor vouch for a bound of another (``holds`` is False on a clash).
+values = st.one_of(st.integers(0, 6), st.sampled_from([2.5, True, "a", "A", "b"]))
 conditions = st.builds(
     lambda col, op, val: c(col, op, val), columns, operators, values
 )
@@ -250,19 +283,39 @@ def _evaluate(condition, assignment):
 assignments = st.fixed_dictionaries({A: values, B: values, C: values})
 
 
+@settings(max_examples=300, deadline=None)
 @given(condition_sets, st.one_of(conditions, col_col), assignments)
 def test_implication_is_sound(premises, conclusion, assignment):
     """If implies() says yes, every model of the premises satisfies the
-    conclusion — checked against random integer assignments."""
+    conclusion — checked against random assignments."""
     cs = ConditionSet(premises)
     if cs.implies(conclusion):
         if all(_evaluate(p, assignment) for p in premises):
             assert _evaluate(conclusion, assignment)
 
 
+@settings(max_examples=300, deadline=None)
 @given(condition_sets, assignments)
 def test_unsatisfiability_is_sound(premises, assignment):
     """If the set is found unsatisfiable, no assignment satisfies the premises."""
     cs = ConditionSet(premises)
     if not satisfiable(cs):
         assert not all(_evaluate(p, assignment) for p in premises)
+
+
+# Bounds on one column, so kinds meet on it often enough to matter.
+bounds = st.builds(
+    lambda op, val: c(A, op, val), st.sampled_from(["<", "<=", ">", ">="]), values
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(bounds, conditions, col_col), max_size=4),
+    st.one_of(bounds, conditions, col_col),
+)
+def test_answers_do_not_depend_on_conjunct_order(premises, conclusion):
+    """Every permutation of a conjunction implies the same conditions — so
+    no re-ordered spelling of one query can be planned differently."""
+    answers = {ConditionSet(p).implies(conclusion) for p in permutations(premises)}
+    assert len(answers) == 1

@@ -225,6 +225,25 @@ class TestNormalizedExpression:
         )
         assert canonicalize(never).unsatisfiable
 
+    def test_the_key_and_the_carried_fold_agree_on_what_is_empty(self):
+        # One fold: what the key calls empty, the set the subsumption
+        # probe reads implies everything from — ``X = Y ∧ X < Y`` included.
+        base = psj("d0(X) :- b0(X, Y)")
+        x, y = Col("t0.c0"), Col("t0.c1")
+        for conditions, empty in [
+            ((Comparison(x, "=", y), Comparison(x, "<", y)), True),
+            ((Comparison(x, "=", y), Comparison(y, "!=", x)), True),
+            ((Comparison(x, "=", y), Comparison(x, "<=", y)), False),
+            ((Comparison(x, ">", Lit(5)), Comparison(x, "<", Lit(3))), True),
+            ((Comparison(x, ">", Lit(5)), Comparison(x, "<", Lit("a"))), False),
+        ]:
+            form = canonicalize(
+                PSJQuery(base.name, base.occurrences, conditions, base.projection)
+            )
+            assert form.unsatisfiable is empty
+            assert form.conditions.satisfiable is not empty
+            assert form.conditions.implies(Comparison(y, "=", Lit("anything"))) is empty
+
     def test_constant_folded_unsat_queries_share_the_unsat_key(self):
         query = psj("d0(X) :- b0(X, Y), 1 > 2")
         assert query.unsatisfiable

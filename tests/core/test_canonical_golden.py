@@ -1,0 +1,133 @@
+"""Golden canonical keys: the fold may change hands, the keys may not.
+
+A seeded corpus of PSJ definitions — every query and advice view the five
+fuzz profile configs draw, each also *crossed* with the previous
+definition over the same occurrences (the generator draws no
+contradiction and never bounds one column by two kinds of constant;
+conjoining two definitions' conditions does both) — plus a handful of
+hand-built definitions for what the generator cannot reach.  The
+``(canonical key, unsatisfiable)`` pairs and the normalized expressions
+hash to digests recorded **at the parent of ISSUE 23**, when the
+canonicalizer still owned a private fold; a fold that renders one key
+differently, or finds one contradiction more or fewer, changes them.
+"""
+
+import hashlib
+from dataclasses import replace
+
+from repro.caql.eval import psj_of
+from repro.caql.parser import parse_query
+from repro.caql.psj import Occurrence, PSJQuery
+from repro.core.canonical import PERMUTATION_CAP, canonicalize, normalized
+from repro.qa import CaseConfig, CaseGenerator
+from repro.relational.expressions import Col, Comparison, Lit
+
+CASES_PER_PROFILE = 150
+KEYS_SHA256 = "953a3f68d0f185d3c5b8714cfeaa4388ba958e56ba55528f8c574b55c99e0f2a"
+NORMALIZED_SHA256 = "9c4e224fd04b4e65514f0f4df15f2a0bcd0ba3a6bd62c186124f25a3bf579eb9"
+
+
+def _identity(query: PSJQuery) -> tuple:
+    # ``repr`` keeps ``1`` and ``1.0`` apart, which ``==`` would not.
+    return query.occurrences, repr(query.conditions), repr(query.projection)
+
+
+def _generated() -> list[PSJQuery]:
+    configs = (
+        CaseConfig(),
+        CaseConfig.faulty(),
+        CaseConfig.federated(),
+        CaseConfig.churny(),
+        CaseConfig.variants(),
+    )
+    drawn: dict[tuple, PSJQuery] = {}
+    for offset, config in enumerate(configs):
+        for case in CaseGenerator(23 + offset, config).corpus(CASES_PER_PROFILE):
+            for text in case.queries + case.advice_views:
+                query = psj_of(parse_query(text))
+                drawn.setdefault(_identity(query), query)
+    crossed: dict[tuple, PSJQuery] = {}
+    latest: dict[tuple, PSJQuery] = {}
+    for query in drawn.values():
+        previous = latest.get(query.occurrences)
+        latest[query.occurrences] = query
+        if previous is not None and previous.conditions != query.conditions:
+            both = replace(query, conditions=previous.conditions + query.conditions)
+            if _identity(both) not in drawn:
+                crossed.setdefault(_identity(both), both)
+    return [*drawn.values(), *crossed.values()]
+
+
+def _cmp(left, op, right) -> Comparison:
+    def operand(x):
+        return Col(x) if isinstance(x, str) and x[:1] == "t" and "." in x else Lit(x)
+
+    return Comparison(operand(left), op, operand(right))
+
+
+def _hand_built() -> list[PSJQuery]:
+    one = (Occurrence("t0", "b0", 2),)
+    two = (Occurrence("t0", "b0", 2), Occurrence("t1", "b0", 2))
+    seven = tuple(Occurrence(f"t{i}", "b0", 2) for i in range(7))  # 7! > the cap
+    assert 5040 > PERMUTATION_CAP
+
+    def query(occurrences, conditions, projection=("t0.c0",)):
+        return PSJQuery("h", occurrences, tuple(conditions), projection)
+
+    chain = [_cmp(f"t{i}.c1", "=", f"t{i + 1}.c0") for i in range(6)]
+    return [
+        query(seven, chain + [_cmp("t3.c0", ">", 2), _cmp("t5.c1", "=", "k")]),
+        query(seven, chain + [_cmp("t6.c1", "!=", 4), _cmp("t0.c0", "<=", 1.5)]),
+        query(one, [_cmp("t0.c0", "=", [1, 2])]),
+        query(one, [_cmp("t0.c0", "!=", [1, 2]), _cmp("t0.c0", "!=", [1, 2])]),
+        query(one, [_cmp("t0.c0", ">", 5), _cmp("t0.c0", ">", "a"), _cmp("t0.c0", "<", 9)]),
+        query(one, [_cmp("t0.c0", ">", "a"), _cmp("t0.c0", "<", 9), _cmp("t0.c0", ">", 5)]),
+        query(one, [_cmp("t0.c0", ">", 5), _cmp("t0.c0", "!=", "a"), _cmp("t0.c0", "!=", 3)]),
+        query(one, [_cmp("t0.c0", "=", "t0.c1"), _cmp("t0.c0", "<", "t0.c1")]),
+        query(one, [_cmp("t0.c0", "=", "t0.c1"), _cmp("t0.c0", "<=", "t0.c1")]),
+        query(two, [_cmp("t0.c0", "<", "t1.c0"), _cmp("t1.c0", ">", "t0.c0")]),
+        query(two, [_cmp("t0.c1", "=", "t1.c0"), _cmp("t1.c0", ">=", 1), _cmp("t0.c1", "<=", True)]),
+        query(one, [_cmp("t0.c0", ">=", 2), _cmp("t0.c0", "<=", 2.0), _cmp("t0.c0", "!=", 2)]),
+        query(one, [_cmp(3, "<", "t0.c0"), _cmp("t0.c0", "<", 2**60), _cmp("t0.c0", "<", 2.0**60)]),
+    ]
+
+
+def _digests(definitions: list[PSJQuery]) -> tuple[str, str]:
+    keys, expressions = hashlib.sha256(), hashlib.sha256()
+    for definition in definitions:
+        form = canonicalize(definition)
+        keys.update(repr((form.key, form.unsatisfiable)).encode())
+        normal = normalized(definition)
+        expressions.update(
+            repr(
+                (normal.occurrences, normal.conditions, normal.projection,
+                 normal.unsatisfiable)
+            ).encode()
+        )
+    return keys.hexdigest(), expressions.hexdigest()
+
+
+def test_the_corpus_is_as_broad_as_it_says():
+    generated = _generated()
+    assert len(generated) >= 4000
+    forms = [canonicalize(q) for q in generated]
+    assert sum(form.unsatisfiable for form in forms) >= 500
+    assert sum(not form.unsatisfiable for form in forms) >= 3000
+
+    def kinds_bounding_one_column(query):
+        kinds: dict[str, set] = {}
+        for condition in query.conditions:
+            condition = condition.normalized()
+            if isinstance(condition.right, Lit) and condition.op in ("<", "<=", ">", ">="):
+                kinds.setdefault(condition.left.name, set()).add(
+                    isinstance(condition.right.value, str)
+                )
+        return max((len(k) for k in kinds.values()), default=0)
+
+    assert sum(kinds_bounding_one_column(q) == 2 for q in generated) >= 50
+
+
+def test_keys_and_normalized_expressions_are_the_parents_byte_for_byte():
+    keys, expressions = _digests(_generated() + _hand_built())
+    assert keys == KEYS_SHA256
+    assert expressions == NORMALIZED_SHA256

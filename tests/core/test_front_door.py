@@ -18,16 +18,18 @@ import repro.caql.psj as psj_module
 import repro.core.canonical as canonical
 import repro.core.cms as cms_module
 from repro.braid import BraidSystem
-from repro.caql.eval import core_plan, psj_of
+from repro.caql.eval import core_plan, psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
+from repro.common.errors import InvariantViolation
+from repro.core.cache import Cache
 from repro.core.canonical import canonical_key, canonicalize
 from repro.core.cms import CacheManagementSystem
 from repro.core.plan import sub_query
 from repro.logic.builtins import BuiltinRegistry
 from repro.qa import CaseConfig, CaseGenerator
 from repro.relational.expressions import Col, Comparison, Lit
-from repro.relational.relation import relation_from_columns
+from repro.relational.relation import Relation, relation_from_columns
 from repro.remote.server import RemoteDBMS
 from repro.workloads import genealogy
 
@@ -165,13 +167,36 @@ class TestTheCarryNeverCrossesValues:
         assert canonicalize(listed) is form  # carried all the same
         assert lookups.calls == 1
 
-    def test_a_patched_fold_seam_gets_its_own_answer(self, monkeypatch):
-        query = psj("d0(X) :- b0(X, Y), X < 3")
-        sound = canonicalize(query)
-        monkeypatch.setattr(canonical, "_fold_upper", lambda *args: None)
-        assert canonicalize(query).key != sound.key
-        monkeypatch.undo()
-        assert canonicalize(query).key == sound.key
+
+class TestTheAuditChecksTheCarriedFold:
+    """Two alpha-equivalent spellings share a key but not a fold: the fold
+    is over a query's own column names, and the probe asks it by name."""
+
+    @staticmethod
+    def spellings():
+        one = psj("d0(X, Z) :- b0(X, Y), b0(Y, Z), X > 2")
+        other = psj("d0(X, Z) :- b0(Y, Z), b0(X, Y), X > 2")  # tags swapped
+        assert canonical_key(one) == canonical_key(other)
+        assert one.conditions != other.conditions
+        return one, other
+
+    def test_a_fold_built_for_another_spelling_is_caught(self):
+        one, other = self.spellings()
+        assert canonical.audit_canonical(other) == canonical_key(one)
+        # The same key, so a key-only audit would wave this through.
+        vars(other)["_canonical"] = canonicalize(one)
+        with pytest.raises(InvariantViolation, match="carried fold of d0"):
+            canonical.audit_canonical(other)
+
+    def test_a_redefined_element_is_checked_against_what_it_now_means(self):
+        one, other = self.spellings()
+        cache = Cache()
+        element = cache.store(one, Relation(result_schema(one.name, one.arity)))
+        element.redefine(other)
+        cache.check_invariants()  # the adopted spelling carries its own fold
+        vars(other)["_canonical"] = canonicalize(one)
+        with pytest.raises(InvariantViolation, match="carried fold of d0"):
+            cache.check_invariants()
 
 
 class TestNothingElseChanged:

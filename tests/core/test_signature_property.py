@@ -29,6 +29,7 @@ from repro.caql.eval import psj_of, result_schema
 from repro.caql.implication import ContainmentProbe
 from repro.caql.parser import parse_query
 from repro.core.cache import Cache
+from repro.core.canonical import canonicalize
 from repro.core.subsumption import find_relevant, match_element
 from repro.relational.expressions import Comparison, Lit
 from repro.relational.relation import Relation
@@ -135,7 +136,8 @@ def unfiltered(cache, query, reports=None):
 @given(definitions("e"), definitions("q"))
 def test_signature_reject_implies_no_match(element_psj, query):
     element = stored(Cache(), element_psj)
-    if ContainmentProbe(query).rejection(element.signature) is not None:
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
+    if probe.rejection(element.signature) is not None:
         assert tuple(match_element(element, query)) == (), (
             f"false reject: {element_psj} | {query}"
         )

@@ -4,15 +4,20 @@ Naming follows the paper's running examples where possible (E11/E12/E13,
 b2/b3, etc.).
 """
 
+import sys
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
+from repro.caql.implication import ConditionSet
 from repro.caql.parser import parse_query
+from repro.core import canonical
 from repro.core.cache import Cache
 from repro.core.subsumption import (
     derive_full,
@@ -244,8 +249,8 @@ class TestFindRelevant:
         assert full == [e.element_id for e in elements]
 
     def test_one_shared_condition_set_matches_like_one_per_element(self):
-        # find_relevant digests the query's conditions once and hands the
-        # same ConditionSet to every candidate; probing with it must leave
+        # Every candidate is asked against the one ConditionSet the
+        # query's canonical form carries; probing with it must leave
         # nothing behind that changes a later candidate's verdict.
         cache, elements = cache_with(
             "narrow(X, Y) :- b3(X, c2, Y), Y < 1",
@@ -261,6 +266,25 @@ class TestFindRelevant:
             elements[1].element_id,
             elements[3].element_id,
         }
+
+    def test_an_unhashable_constant_is_probed_not_leaked(self):
+        # Exclusions are a list, so an unhashable constant is a value: the
+        # probe returns instead of leaking ``TypeError: unhashable type``.
+        cache, (wide, narrow) = cache_with(
+            "wide(X, Z) :- b2(X, Z)", "narrow(X, Z) :- b2(X, Z), X > 1"
+        )
+        base = make_psj("q(X, Z) :- b2(X, Z), X > 2")
+        listed = replace(
+            base,
+            conditions=base.conditions + (Comparison(Col("t0.c0"), "!=", Lit([1, 2])),),
+        )
+        residuals = {
+            m.element.element_id: len(m.residual_conditions)
+            for m in find_relevant(cache, listed)
+        }
+        # ``wide`` re-applies both conditions; ``narrow`` already holds only
+        # numbers above 1, none of which is a list.
+        assert residuals == {wide.element_id: 2, narrow.element_id: 1}
 
     def test_unrelated_elements_ignored(self):
         cache, _ = cache_with("other(X, Z) :- b2(X, Z)")
@@ -318,6 +342,49 @@ class TestProbeCost:
         monkeypatch.undo()
         many = self.examined_by_a_new_drill(monkeypatch, 60)
         assert few == many == ["wide"]
+
+
+class TestFoldCount:
+    """One fold per definition: the probe and ``match_element`` read the
+    folds the two canonical forms carry and build none of their own."""
+
+    DRILLS = 12
+
+    @classmethod
+    def folds_over_a_drill_stream(cls, monkeypatch, views):
+        canonical.clear_cache()
+        sites = []
+        real = ConditionSet.__init__
+
+        def counting(self, conditions):
+            sites.append(sys._getframe(1).f_code.co_name)
+            real(self, conditions)
+
+        monkeypatch.setattr(ConditionSet, "__init__", counting)
+        cache = Cache()
+        for n in range(views):
+            psj = make_psj(f"w{n}(X, Y) :- b2(X, Y), X < {1000 + n}")
+            cache.store(psj, Relation(result_schema(psj.name, psj.arity)))
+        survivors = 0
+        for n in range(cls.DRILLS):
+            drill = make_psj(
+                f"q{n}(X, Z) :- b2(X, Y), b2(Y, Z), X < {n + 5}, Y < {n + 7}"
+            )
+            survivors += len(find_relevant(cache, drill))
+        # Every view covers either hop of every drill: two mappings each.
+        assert survivors == 2 * views * cls.DRILLS
+        monkeypatch.undo()
+        return sites
+
+    def test_folds_equal_distinct_definitions_whatever_survives(self, monkeypatch):
+        few = self.folds_over_a_drill_stream(monkeypatch, 2)
+        many = self.folds_over_a_drill_stream(monkeypatch, 9)
+        # Stored views plus drills; nothing per probe, candidate or mapping.
+        assert len(few) == 2 + self.DRILLS
+        assert len(many) == 9 + self.DRILLS
+        # ... and every one of them in the canonicalizer's ``_build``: none
+        # in ``ContainmentProbe.__init__``, none in ``match_element``.
+        assert set(few) == set(many) == {"_build"}
 
 
 class TestLazyDerivation:

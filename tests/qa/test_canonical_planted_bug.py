@@ -1,9 +1,11 @@
 """Acceptance: a planted canonicalizer bug is caught by the variants fuzz.
 
 Mirror of ``test_differential.TestPlantedBugIsCaught`` for the canonical
-cache tier: replace the interval-folding seam with a mutant that drops
-upper-bound conjuncts, and ``--profile variants`` must surface it as a
-``wrong-rows`` divergence and shrink it to a minimal repro.
+cache tier: replace the interval-folding seam — ``implication._fold_upper``,
+in the one fold the canonical key and the subsumption probe both read —
+with a mutant that drops upper-bound conjuncts, and ``--profile variants``
+must surface it as a ``wrong-rows`` divergence and shrink it to a minimal
+repro.
 
 The bug is exactly the failure class the ``variants`` profile exists to
 catch: dropping ``X < c`` during folding collides inequivalent spellings
@@ -13,8 +15,9 @@ key, so the canonical tier serves one query's cached rows for the other.
 
 import pytest
 
+import repro.caql.implication as implication_module
 import repro.core.canonical as canonical_module
-from repro.core.canonical import _fold_upper as real_fold_upper
+from repro.caql.implication import _fold_upper as real_fold_upper
 from repro.qa import CaseConfig, CaseGenerator, case_failure, run_case, shrink
 
 CORPUS = 8  # the CI smoke corpus size
@@ -32,11 +35,12 @@ def _conjunct_dropping_fold_upper(interval, value, strict):
 
 @pytest.fixture
 def planted_bug(monkeypatch):
-    # Patch the module attribute: ``canonicalize`` resolves the fold
-    # seam at call time and memoizes per seam function, so the mutant
-    # gets its own cache rows.  Clear anyway so no prior form lingers.
+    # Patch the module attribute: the fold resolves its seam at call
+    # time.  Forms built with the real seam linger in the canonicalizer's
+    # memo (and on query objects, but every run parses fresh ones), so
+    # clear it on the way in and — the mutant's rows — on the way out.
     monkeypatch.setattr(
-        canonical_module, "_fold_upper", _conjunct_dropping_fold_upper
+        implication_module, "_fold_upper", _conjunct_dropping_fold_upper
     )
     canonical_module.clear_cache()
     yield
@@ -76,6 +80,6 @@ class TestPlantedCanonicalBugIsCaught:
 
     def test_clean_again_once_the_bug_is_fixed(self, planted_bug, monkeypatch):
         case = _failing_case()
-        monkeypatch.setattr(canonical_module, "_fold_upper", real_fold_upper)
+        monkeypatch.setattr(implication_module, "_fold_upper", real_fold_upper)
         canonical_module.clear_cache()
         assert case_failure(case) is None

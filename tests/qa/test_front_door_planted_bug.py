@@ -45,13 +45,11 @@ class ProjectionBlindMemo:
     def __init__(self):
         self.rows = {}
 
-    def __call__(
-        self, occurrences, conditions, projection, unsatisfiable, spelled, lo, hi
-    ):
-        key = (occurrences, conditions, unsatisfiable, spelled, lo, hi)
+    def __call__(self, occurrences, conditions, projection, unsatisfiable, spelled):
+        key = (occurrences, conditions, unsatisfiable, spelled)
         if key not in self.rows:
             self.rows[key] = real_memo.__wrapped__(
-                occurrences, conditions, projection, unsatisfiable, spelled, lo, hi
+                occurrences, conditions, projection, unsatisfiable, spelled
             )
         return self.rows[key]
 
