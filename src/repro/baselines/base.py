@@ -10,35 +10,25 @@ same workloads run unchanged against any of them.
 from __future__ import annotations
 
 from repro.common.clock import CostProfile, SimClock
-from repro.common.errors import PlanningError
 from repro.common.metrics import IE_CAQL_QUERIES, Metrics
 from repro.logic.builtins import BuiltinRegistry
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStatistics
 from repro.remote.server import RemoteDBMS
 from repro.advice.language import AdviceSet
-from repro.caql.ast import (
-    AggregateQuery,
-    CAQLQuery,
-    ConjunctiveQuery,
-    QuantifiedQuery,
-    SetOfQuery,
-)
-from repro.caql.eval import (
-    apply_evaluable,
-    core_plan,
-    evaluate_aggregate,
-    evaluate_quantified,
-    evaluate_setof,
-)
+from repro.caql.ast import CAQLQuery, ConjunctiveQuery
+from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery
+from repro.core.cms import answer_caql, conjunctive_result
+from repro.core.engine import unit_result
 from repro.core.executor import ResultStream
 from repro.core.rdi import RemoteInterface
 
 
 class BaselineInterface:
-    """Shared plumbing: metadata passthrough, second-order handling,
-    evaluable residue; subclasses implement :meth:`_answer_psj`."""
+    """Shared plumbing: metadata passthrough, the CAQL front door, and the
+    two queries no bridge is asked (a contradiction, a query that reads no
+    relation); a bridge is its :meth:`_answer_psj` and nothing else."""
 
     #: Human-readable baseline name (also used in experiment reports).
     name = "baseline"
@@ -64,29 +54,28 @@ class BaselineInterface:
     # -- queries -----------------------------------------------------------------------
     def query(self, q: CAQLQuery) -> ResultStream:
         """Execute a CAQL query; returns a result stream."""
-        if isinstance(q, AggregateQuery):
-            base = self.query(q.base).as_relation()
-            return ResultStream(evaluate_aggregate(q, base), q.base.name)
-        if isinstance(q, SetOfQuery):
-            base = self.query(q.base).as_relation()
-            return ResultStream(evaluate_setof(q, base), q.base.name)
-        if isinstance(q, QuantifiedQuery):
-            base = self.query(q.base).as_relation()
-            within = (
-                self.query(q.within).as_relation() if q.within is not None else None
-            )
-            return ResultStream(evaluate_quantified(q, base, within), q.base.name)
-        if not isinstance(q, ConjunctiveQuery):
-            raise PlanningError(f"not a CAQL query: {q!r}")
+        return answer_caql(q, self.query, self._answer_conjunctive)
 
+    def _answer_conjunctive(self, q: ConjunctiveQuery) -> ResultStream:
         self.metrics.incr(IE_CAQL_QUERIES)
-        psj, core_vars, evaluable = core_plan(q, self.builtins)
-        if not evaluable:
-            return ResultStream(self._answer_psj(psj), q.name)
+        return ResultStream(
+            conjunctive_result(q, self.builtins, self._answer_core), q.name
+        )
 
-        core_result = self._answer_psj(psj)
-        final = apply_evaluable(q, core_vars, evaluable, core_result, self.builtins)
-        return ResultStream(final, q.name)
+    def _answer_core(self, psj: PSJQuery) -> Relation:
+        """``psj`` answered here when normalization already decided it
+        (folded to a contradiction: empty; no relation to read: its
+        constants), by the bridge otherwise."""
+        if psj.unsatisfiable:
+            return Relation(result_schema(psj.name, psj.arity))
+        if not psj.occurrences:
+            return self._answer_constants(psj)
+        return self._answer_psj(psj)
+
+    def _answer_constants(self, psj: PSJQuery) -> Relation:
+        """An occurrence-free query's one row, free of charge (a bridge
+        that bills the workstation for every answer overrides this)."""
+        return unit_result(psj)
 
     # -- subclass hook --------------------------------------------------------------------
     def _answer_psj(self, psj: PSJQuery) -> Relation:

@@ -16,10 +16,8 @@ from collections import OrderedDict
 
 from repro.common.metrics import CACHE_HITS_EXACT, CACHE_MISSES
 from repro.relational.relation import Relation
-from repro.caql.eval import evaluate_psj, result_schema
 from repro.caql.psj import PSJQuery
 from repro.baselines.base import BaselineInterface
-from repro.baselines.loose import _no_lookup
 
 
 class ExactMatchCache(BaselineInterface):
@@ -33,11 +31,6 @@ class ExactMatchCache(BaselineInterface):
         self._results: OrderedDict[tuple, Relation] = OrderedDict()
 
     def _answer_psj(self, psj: PSJQuery) -> Relation:
-        if psj.unsatisfiable:
-            return Relation(result_schema(psj.name, psj.arity))
-        if not psj.occurrences:
-            return evaluate_psj(psj, _no_lookup)
-
         key = psj.canonical_key()
         cached = self._results.get(key)
         if cached is not None:

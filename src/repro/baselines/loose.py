@@ -11,10 +11,8 @@ cached, nothing is reused, no advice is consulted.
 
 from __future__ import annotations
 
-from repro.common.errors import TranslationError
 from repro.common.metrics import CACHE_MISSES
 from repro.relational.relation import Relation
-from repro.caql.eval import evaluate_psj, result_schema
 from repro.caql.psj import PSJQuery
 from repro.baselines.base import BaselineInterface
 
@@ -25,13 +23,5 @@ class LooseCoupling(BaselineInterface):
     name = "loose-coupling"
 
     def _answer_psj(self, psj: PSJQuery) -> Relation:
-        if psj.unsatisfiable:
-            return Relation(result_schema(psj.name, psj.arity))
-        if not psj.occurrences:
-            return evaluate_psj(psj, _no_lookup)
         self.metrics.incr(CACHE_MISSES)
         return self.rdi.fetch(psj)
-
-
-def _no_lookup(pred: str) -> Relation:  # pragma: no cover - defensive
-    raise TranslationError(f"occurrence-free query tried to read {pred}")

@@ -436,8 +436,8 @@ def _split(operand: Col | Lit) -> SplitOperand:
 class ContainmentSignature:
     """What *any* subsumption match of a stored definition needs of a query.
 
-    A small digest of an element's definition, computed once when the
-    element is stored and independent of every query's tags.  A match maps
+    A small digest of an element's definition, computed once per
+    definition and independent of every query's tags.  A match maps
     each element occurrence injectively onto a query occurrence of the same
     relation and needs the query to imply every element condition under
     that mapping; so the query must have at least as many occurrences of
@@ -461,7 +461,14 @@ class ContainmentSignature:
 
     @classmethod
     def of(cls, definition: PSJQuery) -> "ContainmentSignature":
-        """The signature of ``definition`` (the only constructor in use)."""
+        """The signature of ``definition`` (the only constructor in use),
+        built once per definition: the class is frozen, so the signature is
+        kept in the instance dict beside its structural key and canonical
+        form, and every holder of one definition shares it."""
+        carried = definition.__dict__
+        signature = carried.get("_signature")
+        if signature is not None:
+            return signature
         literal: dict[str, list[tuple[int, str, object]]] = {}
         for condition in definition.conditions:
             norm = condition.normalized()
@@ -474,7 +481,7 @@ class ContainmentSignature:
         for occ in definition.occurrences:
             relation = (occ.pred, occ.arity)
             counts[relation] = counts.get(relation, 0) + 1
-        return cls(
+        signature = carried["_signature"] = cls(
             occurrences=tuple(
                 (occ.tag, (occ.pred, occ.arity), tuple(literal.get(occ.tag, ())))
                 for occ in definition.occurrences
@@ -485,6 +492,7 @@ class ContainmentSignature:
                 for c in definition.conditions
             ),
         )
+        return signature
 
     def renamed_conditions(self, tag_map: dict[str, str]) -> list[Comparison]:
         """The definition's conditions with every column moved from element

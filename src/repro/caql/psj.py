@@ -76,6 +76,24 @@ class ConstProj:
 ProjEntry = str | ConstProj
 
 
+def projection_entries(
+    projection: tuple[ProjEntry, ...], schema, partial: bool = False
+) -> list[tuple[str, object]]:
+    """``projection`` as the row builder's entries
+    (:func:`repro.relational.operators.entry_rows`) over rows of
+    ``schema``: a pinned constant inserts its value, a named column takes
+    its position.  With ``partial`` a column ``schema`` lacks inserts
+    ``None`` (it never arrived); otherwise it is a bug and raises."""
+    return [
+        ("const", entry.value)
+        if isinstance(entry, ConstProj)
+        else ("const", None)
+        if partial and entry not in schema.attributes
+        else ("col", schema.position(entry))
+        for entry in projection
+    ]
+
+
 @dataclass(frozen=True)
 class PSJQuery:
     """A normalized project–select–join query."""

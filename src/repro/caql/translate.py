@@ -44,9 +44,6 @@ class SQLTranslation:
     def rebuild(self, shipped_rows: list[tuple]) -> Relation:
         """Assemble the final result relation from shipped rows."""
         schema = result_schema(self.result_name, len(self.output))
-        if not self.output:
-            rows = [(True,)] if shipped_rows else []
-            return Relation(schema, rows)
         return project_entries(shipped_rows, self.output, schema)
 
 

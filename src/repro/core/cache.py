@@ -109,20 +109,17 @@ class CacheElement:
     #: expects reuse, zeroed for expendable elements.
     advice_weight: float = 1.0
     _indexes: IndexSet | None = field(default=None, repr=False)
-    #: The definition's containment signature: what the subsumption walk
-    #: tests before it tries any occurrence mapping.  Derived from
-    #: ``definition`` and only ever replaced together with it
-    #: (:meth:`redefine`); ``Cache.check_invariants`` recomputes it.
-    signature: ContainmentSignature = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.signature = ContainmentSignature.of(self.definition)
+    @property
+    def signature(self) -> ContainmentSignature:
+        """The definition's containment signature: what the subsumption
+        walk tests before it tries any occurrence mapping.  Carried by the
+        (frozen) definition itself, so it can never describe another one."""
+        return ContainmentSignature.of(self.definition)
 
     def redefine(self, definition: PSJQuery) -> None:
-        """Adopt an alpha-equivalent definition (same canonical key), and
-        the signature that goes with its occurrence tags."""
+        """Adopt an alpha-equivalent definition (same canonical key)."""
         self.definition = definition
-        self.signature = ContainmentSignature.of(definition)
 
     @property
     def pinned(self) -> bool:
@@ -141,20 +138,14 @@ class CacheElement:
 
     def extension(self) -> Relation:
         """The element as an extension (draining a generator if needed)."""
-        if isinstance(self.relation, GeneratorRelation):
-            return self.relation.to_extension()
-        return self.relation
+        return self.relation.to_extension()
 
     def rows_materialized(self) -> int:
         """Rows computed so far (all of them for an extension)."""
-        if isinstance(self.relation, GeneratorRelation):
-            return self.relation.produced_count
-        return len(self.relation)
+        return self.relation.produced_count
 
     def estimated_bytes(self) -> int:
         """Size estimate for capacity accounting."""
-        if isinstance(self.relation, GeneratorRelation):
-            return self.relation._memo.estimated_bytes() + 64
         return self.relation.estimated_bytes() + 64
 
     # -- indexing ---------------------------------------------------------------
@@ -679,10 +670,8 @@ class Cache:
         structural property the implementation must maintain is broken:
         the definition-key bijection, the predicate index, refcount sanity,
         each element's memoized size against a from-scratch recount, its
-        stored rows against set semantics and the schema arity, its
-        containment signature against a recomputation from its current
-        definition, and the disjointness/reachability rules for the
-        condemned set.
+        stored rows against set semantics and the schema arity, and the
+        disjointness/reachability rules for the condemned set.
         Called from tests and after every fuzzer query.
         """
         from repro.common.errors import InvariantViolation
@@ -711,11 +700,12 @@ class Cache:
             # The size is memoized per row on the append-only contract of
             # ``Relation``; an in-place row mutation would skew eviction
             # silently, so recount from scratch (a recount is never
-            # negative, so neither is a size that equals it).
+            # negative, so neither is a size that equals it).  Iteration
+            # replays the produced rows before it pulls a new one, so
+            # stopping there keeps the audit read-only on a generator.
             stored = element.relation
-            if isinstance(stored, GeneratorRelation):
-                stored = stored._memo
-            memoized, recount = element.estimated_bytes(), rows_bytes(stored) + 64
+            produced = itertools.islice(stored, stored.produced_count)
+            memoized, recount = element.estimated_bytes(), rows_bytes(produced) + 64
             if memoized != recount:
                 raise InvariantViolation(
                     f"{element_id}: memoized size {memoized} but its rows "
@@ -759,14 +749,6 @@ class Cache:
                         f"{element_id} missing from live parent "
                         f"{parent_id}'s children index"
                     )
-            # A stale signature makes the subsumption walk reject (or
-            # rename conditions for) a definition the element no longer has.
-            if element.signature != ContainmentSignature.of(element.definition):
-                raise InvariantViolation(
-                    f"{element_id}: containment signature does not describe "
-                    "its current definition (definition replaced without "
-                    "redefine()?)"
-                )
             # Recomputed with neither the form the definition carries nor
             # the memo row it shares (raises when either disagrees — on the
             # key, or on the fold the subsumption probe reads), so the index

@@ -62,6 +62,7 @@ from repro.caql.ast import (
     SetOfQuery,
 )
 from repro.caql.eval import (
+    apply_evaluable,
     core_plan,
     evaluate_aggregate,
     evaluate_quantified,
@@ -71,7 +72,7 @@ from repro.caql.psj import PSJQuery, psj_from_literals
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache, StaleArchive, lru_scorer
 from repro.core.cache_model import cache_model, cache_statistics
-from repro.core.executor import ExecutionMonitor, ResultStream, to_relation
+from repro.core.executor import ExecutionMonitor, ResultStream
 from repro.core.planner import PlannerFeatures, QueryPlanner
 from repro.core.rdi import RemoteInterface
 
@@ -81,6 +82,56 @@ from repro.core.rdi import RemoteInterface
 __all__ = ["CMSFeatures", "CacheManagementSystem", "psj_from_literals"]
 
 logger = logging.getLogger("repro.cms")
+
+
+# The front door is in this module, not beside ``ResultStream``, because
+# ``core_plan`` has to be resolved here: this module's binding is the one
+# the wall benchmark's probe table patches to bill translation to ``caql``.
+def answer_caql(q: CAQLQuery, query, answer_conjunctive) -> ResultStream:
+    """The one CAQL front door every bridge answers through.
+
+    A second-order wrapper (AGG, SETOF, a quantifier) is evaluated over
+    the extensions of its operands' streams, each obtained through
+    ``query`` — the bridge's own public entry point, so a nested query is
+    traced and counted like any other — and is degraded when an operand
+    was.  A conjunctive query goes to ``answer_conjunctive``, which the
+    bridge builds on :func:`conjunctive_result`.
+    """
+    if isinstance(q, ConjunctiveQuery):
+        return answer_conjunctive(q)
+    if not isinstance(q, (AggregateQuery, SetOfQuery, QuantifiedQuery)):
+        raise PlanningError(f"not a CAQL query: {q!r}")
+    base_stream = query(q.base)
+    base = base_stream.as_relation()
+    degraded = base_stream.degraded
+    if isinstance(q, AggregateQuery):
+        result = evaluate_aggregate(q, base)
+    elif isinstance(q, SetOfQuery):
+        result = evaluate_setof(q, base)
+    else:
+        within = None
+        if q.within is not None:
+            within_stream = query(q.within)
+            within = within_stream.as_relation()
+            degraded = degraded or within_stream.degraded
+        result = evaluate_quantified(q, base, within)
+    return ResultStream(result, q.base.name, degraded=degraded)
+
+
+def conjunctive_result(
+    q: ConjunctiveQuery, builtins: BuiltinRegistry, answer_psj
+) -> Relation | GeneratorRelation:
+    """A conjunctive query's answer from a bridge that answers PSJ
+    queries: ``answer_psj`` gets the PSJ core, and an evaluable residue
+    (operations the remote DBMS does not support, Section 5.3) then runs
+    row-wise over the core's extension, on the workstation."""
+    psj, core_vars, evaluable = core_plan(q, builtins)
+    result = answer_psj(psj)
+    if evaluable:
+        result = apply_evaluable(
+            q, core_vars, evaluable, result.to_extension(), builtins
+        )
+    return result
 
 
 @dataclass
@@ -300,7 +351,7 @@ class CacheManagementSystem:
             "cms.query", view=view, session=self.metrics.scope_name
         ) as span:
             start = self.clock.now
-            stream = self._query_inner(q)
+            stream = answer_caql(q, self.query, self._answer_conjunctive)
             self.metrics.observe(H_QUERY_SIM_SECONDS, self.clock.now - start)
             if self.tracer.enabled:
                 span.set("degraded", stream.degraded)
@@ -314,20 +365,16 @@ class CacheManagementSystem:
         event lands on whatever span is open there (a server drain step,
         say), which is exactly the interleaving worth seeing."""
         relation = stream._relation
-        if isinstance(relation, GeneratorRelation) and not relation.exhausted:
-            previous = relation.on_exhausted
-            tracer = self.tracer
-
-            def drained() -> None:
-                tracer.event(
+        if not relation.exhausted:
+            relation.when_exhausted(
+                lambda: self.tracer.event(
                     "stream.drained", view=view, rows=relation.produced_count
                 )
-                if previous is not None:
-                    previous()
-
-            relation.on_exhausted = drained
+            )
         else:
-            self.tracer.event("stream.ready", view=view, rows=len(relation))
+            self.tracer.event(
+                "stream.ready", view=view, rows=relation.produced_count
+            )
 
     def explain(self, q: CAQLQuery):
         """Plan ``q`` and report the full rationale **without executing**.
@@ -342,51 +389,16 @@ class CacheManagementSystem:
 
         return explain_query(self, q)
 
-    def _query_inner(self, q: CAQLQuery) -> ResultStream:
-        if isinstance(q, AggregateQuery):
-            base_stream = self.query(q.base)
-            base = base_stream.as_relation()
-            return ResultStream(
-                evaluate_aggregate(q, base), q.base.name, degraded=base_stream.degraded
-            )
-        if isinstance(q, SetOfQuery):
-            base_stream = self.query(q.base)
-            base = base_stream.as_relation()
-            return ResultStream(
-                evaluate_setof(q, base), q.base.name, degraded=base_stream.degraded
-            )
-        if isinstance(q, QuantifiedQuery):
-            base_stream = self.query(q.base)
-            base = base_stream.as_relation()
-            within_stream = self.query(q.within) if q.within is not None else None
-            within = within_stream.as_relation() if within_stream is not None else None
-            degraded = base_stream.degraded or (
-                within_stream is not None and within_stream.degraded
-            )
-            return ResultStream(
-                evaluate_quantified(q, base, within), q.base.name, degraded=degraded
-            )
-        if not isinstance(q, ConjunctiveQuery):
-            raise PlanningError(f"not a CAQL query: {q!r}")
-
+    def _answer_conjunctive(self, q: ConjunctiveQuery) -> ResultStream:
+        """One conjunctive query, with this bridge's session bookkeeping
+        around the shared core: the advice tracker sees it first, and its
+        path-expression companions are prefetched once it is answered."""
         self.metrics.incr(IE_CAQL_QUERIES)
         self.advice_manager.observe_query(q.name)
-
-        psj, core_vars, evaluable = core_plan(q, self.builtins)
-        if not evaluable:
-            self._last_degraded = False
-            result = self._answer_psj(psj)
-            self._prefetch_companions(q.name)
-            return ResultStream(result, q.name, degraded=self._last_degraded)
-
-        # Evaluable residue: answer the PSJ core through the cache
-        # machinery, then run the built-ins row-wise in the CMS (operations
-        # the remote DBMS does not support, Section 5.3).
         self._last_degraded = False
-        core_result = to_relation(self._answer_psj(psj))
-        final = self._apply_evaluable(q, core_vars, evaluable, core_result)
+        result = conjunctive_result(q, self.builtins, self._answer_psj)
         self._prefetch_companions(q.name)
-        return ResultStream(final, q.name, degraded=self._last_degraded)
+        return ResultStream(result, q.name, degraded=self._last_degraded)
 
     def query_pattern(self, pattern: Atom) -> ResultStream:
         """Execute an IE-query given as an instantiated view pattern.
@@ -502,7 +514,7 @@ class CacheManagementSystem:
         if self._archive is not None and plan.touches_remote:
             # Remember the fresh answer for degraded service during a
             # future outage (survives eviction from the cache proper).
-            self._archive.store(psj, to_relation(result))
+            self._archive.store(psj, result.to_extension())
 
         if plan.cache_result and plan.strategy != "exact":
             try:
@@ -564,17 +576,6 @@ class CacheManagementSystem:
             logger.debug("degraded[%s]: partial answer from surviving backends", psj.name)
             return survivors
         raise error
-
-    def _apply_evaluable(
-        self,
-        q: ConjunctiveQuery,
-        core_vars: list[Var],
-        evaluable: list[Atom],
-        core_result: Relation,
-    ) -> Relation:
-        from repro.caql.eval import apply_evaluable
-
-        return apply_evaluable(q, core_vars, evaluable, core_result, self.builtins)
 
     def _fetch_and_cache(self, psj: PSJQuery, view_name: str | None = None) -> None:
         """Fetch a PSJ query remotely and install it as a cache element."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.common.errors import PlanningError
 from repro.caql.eval import result_schema
-from repro.caql.psj import ConstProj, PSJQuery
+from repro.caql.psj import PSJQuery, projection_entries
 from repro.relational import operators
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -67,14 +67,11 @@ ENGINE = TupleEngine()
 
 def unit_result(query: PSJQuery) -> Relation:
     """The one-row answer of a query that reads no column: its constant
-    projection entries, or ``(True,)`` when it projects nothing."""
-    row = tuple(
-        entry.value if isinstance(entry, ConstProj) else None
-        for entry in query.projection
-    )
-    return Relation(
-        result_schema(query.name, query.arity),
-        [row] if query.projection else [(True,)],
+    projection entries over a single empty input row (the existence row
+    when it projects nothing)."""
+    schema = result_schema(query.name, query.arity)
+    return operators.project_entries(
+        [()], projection_entries(query.projection, schema), schema
     )
 
 
@@ -93,7 +90,8 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
     dark backend): conditions over them are dropped and projection entries
     naming them come back ``None`` — the caller tags the answer degraded.
     Otherwise a condition or projection entry over a missing column is a
-    planning bug and fails loudly in the operators.
+    planning bug and fails loudly in the operators.  A query that projects
+    nothing gets the operators' existence rule like any other finisher.
 
     Returns the result and the rows the join fold touched (every input
     part plus every join output); the caller charges that, plus the result
@@ -135,15 +133,6 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
     if pending:
         combined = ENGINE.select(combined, pending)
 
+    entries = projection_entries(query.projection, combined.schema, partial)
     schema = result_schema(query.name, query.arity)
-    entries: list[tuple[str, object]] = []
-    for entry in query.projection:
-        if isinstance(entry, ConstProj):
-            entries.append(("const", entry.value))
-        elif partial and entry not in combined.schema.attributes:
-            entries.append(("const", None))  # the missing side had it
-        else:
-            entries.append(("col", combined.schema.position(entry)))
-    if entries:
-        return ENGINE.project_entries(combined, entries, schema), touched
-    return Relation(schema, [(True,)] if len(combined) else []), touched
+    return ENGINE.project_entries(combined, entries, schema), touched

@@ -55,14 +55,7 @@ from repro.core.subsumption import (
 #: ``join`` has no caller in this module since the combine stage moved to
 #: :func:`repro.core.engine.combine_parts`; the binding stays because the
 #: wall benchmark's probe table patches it by name.
-__all__ = ["ExecutionMonitor", "ResultStream", "join", "to_relation"]
-
-
-def to_relation(result: Relation | GeneratorRelation) -> Relation:
-    """``result`` as an extension (drains a generator)."""
-    if isinstance(result, GeneratorRelation):
-        return result.to_extension()
-    return result
+__all__ = ["ExecutionMonitor", "ResultStream", "join"]
 
 
 class ResultStream:
@@ -100,13 +93,11 @@ class ResultStream:
 
     def fetch_all(self) -> list[tuple]:
         """All solutions (set-at-a-time consumption)."""
-        if isinstance(self._relation, GeneratorRelation):
-            return self._relation.to_extension().rows
-        return self._relation.rows
+        return self._relation.to_extension().rows
 
     def as_relation(self) -> Relation:
         """The full result as an extension (drains a generator)."""
-        return to_relation(self._relation)
+        return self._relation.to_extension()
 
     def check_invariants(self) -> None:
         """Audit the stream's internal consistency (cheap, read-only).
@@ -122,16 +113,14 @@ class ResultStream:
         # Set semantics and arity are the audit of whatever holds the
         # rows: extension or memo.
         stored = self._relation
-        if isinstance(stored, GeneratorRelation):
-            stored = stored._memo
         stored.check_invariants(f"stream {self.name}")
-        if isinstance(self._relation, GeneratorRelation) and self._relation.exhausted:
-            before = self._relation.produced_count
-            replayed = sum(1 for _ in self._relation)
-            if self._relation.produced_count != before:
+        if self.lazy and stored.exhausted:
+            before = stored.produced_count
+            replayed = sum(1 for _ in stored)
+            if stored.produced_count != before:
                 raise InvariantViolation(
                     f"stream {self.name}: drained generator produced "
-                    f"{self._relation.produced_count - before} tuples after "
+                    f"{stored.produced_count - before} tuples after "
                     "exhaustion"
                 )
             if replayed != before:
@@ -238,19 +227,9 @@ class ExecutionMonitor:
 
     def _pin_for_stream(self, element, relation) -> None:
         """Keep ``element`` pinned until the lazy ``relation`` drains."""
-        if not self.pin_streams:
-            return
-        if not isinstance(relation, GeneratorRelation) or relation.exhausted:
-            return
-        self.cache.pin(element)
-        previous = relation.on_exhausted
-
-        def release() -> None:
-            self.cache.unpin(element)
-            if previous is not None:
-                previous()
-
-        relation.on_exhausted = release
+        if self.pin_streams and not relation.exhausted:
+            self.cache.pin(element)
+            relation.when_exhausted(lambda: self.cache.unpin(element))
 
     def _execute_exact(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         element = plan.exact_element

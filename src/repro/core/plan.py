@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.relational.expressions import Comparison
+from repro.relational.operators import existence_part
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.psj import ConstProj, PSJQuery
@@ -71,13 +72,12 @@ def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
 
 
 def label_part(rows, columns: tuple[str, ...], label: str) -> Relation:
-    """A part's positional result (any sized iterable of rows) under the
+    """A part's positional result (any iterable of rows) under the
     qualified query column names the combine stage joins on.  A part that
-    exposes no columns is a pure existence check: one ``_exists_<label>``
-    column holding a single ``True`` row when ``rows`` is non-empty."""
+    exposes no columns is a pure existence check: its
+    :func:`~repro.relational.operators.existence_part`."""
     if not columns:
-        schema = Schema(label, (f"_exists_{label}",))
-        return Relation(schema, [(True,)] if len(rows) else [])
+        return existence_part(rows, label)
     return Relation(Schema(label, columns), iter(rows))
 
 

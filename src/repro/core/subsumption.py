@@ -50,15 +50,28 @@ from typing import Iterator
 from repro.common.errors import InvariantViolation
 from repro.relational.expressions import Comparison
 from repro.relational.generator import GeneratorRelation
-from repro.relational.operators import select, select_iter
+from repro.relational.operators import (
+    entry_rows,
+    existence_part,
+    project_entries,
+    select,
+    select_iter,
+)
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.caql.eval import result_schema
 from repro.caql.implication import (
     ContainmentProbe,
     ContainmentSignature,
     SignatureRejection,
 )
-from repro.caql.psj import ConstProj, PSJQuery, column, parse_column
+from repro.caql.psj import (
+    ConstProj,
+    PSJQuery,
+    column,
+    parse_column,
+    projection_entries,
+)
 from repro.core.cache import Cache, CacheElement
 from repro.core.canonical import canonicalize
 
@@ -441,26 +454,12 @@ def derive_full(
     """
     if not match.is_full or match.projection is None:
         raise ValueError("derive_full requires a full match")
-    if prefiltered is not None:
-        source = filtered = prefiltered
-    else:
-        source = match.element.extension()
-        filtered = (
-            select(source, list(match.residual_conditions))
-            if match.residual_conditions
-            else source
-        )
-    schema = result_schema(query.name, query.arity)
-    rows = (
-        tuple(
-            entry.value if isinstance(entry, ConstProj) else row[source.schema.position(entry)]
-            for entry in match.projection
-        )
-        for row in filtered
+    filtered = prefiltered if prefiltered is not None else _residual_rows(match)
+    return project_entries(
+        filtered,
+        projection_entries(match.projection, filtered.schema),
+        result_schema(query.name, query.arity),
     )
-    if not match.projection:
-        return Relation(schema, [(True,)] if len(filtered) else [])
-    return Relation(schema, rows)
 
 
 def derive_full_lazy(match: SubsumptionMatch, query: PSJQuery) -> GeneratorRelation:
@@ -471,53 +470,40 @@ def derive_full_lazy(match: SubsumptionMatch, query: PSJQuery) -> GeneratorRelat
     """
     if not match.is_full or match.projection is None:
         raise ValueError("derive_full_lazy requires a full match")
-    schema = result_schema(query.name, query.arity)
 
     def source() -> Iterator[tuple]:
         stored = match.element.relation  # may itself be a generator
-        stored_schema = stored.schema
         rows: Iterator[tuple] = iter(stored)
         if match.residual_conditions:
-            rows = select_iter(rows, stored_schema, list(match.residual_conditions))
-        if not match.projection:
-            for _row in rows:
-                yield (True,)
-                return
-            return
-        positions = [
-            ("const", entry.value)
-            if isinstance(entry, ConstProj)
-            else ("col", stored_schema.position(entry))
-            for entry in match.projection
-        ]
-        for row in rows:
-            yield tuple(
-                value if kind == "const" else row[value] for kind, value in positions
-            )
+            rows = select_iter(rows, stored.schema, list(match.residual_conditions))
+        return entry_rows(rows, projection_entries(match.projection, stored.schema))
 
-    return GeneratorRelation(schema, source)
+    return GeneratorRelation(result_schema(query.name, query.arity), source)
 
 
 def derive_part(match: SubsumptionMatch, needed_columns: list[str]) -> Relation:
     """Derive a partial match's contribution as a relation whose attributes
     are the *query* column names in ``needed_columns`` (all of which must
-    be available from the element)."""
+    be available from the element); with none needed, the element's
+    existence part."""
     available = match.available()
     missing = [c for c in needed_columns if c not in available]
     if missing:
         raise ValueError(f"columns not available from {match.element.element_id}: {missing}")
-    source = match.element.extension()
-    filtered = (
-        select(source, list(match.residual_conditions))
-        if match.residual_conditions
-        else source
-    )
-    from repro.relational.schema import Schema
-
+    filtered = _residual_rows(match)
+    label = match.element.element_id
     if not needed_columns:
-        # Pure existence contribution: one boolean column.
-        schema = Schema(match.element.element_id, (f"_exists_{match.element.element_id}",))
-        return Relation(schema, [(True,)] if len(filtered) else [])
-    schema = Schema(match.element.element_id, tuple(needed_columns))
-    positions = [source.schema.position(available[c]) for c in needed_columns]
-    return Relation(schema, (tuple(row[i] for i in positions) for row in filtered))
+        return existence_part(filtered, label)
+    return project_entries(
+        filtered,
+        [("col", filtered.schema.position(available[c])) for c in needed_columns],
+        Schema(label, tuple(needed_columns)),
+    )
+
+
+def _residual_rows(match: SubsumptionMatch) -> Relation:
+    """The element's extension under the match's residual conditions."""
+    source = match.element.extension()
+    if not match.residual_conditions:
+        return source
+    return select(source, list(match.residual_conditions))

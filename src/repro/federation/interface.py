@@ -38,9 +38,8 @@ from repro.common.errors import RemoteDBMSError, UnknownRelationError
 from repro.common.metrics import CACHE_TUPLES_PROCESSED, Metrics
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStatistics
-from repro.caql.eval import result_schema
 from repro.caql.psj import PSJQuery, parse_column
-from repro.core.engine import combine_parts, unit_result
+from repro.core.engine import combine_parts
 from repro.core.plan import distinct_values, label_part, sub_query
 from repro.core.rdi import RemoteInterface, canonical_bindings
 from repro.remote.faults import RetryPolicy
@@ -350,27 +349,25 @@ class FederatedInterface:
         """Join the gathered parts locally and project to the query shape
         (the Execution Monitor's combine kernel).
 
-        Existence-only parts are not joined: they gate the answer — any
-        empty one empties it — and the kernel sees only the parts that
-        carry values.  With ``partial`` (some backends were dark),
-        conditions touching columns that never arrived are dropped and
-        those projection columns come back ``None`` — the caller tags the
-        stream ``degraded``."""
+        Existence-only parts carry no values, so they are not joined (and
+        not charged): any empty one empties the answer, and the kernel
+        folds the parts that do carry values.  With ``partial`` (some
+        backends were dark), conditions touching columns that never arrived
+        are dropped and those projection columns come back ``None`` — the
+        caller tags the stream ``degraded``."""
         pushed: list = []
         for part, _relation in fetched:
             pushed.extend(part.sub.conditions)
         pending = [c for c in psj.conditions if c not in pushed]
-        exists_ok = all(
-            len(relation) for part, relation in fetched if not part.columns
-        )
-        value_parts = [relation for part, relation in fetched if part.columns]
-        schema = result_schema(psj.name, psj.arity)
-        if not value_parts:
-            # Every part was an existence check; projection is constants.
-            return unit_result(psj) if exists_ok else Relation(schema, [])
-        result, touched = combine_parts(value_parts, pending, psj, partial=partial)
-        if not exists_ok:
-            result = Relation(schema, [])
+        gates = [relation for part, relation in fetched if not part.columns]
+        values = [relation for part, relation in fetched if part.columns]
+        if not values:
+            # Every part was an existence check: the kernel's projection of
+            # their product is the answer; nothing was joined on values.
+            return combine_parts(gates, pending, psj, partial=partial)[0]
+        result, touched = combine_parts(values, pending, psj, partial=partial)
+        if not all(map(len, gates)):
+            result = Relation(result.schema)
         self._charge_local(touched + len(result))
         return result
 

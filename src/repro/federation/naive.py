@@ -13,10 +13,8 @@ from __future__ import annotations
 from repro.common.metrics import CACHE_MISSES
 from repro.logic.builtins import BuiltinRegistry
 from repro.relational.relation import Relation
-from repro.caql.eval import evaluate_psj, result_schema
 from repro.caql.psj import PSJQuery
 from repro.baselines.base import BaselineInterface
-from repro.baselines.loose import _no_lookup
 from repro.federation.interface import FederatedInterface
 
 
@@ -42,9 +40,5 @@ class NaiveFederation(BaselineInterface):
         self.rdi = interface
 
     def _answer_psj(self, psj: PSJQuery) -> Relation:
-        if psj.unsatisfiable:
-            return Relation(result_schema(psj.name, psj.arity))
-        if not psj.occurrences:
-            return evaluate_psj(psj, _no_lookup)
         self.metrics.incr(CACHE_MISSES)
         return self.rdi.fetch(psj)

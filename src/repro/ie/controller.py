@@ -77,9 +77,6 @@ class DepthFirstController:
         self.clock.charge("local", self.profile.inference_step)
         self.tracer.event("ie.step")
 
-    def _stats_of(self, pred: str):
-        return self.cms.statistics_of(pred)
-
     # -- entry point ----------------------------------------------------------------
     def solve(self, root: OrNode) -> Iterator[Substitution]:
         """All solutions of the root goal, lazily, as substitutions over
@@ -234,7 +231,7 @@ class DepthFirstController:
         shape(
             subgraph,
             self.kb,
-            stats_of=self._stats_of if self.use_statistics else None,
+            stats_of=self.cms.statistics_of if self.use_statistics else None,
         )
         specify_views(subgraph, self.kb, self.config, result=self.views)
         if goal.negated:

@@ -154,7 +154,7 @@ class InferenceEngine:
             shape(
                 graph,
                 self.kb,
-                stats_of=self._stats_of if self.use_statistics else None,
+                stats_of=self.cms.statistics_of if self.use_statistics else None,
             )
             advice, views = generate_advice(graph, self.kb, goal, config)
             self.last_graph = graph
@@ -172,12 +172,6 @@ class InferenceEngine:
         # the inference itself is traced by the controller's step events
         # and the CMS's query spans as the consumer drives it.
         return Solutions(goal, controller.solve(graph))
-
-    def _stats_of(self, pred: str):
-        try:
-            return self.cms.statistics_of(pred)
-        except Exception:
-            return None
 
     # -- compiled path ---------------------------------------------------------------------
     def _ask_compiled(self, goal: Atom) -> Solutions:

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.errors import EvaluationError
+from repro.common.errors import (
+    EvaluationError,
+    RemoteDBMSError,
+    UnknownRelationError,
+)
 from repro.logic.kb import KnowledgeBase
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.relational.statistics import RelationStatistics
@@ -28,7 +32,8 @@ from repro.ie.problem_graph import (
     OrNode,
 )
 
-#: Resolves a database predicate to its remote statistics (may be None).
+#: Resolves a database predicate to its remote statistics; raises
+#: ``RemoteDBMSError``/``UnknownRelationError`` when it has none to give.
 StatsLookup = Callable[[str], RelationStatistics]
 
 #: Cost rank for subgoals we cannot estimate.
@@ -198,13 +203,14 @@ def _conjunct_cost(
             )
             if determinants_bound:
                 return True, 1.0  # key lookup: at most one row
+        cardinality = _UNKNOWN_DB_COST
         if stats_of is not None:
             try:
                 cardinality = float(stats_of(goal.pred).cardinality)
-            except Exception:
-                cardinality = _UNKNOWN_DB_COST
-        else:
-            cardinality = _UNKNOWN_DB_COST
+            except (RemoteDBMSError, UnknownRelationError):
+                # Statistics unavailable, decided here and nowhere else;
+                # anything else a lookup raises is a fault and propagates.
+                pass
         return True, cardinality * (0.1 ** bound_positions)
     # User-defined / recursive / unknown.
     bound_fraction = 0.0

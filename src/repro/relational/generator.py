@@ -111,6 +111,26 @@ class GeneratorRelation:
             pass
         return self._memo
 
+    def when_exhausted(self, callback: Callable[[], None]) -> None:
+        """Fire ``callback`` once when the source drains, ahead of whatever
+        was registered before it (which still fires)."""
+        previous = self.on_exhausted
+
+        def chained() -> None:
+            callback()
+            if previous is not None:
+                previous()
+
+        self.on_exhausted = chained
+
+    def estimated_bytes(self) -> int:
+        """The size of what has been produced so far (the memo)."""
+        return self._memo.estimated_bytes()
+
+    def check_invariants(self, label: str | None = None) -> None:
+        """Audit the produced rows (read-only: nothing is pulled)."""
+        self._memo.check_invariants(label)
+
 
 def generator_from_rows(schema: Schema, rows: list[tuple]) -> GeneratorRelation:
     """A generator over a fixed row list (mostly for tests)."""

@@ -1,7 +1,8 @@
 """Relational algebra operators.
 
-Eager operators map :class:`Relation` to :class:`Relation`.  Selection has
-a pipelined twin (:func:`select_iter`) over a row iterator: the stage
+Eager operators map :class:`Relation` to :class:`Relation`.  Selection and
+the entry projection have pipelined twins (:func:`select_iter`,
+:func:`entry_rows`) over a row iterator: the stages
 :func:`repro.core.subsumption.derive_full_lazy` composes into the generator
 representation of Section 5.1 (a lazy cache element is a
 :class:`~repro.relational.generator.GeneratorRelation` over such a source).
@@ -11,6 +12,7 @@ All operators use set semantics (matching :class:`Relation`).
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,46 +45,64 @@ def select_iter(
 # ---------------------------------------------------------------------------
 
 
-def distinct_projection(rows: Iterable[tuple], positions: Sequence[int]) -> list[tuple]:
-    """``rows`` cut down to ``positions`` (at least one), duplicates dropped,
-    first occurrences in order — without a Python-level step per row.
+#: The existence rule's row: a part or answer that exposes no columns holds
+#: exactly this when its input is non-empty, and nothing when it is empty.
+EXISTS_ROW = (True,)
 
-    The result is what :meth:`Relation.from_distinct_rows` asks for:
-    distinct tuples of arity ``len(positions)``.
+
+def _only_columns(entries: Sequence[tuple[str, object]]) -> bool:
+    return bool(entries) and all(kind == "col" for kind, _value in entries)
+
+
+def entry_rows(
+    rows: Iterable[tuple], entries: Sequence[tuple[str, object]]
+) -> Iterator[tuple]:
+    """The one row builder, pipelined: each of ``rows`` rebuilt slot by
+    slot — entry ``("col", i)`` takes position ``i`` of the source row,
+    ``("const", v)`` inserts ``v`` — duplicates and all.  No entries is the
+    one existence rule: :data:`EXISTS_ROW` once if ``rows`` yields anything
+    (only its first row is pulled), else nothing.
     """
+    if not entries:
+        return (EXISTS_ROW for _row in islice(rows, 1))
+    if not _only_columns(entries):
+        return (
+            tuple(value if kind == "const" else row[value] for kind, value in entries)
+            for row in rows
+        )
+    # Columns only: cut without a Python-level step per row.
+    positions = [position for _kind, position in entries]
     if len(positions) == 1:
         # ``itemgetter`` of one position yields the bare value; ``zip`` of
         # one iterable wraps each in a 1-tuple.
-        projected: Iterable[tuple] = zip(map(itemgetter(positions[0]), rows))
-    else:
-        projected = map(itemgetter(*positions), rows)
-    return list(dict.fromkeys(projected))
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions), rows)
+
+
+def project_entries(
+    rows: Iterable[tuple], entries: Sequence[tuple[str, object]], schema: Schema
+) -> Relation:
+    """:func:`entry_rows` materialized under ``schema``, duplicates dropped
+    (first occurrences, in order): how every local finisher turns its last
+    input into its result."""
+    projected = entry_rows(rows, entries)
+    if _only_columns(entries):
+        # Cut by ``itemgetter``: tuples of the right arity already.
+        return Relation.from_distinct_rows(schema, list(dict.fromkeys(projected)))
+    return Relation(schema, projected)
 
 
 def project(relation: Relation, attributes: Sequence[str], name: str | None = None) -> Relation:
     """Projection onto ``attributes`` (duplicates eliminated)."""
     schema = relation.schema.project(tuple(attributes), name)
     positions = relation.schema.positions(tuple(attributes))
-    return Relation.from_distinct_rows(schema, distinct_projection(relation, positions))
+    return project_entries(relation, [("col", p) for p in positions], schema)
 
 
-def project_entries(
-    rows: Iterable[tuple], entries: Sequence[tuple[str, object]], schema: Schema
-) -> Relation:
-    """Rows rebuilt slot by slot under ``schema``: entry ``("col", i)`` takes
-    position ``i`` of the source row, ``("const", v)`` inserts ``v``
-    (duplicates eliminated).
-    """
-    if entries and all(kind == "col" for kind, _value in entries):
-        positions = [position for _kind, position in entries]
-        return Relation.from_distinct_rows(schema, distinct_projection(rows, positions))
-    return Relation(
-        schema,
-        (
-            tuple(value if kind == "const" else row[value] for kind, value in entries)
-            for row in rows
-        ),
-    )
+def existence_part(rows: Iterable[tuple], label: str) -> Relation:
+    """A plan part that exposes no columns, as a relation the combine stage
+    can join: one ``_exists_<label>`` column under the existence rule."""
+    return project_entries(rows, (), Schema(label, (f"_exists_{label}",)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,19 @@ class Relation:
         out._sized_bytes = self._sized_bytes
         return out
 
+    # -- what a generator is asked too ---------------------------------------------
+    #: An extension is a result whose every row has been produced.
+    exhausted = True
+
+    def to_extension(self) -> "Relation":
+        """The full extension: this relation."""
+        return self
+
+    @property
+    def produced_count(self) -> int:
+        """How many rows have been computed: all of them."""
+        return len(self._rows)
+
     def copy(self) -> "Relation":
         """An independent copy (mutations do not propagate)."""
         return Relation.from_distinct_rows(self.schema, self.rows)

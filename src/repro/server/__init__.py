@@ -12,7 +12,6 @@ from repro.server.braid_server import BraidServer, ServerConfig, StepRecord
 from repro.server.scheduler import (
     POLICIES,
     RoundRobinPolicy,
-    Scheduler,
     WeightedFairPolicy,
 )
 from repro.server.session import Request, Session, SessionManager
@@ -23,7 +22,6 @@ __all__ = [
     "POLICIES",
     "Request",
     "RoundRobinPolicy",
-    "Scheduler",
     "ServerConfig",
     "Session",
     "SessionManager",

@@ -53,7 +53,7 @@ from repro.core.cache import Cache
 from repro.core.cms import CMSFeatures
 from repro.server.admission import AdmissionController
 from repro.server.mqo import SharedSubplanRegistry
-from repro.server.scheduler import POLICIES, Scheduler
+from repro.server.scheduler import POLICIES
 from repro.server.session import Request, Session, SessionManager
 
 
@@ -82,7 +82,7 @@ class ServerConfig:
         if self.scheduler_policy not in POLICIES:
             raise ServerError(
                 f"unknown scheduler policy {self.scheduler_policy!r}; "
-                f"have {POLICIES}"
+                f"have {tuple(POLICIES)}"
             )
 
 
@@ -173,9 +173,8 @@ class BraidServer:
             metrics=self.metrics,
             tracer=tracer,
         )
-        self.scheduler = Scheduler(
-            policy=self.config.scheduler_policy,
-            seed=self.config.scheduler_seed,
+        self.scheduler = POLICIES[self.config.scheduler_policy](
+            self.config.scheduler_seed
         )
         self.schedule_trace: list[StepRecord] = []
         #: Fixed-cadence ledger sampler; read-only over metrics, so it can

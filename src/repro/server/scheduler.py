@@ -5,7 +5,8 @@ The server is single-threaded on the simulated clock: concurrency is
 drain one result stream), which keeps every run exactly reproducible —
 the same seed and submissions yield byte-identical schedules.
 
-Two policies:
+Two policies, each a class with ``note_session`` / ``forget_session`` /
+``pick``; the server holds the one its configuration names:
 
 * **round-robin** — sessions take turns in opening order; a session with
   nothing runnable is skipped.  Simple, and fair in steps.
@@ -28,9 +29,6 @@ from repro.server.session import Session
 
 #: Stride numerator: pass advances by STRIDE_SCALE / weight per step.
 STRIDE_SCALE = 1 << 20
-
-#: The selectable policy names.
-POLICIES = ("round-robin", "weighted-fair")
 
 
 class RoundRobinPolicy:
@@ -85,6 +83,8 @@ class WeightedFairPolicy:
         self._pass.pop(name, None)
 
     def pick(self, eligible: list[Session]) -> Session:
+        if not eligible:
+            raise ServerError("weighted-fair pick from an empty eligible set")
         best = min(self._pass[s.name] for s in eligible)
         tied = sorted(
             (s for s in eligible if self._pass[s.name] == best),
@@ -95,30 +95,5 @@ class WeightedFairPolicy:
         return session
 
 
-class Scheduler:
-    """Policy wrapper: tracks sessions and picks the next one to step."""
-
-    def __init__(self, policy: str = "round-robin", seed: int = 0):
-        if policy not in POLICIES:
-            raise ServerError(f"unknown scheduler policy {policy!r}; have {POLICIES}")
-        self.policy_name = policy
-        self.seed = seed
-        self._policy = (
-            RoundRobinPolicy(seed)
-            if policy == "round-robin"
-            else WeightedFairPolicy(seed)
-        )
-
-    def note_session(self, session: Session) -> None:
-        """Register a session with the policy (idempotent)."""
-        self._policy.note_session(session)
-
-    def forget_session(self, name: str) -> None:
-        """Drop a closed session from the policy's state."""
-        self._policy.forget_session(name)
-
-    def pick(self, eligible: list[Session]) -> Session:
-        """The session whose step runs next (``eligible`` is non-empty)."""
-        if not eligible:
-            raise ServerError("scheduler pick from an empty eligible set")
-        return self._policy.pick(eligible)
+#: The selectable policies, by name (``ServerConfig.scheduler_policy``).
+POLICIES = {"round-robin": RoundRobinPolicy, "weighted-fair": WeightedFairPolicy}

@@ -101,8 +101,8 @@ class TestLineage:
 
 
 class TestSignatureFollowsDefinition:
-    """The containment signature is derived from the definition and must
-    be replaced with it: a stale one renames conditions onto the wrong
+    """The containment signature is derived from the definition and goes
+    wherever it goes: a stale one would rename conditions onto the wrong
     occurrence tags."""
 
     INTERMEDIATE = "m(X, Z) :- b2(Y, Z), b1(X, Y), X >= 3"
@@ -128,12 +128,31 @@ class TestSignatureFollowsDefinition:
         )
         assert match.is_full and match.element is element
 
-    def test_a_definition_swapped_behind_the_signature_is_caught(self):
+    def test_a_definition_swapped_behind_the_signature_takes_its_own_along(self):
+        # The fault the audit used to catch — a definition replaced without
+        # redefine(), leaving a stale stored signature — cannot be built any
+        # more: the signature is read off whatever definition is there.
+        from repro.caql.implication import ContainmentSignature
+
         cache = Cache()
         element = store(cache, self.INTERMEDIATE, kind="intermediate")
-        element.definition = make_psj(self.VIEW)  # not via redefine()
-        with pytest.raises(InvariantViolation, match="containment signature"):
-            cache.check_invariants()
+        swapped = make_psj(self.VIEW)
+        element.definition = swapped  # not via redefine()
+        assert element.signature is ContainmentSignature.of(swapped)
+        assert element.signature == ContainmentSignature.of(make_psj(self.VIEW))
+        cache.check_invariants()
+
+    def test_one_definition_one_signature_whoever_holds_it(self):
+        from repro.core.cache import StaleArchive
+
+        cache, archive = Cache(), StaleArchive()
+        psj = make_psj(self.VIEW)
+        relation = Relation(result_schema("v", 2), [(3, 4)])
+        element = cache.store(psj, relation)
+        archive.store(psj, relation)
+        (archived,) = archive.cache.elements()
+        assert archived is not element
+        assert archived.signature is element.signature
 
 
 class TestPinnedDescendantProtection:

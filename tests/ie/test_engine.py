@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import InferenceError
+from repro.common.errors import CircuitOpenError, InferenceError
 from repro.common.metrics import IE_CAQL_QUERIES, REMOTE_REQUESTS, REMOTE_TUPLES
 from repro.logic.kb import KnowledgeBase
 from repro.logic.soa import RecursiveStructure
@@ -233,3 +233,34 @@ class TestSolutions:
         kb, cms = build_system()
         engine = InferenceEngine(kb, cms)
         assert engine.ask_first("parent(joe, X)") is None
+
+
+class TestStatisticsLookupFailures:
+    """The IE hands the shaper the bridge's own ``statistics_of``: a remote
+    that cannot answer costs an unknown relation (same plan, same answers
+    as a healthy run without statistics); anything else is not swallowed."""
+
+    GOAL = "adult_parent(X)"
+
+    def ask(self, statistics_of=None, **kwargs):
+        kb, cms = build_system()
+        if statistics_of is not None:
+            cms.statistics_of = statistics_of
+        engine = InferenceEngine(kb, cms, strategy="conjunction", **kwargs)
+        answers = sorted({s["X"] for s in engine.ask_all(self.GOAL)})
+        (rule,) = engine.last_graph.alternatives
+        return answers, [child.goal.pred for child in rule.body]
+
+    def test_a_dark_remote_plans_like_no_statistics(self):
+        def dark(pred):
+            raise CircuitOpenError("breaker open")
+
+        assert self.ask(dark) == self.ask(use_statistics=False)
+        assert self.ask(dark)[0] == self.ask()[0] == ["bob", "liz", "tom"]
+
+    def test_a_programming_error_in_the_lookup_surfaces(self):
+        def broken(pred):
+            raise ZeroDivisionError("planted")
+
+        with pytest.raises(ZeroDivisionError, match="planted"):
+            self.ask(broken)

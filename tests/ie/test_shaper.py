@@ -1,6 +1,13 @@
 """Tests for the problem graph shaper."""
 
+import pytest
 
+from repro.common.errors import (
+    CircuitOpenError,
+    InvariantViolation,
+    TransientRemoteError,
+    UnknownRelationError,
+)
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atom
 from repro.logic.soa import FunctionalDependency, MutualExclusion
@@ -123,3 +130,56 @@ class TestOrdering:
         (rule,) = graph.alternatives
         inner = rule.body[0]
         assert inner.alternatives == []  # culled inside the nested rule
+
+
+class TestStatisticsUnavailable:
+    """One place decides "no statistics": a remote that cannot be asked (or
+    does not know the relation) costs the unknown-relation sentinel; any
+    other exception out of a lookup is a fault and surfaces."""
+
+    RULE = "p(X, Y) :- big(X, Z), small(Z, Y)."
+
+    def ordered(self, stats_of):
+        kb = make_kb(self.RULE)
+        graph = shape(
+            extract_problem_graph(kb, parse_atom("p(X, Y)")), kb, stats_of=stats_of
+        )
+        (rule,) = graph.alternatives
+        return [c.goal.pred for c in rule.body]
+
+    @pytest.mark.parametrize(
+        "error", [TransientRemoteError("link down"), UnknownRelationError("big")]
+    )
+    def test_a_failing_lookup_orders_like_no_statistics_at_all(self, error):
+        def failing(pred):
+            raise error
+
+        assert self.ordered(failing) == self.ordered(None) == ["big", "small"]
+
+    def test_one_relation_without_statistics_gets_the_sentinel(self):
+        def partial(pred):
+            if pred == "big":
+                raise CircuitOpenError("breaker open")
+            return RelationStatistics(cardinality=10_000)
+
+        # big is costed at the sentinel (100), under small's 10 000 —
+        # the opposite of what their names (and full statistics) say.
+        assert self.ordered(partial) == ["big", "small"]
+        assert self.ordered(
+            lambda pred: RelationStatistics(cardinality=50 if pred == "small" else 10_000)
+        ) == ["small", "big"]
+
+    @pytest.mark.parametrize(
+        "error", [InvariantViolation("planted"), AttributeError("planted")]
+    )
+    def test_a_fault_in_the_lookup_surfaces(self, error):
+        def broken(pred):
+            raise error
+
+        with pytest.raises(type(error), match="planted"):
+            self.ordered(broken)
+
+    def test_a_lookup_that_answers_none_is_a_programming_error(self):
+        # What InferenceEngine._stats_of used to turn every failure into.
+        with pytest.raises(AttributeError):
+            self.ordered(lambda pred: None)

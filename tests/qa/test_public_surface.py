@@ -116,3 +116,63 @@ def test_the_executor_has_one_route_for_a_plans_remote_part():
     source = (PACKAGE / "core" / "executor.py").read_text()
     assert source.count("self.rdi.fetch(") == 1
     assert "fetch_many" not in source
+
+
+def _constructs_existence(path: Path) -> bool:
+    """True when the module builds an existence row — a ``(True,)`` tuple —
+    or an ``_exists_*`` column name (docstrings mention, they do not build)."""
+    tree = _tree(path)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 1:
+            (only,) = node.elts
+            if isinstance(only, ast.Constant) and only.value is True:
+                return True
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "_exists_" in node.value
+            and id(node) not in docstrings
+        ):
+            return True
+    return False
+
+
+def test_one_module_constructs_existence_rows_and_columns():
+    # The oracle keeps its own copy on purpose; the compiled IE strategy's
+    # boolean answer is not a relational existence check.
+    exempt = {PACKAGE / "caql" / "eval.py", PACKAGE / "ie" / "strategies.py"}
+    builders = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path not in exempt and _constructs_existence(path)
+    ]
+    assert builders == ["relational/operators.py"]
+
+
+def test_result_type_is_asked_only_where_laziness_is_the_question():
+    askers = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.parent.name == "relational":
+            continue
+        count = sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(
+                isinstance(n, ast.Name) and n.id == "GeneratorRelation"
+                for n in ast.walk(node.args[1])
+            )
+            for node in ast.walk(_tree(path))
+        )
+        if count:
+            askers[str(path.relative_to(PACKAGE))] = count
+    # ResultStream.lazy and CacheElement.is_generator.
+    assert askers == {"core/cache.py": 1, "core/executor.py": 1}

@@ -8,9 +8,10 @@ from repro.common.errors import EvaluationError
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.operators import (
     aggregate,
-    distinct_projection,
+    entry_rows,
     join,
     project,
+    project_entries,
     select,
     select_iter,
     transitive_closure,
@@ -68,8 +69,13 @@ class TestProject:
     def test_distinct_projection_is_the_per_row_rebuild(self, emp):
         rows = emp.rows + [(5, "ann", "hw")]
         for positions in [(2,), (1, 2), (2, 1, 2), (0, 1, 2)]:
-            expected = list(dict.fromkeys(tuple(r[i] for i in positions) for r in rows))
-            assert distinct_projection(iter(rows), positions) == expected
+            expected = [tuple(r[i] for i in positions) for r in rows]
+            entries = [("col", i) for i in positions]
+            assert list(entry_rows(iter(rows), entries)) == expected
+            schema = Schema("cut", tuple(f"a{i}" for i in range(len(positions))))
+            assert project_entries(iter(rows), entries, schema).rows == list(
+                dict.fromkeys(expected)
+            )
 
 
 class TestJoin:

@@ -6,8 +6,8 @@ from repro.caql.parser import parse_query
 from repro.common.errors import ServerError
 from repro.server import BraidServer, ServerConfig
 from repro.server.scheduler import (
+    POLICIES,
     RoundRobinPolicy,
-    Scheduler,
     WeightedFairPolicy,
 )
 from repro.server.session import Session
@@ -97,15 +97,26 @@ class TestWeightedFair:
 
 
 class TestSchedulerWrapper:
+    """What the deleted ``Scheduler`` wrapper checked, where it is checked
+    now: the configuration validates the name, each policy its own pick."""
+
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ServerError):
-            Scheduler(policy="lottery")
-        with pytest.raises(ServerError):
+        assert "lottery" not in POLICIES
+        with pytest.raises(ServerError, match="lottery"):
             ServerConfig(scheduler_policy="lottery")
 
     def test_empty_pick_rejected(self):
-        with pytest.raises(ServerError):
-            Scheduler().pick([])
+        for policy in POLICIES.values():
+            with pytest.raises(ServerError):
+                policy(0).pick([])
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_the_server_holds_the_policy_its_config_names(self, policy):
+        server = BraidServer(
+            tables=selection_universe(rows=4, seed=5).tables,
+            config=ServerConfig(scheduler_policy=policy),
+        )
+        assert type(server.scheduler) is POLICIES[policy]
 
 
 class TestServerDeterminism:
