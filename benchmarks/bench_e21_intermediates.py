@@ -23,8 +23,6 @@ run to run.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from benchmarks.harness import format_table, record
@@ -37,6 +35,7 @@ from repro.common.metrics import (
     SERVER_SHARED_SUBPLANS,
 )
 from repro.core.cms import CMSFeatures
+from repro.obs.export import fingerprint as canonical_fingerprint
 from repro.server import BraidServer, ServerConfig
 from repro.workloads.multisession import (
     MultiSessionSpec,
@@ -123,15 +122,10 @@ def run_workload(cache_bytes: int, intermediates: bool, mqo: bool, serial: bool 
 
 
 def fingerprint(answers: dict, tuples: int) -> str:
-    import hashlib
-
-    payload = json.dumps(
+    return canonical_fingerprint(
         {"answers": {k: [list(map(repr, row)) for row in v] for k, v in answers.items()},
-         "tuples": tuples},
-        sort_keys=True,
-        separators=(",", ":"),
+         "tuples": tuples}
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # -- module-scope runs (each configuration executes once) --------------------------

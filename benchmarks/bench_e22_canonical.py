@@ -27,8 +27,6 @@ work (tuples processed, simulated seconds).  Everything is seeded.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 
 import pytest
@@ -46,6 +44,7 @@ from repro.common.metrics import (
     REMOTE_TUPLES,
 )
 from repro.core.cms import CacheManagementSystem, CMSFeatures
+from repro.obs.export import fingerprint
 from repro.qa.generator import mutate_equivalent
 from repro.remote.server import RemoteDBMS
 from repro.workloads.synthetic import retail_universe
@@ -98,9 +97,7 @@ def run_stream(features: CMSFeatures) -> dict:
         "tuples_shipped": delta.get(REMOTE_TUPLES, 0),
         "sim_seconds": round(cms.clock.now, 9),
         "answers": answers,
-        "fingerprint": hashlib.sha256(
-            json.dumps(answers, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest(),
+        "fingerprint": fingerprint(answers),
     }
 
 

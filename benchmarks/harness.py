@@ -17,6 +17,7 @@ import json
 import pathlib
 
 from repro.caql.ast import CAQLQuery
+from repro.obs.export import canonical_json
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 SUMMARY_PATH = RESULTS_DIR / "BENCH_summary.json"
@@ -79,9 +80,9 @@ def record(
     """Persist an experiment's table and print it (visible with -s).
 
     ``data`` is the machine-readable form of the same results: it is
-    written canonically (sorted keys, fixed separators — byte-identical
+    written by :func:`repro.obs.export.canonical_json` (byte-identical
     across same-seed runs) to ``results/<experiment>.json`` and rolled up
-    into ``results/BENCH_summary.json`` so CI and scripts can consume
+    into ``results/BENCH_summary.json`` so the regression gate can read
     every experiment without parsing the fixed-width tables.
 
     ``telemetry`` is an attached :class:`repro.obs.MetricsSampler` (or its
@@ -96,16 +97,12 @@ def record(
     (RESULTS_DIR / f"{experiment}.txt").write_text(body)
     if data is not None:
         document = {"experiment": experiment, "title": title, "results": data}
-        (RESULTS_DIR / f"{experiment}.json").write_text(_canonical(document) + "\n")
+        (RESULTS_DIR / f"{experiment}.json").write_text(canonical_json(document) + "\n")
         _update_summary()
     if telemetry is not None:
         series = telemetry if isinstance(telemetry, str) else telemetry.to_jsonl()
         (RESULTS_DIR / f"{experiment}.telemetry.jsonl").write_text(series)
     print(f"\n{body}")
-
-
-def _canonical(document) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 def _update_summary() -> None:
@@ -117,7 +114,7 @@ def _update_summary() -> None:
         except json.JSONDecodeError:
             continue  # a half-written or foreign file must not sink the rollup
     SUMMARY_PATH.write_text(
-        _canonical({"experiments": experiments, "schema_version": SCHEMA_VERSION})
+        canonical_json({"experiments": experiments, "schema_version": SCHEMA_VERSION})
         + "\n"
     )
 
@@ -128,7 +125,7 @@ def record_trace(experiment: str, trace_jsonl: str) -> pathlib.Path:
     The JSONL comes from :meth:`repro.obs.Tracer.to_jsonl` and is canonical
     (sorted keys, fixed separators), so the artifact is byte-identical
     across same-seed runs — diffing two of them is a regression test, and
-    ``scripts/braid_report.py`` renders them as a span tree.
+    ``python -m repro trace`` renders them as a span tree.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment}.trace.jsonl"

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.common.clock import SimClock
 from repro.common.errors import CacheCapacityError, CacheError
 from repro.common.metrics import (
     CACHE_EVICTIONS,
@@ -53,6 +54,8 @@ VALUE_WEIGHT = 1e9
 #: a hit on a derived element warms its parents at this share, its
 #: grandparents at the share squared, and so on (see ``touch``).
 ANCESTOR_SHARE = 0.5
+#: How many remote answers the :class:`StaleArchive` keeps (FIFO beyond it).
+ARCHIVE_ELEMENTS = 64
 
 
 @dataclass
@@ -200,10 +203,11 @@ class Cache:
         if capacity_bytes <= 0:
             raise CacheError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self.metrics = metrics
-        #: Optional SimClock: stamps the efficacy ledger's created/last-used
-        #: times and ages.  Without one, all timestamps stay 0.0.
-        self.clock = clock
+        self.metrics = metrics if metrics is not None else Metrics()
+        #: Stamps the efficacy ledger's created/last-used times and ages and
+        #: decays reuse.  A private clock never advances: timestamps stay
+        #: 0.0 and nothing decays.
+        self.clock = clock if clock is not None else SimClock()
         if tracer is None:
             from repro.obs.tracer import Tracer
 
@@ -288,7 +292,7 @@ class Cache:
             return element
 
         self.epoch += 1
-        now = self.clock.now if self.clock is not None else 0.0
+        now = self.clock.now
         live_parents = [
             p for p in dict.fromkeys(parents) if p in self._elements
         ]
@@ -325,7 +329,7 @@ class Cache:
             self._by_predicate.setdefault(pred, {})[element.element_id] = None
         for parent_id in element.parents:
             self._children.setdefault(parent_id, {})[element.element_id] = None
-        if kind == "intermediate" and self.metrics is not None:
+        if kind == "intermediate":
             self.metrics.incr(CACHE_INTERMEDIATE_STORES)
         return element
 
@@ -361,8 +365,7 @@ class Cache:
         if element.pin_count > 0:
             element.condemned = True
             self._condemned[element_id] = element
-            if self.metrics is not None:
-                self.metrics.incr(CACHE_PIN_DEFERRALS)
+            self.metrics.incr(CACHE_PIN_DEFERRALS)
         else:
             self.reclaim_count += 1
 
@@ -412,9 +415,8 @@ class Cache:
                     "or has a pinned derivation descendant"
                 )
             victim_bytes = victim.estimated_bytes()
-            if self.metrics is not None:
-                self.metrics.incr(CACHE_EVICTIONS)
-                self.metrics.observe(H_EVICTED_ELEMENT_BYTES, victim_bytes)
+            self.metrics.incr(CACHE_EVICTIONS)
+            self.metrics.observe(H_EVICTED_ELEMENT_BYTES, victim_bytes)
             self.tracer.event(
                 "cache.evict",
                 element=victim.element_id,
@@ -459,14 +461,13 @@ class Cache:
     # -- cost-based replacement ---------------------------------------------------
     def decayed_frequency(self, element: CacheElement) -> float:
         """The element's observed hit frequency, decayed by idle time
-        (half-life :data:`REUSE_HALF_LIFE`; no decay without a clock)."""
+        (half-life :data:`REUSE_HALF_LIFE`)."""
         frequency = element.reuse_frequency
         if frequency <= 0.0:
             return 0.0
-        if self.clock is not None:
-            idle = max(self.clock.now - element.last_used_at, 0.0)
-            if idle > 0.0:
-                frequency *= 0.5 ** (idle / REUSE_HALF_LIFE)
+        idle = max(self.clock.now - element.last_used_at, 0.0)
+        if idle > 0.0:
+            frequency *= 0.5 ** (idle / REUSE_HALF_LIFE)
         return frequency
 
     def element_value(self, element: CacheElement) -> float:
@@ -497,8 +498,7 @@ class Cache:
         element.sequence = next(self._clock)
         element.use_count += 1
         element.reuse_frequency = self.decayed_frequency(element) + 1.0
-        if self.clock is not None:
-            element.last_used_at = self.clock.now
+        element.last_used_at = self.clock.now
         self._warm_ancestors(element)
 
     def _warm_ancestors(self, element: CacheElement) -> None:
@@ -519,15 +519,14 @@ class Cache:
                 parent.reuse_frequency = (
                     self.decayed_frequency(parent) + share
                 )
-                if self.clock is not None:
-                    parent.last_used_at = self.clock.now
+                parent.last_used_at = self.clock.now
                 next_frontier.extend(parent.parents)
             frontier = next_frontier
             share *= ANCESTOR_SHARE
 
     def note_hit(self, element: CacheElement) -> None:
         """Count a lookup served from an intermediate (observability)."""
-        if element.kind == "intermediate" and self.metrics is not None:
+        if element.kind == "intermediate":
             self.metrics.incr(CACHE_INTERMEDIATE_HITS)
 
     def credit_saving(self, element: CacheElement, seconds: float | None = None) -> None:
@@ -544,8 +543,7 @@ class Cache:
         if saved <= 0:
             return
         element.saved_seconds += saved
-        if self.metrics is not None:
-            self.metrics.incr(CACHE_SAVED_SECONDS, saved)
+        self.metrics.incr(CACHE_SAVED_SECONDS, saved)
         self._warm_ancestors(element)
 
     def get(self, element_id: str) -> CacheElement | None:
@@ -593,7 +591,7 @@ class Cache:
     # -- efficacy ledger -----------------------------------------------------------
     def element_report(self, element: CacheElement) -> dict:
         """One element's efficacy ledger entry (JSON-friendly)."""
-        now = self.clock.now if self.clock is not None else 0.0
+        now = self.clock.now
         expected = element.advice_expected_reuse
         observed = element.use_count > 0
         return {
@@ -829,18 +827,16 @@ class StaleArchive:
     When the remote DBMS is unreachable and retries are exhausted, the CMS
     would rather answer from an older copy than not at all (the paper's
     bias toward answering from cache whenever possible).  The archive keeps
-    the last ``max_elements`` remote-derived results *outside* the cache's
-    byte budget — they survive eviction and tiny-cache configurations —
-    and answers are tagged degraded because their freshness is unknown.
+    the last :data:`ARCHIVE_ELEMENTS` remote-derived results *outside* the
+    cache's byte budget — they survive eviction and tiny-cache
+    configurations — and answers are tagged degraded because their
+    freshness is unknown.
 
     Count-bounded FIFO: archived copies are cheap insurance, not a second
     cache; no replacement advice applies to them.
     """
 
-    def __init__(self, max_elements: int = 64):
-        if max_elements <= 0:
-            raise CacheError("archive capacity must be positive")
-        self.max_elements = max_elements
+    def __init__(self):
         # An unbounded-bytes Cache reuses key canonicalization and the
         # predicate index, so subsumption search works on stale copies too.
         self.cache = Cache(capacity_bytes=1 << 40)
@@ -852,7 +848,7 @@ class StaleArchive:
         element = self.cache.store(definition, relation)
         if len(self.cache) > before:
             self._order.append(element.element_id)
-            while len(self.cache) > self.max_elements:
+            while len(self.cache) > ARCHIVE_ELEMENTS:
                 self.cache.discard(self._order.popleft())
         else:
             # Same definition seen again: keep the freshest copy.

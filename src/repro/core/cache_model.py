@@ -4,9 +4,17 @@ Section 5.3.2: "The cache model contains information on the cache
 elements.  It is a relation of type (E_id_i, E_def_i, ....)".  Section 3:
 "the IE can access cache model information from the CMS" — so the model is
 exposed as an ordinary relation the IE (or anything else) can query.
+
+:func:`render_lineage` reads the other half of that meta-data back —
+:meth:`Cache.report`'s efficacy ledger, as the experiments write it to
+``benchmarks/results/E*.json`` — and draws its derivation forest
+(``python -m repro lineage``).
 """
 
 from __future__ import annotations
+
+import json
+from collections import defaultdict
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -65,3 +73,73 @@ def cache_statistics(cache: Cache) -> dict[str, float]:
         "evictions": cache.eviction_count,
         "total_rows": sum(e.rows_materialized() for e in elements),
     }
+
+
+def render_lineage(text: str) -> str:
+    """Render a cache report (``Cache.report()`` as JSON) as a derivation
+    forest: each element under its first live parent, annotated with kind,
+    operator, rows, hits, and value inputs.
+
+    Accepts either the report dict itself or any JSON object with a
+    ``cache_report`` key (benchmark result files embed it that way, possibly
+    inside a ``results``/``data`` wrapper).  Raises ``ValueError`` when the
+    text is not JSON or holds no report.
+    """
+    payload = json.loads(text)
+    if isinstance(payload, dict):
+        for wrapper in ("results", "data"):
+            inner = payload.get(wrapper)
+            if isinstance(inner, dict) and "cache_report" in inner:
+                payload = inner
+                break
+        if "cache_report" in payload:
+            payload = payload["cache_report"]
+    if not isinstance(payload, dict) or "elements" not in payload:
+        raise ValueError("not a cache report: no 'elements' key")
+
+    entries = payload["elements"]
+    by_id = {entry["element"]: entry for entry in entries}
+    children: dict[str, list[str]] = defaultdict(list)
+    roots: list[str] = []
+    for entry in entries:
+        live_parents = [p for p in entry.get("parents", []) if p in by_id]
+        if live_parents:
+            # Render under the first live parent; extra parents are noted
+            # inline so the DAG (not a tree) stays visible.
+            children[live_parents[0]].append(entry["element"])
+        else:
+            roots.append(entry["element"])
+
+    totals = payload.get("totals", {})
+    lines = [
+        f"cache lineage: elements={totals.get('elements', len(entries))} "
+        f"intermediates={totals.get('intermediates', 0)} "
+        f"max_depth={totals.get('max_depth', 0)} "
+        f"evictions={totals.get('evictions', 0)}"
+    ]
+
+    def describe(entry: dict) -> str:
+        label = f"{entry['element']} ({entry.get('view', '?')})"
+        if entry.get("kind", "view") == "intermediate":
+            label += f" [{entry.get('operator') or 'intermediate'}]"
+        label += (
+            f" rows={entry.get('rows', 0)} hits={entry.get('hits', 0)}"
+            f" derivation={entry.get('derivation_seconds', 0.0):.4f}s"
+            f" freq={entry.get('reuse_frequency', 0.0):.2f}"
+        )
+        extra = [p for p in entry.get("parents", []) if p in by_id][1:]
+        if extra:
+            label += f" also-from={','.join(extra)}"
+        stale = [p for p in entry.get("parents", []) if p not in by_id]
+        if stale:
+            label += f" evicted-parents={','.join(stale)}"
+        return label
+
+    def emit(element_id: str, depth: int) -> None:
+        lines.append("  " * depth + "  " + describe(by_id[element_id]))
+        for child in children.get(element_id, []):
+            emit(child, depth + 1)
+
+    for root in roots:
+        emit(root, 0)
+    return "\n".join(lines)

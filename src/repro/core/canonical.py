@@ -40,7 +40,7 @@ two queries produce identical answer row sets under
 ``False``).  The reverse is deliberately not promised — a missed hit
 falls through to subsumption, which is exactly the pre-canonical
 behavior.  The equivalent-query mutation fuzzer
-(``braid_fuzz.py --profile variants``) carries the correctness argument.
+(``python -m repro fuzz --profile variants``) carries the correctness argument.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ class FederatedInterface:
         self,
         catalog: FederatedCatalog,
         retries: dict[str, RetryPolicy] | None = None,
-        default_retry: RetryPolicy | None = None,
         metrics: Metrics | None = None,
         tracer=None,
         local_profile: CostProfile | None = None,
@@ -115,7 +114,7 @@ class FederatedInterface:
         #: breaker (tagged with the backend name in traces).
         self.links: dict[str, RemoteInterface] = {
             name: RemoteInterface(
-                catalog.backend(name), retries.get(name, default_retry)
+                catalog.backend(name), retries.get(name)
             )
             for name in backends
         }

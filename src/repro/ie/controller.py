@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import EvaluationError, InferenceError
-from repro.common.metrics import IE_INFERENCE_STEPS, Metrics
+from repro.common.metrics import IE_INFERENCE_STEPS
 from repro.logic.kb import KnowledgeBase
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.caql.ast import ConjunctiveQuery
@@ -52,9 +51,6 @@ class DepthFirstController:
         cms: CacheManagementSystem,
         views: SpecifierResult,
         config: SpecifierConfig,
-        clock: SimClock | None = None,
-        profile: CostProfile | None = None,
-        metrics: Metrics | None = None,
         max_depth: int = 64,
         use_statistics: bool = False,
     ):
@@ -62,9 +58,9 @@ class DepthFirstController:
         self.cms = cms
         self.views = views
         self.config = config
-        self.clock = clock if clock is not None else cms.clock
-        self.profile = profile if profile is not None else cms.profile
-        self.metrics = metrics if metrics is not None else cms.metrics
+        self.clock = cms.clock
+        self.profile = cms.profile
+        self.metrics = cms.metrics
         self.max_depth = max_depth
         self.use_statistics = use_statistics
         from repro.obs.tracer import Tracer

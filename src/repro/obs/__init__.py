@@ -3,8 +3,10 @@
 * :class:`~repro.obs.tracer.Tracer` — hierarchical spans and events
   stamped with simulated time; :meth:`Tracer.disabled` is the zero-cost
   opt-out every component defaults to.
-* :mod:`repro.obs.export` — canonical JSONL and SHA-256 trace
-  fingerprints (same seed → same bytes).
+* :mod:`repro.obs.export` — the canonical JSON encoder every
+  fingerprinted artifact is written with, and the trace JSONL format:
+  writer, SHA-256 fingerprint, reader and renderer (same seed → same
+  bytes).
 * :mod:`repro.obs.telemetry` — fixed-cadence time-series sampling of the
   metrics ledger (counter deltas, gauges, histogram percentiles).
 * :mod:`repro.obs.profile` — trace-driven critical-path profiler

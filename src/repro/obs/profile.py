@@ -1,8 +1,8 @@
 """Trace-driven critical-path profiler: where does simulated time go?
 
-Consumes a span trace (a :class:`~repro.obs.tracer.Tracer`, its JSONL
-export, or parsed records) and attributes every top-level ``cms.query``
-span's simulated time to **phases**:
+Consumes a span trace (its JSONL export, or the span records
+:func:`repro.obs.export.load_trace` parses from it) and attributes every
+top-level ``cms.query`` span's simulated time to **phases**:
 
 ========  =======================================================
 plan      ``planner.plan`` (strategy choice, subsumption probes)
@@ -35,13 +35,15 @@ Two span shapes need care:
   the owning fetch span's self time) moves from remote to retry.
 
 The profiler is read-only and deterministic; rendering is flame-style
-text bars plus a canonical JSON form for ``scripts/braid_profile.py``.
+text bars plus a canonical JSON form, both printed by
+``python -m repro profile``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from repro.obs.export import canonical_json, load_trace
 
 #: Attribution buckets, in rendering order.
 PHASES = ("plan", "cache", "remote", "retry", "gather", "compute")
@@ -51,29 +53,6 @@ _FETCH_SPANS = frozenset({"rdi.fetch", "rdi.fetch_table", "rdi.fetch_batch"})
 
 #: Executor strategies whose residual work is cache-track derivation.
 _CACHE_STRATEGIES = frozenset({"exact", "cache-full", "unit", "unsatisfiable"})
-
-
-def spans_from_tracer(tracer) -> list[dict]:
-    """A tracer's spans as the same records its JSONL export carries."""
-    from repro.obs.export import _span_record
-
-    return [_span_record(span) for span in tracer.spans]
-
-
-def load_spans(text: str) -> list[dict]:
-    """Span records from a JSONL trace (orphan-event lines are skipped)."""
-    spans: list[dict] = []
-    for number, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"line {number + 1}: not valid JSON ({error})")
-        if "span" in record:
-            spans.append(record)
-    return spans
 
 
 def _duration(span: dict) -> float:
@@ -175,7 +154,7 @@ class TraceProfile:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     # -- rendering ---------------------------------------------------------------
     def render(self, top: int = 10, per_query: bool = True) -> str:
@@ -241,15 +220,10 @@ def _bars(phases: dict[str, float], total: float, width: int = 24) -> list[str]:
     return lines
 
 
-def profile_trace(trace) -> TraceProfile:
-    """Profile a trace: a Tracer, JSONL text, or a list of span records."""
-    if isinstance(trace, str):
-        spans = load_spans(trace)
-    elif isinstance(trace, list):
-        spans = trace
-    else:
-        spans = spans_from_tracer(trace)
-
+def profile_trace(trace: str | list[dict]) -> TraceProfile:
+    """Profile a trace: JSONL text (``ValueError`` when malformed), or a
+    list of span records."""
+    spans = load_trace(trace)[0] if isinstance(trace, str) else trace
     by_id = {span["span"]: span for span in spans}
     children: dict[object, list[dict]] = {}
     for span in spans:

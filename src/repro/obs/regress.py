@@ -18,13 +18,14 @@ flattens both documents to dotted numeric leaf paths
 * **new** — fresh metrics the baseline has never seen (informational;
   they start gating once the baseline is regenerated).
 
-``scripts/braid_regress.py`` is the CLI; CI runs it on every push.
+``python -m repro regress`` is the CLI; CI runs it on every push.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from repro.obs.export import canonical_json
 
 #: Path substrings ignored by default: wall-clock quantities ("wall"
 #: catches E16's column).
@@ -241,5 +242,5 @@ def make_baseline(
 
 
 def dump_baseline(baseline: dict) -> str:
-    """Canonical serialization (sorted keys, fixed separators)."""
-    return json.dumps(baseline, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical serialization, newline-terminated."""
+    return canonical_json(baseline) + "\n"

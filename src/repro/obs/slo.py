@@ -91,7 +91,7 @@ class SLOMonitor:
     ):
         self.policy = policy
         self.clock = clock
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else Metrics()
         if tracer is None:
             from repro.obs.tracer import Tracer
 
@@ -125,8 +125,7 @@ class SLOMonitor:
             if breached and not was:
                 self._breached[key] = True
                 self.breach_count += 1
-                if self.metrics is not None:
-                    self.metrics.incr(SLO_BREACHES)
+                self.metrics.incr(SLO_BREACHES)
                 self.tracer.event(
                     "slo.breach",
                     scope=scope,

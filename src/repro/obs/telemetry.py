@@ -12,9 +12,10 @@ Everything is **read-only over the ledger** (snapshots and summary
 copies; the sampler never mutates counters or histograms, never touches
 the clock, and never emits trace events) and **deterministic**: the clock
 is simulated, so the same seed produces byte-identical series.  The JSONL
-export is canonical (sorted keys, fixed separators) and round-trippable
-through :func:`load_series` / :func:`dump_series`;
-:meth:`MetricsSampler.fingerprint` is the SHA-256 the E-series asserts on.
+export is canonical (:func:`repro.obs.export.canonical_json`) and
+round-trippable through :func:`load_series` / :func:`dump_series`;
+:meth:`MetricsSampler.fingerprint` is the SHA-256 the E-series asserts on,
+and :func:`render_series` is what ``python -m repro metrics`` prints.
 
 The sampler is *pulled*, not scheduled: call :meth:`maybe_sample` at
 natural quiesce points (the server does so after every scheduler step).
@@ -31,13 +32,10 @@ from dataclasses import dataclass, field
 
 from repro.common.clock import SimClock
 from repro.common.metrics import GAUGE_SUFFIX, Metrics
+from repro.obs.export import canonical_json
 
 #: Format tag in the series header line, bumped on incompatible changes.
 SERIES_VERSION = 1
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _split_gauges(
@@ -130,27 +128,19 @@ class TelemetrySample:
 class MetricsSampler:
     """Samples a Metrics ledger into a deterministic time series."""
 
-    def __init__(
-        self,
-        metrics: Metrics,
-        clock: SimClock,
-        interval: float,
-        include_scopes: bool = True,
-    ):
+    def __init__(self, metrics: Metrics, clock: SimClock, interval: float):
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
         self.metrics = metrics
         self.clock = clock
         self.interval = float(interval)
-        self.include_scopes = include_scopes
         self.samples: list[TelemetrySample] = []
         #: Counter state at the previous sample (gauges excluded).
         self._last_counters, _ = _split_gauges(metrics.snapshot())
         #: Per-scope counter state at the previous sample.
         self._last_scope_counters: dict[str, dict[str, float]] = {}
-        if include_scopes:
-            for name, scope in sorted(metrics.scopes().items()):
-                self._last_scope_counters[name], _ = _split_gauges(scope.snapshot())
+        for name, scope in sorted(metrics.scopes().items()):
+            self._last_scope_counters[name], _ = _split_gauges(scope.snapshot())
         #: The first cadence boundary not yet sampled.
         self._next_due = self._boundary_after(clock.now)
 
@@ -185,14 +175,13 @@ class MetricsSampler:
     def _take(self, due: float, label: str) -> TelemetrySample:
         counters, gauges = _split_gauges(self.metrics.snapshot())
         scopes: dict[str, dict[str, dict[str, float]]] = {}
-        if self.include_scopes:
-            for name, scope in sorted(self.metrics.scopes().items()):
-                scope_counters, scope_gauges = _split_gauges(scope.snapshot())
-                earlier = self._last_scope_counters.get(name, {})
-                scope_deltas = _deltas(scope_counters, earlier)
-                self._last_scope_counters[name] = scope_counters
-                if scope_deltas or scope_gauges:
-                    scopes[name] = {"deltas": scope_deltas, "gauges": scope_gauges}
+        for name, scope in sorted(self.metrics.scopes().items()):
+            scope_counters, scope_gauges = _split_gauges(scope.snapshot())
+            earlier = self._last_scope_counters.get(name, {})
+            scope_deltas = _deltas(scope_counters, earlier)
+            self._last_scope_counters[name] = scope_counters
+            if scope_deltas or scope_gauges:
+                scopes[name] = {"deltas": scope_deltas, "gauges": scope_gauges}
         sample = TelemetrySample(
             index=len(self.samples),
             time=self.clock.now,
@@ -229,8 +218,8 @@ class MetricsSampler:
 def dump_series(header: dict, samples: list[TelemetrySample]) -> str:
     """Serialize a telemetry series canonically (header + one line per
     sample, trailing newline)."""
-    lines = [_canonical(header)]
-    lines.extend(_canonical(sample.to_record()) for sample in samples)
+    lines = [canonical_json(header)]
+    lines.extend(canonical_json(sample.to_record()) for sample in samples)
     return "\n".join(lines) + "\n"
 
 
@@ -238,7 +227,8 @@ def load_series(text: str) -> tuple[dict, list[TelemetrySample]]:
     """Parse a JSONL telemetry series back into (header, samples).
 
     Round-trip guarantee: ``dump_series(*load_series(text)) == text`` for
-    any text produced by :func:`dump_series`.
+    any text produced by :func:`dump_series`.  Raises ``ValueError`` on a
+    line that is not JSON or not a telemetry record.
     """
     header: dict = {}
     samples: list[TelemetrySample] = []
@@ -247,10 +237,59 @@ def load_series(text: str) -> tuple[dict, list[TelemetrySample]]:
         if not line:
             continue
         record = json.loads(line)
-        if "series" in record:
+        if isinstance(record, dict) and "series" in record:
             header = record
-        elif "sample" in record:
+        elif isinstance(record, dict) and "sample" in record:
             samples.append(TelemetrySample.from_record(record))
         else:
             raise ValueError(f"line {number + 1}: not a telemetry record")
     return header, samples
+
+
+def render_series(text: str) -> str:
+    """A JSONL telemetry series as readable text: per-sample counter
+    deltas, gauge levels and scope blocks, then the cumulative histogram
+    summaries of the last sample."""
+    header, samples = load_series(text)
+    if not header and not samples:
+        return "(empty telemetry series)"
+    if header.get("series") != "telemetry":
+        raise ValueError("not a telemetry series: missing header line")
+
+    out = [
+        f"telemetry: interval={header.get('interval')}s "
+        f"scope={header.get('scope') or '<root>'} "
+        f"version={header.get('version')} samples={len(samples)}"
+    ]
+    for sample in samples:
+        label = f" [{sample.label}]" if sample.label else ""
+        out.append(f"\nsample {sample.index} @t={sample.time:.6f}{label}")
+        for name in sorted(sample.deltas):
+            out.append(f"  +{sample.deltas[name]:<10g} {name}")
+        for name in sorted(sample.gauges):
+            out.append(f"  ={sample.gauges[name]:<10g} {name}")
+        for scope in sorted(sample.scopes):
+            block = sample.scopes[scope]
+            parts = [
+                f"{name}+{value:g}"
+                for name, value in sorted(block.get("deltas", {}).items())
+            ]
+            parts.extend(
+                f"{name}={value:g}"
+                for name, value in sorted(block.get("gauges", {}).items())
+            )
+            if parts:
+                out.append(f"  scope {scope}: " + " ".join(parts))
+    histograms = samples[-1].histograms if samples else {}
+    if histograms:
+        out.append("\nhistograms (cumulative at last sample):")
+        width = max(len(name) for name in histograms)
+        for name in sorted(histograms):
+            summary = histograms[name]
+            out.append(
+                f"  {name.ljust(width)}  count={summary.get('count', 0):<6g}"
+                f" p50={summary.get('p50', 0.0):.6f}"
+                f" p99={summary.get('p99', 0.0):.6f}"
+                f" max={summary.get('max', 0.0):.6f}"
+            )
+    return "\n".join(out)

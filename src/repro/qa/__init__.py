@@ -4,16 +4,14 @@ The correctness backstop for the whole bridge: seeded case generation
 (:mod:`repro.qa.generator`), differential execution against an oracle
 hierarchy (:mod:`repro.qa.differential`), invariant aggregation
 (:mod:`repro.qa.invariants`), and failure shrinking + replayable repro
-files (:mod:`repro.qa.shrink`).  ``scripts/braid_fuzz.py`` is the CLI.
+files (:mod:`repro.qa.shrink`).  ``python -m repro fuzz`` is the CLI.
 """
 
 from repro.qa.generator import (
     CaseConfig,
     CaseGenerator,
     FuzzCase,
-    canonical_json,
     encode_rows,
-    fingerprint,
     mutate_equivalent,
     render_query,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "CaseConfig",
     "CaseGenerator",
     "FuzzCase",
-    "canonical_json",
     "encode_rows",
-    "fingerprint",
     "mutate_equivalent",
     "render_query",
     "FEDERATED_VARIANT",

@@ -1,6 +1,7 @@
 """Differential execution of fuzz cases across independent oracles.
 
-Every query of a case runs through five implementations that must agree:
+Every query of a case runs through five implementations (six for a
+federated case) that must agree:
 
 * ``full`` — the complete CMS (caching, subsumption, lazy evaluation,
   prefetch, generalization, indexing, parallel tracks, semijoin,
@@ -9,6 +10,8 @@ Every query of a case runs through five implementations that must agree:
   a loose-coupling shim through the same code paths;
 * ``loose`` / ``exact-cache`` / ``relation-buffer`` — the three
   comparison baselines;
+* ``federated`` — the full CMS behind the federation layer, for a case
+  whose tables are spread over several backends;
 * the **oracle** — direct evaluation over the case's base tables via
   :func:`repro.caql.eval.evaluate_conjunctive`, no caching machinery at
   all.
@@ -33,7 +36,8 @@ from repro.common.errors import BraidError, InvariantViolation
 from repro.caql.eval import evaluate_conjunctive
 from repro.core.cms import CacheManagementSystem, CMSFeatures
 from repro.remote.server import RemoteDBMS
-from repro.qa.generator import FuzzCase, encode_rows, fingerprint
+from repro.obs.export import fingerprint
+from repro.qa.generator import FuzzCase, encode_rows
 from repro.qa.invariants import audit_cms, audit_stream
 
 #: Variant names, in report order.  ``full`` first: it is the system under
@@ -44,8 +48,8 @@ VARIANTS = ("full", "nocache", "loose", "exact-cache", "relation-buffer")
 #: tables spread across several backends (``FuzzCase.backends``) behind a
 #: :class:`~repro.federation.interface.FederatedInterface`.  Cross-backend
 #: joins go through scatter/gather and semijoin ship-bindings; the answers
-#: must still be tuple-set-equal to the single-backend oracle.  Added by
-#: ``braid_fuzz.py --profile federated``.
+#: must still be tuple-set-equal to the single-backend oracle.  Every case
+#: that carries ``backends`` runs it (:func:`run_case` decides).
 FEDERATED_VARIANT = "federated"
 
 
@@ -226,8 +230,8 @@ def build_variant(case: FuzzCase, variant: str):
 # -- running one case ------------------------------------------------------------------
 
 
-def run_case(case: FuzzCase, variants: tuple[str, ...] = VARIANTS) -> CaseReport:
-    """Execute the case through every variant and the oracle; compare."""
+def run_case(case: FuzzCase) -> CaseReport:
+    """Execute the case through each of its variants and the oracle; compare."""
     report = CaseReport(case_index=case.index, case_fingerprint=case.fingerprint())
     queries = case.parsed_queries()
     database = case.database()
@@ -239,6 +243,9 @@ def run_case(case: FuzzCase, variants: tuple[str, ...] = VARIANTS) -> CaseReport
         rows = evaluate_conjunctive(query, database.__getitem__)
         expected.append(fingerprint(encode_rows(rows.rows)))
 
+    # Decided from the case alone, so a written repro replays through the
+    # same variants that found it: a case with backends is a federated case.
+    variants = VARIANTS + (FEDERATED_VARIANT,) if case.backends else VARIANTS
     systems = {name: build_variant(case, name) for name in variants}
     for system in systems.values():
         system.begin_session(advice)
@@ -302,10 +309,7 @@ def run_case(case: FuzzCase, variants: tuple[str, ...] = VARIANTS) -> CaseReport
 
 
 def run_corpus(
-    cases: list[FuzzCase],
-    seed: int,
-    variants: tuple[str, ...] = VARIANTS,
-    keep_reports: bool = True,
+    cases: list[FuzzCase], seed: int, keep_reports: bool = True
 ) -> FuzzReport:
     """Run every case; aggregate divergences, violations, fingerprints."""
     report = FuzzReport(
@@ -313,7 +317,7 @@ def run_corpus(
         corpus_fingerprint=fingerprint([case.to_dict() for case in cases]),
     )
     for case in cases:
-        case_report = run_case(case, variants)
+        case_report = run_case(case)
         report.cases += 1
         report.divergences += len(case_report.divergences)
         report.violations += len(case_report.violations)
@@ -325,10 +329,10 @@ def run_corpus(
     return report
 
 
-def case_failure(case: FuzzCase, variants: tuple[str, ...] = VARIANTS) -> str | None:
+def case_failure(case: FuzzCase) -> str | None:
     """The shrinker's oracle: a one-line failure reason, or None if clean."""
     try:
-        report = run_case(case, variants)
+        report = run_case(case)
     except BraidError as error:  # a crash is a failure too
         return f"crash: {type(error).__name__}: {error}"
     if report.violations:

@@ -20,8 +20,6 @@ live in the hand-written edge-case tests instead.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field, asdict
 
@@ -34,24 +32,10 @@ from repro.remote.faults import FaultPolicy
 from repro.logic.terms import Atom, Const, Term, Var
 from repro.caql.ast import COMPARISON_PREDS, ConjunctiveQuery
 from repro.caql.parser import parse_query
+from repro.obs.export import fingerprint
 
 #: Column type tags used in serialized cases.
 COLUMN_TYPES = ("int", "str", "float")
-
-
-def canonical_json(obj) -> str:
-    """Canonical JSON: sorted keys, fixed separators, no NaN/Infinity.
-
-    Two structurally equal objects always serialize to the same bytes, so
-    SHA-256 over this text is a stable fingerprint across runs and
-    machines.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def fingerprint(obj) -> str:
-    """SHA-256 hex digest of an object's canonical JSON."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def encode_value(value) -> list:

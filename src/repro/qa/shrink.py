@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.qa.generator import FuzzCase, canonical_json
+from repro.obs.export import canonical_json
+from repro.qa.generator import FuzzCase
 from repro.caql.parser import parse_query
 
 #: A failure oracle: one-line reason the case fails, or None when clean.

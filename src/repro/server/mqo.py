@@ -38,8 +38,7 @@ class SharedSubplanRegistry:
     just maps canonical keys to relations.
     """
 
-    def __init__(self, max_entries: int = MAX_ENTRIES):
-        self.max_entries = max_entries
+    def __init__(self):
         #: canonical key -> relation, in publication order (dict order is
         #: the FIFO; Python dicts preserve insertion order).
         self._entries: dict[tuple, Relation] = {}
@@ -62,7 +61,7 @@ class SharedSubplanRegistry:
         beyond the bound.  Re-publishing a key refreshes its rows without
         changing its FIFO position (the data is immutable anyway)."""
         key = key_of(sub_query)
-        if key not in self._entries and len(self._entries) >= self.max_entries:
+        if key not in self._entries and len(self._entries) >= MAX_ENTRIES:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
         self._entries[key] = relation
@@ -77,10 +76,10 @@ class SharedSubplanRegistry:
         every entry is a materialized relation."""
         from repro.common.errors import InvariantViolation
 
-        if len(self._entries) > self.max_entries:
+        if len(self._entries) > MAX_ENTRIES:
             raise InvariantViolation(
                 f"subplan registry holds {len(self._entries)} entries, "
-                f"bound is {self.max_entries}"
+                f"bound is {MAX_ENTRIES}"
             )
         for key, relation in self._entries.items():
             if not isinstance(relation, Relation):

@@ -13,7 +13,7 @@ mixed int/float constant spellings:
 
 Any counterexample hypothesis shrinks to is also written out as a
 standard repro.qa repro file (``BRAID_QA_REPRO_DIR``, default
-``.qa-repros``), replayable with ``scripts/braid_fuzz.py --replay``.
+``.qa-repros``), replayable with ``python -m repro fuzz --replay``.
 """
 
 import os

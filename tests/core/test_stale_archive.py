@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.common.errors import CacheError, InvariantViolation
+from repro.common.errors import InvariantViolation
 from repro.common.metrics import REMOTE_DEGRADED_ANSWERS
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.implication import ContainmentProbe
+from repro.core import cache as cache_module
 from repro.core.cache import StaleArchive
 from repro.core.cms import CacheManagementSystem
 from repro.remote.faults import FaultPolicy
@@ -34,8 +35,9 @@ def reject_everything(self, signature):
 
 
 class TestCountBoundEviction:
-    def test_fifo_eviction_order(self):
-        archive = StaleArchive(max_elements=3)
+    def test_fifo_eviction_order(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "ARCHIVE_ELEMENTS", 3)
+        archive = StaleArchive()
         for i in range(5):
             archive.store(archive_query(i), make_relation(f"d{i}", [(i, i)]))
         assert len(archive) == 3
@@ -45,8 +47,9 @@ class TestCountBoundEviction:
         for i in (2, 3, 4):
             assert archive.find_full(archive_query(i)) is not None
 
-    def test_eviction_is_strictly_by_age_not_use(self):
-        archive = StaleArchive(max_elements=2)
+    def test_eviction_is_strictly_by_age_not_use(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "ARCHIVE_ELEMENTS", 2)
+        archive = StaleArchive()
         archive.store(archive_query(0), make_relation("d0", [(0, 0)]))
         archive.store(archive_query(1), make_relation("d1", [(1, 1)]))
         # Using element 0 does not save it: the archive is insurance,
@@ -56,8 +59,9 @@ class TestCountBoundEviction:
         assert archive.find_full(archive_query(0)) is None
         assert archive.find_full(archive_query(1)) is not None
 
-    def test_refresh_keeps_freshest_copy_without_growth(self):
-        archive = StaleArchive(max_elements=2)
+    def test_refresh_keeps_freshest_copy_without_growth(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "ARCHIVE_ELEMENTS", 2)
+        archive = StaleArchive()
         archive.store(archive_query(0), make_relation("d0", [(0, 0)]))
         archive.store(archive_query(1), make_relation("d1", [(1, 1)]))
         archive.store(archive_query(0), make_relation("d0", [(9, 9)]))
@@ -69,10 +73,6 @@ class TestCountBoundEviction:
         archive.store(archive_query(2), make_relation("d2", [(2, 2)]))
         assert archive.find_full(archive_query(0)) is None
         assert archive.find_full(archive_query(1)) is not None
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(CacheError):
-            StaleArchive(max_elements=0)
 
 
 class TestSubsumingMatch:

@@ -1,18 +1,14 @@
-"""The trace/telemetry report script: root detection on truncated traces,
-zero-span tolerance, and the ``--metrics`` telemetry rendering."""
+"""The trace and telemetry renderers behind ``python -m repro trace`` and
+``python -m repro metrics``: root detection on truncated traces, zero-span
+tolerance, and the telemetry rendering."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
-SCRIPT = (
-    pathlib.Path(__file__).resolve().parents[2] / "scripts" / "braid_report.py"
-)
-spec = importlib.util.spec_from_file_location("braid_report", SCRIPT)
-braid_report = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(braid_report)
+from repro.__main__ import main
+from repro.obs.export import load_trace, render_trace, render_tree
+from repro.obs.telemetry import render_series
 
 
 def span_line(span_id, name, start, end, parent=None) -> str:
@@ -39,21 +35,21 @@ class TestRootDetection:
                 span_line("b", "planner.plan", 0.0, 0.2, parent="a"),
             ]
         )
-        rendered = braid_report.report(text)
+        rendered = render_trace(text)
         assert "cms.query" in rendered
         assert "planner.plan" in rendered
-        lines = braid_report.render_tree(*braid_report.load_trace(text))
+        lines = render_tree(*load_trace(text))
         assert lines[0].startswith("[")  # the orphan renders at depth 0
         assert lines[1].startswith("  ")  # ...with its child nested
 
     def test_null_parent_spans_stay_roots(self):
         text = span_line("a", "cms.query", 0.0, 1.0, parent=None)
-        lines = braid_report.render_tree(*braid_report.load_trace(text))
+        lines = render_tree(*load_trace(text))
         assert len(lines) == 1
 
     def test_empty_trace_is_tolerated(self):
-        assert braid_report.report("") == "(empty trace)"
-        assert braid_report.report("\n\n") == "(empty trace)"
+        assert render_trace("") == "(empty trace)"
+        assert render_trace("\n\n") == "(empty trace)"
 
 
 class TestMetricsRendering:
@@ -84,7 +80,7 @@ class TestMetricsRendering:
         return json.dumps(header) + "\n" + json.dumps(sample) + "\n"
 
     def test_renders_deltas_gauges_scopes_and_histograms(self):
-        text = braid_report.render_metrics(self.series())
+        text = render_series(self.series())
         assert "interval=0.5s" in text
         assert "remote.requests" in text
         assert "server.queue_depth_high_water" in text
@@ -93,18 +89,18 @@ class TestMetricsRendering:
         assert "p99=0.200000" in text
 
     def test_rejects_non_telemetry_input(self):
-        with pytest.raises(SystemExit):
-            braid_report.render_metrics('{"not": "telemetry"}\n')
+        with pytest.raises(ValueError):
+            render_series('{"not": "telemetry"}\n')
 
     def test_empty_series_is_tolerated(self):
-        assert braid_report.render_metrics("") == "(empty telemetry series)"
+        assert render_series("") == "(empty telemetry series)"
 
     def test_cli_metrics_mode(self, tmp_path, capsys):
         path = tmp_path / "series.telemetry.jsonl"
         path.write_text(self.series())
-        assert braid_report.main(["--metrics", str(path)]) == 0
+        assert main(["metrics", str(path)]) == 0
         out = capsys.readouterr().out
         assert "remote.requests" in out
 
     def test_cli_metrics_mode_missing_file(self, capsys):
-        assert braid_report.main(["--metrics", "/nonexistent/x.jsonl"]) == 2
+        assert main(["metrics", "/nonexistent/x.jsonl"]) == 2

@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-from repro.obs.profile import PHASES, load_spans, profile_trace
+from repro.obs.export import load_trace
+from repro.obs.profile import PHASES, profile_trace
 
 E19_TRACE = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -168,7 +169,7 @@ class TestCommittedE19Trace:
         assert profile.hot_tables  # rdi.route events carry the base tables
 
     def test_queries_match_the_trace_span_count(self, profile):
-        spans = load_spans(E19_TRACE.read_text())
+        spans, _orphans = load_trace(E19_TRACE.read_text())
         top_level = [
             s for s in spans
             if s["name"] == "cms.query" and s.get("parent") is None

@@ -2,6 +2,7 @@
 and the CLI's exit codes (driven as a subprocess, the way CI runs it)."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,8 +14,7 @@ from repro.obs.regress import (
     make_baseline,
 )
 
-REPO = pathlib.Path(__file__).resolve().parents[2]
-SCRIPT = REPO / "scripts" / "braid_regress.py"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def summary(**overrides) -> dict:
@@ -141,9 +141,10 @@ class TestBaselineIO:
 class TestCLI:
     def run_cli(self, *args: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, str(SCRIPT), *args],
+            [sys.executable, "-m", "repro", "regress", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
 
     def test_exit_codes(self, tmp_path):

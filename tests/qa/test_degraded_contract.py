@@ -55,7 +55,8 @@ class TestDegradedContract:
         )
         case = cases[degraded_case.case_index]
         from repro.caql.eval import evaluate_conjunctive
-        from repro.qa import encode_rows, fingerprint
+        from repro.obs.export import fingerprint
+        from repro.qa import encode_rows
 
         database = case.database()
         expected = [

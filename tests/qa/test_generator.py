@@ -3,7 +3,8 @@
 import json
 
 from repro.caql.parser import parse_query
-from repro.qa import CaseConfig, CaseGenerator, FuzzCase, canonical_json, encode_rows
+from repro.obs.export import canonical_json
+from repro.qa import CaseConfig, CaseGenerator, FuzzCase, encode_rows
 from repro.qa.generator import case_from_relations
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema

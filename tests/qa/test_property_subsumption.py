@@ -4,7 +4,7 @@ Subsumption ("element derives query") is a preorder induced by condition
 implication; these hypothesis suites check the laws that make the cache
 sound — and any counterexample hypothesis shrinks to is ALSO written out
 as a standard repro.qa repro file (``BRAID_QA_REPRO_DIR``, default
-``.qa-repros``), replayable with ``scripts/braid_fuzz.py --replay``.
+``.qa-repros``), replayable with ``python -m repro fuzz --replay``.
 
 * **reflexivity** — every expression fully subsumes itself, and deriving
   it from itself reproduces the oracle rows exactly;

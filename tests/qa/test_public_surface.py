@@ -1,7 +1,7 @@
 """Static check: ``src/repro`` keeps no public name that nothing runs.
 
 Every public function, class and method defined under ``src/repro`` must be
-referenced from ``src/``, ``benchmarks/``, ``scripts/`` or ``examples/`` —
+referenced from ``src/``, ``benchmarks/`` or ``examples/`` —
 outside its own ``def``/``class`` line, import statements, ``__all__`` lists
 and docstrings — or be named in :data:`ALLOWED` with the reason it stays.
 Tests are deliberately not a reference: a helper only its own unit tests
@@ -20,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
-TRAFFIC = ("src", "benchmarks", "scripts", "examples")
+TRAFFIC = ("src", "benchmarks", "examples")
 
 #: Public names nothing outside ``tests/`` references, and why each stays.
 ALLOWED = {

@@ -18,7 +18,7 @@ prove these properties bite.
 
 Counterexamples hypothesis shrinks to are ALSO written out as standard
 repro.qa repro files (``BRAID_QA_REPRO_DIR``, default ``.qa-repros``),
-replayable with ``scripts/braid_fuzz.py --replay`` — the same pattern as
+replayable with ``python -m repro fuzz --replay`` — the same pattern as
 the subsumption property suite.  Conjuncts with no CAQL spelling (the
 parser has no quoted strings; NaN, None and tuples are not terms) are
 saved as a full-scan query over the same rows, with the conjunct recorded

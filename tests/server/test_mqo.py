@@ -11,6 +11,7 @@ from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
 from repro.core.cms import CMSFeatures
 from repro.server import BraidServer, ServerConfig
+from repro.server import mqo
 from repro.server.mqo import SharedSubplanRegistry
 from repro.workloads.multisession import (
     MultiSessionSpec,
@@ -50,8 +51,9 @@ class TestSharedSubplanRegistry:
         assert registry.lookup(make_psj("v2(X, Y) :- b1(X, Y), X >= 4")) is None
         assert registry.hits == 0
 
-    def test_fifo_bound_evicts_oldest(self):
-        registry = SharedSubplanRegistry(max_entries=2)
+    def test_fifo_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(mqo, "MAX_ENTRIES", 2)
+        registry = SharedSubplanRegistry()
         queries = [make_psj(f"v{i}(X, Y) :- b{i}(X, Y)") for i in range(3)]
         for index, psj in enumerate(queries):
             registry.publish(psj, make_relation(f"v{index}", 2))
@@ -61,8 +63,9 @@ class TestSharedSubplanRegistry:
         assert registry.lookup(queries[2]) is not None
         registry.check_invariants()
 
-    def test_republish_refreshes_without_consuming_capacity(self):
-        registry = SharedSubplanRegistry(max_entries=2)
+    def test_republish_refreshes_without_consuming_capacity(self, monkeypatch):
+        monkeypatch.setattr(mqo, "MAX_ENTRIES", 2)
+        registry = SharedSubplanRegistry()
         psj = make_psj("v1(X, Y) :- b1(X, Y)")
         registry.publish(psj, make_relation("v1", 2))
         replacement = make_relation("v1", 3)
@@ -79,8 +82,9 @@ class TestSharedSubplanRegistry:
         assert len(registry) == 0
         assert registry.lookup(psj) is None
 
-    def test_invariants_catch_corruption(self):
-        registry = SharedSubplanRegistry(max_entries=1)
+    def test_invariants_catch_corruption(self, monkeypatch):
+        monkeypatch.setattr(mqo, "MAX_ENTRIES", 1)
+        registry = SharedSubplanRegistry()
         registry.publish(make_psj("v1(X, Y) :- b1(X, Y)"), make_relation("v1", 2))
         registry._entries["bogus"] = "not a relation"
         with pytest.raises(InvariantViolation):
