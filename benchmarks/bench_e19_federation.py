@@ -9,9 +9,10 @@ backends with distinct cost profiles:
 
 Three configurations run the same query session:
 
-* **federated** — the full CMS behind the scatter-gather
-  :class:`~repro.federation.interface.FederatedInterface`: per-backend
-  routing, cross-backend semijoin ship-bindings, caching, batching;
+* **federated** — the full CMS over the
+  :class:`~repro.federation.interface.FederatedInterface` router: a
+  spanning query is planned as one remote part per backend, with
+  cross-backend semijoin ship-bindings, caching and batching;
 * **naive** — per-backend loose coupling: every query scatters to its
   home backends unreduced, every time (no cache, no semijoin);
 * **oracle** — the same CMS against a *single* server holding every
@@ -183,8 +184,8 @@ def test_report(results):
         "federated cross-backend joins vs naive loose coupling vs one server",
         format_table(headers, rows),
         notes=(
-            "Claim: scatter-gather with cross-backend semijoin ship-bindings "
-            "answers identically to a single-server oracle while strictly "
+            "Claim: spanning plans with cross-backend semijoin ship-bindings "
+            "answer identically to a single-server oracle while strictly "
             "beating naive per-backend loose coupling on tuples shipped and "
             "simulated time; one dark backend degrades gracefully (answers "
             "tagged degraded, availability >= 95%)."

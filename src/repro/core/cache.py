@@ -101,7 +101,7 @@ class CacheElement:
     #: self-contained — but never while a descendant is pinned.
     parents: tuple[str, ...] = ()
     #: The operator that produced this element ("remote-fetch",
-    #: "select-project", "semijoin-fetch", "federated-gather", "" = view).
+    #: "select-project", "semijoin-fetch", "" = view).
     operator: str = ""
     #: Longest parent chain below this element (0 for roots).
     depth: int = 0

@@ -141,8 +141,8 @@ class CMSFeatures(PlannerFeatures):
 
     advice_replacement: bool = True
     #: Register operator-level intermediates (remote plan parts, derived
-    #: cache subsets, semijoin-reduced fetches, federated gather parts) as
-    #: first-class cache elements with derivation lineage.
+    #: cache subsets, semijoin-reduced fetches) as first-class cache
+    #: elements with derivation lineage.
     intermediates: bool = True
     #: Shared multi-query optimization: reuse concurrent sessions'
     #: in-flight identical remote subplans (needs a server-provided
@@ -232,9 +232,9 @@ class CacheManagementSystem:
         self.shares_cache = cache is not None
         self.advice_manager = AdviceManager()
         #: The remote interface.  Built here for the single-server case; a
-        #: federation injects its own scatter-gather implementation of the
-        #: same contract (``rdi=``), which keeps its per-backend retry
-        #: budgets and breakers instead of the CMS-level policy.
+        #: federation injects its router of one-backend requests (``rdi=``),
+        #: which keeps its per-backend retry budgets and breakers instead of
+        #: the CMS-level policy.
         self.rdi = (
             rdi
             if rdi is not None
@@ -315,11 +315,6 @@ class CacheManagementSystem:
             )
         else:
             self.cache.scorer = base
-        # The RDI's gather-part sink is the monitor's own registration
-        # route (a federated link offers each unreduced per-backend part,
-        # so later spanning queries can subsume single-backend shares from
-        # cache); whether anything is stored is the monitor's guard.
-        self.rdi.intermediate_sink = self.monitor.register_intermediate
 
     # -- metadata for the IE ---------------------------------------------------------
     def statistics_of(self, table: str) -> RelationStatistics:
@@ -447,7 +442,7 @@ class CacheManagementSystem:
             root = root.parent
         root.check_invariants()
         if self.last_plan is not None:
-            self.last_plan.check_invariants()
+            self.last_plan.check_invariants(self.planner.backend_of)
 
     def _answer_psj(self, psj: PSJQuery) -> Relation | GeneratorRelation:
         plan = self.planner.plan(psj)
@@ -548,10 +543,10 @@ class CacheManagementSystem:
 
         Preference order (the paper's bias toward answering from cache):
         a subsuming stale-archive copy first (complete rows, unknown
-        freshness), then a partial answer derived from the plan's cache
-        parts, then — federated links only — a scatter over the surviving
-        backends with the dark backends' columns nulled out.  Re-raises
-        ``error`` when none exists.
+        freshness), then a partial answer from the plan's parts that
+        survive — its cache parts and, on a federation, the other backends'
+        remote parts — with the lost parts' columns nulled out.  Re-raises
+        ``error`` when neither exists.
         """
         if not self.features.degradation:
             raise error
@@ -566,23 +561,25 @@ class CacheManagementSystem:
                 return self.monitor.derive_degraded(match, psj)
         partial = self.monitor.execute_degraded(plan)
         if partial is not None:
-            logger.debug("degraded[%s]: partial answer from cache parts", psj.name)
+            logger.debug("degraded[%s]: partial answer from surviving parts", psj.name)
             return partial
-        try:
-            survivors = self.rdi.fetch_partial(psj)
-        except RemoteDBMSError:
-            survivors = None
-        if survivors is not None:
-            logger.debug("degraded[%s]: partial answer from surviving backends", psj.name)
-            return survivors
         raise error
+
+    def _fetch_whole(self, psj: PSJQuery) -> Relation:
+        """Fetch a PSJ query remotely as it stands: one request, or the
+        planner's remote-only plan run by the monitor when it spans a
+        federation's backends."""
+        plan = self.planner.spanning_plan(psj)
+        if plan is None:
+            return self.rdi.fetch(psj)
+        return self.monitor.execute(plan)
 
     def _fetch_and_cache(self, psj: PSJQuery, view_name: str | None = None) -> None:
         """Fetch a PSJ query remotely and install it as a cache element."""
         if self.cache.lookup_exact(psj) is not None:
             return
         fetch_started = self.clock.now
-        relation = self.rdi.fetch(psj)
+        relation = self._fetch_whole(psj)
         element = self.cache.store(
             psj, relation, derivation_seconds=self.clock.now - fetch_started
         )
@@ -612,9 +609,9 @@ class CacheManagementSystem:
         """Prefetch views grouped with ``view_name`` in the path expression.
 
         With batching on, all companions needing remote data are shipped
-        as **one** round trip (:meth:`RemoteInterface.fetch_many`) — the
-        path expression told us they are wanted together, so the latency
-        is paid once for the whole group.
+        as **one** round trip (:meth:`RemoteInterface.fetch_many`; one per
+        backend on a federation) — the path expression told us they are
+        wanted together, so the latency is paid once for the whole group.
         """
         if not self.features.prefetch or not self.features.caching:
             return
@@ -628,15 +625,23 @@ class CacheManagementSystem:
         if not wanted:
             return
         if self.features.batching and len(wanted) > 1:
+            # A companion spanning backends is a plan of its own (the loop
+            # below); the rest share one round trip per backend.
+            batched: list[tuple[str, PSJQuery]] = []
+            spanning: list[tuple[str, PSJQuery]] = []
+            for pair in wanted:
+                plan = self.planner.spanning_plan(pair[1])
+                (batched if plan is None else spanning).append(pair)
+            wanted = spanning
             batch_started = self.clock.now
             try:
-                relations = self.rdi.fetch_many([general for _name, general in wanted])
+                relations = self.rdi.fetch_many([general for _name, general in batched])
             except RemoteDBMSError:
                 return  # prefetching must never fail the query it rode on
             # The batched round trip's cost is shared: each element's
             # ledger carries an equal share of the derivation time.
-            per_element = (self.clock.now - batch_started) / len(wanted)
-            for (companion, general), relation in zip(wanted, relations):
+            per_element = (self.clock.now - batch_started) / max(len(batched), 1)
+            for (companion, general), relation in zip(batched, relations):
                 try:
                     element = self.cache.store(
                         general, relation, derivation_seconds=per_element
@@ -648,7 +653,6 @@ class CacheManagementSystem:
                         element, self.advice_manager.index_positions(companion)
                     )
                 self.metrics.incr(CACHE_PREFETCHES)
-            return
         for companion, general in wanted:
             try:
                 self._fetch_and_cache(general, view_name=companion)

@@ -9,8 +9,8 @@ contract: set semantics, Python-equality join keys,
 first-occurrence-ordered duplicate elimination.
 
 :func:`combine_parts` is the one combine kernel: the Execution Monitor's
-combine stage, its degraded (partial) variant, and the federated
-interface's gather all fold their parts through it.
+combine stage, its degraded (partial) variant, and the naive federation
+baseline all fold their parts through it.
 """
 
 from __future__ import annotations

@@ -316,16 +316,30 @@ class ExecutionMonitor:
         self.clock.charge("local", self.profile.cache_per_tuple)
 
     def _execute_parts(self, plan: QueryPlan) -> Relation:
-        produced: list[Relation] = []
-        cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
-        # The planner designates at most one remote sub-query per plan.
-        remote = next((p for p in plan.parts if isinstance(p, RemotePart)), None)
+        """Run the parts in plan order, then combine once.
 
-        def run_remote() -> None:
-            if remote is not None:
-                produced.append(
-                    self._fetch_remote(plan, remote, produced, cache_parts)
-                )
+        The leading unbound remote parts share one parallel region with
+        the cache track; a part carrying binding specs runs after it, since
+        its IN-lists draw on what the parts before it produced.  An empty
+        remote part, or an empty binding set, proves the conjunctive join
+        empty: every later remote part is skipped with zero requests."""
+        produced: list[Relation] = []
+        # The plan part behind each produced relation (binding sources).
+        sources: list = []
+        cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
+        remote_parts = [p for p in plan.parts if isinstance(p, RemotePart)]
+        unbound = 0
+        while unbound < len(remote_parts) and not remote_parts[unbound].bind_columns:
+            unbound += 1
+        empty = False
+
+        def run_remote(parts) -> None:
+            nonlocal empty
+            for part in parts:
+                relation = self._fetch_remote(plan, part, produced, sources, empty)
+                empty = empty or not len(relation)
+                produced.append(relation)
+                sources.append(part)
 
         def run_cache() -> None:
             for part in cache_parts:
@@ -337,19 +351,14 @@ class ExecutionMonitor:
                 self._charge_local(source_rows + len(relation))
                 self._register_cache_part(plan, part, relation, source_rows)
                 produced.append(relation)
+                sources.append(part)
 
-        if remote is not None and remote.bind_columns:
-            # Semijoin path: the cache track must run first — its produced
-            # relations are the binding source — so the two tracks are
-            # sequential by construction (the planner priced that in).
-            run_cache()
-            run_remote()
-        elif self.parallel and remote is not None and cache_parts:
+        if self.parallel and unbound and cache_parts:
             with self.tracer.span(
                 "executor.parallel_tracks", view=plan.query.name
             ) as span:
                 with self.clock.parallel() as region:
-                    run_remote()  # charges the "remote" track inside the RDI
+                    run_remote(remote_parts[:unbound])  # the "remote" track(s)
                     run_cache()   # charges the "local" track
                 # The region is over: record what each track cost, and how
                 # much overlap saved versus sequential execution.
@@ -362,9 +371,9 @@ class ExecutionMonitor:
                         sum(tracks.values()) - max(tracks.values()),
                     )
         else:
-            run_remote()
+            run_remote(remote_parts[:unbound])
             run_cache()
-
+        run_remote(remote_parts[unbound:])
         return self._combine(produced, plan)
 
     # -- shared multi-query optimization (MQO) --------------------------------------
@@ -417,9 +426,8 @@ class ExecutionMonitor:
         off, and silently dropped when the cache cannot make room (a tiny
         cache whose every resident element this very plan has pinned).
 
-        This is the one intermediate sink: every executor route ends here,
-        and the CMS hands this method to the RDI as its gather-part sink
-        (operator ``"federated-gather"``)."""
+        This is the one intermediate sink: every executor route ends
+        here."""
         if not self.cache_intermediates or not isinstance(relation, Relation):
             return
         if not definition.projection:
@@ -499,7 +507,7 @@ class ExecutionMonitor:
 
     def _binding_condition(self, plan: QueryPlan, spec) -> Comparison | None:
         """The combine-stage equality a binding spec implements, or None."""
-        want = {spec.remote_column, spec.cache_column}
+        want = {spec.remote_column, spec.source_column}
         for condition in plan.cross_conditions:
             if (
                 condition.op == "="
@@ -515,12 +523,15 @@ class ExecutionMonitor:
         part: RemotePart,
         relation: Relation,
         applied: list,
-        cache_parts: list,
+        sources: list,
         measured: float,
     ) -> None:
         """Register a semijoin-reduced fetch under the merged definition
         (sub-query joined with its binding sources, projected onto the
-        sub-query's columns).
+        sub-query's columns).  A cache source contributes its covered
+        definition, a remote source its own sub-query; a remote source that
+        was itself reduced answers less than its sub-query, so a fetch
+        drawing on one is not registered.
 
         Soundness: under set semantics, projecting the equality join onto
         the sub-query's columns *is* the semijoin the shipped IN-lists
@@ -568,30 +579,35 @@ class ExecutionMonitor:
         widen_fns: list = []  # fetched row -> appended value
         taken = set(part.sub_query.projection)
         for spec, index in applied:
-            if index >= len(cache_parts):
-                return
-            source = cache_parts[index]
+            source = sources[index]
             equality = self._binding_condition(plan, spec)
             if equality is None:
                 return
-            occs, conds = self._covered_definition(plan, source.match)
+            if isinstance(source, CachePart):
+                occs, conds = self._covered_definition(plan, source.match)
+                parents.append(source.match.element.element_id)
+            elif source.bind_columns:
+                return
+            else:
+                occs, conds = source.sub_query.occurrences, source.sub_query.conditions
             occurrences.extend(occs)
             conditions.extend(conds)
             conditions.append(equality)
-            parents.append(source.match.element.element_id)
             if spec.remote_column not in part.sub_query.projection:
                 continue
             remote_pos = part.sub_query.projection.index(spec.remote_column)
-            if spec.cache_column not in taken:
+            if spec.source_column not in taken:
                 # The equality makes the source-side name a duplicate of
                 # the fetched column, row for row.
-                widen_names.append(spec.cache_column)
+                widen_names.append(spec.source_column)
                 widen_fns.append(lambda row, p=remote_pos: row[p])
-                taken.add(spec.cache_column)
+                taken.add(spec.source_column)
+            if not isinstance(source, CachePart):
+                continue
             # Join-determined source columns come from the source *element*
             # (the produced part may already have projected them away).
             column_map = dict(source.match.column_map)
-            key_attr = column_map.get(spec.cache_column)
+            key_attr = column_map.get(spec.source_column)
             if key_attr is None:
                 continue
             extension = source.match.element.extension()
@@ -621,7 +637,7 @@ class ExecutionMonitor:
         if widen_names:
             try:
                 rows = [
-                    row + tuple(fn(row) for fn in widen_fns) for row in relation
+                    row + tuple([fn(row) for fn in widen_fns]) for row in relation
                 ]
             except KeyError:
                 # A fetched value outside the binding source (should not
@@ -646,44 +662,48 @@ class ExecutionMonitor:
             parents=tuple(dict.fromkeys(parents)),
         )
 
-    # -- the plan's remote part ------------------------------------------------------
+    # -- the plan's remote parts ------------------------------------------------------
     def _fetch_remote(
         self,
         plan: QueryPlan,
         part: RemotePart,
-        binding_source: list[Relation],
-        cache_parts: list,
+        produced: list[Relation],
+        sources: list,
+        empty: bool,
     ) -> Relation:
-        """Fetch the plan's remote part: a concurrent session's identical
-        round trip if the MQO registry holds one, else a fetch reduced by
-        whatever bindings the cache track (``binding_source``) yields,
-        published to the registry and registered as an intermediate.
+        """Fetch one remote part: a concurrent session's identical round
+        trip if the MQO registry holds one, else a fetch reduced by the
+        bindings its specs draw from ``produced`` (a column bound twice
+        ships the intersection), published to the registry and registered
+        as an intermediate.
 
-        An empty binding set proves the combine-stage join empty, so the
-        round trip is skipped entirely (zero requests) and an empty part
-        relation is produced instead.
+        When an earlier remote part came back ``empty``, or a binding set
+        is empty, the combine-stage join is provably empty: the round trip
+        is skipped entirely (zero requests) and an empty part relation is
+        produced instead.
         """
+        label = part.sub_query.name
+        if empty:
+            return self._short_circuit(
+                part, [spec.remote_column for spec in part.bind_columns]
+            )
         shared = self._shared_subplan(part)
         if shared is not None:
-            return label_part(shared, part.columns, "remote")
+            return label_part(shared, part.columns, label)
         bindings: dict[str, tuple[object, ...]] = {}
         applied: list[tuple[object, int]] = []  # (spec, binding source index)
         for spec in part.bind_columns:
-            found = distinct_values(spec.cache_column, binding_source)
+            found = distinct_values(spec.source_column, produced)
             if found is None:
                 continue  # source column not exposed: fall back to unbound
             source_index, values = found
             # The extraction pass re-reads the part's rows.
-            self._charge_local(len(binding_source[source_index]))
+            self._charge_local(len(produced[source_index]))
+            if spec.remote_column in bindings:
+                kept = set(bindings[spec.remote_column])
+                values = tuple(v for v in values if v in kept)
             if not values:
-                self.tracer.event(
-                    "rdi.semijoin",
-                    view=part.sub_query.name,
-                    columns=[spec.remote_column],
-                    values=0,
-                    short_circuit=True,
-                )
-                return label_part((), part.columns, "remote")
+                return self._short_circuit(part, [spec.remote_column])
             bindings[spec.remote_column] = values
             applied.append((spec, source_index))
         started = self.clock.now
@@ -694,10 +714,21 @@ class ExecutionMonitor:
             part,
             relation,
             applied,
-            cache_parts,
+            sources,
             self.clock.now - started,
         )
-        return label_part(relation, part.columns, "remote")
+        return label_part(relation, part.columns, label)
+
+    def _short_circuit(self, part: RemotePart, columns: list[str]) -> Relation:
+        """The empty relation of a remote part whose round trip is skipped."""
+        self.tracer.event(
+            "rdi.semijoin",
+            view=part.sub_query.name,
+            columns=columns,
+            values=0,
+            short_circuit=True,
+        )
+        return label_part((), part.columns, part.sub_query.name)
 
     # -- graceful degradation (remote unreachable) ---------------------------------
     def derive_degraded(self, match: SubsumptionMatch, query: PSJQuery) -> Relation:
@@ -715,25 +746,34 @@ class ExecutionMonitor:
         return result
 
     def execute_degraded(self, plan: QueryPlan) -> Relation | None:
-        """Best-effort partial answer from the plan's cache parts alone.
+        """Best-effort partial answer after a remote part failed.
 
-        The remote part failed; ship what the cache can prove.  Columns
-        only the remote side could have produced come back as ``None``,
-        and cross conditions touching them cannot be checked — the result
-        is a *partial* answer and must be tagged degraded by the caller.
-        Returns None when the plan has no cache-resident component.
+        Serves the cache parts plus every remote part that still answers
+        unreduced (:meth:`~repro.core.rdi.RemoteInterface.fetch_partial`);
+        a lone remote part is the one that just failed, so it is not asked
+        again.  Columns only a lost part could have produced come back as
+        ``None``, and cross conditions touching them cannot be checked —
+        the result is a *partial* answer and must be tagged degraded by the
+        caller.  Returns None when no part survived.
         """
-        cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
-        if not cache_parts:
-            return None
+        retry = sum(isinstance(p, RemotePart) for p in plan.parts) > 1
         produced: list[Relation] = []
-        for part in cache_parts:
-            self.cache.touch(part.match.element)
-            self.cache.credit_saving(part.match.element)
-            source_rows = part.match.element.rows_materialized()
-            relation = derive_part(part.match, list(part.columns))
-            self._charge_local(source_rows + len(relation))
-            produced.append(relation)
+        for part in plan.parts:
+            if isinstance(part, CachePart):
+                self.cache.touch(part.match.element)
+                self.cache.credit_saving(part.match.element)
+                source_rows = part.match.element.rows_materialized()
+                relation = derive_part(part.match, list(part.columns))
+                self._charge_local(source_rows + len(relation))
+                produced.append(relation)
+            elif retry:
+                relation = self.rdi.fetch_partial(part.sub_query)
+                if relation is not None:
+                    produced.append(
+                        label_part(relation, part.columns, part.sub_query.name)
+                    )
+        if not produced:
+            return None
         return self._combine(produced, plan, partial=True)
 
     def _combine(

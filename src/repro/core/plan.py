@@ -27,8 +27,8 @@ from repro.core.subsumption import SubsumptionMatch
 
 
 # ---------------------------------------------------------------------------
-# part construction — shared by the planner (cache/remote parts) and the
-# federated interface (per-backend parts), so every part composes the same way
+# part construction — cache parts, remote components and their per-backend
+# splits all compose the same way
 # ---------------------------------------------------------------------------
 
 
@@ -111,18 +111,21 @@ class CachePart:
 
 @dataclass(frozen=True)
 class BindingSpec:
-    """One semijoin binding: a remote join column reduced by cache values.
+    """One semijoin binding: a remote join column reduced by the values an
+    earlier part produced.
 
-    The executor runs the cache track first, projects the *distinct* values
-    of ``cache_column`` from the produced cache part, and ships them as an
+    The executor runs the source part first, projects the *distinct* values
+    of ``source_column`` from what it produced, and ships them as an
     IN-list on ``remote_column`` — so the server returns only tuples that
-    can survive the combine-stage join.
+    can survive the combine-stage join.  The source is a cache part or an
+    earlier remote part (another backend of a federation).
     """
 
     #: Qualified column in the remote sub-query ("t1.c0").
     remote_column: str
-    #: Qualified column a cache part exposes ("t0.c1") — the binding source.
-    cache_column: str
+    #: Qualified column an earlier part exposes ("t0.c1") — the binding
+    #: source.
+    source_column: str
     #: Planner estimate of how many distinct values will be shipped.
     estimated_values: float = 0.0
 
@@ -136,7 +139,7 @@ class RemotePart:
     columns: tuple[str, ...]
     tags: frozenset[str]
     #: Semijoin reduction chosen by the planner: binding sets to extract
-    #: from cache parts and ship as IN-lists.  Empty = unreduced fetch.
+    #: from earlier parts and ship as IN-lists.  Empty = unreduced fetch.
     bind_columns: tuple[BindingSpec, ...] = ()
 
 
@@ -200,7 +203,7 @@ class QueryPlan:
                 elements.append(part.match.element)
         return elements
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, backend_of=None) -> None:
         """Audit this plan's structural consistency (cheap, read-only).
 
         Raises :class:`~repro.common.errors.InvariantViolation` when the
@@ -208,8 +211,11 @@ class QueryPlan:
         query left uncovered by any part, a part claiming a tag the query
         does not have, a missing epoch stamp on a plan that reads the
         cache, an exact plan without its element, a lazy plan that touches
-        the remote DBMS, a second remote part, or a semijoin binding whose
-        source column no cache part exposes.
+        the remote DBMS, two remote parts bound for one backend, or a
+        semijoin binding whose source column no earlier part exposes.
+        ``backend_of`` resolves a base relation to ``(backend name, …)``
+        (the planner's federation hook); without it every remote part is
+        bound for the one server.
         """
         from repro.common.errors import InvariantViolation
 
@@ -254,42 +260,40 @@ class QueryPlan:
             raise InvariantViolation(
                 f"lazy plan for {self.query.name} touches the remote DBMS"
             )
-        if sum(isinstance(p, RemotePart) for p in self.parts) > 1:
-            raise InvariantViolation(
-                f"plan for {self.query.name} has more than one remote part"
-            )
         reads_cache = any(isinstance(p, CachePart) for p in self.parts)
         if reads_cache and self.epoch < 0:
             raise InvariantViolation(
                 f"plan for {self.query.name} reads cache parts but was "
                 "never stamped with a cache epoch"
             )
-        cache_columns = {
-            col
-            for part in self.parts
-            if isinstance(part, CachePart)
-            for col in part.columns
-        }
-        remote_columns = {
-            col
-            for part in self.parts
-            if isinstance(part, RemotePart)
-            for col in part.sub_query.all_columns()
-        }
+        backends: set[str] = set()
+        exposed: set[str] = set()
         for part in self.parts:
             if isinstance(part, RemotePart):
+                homes = {
+                    "" if backend_of is None else backend_of(occ.pred)[0]
+                    for occ in part.sub_query.occurrences
+                }
+                if homes & backends:
+                    raise InvariantViolation(
+                        f"plan for {self.query.name} sends more than one remote "
+                        f"part to backend {sorted(homes & backends)[0] or 'the server'}"
+                    )
+                backends |= homes
+                mentioned = part.sub_query.all_columns()
                 for spec in part.bind_columns:
-                    if spec.cache_column not in cache_columns:
+                    if spec.source_column not in exposed:
                         raise InvariantViolation(
                             f"semijoin binding on {spec.remote_column} draws "
-                            f"from {spec.cache_column}, which no cache part "
+                            f"from {spec.source_column}, which no earlier part "
                             "exposes"
                         )
-                    if spec.remote_column not in remote_columns:
+                    if spec.remote_column not in mentioned:
                         raise InvariantViolation(
                             f"semijoin binding targets {spec.remote_column}, "
-                            "which the remote sub-query does not mention"
+                            "which its remote sub-query does not mention"
                         )
+            exposed.update(part.columns)
 
     def part_labels(self) -> list[str]:
         """One label per plan part (``cache:E3``, ``remote:view__rest``,

@@ -135,7 +135,7 @@ class QueryPlanner:
             plan = self._plan(query, reports)
             plan.epoch = self.cache.epoch
             if self.audit:
-                plan.check_invariants()
+                plan.check_invariants(self.backend_of)
                 audit_prefilter(self.cache, query, reports)
                 audit_canonical(query)
             if self.tracer.enabled:
@@ -385,14 +385,9 @@ class QueryPlanner:
 
         remote_cost = 0.0
         local_cost = sum(self._derive_cost(m) for m in chosen)
-        semijoined = False
+        specs: list[BindingSpec] = []
         if uncovered:
             sub = sub_query(query, frozenset(uncovered), f"{query.name}__rest")
-            remote_part = RemotePart(
-                sub_query=sub,
-                columns=tuple(str(p) for p in sub.projection),
-                tags=frozenset(uncovered),
-            )
             remote_cost = self._remote_cost(sub)
 
             # Semijoin reduction: if a cache part pins a join column, it
@@ -401,35 +396,26 @@ class QueryPlanner:
             # The reduced fetch is sequential (bindings must exist before
             # the request), so it competes against the *parallel* hybrid.
             if chosen and self.features.semijoin:
-                specs = self._binding_candidates(query, chosen, frozenset(uncovered))
-                if specs:
-                    reduced_cost = self._semijoin_cost(sub, specs)
+                candidates = self._binding_candidates(
+                    query, chosen, frozenset(uncovered)
+                )
+                if candidates:
+                    reduced_cost = self._semijoin_cost(sub, candidates)
                     unreduced_hybrid = (
                         max(remote_cost, local_cost)
                         if self.features.parallel
                         else remote_cost + local_cost
                     )
                     if local_cost + reduced_cost < unreduced_hybrid:
-                        remote_part = RemotePart(
-                            sub_query=sub,
-                            columns=remote_part.columns,
-                            tags=remote_part.tags,
-                            bind_columns=tuple(specs),
-                        )
+                        specs = candidates
                         remote_cost = reduced_cost
-                        semijoined = True
                         for spec in specs:
-                            notes = notes + [
-                                f"semijoin: ship bindings of {spec.cache_column} "
-                                f"as {spec.remote_column} IN-list "
-                                f"(~{spec.estimated_values:.0f} values)"
-                            ]
+                            notes = notes + [_semijoin_note(spec)]
                     else:
                         notes = notes + [
                             "semijoin rejected: shipped bindings dearer than "
                             "the unreduced parallel fetch"
                         ]
-            parts.append(remote_part)
 
         # Compare the hybrid plan against shipping the whole query.  With
         # the circuit breaker open, keep the cache parts: they are the raw
@@ -440,28 +426,22 @@ class QueryPlanner:
             whole_remote = self._remote_cost(query)
             hybrid = (
                 remote_cost + local_cost
-                if semijoined or not self.features.parallel
+                if specs or not self.features.parallel
                 else max(remote_cost, local_cost)
             )
             if whole_remote < hybrid:
-                sub = query
-                parts = [
-                    RemotePart(
-                        sub_query=query,
-                        columns=tuple(
-                            str(p) for p in query.projection if not isinstance(p, ConstProj)
-                        ),
-                        tags=frozenset(all_tags),
-                    )
-                ]
                 notes = notes + ["whole-query shipping beat the hybrid split"]
+                parts = self._remote_parts(query, notes)
                 return QueryPlan(
                     query,
                     "remote",
                     parts=tuple(parts),
+                    cross_conditions=tuple(self._cross_conditions(query, parts)),
                     estimated_remote_cost=whole_remote,
                     notes=notes,
                 )
+        if uncovered:
+            parts.extend(self._remote_parts(sub, notes, specs))
 
         cross = tuple(self._cross_conditions(query, parts))
         strategy = "remote" if not chosen else "hybrid"
@@ -475,6 +455,93 @@ class QueryPlanner:
             estimated_rows=self.estimate_rows(query),
             notes=notes,
         )
+
+    def spanning_plan(self, query: PSJQuery) -> QueryPlan | None:
+        """The remote-only plan that fetches ``query`` whole when it spans
+        a federation's backends (generalization and prefetch fetch whole
+        queries), or None when one request answers it."""
+        notes: list[str] = []
+        parts = self._remote_parts(query, notes)
+        if len(parts) == 1:
+            return None
+        plan = QueryPlan(
+            query,
+            "remote",
+            parts=tuple(parts),
+            cross_conditions=tuple(self._cross_conditions(query, parts)),
+            cache_result=False,
+            epoch=self.cache.epoch,
+            notes=notes,
+        )
+        if self.audit:
+            plan.check_invariants(self.backend_of)
+        return plan
+
+    def _remote_parts(
+        self, component: PSJQuery, notes: list[str], specs=()
+    ) -> list[RemotePart]:
+        """The remote component as plan parts, one per home backend.
+
+        ``component`` is the uncovered sub-query or the whole query;
+        ``specs`` are the cache-sourced bindings already chosen for it.
+        On one backend it is one part.  Spanning backends, it is split
+        with :func:`sub_query` and the parts are ordered by summed base
+        cardinality, then backend name; with semijoin on, a later part is
+        bound on every equality whose other side an earlier part exposes
+        (its IN-list then draws on that part's rows).  Costing is the
+        component's, unchanged: the split decides nothing the cost model
+        priced.
+        """
+        tags = frozenset(occ.tag for occ in component.occurrences)
+        groups: dict[str, list[str]] = {}
+        if self.backend_of is not None:
+            for occ in component.occurrences:
+                groups.setdefault(self.backend_of(occ.pred)[0], []).append(occ.tag)
+        if len(groups) <= 1:
+            columns = tuple(
+                str(p) for p in component.projection if not isinstance(p, ConstProj)
+            )
+            return [RemotePart(component, columns, tags, tuple(specs))]
+
+        def weight(backend: str) -> tuple[float, str]:
+            return (
+                float(
+                    sum(
+                        self.stats_of(component.occurrence(tag).pred).cardinality
+                        for tag in groups[backend]
+                    )
+                ),
+                backend,
+            )
+
+        parts: list[RemotePart] = []
+        exposed: set[str] = set()
+        for backend in sorted(groups, key=weight):
+            part_tags = frozenset(groups[backend])
+            sub = sub_query(component, part_tags, f"{component.name}__{backend}")
+            prefixes = tuple(tag + "." for tag in part_tags)
+            bound = [s for s in specs if s.remote_column.startswith(prefixes)]
+            if self.features.semijoin:
+                for condition in component.conditions:
+                    if condition.op != "=" or not condition.is_col_col():
+                        continue
+                    left, right = condition.left.name, condition.right.name
+                    for inside, outside in ((left, right), (right, left)):
+                        if inside.startswith(prefixes) and outside in exposed:
+                            spec = BindingSpec(
+                                remote_column=inside,
+                                source_column=outside,
+                                estimated_values=self._distinct_of(
+                                    component, outside
+                                ),
+                            )
+                            bound.append(spec)
+                            notes.append(_semijoin_note(spec))
+            parts.append(
+                RemotePart(sub, tuple(sub.projection), part_tags, tuple(bound))
+            )
+            exposed.update(sub.projection)
+        return parts
 
     def _cross_conditions(
         self, query: PSJQuery, parts: list[PlanPart]
@@ -536,7 +603,7 @@ class QueryPlanner:
                 specs.append(
                     BindingSpec(
                         remote_column=remote_col,
-                        cache_column=cache_col,
+                        source_column=cache_col,
                         estimated_values=self._estimate_bindings(query, cache_col, source),
                     )
                 )
@@ -670,6 +737,13 @@ class QueryPlanner:
     def _derive_cost(self, match: SubsumptionMatch) -> float:
         rows = match.element.rows_materialized()
         return self.profile.cache_per_tuple * (rows + 1)
+
+
+def _semijoin_note(spec: BindingSpec) -> str:
+    return (
+        f"semijoin: ship bindings of {spec.source_column} as "
+        f"{spec.remote_column} IN-list (~{spec.estimated_values:.0f} values)"
+    )
 
 
 def _position_attr(col: str) -> str:

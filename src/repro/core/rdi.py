@@ -116,13 +116,6 @@ class RemoteInterface:
             name=getattr(server, "name", ""),
         )
 
-    #: Gather-part sink (part of the RDI contract; the CMS installs its
-    #: Execution Monitor's ``register_intermediate`` here).  A single link
-    #: gathers nothing — whole fetches are registered by the executor — so
-    #: it never calls the sink; the federated interface offers each
-    #: unreduced per-backend part of a scatter to it.
-    intermediate_sink = None
-
     @property
     def breaker(self) -> CircuitBreaker:
         """The link's circuit breaker (observable state for tests/planner)."""
@@ -243,15 +236,13 @@ class RemoteInterface:
         return Relation(positional, rows)
 
     def fetch_partial(self, psj: PSJQuery) -> Relation | None:
-        """Best-effort partial answer when the remote link is failing.
-
-        A single-backend link has no partial story — the one server is the
-        server that just failed — so this returns ``None`` and the CMS
-        falls through to its archive/cache degradation paths.  The
-        federated interface overrides this to answer from surviving
-        backends with the missing backends' columns nulled out.
-        """
-        return None
+        """:meth:`fetch` for a degraded answer: the rows, or ``None`` when
+        the request fails (the Execution Monitor then serves the parts
+        that survived, with this one's columns nulled out)."""
+        try:
+            return self.fetch(psj)
+        except RemoteDBMSError:
+            return None
 
     # -- resilience ---------------------------------------------------------------------
     def _attempt_fetch(self, request: DMLRequest) -> tuple[list[tuple], Schema]:

@@ -2,8 +2,9 @@
 
 BrAID behind N autonomous sources: a :class:`FederatedCatalog` maps each
 base relation to its home backend, a :class:`FederatedInterface` presents
-the single-RDI contract to the CMS while scatter-gathering across
-backends (cross-backend joins as semijoin ship-bindings), and
+the single-RDI contract to the CMS by routing each one-backend request to
+its home (the planner splits a spanning query into per-backend parts,
+cross-backend joins shipped as semijoin bindings), and
 :func:`build_federation` wires servers, per-backend metrics scopes, retry
 budgets, and circuit breakers from declarative :class:`BackendSpec`\\ s.
 See ``docs/federation.md``.
@@ -11,7 +12,7 @@ See ``docs/federation.md``.
 
 from repro.federation.bootstrap import BackendSpec, Federation, build_federation
 from repro.federation.catalog import FederatedCatalog
-from repro.federation.interface import FederatedInterface, FederatedPart
+from repro.federation.interface import FederatedInterface
 from repro.federation.naive import NaiveFederation
 
 __all__ = [
@@ -19,7 +20,6 @@ __all__ = [
     "Federation",
     "FederatedCatalog",
     "FederatedInterface",
-    "FederatedPart",
     "NaiveFederation",
     "build_federation",
 ]

@@ -11,8 +11,9 @@ One call wires the whole multi-backend remote layer:
 * catalog statistics refreshed from engine contents at bootstrap
   (:meth:`RemoteDBMS.refresh_statistics`), so the cardinalities that
   drive semijoin costing are honest even after engine-side reloads,
-* a :class:`~repro.federation.interface.FederatedInterface` with one
-  resilient link (retry budget + circuit breaker) per backend.
+* a :class:`~repro.federation.interface.FederatedInterface` routing
+  one-backend requests over one resilient link (retry budget + circuit
+  breaker) per backend.
 
 The resulting :class:`Federation` quacks enough like a single server
 (``clock``/``profile``/``metrics``/``tracer``/``set_fault_policy``) to
@@ -108,7 +109,8 @@ class Federation:
         pin_streams: bool = False,
     ):
         """A CMS over this federation: the federated interface is injected
-        as the RDI and the planner costs remote parts per backend."""
+        as the RDI, and the planner costs and splits remote parts per
+        backend."""
         from repro.core.cms import CacheManagementSystem
 
         return CacheManagementSystem(
@@ -126,16 +128,10 @@ class Federation:
 
     def naive(self, builtins=None) -> NaiveFederation:
         """The naive per-backend loose-coupling baseline over the *same*
-        backends (shared clock/metrics: measures marginal cost only; for a
-        clean comparison build a second federation from the same specs)."""
-        unreduced = FederatedInterface(
-            self.catalog,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            local_profile=self.profile,
-            semijoin=False,
-        )
-        return NaiveFederation(unreduced, builtins=builtins)
+        backends and links (shared clock/metrics/breakers: measures marginal
+        cost only; for a clean comparison build a second federation from the
+        same specs)."""
+        return NaiveFederation(self, builtins=builtins)
 
 
 def build_federation(
@@ -196,7 +192,6 @@ def build_federation(
         retries=retries,
         metrics=metrics,
         tracer=tracer,
-        local_profile=profile,
         slo=slo,
     )
     return Federation(catalog, interface, clock, metrics, tracer, profile)

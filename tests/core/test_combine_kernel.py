@@ -21,7 +21,7 @@ from repro.caql.psj import ConstProj, Occurrence, PSJQuery, column
 from repro.core.cache import Cache
 from repro.core.engine import combine_parts
 from repro.core.executor import ExecutionMonitor
-from repro.core.plan import QueryPlan, label_part, sub_query
+from repro.core.plan import label_part, sub_query
 
 ARITIES = {"r": 2, "s": 3, "t": 1}
 
@@ -181,33 +181,29 @@ class TestStrictMode:
 
 
 def test_executor_combine_and_federated_gather_agree():
-    """The same parts through the Execution Monitor's combine stage and
-    through the federated gather: equal rows, equal rows-touched charge."""
+    """A spanning query's per-backend parts, evaluated directly and folded
+    by the Execution Monitor's combine stage, answer what the federated
+    CMS answers — one kernel, run once per spanning query."""
     from tests.federation.conftest import SPAN3, base_tables, make_federation, psj
 
     query = psj(SPAN3)
     federation = make_federation()
-    interface = federation.interface
+    cms = federation.cms()
+    plan = cms.planner.spanning_plan(query)
     tables = base_tables()
-    fetched = []
-    for part in interface.partition(query):
-        rows = evaluate_psj(part.sub, tables.__getitem__)
-        fetched.append((part, label_part(rows, part.columns, part.backend)))
-
-    before = interface.clock.now
-    gathered = interface._gather(query, fetched)
-    gather_seconds = interface.clock.now - before
+    fetched = [
+        label_part(
+            evaluate_psj(part.sub_query, tables.__getitem__),
+            part.columns,
+            part.sub_query.name,
+        )
+        for part in plan.parts
+    ]
 
     clock, profile = SimClock(), CostProfile()
     monitor = ExecutionMonitor(Cache(), None, clock, profile, Metrics())
-    pushed = [c for part, _ in fetched for c in part.sub.conditions]
-    plan = QueryPlan(
-        query,
-        "remote",
-        cross_conditions=tuple(c for c in query.conditions if c not in pushed),
-    )
-    combined = monitor._combine([relation for _, relation in fetched], plan)
+    combined = monitor._combine(fetched, plan)
+    gathered = cms.monitor.execute(plan)
 
-    assert list(combined) == list(gathered)
-    assert set(combined) == set(evaluate_psj(query, tables.__getitem__))
-    assert clock.now == pytest.approx(gather_seconds)
+    assert set(combined) == set(gathered) == set(evaluate_psj(query, tables.__getitem__))
+    assert len(combined) == len(gathered)

@@ -60,7 +60,7 @@ class TestPlannerDecision:
         specs = remote_parts[0].bind_columns
         assert len(specs) == 1
         assert specs[0].remote_column.endswith(".c0")
-        assert specs[0].cache_column.endswith(".c0")
+        assert specs[0].source_column.endswith(".c0")
         assert remote_parts[0].bind_columns
         assert any("semijoin" in note for note in plan.notes)
 
@@ -209,7 +209,7 @@ class TestFetchMany:
 
 class TestBindingSpec:
     def test_is_frozen_and_defaulted(self):
-        spec = BindingSpec(remote_column="t1.c0", cache_column="t0.c0")
+        spec = BindingSpec(remote_column="t1.c0", source_column="t0.c0")
         assert spec.estimated_values == 0.0
         with pytest.raises(AttributeError):
             spec.remote_column = "t2.c0"

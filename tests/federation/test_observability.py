@@ -6,6 +6,7 @@ from repro.common.errors import RemoteDBMSError
 from repro.common.metrics import REMOTE_REQUESTS, REMOTE_TUPLES
 from repro.remote.faults import FaultPolicy, RetryPolicy
 from repro.caql.parser import parse_query
+from repro.core.cms import CMSFeatures
 
 from tests.federation.conftest import (
     LOCAL,
@@ -17,11 +18,19 @@ from tests.federation.conftest import (
 )
 
 
+def uncached(federation):
+    """A CMS that sends every query to the backends."""
+    cms = federation.cms(features=CMSFeatures(caching=False))
+    cms.begin_session()
+    return cms
+
+
 class TestMetricsNamespacing:
     def test_root_aggregates_backend_scopes(self):
         federation = make_federation()
+        cms = uncached(federation)
         for text in (SPAN3, SPAN2, LOCAL):
-            federation.interface.fetch(psj(text))
+            cms.query(parse_query(text)).fetch_all()
         scopes = federation.metrics.scopes()
         assert set(scopes) == {"alpha", "beta", "gamma"}
         for counter in (REMOTE_REQUESTS, REMOTE_TUPLES):
@@ -31,19 +40,23 @@ class TestMetricsNamespacing:
 
     def test_scoped_ledgers_pass_their_own_invariants(self):
         federation = make_federation()
-        federation.interface.fetch(psj(SPAN3))
+        uncached(federation).query(parse_query(SPAN3)).fetch_all()
         federation.metrics.check_invariants()
 
 
 class TestTraceTagging:
     def test_route_scatter_gather_events(self):
+        # The planner span's parts show the scatter; each part is routed
+        # to its own backend.
         federation = make_federation(with_tracer=True)
-        federation.interface.fetch(psj(SPAN3))
+        uncached(federation).query(parse_query(SPAN3)).fetch_all()
+        plans = [s for s in federation.tracer.spans if s.name == "planner.plan"]
+        assert [label.split("__")[-1] for label in dict(plans[0].attributes)["parts"]] == [
+            "beta", "alpha", "gamma+semijoin",
+        ]
         by_name = {}
         for event in trace_events(federation.tracer):
             by_name.setdefault(event.name, []).append(dict(event.attributes))
-        assert len(by_name["federation.scatter"]) == 1
-        assert len(by_name["federation.gather"]) == 1
         routes = by_name["rdi.route"]
         assert {attrs["backend"] for attrs in routes} == {
             "alpha", "beta", "gamma",
@@ -82,10 +95,11 @@ class TestDeterminism:
             },
             with_tracer=True,
         )
+        cms = uncached(federation)
         outcomes = []
         for text in (SPAN3, SPAN2, LOCAL, SPAN2, SPAN3):
             try:
-                outcomes.append(len(federation.interface.fetch(psj(text))))
+                outcomes.append(len(cms.query(parse_query(text)).fetch_all()))
             except RemoteDBMSError as error:
                 outcomes.append(type(error).__name__)
         return (

@@ -13,7 +13,11 @@ from repro.common.errors import (
     RemoteDBMSError,
     TransientRemoteError,
 )
-from repro.common.metrics import REMOTE_FAULTS_INJECTED, REMOTE_REQUESTS
+from repro.common.metrics import (
+    REMOTE_DEGRADED_ANSWERS,
+    REMOTE_FAULTS_INJECTED,
+    REMOTE_REQUESTS,
+)
 from repro.remote.faults import CircuitBreaker, FaultPolicy, RetryPolicy
 from repro.caql.parser import parse_query
 
@@ -46,8 +50,11 @@ class TestPerBackendBreakers:
         # beta now refuses locally; alpha and gamma still serve.
         with pytest.raises(CircuitOpenError):
             federation.interface.fetch(psj(LOCAL))
-        result = federation.interface.fetch(psj(SPAN2))
-        assert set(result.rows) == oracle(SPAN2)
+        cms = federation.cms()
+        cms.begin_session()
+        stream = cms.query(parse_query(SPAN2))
+        assert set(stream.fetch_all()) == oracle(SPAN2)
+        assert not stream.degraded
         assert federation.interface.remote_available()
 
     def test_open_breaker_refuses_without_a_round_trip(self):
@@ -138,12 +145,14 @@ class TestDegradedAnswers:
         federation = make_federation(
             faults={"gamma": FaultPolicy(seed=0, permanent_rate=1.0)}
         )
-        interface = federation.interface
-        partial = interface.fetch_partial(psj(SURVIVOR))
-        assert partial is not None
-        # The join condition against the dark backend is dropped: every
-        # supplier city survives (deduplicated set semantics).
-        assert set(partial.rows) == {(100,), (200,), (300,)}
+        cms = federation.cms()
+        cms.begin_session()
+        stream = cms.query(parse_query(SURVIVOR))
+        assert stream.degraded
+        # The surviving backend's part answers; the join condition against
+        # the dark backend is dropped: every supplier city survives
+        # (deduplicated set semantics).
+        assert set(stream.fetch_all()) == {(100,), (200,), (300,)}
 
     def test_fetch_partial_none_when_every_backend_dark(self):
         federation = make_federation(
@@ -152,7 +161,13 @@ class TestDegradedAnswers:
                 "gamma": FaultPolicy(seed=1, permanent_rate=1.0),
             }
         )
-        assert federation.interface.fetch_partial(psj(SPAN2)) is None
+        # The one-backend contract: a failed request answers None.
+        assert federation.interface.fetch_partial(psj("q8(S) :- sup(S, C)")) is None
+        cms = federation.cms()
+        cms.begin_session()
+        with pytest.raises(RemoteDBMSError):
+            cms.query(parse_query(SPAN2)).fetch_all()
+        assert federation.metrics.get(REMOTE_DEGRADED_ANSWERS) == 0
 
     def test_cms_tags_partial_answers_degraded(self):
         federation = make_federation()

@@ -27,14 +27,14 @@ PARITY = {
     ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "1024fa9a6f2ee341e5b0eaa222ab192c462b1b3781834adcda4a4e170bdbc263",
     ("trace", f"{RESULTS}/E17.trace.jsonl"): "9fd548464ba52019f91cadda042f58b5b12a41df856faa705ef30bb98c422bb9",
     ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "dbcdd7f7dd8c16d4a78e9c205a9621cd390bd553c874c49e6b735531cd834ff7",
-    ("trace", f"{RESULTS}/E19.trace.jsonl"): "bd67ec18f48ea93d2433a48b4baafa67f3a81e5f7a23f3a665e490120517e9fc",
-    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "de2fa003a122017f74ed90a9d7db4b5cc65797ef0f423cbaaa6edc1a5fad2835",
+    ("trace", f"{RESULTS}/E19.trace.jsonl"): "f8a085775f1bc55fbf88f10e3a9ec7ff8f5a3576a260eb763b2d93665eed3da6",
+    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "eb5118793e163e9066e5d95a696fdab8de87facb4e3c205e8b773fe3b890d34c",
     ("trace", f"{RESULTS}/E20.trace.jsonl"): "bb83a4e1b0620b0f76ca9278b4abf2ddd3f185fa1e00abc59f39894ed662fac8",
     ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "f83d8fa0fe56cfc14fbac8ff6e8e051dd0db5117cd459b774ccfc3c0309558ea",
     ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "0f2aaa0cbfde888a5a45977375f4e1e5bcc410f8086eb635e4654303d893fec9",
     ("lineage", f"{RESULTS}/E21.json"): "977acab58100f0f829ba483168ebf496e29196a181f51e34daf28746171bf4ce",
-    ("profile", f"{RESULTS}/E19.trace.jsonl"): "71980b5d937b89c97a25f654feeda801da420239b1beb5c36c6ce4c64e21a3a6",
-    ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "6f930d8ccb55628d6f7a3bb3a903a30a79e2efd03a0a1b6755fd23e2db5f096d",
+    ("profile", f"{RESULTS}/E19.trace.jsonl"): "128c0e4a825c5beeaffa73fdd97b54c9f29aa177499d7b88952308f16a87ca35",
+    ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "78116f1e26aa2ddea9d76de3d54734d0a253c0ecb71f85045cc8b5a18224b98c",
     ("profile", f"{RESULTS}/E20.trace.jsonl"): "6d738a7d77d975eac7785d229544aad71d35f7576c4d6f1b18fcb884a2f68c38",
     ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "9dfbd15cd0ab337ced2c511d584a41efe4c4375b6826266086cb5ccd0e7221cb",
     ("regress",): "5fcb84336835543da5c912abb0f9fbaec15d179306352a352784a5019b728eb8",

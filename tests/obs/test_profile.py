@@ -165,7 +165,7 @@ class TestCommittedE19Trace:
 
     def test_federation_trace_is_remote_dominated(self, profile):
         assert profile.totals["remote"] > profile.totals.get("plan", 0.0)
-        assert profile.hot_remote  # scatter parts show up as fetched views
+        assert profile.hot_remote  # per-backend remote parts show up as fetched views
         assert profile.hot_tables  # rdi.route events carry the base tables
 
     def test_queries_match_the_trace_span_count(self, profile):

@@ -194,24 +194,29 @@ def test_the_federated_scatter_gathers_existence_only_parts():
     case = make_case()
     cms = build_variant(case, FEDERATED_VARIANT)
     gathers = []
-    gather = cms.rdi._gather
+    combine = cms.monitor._combine
 
-    def spy(psj, fetched, partial=False):
+    def spy(parts, plan, partial=False):
         gathers.append(
             (
-                psj.name.split("__")[0],
-                [(bool(part.columns), len(rows)) for part, rows in fetched],
+                plan.query.name,
+                [
+                    (not rows.schema.attributes[0].startswith("_exists_"), len(rows))
+                    for rows in parts
+                ],
             )
         )
-        return gather(psj, fetched, partial)
+        return combine(parts, plan, partial)
 
-    cms.rdi._gather = spy
+    cms.monitor._combine = spy
     cms.begin_session(case.build_advice())
     for text in QUERIES[:4]:
         assert set(cms.query(parse_query(text)).fetch_all()) == oracle(text)
+        assert all(isinstance(p, RemotePart) for p in cms.last_plan.parts)
     shapes = dict(gathers)
-    # (has columns, rows): one bare existence share beside a valued one,
-    # open and closed; then nothing but existence shares, open and closed.
+    # (has columns, rows) of each backend's part, combined once: one bare
+    # existence share beside a valued one, open and closed; then nothing
+    # but existence shares, open and closed.
     assert sorted(shapes["f1"]) == [(False, 1), (True, 30)]
     assert (False, 0) in shapes["f2"] and any(valued for valued, _n in shapes["f2"])
     assert [valued for valued, _n in shapes["f3"]] == [False, False]

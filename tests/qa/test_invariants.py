@@ -212,7 +212,7 @@ class TestPlanInvariants:
             self.PSJ,
             self.TAGS,
             bind_columns=(
-                BindingSpec(remote_column=remote_column, cache_column="t9.a9"),
+                BindingSpec(remote_column=remote_column, source_column="t9.a9"),
             ),
         )
         plan = QueryPlan(self.PSJ, "hybrid", parts=(part,), epoch=0)
