@@ -93,7 +93,7 @@ class CacheElement:
     # -- derivation lineage (operator-level intermediates) ----------------
     #: "view" for advised views / whole query results; "intermediate" for
     #: operator-level results registered during execution (remote parts,
-    #: select-project subsets, semijoin-reduced fetches, gather parts).
+    #: select-project subsets, semijoin-reduced fetches).
     kind: str = "view"
     #: Element ids of the inputs this element was derived from (empty for
     #: base fetches).  Lineage is advisory metadata: a parent may be
@@ -524,27 +524,26 @@ class Cache:
             frontier = next_frontier
             share *= ANCESTOR_SHARE
 
-    def note_hit(self, element: CacheElement) -> None:
-        """Count a lookup served from an intermediate (observability)."""
-        if element.kind == "intermediate":
-            self.metrics.incr(CACHE_INTERMEDIATE_HITS)
-
-    def credit_saving(self, element: CacheElement, seconds: float | None = None) -> None:
-        """Credit the efficacy ledger: serving from ``element`` avoided
-        re-paying (by default) its recorded derivation cost.
+    def read(self, element: CacheElement) -> None:
+        """Record that an answer was served from ``element``: :meth:`touch`
+        it, count ``cache.intermediate_hits`` when it is an intermediate,
+        and credit the efficacy ledger with its recorded derivation cost —
+        what serving from it avoided re-paying.
 
         Pure bookkeeping — no simulated time is charged, no trace event is
-        emitted; the aggregate lands in
-        :data:`~repro.common.metrics.CACHE_SAVED_SECONDS`.  Like
-        :meth:`touch`, a credit also warms derivation ancestors (the
-        saving was only possible because the inputs were retained).
+        emitted; the credits add up in
+        :data:`~repro.common.metrics.CACHE_SAVED_SECONDS`.  A credit warms
+        derivation ancestors once more (the saving was only possible
+        because the inputs were retained).
         """
-        saved = element.derivation_seconds if seconds is None else seconds
-        if saved <= 0:
-            return
-        element.saved_seconds += saved
-        self.metrics.incr(CACHE_SAVED_SECONDS, saved)
-        self._warm_ancestors(element)
+        self.touch(element)
+        if element.kind == "intermediate":
+            self.metrics.incr(CACHE_INTERMEDIATE_HITS)
+        saved = element.derivation_seconds
+        if saved > 0:
+            element.saved_seconds += saved
+            self.metrics.incr(CACHE_SAVED_SECONDS, saved)
+            self._warm_ancestors(element)
 
     def get(self, element_id: str) -> CacheElement | None:
         """The element with this id, or None."""

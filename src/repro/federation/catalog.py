@@ -9,8 +9,8 @@ the individual backend, which remains exactly as independent as the
 paper's single server.
 
 Ownership is exclusive: a relation lives on one backend (no replication),
-so routing a fetch is a dictionary lookup and cross-backend joins are
-always genuine scatter-gathers.
+so routing a fetch is a dictionary lookup and a cross-backend join is
+always a plan of per-backend parts, combined on the workstation.
 """
 
 from __future__ import annotations

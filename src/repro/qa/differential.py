@@ -47,7 +47,8 @@ VARIANTS = ("full", "nocache", "loose", "exact-cache", "relation-buffer")
 #: The federation axis: the full CMS again, but with the case's base
 #: tables spread across several backends (``FuzzCase.backends``) behind a
 #: :class:`~repro.federation.interface.FederatedInterface`.  Cross-backend
-#: joins go through scatter/gather and semijoin ship-bindings; the answers
+#: joins run as plans of per-backend parts, bound on earlier parts' values
+#: by semijoin ship-bindings, and combined locally; the answers
 #: must still be tuple-set-equal to the single-backend oracle.  Every case
 #: that carries ``backends`` runs it (:func:`run_case` decides).
 FEDERATED_VARIANT = "federated"
@@ -171,7 +172,7 @@ def _build_federation(case: FuzzCase):
     a default ``s0`` backend, so the variant degenerates to one backend
     behind the federated plumbing — still a useful smoke of the routing
     layer.  Backends are deterministic pure-Python engines, healthy: the
-    federation axis tests scatter/gather equivalence, not fault handling.
+    federation axis tests per-backend plan equivalence, not fault handling.
     """
     from repro.federation import BackendSpec, build_federation
 

@@ -5,7 +5,7 @@ and ``cms.explain``)."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.metrics import CACHE_SAVED_SECONDS, Metrics
+from repro.common.metrics import CACHE_INTERMEDIATE_HITS, CACHE_SAVED_SECONDS, Metrics
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.core.cache import Cache
@@ -59,23 +59,33 @@ class TestLedgerBookkeeping:
         assert element.last_used_at == 3.0
         assert element.created_at == 0.0
 
-    def test_credit_saving_accumulates_and_hits_the_ledger(self):
+    def test_read_accumulates_and_hits_the_ledger(self):
         cache, _clock, metrics = make_cache()
         element = cache.store(psj("q", "r(X, Y)"), relation("q", [(1, 2)]),
                               derivation_seconds=0.25)
-        cache.credit_saving(element)
-        cache.credit_saving(element)
-        cache.credit_saving(element, seconds=0.1)
-        assert element.saved_seconds == pytest.approx(0.6)
-        assert metrics.get(CACHE_SAVED_SECONDS) == pytest.approx(0.6)
+        cache.read(element)
+        cache.read(element)
+        assert element.use_count == 2
+        assert element.saved_seconds == pytest.approx(0.5)
+        assert metrics.get(CACHE_SAVED_SECONDS) == pytest.approx(0.5)
 
-    def test_credit_saving_ignores_nonpositive_cost(self):
+    def test_read_credits_nothing_without_a_derivation_cost(self):
         cache, _clock, metrics = make_cache()
         element = cache.store(psj("q", "r(X, Y)"), relation("q", [(1, 2)]))
-        cache.credit_saving(element)  # derivation cost was never recorded
-        cache.credit_saving(element, seconds=0.0)
+        cache.read(element)  # derivation cost was never recorded
+        assert element.use_count == 1
         assert element.saved_seconds == 0.0
         assert metrics.get(CACHE_SAVED_SECONDS) == 0
+
+    def test_read_counts_intermediate_hits_only(self):
+        cache, _clock, metrics = make_cache()
+        view = cache.store(psj("v", "r(X, Y)"), relation("v", [(1, 2)]))
+        part = cache.store(psj("p", "s(X, Y)"), relation("p", [(1, 2)]),
+                           kind="intermediate", operator="remote-fetch")
+        cache.read(view)
+        cache.read(part)
+        cache.read(part)
+        assert metrics.get(CACHE_INTERMEDIATE_HITS) == 2
 
     def test_invariants_cover_the_ledger_fields(self):
         from repro.common.errors import InvariantViolation
@@ -98,8 +108,7 @@ class TestReport:
         element = cache.store(psj("q", "r(X, Y)"), relation("q", [(1, 2)]),
                               derivation_seconds=0.2)
         clock.advance(5.0)
-        cache.touch(element)
-        cache.credit_saving(element)
+        cache.read(element)
         clock.advance(1.0)
         entry = cache.element_report(element)
         assert entry["element"] == element.element_id

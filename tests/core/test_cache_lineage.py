@@ -250,7 +250,7 @@ class TestAncestorWarming:
         # The warm is a share of a hit, not a full hit.
         assert after - before < 1.0
 
-    def test_credit_saving_warms_ancestors_without_charging_time(self):
+    def test_read_warms_ancestors_without_charging_time(self):
         clock = SimClock()
         cache = Cache(clock=clock)
         root = store(cache, "r1(X, Y) :- b1(X, Y)", derivation_seconds=1.0)
@@ -263,7 +263,7 @@ class TestAncestorWarming:
         )
         before_clock = clock.now
         before_freq = cache.decayed_frequency(root)
-        cache.credit_saving(child)
+        cache.read(child)
         assert clock.now == before_clock  # pure bookkeeping
         assert cache.decayed_frequency(root) > before_freq
         assert child.saved_seconds == pytest.approx(0.5)

@@ -1,0 +1,99 @@
+"""Golden intermediate registrations: the route may change, the stores may not.
+
+Every ``Cache.store(..., kind="intermediate")`` the Execution Monitor makes
+while running a fixed corpus — the first 25 cases of the churny and the
+federated fuzz profiles at seed 0, then the semijoin-widening drill-down —
+is logged as operator, canonical key, projection, parents, row count and
+``repr(derivation_seconds)``.  The log hashes to a digest recorded **before
+the monitor's three registration routes became one offer**; a registration
+gained, lost, reordered, re-keyed, re-parented or re-priced changes it.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.caql.parser import parse_query
+from repro.caql.psj import parse_column
+from repro.core.cache import Cache
+from repro.core.canonical import canonical_key
+from repro.qa import CaseConfig, CaseGenerator, run_case
+
+from tests.core.test_semijoin_widening import DRILL, SELECT, TIGHTER, build_cms
+
+CASES_PER_PROFILE = 25
+REGISTRATIONS = 244
+LOG_SHA256 = "3a9878871b75ed43398dee5b78970e50ba86d434dd9f70982fb221f93f327a6e"
+
+
+def _widening_kinds(definition) -> set[str]:
+    """Which widenings a semijoin-fetch definition's projection carries.
+
+    ``equality``: a column equal, by a cross-occurrence condition, to an
+    earlier projected column (the source side of a binding).  ``functional``:
+    a further column of the same source occurrence (carried through the
+    binding key's functional dependency)."""
+    equal = {
+        frozenset((c.left.name, c.right.name))
+        for c in definition.conditions
+        if c.op == "=" and c.is_col_col()
+    }
+    kinds: set[str] = set()
+    equality_tags: set[str] = set()
+    projection = list(definition.projection)
+    for index, column in enumerate(projection):
+        tag = parse_column(column)[0]
+        if any(
+            frozenset((column, earlier)) in equal
+            and parse_column(earlier)[0] != tag
+            for earlier in projection[:index]
+        ):
+            kinds.add("equality")
+            equality_tags.add(tag)
+        elif tag in equality_tags:
+            kinds.add("functional")
+    return kinds
+
+
+@pytest.fixture()
+def registrations(monkeypatch):
+    """Run the corpus with ``Cache.store`` wrapped; yield the log and the
+    widening kinds seen."""
+    log: list[tuple] = []
+    widenings: set[str] = set()
+    store = Cache.store
+
+    def logged(self, definition, relation, *args, **kwargs):
+        if kwargs.get("kind") == "intermediate":
+            operator = kwargs.get("operator", "")
+            log.append(
+                (
+                    operator,
+                    canonical_key(definition),
+                    tuple(definition.projection),
+                    tuple(kwargs.get("parents", ())),
+                    len(relation),
+                    repr(kwargs.get("derivation_seconds", 0.0)),
+                )
+            )
+            if operator == "semijoin-fetch":
+                widenings.update(_widening_kinds(definition))
+        return store(self, definition, relation, *args, **kwargs)
+
+    monkeypatch.setattr(Cache, "store", logged)
+    for config in (CaseConfig.churny(), CaseConfig.federated()):
+        for case in CaseGenerator(0, config).corpus(CASES_PER_PROFILE):
+            run_case(case)
+    cms = build_cms(intermediates=True)
+    for text in (SELECT, DRILL, TIGHTER):
+        cms.query(parse_query(text)).fetch_all()
+    return log, widenings
+
+
+def test_registrations_are_the_parents_byte_for_byte(registrations):
+    log, widenings = registrations
+    operators = {entry[0] for entry in log}
+    assert operators == {"remote-fetch", "select-project", "semijoin-fetch"}
+    assert widenings == {"equality", "functional"}
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert (len(log), digest) == (REGISTRATIONS, LOG_SHA256)

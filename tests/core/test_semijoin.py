@@ -8,6 +8,7 @@ from repro.caql.parser import parse_query
 from repro.core.cms import CacheManagementSystem, CMSFeatures
 from repro.core.plan import BindingSpec, RemotePart
 from repro.core.rdi import canonical_bindings
+from repro.relational.expressions import Col, Comparison
 from repro.relational.relation import Relation, relation_from_columns
 from repro.relational.schema import Schema
 from repro.remote.server import RemoteDBMS
@@ -209,7 +210,11 @@ class TestFetchMany:
 
 class TestBindingSpec:
     def test_is_frozen_and_defaulted(self):
-        spec = BindingSpec(remote_column="t1.c0", source_column="t0.c0")
+        spec = BindingSpec(
+            remote_column="t1.c0",
+            source_column="t0.c0",
+            condition=Comparison(Col("t1.c0"), "=", Col("t0.c0")),
+        )
         assert spec.estimated_values == 0.0
         with pytest.raises(AttributeError):
             spec.remote_column = "t2.c0"

@@ -22,6 +22,7 @@ from repro.qa import (
     audit_cms,
     run_corpus,
 )
+from repro.relational.expressions import Col, Comparison
 from repro.relational.generator import GeneratorRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -212,7 +213,11 @@ class TestPlanInvariants:
             self.PSJ,
             self.TAGS,
             bind_columns=(
-                BindingSpec(remote_column=remote_column, source_column="t9.a9"),
+                BindingSpec(
+                    remote_column=remote_column,
+                    source_column="t9.a9",
+                    condition=Comparison(Col(remote_column), "=", Col("t9.a9")),
+                ),
             ),
         )
         plan = QueryPlan(self.PSJ, "hybrid", parts=(part,), epoch=0)

@@ -118,6 +118,18 @@ def test_the_executor_has_one_route_for_a_plans_remote_part():
     assert "fetch_many" not in source
 
 
+def test_the_executor_reads_and_registers_through_one_route_each():
+    source = (PACKAGE / "core" / "executor.py").read_text()
+    # Exact hit, cache-full derivation, and every cache part (healthy or
+    # degraded): each read is one ``Cache.read``.
+    assert source.count("self.cache.read(") == 3
+    assert "self.cache.touch(" not in source
+    # Cache parts and remote parts, through the one offer and its one store.
+    assert source.count("self._offer(") == 2
+    assert source.count("self.cache.store(") == 1
+    assert "isinstance(source" not in source
+
+
 def _constructs_existence(path: Path) -> bool:
     """True when the module builds an existence row — a ``(True,)`` tuple —
     or an ``_exists_*`` column name (docstrings mention, they do not build)."""
