@@ -119,6 +119,19 @@ class TestStrategySelection:
         assert plan.strategy == "remote"
         assert any("shipping beat" in note for note in plan.notes)
 
+    def test_remote_down_hybrid_reads_no_covered_statistics(self):
+        # With the remote unavailable the hybrid split is kept and only the
+        # uncovered part is priced: the covered occurrence's statistics (a
+        # charged round trip on a real link) are never asked for.
+        cache = cache_with("e12(X, Y) :- b3(X, c2, Y)")
+        planner = make_planner(cache, features=PlannerFeatures(semijoin=False))
+        asked = []
+        planner.stats_of = lambda pred: (asked.append(pred), stats_of(pred))[1]
+        planner.remote_available = lambda: False
+        plan = planner.plan(make_psj("d2(X) :- b2(X, Z), b3(Z, c2, 1)"))
+        assert plan.strategy == "hybrid"
+        assert asked and "b3" not in asked
+
     def test_caching_disabled_always_remote(self):
         cache = cache_with("scan(X, Z) :- b2(X, Z)")
         features = PlannerFeatures(caching=False)
