@@ -417,6 +417,10 @@ class ConditionSet:
 #: ``(pred, arity)`` — what two occurrences must share to map onto each other.
 RelationKey = tuple[str, int]
 
+#: ``(relation, argument position)``: where a pin sits, in an element's
+#: signature or at a query occurrence.
+PinSlot = tuple[RelationKey, int]
+
 #: A condition operand with its column pre-split: ``(tag, position)`` for a
 #: qualified column, the :class:`Lit` itself otherwise.
 SplitOperand = tuple[str, int] | Lit
@@ -523,6 +527,25 @@ class ContainmentProbe:
             self.occurrences.setdefault((occ.pred, occ.arity), []).append(
                 (occ.tag, occ.columns())
             )
+
+    def pins(self) -> dict[PinSlot, list[object]] | None:
+        """Per ``(relation, argument position)``, the value each query
+        occurrence of that relation is pinned to there (an equality
+        constant, a closed ``[v, v]`` range, or either through an equality
+        class) — what the cache's pin index is asked under.  None for an
+        unsatisfiable query: it implies every literal, so no pin can rule
+        an element out."""
+        conditions = self.conditions
+        if not conditions.satisfiable:
+            return None
+        pins: dict[PinSlot, list[object]] = {}
+        for relation, occurrences in self.occurrences.items():
+            for _tag, columns in occurrences:
+                for position, col in enumerate(columns):
+                    pinned, value = conditions.pinned_value(col)
+                    if pinned:
+                        pins.setdefault((relation, position), []).append(value)
+        return pins
 
     def rejection(self, signature: ContainmentSignature) -> SignatureRejection | None:
         """Why no occurrence mapping of the element onto the query can

@@ -35,7 +35,7 @@ from repro.common.metrics import (
 from repro.relational.generator import GeneratorRelation
 from repro.relational.index import IndexSet
 from repro.relational.relation import Relation, rows_bytes
-from repro.caql.implication import ContainmentSignature
+from repro.caql.implication import ContainmentSignature, PinSlot
 from repro.caql.psj import PSJQuery
 from repro.core.canonical import audit_canonical, canonical_key
 
@@ -170,6 +170,42 @@ def lru_scorer(element: CacheElement) -> float:
     return -float(element.sequence)
 
 
+def pin_anchor(signature: ContainmentSignature) -> tuple[PinSlot, object] | None:
+    """The slot and constant the pin index files an element under: the
+    first ``=`` literal of the first occurrence in its containment
+    signature that has one.  None when there is no such literal, or when
+    its constant cannot key a bucket — unhashable, or NaN (equal to
+    nothing, itself included).
+
+    Taken from the signature, so the index can never rule out what the
+    signature would pass: an element pinned to ``c`` at a slot needs a
+    query occurrence of that relation whose column there is pinned to a
+    value ``== c`` (``holds(v, "=", c)``), and a dict lookup of that value
+    is exactly ``==`` on hashable scalars.
+    """
+    for _tag, relation, literal in signature.occurrences:
+        for position, op, value in literal:
+            if op != "=":
+                continue
+            try:
+                hash(value)
+            except TypeError:
+                return None
+            if value != value:
+                return None
+            return (relation, position), value
+    return None
+
+
+def _drop(index: dict, key: object, element_id: str) -> None:
+    """Take ``element_id`` out of bucket ``index[key]``; an emptied bucket
+    goes too."""
+    members = index[key]
+    del members[element_id]
+    if not members:
+        del index[key]
+
+
 def key_of(definition: PSJQuery) -> tuple:
     """The canonical identity the cache and the MQO registry share.
 
@@ -223,6 +259,13 @@ class Cache:
         #: process and leaks into planner tie-breaks among equal
         #: subsumption matches (same seed, different bytes across runs).
         self._by_predicate: dict[str, dict[str, None]] = {}
+        #: Pin index, in front of the containment signature: per predicate
+        #: an element mentions and its anchor slot (:func:`pin_anchor`),
+        #: pinned constant -> element ids in store order.  Buckets key by
+        #: ``==``: ``1``, ``1.0`` and ``True`` share one, ``"1"`` does not.
+        self._by_pin: dict[tuple[str, PinSlot], dict[object, dict[str, None]]] = {}
+        #: Per predicate, the elements with no anchor, in store order.
+        self._unpinned: dict[str, dict[str, None]] = {}
         self._by_key: dict[tuple, str] = {}
         #: Derivation DAG, parent id -> child ids in insertion order (an
         #: inner dict, not a set, for the same determinism reason as the
@@ -242,6 +285,12 @@ class Cache:
         #: unpinned discards, on the last unpin for condemned ones; each
         #: element counts exactly once.
         self.reclaim_count = 0
+        #: Running size total of the extension-backed resident elements,
+        #: live and condemned (an extension never grows once stored).
+        self._extension_bytes = 0
+        #: Generator-backed resident elements, live and condemned: their
+        #: memo can still grow, so :meth:`used_bytes` reads them fresh.
+        self._generators: dict[str, CacheElement] = {}
 
     # -- storage ---------------------------------------------------------------
     def store(
@@ -284,7 +333,7 @@ class Cache:
                 # canonical key, but the *view's* name is what path
                 # expressions track).  Lineage is kept.
                 element.kind = "view"
-                element.redefine(definition)
+                self._redefine(element, definition)
             if element.derivation_seconds <= 0.0:
                 element.derivation_seconds = max(derivation_seconds, 0.0)
             if use:
@@ -317,16 +366,20 @@ class Cache:
         )
         if use:
             element.uses.add(use)
-        self._make_room(element.estimated_bytes(), exempt={element.element_id})
+        size = element.estimated_bytes()
+        self._make_room(size, exempt={element.element_id})
         # Making room may itself have evicted a parent: lineage only ever
         # points at elements that are live at registration time.
         element.parents = tuple(
             p for p in element.parents if p in self._elements
         )
         self._elements[element.element_id] = element
+        self._count_bytes(element, size)
         self._by_key[key] = element.element_id
         for pred in dict.fromkeys(definition.predicates()):
             self._by_predicate.setdefault(pred, {})[element.element_id] = None
+        for bucket in self._pin_buckets(element):
+            bucket[element.element_id] = None
         for parent_id in element.parents:
             self._children.setdefault(parent_id, {})[element.element_id] = None
         if kind == "intermediate":
@@ -352,6 +405,7 @@ class Cache:
                 members.pop(element_id, None)
                 if not members:
                     del self._by_predicate[pred]
+        self._unfile_pins(element)
         # Prune the derivation DAG: the element's own fan-out entry, and
         # its slot in each live parent's children list.  Children keep a
         # stale id in ``parents`` (harmless: every walk checks liveness).
@@ -367,7 +421,50 @@ class Cache:
             self._condemned[element_id] = element
             self.metrics.incr(CACHE_PIN_DEFERRALS)
         else:
-            self.reclaim_count += 1
+            self._reclaim(element)
+
+    def _reclaim(self, element: CacheElement) -> None:
+        """Release a retired element's storage (exactly once per element)."""
+        self.reclaim_count += 1
+        self._uncount_bytes(element)
+
+    # -- pin index ---------------------------------------------------------------
+    def _pin_buckets(self, element: CacheElement) -> list[dict[str, None]]:
+        """The buckets ``element`` belongs in, one per predicate it
+        mentions, created on demand."""
+        anchor = pin_anchor(element.signature)
+        preds = dict.fromkeys(element.definition.predicates())
+        if anchor is None:
+            return [self._unpinned.setdefault(pred, {}) for pred in preds]
+        slot, value = anchor
+        return [
+            self._by_pin.setdefault((pred, slot), {}).setdefault(value, {})
+            for pred in preds
+        ]
+
+    def _unfile_pins(self, element: CacheElement) -> None:
+        """Take ``element`` out of the pin index, dropping emptied levels."""
+        anchor = pin_anchor(element.signature)
+        for pred in dict.fromkeys(element.definition.predicates()):
+            if anchor is None:
+                _drop(self._unpinned, pred, element.element_id)
+                continue
+            slot, value = anchor
+            _drop(self._by_pin[pred, slot], value, element.element_id)
+            if not self._by_pin[pred, slot]:
+                del self._by_pin[pred, slot]
+
+    def _redefine(self, element: CacheElement, definition: PSJQuery) -> None:
+        """:meth:`CacheElement.redefine`, re-anchoring the element: an
+        alpha-equivalent spelling may list its pins in another order."""
+        self._unfile_pins(element)
+        element.redefine(definition)
+        for bucket in self._pin_buckets(element):
+            bucket[element.element_id] = None
+            if len(bucket) > 1:  # back into store order
+                ordered = sorted(bucket, key=lambda i: self._elements[i].epoch)
+                bucket.clear()
+                bucket.update(dict.fromkeys(ordered))
 
     # -- concurrency control ------------------------------------------------------
     def pin(self, element: CacheElement) -> None:
@@ -384,7 +481,7 @@ class Cache:
         element.pin_count -= 1
         if element.pin_count == 0 and element.condemned:
             if self._condemned.pop(element.element_id, None) is not None:
-                self.reclaim_count += 1
+                self._reclaim(element)
 
     def validate(self, element: CacheElement) -> bool:
         """True while ``element`` is still the live entry for its id —
@@ -561,13 +658,33 @@ class Cache:
             return None
         return self._elements[element_id]
 
-    def elements_for_predicate(self, pred: str) -> list[CacheElement]:
+    def elements_for_predicate(
+        self, pred: str, pins: dict[PinSlot, list[object]] | None = None
+    ) -> list[CacheElement]:
         """Step-1 candidate filter: elements whose definition mentions
         ``pred`` (the paper's ``(predicate name, cache element)`` index),
         in element-creation order (deterministic: planner tie-breaks among
-        equal subsumption matches depend on it)."""
-        ids = self._by_predicate.get(pred, ())
-        return [self._elements[i] for i in ids]
+        equal subsumption matches depend on it).
+
+        With ``pins`` — per slot, the constants a query pins there — only
+        the elements the pin index cannot rule out, still in creation
+        order: those anchored at a slot under a constant ``==`` one pinned
+        there, and the unanchored ones.  A pin whose lookup raises
+        ``TypeError`` (an unhashable constant) turns the filter off."""
+        if pins is None:
+            return [self._elements[i] for i in self._by_predicate.get(pred, ())]
+        found = [self._unpinned.get(pred, {})]
+        try:
+            for slot, values in pins.items():
+                buckets = self._by_pin.get((pred, slot))
+                if buckets:
+                    found += [buckets[v] for v in values if v in buckets]
+        except TypeError:
+            return self.elements_for_predicate(pred)
+        if len(found) == 1:
+            return [self._elements[i] for i in found[0]]
+        merged = {i: self._elements[i] for bucket in found for i in bucket}
+        return sorted(merged.values(), key=lambda e: e.epoch)
 
     def elements(self) -> list[CacheElement]:
         """All elements (unordered snapshot)."""
@@ -582,10 +699,28 @@ class Cache:
     # -- accounting ----------------------------------------------------------------
     def used_bytes(self) -> int:
         """Summed size estimates of all resident elements (condemned ones
-        still occupy their storage until the last pin is released)."""
+        still occupy their storage until the last pin is released): the
+        running extension total plus a fresh read of each generator."""
+        return self._extension_bytes + sum(
+            e.estimated_bytes() for e in self._generators.values()
+        )
+
+    def _summed_bytes(self) -> int:
+        """:meth:`used_bytes` from scratch, for the audit."""
         return sum(e.estimated_bytes() for e in self._elements.values()) + sum(
             e.estimated_bytes() for e in self._condemned.values()
         )
+
+    def _count_bytes(self, element: CacheElement, size: int) -> None:
+        """Add a newly resident element (``size`` = its estimate now)."""
+        if element.is_generator:
+            self._generators[element.element_id] = element
+        else:
+            self._extension_bytes += size
+
+    def _uncount_bytes(self, element: CacheElement) -> None:
+        if self._generators.pop(element.element_id, None) is None:
+            self._extension_bytes -= element.estimated_bytes()
 
     # -- efficacy ledger -----------------------------------------------------------
     def element_report(self, element: CacheElement) -> dict:
@@ -665,10 +800,12 @@ class Cache:
 
         Raises :class:`~repro.common.errors.InvariantViolation` when any
         structural property the implementation must maintain is broken:
-        the definition-key bijection, the predicate index, refcount sanity,
-        each element's memoized size against a from-scratch recount, its
-        stored rows against set semantics and the schema arity, and the
-        disjointness/reachability rules for the condemned set.
+        the definition-key bijection, the predicate index, the pin index
+        against a rebuild from scratch, refcount sanity, each element's
+        memoized size against a from-scratch recount, its stored rows
+        against set semantics and the schema arity, the
+        disjointness/reachability rules for the condemned set, and the
+        running byte total against a from-scratch sum.
         Called from tests and after every fuzzer query.
         """
         from repro.common.errors import InvariantViolation
@@ -796,6 +933,33 @@ class Cache:
                         f"{child_id} listed under {parent_id} but does not "
                         "name it as a parent"
                     )
+        # The pin index against a rebuild from every live element's anchor,
+        # bucket order included (``_elements`` iterates in store order): a
+        # stale, missing or misplaced entry, or an empty level, differs.
+        by_pin: dict[tuple[str, PinSlot], dict[object, list[str]]] = {}
+        unpinned: dict[str, list[str]] = {}
+        for element_id, element in self._elements.items():
+            anchor = pin_anchor(element.signature)
+            for pred in dict.fromkeys(element.definition.predicates()):
+                if anchor is None:
+                    unpinned.setdefault(pred, []).append(element_id)
+                else:
+                    slot, value = anchor
+                    by_pin.setdefault((pred, slot), {}).setdefault(value, []).append(
+                        element_id
+                    )
+        indexed_pins = {
+            key: {value: list(ids) for value, ids in buckets.items()}
+            for key, buckets in self._by_pin.items()
+        }
+        indexed_unpinned = {pred: list(ids) for pred, ids in self._unpinned.items()}
+        for indexed, rebuilt in ((indexed_pins, by_pin), (indexed_unpinned, unpinned)):
+            for key in {**indexed, **rebuilt}:
+                if indexed.get(key) != rebuilt.get(key):
+                    raise InvariantViolation(
+                        f"pin index files {indexed.get(key)} under {key!r} but "
+                        f"the live elements' anchors give {rebuilt.get(key)}"
+                    )
         for element_id, element in self._condemned.items():
             if element_id in self._elements:
                 raise InvariantViolation(
@@ -809,14 +973,25 @@ class Cache:
                 raise InvariantViolation(
                     f"condemned {element_id} has no pins and was never reclaimed"
                 )
+        used, summed = self.used_bytes(), self._summed_bytes()
+        if used != summed:
+            raise InvariantViolation(
+                f"running byte total gives {used} but the resident elements "
+                f"sum to {summed} (a missed adjustment, or an extension grown "
+                "in place)"
+            )
 
     def clear(self) -> None:
         """Drop every element and index entry (pins notwithstanding)."""
         self._elements.clear()
         self._condemned.clear()
         self._by_predicate.clear()
+        self._by_pin.clear()
+        self._unpinned.clear()
         self._by_key.clear()
         self._children.clear()
+        self._extension_bytes = 0
+        self._generators.clear()
         self.epoch += 1
 
 
@@ -851,8 +1026,10 @@ class StaleArchive:
                 self.cache.discard(self._order.popleft())
         else:
             # Same definition seen again: keep the freshest copy.
+            self.cache._uncount_bytes(element)
             element.relation = relation
             element._indexes = None
+            self.cache._count_bytes(element, element.estimated_bytes())
 
     def __len__(self) -> int:
         return len(self.cache)

@@ -13,7 +13,9 @@ range-condition implication engine:
    index, with one-directional matching: every occurrence in E's
    definition must map (injectively, same predicate and arity) onto an
    occurrence of Q.  The index alone returns every element that mentions
-   a relation of Q, so each candidate is first held against its stored
+   a relation of Q, so the cache's pin index first drops the elements
+   anchored to a constant Q does not pin where they pin it, and each
+   remaining candidate is held against its stored
    :class:`~repro.caql.implication.ContainmentSignature` — conditions
    necessary for any mapping to succeed, decided without enumerating one
    (:func:`find_relevant`).
@@ -351,7 +353,9 @@ def find_relevant(
 
     This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
     planner chooses among them.  Candidates come from the cache's predicate
-    index; each is first tested against its stored
+    index, narrowed by its pin index to the elements whose anchor pin
+    (:func:`~repro.core.cache.pin_anchor`) the query's own pins could
+    imply; each is then tested against its stored
     :class:`~repro.caql.implication.ContainmentSignature` — too few
     occurrences of a relation in the query, or an element occurrence whose
     pins and bounds no query occurrence implies — and only the survivors
@@ -359,26 +363,46 @@ def find_relevant(
     sort first, larger coverage first.
 
     When ``reports`` is given, the walk also shows its working: one
-    :class:`CandidateReport` per candidate element is appended, in visit
-    order, holding either its matches or the reason it was rejected (by
-    the signature, or per occurrence mapping) — the rationale behind
-    ``cms.explain`` and the planner's subsumption trace events.  The
-    returned matches are the same either way, and the plain query path
-    (``reports`` None) pays none of the bookkeeping.
+    :class:`CandidateReport` per element the predicate index lists is
+    appended, in visit order, holding either its matches or the reason it
+    was rejected (by the signature, or per occurrence mapping) — the
+    rationale behind ``cms.explain`` and the planner's subsumption trace
+    events.  An element the pin index skipped is rejected by the signature
+    too, or :class:`~repro.common.errors.InvariantViolation` is raised.
+    The returned matches are the same either way, and the plain query path
+    (``reports`` None) visits the pin index's survivors only.
     """
     probe = ContainmentProbe(query, canonicalize(query).conditions)
+    pins = probe.pins()
     seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     # Walk predicates in query order, not set order: the sort below is
     # stable, so ties between matches keep visit order, and visit order
     # must not depend on per-process string hashing.
     for pred in dict.fromkeys(query.predicates()):
-        for element in cache.elements_for_predicate(pred):
+        if reports is None:
+            candidates = cache.elements_for_predicate(pred, pins)
+            survivors = None
+        else:
+            candidates = cache.elements_for_predicate(pred)
+            survivors = {
+                e.element_id for e in cache.elements_for_predicate(pred, pins)
+            }
+        for element in candidates:
             if element.element_id in seen:
                 continue
             seen.add(element.element_id)
             reasons: list[str] | None = None if reports is None else []
             rejection = probe.rejection(element.signature)
+            if (
+                rejection is None
+                and survivors is not None
+                and element.element_id not in survivors
+            ):
+                raise InvariantViolation(
+                    f"pin index skipped {element.element_id} for "
+                    f"{query.name}, but its containment signature passes it"
+                )
             if rejection is not None:
                 found: tuple[SubsumptionMatch, ...] = ()
                 if reasons is not None:
@@ -405,7 +429,9 @@ def find_relevant(
 def audit_prefilter(
     cache: Cache, query: PSJQuery, reports: list[CandidateReport]
 ) -> None:
-    """Re-run the full test on every candidate the signature rejected.
+    """Re-run the full test on every candidate the signature rejected —
+    the ones the pin index never enumerated included, so this also proves
+    "not enumerated ⇒ no match".
 
     A false reject never changes an answer, only a plan and its cost, so
     no oracle sees it; this is the check that does.  Raises

@@ -260,6 +260,29 @@ class TestAdmissionCost:
         monkeypatch.undo()
         cache.check_invariants()  # the from-scratch recount agrees
 
+    def sizings_by_the_next_store(self, monkeypatch, resident):
+        cache = Cache()
+        for n in range(resident):
+            self.counted_store(cache, n)
+        sized = []
+        estimated_bytes = CacheElement.estimated_bytes
+        monkeypatch.setattr(
+            CacheElement,
+            "estimated_bytes",
+            lambda self: sized.append(self.view_name) or estimated_bytes(self),
+        )
+        self.counted_store(cache, resident)
+        monkeypatch.undo()
+        cache.check_invariants()  # the running total equals the recount
+        return sized
+
+    def test_nth_store_sizes_only_the_incoming_element(self, monkeypatch):
+        # The byte total runs: admitting an extension reads no resident size.
+        few = self.sizings_by_the_next_store(monkeypatch, 10)
+        many = self.sizings_by_the_next_store(monkeypatch, 100)
+        assert len(few) == len(many)
+        assert set(few) == {"d10"} and set(many) == {"d100"}
+
     def test_a_growing_generator_memo_is_sized_by_what_was_added(self):
         cache = Cache()
         psj = make_psj("d1(X, Y) :- b1(X, Y)")

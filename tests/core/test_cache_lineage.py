@@ -128,6 +128,23 @@ class TestSignatureFollowsDefinition:
         )
         assert match.is_full and match.element is element
 
+    def test_promotion_re_anchors_the_element_in_store_order(self):
+        # The view spells the intermediate's pins the other way round, so
+        # its anchor moves from b1's first argument to its second — into a
+        # bucket an element stored *later* already occupies.
+        from repro.caql.implication import ContainmentProbe
+        from repro.core.canonical import canonicalize
+
+        cache = Cache()
+        element = store(cache, "m(X, Y) :- b1(X, Y), X = 1, Y = 2", kind="intermediate")
+        later = store(cache, "w(X) :- b1(X, 2)")
+        promoted = store(cache, "v(X, Y) :- b1(X, Y), Y = 2, X = 1")
+        assert promoted is element and element.kind == "view"
+        cache.check_invariants()  # the rebuild compares bucket order too
+        query = make_psj("q(X) :- b1(X, 2), X > 0")
+        pins = ContainmentProbe(query, canonicalize(query).conditions).pins()
+        assert cache.elements_for_predicate("b1", pins) == [element, later]
+
     def test_a_definition_swapped_behind_the_signature_takes_its_own_along(self):
         # The fault the audit used to catch — a definition replaced without
         # redefine(), leaving a stale stored signature — cannot be built any

@@ -1,9 +1,12 @@
 """Tests for cache concurrency control: pins, condemnation, epochs."""
 
+from itertools import islice
+
 import pytest
 
 from repro.common.errors import CacheError
 from repro.common.metrics import CACHE_PIN_DEFERRALS, CACHE_STALE_REPLANS, Metrics
+from repro.relational.generator import generator_from_rows
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
@@ -91,6 +94,28 @@ class TestCondemnation:
         with pytest.raises(CacheError):
             cache.unpin(element)
         assert cache.reclaim_count == 1
+
+    def test_running_byte_total_across_condemn_and_last_unpin(self):
+        cache = Cache()
+        kept = store(cache, "d1(X, Y) :- b1(X, Y)")
+        doomed = store(cache, "d2(X, Y) :- b2(X, Y)", rows=7)
+        lazy = generator_from_rows(result_schema("d3", 2), [(i, i) for i in range(4)])
+        growing = cache.store(make_psj("d3(X, Y) :- b3(X, Y)"), lazy)
+        for element in (doomed, growing):
+            cache.pin(element)
+            cache.discard(element.element_id)
+        # Condemned elements still occupy their bytes, and a condemned
+        # generator's memo still grows while its stream is read.
+        list(islice(lazy, 3))
+        assert cache.used_bytes() == cache._summed_bytes() == sum(
+            e.estimated_bytes() for e in (kept, doomed, growing)
+        )
+        cache.check_invariants()
+        for element in (doomed, growing):
+            cache.unpin(element)
+            assert cache.used_bytes() == cache._summed_bytes()
+            cache.check_invariants()
+        assert cache.used_bytes() == kept.estimated_bytes()
 
     def test_unpinned_discard_reclaims_immediately(self):
         cache = Cache()

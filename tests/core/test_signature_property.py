@@ -8,6 +8,9 @@ properties are the net:
 
 * **signature-reject ⇒ no match** — whenever the probe rejects an element,
   ``match_element`` on that pair yields nothing;
+* **index-skip ⇒ signature-reject** — every element the predicate index
+  lists but the cache's pin index does not enumerate for a query is one the
+  signature rejects;
 * **the walk is unchanged** — ``find_relevant`` returns the same matches,
   in the same order, as the same walk with the prefilter switched off.
 
@@ -16,7 +19,9 @@ Pairs come from the pools of ``test_subsumption_property`` and
 corners the signature must not get wrong: self-joins, one constant in
 several spellings (``1``/``1.0``/``True``/``'1'``), closed ``[v, v]``
 ranges that pin, pins reached through equality classes, ``\\=``
-exclusions and unsatisfiable queries.
+exclusions and unsatisfiable queries.  The index property also draws
+queries that restate their element with constants respelled, so the
+signature passes and the index must enumerate across spellings.
 """
 
 from dataclasses import replace
@@ -126,9 +131,11 @@ def stored(cache, psj):
 
 
 def unfiltered(cache, query, reports=None):
-    """``find_relevant`` with the signature test switched off."""
+    """``find_relevant`` with the signature test and the pin index in front
+    of it switched off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ContainmentProbe, "rejection", lambda self, signature: None)
+        patch.setattr(ContainmentProbe, "pins", lambda self: None)
         return find_relevant(cache, query, reports)
 
 
@@ -141,6 +148,69 @@ def test_signature_reject_implies_no_match(element_psj, query):
         assert tuple(match_element(element, query)) == (), (
             f"false reject: {element_psj} | {query}"
         )
+
+
+def other_spelling(value):
+    """An ``==``-equal constant of another type (``1`` ↔ ``1.0``,
+    ``True`` → ``1.0``), or the value itself when it has none."""
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def respelled(psj, flips):
+    """``psj`` with some numeric literals in another spelling."""
+    flips = iter(flips)
+    conditions = []
+    for condition in psj.conditions:
+        right = condition.right
+        if isinstance(right, Lit) and next(flips, False):
+            condition = Comparison(
+                condition.left, condition.op, Lit(other_spelling(right.value))
+            )
+        conditions.append(condition)
+    return replace(psj, conditions=tuple(conditions))
+
+
+@st.composite
+def index_pairs(draw):
+    """An element and a query: unrelated, or the element itself respelled."""
+    element = draw(definitions("e"))
+    if draw(st.booleans()):
+        return element, draw(definitions("q"))
+    flips = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    return element, replace(respelled(element, flips), name="q")
+
+
+def check_index_skip_implies_signature_reject(element_psj, query):
+    cache = Cache()
+    element = stored(cache, element_psj)
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
+    pins = probe.pins()
+    for pred in dict.fromkeys(query.predicates()):
+        enumerated = {e.element_id for e in cache.elements_for_predicate(pred, pins)}
+        listed = {e.element_id for e in cache.elements_for_predicate(pred)}
+        if element.element_id in listed - enumerated:
+            assert probe.rejection(element.signature) is not None, (
+                f"pin index skipped what the signature passes: {element_psj} | {query}"
+            )
+
+
+@settings(max_examples=400, deadline=None)
+@given(index_pairs())
+def test_index_skip_implies_signature_reject(pair):
+    check_index_skip_implies_signature_reject(*pair)
+
+
+@pytest.mark.parametrize("element_text", CORNERS)
+def test_index_skip_implies_signature_reject_on_the_corners(element_text):
+    element_psj = psj_of(parse_query(element_text))
+    for query_text in CORNERS:
+        query = psj_of(parse_query(query_text))
+        for spelling in (query, respelled(query, [True] * 4), with_booleans(query, [True] * 4)):
+            check_index_skip_implies_signature_reject(element_psj, spelling)
 
 
 @settings(max_examples=150, deadline=None)

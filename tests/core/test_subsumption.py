@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
-from repro.caql.implication import ConditionSet
+from repro.caql.implication import ConditionSet, ContainmentProbe
 from repro.caql.parser import parse_query
 from repro.core import canonical
 from repro.core.cache import Cache
@@ -342,6 +342,39 @@ class TestProbeCost:
         monkeypatch.undo()
         many = self.examined_by_a_new_drill(monkeypatch, 60)
         assert few == many == ["wide"]
+
+    @staticmethod
+    def signature_checks_by_a_plain_probe(monkeypatch, stored_drills):
+        cache = Cache()
+        texts = ["wide(X, Z) :- b2(X, Z)"]
+        # Drills pinned on either column, each to a constant the probe's
+        # query does not pin there.
+        for n in range(stored_drills):
+            texts.append([f"d{n}(Z) :- b2({n}, Z)", f"d{n}(X) :- b2(X, {n})"][n % 2])
+        for text in texts:
+            psj = make_psj(text)
+            cache.store(psj, Relation(result_schema(psj.name, psj.arity)))
+
+        checked = []
+        real = ContainmentProbe.rejection
+
+        def counting(self, signature):
+            checked.append(signature)
+            return real(self, signature)
+
+        monkeypatch.setattr(ContainmentProbe, "rejection", counting)
+        query = make_psj("q(X, Z) :- b2(X, Z), X >= 1000, X < 1001, Z = 2000")
+        matches = find_relevant(cache, query)
+        assert [m.element.definition.name for m in matches] == ["wide"]
+        return len(checked)
+
+    def test_signature_checks_do_not_grow_with_the_cache(self, monkeypatch):
+        # The plain path asks the pin index first: a drill pinned to another
+        # constant is never handed to the signature test at all.
+        few = self.signature_checks_by_a_plain_probe(monkeypatch, 6)
+        monkeypatch.undo()
+        many = self.signature_checks_by_a_plain_probe(monkeypatch, 60)
+        assert few == many == 1
 
 
 class TestFoldCount:

@@ -11,7 +11,7 @@ import pytest
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.common.metrics import Metrics
-from repro.core.cache import Cache
+from repro.core.cache import Cache, pin_anchor
 from repro.core.executor import ResultStream
 from repro.core.plan import BindingSpec, QueryPlan, RemotePart
 from repro.qa import (
@@ -125,6 +125,41 @@ class TestCacheInvariants:
         cache, _ = stored_cache()
         cache._by_predicate["ghost"] = {}
         with pytest.raises(InvariantViolation, match="empty"):
+            cache.check_invariants()
+
+    @staticmethod
+    def pinned_cache():
+        """One element the pin index files under ``r``'s first argument = 1."""
+        cache = Cache()
+        psj = psj_of(parse_query("e(Y) :- r(1, Y)"))
+        element = cache.store(psj, evaluate_psj(psj, DB.__getitem__))
+        slot, value = pin_anchor(element.signature)
+        assert cache._by_pin == {("r", slot): {value: {element.element_id: None}}}
+        cache.check_invariants()
+        return cache, element, slot, value
+
+    def test_stale_pin_bucket_entry(self):
+        cache, _, slot, value = self.pinned_cache()
+        cache._by_pin["r", slot][value]["E999"] = None
+        with pytest.raises(InvariantViolation, match="pin index"):
+            cache.check_invariants()
+
+    def test_element_missing_from_pin_index(self):
+        cache, _, slot, _ = self.pinned_cache()
+        del cache._by_pin["r", slot]
+        with pytest.raises(InvariantViolation, match="pin index"):
+            cache.check_invariants()
+
+    def test_empty_pin_bucket(self):
+        cache, _, _, _ = self.pinned_cache()
+        cache._unpinned["r"] = {}
+        with pytest.raises(InvariantViolation, match="pin index"):
+            cache.check_invariants()
+
+    def test_running_byte_total_off_by_one(self):
+        cache, _ = stored_cache()
+        cache._extension_bytes += 1
+        with pytest.raises(InvariantViolation, match="running byte total"):
             cache.check_invariants()
 
 
