@@ -34,6 +34,7 @@ from repro.common.metrics import (
     REMOTE_TUPLES,
     SERVER_SHARED_SUBPLANS,
 )
+from repro.core.cache_model import cache_report
 from repro.core.cms import CMSFeatures
 from repro.obs.export import fingerprint as canonical_fingerprint
 from repro.server import BraidServer, ServerConfig
@@ -116,7 +117,7 @@ def run_workload(cache_bytes: int, intermediates: bool, mqo: bool, serial: bool 
         "intermediate_stores": metrics.get(CACHE_INTERMEDIATE_STORES),
         "errors": errors,
         "answers": answers,
-        "cache_report": server.cache.report(),
+        "cache_report": cache_report(server.cache),
         "fingerprint": fingerprint(answers, metrics.get(REMOTE_TUPLES)),
     }
 

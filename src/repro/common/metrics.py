@@ -325,7 +325,8 @@ SERVER_SHARED_SUBPLANS = "server.shared_subplans"
 SERVER_QUEUE_DEPTH_HIGH_WATER = "server.queue_depth_high_water"
 SERVER_SESSION_INFLIGHT_HIGH_WATER = "server.session_inflight_high_water"
 #: Simulated derivation seconds cache reuse avoided re-paying (the
-#: efficacy ledger's aggregate; per-element shares in ``Cache.report()``).
+#: efficacy ledger's aggregate; per-element shares in
+#: :func:`repro.core.cache_model.cache_report`).
 CACHE_SAVED_SECONDS = "cache.saved_seconds"
 #: Sliding-window SLO transitions into breach (see :mod:`repro.obs.slo`).
 SLO_BREACHES = "slo.breaches"

@@ -12,17 +12,19 @@ in PSJ form) stored either as an extension or as a generator (Section 5.1).
 Elements may serve several named **uses** (Section 5.2's co-existing,
 alternative representations): each use may want different indexes, and the
 CMS decides whether one stored instance can serve them all.
+
+A CMS keeps one :class:`Cache`, with one ``(predicate name, cache element)``
+index (Section 5.3.2); the :class:`StaleArchive` beside it is a bounded FIFO.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.clock import SimClock
-from repro.common.errors import CacheCapacityError, CacheError
+from repro.common.errors import CacheCapacityError, CacheError, InvariantViolation
 from repro.common.metrics import (
     CACHE_EVICTIONS,
     CACHE_INTERMEDIATE_HITS,
@@ -34,7 +36,7 @@ from repro.common.metrics import (
 )
 from repro.relational.generator import GeneratorRelation
 from repro.relational.index import IndexSet
-from repro.relational.relation import Relation, rows_bytes
+from repro.relational.relation import Relation
 from repro.caql.implication import ContainmentSignature, PinSlot
 from repro.caql.psj import PSJQuery
 from repro.core.canonical import audit_canonical, canonical_key
@@ -120,10 +122,6 @@ class CacheElement:
         (frozen) definition itself, so it can never describe another one."""
         return ContainmentSignature.of(self.definition)
 
-    def redefine(self, definition: PSJQuery) -> None:
-        """Adopt an alpha-equivalent definition (same canonical key)."""
-        self.definition = definition
-
     @property
     def pinned(self) -> bool:
         """True while at least one in-flight use holds a pin."""
@@ -197,12 +195,39 @@ def pin_anchor(signature: ContainmentSignature) -> tuple[PinSlot, object] | None
     return None
 
 
-def _drop(index: dict, key: object, element_id: str) -> None:
-    """Take ``element_id`` out of bucket ``index[key]``; an emptied bucket
-    goes too."""
-    members = index[key]
-    del members[element_id]
-    if not members:
+def _buckets(by_pin: dict, unpinned: dict, element: CacheElement) -> list[dict[str, None]]:
+    """The buckets of the index ``(by_pin, unpinned)`` that ``element``
+    belongs in, one per predicate it mentions, created on demand."""
+    anchor = pin_anchor(element.signature)
+    preds = dict.fromkeys(element.definition.predicates())
+    if anchor is None:
+        return [unpinned.setdefault(pred, {}) for pred in preds]
+    slot, value = anchor
+    return [
+        by_pin.setdefault(pred, {}).setdefault(slot, {}).setdefault(value, {})
+        for pred in preds
+    ]
+
+
+def _in_order(level: object) -> object:
+    """A level of the index with every bucket (an id dict) as a list, so
+    that comparing two levels compares bucket order too."""
+    if not isinstance(level, dict) or not level:
+        return level
+    if next(iter(level.values())) is None:
+        return list(level)
+    return {key: _in_order(inner) for key, inner in level.items()}
+
+
+def _drop(index: dict, path: tuple, element_id: str) -> None:
+    """Take ``element_id`` out of the bucket at the end of ``path`` through
+    the nested ``index``; every level it empties goes too."""
+    key, *rest = path
+    if rest:
+        _drop(index[key], tuple(rest), element_id)
+    else:
+        del index[key][element_id]
+    if not index[key]:
         del index[key]
 
 
@@ -215,8 +240,9 @@ def key_of(definition: PSJQuery) -> tuple:
     foldable intervals (``x>5 ∧ x>3``), respelled constants (``1`` vs
     ``1.0``) — all index the same element and exact-canonical hits
     bypass subsumption scoring entirely.  ``PSJQuery.canonical_key()``
-    (the *structural* key) remains available for order-sensitive exact
-    matching (the exact-cache baseline uses it)."""
+    (the *structural*, order-sensitive key) is what the exact-cache
+    baseline keys by; its other caller is the planner's canonical-hit
+    test, which tells a variant spelling from the stored one."""
     return canonical_key(definition)
 
 
@@ -224,9 +250,10 @@ class Cache:
     """Bounded storage of cache elements with pluggable replacement.
 
     ``capacity_bytes`` bounds the summed size estimates of all elements;
-    eviction runs on insert.  The eviction scorer defaults to LRU and is
-    replaced by the Advice Manager with an advice-modified scorer when a
-    path expression is being tracked.
+    eviction runs on insert.  The eviction scorer is cost-based by default
+    and is replaced by the Advice Manager with an advice-modified scorer
+    when a path expression is being tracked.  Elements keep their efficacy
+    ledger; :mod:`repro.core.cache_model` renders it.
     """
 
     def __init__(
@@ -253,17 +280,12 @@ class Cache:
         #: Discarded-while-pinned elements: logically gone (no lookups),
         #: physically resident until the last pin is released.
         self._condemned: dict[str, CacheElement] = {}
-        #: Predicate index, element ids in insertion order.  An inner dict
-        #: (not a set) so iteration order is element-creation order — a set
-        #: here iterates in string-hash order, which is randomized per
-        #: process and leaks into planner tie-breaks among equal
-        #: subsumption matches (same seed, different bytes across runs).
-        self._by_predicate: dict[str, dict[str, None]] = {}
-        #: Pin index, in front of the containment signature: per predicate
-        #: an element mentions and its anchor slot (:func:`pin_anchor`),
-        #: pinned constant -> element ids in store order.  Buckets key by
-        #: ``==``: ``1``, ``1.0`` and ``True`` share one, ``"1"`` does not.
-        self._by_pin: dict[tuple[str, PinSlot], dict[object, dict[str, None]]] = {}
+        #: The predicate index, which is also the pin index in front of the
+        #: containment signature: predicate -> anchor slot (:func:`pin_anchor`)
+        #: -> pinned constant -> element ids in store order (dicts, not
+        #: sets: string-hash order would leak into planner tie-breaks).
+        #: Buckets key by ``==``: ``1``, ``1.0`` and ``True`` share one.
+        self._by_pin: dict[str, dict[PinSlot, dict[object, dict[str, None]]]] = {}
         #: Per predicate, the elements with no anchor, in store order.
         self._unpinned: dict[str, dict[str, None]] = {}
         self._by_key: dict[tuple, str] = {}
@@ -376,9 +398,7 @@ class Cache:
         self._elements[element.element_id] = element
         self._count_bytes(element, size)
         self._by_key[key] = element.element_id
-        for pred in dict.fromkeys(definition.predicates()):
-            self._by_predicate.setdefault(pred, {})[element.element_id] = None
-        for bucket in self._pin_buckets(element):
+        for bucket in _buckets(self._by_pin, self._unpinned, element):
             bucket[element.element_id] = None
         for parent_id in element.parents:
             self._children.setdefault(parent_id, {})[element.element_id] = None
@@ -399,12 +419,6 @@ class Cache:
             return
         self.epoch += 1
         self._by_key.pop(key_of(element.definition), None)
-        for pred in dict.fromkeys(element.definition.predicates()):
-            members = self._by_predicate.get(pred)
-            if members is not None:
-                members.pop(element_id, None)
-                if not members:
-                    del self._by_predicate[pred]
         self._unfile_pins(element)
         # Prune the derivation DAG: the element's own fan-out entry, and
         # its slot in each live parent's children list.  Children keep a
@@ -429,37 +443,22 @@ class Cache:
         self._uncount_bytes(element)
 
     # -- pin index ---------------------------------------------------------------
-    def _pin_buckets(self, element: CacheElement) -> list[dict[str, None]]:
-        """The buckets ``element`` belongs in, one per predicate it
-        mentions, created on demand."""
-        anchor = pin_anchor(element.signature)
-        preds = dict.fromkeys(element.definition.predicates())
-        if anchor is None:
-            return [self._unpinned.setdefault(pred, {}) for pred in preds]
-        slot, value = anchor
-        return [
-            self._by_pin.setdefault((pred, slot), {}).setdefault(value, {})
-            for pred in preds
-        ]
-
     def _unfile_pins(self, element: CacheElement) -> None:
         """Take ``element`` out of the pin index, dropping emptied levels."""
         anchor = pin_anchor(element.signature)
         for pred in dict.fromkeys(element.definition.predicates()):
             if anchor is None:
-                _drop(self._unpinned, pred, element.element_id)
-                continue
-            slot, value = anchor
-            _drop(self._by_pin[pred, slot], value, element.element_id)
-            if not self._by_pin[pred, slot]:
-                del self._by_pin[pred, slot]
+                _drop(self._unpinned, (pred,), element.element_id)
+            else:
+                _drop(self._by_pin, (pred, *anchor), element.element_id)
 
     def _redefine(self, element: CacheElement, definition: PSJQuery) -> None:
-        """:meth:`CacheElement.redefine`, re-anchoring the element: an
-        alpha-equivalent spelling may list its pins in another order."""
+        """Adopt an alpha-equivalent definition (same canonical key) and
+        re-anchor the element: the spelling may list its pins in another
+        order."""
         self._unfile_pins(element)
-        element.redefine(definition)
-        for bucket in self._pin_buckets(element):
+        element.definition = definition
+        for bucket in _buckets(self._by_pin, self._unpinned, element):
             bucket[element.element_id] = None
             if len(bucket) > 1:  # back into store order
                 ordered = sorted(bucket, key=lambda i: self._elements[i].epoch)
@@ -505,8 +504,6 @@ class Cache:
                     "cache full and every element is pinned or exempt"
                 )
             if victim.pinned or self._has_pinned_descendant(victim.element_id):
-                from repro.common.errors import InvariantViolation
-
                 raise InvariantViolation(
                     f"eviction chose {victim.element_id}, which is pinned "
                     "or has a pinned derivation descendant"
@@ -664,23 +661,26 @@ class Cache:
         """Step-1 candidate filter: elements whose definition mentions
         ``pred`` (the paper's ``(predicate name, cache element)`` index),
         in element-creation order (deterministic: planner tie-breaks among
-        equal subsumption matches depend on it).
+        equal subsumption matches depend on it) — every bucket of the
+        predicate, merged by store epoch.
 
         With ``pins`` — per slot, the constants a query pins there — only
         the elements the pin index cannot rule out, still in creation
         order: those anchored at a slot under a constant ``==`` one pinned
         there, and the unanchored ones.  A pin whose lookup raises
         ``TypeError`` (an unhashable constant) turns the filter off."""
-        if pins is None:
-            return [self._elements[i] for i in self._by_predicate.get(pred, ())]
+        slots = self._by_pin.get(pred, {})
         found = [self._unpinned.get(pred, {})]
-        try:
-            for slot, values in pins.items():
-                buckets = self._by_pin.get((pred, slot))
-                if buckets:
-                    found += [buckets[v] for v in values if v in buckets]
-        except TypeError:
-            return self.elements_for_predicate(pred)
+        if pins is None:
+            found += [bucket for buckets in slots.values() for bucket in buckets.values()]
+        else:
+            try:
+                for slot, values in pins.items():
+                    buckets = slots.get(slot)
+                    if buckets:
+                        found += [buckets[v] for v in values if v in buckets]
+            except TypeError:
+                return self.elements_for_predicate(pred)
         if len(found) == 1:
             return [self._elements[i] for i in found[0]]
         merged = {i: self._elements[i] for bucket in found for i in bucket}
@@ -722,69 +722,6 @@ class Cache:
         if self._generators.pop(element.element_id, None) is None:
             self._extension_bytes -= element.estimated_bytes()
 
-    # -- efficacy ledger -----------------------------------------------------------
-    def element_report(self, element: CacheElement) -> dict:
-        """One element's efficacy ledger entry (JSON-friendly)."""
-        now = self.clock.now
-        expected = element.advice_expected_reuse
-        observed = element.use_count > 0
-        return {
-            "element": element.element_id,
-            "view": element.view_name,
-            "kind": element.kind,
-            "operator": element.operator,
-            "parents": list(element.parents),
-            "depth": element.depth,
-            "bytes": element.estimated_bytes(),
-            "rows": element.rows_materialized(),
-            "hits": element.use_count,
-            "reuse_frequency": element.reuse_frequency,
-            "derivation_seconds": element.derivation_seconds,
-            "saved_seconds": element.saved_seconds,
-            "created_at": element.created_at,
-            "last_used_at": element.last_used_at,
-            "age_seconds": max(now - element.created_at, 0.0),
-            "idle_seconds": max(now - element.last_used_at, 0.0),
-            "advice_expected_reuse": expected,
-            "observed_reuse": observed,
-            "advice_agrees": None if expected is None else expected == observed,
-            "expendable": element.expendable,
-            "pinned": element.pinned,
-        }
-
-    def report(self) -> dict:
-        """The per-element efficacy ledger plus aggregate totals.
-
-        Deterministic: elements are ordered by numeric id.  This is the
-        measurement substrate cost-based replacement (value =
-        recomputation cost x reuse / bytes) and advice mining need — see
-        docs/observability.md.
-        """
-        entries = [
-            self.element_report(element)
-            for element in sorted(
-                self._elements.values(), key=lambda e: self._numeric_id(e.element_id)
-            )
-        ]
-        advised = [e for e in entries if e["advice_expected_reuse"] is not None]
-        return {
-            "elements": entries,
-            "totals": {
-                "elements": len(entries),
-                "bytes": sum(e["bytes"] for e in entries),
-                "hits": sum(e["hits"] for e in entries),
-                "derivation_seconds": sum(e["derivation_seconds"] for e in entries),
-                "saved_seconds": sum(e["saved_seconds"] for e in entries),
-                "evictions": self.eviction_count,
-                "advised": len(advised),
-                "advice_correct": sum(1 for e in advised if e["advice_agrees"]),
-                "intermediates": sum(
-                    1 for e in entries if e["kind"] == "intermediate"
-                ),
-                "max_depth": max((e["depth"] for e in entries), default=0),
-            },
-        }
-
     # -- invariants -----------------------------------------------------------------
     @staticmethod
     def _numeric_id(element_id: str) -> int:
@@ -800,19 +737,15 @@ class Cache:
 
         Raises :class:`~repro.common.errors.InvariantViolation` when any
         structural property the implementation must maintain is broken:
-        the definition-key bijection, the predicate index, the pin index
-        against a rebuild from scratch, refcount sanity, each element's
-        memoized size against a from-scratch recount, its stored rows
-        against set semantics and the schema arity, the
-        disjointness/reachability rules for the condemned set, and the
-        running byte total against a from-scratch sum.
+        the definition-key bijection, the predicate (pin) index against a
+        rebuild from scratch, refcount sanity, each stored relation's own
+        audit (set semantics, schema arity, its size memo against a
+        recount), the disjointness/reachability rules for the condemned
+        set, and the running byte total against a from-scratch sum.
         Called from tests and after every fuzzer query.
         """
-        from repro.common.errors import InvariantViolation
-
         if self.epoch < 0:
             raise InvariantViolation(f"cache epoch is negative: {self.epoch}")
-        live_keys: set[tuple] = set()
         for element_id, element in self._elements.items():
             if element.element_id != element_id:
                 raise InvariantViolation(
@@ -831,23 +764,11 @@ class Cache:
                 raise InvariantViolation(
                     f"{element_id} is live but flagged condemned"
                 )
-            # The size is memoized per row on the append-only contract of
-            # ``Relation``; an in-place row mutation would skew eviction
-            # silently, so recount from scratch (a recount is never
-            # negative, so neither is a size that equals it).  Iteration
-            # replays the produced rows before it pulls a new one, so
-            # stopping there keeps the audit read-only on a generator.
-            stored = element.relation
-            produced = itertools.islice(stored, stored.produced_count)
-            memoized, recount = element.estimated_bytes(), rows_bytes(produced) + 64
-            if memoized != recount:
-                raise InvariantViolation(
-                    f"{element_id}: memoized size {memoized} but its rows "
-                    f"recount to {recount} (rows mutated in place?)"
-                )
             # Selections and joins adopt their output unchecked (distinct by
-            # construction); recount it for intermediates no stream audits.
-            stored.check_invariants(element_id)
+            # construction), and a row mutated in place would skew eviction
+            # silently: the relation recounts both, for intermediates no
+            # stream audits too.
+            element.relation.check_invariants(element_id)
             if element.derivation_seconds < 0 or element.saved_seconds < 0:
                 raise InvariantViolation(
                     f"{element_id}: negative efficacy accounting "
@@ -888,30 +809,15 @@ class Cache:
             # key, or on the fold the subsumption probe reads), so the index
             # and the probe are checked against what the definition *means*.
             key = audit_canonical(element.definition)
-            live_keys.add(key)
             if self._by_key.get(key) != element_id:
                 raise InvariantViolation(
                     f"{element_id} is not reachable through its canonical key"
                 )
-            for pred in set(element.definition.predicates()):
-                if element_id not in self._by_predicate.get(pred, ()):
-                    raise InvariantViolation(
-                        f"{element_id} missing from predicate index for {pred!r}"
-                    )
         if len(self._by_key) != len(self._elements):
             raise InvariantViolation(
                 f"key index has {len(self._by_key)} entries for "
                 f"{len(self._elements)} elements"
             )
-        for pred, members in self._by_predicate.items():
-            if not members:
-                raise InvariantViolation(f"empty predicate-index bucket {pred!r}")
-            for element_id in members:
-                if element_id not in self._elements:
-                    raise InvariantViolation(
-                        f"predicate index for {pred!r} references retired "
-                        f"element {element_id}"
-                    )
         for parent_id, members in self._children.items():
             if parent_id not in self._elements:
                 raise InvariantViolation(
@@ -933,32 +839,20 @@ class Cache:
                         f"{child_id} listed under {parent_id} but does not "
                         "name it as a parent"
                     )
-        # The pin index against a rebuild from every live element's anchor,
+        # The one index against a rebuild from every live element's anchor,
         # bucket order included (``_elements`` iterates in store order): a
-        # stale, missing or misplaced entry, or an empty level, differs.
-        by_pin: dict[tuple[str, PinSlot], dict[object, list[str]]] = {}
-        unpinned: dict[str, list[str]] = {}
+        # stale, missing, retired or misplaced entry, or an empty level,
+        # differs.
+        rebuilt: tuple[dict, dict] = ({}, {})
         for element_id, element in self._elements.items():
-            anchor = pin_anchor(element.signature)
-            for pred in dict.fromkeys(element.definition.predicates()):
-                if anchor is None:
-                    unpinned.setdefault(pred, []).append(element_id)
-                else:
-                    slot, value = anchor
-                    by_pin.setdefault((pred, slot), {}).setdefault(value, []).append(
-                        element_id
-                    )
-        indexed_pins = {
-            key: {value: list(ids) for value, ids in buckets.items()}
-            for key, buckets in self._by_pin.items()
-        }
-        indexed_unpinned = {pred: list(ids) for pred, ids in self._unpinned.items()}
-        for indexed, rebuilt in ((indexed_pins, by_pin), (indexed_unpinned, unpinned)):
-            for key in {**indexed, **rebuilt}:
-                if indexed.get(key) != rebuilt.get(key):
+            for bucket in _buckets(*rebuilt, element):
+                bucket[element_id] = None
+        for indexed, fresh in zip((self._by_pin, self._unpinned), rebuilt):
+            for key in {**indexed, **fresh}:
+                if _in_order(indexed.get(key)) != _in_order(fresh.get(key)):
                     raise InvariantViolation(
                         f"pin index files {indexed.get(key)} under {key!r} but "
-                        f"the live elements' anchors give {rebuilt.get(key)}"
+                        f"the live elements' anchors give {fresh.get(key)}"
                     )
         for element_id, element in self._condemned.items():
             if element_id in self._elements:
@@ -985,7 +879,6 @@ class Cache:
         """Drop every element and index entry (pins notwithstanding)."""
         self._elements.clear()
         self._condemned.clear()
-        self._by_predicate.clear()
         self._by_pin.clear()
         self._unpinned.clear()
         self._by_key.clear()
@@ -1006,33 +899,55 @@ class StaleArchive:
     configurations — and answers are tagged degraded because their
     freshness is unknown.
 
-    Count-bounded FIFO: archived copies are cheap insurance, not a second
-    cache; no replacement advice applies to them.
+    Not a second cache: a count-bounded FIFO of elements by canonical key
+    (:func:`key_of`), with no byte accounting, pin index, lineage or
+    replacement advice.  Re-storing a key swaps in the fresher relation
+    but keeps the first definition and its place in line.  Subsumption
+    search asks it what it asks a cache: :meth:`elements_for_predicate`
+    and :meth:`get`.
     """
 
     def __init__(self):
-        # An unbounded-bytes Cache reuses key canonicalization and the
-        # predicate index, so subsumption search works on stale copies too.
-        self.cache = Cache(capacity_bytes=1 << 40)
-        self._order: deque[str] = deque()
+        self._elements: dict[tuple, CacheElement] = {}  # oldest first
+        self._ids = itertools.count(1)
 
     def store(self, definition: PSJQuery, relation: Relation) -> None:
         """Record (or refresh) the archived copy of one remote answer."""
-        before = len(self.cache)
-        element = self.cache.store(definition, relation)
-        if len(self.cache) > before:
-            self._order.append(element.element_id)
-            while len(self.cache) > ARCHIVE_ELEMENTS:
-                self.cache.discard(self._order.popleft())
-        else:
+        key = key_of(definition)
+        element = self._elements.get(key)
+        if element is not None:
             # Same definition seen again: keep the freshest copy.
-            self.cache._uncount_bytes(element)
             element.relation = relation
             element._indexes = None
-            self.cache._count_bytes(element, element.estimated_bytes())
+            return
+        self._elements[key] = CacheElement(f"E{next(self._ids)}", definition, relation)
+        while len(self._elements) > ARCHIVE_ELEMENTS:
+            del self._elements[next(iter(self._elements))]
 
     def __len__(self) -> int:
-        return len(self.cache)
+        return len(self._elements)
+
+    def get(self, element_id: str) -> CacheElement | None:
+        """The archived copy with this id, or None."""
+        return next((e for e in self._elements.values() if e.element_id == element_id), None)
+
+    def elements_for_predicate(self, pred: str, pins=None) -> list[CacheElement]:
+        """The copies whose definition mentions ``pred``, oldest first
+        (``pins`` is ignored: pruning is only an optimisation)."""
+        return [e for e in self._elements.values() if pred in e.definition.predicates()]
+
+    def check_invariants(self) -> None:
+        """Audit the bound, each copy's canonical key, and each relation."""
+        if len(self._elements) > ARCHIVE_ELEMENTS:
+            raise InvariantViolation(
+                f"stale archive holds {len(self._elements)} copies, bound is {ARCHIVE_ELEMENTS}"
+            )
+        for key, element in self._elements.items():
+            if audit_canonical(element.definition) != key:
+                raise InvariantViolation(
+                    f"archived {element.element_id} is not reachable through its canonical key"
+                )
+            element.relation.check_invariants(f"archived {element.element_id}")
 
     def find_full(self, query: PSJQuery, audit: bool = False):
         """A full subsumption match from the archive, or None.
@@ -1045,9 +960,9 @@ class StaleArchive:
         from repro.core.subsumption import audit_prefilter, find_relevant
 
         reports = [] if audit else None
-        matches = find_relevant(self.cache, query, reports)
+        matches = find_relevant(self, query, reports)
         if audit:
-            audit_prefilter(self.cache, query, reports)
+            audit_prefilter(self, query, reports)
         for match in matches:
             if match.is_full:
                 return match

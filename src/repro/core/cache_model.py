@@ -5,10 +5,10 @@ elements.  It is a relation of type (E_id_i, E_def_i, ....)".  Section 3:
 "the IE can access cache model information from the CMS" — so the model is
 exposed as an ordinary relation the IE (or anything else) can query.
 
-:func:`render_lineage` reads the other half of that meta-data back —
-:meth:`Cache.report`'s efficacy ledger, as the experiments write it to
-``benchmarks/results/E*.json`` — and draws its derivation forest
-(``python -m repro lineage``).
+The other half of that meta-data is the efficacy ledger every element
+keeps: :func:`cache_report` renders it, as the experiments write it to
+``benchmarks/results/E*.json``, and :func:`render_lineage` reads it back
+and draws its derivation forest (``python -m repro lineage``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import defaultdict
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.core.cache import Cache
+from repro.core.cache import Cache, CacheElement
 
 CACHE_MODEL_SCHEMA = Schema(
     "cache_model",
@@ -75,8 +75,68 @@ def cache_statistics(cache: Cache) -> dict[str, float]:
     }
 
 
+def element_report(cache: Cache, element: CacheElement) -> dict:
+    """One element's efficacy ledger entry (JSON-friendly)."""
+    now = cache.clock.now
+    expected = element.advice_expected_reuse
+    observed = element.use_count > 0
+    return {
+        "element": element.element_id,
+        "view": element.view_name,
+        "kind": element.kind,
+        "operator": element.operator,
+        "parents": list(element.parents),
+        "depth": element.depth,
+        "bytes": element.estimated_bytes(),
+        "rows": element.rows_materialized(),
+        "hits": element.use_count,
+        "reuse_frequency": element.reuse_frequency,
+        "derivation_seconds": element.derivation_seconds,
+        "saved_seconds": element.saved_seconds,
+        "created_at": element.created_at,
+        "last_used_at": element.last_used_at,
+        "age_seconds": max(now - element.created_at, 0.0),
+        "idle_seconds": max(now - element.last_used_at, 0.0),
+        "advice_expected_reuse": expected,
+        "observed_reuse": observed,
+        "advice_agrees": None if expected is None else expected == observed,
+        "expendable": element.expendable,
+        "pinned": element.pinned,
+    }
+
+
+def cache_report(cache: Cache) -> dict:
+    """The per-element efficacy ledger plus aggregate totals.
+
+    Deterministic: elements are ordered by store epoch, which is numeric
+    id order.  This is the measurement substrate cost-based replacement
+    (value = recomputation cost x reuse / bytes) and advice mining need —
+    see docs/observability.md.
+    """
+    entries = [
+        element_report(cache, element)
+        for element in sorted(cache.elements(), key=lambda e: e.epoch)
+    ]
+    advised = [e for e in entries if e["advice_expected_reuse"] is not None]
+    return {
+        "elements": entries,
+        "totals": {
+            "elements": len(entries),
+            "bytes": sum(e["bytes"] for e in entries),
+            "hits": sum(e["hits"] for e in entries),
+            "derivation_seconds": sum(e["derivation_seconds"] for e in entries),
+            "saved_seconds": sum(e["saved_seconds"] for e in entries),
+            "evictions": cache.eviction_count,
+            "advised": len(advised),
+            "advice_correct": sum(1 for e in advised if e["advice_agrees"]),
+            "intermediates": sum(1 for e in entries if e["kind"] == "intermediate"),
+            "max_depth": max((e["depth"] for e in entries), default=0),
+        },
+    }
+
+
 def render_lineage(text: str) -> str:
-    """Render a cache report (``Cache.report()`` as JSON) as a derivation
+    """Render a cache report (:func:`cache_report` as JSON) as a derivation
     forest: each element under its first live parent, annotated with kind,
     operator, rows, hits, and value inputs.
 

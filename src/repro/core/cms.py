@@ -429,14 +429,14 @@ class CacheManagementSystem:
         """Audit every auditable structure this CMS touches.
 
         Runs the ``check_invariants`` hooks of the cache, the stale
-        archive's inner cache (whose elements ``StaleArchive.store``
-        refreshes in place), the metrics ledger (from its root, so sibling
-        session scopes are covered too), and the last produced plan.  Cheap
-        enough to call after every query; the fuzzer does exactly that.
+        archive (whose copies ``StaleArchive.store`` refreshes in place),
+        the metrics ledger (from its root, so sibling session scopes are
+        covered too), and the last produced plan.  Cheap enough to call
+        after every query; the fuzzer does exactly that.
         """
         self.cache.check_invariants()
         if self._archive is not None:
-            self._archive.cache.check_invariants()
+            self._archive.check_invariants()
         root = self.metrics
         while root.parent is not None:
             root = root.parent

@@ -110,15 +110,15 @@ class ResultStream:
         """Audit the stream's internal consistency (cheap, read-only).
 
         Raises :class:`~repro.common.errors.InvariantViolation` when the
-        produced rows violate set semantics or the schema arity, or when a
-        drained generator still yields tuples (the drain-once contract:
-        after exhaustion the memo *is* the extension and iteration must
-        replay it exactly, producing nothing new).
+        produced rows violate set semantics, the schema arity or their
+        size memo, or when a drained generator still yields tuples (the
+        drain-once contract: after exhaustion the memo *is* the extension
+        and iteration must replay it exactly, producing nothing new).
         """
         from repro.common.errors import InvariantViolation
 
-        # Set semantics and arity are the audit of whatever holds the
-        # rows: extension or memo.
+        # Set semantics, arity and the size memo are the audit of whatever
+        # holds the rows: extension or memo.
         stored = self._relation
         stored.check_invariants(f"stream {self.name}")
         if self.lazy and stored.exhausted:

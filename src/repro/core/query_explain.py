@@ -27,6 +27,7 @@ from repro.caql.ast import (
     SetOfQuery,
 )
 from repro.caql.eval import core_plan
+from repro.core.cache_model import element_report
 from repro.core.subsumption import CandidateReport, explain_candidates
 
 
@@ -51,7 +52,7 @@ class PlanExplanation:
     candidates: tuple[CandidateReport, ...]
     #: Cache epoch the plan was computed against.
     epoch: int
-    #: Efficacy ledger rows (:meth:`~repro.core.cache.Cache.element_report`)
+    #: Efficacy ledger rows (:func:`~repro.core.cache_model.element_report`)
     #: for every cache element the plan would read, in plan-part order.
     element_efficacy: tuple[dict, ...] = ()
 
@@ -163,7 +164,7 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
         if element.element_id in seen_ids:
             continue
         seen_ids.add(element.element_id)
-        efficacy.append(cms.cache.element_report(element))
+        efficacy.append(element_report(cms.cache, element))
 
     return PlanExplanation(
         query_name=psj.name,

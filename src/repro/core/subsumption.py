@@ -12,8 +12,8 @@ range-condition implication engine:
 1. **Candidate filtering** through the ``(predicate name, cache element)``
    index, with one-directional matching: every occurrence in E's
    definition must map (injectively, same predicate and arity) onto an
-   occurrence of Q.  The index alone returns every element that mentions
-   a relation of Q, so the cache's pin index first drops the elements
+   occurrence of Q.  The index files each element under the constant it
+   is anchored to (its pin index), so the lookup first drops the elements
    anchored to a constant Q does not pin where they pin it, and each
    remaining candidate is held against its stored
    :class:`~repro.caql.implication.ContainmentSignature` — conditions
@@ -349,11 +349,12 @@ def _signature_reason(
 def find_relevant(
     cache: Cache, query: PSJQuery, reports: list[CandidateReport] | None = None
 ) -> list[SubsumptionMatch]:
-    """All subsumption matches from the cache for ``query``.
+    """All subsumption matches from the cache (or the stale archive, which
+    answers the same two lookups) for ``query``.
 
     This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
-    planner chooses among them.  Candidates come from the cache's predicate
-    index, narrowed by its pin index to the elements whose anchor pin
+    planner chooses among them.  Candidates come from the cache's one
+    per-predicate index, narrowed to the elements whose anchor pin
     (:func:`~repro.core.cache.pin_anchor`) the query's own pins could
     imply; each is then tested against its stored
     :class:`~repro.caql.implication.ContainmentSignature` — too few

@@ -25,7 +25,7 @@ class Relation:
     once), as do ``renamed()`` aliases and a growing
     :class:`~repro.relational.generator.GeneratorRelation` memo, which
     read a shared row list while it is appended to.
-    ``Cache.check_invariants`` recounts from scratch to catch a breach.
+    :meth:`check_invariants` recounts from scratch to catch a breach.
     """
 
     __slots__ = ("schema", "_rows", "_row_set", "_sized_rows", "_sized_bytes")
@@ -187,11 +187,12 @@ class Relation:
         return self._sized_bytes
 
     def check_invariants(self, label: str | None = None) -> None:
-        """Audit set semantics and arity (read-only, one pass over the rows).
+        """Audit set semantics, arity and the size memo.
 
         This is what holds :meth:`from_distinct_rows` adopters to their
         claim: raises :class:`~repro.common.errors.InvariantViolation` on a
-        duplicate row, a non-tuple row, or a row of the wrong arity.
+        duplicate row, a non-tuple row, a row of the wrong arity, or an
+        :meth:`estimated_bytes` that a recount of the rows disagrees with.
         """
         label = label or f"relation {self.schema.name}"
         if len(self._rows) != len(self._row_set):
@@ -207,6 +208,14 @@ class Relation:
                 raise InvariantViolation(
                     f"{label}: row {row!r} has arity {len(row)}, schema says {arity}"
                 )
+        # A row mutated in place breaks the append-only contract and would
+        # skew cache eviction silently.
+        memoized, recount = self.estimated_bytes(), rows_bytes(self._rows)
+        if memoized != recount:
+            raise InvariantViolation(
+                f"{label}: memoized size {memoized} but its rows recount to "
+                f"{recount} (rows mutated in place?)"
+            )
 
     def pretty(self, limit: int = 20) -> str:
         """A fixed-width text rendering (for examples and debugging)."""

@@ -1,5 +1,5 @@
 """The per-element cache-efficacy ledger: derivation cost, reuse credit,
-advice attribution, timestamps, and the report surfaces (``cache.report``
+advice attribution, timestamps, and the report surfaces (``cache_report``
 and ``cms.explain``)."""
 
 import pytest
@@ -9,6 +9,7 @@ from repro.common.metrics import CACHE_INTERMEDIATE_HITS, CACHE_SAVED_SECONDS, M
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.core.cache import Cache
+from repro.core.cache_model import cache_report, element_report
 from repro.core.cms import CacheManagementSystem
 from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
@@ -110,7 +111,7 @@ class TestReport:
         clock.advance(5.0)
         cache.read(element)
         clock.advance(1.0)
-        entry = cache.element_report(element)
+        entry = element_report(cache, element)
         assert entry["element"] == element.element_id
         assert entry["hits"] == 1
         assert entry["derivation_seconds"] == 0.2
@@ -127,7 +128,7 @@ class TestReport:
                 relation(f"q{index}", [(1, 2)]),
                 derivation_seconds=0.1,
             )
-        report = cache.report()
+        report = cache_report(cache)
         ids = [entry["element"] for entry in report["elements"]]
         assert ids == sorted(ids, key=lambda i: int(i.lstrip("E")))
         totals = report["totals"]

@@ -146,15 +146,15 @@ class TestSignatureFollowsDefinition:
         assert cache.elements_for_predicate("b1", pins) == [element, later]
 
     def test_a_definition_swapped_behind_the_signature_takes_its_own_along(self):
-        # The fault the audit used to catch — a definition replaced without
-        # redefine(), leaving a stale stored signature — cannot be built any
-        # more: the signature is read off whatever definition is there.
+        # The fault the audit used to catch — a definition replaced outside
+        # a promotion, leaving a stale stored signature — cannot be built
+        # any more: the signature is read off whatever definition is there.
         from repro.caql.implication import ContainmentSignature
 
         cache = Cache()
         element = store(cache, self.INTERMEDIATE, kind="intermediate")
         swapped = make_psj(self.VIEW)
-        element.definition = swapped  # not via redefine()
+        element.definition = swapped  # not via a promotion
         assert element.signature is ContainmentSignature.of(swapped)
         assert element.signature == ContainmentSignature.of(make_psj(self.VIEW))
         cache.check_invariants()
@@ -167,7 +167,7 @@ class TestSignatureFollowsDefinition:
         relation = Relation(result_schema("v", 2), [(3, 4)])
         element = cache.store(psj, relation)
         archive.store(psj, relation)
-        (archived,) = archive.cache.elements()
+        archived = archive.find_full(psj).element
         assert archived is not element
         assert archived.signature is element.signature
 

@@ -191,8 +191,10 @@ class TestTheAuditChecksTheCarriedFold:
     def test_a_redefined_element_is_checked_against_what_it_now_means(self):
         one, other = self.spellings()
         cache = Cache()
-        element = cache.store(one, Relation(result_schema(one.name, one.arity)))
-        element.redefine(other)
+        rows = Relation(result_schema(one.name, one.arity))
+        element = cache.store(one, rows, kind="intermediate")
+        assert cache.store(other, rows) is element  # promoted: redefined
+        assert element.definition is other
         cache.check_invariants()  # the adopted spelling carries its own fold
         vars(other)["_canonical"] = canonicalize(one)
         with pytest.raises(InvariantViolation, match="carried fold of d0"):

@@ -11,6 +11,7 @@ from repro.common.metrics import (
     REMOTE_TUPLES,
 )
 from repro.caql.parser import parse_query
+from repro.core.cache_model import cache_report
 from repro.core.cms import CacheManagementSystem, CMSFeatures
 from repro.remote.server import RemoteDBMS
 from repro.workloads.synthetic import retail_universe
@@ -64,7 +65,7 @@ class TestWidenedIntermediateServesTighterDrill:
 
     def test_widened_semijoin_intermediate_is_registered(self, warmed):
         assert warmed.metrics.get(CACHE_INTERMEDIATE_STORES) > 0
-        elements = warmed.cache.report()["elements"]
+        elements = cache_report(warmed.cache)["elements"]
         widened = [e for e in elements if e["operator"] == "semijoin-fetch"]
         assert widened, "the drill's reduced fetch was not registered"
         assert all(e["kind"] == "intermediate" for e in widened)

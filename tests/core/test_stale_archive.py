@@ -1,4 +1,5 @@
-"""Tests for the stale archive: eviction order, subsumption, degradation."""
+"""Tests for the stale archive: eviction order, subsumption, degradation,
+its audit, and that it is not a second cache."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.implication import ContainmentProbe
 from repro.core import cache as cache_module
-from repro.core.cache import StaleArchive
+from repro.core.cache import Cache, StaleArchive
 from repro.core.cms import CacheManagementSystem
 from repro.remote.faults import FaultPolicy
 from repro.remote.server import RemoteDBMS
@@ -132,7 +133,7 @@ class TestSubsumingMatch:
             make_psj("e(X, Z) :- c(Y, Z), b(X, Y), X >= 3"), make_relation("e", [(4, 2)])
         )
         assert len(archive) == 1
-        archive.cache.check_invariants()
+        archive.check_invariants()
         match = archive.find_full(make_psj("q(X, Z) :- b(X, Y), c(Y, Z), X >= 4"))
         assert match is not None
         assert match.element.relation.rows == [(4, 2)]
@@ -228,15 +229,66 @@ class TestDegradedInteraction:
         repeat = cms.query(parse_query("q2(I, V) :- item(I, cat0, V)"))
         repeat.fetch_all()
         assert not repeat.degraded
+
     def test_cms_audit_covers_the_archived_copies(self):
         # ``StaleArchive.store`` replaces an archived element's relation in
         # place, outside anything the live cache's audit sees.
         cms, _remote = self.make_cms()
-        cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
+        text = "q(I, V) :- item(I, cat0, V)"
+        cms.query(parse_query(text)).fetch_all()
         cms.check_invariants()
-        (archived,) = cms._archive.cache.elements()
+        archived = cms._archive.find_full(make_psj(text)).element
         rows = archived.relation._rows
         rows[0] = rows[0][:-1] + ("a value long enough to change the recount",)
         cms.cache.check_invariants()  # the live cache holds its own, intact rows
         with pytest.raises(InvariantViolation, match="rows mutated in place"):
             cms.check_invariants()
+
+
+class TestNotASecondCache:
+    """The archive is a FIFO of copies beside the cache: no ``Cache`` of its
+    own, so archiving an answer files no pin and sizes no row."""
+
+    def test_a_cms_constructs_exactly_one_cache(self, monkeypatch):
+        built = []
+        real_init = Cache.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cache, "__init__", counting)
+        cms = CacheManagementSystem(RemoteDBMS())
+        assert cms._archive is not None
+        assert built == [cms.cache]
+
+    def test_archiving_anchors_and_sizes_nothing(self, monkeypatch):
+        anchored, sized = [], []
+        real_anchor, real_size = cache_module.pin_anchor, Relation.estimated_bytes
+        monkeypatch.setattr(
+            cache_module, "pin_anchor", lambda s: anchored.append(s) or real_anchor(s)
+        )
+        monkeypatch.setattr(
+            Relation, "estimated_bytes", lambda self: sized.append(self) or real_size(self)
+        )
+        archive = StaleArchive()
+        for i in range(100):
+            archive.store(make_psj(f"d{i}(Y) :- b({i}, Y)"), make_relation(f"d{i}", [(i,)], 1))
+        assert anchored == [] and sized == []
+        assert len(archive) == cache_module.ARCHIVE_ELEMENTS
+
+    def test_audit_catches_a_copy_over_the_bound(self, monkeypatch):
+        archive = StaleArchive()
+        for i in range(3):
+            archive.store(archive_query(i), make_relation(f"d{i}", [(i, i)]))
+        archive.check_invariants()
+        monkeypatch.setattr(cache_module, "ARCHIVE_ELEMENTS", 2)
+        with pytest.raises(InvariantViolation, match="bound is 2"):
+            archive.check_invariants()
+
+    def test_audit_catches_a_copy_its_key_no_longer_reaches(self):
+        archive = StaleArchive()
+        archive.store(archive_query(0), make_relation("d0", [(0, 0)]))
+        archive.find_full(archive_query(0)).element.definition = archive_query(1)
+        with pytest.raises(InvariantViolation, match="canonical key"):
+            archive.check_invariants()

@@ -103,10 +103,14 @@ class TestCacheInvariants:
             next(rows)
             cache.check_invariants()
 
+    # The one per-predicate index: ``_unpinned`` (predicate -> ids) beside
+    # ``_by_pin`` (predicate -> anchor slot -> constant -> ids).  Each case
+    # corrupts it one way; the rebuild-and-compare must notice.
+
     def test_element_missing_from_predicate_index(self):
         cache, element = stored_cache()
-        cache._by_predicate["r"].pop(element.element_id, None)
-        with pytest.raises(InvariantViolation, match="predicate index"):
+        cache._unpinned["r"].pop(element.element_id)
+        with pytest.raises(InvariantViolation, match="pin index"):
             cache.check_invariants()
 
     def test_stray_key_index_entry(self):
@@ -117,14 +121,14 @@ class TestCacheInvariants:
 
     def test_predicate_bucket_referencing_retired_element(self):
         cache, _ = stored_cache()
-        cache._by_predicate["ghost"] = {"e999": None}
-        with pytest.raises(InvariantViolation, match="retired"):
+        cache._unpinned["r"]["E999"] = None
+        with pytest.raises(InvariantViolation, match="pin index"):
             cache.check_invariants()
 
     def test_empty_predicate_bucket(self):
         cache, _ = stored_cache()
-        cache._by_predicate["ghost"] = {}
-        with pytest.raises(InvariantViolation, match="empty"):
+        cache._by_pin["ghost"] = {}
+        with pytest.raises(InvariantViolation, match="pin index"):
             cache.check_invariants()
 
     @staticmethod
@@ -134,19 +138,20 @@ class TestCacheInvariants:
         psj = psj_of(parse_query("e(Y) :- r(1, Y)"))
         element = cache.store(psj, evaluate_psj(psj, DB.__getitem__))
         slot, value = pin_anchor(element.signature)
-        assert cache._by_pin == {("r", slot): {value: {element.element_id: None}}}
+        assert cache._by_pin == {"r": {slot: {value: {element.element_id: None}}}}
+        assert cache._unpinned == {}
         cache.check_invariants()
         return cache, element, slot, value
 
     def test_stale_pin_bucket_entry(self):
         cache, _, slot, value = self.pinned_cache()
-        cache._by_pin["r", slot][value]["E999"] = None
+        cache._by_pin["r"][slot][value]["E999"] = None
         with pytest.raises(InvariantViolation, match="pin index"):
             cache.check_invariants()
 
     def test_element_missing_from_pin_index(self):
         cache, _, slot, _ = self.pinned_cache()
-        del cache._by_pin["r", slot]
+        del cache._by_pin["r"][slot]
         with pytest.raises(InvariantViolation, match="pin index"):
             cache.check_invariants()
 

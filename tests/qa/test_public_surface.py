@@ -130,6 +130,19 @@ def test_the_executor_reads_and_registers_through_one_route_each():
     assert "isinstance(source" not in source
 
 
+def test_a_cache_is_built_only_where_a_cms_or_a_server_owns_one():
+    # The stale archive is a FIFO beside the cache, not a second ``Cache``.
+    builders = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Cache"
+    ]
+    assert builders == ["core/cms.py", "server/braid_server.py"]
+
+
 def _constructs_existence(path: Path) -> bool:
     """True when the module builds an existence row — a ``(True,)`` tuple —
     or an ``_exists_*`` column name (docstrings mention, they do not build)."""
