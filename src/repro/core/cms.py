@@ -87,6 +87,8 @@ logger = logging.getLogger("repro.cms")
 # The front door is in this module, not beside ``ResultStream``, because
 # ``core_plan`` has to be resolved here: this module's binding is the one
 # the wall benchmark's probe table patches to bill translation to ``caql``.
+# A re-asked query object's translation is kept inside ``core_plan``, so
+# the probe still bills that table lookup to ``caql``, hit or miss.
 def answer_caql(q: CAQLQuery, query, answer_conjunctive) -> ResultStream:
     """The one CAQL front door every bridge answers through.
 

@@ -39,11 +39,16 @@ class BuiltinRegistry:
 
     def __init__(self) -> None:
         self._table: dict[tuple[str, int], BuiltinFn] = {}
+        #: The registered signatures (read-only; :meth:`register` refreshes
+        #: it).  Which literals are built-in depends on nothing else, so
+        #: this is what a kept CAQL translation is checked against.
+        self.signatures: frozenset[tuple[str, int]] = frozenset()
         self._install_defaults()
 
     def register(self, pred: str, arity: int, fn: BuiltinFn) -> None:
         """Register (or replace) the evaluator for ``pred/arity``."""
         self._table[(pred, arity)] = fn
+        self.signatures = frozenset(self._table)
 
     def is_builtin(self, atom: Atom) -> bool:
         """True when an evaluator exists for the atom's signature."""

@@ -58,8 +58,10 @@ def count(monkeypatch, *sites):
 @pytest.fixture(autouse=True)
 def cold_memo():
     canonical.clear_cache()
+    eval_module.clear_translations()
     yield
     canonical.clear_cache()
+    eval_module.clear_translations()
 
 
 def psj(text: str) -> PSJQuery:
@@ -96,6 +98,58 @@ class TestWarmedExactHit:
         # The stored definition rendered its structural key on its first
         # hit; from then on only the fresh query renders one.
         assert renders.calls == 1
+
+
+class TestReaskedQueryObject:
+    """The IE re-asks one parsed object: ``core_plan`` keeps its translation
+    from the second ask on, so the PSJ and what it carries are reused."""
+
+    def test_ten_reasks_translate_once(self, monkeypatch):
+        remote = RemoteDBMS()
+        remote.load_table(
+            relation_from_columns("b0", a=[1, 2, 3, 4], b=[10, 20, 30, 40])
+        )
+        cms = CacheManagementSystem(remote)
+        cms.begin_session()
+        query = parse_query("d0(X, Y) :- b0(X, Y), X > 1, Y < 40")
+        first = cms.query(query).fetch_all()  # the miss that stores it
+
+        translations = count(
+            monkeypatch,
+            (eval_module, "psj_from_literals"),
+            (cms_module, "psj_from_literals"),
+        )
+        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        renders = count(monkeypatch, (psj_module, "_structural_key"))
+        for _ in range(10):
+            assert cms.query(query).fetch_all() == first
+            assert cms.last_plan.strategy == "exact"
+        # The first ask only recorded the object (a one-shot query keeps
+        # no PSJ alive); the second translated and kept it for the rest.
+        assert translations.calls == 1
+        assert lookups.calls <= 1
+        # The kept PSJ renders its key once, the stored element its own once.
+        assert renders.calls <= 2
+        assert core_plan(query, cms.builtins)[0] is core_plan(query, cms.builtins)[0]
+
+    def test_one_shot_queries_leave_at_most_the_bound(self):
+        registry = BuiltinRegistry()
+        bound = eval_module.TRANSLATION_BOUND
+        queries = [
+            parse_query(f"d{i}(X) :- b0(X, Y), Y > {i}") for i in range(2 * bound)
+        ]
+        for query in queries:
+            core_plan(query, registry)
+        table = eval_module._translations
+        assert len(table) <= bound
+        assert all(entry[2] is None for entry in table.values())
+        for query in queries:  # every one asked twice: the FIFO still holds
+            core_plan(query, registry)
+            core_plan(query, registry)
+        assert len(table) <= bound
+        assert table[id(queries[-1])][2] is not None
+        del queries, query  # the table holds its queries weakly
+        assert all(entry[0]() is None for entry in table.values())
 
 
 class TestReaskUnderFreshVariableNames:
