@@ -84,7 +84,3 @@ def test_parallel_is_never_slower(results, rows):
 def test_parallel_strictly_faster_when_local_work_matters(results):
     big = SIZES[-1]
     assert results[(True, big)]["query_time"] < results[(False, big)]["query_time"]
-
-
-def test_benchmark_parallel_hybrid(benchmark):
-    benchmark.pedantic(run_hybrid, args=(True, 2000), rounds=3, iterations=1)

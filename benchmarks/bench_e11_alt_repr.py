@@ -126,7 +126,3 @@ def test_index_supported_probes(results):
     assert results["index_builds"] >= 1
     # Far fewer local tuples than PROBES * ROWS scans would need.
     assert results["local_tuples"] < PROBES * ROWS / 5
-
-
-def test_benchmark_session(benchmark):
-    benchmark.pedantic(run_session, rounds=3, iterations=1)

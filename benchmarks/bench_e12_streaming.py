@@ -108,7 +108,3 @@ def test_whole_result_always_full_price(results):
 def test_full_consumption_costs_match(results):
     full = CONSUMED[-1]
     assert results[(True, full)]["shipped"] == results[(False, full)]["shipped"]
-
-
-def test_benchmark_pipelined_partial_read(benchmark):
-    benchmark.pedantic(run_consumption, args=(True, 256), rounds=5, iterations=1)

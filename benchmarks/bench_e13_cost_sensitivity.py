@@ -107,12 +107,3 @@ def test_request_counts_latency_independent(results):
     baseline = results[("cms", LATENCIES[0])]["remote_requests"]
     for latency in LATENCIES[1:]:
         assert results[("cms", latency)]["remote_requests"] == baseline
-
-
-def test_benchmark_wan_session(benchmark):
-    queries = stream()
-
-    def run():
-        return run_queries(make_bridge("cms", 0.3), queries)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)

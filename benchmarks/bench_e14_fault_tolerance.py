@@ -224,7 +224,3 @@ def test_tracing_does_not_change_faulted_outcomes(sweep, traced_faulted):
     assert traced_faulted["snapshot"] == baseline["snapshot"]
     assert traced_faulted["simulated_seconds"] == baseline["simulated_seconds"]
     assert traced_faulted["availability"] == baseline["availability"]
-
-
-def test_benchmark_faulted_session(benchmark):
-    benchmark.pedantic(lambda: run_session(0.2), rounds=3, iterations=1)

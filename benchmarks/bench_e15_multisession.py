@@ -264,7 +264,3 @@ def test_tracing_does_not_change_the_schedule(sweep, traced):
     assert traced["fingerprint"] == baseline["fingerprint"]
     assert traced["results"] == baseline["results"]
     assert traced["simulated_seconds"] == baseline["simulated_seconds"]
-
-
-def test_benchmark_shared_16_clients(benchmark):
-    benchmark.pedantic(lambda: run_shared(16), rounds=3, iterations=1)

@@ -246,7 +246,3 @@ def test_same_seed_runs_are_byte_identical(results, name):
     assert rerun["snapshot"] == first["snapshot"]
     assert rerun["fingerprint"] == first["fingerprint"]
     assert rerun["trace_jsonl"] == first["trace_jsonl"]
-
-
-def test_benchmark_semijoin_session(benchmark):
-    benchmark.pedantic(run_suppliers, args=(True,), rounds=3, iterations=1)

@@ -253,7 +253,3 @@ def test_same_seed_runs_are_byte_identical(results):
     assert rerun["snapshot"] == first["snapshot"]
     assert rerun["fingerprint"] == first["fingerprint"]
     assert rerun["trace_jsonl"] == first["trace_jsonl"]
-
-
-def test_benchmark_federated_session(benchmark):
-    benchmark.pedantic(run, args=("federated",), rounds=3, iterations=1)

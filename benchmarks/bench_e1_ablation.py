@@ -166,7 +166,3 @@ def test_caching_is_a_top_lever(results):
     top_two = sorted(deltas.values())[-2:]
     assert deltas["no-caching"] in top_two
     assert results["no-caching"]["requests"] == results["all-off"]["requests"]
-
-
-def test_benchmark_all_on(benchmark):
-    benchmark.pedantic(run_configuration, args=({},), rounds=3, iterations=1)

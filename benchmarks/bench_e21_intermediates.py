@@ -296,10 +296,3 @@ class TestE21Intermediates:
                 "cache_report": steady_intermediates["cache_report"],
             },
         )
-
-    def test_benchmark_steady_intermediates(self, benchmark):
-        benchmark.pedantic(
-            lambda: run_workload(STEADY_BYTES, intermediates=True, mqo=False),
-            rounds=1,
-            iterations=1,
-        )

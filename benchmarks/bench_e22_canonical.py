@@ -214,8 +214,3 @@ class TestE22Canonical:
                 },
             },
         )
-
-    def test_benchmark_canonical_stream(self, benchmark):
-        benchmark.pedantic(
-            lambda: run_stream(CMSFeatures()), rounds=1, iterations=1
-        )

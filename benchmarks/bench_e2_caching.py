@@ -105,12 +105,3 @@ def test_cms_matches_exact_cache_on_pure_repetition(results):
     cms = results[("cms", 0.9)]["remote_requests"]
     exact = results[("exact", 0.9)]["remote_requests"]
     assert abs(cms - exact) <= 3
-
-
-def test_benchmark_cms_session(benchmark):
-    queries = stream(0.6)
-
-    def run():
-        return run_queries(make_bridge("cms"), queries)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)

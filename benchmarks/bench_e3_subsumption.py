@@ -118,12 +118,3 @@ def test_subsumed_hits_grow_with_containment(results):
 def test_relation_buffer_ships_whole_relation_once(results):
     r = results[("relation-buffer", 0.0)]
     assert r["tuples_shipped"] == 400  # the whole item relation, once
-
-
-def test_benchmark_subsumption_session(benchmark):
-    queries = stream(0.8)
-
-    def run():
-        return run_queries(make_bridge("cms"), queries)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)

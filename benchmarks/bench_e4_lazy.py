@@ -107,10 +107,3 @@ def test_full_drain_costs_match(results):
     lazy = results[("lazy", None)]
     eager = results[("eager", None)]
     assert lazy["pulled"] == eager["pulled"]
-
-
-def test_benchmark_lazy_first_solution(benchmark):
-    def run():
-        return run_consumption(True, 1)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)

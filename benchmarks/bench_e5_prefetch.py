@@ -108,7 +108,3 @@ def test_later_queries_are_free_with_prefetch(results):
 
 def test_total_requests_not_increased(results):
     assert results["prefetch"]["total_requests"] <= results["no-prefetch"]["total_requests"]
-
-
-def test_benchmark_prefetch_session(benchmark):
-    benchmark.pedantic(run_session, args=(True,), rounds=3, iterations=1)

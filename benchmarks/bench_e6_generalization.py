@@ -122,7 +122,3 @@ def test_crossover(results):
     # Many lookups: generalization needs fewer requests and wins on time.
     assert results[(True, 12)]["requests"] < results[(False, 12)]["requests"]
     assert results[(True, 12)]["time"] < results[(False, 12)]["time"]
-
-
-def test_benchmark_generalized_lookups(benchmark):
-    benchmark.pedantic(run_lookups, args=(True, 12), rounds=3, iterations=1)

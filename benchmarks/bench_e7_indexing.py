@@ -6,7 +6,7 @@ indexing" — repeated bound-argument lookups against a cached view then
 become index probes instead of scans.
 
 Workload: a generalized element answering many per-constant lookups;
-compare indexing on/off on simulated time and on wall-clock time.
+compare indexing on/off on simulated time.
 
 Expected shape: identical answers and remote costs; the indexed
 configuration does less local work per lookup, and the advantage grows
@@ -118,10 +118,3 @@ def test_advantage_grows_with_size(results):
 def test_same_remote_cost(results):
     for rows in SIZES:
         assert results[(True, rows)]["requests"] == results[(False, rows)]["requests"]
-
-
-@pytest.mark.parametrize("indexing", [True, False], ids=["indexed", "scan"])
-def test_benchmark_lookup_wallclock(benchmark, indexing):
-    benchmark.pedantic(
-        run_lookups, args=(indexing, 4000), rounds=3, iterations=1
-    )

@@ -132,7 +132,3 @@ def test_advised_saves_time(results):
 def test_pressure_actually_exists(results):
     for r in results.values():
         assert r["evictions"] > 0
-
-
-def test_benchmark_advised_session(benchmark):
-    benchmark.pedantic(run_session, args=(True,), rounds=3, iterations=1)

@@ -107,10 +107,3 @@ def test_no_strategy_dominates_everywhere(results):
     assert wins("conjunction", "compiled", "first", "shipped") or wins(
         "interpreted", "compiled", "first", "shipped"
     )
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_benchmark_strategy(benchmark, strategy):
-    benchmark.pedantic(
-        run, args=(strategy, "parent_of_minor(X)", True), rounds=3, iterations=1
-    )

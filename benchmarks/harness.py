@@ -1,30 +1,22 @@
 """Shared helpers for the experiment benchmarks.
 
 Each ``bench_e*.py`` module reproduces one experiment from DESIGN.md's
-per-experiment index.  Experiments report two kinds of numbers:
-
-* **simulated metrics** (remote requests, tuples shipped, simulated
-  response time) — the deterministic quantities the paper's cost model is
-  about; these are asserted on ("who wins") and written to
-  ``benchmarks/results/<experiment>.txt``;
-* **wall-clock timings** via pytest-benchmark — the usual
-  micro-benchmarking of the implementation itself.
+per-experiment index.  Experiments report **simulated metrics** (remote
+requests, tuples shipped, simulated response time): the deterministic
+quantities the paper's cost model is about.  They are asserted on ("who
+wins") and written to ``benchmarks/results/<experiment>.txt`` and
+``.json``, byte-identical across same-seed runs, so the committed copies
+pin them.  Wall-clock cost is measured by ``benchmarks/wall`` alone.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 from repro.caql.ast import CAQLQuery
 from repro.obs.export import canonical_json
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-SUMMARY_PATH = RESULTS_DIR / "BENCH_summary.json"
-
-#: ``BENCH_summary.json`` schema: 1 = bare ``{"experiments": ...}``,
-#: 2 adds this version field (and E20's telemetry artifacts exist).
-SCHEMA_VERSION = 2
 
 
 def run_queries(bridge, queries: list[CAQLQuery], advice=None) -> dict[str, float]:
@@ -81,9 +73,7 @@ def record(
 
     ``data`` is the machine-readable form of the same results: it is
     written by :func:`repro.obs.export.canonical_json` (byte-identical
-    across same-seed runs) to ``results/<experiment>.json`` and rolled up
-    into ``results/BENCH_summary.json`` so the regression gate can read
-    every experiment without parsing the fixed-width tables.
+    across same-seed runs) to ``results/<experiment>.json``.
 
     ``telemetry`` is an attached :class:`repro.obs.MetricsSampler` (or its
     JSONL text); when given, the series lands canonically at
@@ -98,25 +88,10 @@ def record(
     if data is not None:
         document = {"experiment": experiment, "title": title, "results": data}
         (RESULTS_DIR / f"{experiment}.json").write_text(canonical_json(document) + "\n")
-        _update_summary()
     if telemetry is not None:
         series = telemetry if isinstance(telemetry, str) else telemetry.to_jsonl()
         (RESULTS_DIR / f"{experiment}.telemetry.jsonl").write_text(series)
     print(f"\n{body}")
-
-
-def _update_summary() -> None:
-    """Rebuild ``BENCH_summary.json`` from every per-experiment JSON file."""
-    experiments = {}
-    for path in sorted(RESULTS_DIR.glob("E*.json")):
-        try:
-            experiments[path.stem] = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            continue  # a half-written or foreign file must not sink the rollup
-    SUMMARY_PATH.write_text(
-        canonical_json({"experiments": experiments, "schema_version": SCHEMA_VERSION})
-        + "\n"
-    )
 
 
 def record_trace(experiment: str, trace_jsonl: str) -> pathlib.Path:

@@ -7,19 +7,17 @@ Usage::
     PYTHONPATH=src python -m repro metrics benchmarks/results/E20.telemetry.jsonl
     PYTHONPATH=src python -m repro lineage benchmarks/results/E21.json
     PYTHONPATH=src python -m repro profile --top 5 benchmarks/results/E19.trace.jsonl
-    PYTHONPATH=src python -m repro regress [--json] [--write-baseline]
     PYTHONPATH=src python -m repro fuzz --profile federated --cases 75 --check-determinism
     PYTHONPATH=src python -m repro fuzz --replay .qa-repros/repro-c17.json
 
 Argument parsing and dispatch only: each artifact format is read and
 rendered by the module that writes it (:mod:`repro.obs.export` for traces,
 :mod:`repro.obs.telemetry` for telemetry series,
-:mod:`repro.core.cache_model` for cache reports, :mod:`repro.obs.regress`
-for the baseline, :mod:`repro.qa` for fuzz reports and repro files).
+:mod:`repro.core.cache_model` for cache reports, :mod:`repro.qa` for fuzz
+reports and repro files).
 
-Exit status: 0 on success; 1 when ``regress`` finds a regression or
-``fuzz`` a failing case; 2 on a usage error or an input file that cannot
-be read or parsed.
+Exit status: 0 on success; 1 when ``fuzz`` finds a failing case; 2 on a
+usage error or an input file that cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -27,14 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pathlib
 import sys
 import time
 
 from repro.core.cache_model import render_lineage
 from repro.obs.export import render_trace
 from repro.obs.profile import profile_trace
-from repro.obs.regress import compare, dump_baseline, make_baseline
 from repro.obs.telemetry import render_series
 from repro.qa import (
     CaseConfig,
@@ -45,8 +41,6 @@ from repro.qa import (
     shrink,
     write_repro,
 )
-
-RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 PROFILES = {
     "healthy": CaseConfig,
@@ -112,26 +106,6 @@ def _profile(args) -> int:
     else:
         print(profile.render(top=args.top, per_query=not args.no_queries))
     return 0
-
-
-def _regress(args) -> int:
-    summary = _load(args.summary, json.loads)
-    if args.write_baseline:
-        baseline = make_baseline(summary, default_tolerance=args.default_tolerance)
-        args.baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.baseline.write_text(dump_baseline(baseline), encoding="utf-8")
-        print(
-            f"baseline written: {args.baseline} "
-            f"({len(baseline['experiments'])} experiments)"
-        )
-        return 0
-    baseline = _load(args.baseline, json.loads)
-    report = compare(baseline, summary, default_tolerance=args.default_tolerance)
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
 
 
 def _replay(path: str) -> int:
@@ -253,31 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-queries", action="store_true", help="omit the per-query phase breakdowns"
     )
     profile.set_defaults(run=_profile)
-
-    regress = commands.add_parser(
-        "regress", help="diff a fresh benchmark summary against the committed baseline"
-    )
-    regress.add_argument(
-        "--summary", type=pathlib.Path, default=RESULTS / "BENCH_summary.json",
-        help="fresh BENCH_summary.json (default: the checkout's benchmarks/results/)",
-    )
-    regress.add_argument(
-        "--baseline", type=pathlib.Path, default=RESULTS / "BASELINE.json",
-        help="committed baseline (default: the checkout's benchmarks/results/)",
-    )
-    regress.add_argument(
-        "--default-tolerance", type=float, default=0.0, metavar="FRAC",
-        help="relative tolerance applied to metrics without an override "
-        "(default 0: simulated numbers must match exactly)",
-    )
-    regress.add_argument(
-        "--json", action="store_true", help="emit the verdict as JSON instead of text"
-    )
-    regress.add_argument(
-        "--write-baseline", action="store_true",
-        help="freeze the current summary into the baseline file and exit",
-    )
-    regress.set_defaults(run=_regress)
 
     fuzz = commands.add_parser(
         "fuzz", help="differential fuzzing against the oracle hierarchy"

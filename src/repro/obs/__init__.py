@@ -13,8 +13,6 @@
   attributing each query's simulated time to phases.
 * :mod:`repro.obs.slo` — sliding-window p50/p99 SLO monitors with
   edge-triggered breach events.
-* :mod:`repro.obs.regress` — the benchmark regression gate comparing a
-  fresh ``BENCH_summary.json`` against a committed baseline.
 """
 
 from repro.obs.export import (
@@ -22,7 +20,6 @@ from repro.obs.export import (
     trace_fingerprint,
 )
 from repro.obs.profile import PHASES, QueryProfile, TraceProfile, profile_trace
-from repro.obs.regress import RegressionReport, compare, make_baseline
 from repro.obs.slo import SLOMonitor, SLOPolicy
 from repro.obs.telemetry import (
     MetricsSampler,
@@ -36,7 +33,6 @@ __all__ = [
     "MetricsSampler",
     "PHASES",
     "QueryProfile",
-    "RegressionReport",
     "SLOMonitor",
     "SLOPolicy",
     "Span",
@@ -44,11 +40,9 @@ __all__ = [
     "TelemetrySample",
     "TraceProfile",
     "Tracer",
-    "compare",
     "dump_series",
     "jsonl_trace",
     "load_series",
-    "make_baseline",
     "profile_trace",
     "trace_fingerprint",
 ]

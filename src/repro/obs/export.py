@@ -1,8 +1,8 @@
 """Canonical JSON, and the span-trace JSONL format: writer, reader, renderer.
 
 Every fingerprinted artifact — traces, telemetry series, experiment
-results, the regression baseline, fuzz reports and repro files — is
-written by :func:`canonical_json`: sorted keys, fixed separators, no
+results, fuzz reports and repro files — is written by
+:func:`canonical_json`: sorted keys, fixed separators, no
 ``NaN``/``Infinity``, and nothing derived from wall time or object
 identity.  Two same-seed runs therefore export byte-identical artifacts,
 and :func:`fingerprint` / :func:`trace_fingerprint` (SHA-256 over that

@@ -37,8 +37,6 @@ PARITY = {
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "78116f1e26aa2ddea9d76de3d54734d0a253c0ecb71f85045cc8b5a18224b98c",
     ("profile", f"{RESULTS}/E20.trace.jsonl"): "6d738a7d77d975eac7785d229544aad71d35f7576c4d6f1b18fcb884a2f68c38",
     ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "9dfbd15cd0ab337ced2c511d584a41efe4c4375b6826266086cb5ccd0e7221cb",
-    ("regress",): "5fcb84336835543da5c912abb0f9fbaec15d179306352a352784a5019b728eb8",
-    ("regress", "--json"): "a5fd966cf0d4b0e9ee3e7ae76c0d82851836fa93c91052277f584808e3437295",
 }
 
 
@@ -56,17 +54,6 @@ def test_output_matches_the_recorded_digest(argv, capsys, monkeypatch):
 
 
 class TestExitCodes:
-    def test_a_perturbed_summary_fails_the_gate(self, capsys, tmp_path):
-        summary = json.loads((ROOT / RESULTS / "BENCH_summary.json").read_text())
-        rows = summary["experiments"]["E1"]["results"]["rows"]
-        column = next(i for i, cell in enumerate(rows[0]) if isinstance(cell, (int, float)))
-        rows[0][column] += 1
-        path = tmp_path / "summary.json"
-        path.write_text(json.dumps(summary))
-        status, out = run(capsys, "regress", "--summary", str(path))
-        assert status == 1
-        assert out.rstrip().endswith("FAIL")
-
     @pytest.mark.parametrize("command", ["trace", "metrics", "lineage", "profile"])
     def test_a_missing_file_exits_2(self, command, capsys):
         assert main([command, "/nonexistent/artifact.jsonl"]) == 2
@@ -79,10 +66,9 @@ class TestExitCodes:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_a_malformed_summary_or_repro_exits_2(self, tmp_path):
+    def test_a_malformed_repro_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        assert main(["regress", "--summary", str(path)]) == 2
         assert main(["fuzz", "--replay", str(path)]) == 2
         assert main(["fuzz", "--replay", str(tmp_path / "missing.json")]) == 2
 

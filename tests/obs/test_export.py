@@ -1,10 +1,21 @@
-"""Trace exporters: canonical JSONL, fingerprints, Chrome trace format."""
+"""Trace exporters: canonical JSONL, fingerprints, Chrome trace format;
+and the committed E-series artifacts they write."""
 
 import hashlib
 import json
+import pathlib
+import re
+
+import pytest
 
 from repro.common.clock import SimClock
 from repro.obs import Tracer, jsonl_trace, trace_fingerprint
+from repro.obs.export import canonical_json
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+RESULT_FILES = sorted(RESULTS.glob("E*.json"))
+#: What one experiment may write: its table, its data, a trace, a telemetry series.
+ARTIFACT = re.compile(r"E\d+\.(txt|json|trace\.jsonl|telemetry\.jsonl)")
 
 
 def sample_tracer() -> Tracer:
@@ -79,3 +90,40 @@ class TestFingerprint:
         other = sample_tracer()
         other.spans[0].set("extra", True)
         assert trace_fingerprint(tracer) != trace_fingerprint(other)
+
+
+def _names(node):
+    """Every dict key and table header in a result document."""
+    if isinstance(node, dict):
+        yield from node
+        yield from node.get("headers", [])
+        for value in node.values():
+            yield from _names(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _names(item)
+
+
+class TestCommittedResults:
+    """The committed ``benchmarks/results`` are the E-series' only pin: a
+    clean-slate regeneration must reproduce them byte for byte, so each
+    must be a canonical, deterministic, per-experiment artifact."""
+
+    def test_the_results_are_there(self):
+        assert len(RESULT_FILES) >= 20
+
+    @pytest.mark.parametrize("path", RESULT_FILES, ids=lambda path: path.name)
+    def test_result_is_canonical_json(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_json(json.loads(text)) + "\n"
+
+    @pytest.mark.parametrize("path", RESULT_FILES, ids=lambda path: path.name)
+    def test_no_result_names_a_wall_clock_quantity(self, path):
+        names = set(_names(json.loads(path.read_text(encoding="utf-8"))))
+        assert not {name for name in names if "wall" in str(name).lower()}
+
+    def test_the_directory_holds_only_experiment_artifacts(self):
+        strays = sorted(
+            path.name for path in RESULTS.iterdir() if not ARTIFACT.fullmatch(path.name)
+        )
+        assert strays == []
