@@ -33,12 +33,12 @@ class BaselineInterface:
     #: Human-readable baseline name (also used in experiment reports).
     name = "baseline"
 
-    def __init__(self, remote: RemoteDBMS, builtins: BuiltinRegistry | None = None):
+    def __init__(self, remote: RemoteDBMS):
         self.remote = remote
         self.clock: SimClock = remote.clock
         self.metrics: Metrics = remote.metrics
         self.profile: CostProfile = remote.profile
-        self.builtins = builtins if builtins is not None else BuiltinRegistry()
+        self.builtins = BuiltinRegistry()
         self.rdi = RemoteInterface(remote)
 
     # -- session protocol (advice is accepted and ignored) -------------------------

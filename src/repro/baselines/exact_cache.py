@@ -25,8 +25,8 @@ class ExactMatchCache(BaselineInterface):
 
     name = "exact-match-cache"
 
-    def __init__(self, remote, capacity_bytes: int = 4_000_000, **kwargs):
-        super().__init__(remote, **kwargs)
+    def __init__(self, remote, capacity_bytes: int = 4_000_000):
+        super().__init__(remote)
         self.capacity_bytes = capacity_bytes
         self._results: OrderedDict[tuple, Relation] = OrderedDict()
 

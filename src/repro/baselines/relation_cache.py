@@ -30,8 +30,8 @@ class SingleRelationBuffer(BaselineInterface):
 
     name = "single-relation-buffer"
 
-    def __init__(self, remote, capacity_bytes: int = 8_000_000, **kwargs):
-        super().__init__(remote, **kwargs)
+    def __init__(self, remote, capacity_bytes: int = 8_000_000):
+        super().__init__(remote)
         self.capacity_bytes = capacity_bytes
         self._buffers: OrderedDict[str, Relation] = OrderedDict()
 

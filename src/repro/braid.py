@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import CostProfile, SimClock
+from repro.common.clock import SimClock
 from repro.common.errors import BraidError
 from repro.common.metrics import Metrics
 from repro.obs.tracer import Tracer
 from repro.logic.kb import KnowledgeBase
 from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
-from repro.remote.sqlite_backend import SqliteEngine
 from repro.baselines.exact_cache import ExactMatchCache
 from repro.baselines.loose import LooseCoupling
 from repro.baselines.relation_cache import SingleRelationBuffer
-from repro.core.cms import CacheManagementSystem, CMSFeatures
+from repro.core.cms import CacheManagementSystem
 from repro.ie.engine import InferenceEngine, Solutions
 from repro.server.braid_server import BraidServer, ServerConfig
 from repro.workloads.workload import Workload
@@ -37,13 +36,8 @@ class BraidConfig:
 
     strategy: str = "conjunction"
     bridge: str = "cms"
-    backend: str = "pure"  # or "sqlite"
     cache_capacity_bytes: int = 4_000_000
-    features: CMSFeatures | None = None
-    profile: CostProfile | None = None
     generate_advice: bool = True
-    use_statistics: bool = True
-    max_depth: int = 64
     #: Collect a full span trace of every query's lifecycle (IE step →
     #: CAQL query → plan → execution → remote link).  Off by default.
     tracing: bool = False
@@ -64,17 +58,8 @@ class BraidSystem:
         self.tracer = (
             Tracer(self.clock) if self.config.tracing else Tracer.disabled()
         )
-        profile = self.config.profile if self.config.profile is not None else CostProfile()
-
-        engine = SqliteEngine() if self.config.backend == "sqlite" else None
-        if self.config.backend not in ("pure", "sqlite"):
-            raise BraidError(f"unknown backend {self.config.backend!r}")
         self.remote = RemoteDBMS(
-            engine=engine,
-            clock=self.clock,
-            profile=profile,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            clock=self.clock, metrics=self.metrics, tracer=self.tracer
         )
         for table in tables:
             self.remote.load_table(table)
@@ -91,8 +76,6 @@ class BraidSystem:
             self.bridge,
             strategy=self.config.strategy,
             generate_advice=self.config.generate_advice,
-            use_statistics=self.config.use_statistics,
-            max_depth=self.config.max_depth,
         )
 
     def _build_bridge(self):
@@ -100,8 +83,7 @@ class BraidSystem:
         if bridge == "cms":
             self.server = BraidServer(
                 config=ServerConfig(
-                    cache_capacity_bytes=self.config.cache_capacity_bytes,
-                    features=self.config.features,
+                    cache_capacity_bytes=self.config.cache_capacity_bytes
                 ),
                 remote=self.remote,
                 # The IE consumes streams lazily and may abandon them, so

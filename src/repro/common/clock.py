@@ -15,7 +15,7 @@ by the maximum, not the sum, of the track durations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -46,6 +46,12 @@ class CostProfile:
     index_build_per_tuple: float = 0.015e-3
     #: Cost charged by the IE for one inference step (resolution attempt).
     inference_step: float = 0.005e-3
+
+    def __post_init__(self) -> None:
+        for unit in fields(self):
+            cost = getattr(self, unit.name)
+            if cost < 0:
+                raise ValueError(f"{unit.name} must be non-negative, got {cost}")
 
     def scaled(self, factor: float) -> "CostProfile":
         """Return a copy with every unit cost multiplied by ``factor``."""

@@ -194,7 +194,6 @@ class CacheManagementSystem:
         remote: RemoteDBMS,
         capacity_bytes: int = 4_000_000,
         features: CMSFeatures | None = None,
-        builtins: BuiltinRegistry | None = None,
         cache: Cache | None = None,
         metrics: Metrics | None = None,
         pin_streams: bool = False,
@@ -216,7 +215,7 @@ class CacheManagementSystem:
         self.metrics: Metrics = metrics if metrics is not None else remote.metrics
         self.profile: CostProfile = remote.profile
         self.features = features if features is not None else CMSFeatures()
-        self.builtins = builtins if builtins is not None else BuiltinRegistry()
+        self.builtins = BuiltinRegistry()
 
         #: ``cache`` may be shared between several CMS instances (the
         #: multi-session server's whole point); each instance still owns

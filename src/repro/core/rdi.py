@@ -40,7 +40,7 @@ from repro.common.metrics import (
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
-from repro.remote.faults import CircuitBreaker, RetryPolicy
+from repro.remote.faults import BACKOFF_SEED, CircuitBreaker, RetryPolicy, backoff
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import DMLRequest
 from repro.caql.psj import PSJQuery
@@ -103,7 +103,7 @@ class RemoteInterface:
         self._schema_cache: dict[str, Schema] = {}
         self._statistics_cache: dict[str, RelationStatistics] = {}
         self._retry = retry if retry is not None else RetryPolicy()
-        self._rng = random.Random(self._retry.seed)
+        self._rng = random.Random(BACKOFF_SEED)
         #: The server's tracer, so remote round trips nest in caller spans.
         self.tracer = server.tracer
         self._breaker = CircuitBreaker(
@@ -316,7 +316,7 @@ class RemoteInterface:
             if attempt >= policy.max_retries or not breaker.allow():
                 break
             metrics.incr(REMOTE_RETRIES)
-            wait = policy.backoff(attempt, self._rng)
+            wait = backoff(attempt, self._rng)
             tracer.event("rdi.retry", attempt=attempt + 1, backoff_seconds=wait)
             network.charge_backoff(wait)
         assert last is not None

@@ -3,8 +3,9 @@
 One call wires the whole multi-backend remote layer:
 
 * one :class:`~repro.remote.server.RemoteDBMS` per spec — its own engine
-  (pure-Python or sqlite), its own :class:`~repro.common.clock.CostProfile`,
-  its own fault policy, all sharing one :class:`SimClock` and one tracer,
+  (pure-Python or sqlite) and its own :class:`~repro.common.clock.CostProfile`,
+  all sharing one :class:`SimClock` and one tracer (a backend's fault
+  policy is installed afterwards, :meth:`Federation.set_backend_faults`),
 * per-backend metrics scopes under one root ledger, so ``remote.*``
   counters aggregate at the root while each backend's share stays
   readable under ``metrics.scopes()[name]``,
@@ -53,8 +54,6 @@ class BackendSpec:
     profile: CostProfile | None = None
     #: Per-backend retry budget (None = the RDI default policy).
     retry: RetryPolicy | None = None
-    #: Initial fault policy (None = healthy).
-    faults: FaultPolicy | None = None
 
 
 class Federation:
@@ -100,14 +99,7 @@ class Federation:
             self.catalog.backend(name).set_fault_policy(faults)
 
     # -- clients ----------------------------------------------------------------
-    def cms(
-        self,
-        capacity_bytes: int = 4_000_000,
-        features=None,
-        builtins=None,
-        cache=None,
-        pin_streams: bool = False,
-    ):
+    def cms(self, capacity_bytes: int = 4_000_000, features=None):
         """A CMS over this federation: the federated interface is injected
         as the RDI, and the planner costs and splits remote parts per
         backend."""
@@ -117,43 +109,32 @@ class Federation:
             self,
             capacity_bytes=capacity_bytes,
             features=features,
-            builtins=builtins,
-            cache=cache,
             metrics=self.metrics,
-            pin_streams=pin_streams,
             tracer=self.tracer,
             rdi=self.interface,
             backend_of=self.interface.cost_profile_of,
         )
 
-    def naive(self, builtins=None) -> NaiveFederation:
+    def naive(self) -> NaiveFederation:
         """The naive per-backend loose-coupling baseline over the *same*
         backends and links (shared clock/metrics/breakers: measures marginal
         cost only; for a clean comparison build a second federation from the
         same specs)."""
-        return NaiveFederation(self, builtins=builtins)
+        return NaiveFederation(self)
 
 
 def build_federation(
     specs: Sequence[BackendSpec],
     clock: SimClock | None = None,
-    metrics: Metrics | None = None,
     tracer=None,
-    profile: CostProfile | None = None,
-    slo_policy=None,
 ) -> Federation:
-    """Wire up servers, catalog, and interface from backend specs.
-
-    ``slo_policy`` (an :class:`~repro.obs.slo.SLOPolicy`) attaches a
-    per-backend latency SLO monitor to the interface: every backend round
-    trip's simulated latency feeds a sliding window keyed by backend name.
-    """
+    """Wire up servers, catalog, and interface from backend specs."""
     if not specs:
         raise ValueError("a federation needs at least one backend spec")
     clock = clock if clock is not None else SimClock()
-    metrics = metrics if metrics is not None else Metrics()
+    metrics = Metrics()
     tracer = tracer if tracer is not None else Tracer.disabled()
-    profile = profile if profile is not None else CostProfile()
+    profile = CostProfile()
     catalog = FederatedCatalog()
     retries: dict[str, RetryPolicy] = {}
     for spec in specs:
@@ -170,7 +151,6 @@ def build_federation(
             clock=clock,
             profile=spec.profile if spec.profile is not None else profile,
             metrics=metrics.scope(spec.name),
-            faults=spec.faults,
             tracer=tracer,
             name=spec.name,
         )
@@ -182,16 +162,7 @@ def build_federation(
         catalog.register(spec.name, server)
         if spec.retry is not None:
             retries[spec.name] = spec.retry
-    slo = None
-    if slo_policy is not None:
-        from repro.obs.slo import SLOMonitor
-
-        slo = SLOMonitor(slo_policy, clock, metrics, tracer)
     interface = FederatedInterface(
-        catalog,
-        retries=retries,
-        metrics=metrics,
-        tracer=tracer,
-        slo=slo,
+        catalog, retries=retries, metrics=metrics, tracer=tracer
     )
     return Federation(catalog, interface, clock, metrics, tracer, profile)

@@ -38,7 +38,6 @@ class FederatedInterface:
         retries: dict[str, RetryPolicy] | None = None,
         metrics: Metrics | None = None,
         tracer=None,
-        slo=None,
     ):
         backends = catalog.backends()
         if not backends:
@@ -53,11 +52,6 @@ class FederatedInterface:
         #: The aggregate ledger ("remote.*" totals across backends); each
         #: backend server records into its own child scope of this.
         self.metrics: Metrics = metrics if metrics is not None else first.metrics
-        #: Optional per-backend latency SLO monitor
-        #: (:class:`~repro.obs.slo.SLOMonitor`); observed latencies are
-        #: simulated-clock deltas around each backend round trip, so a
-        #: fetch issued inside a frozen ``parallel()`` region observes 0.
-        self.slo = slo
         retries = retries or {}
         #: One resilient link per backend: its own retry budget, its own
         #: breaker (tagged with the backend name in traces).
@@ -106,16 +100,6 @@ class FederatedInterface:
         """Announce that ``view`` goes to ``backend`` (``rdi.route``)."""
         self.tracer.event("rdi.route", view=view, backend=backend, tables=tables)
 
-    def _round_trip(self, backend: str, call):
-        """One round trip ``call(link)`` over ``backend``'s link, its
-        simulated latency fed to the SLO monitor (a no-op without one;
-        never advances the clock).  A failing call propagates unobserved."""
-        started = self.clock.now
-        result = call(self.links[backend])
-        if self.slo is not None:
-            self.slo.observe(backend, self.clock.now - started)
-        return result
-
     # -- contract: execution ----------------------------------------------------
     def fetch(
         self,
@@ -125,9 +109,7 @@ class FederatedInterface:
         """Fetch ``psj`` from the backend that owns its base relations."""
         backend = self._backend_for(psj)
         self._route(backend, psj.name, _tables(psj))
-        return self._round_trip(
-            backend, lambda link: link.fetch(psj, bindings=bindings)
-        )
+        return self.links[backend].fetch(psj, bindings=bindings)
 
     def fetch_many(self, psjs: list[PSJQuery]) -> list[Relation]:
         """Batched fetch: the queries of one backend share its one round
@@ -144,7 +126,7 @@ class FederatedInterface:
             wanted = [psjs[i] for i in indexes]
             for psj in wanted:
                 self._route(backend, psj.name, _tables(psj))
-            batch = self._round_trip(backend, lambda link: link.fetch_many(wanted))
+            batch = self.links[backend].fetch_many(wanted)
             for index, relation in zip(indexes, batch):
                 results[index] = relation
         return [results[index] for index in range(len(psjs))]
@@ -155,9 +137,7 @@ class FederatedInterface:
             raise UnknownRelationError(table)
         backend = self.catalog.home_of(table)
         self._route(backend, table, [table])
-        return self._round_trip(
-            backend, lambda link: link.fetch_base_relation(table)
-        )
+        return self.links[backend].fetch_base_relation(table)
 
     def fetch_partial(self, psj: PSJQuery) -> Relation | None:
         """:meth:`fetch` for a degraded answer: the rows, or ``None`` when

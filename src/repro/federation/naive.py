@@ -25,12 +25,12 @@ class NaiveFederation(BaselineInterface):
 
     name = "naive-federation"
 
-    def __init__(self, federation, builtins: BuiltinRegistry | None = None):
+    def __init__(self, federation):
         self.remote = None  # no single server behind a federation
         self.clock = federation.clock
         self.metrics = federation.metrics
         self.profile = federation.profile
-        self.builtins = builtins if builtins is not None else BuiltinRegistry()
+        self.builtins = BuiltinRegistry()
         self.rdi = federation.interface
 
     def _answer_psj(self, psj: PSJQuery) -> Relation:

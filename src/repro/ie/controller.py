@@ -42,6 +42,11 @@ from repro.ie.shaper import shape
 from repro.ie.view_specifier import SpecifierConfig, SpecifierResult, specify_views
 
 
+#: Deepest OR-node recursion inference (and answer justification) may
+#: reach before it reports unbounded recursion.
+MAX_DEPTH = 64
+
+
 class DepthFirstController:
     """Depth-first, chronological-backtracking inference over a graph."""
 
@@ -51,7 +56,6 @@ class DepthFirstController:
         cms: CacheManagementSystem,
         views: SpecifierResult,
         config: SpecifierConfig,
-        max_depth: int = 64,
         use_statistics: bool = False,
     ):
         self.kb = kb
@@ -61,7 +65,6 @@ class DepthFirstController:
         self.clock = cms.clock
         self.profile = cms.profile
         self.metrics = cms.metrics
-        self.max_depth = max_depth
         self.use_statistics = use_statistics
         from repro.obs.tracer import Tracer
 
@@ -83,9 +86,9 @@ class DepthFirstController:
 
     # -- OR nodes ----------------------------------------------------------------------
     def _solve_or(self, node: OrNode, subst: Substitution, depth: int) -> Iterator[Substitution]:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             raise InferenceError(
-                f"depth limit {self.max_depth} exceeded at {node.goal} — "
+                f"depth limit {MAX_DEPTH} exceeded at {node.goal} — "
                 "recursive data may need the compiled strategy"
             )
         self._step()

@@ -88,7 +88,6 @@ class InferenceEngine:
         strategy: str = "conjunction",
         generate_advice: bool = True,
         use_statistics: bool = True,
-        max_depth: int = 64,
     ):
         if strategy not in STRATEGIES:
             raise InferenceError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
@@ -97,7 +96,6 @@ class InferenceEngine:
         self.strategy = strategy
         self.generate_advice = generate_advice
         self.use_statistics = use_statistics
-        self.max_depth = max_depth
         #: The last session's artifacts, for inspection and tests.
         self.last_graph: OrNode | None = None
         self.last_advice = None
@@ -139,7 +137,7 @@ class InferenceEngine:
         from repro.ie.explain import Explainer
 
         goal = parse_atom(query) if isinstance(query, str) else query
-        explainer = Explainer(self.kb, self.cms, max_depth=self.max_depth)
+        explainer = Explainer(self.kb, self.cms)
         if solution is None:
             return explainer.explain(goal)
         return explainer.explain_solution(goal, solution)
@@ -165,7 +163,6 @@ class InferenceEngine:
                 self.cms,
                 views,
                 config,
-                max_depth=self.max_depth,
                 use_statistics=self.use_statistics,
             )
         # The span covers session setup; solutions are pulled lazily, so

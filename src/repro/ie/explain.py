@@ -23,6 +23,7 @@ from repro.logic.kb import KnowledgeBase
 from repro.logic.terms import Atom, Const, Substitution, Var, rename_apart
 from repro.logic.unify import unify
 from repro.caql.ast import ConjunctiveQuery
+from repro.ie.controller import MAX_DEPTH
 
 #: Proof node kinds.
 RULE = "rule"
@@ -83,10 +84,9 @@ class Explainer:
     justified by exhaustive failure.
     """
 
-    def __init__(self, kb: KnowledgeBase, cms, max_depth: int = 64):
+    def __init__(self, kb: KnowledgeBase, cms):
         self.kb = kb
         self.cms = cms
-        self.max_depth = max_depth
 
     # -- public API -----------------------------------------------------------------
     def explain(self, goal: Atom, bindings: Substitution | None = None) -> Proof | None:
@@ -111,7 +111,7 @@ class Explainer:
     def _prove(
         self, goal: Atom, subst: Substitution, depth: int
     ) -> Iterator[tuple[Substitution, Proof]]:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             raise InferenceError(f"explanation depth limit exceeded at {goal}")
         goal = subst.apply(goal)
 

@@ -1,6 +1,6 @@
 """Logic substrate: terms, unification, parsing, knowledge bases, SOAs."""
 
-from repro.logic.builtins import DEFAULT_BUILTINS, BuiltinRegistry
+from repro.logic.builtins import BuiltinRegistry
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import (
     Clause,
@@ -31,7 +31,6 @@ __all__ = [
     "BuiltinRegistry",
     "Clause",
     "Const",
-    "DEFAULT_BUILTINS",
     "EMPTY_SUBSTITUTION",
     "FunctionalDependency",
     "KnowledgeBase",

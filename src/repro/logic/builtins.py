@@ -166,7 +166,3 @@ def _eval_abs(atom: Atom, subst: Substitution) -> Iterator[Substitution]:
     elif target.value == value:
         yield subst
 
-
-#: Shared default registry; knowledge bases copy it so local registrations
-#: never leak between independent systems.
-DEFAULT_BUILTINS = BuiltinRegistry()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.common.errors import KnowledgeBaseError
-from repro.logic.builtins import DEFAULT_BUILTINS, BuiltinRegistry
+from repro.logic.builtins import BuiltinRegistry
 from repro.logic.parser import Clause, parse_program
 from repro.logic.soa import (
     FunctionalDependency,
@@ -39,7 +39,9 @@ Signature = tuple[str, int]
 class KnowledgeBase:
     """Rules, local facts, second-order assertions, and predicate classes."""
 
-    builtins: BuiltinRegistry = field(default_factory=lambda: DEFAULT_BUILTINS)
+    #: This knowledge base's own registry: a predicate registered here is
+    #: a built-in of this knowledge base only.
+    builtins: BuiltinRegistry = field(default_factory=BuiltinRegistry, init=False)
     soas: SOARegistry = field(default_factory=SOARegistry)
     _clauses: dict[Signature, list[Clause]] = field(default_factory=lambda: defaultdict(list))
     _database: set[Signature] = field(default_factory=set)

@@ -11,7 +11,7 @@
   metrics ledger (counter deltas, gauges, histogram percentiles).
 * :mod:`repro.obs.profile` — trace-driven critical-path profiler
   attributing each query's simulated time to phases.
-* :mod:`repro.obs.slo` — sliding-window p50/p99 SLO monitors with
+* :mod:`repro.obs.slo` — sliding-window p99 SLO monitors with
   edge-triggered breach events.
 """
 

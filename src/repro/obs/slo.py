@@ -1,18 +1,17 @@
 """Sliding-window SLO monitors over simulated latencies.
 
 An :class:`SLOMonitor` watches per-scope latency streams (one scope per
-server session, one per federated backend) against an :class:`SLOPolicy`
-(p50/p99 targets).  Windowing is deterministic: observations are stamped
-with simulated time, and a window keeps exactly the observations with
-``t > now - window_seconds`` — same seed, same evictions, same
-percentiles.
+server session) against an :class:`SLOPolicy` (a p99 target).  Windowing
+is deterministic: observations are stamped with simulated time, and a
+window keeps exactly the observations with ``t > now - window_seconds`` —
+same seed, same evictions, same percentiles.
 
-Breaches are **edge-triggered**: when a watched percentile first exceeds
-its target the monitor emits one ``slo.breach`` trace event and bumps the
+Breaches are **edge-triggered**: when the p99 first exceeds its target
+the monitor emits one ``slo.breach`` trace event and bumps the
 :data:`~repro.common.metrics.SLO_BREACHES` counter; while the scope stays
-in breach nothing further is emitted, and recovery (the percentile
-dropping back under target with enough samples) emits ``slo.recovered``
-and re-arms the trigger.  Percentiles reuse the ledger's nearest-rank
+in breach nothing further is emitted, and recovery (the p99 dropping back
+under target with enough samples) emits ``slo.recovered`` and re-arms the
+trigger.  Percentiles reuse the ledger's nearest-rank
 :class:`~repro.common.metrics.Histogram`, so an SLO evaluation and a
 histogram summary can never disagree about what "p99" means.
 
@@ -30,10 +29,9 @@ from repro.common.metrics import SLO_BREACHES, Histogram, Metrics
 
 @dataclass(frozen=True)
 class SLOPolicy:
-    """Latency objectives for one monitor (None disables a percentile)."""
+    """The latency objective of one monitor: a p99 target."""
 
-    p50_seconds: float | None = None
-    p99_seconds: float | None = None
+    p99_seconds: float
     #: Sliding window length in simulated seconds.
     window_seconds: float = 60.0
     #: Percentiles are not evaluated until a window holds this many
@@ -45,15 +43,6 @@ class SLOPolicy:
             raise ValueError("SLO window must be positive")
         if self.min_samples < 1:
             raise ValueError("SLO min_samples must be at least 1")
-
-    def targets(self) -> list[tuple[int, float]]:
-        """The watched (percentile, target) pairs, in percentile order."""
-        out: list[tuple[int, float]] = []
-        if self.p50_seconds is not None:
-            out.append((50, self.p50_seconds))
-        if self.p99_seconds is not None:
-            out.append((99, self.p99_seconds))
-        return out
 
 
 class _Window:
@@ -98,8 +87,8 @@ class SLOMonitor:
             tracer = Tracer.disabled()
         self.tracer = tracer
         self._windows: dict[str, _Window] = {}
-        #: Armed/breached state per (scope, percentile).
-        self._breached: dict[tuple[str, int], bool] = {}
+        #: Armed/breached state per scope.
+        self._breached: dict[str, bool] = {}
         self.breach_count = 0
 
     # -- observation --------------------------------------------------------------
@@ -116,51 +105,39 @@ class SLOMonitor:
     def _evaluate(self, scope: str, window: _Window, now: float) -> None:
         if len(window.entries) < self.policy.min_samples:
             return
-        histogram = window.histogram()
-        for percentile, target in self.policy.targets():
-            value = histogram.percentile(percentile)
-            key = (scope, percentile)
-            breached = value > target
-            was = self._breached.get(key, False)
-            if breached and not was:
-                self._breached[key] = True
-                self.breach_count += 1
-                self.metrics.incr(SLO_BREACHES)
-                self.tracer.event(
-                    "slo.breach",
-                    scope=scope,
-                    percentile=percentile,
-                    value=value,
-                    target=target,
-                    samples=len(window.entries),
-                )
-            elif was and not breached:
-                self._breached[key] = False
-                self.tracer.event(
-                    "slo.recovered",
-                    scope=scope,
-                    percentile=percentile,
-                    value=value,
-                    target=target,
-                    samples=len(window.entries),
-                )
+        value = window.histogram().percentile(99)
+        target = self.policy.p99_seconds
+        breached = value > target
+        was = self.in_breach(scope)
+        if breached == was:
+            return
+        self._breached[scope] = breached
+        if breached:
+            self.breach_count += 1
+            self.metrics.incr(SLO_BREACHES)
+        self.tracer.event(
+            "slo.breach" if breached else "slo.recovered",
+            scope=scope,
+            percentile=99,
+            value=value,
+            target=target,
+            samples=len(window.entries),
+        )
 
     # -- reporting ----------------------------------------------------------------
-    def in_breach(self, scope: str, percentile: int) -> bool:
-        """True while the scope's percentile sits above its target."""
-        return self._breached.get((scope, percentile), False)
+    def in_breach(self, scope: str) -> bool:
+        """True while the scope's p99 sits above its target."""
+        return self._breached.get(scope, False)
 
     def report(self) -> dict[str, dict[str, float]]:
         """Current per-scope window statistics (deterministic order)."""
         out: dict[str, dict[str, float]] = {}
         for scope in sorted(self._windows):
             histogram = self._windows[scope].histogram()
-            entry: dict[str, float] = {
+            out[scope] = {
                 "samples": histogram.count,
                 "p50": histogram.percentile(50),
                 "p99": histogram.percentile(99),
+                "breach_p99": self.in_breach(scope),
             }
-            for percentile, _target in self.policy.targets():
-                entry[f"breach_p{percentile}"] = self.in_breach(scope, percentile)
-            out[scope] = entry
         return out

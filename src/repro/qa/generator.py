@@ -37,6 +37,20 @@ from repro.obs.export import fingerprint
 #: Column type tags used in serialized cases.
 COLUMN_TYPES = ("int", "str", "float")
 
+#: Tables per case, columns per table and rows per table (inclusive ranges).
+TABLES = (2, 4)
+ARITY = (2, 3)
+ROWS = (4, 20)
+#: Value pool sizes per column type: ints ``0..9``, strings ``v0..v6``,
+#: floats ``0.5..7.5``.
+INT_DOMAIN = 10
+STR_DOMAIN = 7
+FLOAT_DOMAIN = 8
+#: Probability a case carries session advice at all.
+ADVICE_RATE = 0.6
+#: Given advice, probability it includes a path expression.
+PATH_RATE = 0.5
+
 
 def encode_value(value) -> list:
     """A JSON-safe, type-preserving rendering of one column value.
@@ -56,22 +70,13 @@ def encode_rows(rows) -> list:
 
 @dataclass
 class CaseConfig:
-    """Size and shape knobs for generated cases (all ranges inclusive)."""
+    """The knobs the fuzz profiles vary (all ranges inclusive); the fixed
+    shape of a case is the module constants above."""
 
-    tables: tuple[int, int] = (2, 4)
-    rows: tuple[int, int] = (4, 20)
-    arity: tuple[int, int] = (2, 3)
     #: Query templates per case (each one a named "view" the sequence
     #: re-instantiates, so exact hits and subsumption chains occur).
     views: tuple[int, int] = (2, 4)
     queries: tuple[int, int] = (4, 10)
-    int_domain: int = 10
-    str_domain: int = 7
-    float_domain: int = 8
-    #: Probability a case carries session advice at all.
-    advice_rate: float = 0.6
-    #: Given advice, probability it includes a path expression.
-    path_rate: float = 0.5
     #: Probability a table gets a full-scan template (cache fodder that
     #: later join queries can partially match — the hybrid-plan driver).
     scan_rate: float = 0.4
@@ -409,19 +414,19 @@ class CaseGenerator:
         """Case number ``index`` (depends only on seed, config, and index)."""
         rng = random.Random(self.seed * 1_000_003 + index)
         cfg = self.config
-        tables = self._gen_tables(rng, cfg)
+        tables = self._gen_tables(rng)
         templates = self._gen_templates(rng, cfg, tables)
         queries = self._gen_sequence(rng, cfg, templates)
         advice_views: list[str] = []
         annotations: list[str] = []
         path_views: list[str] = []
-        if templates and rng.random() < cfg.advice_rate:
+        if templates and rng.random() < ADVICE_RATE:
             for template in templates:
                 advice_views.append(template["general"])
                 annotations.append(
                     "".join(rng.choice("^?.") for _ in range(template["arity"]))
                 )
-            if rng.random() < cfg.path_rate:
+            if rng.random() < PATH_RATE:
                 path_views = [t["name"] for t in templates]
         fault = None
         fault_onset = 0
@@ -462,13 +467,13 @@ class CaseGenerator:
         return [self.generate(start + i) for i in range(count)]
 
     # -- values ------------------------------------------------------------------------
-    def _pool(self, kind: str) -> list:
-        cfg = self.config
+    @staticmethod
+    def _pool(kind: str) -> list:
         if kind == "int":
-            return list(range(cfg.int_domain))
+            return list(range(INT_DOMAIN))
         if kind == "str":
-            return [f"v{k}" for k in range(cfg.str_domain)]
-        return [k + 0.5 for k in range(cfg.float_domain)]
+            return [f"v{k}" for k in range(STR_DOMAIN)]
+        return [k + 0.5 for k in range(FLOAT_DOMAIN)]
 
     @staticmethod
     def _render(value) -> str:
@@ -476,14 +481,14 @@ class CaseGenerator:
         return value if isinstance(value, str) else repr(value)
 
     # -- tables ------------------------------------------------------------------------
-    def _gen_tables(self, rng: random.Random, cfg: CaseConfig) -> list[dict]:
-        count = rng.randint(*cfg.tables)
+    def _gen_tables(self, rng: random.Random) -> list[dict]:
+        count = rng.randint(*TABLES)
         tables = []
         for i in range(count):
-            arity = rng.randint(*cfg.arity)
+            arity = rng.randint(*ARITY)
             columns = [rng.choice(COLUMN_TYPES) for _ in range(arity)]
             pools = [self._pool(kind) for kind in columns]
-            n_rows = rng.randint(*cfg.rows)
+            n_rows = rng.randint(*ROWS)
             seen = set()
             rows = []
             for _ in range(n_rows):
@@ -510,9 +515,7 @@ class CaseGenerator:
         attempts = 0
         while len(templates) < count and attempts < count * 4:
             attempts += 1
-            template = self._gen_template(
-                rng, cfg, tables, f"d{len(templates)}"
-            )
+            template = self._gen_template(rng, tables, f"d{len(templates)}")
             if template is not None:
                 templates.append(template)
         return templates
@@ -529,7 +532,7 @@ class CaseGenerator:
         }
 
     def _gen_template(
-        self, rng: random.Random, cfg: CaseConfig, tables: list[dict], name: str
+        self, rng: random.Random, tables: list[dict], name: str
     ) -> dict | None:
         """One named query shape: fixed body, plus typed "holes" whose
         constants are re-drawn at every instantiation (the repetition is

@@ -11,9 +11,10 @@ those behaviours first-class and *deterministic*:
 * :class:`FaultInjector` — draws one decision per remote request from a
   private ``random.Random(seed)``; the same seed and request sequence
   always produce the same faults, so every experiment is reproducible.
-* :class:`RetryPolicy` — the client side: bounded retries, exponential
-  backoff with (seeded) jitter, per-request timeouts, and circuit-breaker
-  thresholds used by the resilient RDI.
+* :class:`RetryPolicy` — the client side: bounded retries, per-request
+  timeouts, and circuit-breaker thresholds used by the resilient RDI;
+  :func:`backoff` — the exponential wait with seeded jitter between
+  retries (its constants are fixed, ``BACKOFF_*``).
 * :class:`CircuitBreaker` — classic closed → open → half-open automaton
   driven by simulated time, so a dead server is not hammered and recovery
   is probed with single trial requests.
@@ -140,6 +141,16 @@ class FaultInjector:
         return FaultDecision(kind, extra, disconnect)
 
 
+#: Retry backoff: the first wait in simulated seconds, the multiplier
+#: applied after each retry, and the fraction of each wait randomized (±)
+#: so clients do not retry in lockstep, drawn from an RNG seeded with
+#: ``BACKOFF_SEED`` per link.
+BACKOFF_BASE = 10e-3
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.25
+BACKOFF_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Client-side resilience knobs for the Remote DBMS Interface.
@@ -151,12 +162,6 @@ class RetryPolicy:
 
     #: Retries after the first failed attempt (0 = fail fast).
     max_retries: int = 3
-    #: First backoff wait, in simulated seconds.
-    backoff_base: float = 10e-3
-    #: Multiplier applied to the wait after each retry.
-    backoff_multiplier: float = 2.0
-    #: Fraction of each wait randomized (±) to avoid synchronized retries.
-    backoff_jitter: float = 0.25
     #: Per-request budget of simulated remote seconds (None = unlimited).
     timeout_seconds: float | None = None
     #: Consecutive failures that open the circuit breaker (0 = disabled).
@@ -168,16 +173,10 @@ class RetryPolicy:
     #: Cache-served work advances simulated time very slowly, so an open
     #: breaker also recovers by request count, not only by elapsed time.
     breaker_probe_after: int = 8
-    #: Seed for the jitter RNG.
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base < 0 or self.backoff_multiplier < 0:
-            raise ValueError("backoff parameters must be non-negative")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1)")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive (or None)")
         if self.breaker_cooldown < 0:
@@ -190,12 +189,11 @@ class RetryPolicy:
         """Fail-fast client: no retries, no timeout, no breaker."""
         return cls(max_retries=0, breaker_threshold=0)
 
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """The wait before retry ``attempt`` (0-based), jitter applied."""
-        wait = self.backoff_base * (self.backoff_multiplier ** attempt)
-        if self.backoff_jitter:
-            wait *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return wait
+
+def backoff(attempt: int, rng: random.Random) -> float:
+    """The wait before retry ``attempt`` (0-based), jitter applied."""
+    wait = BACKOFF_BASE * (BACKOFF_MULTIPLIER ** attempt)
+    return wait * (1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
 
 class CircuitBreaker:

@@ -108,16 +108,15 @@ WhereTerm = Union[SqlCondition, SqlInList]
 
 @dataclass(frozen=True)
 class SelectQuery:
-    """A PSJ request: SELECT columns FROM tables WHERE conjunction.
+    """A PSJ request: SELECT DISTINCT columns FROM tables WHERE conjunction.
 
-    ``distinct`` defaults to True because CAQL (like the relational model)
-    has set semantics while SQL has bag semantics.
+    Always DISTINCT: CAQL (like the relational model) has set semantics
+    while SQL has bag semantics.
     """
 
     tables: tuple[TableRef, ...]
     select: tuple[SqlCol, ...]
     where: tuple[WhereTerm, ...] = ()
-    distinct: bool = True
 
     def __post_init__(self) -> None:
         if not self.tables:
@@ -168,10 +167,9 @@ def render_literal(value: object) -> str:
 
 def render_sql(query: SelectQuery) -> str:
     """Render a request as SQL text (executable by the sqlite backend)."""
-    head = "SELECT DISTINCT" if query.distinct else "SELECT"
     columns = ", ".join(str(c) for c in query.select)
     tables = ", ".join(str(t) for t in query.tables)
-    sql = f"{head} {columns} FROM {tables}"
+    sql = f"SELECT DISTINCT {columns} FROM {tables}"
     if query.where:
         conjunction = " AND ".join(str(c) for c in query.where)
         sql += f" WHERE {conjunction}"

@@ -108,14 +108,13 @@ class SqliteEngine:
         return EngineResult(relation, tuples_touched=touched)
 
     def _render(self, query: SelectQuery) -> str:
-        head = "SELECT DISTINCT" if query.distinct else "SELECT"
         columns = ", ".join(
             f"{_quote(c.alias)}.{_quote(c.attr)}" for c in query.select
         )
         tables = ", ".join(
             f"{_quote(t.table)} AS {_quote(t.alias)}" for t in query.tables
         )
-        sql = f"{head} {columns} FROM {tables}"
+        sql = f"SELECT DISTINCT {columns} FROM {tables}"
         if query.where:
             parts = []
             for condition in query.where:

@@ -9,10 +9,10 @@ here, before any work is done:
   a submit beyond it is rejected immediately with a typed
   :class:`~repro.common.errors.ServerOverloadError`, which is the
   backpressure signal clients retry/back off on;
-* the **per-session in-flight limit** caps how many of one session's
-  requests may be started-but-undrained at once, so a client that floods
-  the server cannot monopolize scheduler steps or pin unbounded cache
-  state mid-stream.
+* the **per-session in-flight limit** (:data:`MAX_INFLIGHT_PER_SESSION`)
+  caps how many of one session's requests may be started-but-undrained at
+  once, so a client that floods the server cannot monopolize scheduler
+  steps or pin unbounded cache state mid-stream.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from repro.common.metrics import (
 from repro.obs.tracer import Tracer
 from repro.server.session import Session
 
+#: Started-but-undrained requests one session may hold at once.
+MAX_INFLIGHT_PER_SESSION = 4
+
 
 class AdmissionController:
     """Decides, per request, whether the server takes on more work."""
@@ -34,16 +37,12 @@ class AdmissionController:
     def __init__(
         self,
         max_queue_depth: int = 256,
-        max_inflight_per_session: int = 4,
         metrics: Metrics | None = None,
         tracer=None,
     ):
         if max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive")
-        if max_inflight_per_session <= 0:
-            raise ValueError("max_inflight_per_session must be positive")
         self.max_queue_depth = max_queue_depth
-        self.max_inflight_per_session = max_inflight_per_session
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         #: Pending (admitted, unfinished) requests across all sessions.
@@ -89,7 +88,7 @@ class AdmissionController:
         be scheduled to *drain* (draining reduces in-flight, so progress
         is always possible).
         """
-        return len(session.in_flight) < self.max_inflight_per_session
+        return len(session.in_flight) < MAX_INFLIGHT_PER_SESSION
 
     def is_eligible(self, session: Session) -> bool:
         """Does this session have any step the scheduler could run now?"""

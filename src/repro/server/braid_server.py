@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.common.clock import CostProfile, SimClock
+from repro.common.clock import SimClock
 from repro.common.errors import BraidError, ServerError
 from repro.common.metrics import (
     SERVER_REQUESTS_COMPLETED,
@@ -48,7 +48,6 @@ from repro.obs.telemetry import MetricsSampler
 from repro.obs.tracer import Tracer
 from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
-from repro.remote.sqlite_backend import SqliteEngine
 from repro.core.cache import Cache
 from repro.core.cms import CMSFeatures
 from repro.server.admission import AdmissionController
@@ -63,12 +62,9 @@ class ServerConfig:
 
     cache_capacity_bytes: int = 4_000_000
     features: CMSFeatures | None = None
-    backend: str = "pure"  # or "sqlite"
-    profile: CostProfile | None = None
     scheduler_policy: str = "round-robin"  # or "weighted-fair"
     scheduler_seed: int = 0
     max_queue_depth: int = 256
-    max_inflight_per_session: int = 4
     #: Collect a full span trace of every request's lifecycle.  Off by
     #: default: the disabled tracer makes every hook a no-op.
     tracing: bool = False
@@ -109,38 +105,25 @@ class BraidServer:
         config: ServerConfig | None = None,
         remote: RemoteDBMS | None = None,
         pin_streams: bool = True,
-        tracer=None,
     ):
         self.config = config if config is not None else ServerConfig()
-        if remote is not None:
-            self.remote = remote
-        else:
-            engine = SqliteEngine() if self.config.backend == "sqlite" else None
-            if self.config.backend not in ("pure", "sqlite"):
-                raise ServerError(f"unknown backend {self.config.backend!r}")
-            profile = (
-                self.config.profile
-                if self.config.profile is not None
-                else CostProfile()
-            )
-            self.remote = RemoteDBMS(engine=engine, profile=profile)
+        self.remote = remote if remote is not None else RemoteDBMS()
         for table in tables or []:
             self.remote.load_table(table)
 
         self.clock: SimClock = self.remote.clock
         self.metrics: Metrics = self.remote.metrics
-        # Tracer adoption order: an explicit tracer wins; else an enabled
-        # tracer already attached to the remote; else ``config.tracing``
-        # creates one; else the zero-cost disabled tracer.  The remote is
-        # re-pointed at the adopted tracer so every session's RDI (built
-        # later, against the remote) shares the same trace.
-        if tracer is None:
-            if self.remote.tracer.enabled:
-                tracer = self.remote.tracer
-            elif self.config.tracing:
-                tracer = Tracer(self.clock)
-            else:
-                tracer = Tracer.disabled()
+        # Tracer adoption order: an enabled tracer already attached to the
+        # remote; else ``config.tracing`` creates one; else the zero-cost
+        # disabled tracer.  The remote is re-pointed at the adopted tracer
+        # so every session's RDI (built later, against the remote) shares
+        # the same trace.
+        if self.remote.tracer.enabled:
+            tracer = self.remote.tracer
+        elif self.config.tracing:
+            tracer = Tracer(self.clock)
+        else:
+            tracer = Tracer.disabled()
         self.tracer = tracer
         self.remote.tracer = tracer
         self.cache = Cache(
@@ -169,7 +152,6 @@ class BraidServer:
         )
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
-            max_inflight_per_session=self.config.max_inflight_per_session,
             metrics=self.metrics,
             tracer=tracer,
         )
@@ -272,7 +254,7 @@ class BraidServer:
         )
         return True
 
-    def run_until_idle(self, max_steps: int | None = None) -> int:
+    def run_until_idle(self) -> int:
         """Step until nothing is runnable; returns the number of steps.
 
         Going idle ends the concurrent burst, so the in-flight subplan
@@ -283,17 +265,9 @@ class BraidServer:
         steps = 0
         while self.step():
             steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
-        if self.subplan_registry is not None and not self._has_runnable():
+        if self.subplan_registry is not None:
             self.subplan_registry.clear()
         return steps
-
-    def _has_runnable(self) -> bool:
-        """True when any session still has runnable work."""
-        return any(
-            self.admission.is_eligible(s) for s in self.sessions.sessions()
-        )
 
     def results(self, session_name: str) -> list[Request]:
         """Completed requests of an open session, in completion order."""

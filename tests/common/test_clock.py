@@ -1,5 +1,7 @@
 """Tests for the simulated clock and cost profile."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.clock import CostProfile, SimClock
@@ -85,3 +87,13 @@ class TestCostProfile:
         base = CostProfile()
         assert profile.remote_latency == 2 * base.remote_latency
         assert profile.cache_per_tuple == 2 * base.cache_per_tuple
+
+    @pytest.mark.parametrize("unit", [f.name for f in fields(CostProfile)])
+    def test_a_negative_unit_cost_is_rejected(self, unit):
+        with pytest.raises(ValueError, match=unit):
+            CostProfile(**{unit: -1.0})
+
+    def test_scaled_inherits_the_check(self):
+        with pytest.raises(ValueError):
+            CostProfile().scaled(-1.0)
+        assert CostProfile().scaled(0.0).remote_latency == 0.0

@@ -42,9 +42,8 @@ def base_tables() -> dict:
     }
 
 
-def three_backend_specs(retries=None, faults=None, engines=None) -> list[BackendSpec]:
+def three_backend_specs(retries=None, engines=None) -> list[BackendSpec]:
     retries = retries or {}
-    faults = faults or {}
     engines = engines or {}
     data = base_tables()
     owned = {"alpha": "sup", "beta": "part", "gamma": "ship"}
@@ -54,7 +53,6 @@ def three_backend_specs(retries=None, faults=None, engines=None) -> list[Backend
             tables=(data[table],),
             engine=engines.get(name, "python"),
             retry=retries.get(name),
-            faults=faults.get(name),
         )
         for name, table in owned.items()
     ]
@@ -63,9 +61,12 @@ def three_backend_specs(retries=None, faults=None, engines=None) -> list[Backend
 def make_federation(retries=None, faults=None, engines=None, with_tracer=False):
     clock = SimClock()
     tracer = Tracer(clock) if with_tracer else None
-    return build_federation(
-        three_backend_specs(retries, faults, engines), clock=clock, tracer=tracer
+    federation = build_federation(
+        three_backend_specs(retries, engines), clock=clock, tracer=tracer
     )
+    for name, policy in (faults or {}).items():
+        federation.set_backend_faults(name, policy)
+    return federation
 
 
 def psj(text: str):

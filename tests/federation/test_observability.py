@@ -86,7 +86,7 @@ class TestDeterminism:
     def run(self, seed=7):
         federation = make_federation(
             retries={
-                "gamma": RetryPolicy(max_retries=2, seed=seed, breaker_threshold=3)
+                "gamma": RetryPolicy(max_retries=2, breaker_threshold=3)
             },
             faults={
                 "gamma": FaultPolicy(

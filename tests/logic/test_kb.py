@@ -38,6 +38,28 @@ class TestClassification:
         assert kb.classify(parse_atom("parent(X, Y, Z)")) == "unknown"
 
 
+class TestOwnBuiltins:
+    """A built-in registered on one knowledge base is that one's only."""
+
+    @staticmethod
+    def twice(atom, subst):
+        yield subst
+
+    def test_a_registration_does_not_leak_to_other_knowledge_bases(self):
+        before = KnowledgeBase()
+        registering = KnowledgeBase()
+        registering.builtins.register("twice", 2, self.twice)
+        after = KnowledgeBase()
+        goal = parse_atom("twice(X, Y)")
+        assert registering.classify(goal) == "builtin"
+        assert before.classify(goal) == "unknown"
+        assert after.classify(goal) == "unknown"
+
+    def test_the_registry_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            KnowledgeBase(builtins=KnowledgeBase().builtins)
+
+
 class TestDeclarations:
     def test_rule_for_database_relation_rejected(self, kb):
         with pytest.raises(KnowledgeBaseError):

@@ -27,17 +27,13 @@ def make(policy: SLOPolicy | None = None, tracing: bool = False):
 class TestPolicy:
     def test_rejects_bad_window_and_min_samples(self):
         with pytest.raises(ValueError):
-            SLOPolicy(window_seconds=0.0)
+            SLOPolicy(p99_seconds=1.0, window_seconds=0.0)
         with pytest.raises(ValueError):
-            SLOPolicy(min_samples=0)
+            SLOPolicy(p99_seconds=1.0, min_samples=0)
 
-    def test_targets_cover_only_configured_percentiles(self):
-        assert SLOPolicy(p50_seconds=0.5).targets() == [(50, 0.5)]
-        assert SLOPolicy(p99_seconds=2.0).targets() == [(99, 2.0)]
-        assert SLOPolicy(p50_seconds=0.5, p99_seconds=2.0).targets() == [
-            (50, 0.5),
-            (99, 2.0),
-        ]
+    def test_the_p99_target_is_required(self):
+        with pytest.raises(TypeError):
+            SLOPolicy()
 
 
 class TestBreachDetection:
@@ -45,14 +41,14 @@ class TestBreachDetection:
         _clock, metrics, monitor = make()
         monitor.observe("s", 100.0)
         monitor.observe("s", 100.0)
-        assert not monitor.in_breach("s", 99)
+        assert not monitor.in_breach("s")
         assert metrics.get(SLO_BREACHES) == 0
 
     def test_breach_is_edge_triggered_once(self):
         _clock, metrics, monitor = make()
         for _ in range(6):
             monitor.observe("s", 5.0)  # every observation over target
-        assert monitor.in_breach("s", 99)
+        assert monitor.in_breach("s")
         assert metrics.get(SLO_BREACHES) == 1  # one edge, not six
         assert monitor.breach_count == 1
 
@@ -62,15 +58,15 @@ class TestBreachDetection:
         )
         for _ in range(3):
             monitor.observe("s", 5.0)
-        assert monitor.in_breach("s", 99)
+        assert monitor.in_breach("s")
         # Slow observations age out of the 2s window; fast ones replace them.
         clock.advance(3.0)
         for _ in range(3):
             monitor.observe("s", 0.1)
-        assert not monitor.in_breach("s", 99)
+        assert not monitor.in_breach("s")
         for _ in range(3):
             monitor.observe("s", 5.0)
-        assert monitor.in_breach("s", 99)
+        assert monitor.in_breach("s")
         assert metrics.get(SLO_BREACHES) == 2  # re-armed after recovery
 
     def test_scopes_are_independent(self):
@@ -78,8 +74,8 @@ class TestBreachDetection:
         for _ in range(3):
             monitor.observe("slow", 5.0)
             monitor.observe("fast", 0.1)
-        assert monitor.in_breach("slow", 99)
-        assert not monitor.in_breach("fast", 99)
+        assert monitor.in_breach("slow")
+        assert not monitor.in_breach("fast")
 
     def test_windowing_is_by_simulated_time(self):
         clock, _metrics, monitor = make(
@@ -89,7 +85,7 @@ class TestBreachDetection:
         clock.advance(6.0)  # the slow sample ages out
         monitor.observe("s", 0.1)
         monitor.observe("s", 0.1)
-        assert not monitor.in_breach("s", 99)
+        assert not monitor.in_breach("s")
         assert monitor.report()["s"]["samples"] == 2
 
 

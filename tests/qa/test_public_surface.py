@@ -113,6 +113,178 @@ def test_every_public_name_is_referenced_or_allow_listed():
     assert len(ALLOWED) <= 20
 
 
+#: The settable surfaces: every defaulted field of these configuration
+#: dataclasses, and every defaulted parameter of these constructors and
+#: builders, by module.  ``__init__`` names a class's constructor.
+SETTABLE_SURFACES = {
+    "braid.py": ("BraidConfig",),
+    "server/braid_server.py": (
+        "ServerConfig",
+        "BraidServer.__init__",
+        "BraidServer.open_session",
+        "BraidServer.run_until_idle",
+    ),
+    "server/admission.py": ("AdmissionController.__init__",),
+    "core/cms.py": ("CMSFeatures", "CacheManagementSystem.__init__"),
+    "remote/faults.py": ("RetryPolicy", "FaultPolicy"),
+    "obs/slo.py": ("SLOPolicy",),
+    "federation/bootstrap.py": (
+        "BackendSpec",
+        "Federation.cms",
+        "Federation.naive",
+        "build_federation",
+    ),
+    "federation/interface.py": ("FederatedInterface.__init__",),
+    "federation/naive.py": ("NaiveFederation.__init__",),
+    "baselines/base.py": ("BaselineInterface.__init__",),
+    "baselines/exact_cache.py": ("ExactMatchCache.__init__",),
+    "baselines/relation_cache.py": ("SingleRelationBuffer.__init__",),
+    "ie/engine.py": ("InferenceEngine.__init__",),
+    "ie/controller.py": ("DepthFirstController.__init__",),
+    "ie/explain.py": ("Explainer.__init__",),
+    "qa/generator.py": ("CaseConfig",),
+}
+
+#: Settable values no call site outside ``tests/`` passes by name, and why
+#: each stays instead of becoming the constant its default already is.
+SETTABLE_ALLOWED = {
+    "RetryPolicy.timeout_seconds": "the only way a test reaches the RDI's timeout path",
+    "FaultPolicy.metadata_faults": "the only way a test reaches the RDI's metadata-fault path",
+    "RetryPolicy.breaker_cooldown": "resilience tests isolate the breaker's half-open transition with it",
+    "RetryPolicy.breaker_probe_after": "resilience tests isolate the breaker's probe-after transition with it",
+    "BackendSpec.retry": "resilience tests fail one backend fast beside healthy ones",
+    "BraidConfig.generate_advice": "False is the advice-invariance oracle: the CMS must work without advice (§5)",
+    "InferenceEngine.use_statistics": "False is the oracle of the statistics-fallback test",
+    "BraidServer.open_session.advice": "per-session advice, the server's reason to keep one advice context per session",
+    "BraidServer.open_session.weight": "the weights that define weighted-fair scheduling, which E15 runs",
+}
+
+
+def _defaulted(node: ast.ClassDef | ast.FunctionDef) -> list[str]:
+    """The defaulted init fields of a dataclass, or the defaulted
+    parameters of a function."""
+    if isinstance(node, ast.ClassDef):
+        names = []
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign) and item.value is not None):
+                continue
+            value = item.value
+            if isinstance(value, ast.Call) and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in value.keywords
+            ):
+                continue
+            names.append(item.target.id)
+        return names
+    args = node.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return names
+
+
+def _fields(node: ast.ClassDef, classes: dict[str, ast.ClassDef]) -> list[str]:
+    """A dataclass's defaulted init fields, inherited ones first."""
+    inherited = [
+        name
+        for base in node.bases
+        if isinstance(base, ast.Name) and base.id in classes
+        for name in _fields(classes[base.id], classes)
+    ]
+    return inherited + _defaulted(node)
+
+
+def _settable_values() -> dict[str, tuple[str, str]]:
+    """``"Owner.param"`` (``"Class.method.param"`` for a method) → the
+    callee name a call site uses and the parameter name."""
+    every_class = {
+        node.name: node
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found: dict[str, tuple[str, str]] = {}
+    for module, owners in SETTABLE_SURFACES.items():
+        tree = _tree(PACKAGE / module)
+        classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for owner in owners:
+            cls_name, _, method = owner.partition(".")
+            if cls_name in functions:
+                node, callee, prefix = functions[cls_name], cls_name, cls_name
+            elif not method:
+                node, callee, prefix = classes[cls_name], cls_name, cls_name
+            else:
+                node = next(
+                    n for n in classes[cls_name].body
+                    if isinstance(n, ast.FunctionDef) and n.name == method
+                )
+                callee = cls_name if method == "__init__" else method
+                prefix = cls_name if method == "__init__" else owner
+            params = (
+                _fields(node, every_class)
+                if isinstance(node, ast.ClassDef)
+                else _defaulted(node)
+            )
+            for param in params:
+                found[f"{prefix}.{param}"] = (callee, param)
+    return found
+
+
+def _passed_by_name() -> dict[str, set[str]]:
+    """Callee name → the keyword names its call sites outside ``tests/``
+    pass.  ``cls(...)`` inside a class counts as a call of that class; a
+    ``**`` splat counts every string key of a dict literal in its module."""
+    passed: dict[str, set[str]] = {}
+    for top in TRAFFIC:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = _tree(path)
+            dict_keys = {
+                key.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Dict)
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            }
+            # Outer classes are walked first, so a nested class's ``cls``
+            # maps to the innermost class.
+            class_of_cls = {
+                id(node): owner.name
+                for owner in ast.walk(tree)
+                if isinstance(owner, ast.ClassDef)
+                for node in ast.walk(owner)
+                if isinstance(node, ast.Name) and node.id == "cls"
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    name = class_of_cls.get(id(func), func.id)
+                else:
+                    name = getattr(func, "attr", None)
+                names = passed.setdefault(name, set())
+                for keyword in node.keywords:
+                    names.update([keyword.arg] if keyword.arg else dict_keys)
+    return passed
+
+
+def test_every_settable_value_is_passed_by_name_or_allow_listed():
+    values = _settable_values()
+    passed = _passed_by_name()
+    unpassed = {
+        key for key, (callee, param) in values.items() if param not in passed.get(callee, ())
+    }
+    unexplained = sorted(unpassed - set(SETTABLE_ALLOWED))
+    assert not unexplained, (
+        "settable values no call site outside tests/ passes by name "
+        "(make each the constant its default is, or allow-list it):\n  "
+        + "\n  ".join(unexplained)
+    )
+    stale = sorted(set(SETTABLE_ALLOWED) - unpassed)
+    assert not stale, f"allow-listed but passed by name (or gone): {stale}"
+
+
 def test_the_executor_has_one_route_for_a_plans_remote_part():
     source = (PACKAGE / "core" / "executor.py").read_text()
     assert source.count("self.rdi.fetch(") == 1

@@ -26,10 +26,15 @@ from repro.common.metrics import (
 )
 from repro.relational.relation import relation_from_columns
 from repro.remote.faults import (
+    BACKOFF_BASE,
+    BACKOFF_JITTER,
+    BACKOFF_MULTIPLIER,
+    BACKOFF_SEED,
     CircuitBreaker,
     FaultInjector,
     FaultPolicy,
     RetryPolicy,
+    backoff,
 )
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import FetchTableQuery
@@ -101,8 +106,6 @@ class TestFaultPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(timeout_seconds=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_jitter=1.0)
 
 
 class TestInjectorDeterminism:
@@ -224,31 +227,25 @@ class TestRetries:
         server = make_server(faults=FaultPolicy(seed=0, transient_rate=1.0))
         rdi = RemoteInterface(
             server,
-            retry=RetryPolicy(
-                max_retries=2,
-                backoff_base=1.0,
-                backoff_multiplier=2.0,
-                backoff_jitter=0.0,
-                breaker_threshold=0,
-            ),
+            retry=RetryPolicy(max_retries=2, breaker_threshold=0),
         )
         rdi.schema_of("t")  # pay the metadata trip outside the measurement
         before = server.clock.now
         with pytest.raises(TransientRemoteError):
             rdi.fetch(make_psj())
-        elapsed = server.clock.now - before
-        # 3 failed round trips + backoffs of 1.0 and 2.0 seconds.
-        expected = 3 * server.profile.remote_latency + 1.0 + 2.0
-        assert elapsed == pytest.approx(expected)
+        waited = server.clock.now - before - 3 * server.profile.remote_latency
+        # 3 failed round trips + the two jittered waits, BASE and BASE * MULT.
+        nominal = BACKOFF_BASE * (1 + BACKOFF_MULTIPLIER)
+        assert nominal * (1 - BACKOFF_JITTER) <= waited <= nominal * (1 + BACKOFF_JITTER)
+        rng = random.Random(BACKOFF_SEED)
+        assert waited == pytest.approx(backoff(0, rng) + backoff(1, rng))
 
     def test_backoff_jitter_is_seeded(self):
         def run():
             server = make_server(faults=FaultPolicy(seed=0, transient_rate=1.0))
             rdi = RemoteInterface(
                 server,
-                retry=RetryPolicy(
-                    max_retries=3, backoff_jitter=0.5, seed=11, breaker_threshold=0
-                ),
+                retry=RetryPolicy(max_retries=3, breaker_threshold=0),
             )
             with pytest.raises(TransientRemoteError):
                 rdi.fetch(make_psj())
@@ -400,7 +397,7 @@ class TestDeterminism:
             )
         )
         rdi = RemoteInterface(
-            server, retry=RetryPolicy(max_retries=2, timeout_seconds=5.0, seed=seed)
+            server, retry=RetryPolicy(max_retries=2, timeout_seconds=5.0)
         )
         psj = make_psj()
         outcomes = []

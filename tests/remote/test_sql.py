@@ -78,12 +78,6 @@ class TestRendering:
         query = SelectQuery(tables=(TableRef("emp", "e"),), select=(SqlCol("e", "x"),))
         assert render_sql(query) == "SELECT DISTINCT e.x FROM emp AS e"
 
-    def test_render_non_distinct(self):
-        query = SelectQuery(
-            tables=(TableRef("emp", "e"),), select=(SqlCol("e", "x"),), distinct=False
-        )
-        assert render_sql(query).startswith("SELECT e.x")
-
     def test_alias_same_as_table(self):
         query = SelectQuery(
             tables=(TableRef("emp", "emp"),), select=(SqlCol("emp", "x"),)

@@ -12,7 +12,7 @@ from repro.common.metrics import (
 )
 from repro.logic.terms import Atom, Const, Var
 from repro.server import BraidServer, ServerConfig
-from repro.server.admission import AdmissionController
+from repro.server.admission import MAX_INFLIGHT_PER_SESSION, AdmissionController
 from repro.server.session import Request, Session
 from repro.workloads.synthetic import selection_universe
 
@@ -65,23 +65,26 @@ class TestController:
     def test_bounds_must_be_positive(self):
         with pytest.raises(ValueError):
             AdmissionController(max_queue_depth=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_inflight_per_session=0)
 
     def test_may_start_caps_in_flight(self):
-        controller = AdmissionController(max_inflight_per_session=2)
+        controller = AdmissionController()
         session = stub_session()
+        session.in_flight = [
+            stub_request(session, n) for n in range(MAX_INFLIGHT_PER_SESSION - 1)
+        ]
         assert controller.may_start(session)
-        session.in_flight = [stub_request(session, 1), stub_request(session, 2)]
+        session.in_flight.append(stub_request(session, MAX_INFLIGHT_PER_SESSION))
         assert not controller.may_start(session)
 
     def test_eligibility(self):
-        controller = AdmissionController(max_inflight_per_session=1)
+        controller = AdmissionController()
         session = stub_session()
         assert not controller.is_eligible(session)  # nothing to do
-        session.backlog = [stub_request(session, 1)]
+        session.backlog = [stub_request(session, 0)]
         assert controller.is_eligible(session)  # can start
-        session.in_flight = [stub_request(session, 2)]
+        session.in_flight = [
+            stub_request(session, n) for n in range(1, MAX_INFLIGHT_PER_SESSION + 1)
+        ]
         assert controller.is_eligible(session)  # can drain (but not start)
         assert not controller.may_start(session)
         session.backlog = []
@@ -97,8 +100,8 @@ class TestController:
 
 
 class TestServerBackpressure:
-    def make_server(self, **overrides):
-        config = ServerConfig(max_queue_depth=3, max_inflight_per_session=1, **overrides)
+    def make_server(self, max_queue_depth=3):
+        config = ServerConfig(max_queue_depth=max_queue_depth)
         return BraidServer(
             tables=selection_universe(rows=30, seed=5).tables, config=config
         )
@@ -128,15 +131,16 @@ class TestServerBackpressure:
         assert len(server.results("alice")) == 4
 
     def test_in_flight_limit_forces_drain_before_next_start(self):
-        server = self.make_server()
+        limit = MAX_INFLIGHT_PER_SESSION
+        server = self.make_server(max_queue_depth=limit + 1)
         server.open_session("alice")
-        for query in self.queries(2):
+        for query in self.queries(limit + 1):
             server.submit("alice", query)
         server.run_until_idle()
-        # With max_inflight=1 the only legal schedule for one session is
-        # strict execute/drain alternation.
+        # One session at its in-flight limit must drain before it starts
+        # its last request.
         phases = [record.phase for record in server.schedule_trace]
-        assert phases == ["execute", "drain", "execute", "drain"]
+        assert phases == ["execute"] * limit + ["drain", "execute"] + ["drain"] * limit
 
     def test_close_releases_abandoned_admissions(self):
         server = self.make_server()
@@ -173,7 +177,7 @@ class TestUntranslatableRequestReleasesItsSlot:
     def test_finished_with_error_and_the_session_carries_on(self, query):
         server = BraidServer(
             tables=selection_universe(rows=30, seed=5).tables,
-            config=ServerConfig(max_queue_depth=2, max_inflight_per_session=1),
+            config=ServerConfig(max_queue_depth=2),
         )
         server.open_session("alice")
         refused = server.submit("alice", query)

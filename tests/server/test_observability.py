@@ -12,6 +12,7 @@ from repro.common.metrics import (
     SERVER_SESSION_INFLIGHT_HIGH_WATER,
 )
 from repro.server import BraidServer, ServerConfig
+from repro.server.admission import MAX_INFLIGHT_PER_SESSION
 from repro.workloads.synthetic import selection_universe
 
 TABLES = selection_universe(rows=60, domain=100, seed=5).tables
@@ -98,10 +99,10 @@ class TestGauges:
         assert server.metrics.get(SERVER_QUEUE_DEPTH_HIGH_WATER) == 4
 
     def test_per_session_inflight_peaks(self):
-        server = make_server(tracing=False, max_inflight_per_session=2)
-        run_workload(server, per_session=4)
+        server = make_server(tracing=False)
+        run_workload(server, per_session=MAX_INFLIGHT_PER_SESSION + 2)
         alice = server.sessions.get("alice")
-        assert 1 <= alice.in_flight_peak <= 2
+        assert alice.in_flight_peak == MAX_INFLIGHT_PER_SESSION
         assert (
             alice.metrics.get(SERVER_SESSION_INFLIGHT_HIGH_WATER)
             == alice.in_flight_peak
