@@ -6,7 +6,9 @@ operators of :mod:`repro.relational.operators` — behind one boundary, so
 the wall benchmark can attribute local operator time to an ``engine``
 layer.  They work on materialized :class:`Relation`s with the substrate's
 contract: set semantics, Python-equality join keys,
-first-occurrence-ordered duplicate elimination.
+first-occurrence-ordered duplicate elimination.  The one exception is the
+combine fold's cross product, which stays an unbuilt
+:class:`~repro.relational.operators.Product` until a join probes it.
 
 :func:`combine_parts` is the one combine kernel: the Execution Monitor's
 combine stage, its degraded (partial) variant, and the naive federation
@@ -93,9 +95,16 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
     planning bug and fails loudly in the operators.  A query that projects
     nothing gets the operators' existence rule like any other finisher.
 
-    Returns the result and the rows the join fold touched (every input
-    part plus every join output); the caller charges that, plus the result
-    it keeps, at its own rate.
+    A step with no equality and no residual between its two sides is a
+    cross product, and it is not built: it yields an
+    :class:`~repro.relational.operators.Product`, which the next join
+    probes factor by factor when its key spans both factors, and anything
+    else reads row by row, in the order the built product would have had.
+
+    Returns the result and the rows the join fold touched: the price of
+    the left-deep fold, every input part plus every step's output, a
+    product counted at its size whether or not it was built.  The caller
+    charges that, plus the result it keeps, at its own rate.
     """
     if not parts:
         raise PlanningError("no parts produced anything to combine")
@@ -122,9 +131,14 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
                     residual.append(condition)
             else:
                 remaining.append(condition)
-        combined = ENGINE.join(
-            combined, relation, pairs, name="combine", conditions=residual
-        )
+        if pairs or residual:
+            combined = ENGINE.join(
+                combined, relation, pairs, name="combine", conditions=residual
+            )
+        else:
+            # Nothing to check between the two: defer the product to the
+            # join that keys on it (or to whatever reads it last).
+            combined = operators.Product(combined, relation, "combine")
         seen_cols |= right_cols
         touched += len(relation) + len(combined)
         pending = remaining

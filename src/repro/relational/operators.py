@@ -118,9 +118,13 @@ def _key(schema: Schema, attributes: Sequence[str]) -> Callable[[tuple], object]
     getter from equally long attribute lists, so the two forms never meet.
     With no attributes every row has the same key: a cross product.
     """
-    if not attributes:
+    return _getter(schema.positions(tuple(attributes)))
+
+
+def _getter(positions: Sequence[int]) -> Callable[[tuple], object]:
+    if not positions:
         return lambda _row: ()
-    return itemgetter(*schema.positions(tuple(attributes)))
+    return itemgetter(*positions)
 
 
 def _buckets(rows: Iterable[tuple], key: Callable[[tuple], object]) -> dict:
@@ -131,8 +135,79 @@ def _buckets(rows: Iterable[tuple], key: Callable[[tuple], object]) -> dict:
     return table
 
 
+class Product:
+    """The cross product of two inputs, not built: read-only, and read like
+    the relation ``join(left, right, [])`` would materialize — schema
+    ``left.schema.concat(right.schema, name)``, ``len(left) * len(right)``
+    rows, first-major order.  :func:`join` streams it factor by factor when
+    each factor carries part of the join key, and row by row otherwise.
+    """
+
+    __slots__ = ("left", "right", "schema")
+
+    def __init__(self, left, right, name: str):
+        self.left = left
+        self.right = right
+        self.schema = left.schema.concat(right.schema, name)
+
+    def __len__(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return (l + r for l in self.left for r in self.right)
+
+
+def _probe_product(
+    product: Product, right: Relation, pairs: Sequence[tuple[str, str]]
+) -> Iterator[tuple] | None:
+    """``join(product, right, pairs)`` with ``right`` as the build side,
+    row for row and in the same order, without building the product — or
+    None unless each factor carries part of the key.
+
+    ``right`` is grouped on the first factor's share of the key, then on
+    the second's.  Each first-factor row looks up its group, and the
+    second-factor rows whose share is in that group come out in their own
+    order: product order, with ``right``'s rows in row order under each.
+    Keys split component-wise compare as the whole key does (by Python
+    equality per component).
+    """
+    width = product.left.schema.arity
+    positions = product.schema.positions(tuple(attr for attr, _ in pairs))
+    first = [(p, attr) for p, (_, attr) in zip(positions, pairs) if p < width]
+    second = [(p - width, attr) for p, (_, attr) in zip(positions, pairs) if p >= width]
+    if not first or not second:
+        return None
+    first_key = _getter([p for p, _ in first])
+    second_key = _getter([p for p, _ in second])
+    right_first = _key(right.schema, [attr for _, attr in first])
+    right_second = _key(right.schema, [attr for _, attr in second])
+    groups: dict[object, dict[object, list[tuple]]] = {}
+    for row in right:
+        groups.setdefault(right_first(row), {}).setdefault(right_second(row), []).append(row)
+    seconds = list(product.right)
+    ordinals: dict[object, list[int]] = {}
+    for i, row in enumerate(seconds):
+        ordinals.setdefault(second_key(row), []).append(i)
+
+    def rows() -> Iterator[tuple]:
+        for a in product.left:
+            group = groups.get(first_key(a))
+            if group is None:
+                continue
+            # Ordinals are unique, so the sort never compares buckets.
+            hits = sorted(
+                (i, bucket) for key, bucket in group.items() for i in ordinals.get(key, ())
+            )
+            for i, bucket in hits:
+                ab = a + seconds[i]
+                for r in bucket:
+                    yield ab + r
+
+    return rows()
+
+
 def join(
-    left: Relation,
+    left: Relation | Product,
     right: Relation,
     pairs: Sequence[tuple[str, str]],
     name: str = "join",
@@ -149,6 +224,10 @@ def join(
     choice of build side is visible.  A caller that has cut one input down
     to its joining rows passes the ``build_left`` the inputs had before, and
     gets the rows, in the order, the uncut join would have produced.
+
+    ``left`` may be a :class:`Product`: its rows are the ones it reads
+    like, so the result is the same; streamed with each factor keyed on
+    part of ``pairs``, it is probed per factor and never built.
     """
     schema = left.schema.concat(right.schema, name)
     if not pairs:
@@ -161,6 +240,10 @@ def join(
         if build_left:
             matches = _buckets(left, left_key).get
             combined = (l + r for r in right for l in matches(right_key(r), ()))
+        elif isinstance(left, Product) and (
+            probed := _probe_product(left, right, pairs)
+        ) is not None:
+            combined = probed
         else:
             matches = _buckets(right, right_key).get
             combined = (l + r for l in left for r in matches(left_key(l), ()))

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import PlanningError, SchemaError
 from repro.common.metrics import Metrics
+from repro.relational import operators
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.caql.eval import evaluate_psj, result_schema
-from repro.caql.psj import ConstProj, Occurrence, PSJQuery, column
+from repro.caql.psj import ConstProj, Occurrence, PSJQuery, column, projection_entries
 from repro.core.cache import Cache
 from repro.core.engine import combine_parts
 from repro.core.executor import ExecutionMonitor
@@ -207,3 +209,126 @@ def test_executor_combine_and_federated_gather_agree():
 
     assert set(combined) == set(gathered) == set(evaluate_psj(query, tables.__getitem__))
     assert len(combined) == len(gathered)
+
+
+# -- deferred products: row order and the rows never built ------------------
+
+#: One NaN object: as a key it matches itself and no other NaN.
+NAN = float("nan")
+SOUP = (1, 1.0, True, "1", 2, NAN)
+
+
+def reference_fold(parts, conditions, query):
+    """The left-deep fold with every step built by ``operators.join`` —
+    a condition is applied at the first step where all its columns have
+    arrived, a cross-side equality as a key — then select and project."""
+    pending = list(conditions)
+    combined = parts[0]
+    touched = len(combined)
+    for part in parts[1:]:
+        left, right = set(combined.schema.attributes), set(part.schema.attributes)
+        pairs, residual = [], []
+        for condition in [c for c in pending if c.columns() <= left | right]:
+            pending.remove(condition)
+            lhs, rhs = condition.columns() & left, condition.columns() & right
+            if condition.op == "=" and condition.is_col_col() and len(lhs) == len(rhs) == 1:
+                pairs.append((lhs.pop(), rhs.pop()))
+            else:
+                residual.append(condition)
+        combined = operators.join(combined, part, pairs, "combine", residual)
+        touched += len(part) + len(combined)
+    if pending:
+        combined = operators.select(combined, pending)
+    entries = projection_entries(query.projection, combined.schema)
+    schema = result_schema(query.name, query.arity)
+    return operators.project_entries(combined, entries, schema), touched
+
+
+@st.composite
+def folds(draw):
+    """Three or four parts of mixed-type rows, cross-part conditions (often
+    none between the first two, so the fold defers a product, which half
+    the time the third part joins on both sides), and a projection."""
+    occurrences, parts = [], []
+    for index in range(draw(st.integers(3, 4))):
+        arity = draw(st.integers(1, 2))
+        occurrence = Occurrence(f"t{index}", f"r{index}", arity)
+        # Wider first parts: their product tends to outsize what joins it.
+        size = 6 if index < 2 else 4
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(SOUP)] * arity), max_size=size))
+        occurrences.append(occurrence)
+        parts.append(Relation(Schema(f"p{index}", tuple(occurrence.columns())), rows))
+    columns = [col for occ in occurrences for col in occ.columns()]
+    conditions = []
+    if draw(st.booleans()):
+        # The third part bridges the first two: its join probes the product.
+        last = occurrences[2].arity - 1
+        conditions += [
+            Comparison(Col(column("t0", 0)), "=", Col(column("t2", 0))),
+            Comparison(Col(column("t1", 0)), "=", Col(column("t2", last))),
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        left, right = draw(st.lists(st.sampled_from(columns), min_size=2, max_size=2, unique=True))
+        op = draw(st.sampled_from(["=", "=", "=", "!=", "<"]))
+        rhs = Lit(draw(st.sampled_from(SOUP))) if draw(st.booleans()) and op != "=" else Col(right)
+        condition = Comparison(Col(left), op, rhs)
+        if condition not in conditions:
+            conditions.append(condition)
+    projection = tuple(
+        draw(st.lists(st.one_of(st.sampled_from(columns), st.just(ConstProj(7))), max_size=4))
+    )
+    return parts, conditions, PSJQuery("q", tuple(occurrences), tuple(conditions), projection)
+
+
+@settings(max_examples=300, deadline=None)
+@given(folds())
+def test_combine_is_list_equal_to_the_fold_that_builds_every_product(fold):
+    parts, conditions, query = fold
+    result, touched = combine_parts(parts, conditions, query)
+    expected, expected_touched = reference_fold(parts, conditions, query)
+    assert result.schema == expected.schema
+    assert result.rows == expected.rows
+    assert touched == expected_touched
+
+
+def unconnected_then_joined():
+    """Two unconnected 200-row parts, then a 50-row part joined to both."""
+    tags = ("t0", "t1", "t2")
+    occurrences = tuple(Occurrence(tag, f"r{i}", 2) for i, tag in enumerate(tags))
+    rows = (
+        [(i, i % 7) for i in range(200)],
+        [(j, j % 5) for j in range(200)],
+        [(4 * k, 3 * k) for k in range(50)],
+    )
+    parts = [
+        label_part(part_rows, tuple(occ.columns()), f"p{i}")
+        for i, (occ, part_rows) in enumerate(zip(occurrences, rows))
+    ]
+    conditions = (
+        Comparison(Col(column("t0", 0)), "=", Col(column("t2", 0))),
+        Comparison(Col(column("t1", 0)), "=", Col(column("t2", 1))),
+    )
+    projection = (column("t0", 1), column("t1", 1), column("t2", 0))
+    return parts, list(conditions), PSJQuery("q", occurrences, conditions, projection)
+
+
+def check_product_is_charged_but_not_built(monkeypatch):
+    parts, conditions, query = unconnected_then_joined()
+    adopted = []
+    adopt = Relation.from_distinct_rows.__func__
+
+    def spy(cls, schema, rows):
+        adopted.append(len(rows))
+        return adopt(cls, schema, rows)
+
+    monkeypatch.setattr(Relation, "from_distinct_rows", classmethod(spy))
+    result, touched = combine_parts(parts, conditions, query)
+    assert sorted(result) == sorted((4 * k % 7, 3 * k % 5, 4 * k) for k in range(50))
+    # Built row by row, the 200 x 200 product was adopted as one list.
+    assert adopted and max(adopted) <= max(200, len(result))
+    # 200 + (200 + 40 000) + (50 + 50): the product is still charged.
+    assert touched == 40_500
+
+
+def test_a_product_the_next_join_keys_on_is_charged_but_not_built(monkeypatch):
+    check_product_is_charged_but_not_built(monkeypatch)
