@@ -22,7 +22,7 @@ from repro.caql.psj import PSJQuery
 from repro.core.cms import answer_caql, conjunctive_result
 from repro.core.engine import unit_result
 from repro.core.executor import ResultStream
-from repro.core.rdi import RemoteInterface
+from repro.core.rdi import remote_interface
 
 
 class BaselineInterface:
@@ -39,7 +39,7 @@ class BaselineInterface:
         self.metrics: Metrics = remote.metrics
         self.profile: CostProfile = remote.profile
         self.builtins = BuiltinRegistry()
-        self.rdi = RemoteInterface(remote)
+        self.rdi = remote_interface(remote)
 
     # -- session protocol (advice is accepted and ignored) -------------------------
     def begin_session(self, advice: AdviceSet | None = None) -> None:

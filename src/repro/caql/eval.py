@@ -83,6 +83,9 @@ def _joined_relation(psj: PSJQuery, lookup: RelationLookup) -> Relation:
     combined = _occurrence_relation(psj, psj.occurrences[0], lookup)
     seen_cols = set(combined.schema.attributes)
     pending = [c for c in psj.conditions if c not in consumed]
+    # The same step split as ``operators.split_join_step``, spelled out on
+    # purpose: this is the oracle the engines are checked against, and a
+    # reference must not share the code it checks.
     for occ in psj.occurrences[1:]:
         right = _occurrence_relation(psj, occ, lookup)
         right_cols = set(right.schema.attributes)

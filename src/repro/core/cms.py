@@ -37,7 +37,6 @@ from repro.common.metrics import (
     CACHE_HITS_CANONICAL,
     CACHE_HITS_EXACT,
     CACHE_HITS_SUBSUMED,
-    CACHE_INDEX_BUILDS,
     CACHE_MISSES,
     CACHE_PREFETCHES,
     CACHE_STALE_REPLANS,
@@ -74,7 +73,7 @@ from repro.core.cache import Cache, StaleArchive, lru_scorer
 from repro.core.cache_model import cache_model, cache_statistics
 from repro.core.executor import ExecutionMonitor, ResultStream
 from repro.core.planner import PlannerFeatures, QueryPlanner
-from repro.core.rdi import RemoteInterface
+from repro.core.rdi import remote_interface
 
 #: ``psj_from_literals`` has no caller in this module since ``core_plan``
 #: became the only CAQL -> PSJ translation on the query path; the binding
@@ -197,17 +196,13 @@ class CacheManagementSystem:
         cache: Cache | None = None,
         metrics: Metrics | None = None,
         pin_streams: bool = False,
-        tracer=None,
-        rdi: RemoteInterface | None = None,
-        backend_of=None,
         subplan_registry=None,
     ):
         self.remote = remote
         self.clock: SimClock = remote.clock
-        #: The shared trace sink.  Defaults to the remote's tracer so one
-        #: tracer covers the whole bridge; pass an explicit tracer (or
-        #: leave both disabled) to control scope.
-        self.tracer = tracer if tracer is not None else remote.tracer
+        #: The shared trace sink: the remote's tracer, so one tracer covers
+        #: the whole bridge.
+        self.tracer = remote.tracer
         #: The ledger this CMS records into.  Defaults to the remote's
         #: (single-session behaviour); a multi-session server hands every
         #: session its own child scope of one shared registry, so two CMS
@@ -232,15 +227,9 @@ class CacheManagementSystem:
         )
         self.shares_cache = cache is not None
         self.advice_manager = AdviceManager()
-        #: The remote interface.  Built here for the single-server case; a
-        #: federation injects its router of one-backend requests (``rdi=``),
-        #: which keeps its per-backend retry budgets and breakers instead of
-        #: the CMS-level policy.
-        self.rdi = (
-            rdi
-            if rdi is not None
-            else RemoteInterface(remote, retry=self.features.retry_policy)
-        )
+        #: The remote interface: a resilient link to a lone server, or a
+        #: federation's router of one-backend requests.
+        self.rdi = remote_interface(remote, self.features.retry_policy)
         self._archive = StaleArchive() if self.features.degradation else None
         self._last_degraded = False
         #: The most recent plan the planner produced for this CMS (the one
@@ -251,11 +240,11 @@ class CacheManagementSystem:
             self.cache,
             self.advice_manager,
             self.rdi.statistics_of,
+            self.rdi.cost_profile_of,
             self.profile,
             self.features,
             remote_available=self.rdi.remote_available,
             tracer=self.tracer,
-            backend_of=backend_of,
         )
         self.monitor = ExecutionMonitor(
             self.cache,
@@ -599,12 +588,8 @@ class CacheManagementSystem:
             if isinstance(element.definition.projection[position], ConstProj):
                 continue  # the position is pinned: nothing to probe
             attr = f"a{position}"
-            if element.has_index_on((attr,)):
-                continue
-            rows = element.rows_materialized()
-            element.indexes().ensure((attr,))
-            self.metrics.incr(CACHE_INDEX_BUILDS)
-            self.clock.charge("local", self.profile.index_build_per_tuple * rows)
+            if not element.has_index_on((attr,)):
+                self.monitor.build_index(element, (attr,))
 
     def _prefetch_companions(self, view_name: str) -> None:
         """Prefetch views grouped with ``view_name`` in the path expression.

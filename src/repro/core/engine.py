@@ -11,8 +11,8 @@ combine fold's cross product, which stays an unbuilt
 :class:`~repro.relational.operators.Product` until a join probes it.
 
 :func:`combine_parts` is the one combine kernel: the Execution Monitor's
-combine stage, its degraded (partial) variant, and the naive federation
-baseline all fold their parts through it.
+combine stage, its degraded (partial) variant, and the loose-coupling
+baseline over a federation all fold their parts through it.
 """
 
 from __future__ import annotations
@@ -114,23 +114,9 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
     touched = len(combined)
     for relation in parts[1:]:
         right_cols = set(relation.schema.attributes)
-        pairs, residual, remaining = [], [], []
-        for condition in pending:
-            cols = condition.columns()
-            if cols <= (seen_cols | right_cols):
-                left_side = cols & seen_cols
-                right_side = cols & right_cols
-                if (
-                    condition.op == "="
-                    and condition.is_col_col()
-                    and len(left_side) == 1
-                    and len(right_side) == 1
-                ):
-                    pairs.append((left_side.pop(), right_side.pop()))
-                else:
-                    residual.append(condition)
-            else:
-                remaining.append(condition)
+        pairs, residual, pending = operators.split_join_step(
+            pending, seen_cols, right_cols
+        )
         if pairs or residual:
             combined = ENGINE.join(
                 combined, relation, pairs, name="combine", conditions=residual
@@ -141,7 +127,6 @@ def combine_parts(parts, conditions, query: PSJQuery, partial: bool = False):
             combined = operators.Product(combined, relation, "combine")
         seen_cols |= right_cols
         touched += len(relation) + len(combined)
-        pending = remaining
     if partial:
         pending = [c for c in pending if c.columns() <= seen_cols]
     if pending:

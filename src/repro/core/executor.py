@@ -28,6 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import CacheCapacityError, PlanningError, StalePlanError
 from repro.common.metrics import (
+    CACHE_INDEX_BUILDS,
     CACHE_TUPLES_PROCESSED,
     EAGER_TUPLES_PRODUCED,
     LAZY_TUPLES_PRODUCED,
@@ -207,6 +208,15 @@ class ExecutionMonitor:
         self.metrics.incr(CACHE_TUPLES_PROCESSED, tuples)
         self.clock.charge("local", self.profile.cache_per_tuple * tuples)
 
+    def build_index(self, element, attrs: tuple[str, ...]) -> None:
+        """Build (or bring up to date) ``element``'s hash index on
+        ``attrs``, charged to ``local`` at the index-build rate per row the
+        element held before the build."""
+        rows = element.rows_materialized()
+        element.indexes().ensure(attrs)
+        self.metrics.incr(CACHE_INDEX_BUILDS)
+        self.clock.charge("local", self.profile.index_build_per_tuple * rows)
+
     # -- execution ---------------------------------------------------------------------
     def execute(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         """Run a query plan; returns a relation or a generator.
@@ -307,15 +317,7 @@ class ExecutionMonitor:
             if index is None and self.should_index(query.name):
                 # Consumer-annotated view: build the index the advice asked
                 # for, on the element actually serving the probes.
-                attrs = tuple(sorted(by_attr))
-                element.indexes().ensure(attrs)
-                from repro.common.metrics import CACHE_INDEX_BUILDS
-
-                self.metrics.incr(CACHE_INDEX_BUILDS)
-                self.clock.charge(
-                    "local",
-                    self.profile.index_build_per_tuple * element.rows_materialized(),
-                )
+                self.build_index(element, tuple(sorted(by_attr)))
                 index = element.indexes().find_covering(set(by_attr))
             if index is not None:
                 key = tuple(by_attr[a][0] for a in index.attributes)

@@ -17,7 +17,9 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.common.clock import CostProfile
 from repro.relational.expressions import Comparison
 from repro.relational.operators import existence_part
 from repro.relational.relation import Relation
@@ -31,6 +33,21 @@ from repro.core.subsumption import SubsumptionMatch
 # part construction — cache parts, remote components and their per-backend
 # splits all compose the same way
 # ---------------------------------------------------------------------------
+
+
+#: Resolves a base relation to its home backend's ``(name, CostProfile)``:
+#: every RDI's ``cost_profile_of`` (a lone server is backend ``""`` of
+#: every table).
+BackendOf = Callable[[str], tuple[str, CostProfile]]
+
+
+def home_groups(query: PSJQuery, backend_of: BackendOf) -> dict[str, list[str]]:
+    """Which backend owns each occurrence of ``query``: backend name →
+    occurrence tags, both in first-seen order."""
+    groups: dict[str, list[str]] = {}
+    for occ in query.occurrences:
+        groups.setdefault(backend_of(occ.pred)[0], []).append(occ.tag)
+    return groups
 
 
 def needed_columns(query: PSJQuery, tags: frozenset[str]) -> list[str]:
@@ -206,7 +223,7 @@ class QueryPlan:
                 elements.append(part.match.element)
         return elements
 
-    def check_invariants(self, backend_of=None) -> None:
+    def check_invariants(self, backend_of: BackendOf) -> None:
         """Audit this plan's structural consistency (cheap, read-only).
 
         Raises :class:`~repro.common.errors.InvariantViolation` when the
@@ -217,8 +234,8 @@ class QueryPlan:
         the remote DBMS, two remote parts bound for one backend, or a
         semijoin binding whose source column no earlier part exposes.
         ``backend_of`` resolves a base relation to ``(backend name, …)``
-        (the planner's federation hook); without it every remote part is
-        bound for the one server.
+        (the RDI's ``cost_profile_of``): a remote part's backends come
+        from the catalog, never from the part itself.
         """
         from repro.common.errors import InvariantViolation
 
@@ -273,10 +290,7 @@ class QueryPlan:
         exposed: set[str] = set()
         for part in self.parts:
             if isinstance(part, RemotePart):
-                homes = {
-                    "" if backend_of is None else backend_of(occ.pred)[0]
-                    for occ in part.sub_query.occurrences
-                }
+                homes = set(home_groups(part.sub_query, backend_of))
                 if homes & backends:
                     raise InvariantViolation(
                         f"plan for {self.query.name} sends more than one remote "

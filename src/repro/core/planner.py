@@ -29,11 +29,13 @@ from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
 from repro.core.canonical import audit_canonical, canonicalize
 from repro.core.plan import (
+    BackendOf,
     BindingSpec,
     CachePart,
     PlanPart,
     QueryPlan,
     RemotePart,
+    home_groups,
     needed_columns,
     sub_query,
 )
@@ -88,15 +90,18 @@ class QueryPlanner:
         cache: Cache,
         advice: AdviceManager,
         stats_of: StatsLookup,
+        backend_of: BackendOf,
         profile: CostProfile,
         features: PlannerFeatures | None = None,
         remote_available: Callable[[], bool] | None = None,
         tracer=None,
-        backend_of: Callable[[str], tuple[str, CostProfile]] | None = None,
     ):
         self.cache = cache
         self.advice = advice
         self.stats_of = stats_of
+        #: Resolves a base relation to its home backend's
+        #: ``(name, CostProfile)`` — the RDI's ``cost_profile_of``.
+        self.backend_of = backend_of
         self.profile = profile
         self.features = features if features is not None else PlannerFeatures()
         self.tracer = tracer if tracer is not None else Tracer.disabled()
@@ -107,10 +112,6 @@ class QueryPlanner:
         self.remote_available = (
             remote_available if remote_available is not None else (lambda: True)
         )
-        #: Federation hook: resolves a base relation to its home backend's
-        #: ``(name, CostProfile)``.  ``None`` (the single-backend default)
-        #: keeps the original one-profile cost formulas byte-for-byte.
-        self.backend_of = backend_of
         #: When set, every produced plan is run through
         #: :meth:`QueryPlan.check_invariants` before it leaves the planner,
         #: every candidate its probe rejected on the containment signature
@@ -494,10 +495,7 @@ class QueryPlanner:
         priced.
         """
         tags = frozenset(occ.tag for occ in component.occurrences)
-        groups: dict[str, list[str]] = {}
-        if self.backend_of is not None:
-            for occ in component.occurrences:
-                groups.setdefault(self.backend_of(occ.pred)[0], []).append(occ.tag)
+        groups = home_groups(component, self.backend_of)
         if len(groups) <= 1:
             columns = tuple(
                 str(p) for p in component.projection if not isinstance(p, ConstProj)
@@ -505,15 +503,9 @@ class QueryPlanner:
             return [RemotePart(component, columns, tags, tuple(specs))]
 
         def weight(backend: str) -> tuple[float, str]:
-            return (
-                float(
-                    sum(
-                        self.stats_of(component.occurrence(tag).pred).cardinality
-                        for tag in groups[backend]
-                    )
-                ),
-                backend,
-            )
+            occurrences = (component.occurrence(tag) for tag in groups[backend])
+            cards = sum(self.stats_of(o.pred).cardinality for o in occurrences)
+            return float(cards), backend
 
         parts: list[RemotePart] = []
         exposed: set[str] = set()
@@ -705,36 +697,26 @@ class QueryPlanner:
         """Latency and server-work terms of a remote fetch, plus the profile
         governing its wire rates.
 
-        Single-backend (no :attr:`backend_of` hook): one round trip and one
-        profile — exactly the original formulas.  Federated: a sub-query
-        spanning several backends pays each distinct backend's round-trip
-        latency, server work is rated per occurrence by its home backend,
-        and the wire rates are the worst (most expensive) profile involved
-        — conservative, since each backend's part ships over its own
-        link.
+        A sub-query pays each distinct home backend's round-trip latency;
+        server work is rated per backend, its profile's rate times the
+        summed cardinality of the occurrences it owns (so a lone server's
+        term is one product, ``server_per_tuple × Σ cardinality``); the wire
+        rates are the worst (most expensive) profile involved —
+        conservative, since each backend's part ships over its own link.
         """
-        if self.backend_of is None:
-            touched = sum(
-                self.stats_of(occ.pred).cardinality for occ in psj.occurrences
-            )
-            return (
-                self.profile.remote_latency,
-                self.profile.server_per_tuple * touched,
-                self.profile,
-            )
-        profiles: dict[str, CostProfile] = {}
-        server = 0.0
-        for occ in psj.occurrences:
-            name, profile = self.backend_of(occ.pred)
-            profiles.setdefault(name, profile)
-            server += profile.server_per_tuple * self.stats_of(occ.pred).cardinality
-        if not profiles:
+        groups = home_groups(psj, self.backend_of)
+        if not groups:
             return self.profile.remote_latency, 0.0, self.profile
-        latency = sum(p.remote_latency for p in profiles.values())
-        wire = max(
-            profiles.values(),
-            key=lambda p: (p.transfer_per_tuple, p.uplink_per_value),
-        )
+        profiles: list[CostProfile] = []
+        server = 0.0
+        for tags in groups.values():
+            preds = [psj.occurrence(tag).pred for tag in tags]
+            profile = self.backend_of(preds[0])[1]
+            profiles.append(profile)
+            touched = sum(self.stats_of(pred).cardinality for pred in preds)
+            server += profile.server_per_tuple * touched
+        latency = sum(p.remote_latency for p in profiles)
+        wire = max(profiles, key=lambda p: (p.transfer_per_tuple, p.uplink_per_value))
         return latency, server, wire
 
     def _derive_cost(self, match: SubsumptionMatch) -> float:

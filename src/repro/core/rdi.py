@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, TypeVar
 
+from repro.common.clock import CostProfile
 from repro.common.errors import (
     CircuitOpenError,
     RemoteDBMSError,
@@ -90,6 +91,18 @@ def canonical_bindings(
     return out
 
 
+def remote_interface(remote, retry: RetryPolicy | None = None):
+    """The RDI a bridge reaches ``remote`` through: the one place that
+    tells a lone server from a federation.  A lone
+    :class:`~repro.remote.server.RemoteDBMS` gets a resilient link under
+    ``retry`` (the CMS's ``CMSFeatures.retry_policy``); a federation brings
+    its own router (``remote.interface``), whose links keep the budgets
+    their ``BackendSpec.retry`` gave them — ``retry`` does not apply."""
+    if isinstance(remote, RemoteDBMS):
+        return RemoteInterface(remote, retry)
+    return remote.interface
+
+
 class RemoteInterface:
     """Translates PSJ queries to DML, executes them resiliently, rebuilds
     results."""
@@ -147,6 +160,11 @@ class RemoteInterface:
         if table in self._schema_cache:
             return True
         return self._server.has_table(table)
+
+    def cost_profile_of(self, table: str) -> tuple[str, CostProfile]:
+        """Planner hook: home backend name and cost profile of ``table`` —
+        this link's one server (``""`` for a lone one) for every table."""
+        return self._server.name, self._server.profile
 
     # -- execution ---------------------------------------------------------------------
     def fetch(

@@ -13,13 +13,11 @@ See ``docs/federation.md``.
 from repro.federation.bootstrap import BackendSpec, Federation, build_federation
 from repro.federation.catalog import FederatedCatalog
 from repro.federation.interface import FederatedInterface
-from repro.federation.naive import NaiveFederation
 
 __all__ = [
     "BackendSpec",
     "Federation",
     "FederatedCatalog",
     "FederatedInterface",
-    "NaiveFederation",
     "build_federation",
 ]

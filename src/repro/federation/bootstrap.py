@@ -17,10 +17,10 @@ One call wires the whole multi-backend remote layer:
   breaker) per backend.
 
 The resulting :class:`Federation` quacks enough like a single server
-(``clock``/``profile``/``metrics``/``tracer``/``set_fault_policy``) to
-stand in the ``remote`` position of a
-:class:`~repro.core.cms.CacheManagementSystem`; :meth:`Federation.cms`
-builds one with the federated interface injected.
+(``clock``/``profile``/``metrics``/``tracer``) to stand in the ``remote``
+position of a :class:`~repro.core.cms.CacheManagementSystem` or a
+baseline, which reach it through its router (``interface``, picked by
+:func:`~repro.core.rdi.remote_interface`).
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from repro.relational.relation import Relation
 from repro.remote.engine import PurePythonEngine
 from repro.remote.faults import FaultPolicy, RetryPolicy
 from repro.remote.server import RemoteDBMS
+from repro.core.cms import CacheManagementSystem
+from repro.baselines.loose import LooseCoupling
 from repro.federation.catalog import FederatedCatalog
 from repro.federation.interface import FederatedInterface
-from repro.federation.naive import NaiveFederation
 
 
 @dataclass
@@ -92,35 +93,20 @@ class Federation:
         turn a backend dark with ``FaultPolicy(permanent_rate=1.0)``."""
         self.catalog.backend(name).set_fault_policy(faults)
 
-    def set_fault_policy(self, faults: FaultPolicy | None) -> None:
-        """Install one policy on *every* backend (the single-server surface
-        the differential runner drives)."""
-        for name in self.catalog.backends():
-            self.catalog.backend(name).set_fault_policy(faults)
-
     # -- clients ----------------------------------------------------------------
     def cms(self, capacity_bytes: int = 4_000_000, features=None):
-        """A CMS over this federation: the federated interface is injected
-        as the RDI, and the planner costs and splits remote parts per
-        backend."""
-        from repro.core.cms import CacheManagementSystem
-
+        """A CMS over this federation: it reaches the backends through the
+        federated interface, and the planner costs and splits remote parts
+        per backend."""
         return CacheManagementSystem(
-            self,
-            capacity_bytes=capacity_bytes,
-            features=features,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            rdi=self.interface,
-            backend_of=self.interface.cost_profile_of,
+            self, capacity_bytes=capacity_bytes, features=features
         )
 
-    def naive(self) -> NaiveFederation:
-        """The naive per-backend loose-coupling baseline over the *same*
-        backends and links (shared clock/metrics/breakers: measures marginal
-        cost only; for a clean comparison build a second federation from the
-        same specs)."""
-        return NaiveFederation(self)
+    def naive(self) -> LooseCoupling:
+        """The loose-coupling baseline over the *same* backends and links
+        (shared clock/metrics/breakers: measures marginal cost only; for a
+        clean comparison build a second federation from the same specs)."""
+        return LooseCoupling(self)
 
 
 def build_federation(
@@ -162,7 +148,5 @@ def build_federation(
         catalog.register(spec.name, server)
         if spec.retry is not None:
             retries[spec.name] = spec.retry
-    interface = FederatedInterface(
-        catalog, retries=retries, metrics=metrics, tracer=tracer
-    )
+    interface = FederatedInterface(catalog, retries=retries)
     return Federation(catalog, interface, clock, metrics, tracer, profile)

@@ -18,12 +18,12 @@ backend never blocks the others.
 
 from __future__ import annotations
 
-from repro.common.clock import CostProfile, SimClock
+from repro.common.clock import CostProfile
 from repro.common.errors import PlanningError, RemoteDBMSError, UnknownRelationError
-from repro.common.metrics import Metrics
 from repro.relational.relation import Relation
 from repro.relational.statistics import RelationStatistics
 from repro.caql.psj import PSJQuery
+from repro.core.plan import home_groups
 from repro.core.rdi import RemoteInterface
 from repro.remote.faults import RetryPolicy
 from repro.federation.catalog import FederatedCatalog
@@ -36,37 +36,25 @@ class FederatedInterface:
         self,
         catalog: FederatedCatalog,
         retries: dict[str, RetryPolicy] | None = None,
-        metrics: Metrics | None = None,
-        tracer=None,
     ):
         backends = catalog.backends()
         if not backends:
             raise ValueError("a federation needs at least one backend")
         self.catalog = catalog
         first = catalog.backend(backends[0])
-        self.clock: SimClock = first.clock
         for name in backends[1:]:
-            if catalog.backend(name).clock is not self.clock:
+            if catalog.backend(name).clock is not first.clock:
                 raise ValueError("federated backends must share one SimClock")
-        self.tracer = tracer if tracer is not None else first.tracer
-        #: The aggregate ledger ("remote.*" totals across backends); each
-        #: backend server records into its own child scope of this.
-        self.metrics: Metrics = metrics if metrics is not None else first.metrics
+        self.tracer = first.tracer
         retries = retries or {}
         #: One resilient link per backend: its own retry budget, its own
         #: breaker (tagged with the backend name in traces).
         self.links: dict[str, RemoteInterface] = {
-            name: RemoteInterface(
-                catalog.backend(name), retries.get(name)
-            )
+            name: RemoteInterface(catalog.backend(name), retries.get(name))
             for name in backends
         }
 
     # -- contract: availability / metadata -------------------------------------
-    def link_for(self, table: str) -> RemoteInterface:
-        """The resilient link to the backend owning ``table``."""
-        return self.links[self.catalog.home_of(table)]
-
     def remote_available(self) -> bool:
         """Planner hook: at least one backend would accept a request."""
         return any(
@@ -74,7 +62,7 @@ class FederatedInterface:
         )
 
     def statistics_of(self, table: str) -> RelationStatistics:
-        return self.link_for(table).statistics_of(table)
+        return self.links[self.catalog.home_of(table)].statistics_of(table)
 
     def cost_profile_of(self, table: str) -> tuple[str, CostProfile]:
         """Planner hook: home backend name and cost profile of ``table``."""
@@ -88,7 +76,7 @@ class FederatedInterface:
             raise UnknownRelationError(
                 f"{psj.name}: cannot route a query with no base relations"
             )
-        homes = sorted({self.catalog.home_of(o.pred) for o in psj.occurrences})
+        homes = sorted(home_groups(psj, self.cost_profile_of))
         if len(homes) > 1:
             raise PlanningError(
                 f"{psj.name} spans backends {homes}: a spanning query is a "

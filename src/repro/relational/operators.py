@@ -110,6 +110,34 @@ def existence_part(rows: Iterable[tuple], label: str) -> Relation:
 # ---------------------------------------------------------------------------
 
 
+def split_join_step(
+    pending: Iterable[Comparison], left: set[str], right: set[str]
+) -> tuple[list[tuple[str, str]], list[Comparison], list[Comparison]]:
+    """One step of a left-deep join fold: split the conditions still
+    ``pending`` between the columns joined so far (``left``) and the next
+    input's (``right``) into hash pairs (an ``=`` with exactly one column
+    on each side, as ``(left column, right column)``), residuals whose
+    columns have all arrived, and the rest, which wait for a later input.
+    """
+    pairs, residual, remaining = [], [], []
+    arrived = left | right
+    for condition in pending:
+        cols = condition.columns()
+        if not cols <= arrived:
+            remaining.append(condition)
+            continue
+        left_side, right_side = cols & left, cols & right
+        if (
+            condition.op == "="
+            and condition.is_col_col()
+            and len(left_side) == len(right_side) == 1
+        ):
+            pairs.append((left_side.pop(), right_side.pop()))
+        else:
+            residual.append(condition)
+    return pairs, residual, remaining
+
+
 def _key(schema: Schema, attributes: Sequence[str]) -> Callable[[tuple], object]:
     """The join key of a row: its value on one attribute, a tuple on several.
 

@@ -19,7 +19,7 @@ from typing import Iterable
 from repro.common.errors import RemoteDBMSError, UnknownRelationError
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.index import IndexSet
-from repro.relational.operators import join, project, select
+from repro.relational.operators import join, project, select, split_join_step
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.remote.sql import FetchTableQuery, SelectQuery, SqlCol, SqlInList, SqlLit
@@ -173,25 +173,9 @@ class PurePythonEngine:
         for ref in query.tables[1:]:
             right = loaded[ref.alias]
             right_attrs = set(right.schema.attributes)
-            pairs = []
-            residual_here = []
-            remaining = []
-            for comparison in pending:
-                cols = comparison.columns()
-                if cols <= (joined_attrs | right_attrs):
-                    left_cols = cols & joined_attrs
-                    right_cols = cols & right_attrs
-                    if (
-                        comparison.op == "="
-                        and comparison.is_col_col()
-                        and len(left_cols) == 1
-                        and len(right_cols) == 1
-                    ):
-                        pairs.append((left_cols.pop(), right_cols.pop()))
-                    else:
-                        residual_here.append(comparison)
-                else:
-                    remaining.append(comparison)
+            pairs, residual_here, pending = split_join_step(
+                pending, joined_attrs, right_attrs
+            )
             # ``join`` streams its larger input past a hash table of the
             # smaller.  A streamed table still in place is first cut down to
             # the rows that meet a build-side key; the build side stays the
@@ -213,7 +197,6 @@ class PurePythonEngine:
                 build_left=build_left,
             )
             joined_attrs |= right_attrs
-            pending = remaining
             touched += len(combined)
         if pending:
             # Conditions that never became joinable (should not happen for

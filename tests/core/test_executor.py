@@ -51,7 +51,9 @@ def make_planner(cache, server):
     manager = AdviceManager()
     manager.begin_session(None)
     rdi = RemoteInterface(server)
-    return QueryPlanner(cache, manager, rdi.statistics_of, server.profile)
+    return QueryPlanner(
+        cache, manager, rdi.statistics_of, rdi.cost_profile_of, server.profile
+    )
 
 
 class TestDegenerateStrategies:

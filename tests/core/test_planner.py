@@ -38,11 +38,13 @@ def make_planner(cache=None, advice=None, features=None):
         manager.begin_session(advice)
     else:
         manager.begin_session(None)
+    profile = CostProfile()
     return QueryPlanner(
         cache if cache is not None else Cache(),
         manager,
         stats_of,
-        CostProfile(),
+        lambda _table: ("", profile),
+        profile,
         features,
     )
 

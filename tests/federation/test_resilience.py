@@ -188,6 +188,9 @@ class TestDegradedAnswers:
         federation = make_federation()
         cms = federation.cms()
         cms.begin_session()
-        federation.set_fault_policy(FaultPolicy(seed=0, permanent_rate=1.0))
+        for name in federation.backends():
+            federation.set_backend_faults(
+                name, FaultPolicy(seed=0, permanent_rate=1.0)
+            )
         with pytest.raises(RemoteDBMSError):
             cms.query(parse_query(SPAN2)).fetch_all()

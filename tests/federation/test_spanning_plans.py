@@ -139,9 +139,10 @@ class TestPlanOrderInvariant:
         plan = QueryPlan(query, "remote", parts=tuple(parts))
         with pytest.raises(InvariantViolation, match="to backend gamma"):
             plan.check_invariants(planner.backend_of)
-        # Without a resolver every remote part is bound for the one server.
+        # Under a lone server's resolver every remote part is bound for
+        # the one server.
         with pytest.raises(InvariantViolation, match="more than one remote part"):
-            plan.check_invariants()
+            plan.check_invariants(lambda _table: ("", None))
 
 
 class TestExplainShowsTheBackends:

@@ -168,6 +168,11 @@ class TestCacheInvariants:
             cache.check_invariants()
 
 
+def lone_server(_table):
+    """A lone server's backend resolver: backend ``""`` owns every table."""
+    return "", None
+
+
 def remote_part(psj, tags, **kwargs):
     return RemotePart(
         sub_query=psj, columns=tuple(psj.projection), tags=frozenset(tags), **kwargs
@@ -180,25 +185,25 @@ class TestPlanInvariants:
 
     def test_remote_plan_covering_everything_passes(self):
         plan = QueryPlan(self.PSJ, "remote", parts=(remote_part(self.PSJ, self.TAGS),))
-        plan.check_invariants()
+        plan.check_invariants(lone_server)
 
     def test_terminal_strategies_are_always_consistent(self):
-        QueryPlan(self.PSJ, "unsatisfiable").check_invariants()
-        QueryPlan(self.PSJ, "unit").check_invariants()
+        QueryPlan(self.PSJ, "unsatisfiable").check_invariants(lone_server)
+        QueryPlan(self.PSJ, "unit").check_invariants(lone_server)
 
     def test_uncovered_occurrence(self):
         plan = QueryPlan(
             self.PSJ, "remote", parts=(remote_part(self.PSJ, self.TAGS[:1]),)
         )
         with pytest.raises(InvariantViolation, match="covered by no part"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_unknown_tag(self):
         plan = QueryPlan(
             self.PSJ, "remote", parts=(remote_part(self.PSJ, ["t9"]),)
         )
         with pytest.raises(InvariantViolation, match="unknown tags"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_double_coverage(self):
         plan = QueryPlan(
@@ -210,32 +215,32 @@ class TestPlanInvariants:
             ),
         )
         with pytest.raises(InvariantViolation, match="more than one"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_lazy_plan_touching_remote(self):
         plan = QueryPlan(
             self.PSJ, "remote", parts=(remote_part(self.PSJ, self.TAGS),), lazy=True
         )
         with pytest.raises(InvariantViolation, match="lazy"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_cache_full_without_full_match(self):
         plan = QueryPlan(self.PSJ, "cache-full", epoch=0)
         with pytest.raises(InvariantViolation, match="no full match"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_exact_plan_without_epoch_stamp(self):
         _cache, element = stored_cache()
         plan = QueryPlan(self.PSJ, "exact", exact_element=element)  # epoch left at -1
         with pytest.raises(InvariantViolation, match="epoch"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
         plan.epoch = 0
-        plan.check_invariants()
+        plan.check_invariants(lone_server)
 
     def test_exact_plan_without_its_element(self):
         plan = QueryPlan(self.PSJ, "exact", epoch=0)
         with pytest.raises(InvariantViolation, match="carries no element"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_second_remote_part(self):
         first, second = ([tag] for tag in self.TAGS)
@@ -245,7 +250,7 @@ class TestPlanInvariants:
             parts=(remote_part(self.PSJ, first), remote_part(self.PSJ, second)),
         )
         with pytest.raises(InvariantViolation, match="more than one remote part"):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
     def test_binding_from_a_column_no_cache_part_exposes(self):
         remote_column = sorted(self.PSJ.all_columns())[0]
@@ -262,7 +267,7 @@ class TestPlanInvariants:
         )
         plan = QueryPlan(self.PSJ, "hybrid", parts=(part,), epoch=0)
         with pytest.raises(InvariantViolation):
-            plan.check_invariants()
+            plan.check_invariants(lone_server)
 
 
 class TestMetricsInvariants:

@@ -135,7 +135,6 @@ SETTABLE_SURFACES = {
         "build_federation",
     ),
     "federation/interface.py": ("FederatedInterface.__init__",),
-    "federation/naive.py": ("NaiveFederation.__init__",),
     "baselines/base.py": ("BaselineInterface.__init__",),
     "baselines/exact_cache.py": ("ExactMatchCache.__init__",),
     "baselines/relation_cache.py": ("SingleRelationBuffer.__init__",),
