@@ -30,7 +30,7 @@ from repro.advice.path_expression import (
 )
 from repro.advice.tracker import PathTracker
 from repro.advice.view_spec import ViewSpecification
-from repro.core.cache import CacheElement, lru_scorer
+from repro.core.cache import EXPENDABLE_OFFSET, CacheElement, lru_scorer
 
 
 def _views_under_repetition(expr: PathExpr) -> set[str]:
@@ -157,7 +157,7 @@ class AdviceManager:
         def scorer(element: CacheElement) -> float:
             base = base_scorer(element)
             if element.expendable:
-                base += 1e9  # advice marked it single-use
+                base += EXPENDABLE_OFFSET  # advice marked it single-use
             if element.kind == "intermediate":
                 # Path expressions name whole views; distance is undefined
                 # for an operator-level intermediate, which would otherwise

@@ -19,6 +19,7 @@ index (Section 5.3.2); the :class:`StaleArchive` beside it is a bounded FIFO.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,6 +44,9 @@ from repro.core.canonical import audit_canonical, canonical_key
 
 #: Scores an element's eviction priority; higher = evict sooner.
 EvictionScorer = Callable[["CacheElement"], float]
+#: Answers whether the installed scorer is bounded by
+#: :meth:`Cache.cost_bound` right now (see :meth:`Cache.install_scorer`).
+BoundTest = Callable[[], bool]
 
 #: Half-life, in simulated seconds, of the observed-reuse signal: an
 #: element's hit frequency halves for every such interval it sits idle.
@@ -58,6 +62,15 @@ VALUE_WEIGHT = 1e9
 ANCESTOR_SHARE = 0.5
 #: How many remote answers the :class:`StaleArchive` keeps (FIFO beyond it).
 ARCHIVE_ELEMENTS = 64
+#: What advice adds to the score of an element it marked single-use
+#: (:attr:`CacheElement.expendable`): one value weight, below the 1e12
+#: path-expression offsets.
+EXPENDABLE_OFFSET = 1e9
+
+
+def always_bounded() -> bool:
+    """The bound test of a scorer :meth:`Cache.cost_bound` always bounds."""
+    return True
 
 
 @dataclass
@@ -231,6 +244,16 @@ def _drop(index: dict, path: tuple, element_id: str) -> None:
         del index[key]
 
 
+def _beats(
+    score: float, element: CacheElement, best_score: float, best: CacheElement | None
+) -> bool:
+    """``max``'s order over store order: a higher score, or an equal score
+    stored earlier (a smaller epoch), takes the place of the best so far."""
+    return best is None or score > best_score or (
+        score == best_score and element.epoch < best.epoch
+    )
+
+
 def key_of(definition: PSJQuery) -> tuple:
     """The canonical identity the cache and the MQO registry share.
 
@@ -299,6 +322,21 @@ class Cache:
         #: Manager layers path-expression offsets on top of it, and tests
         #: may install plain :func:`lru_scorer` or a custom one.
         self.scorer: EvictionScorer = self.cost_scorer
+        #: The scorer :meth:`install_scorer` vouched for, and its bound test:
+        #: any other scorer (one assigned to :attr:`scorer` directly) is
+        #: picked for by the full scan.
+        self._bounded: tuple[EvictionScorer, BoundTest | None] = (
+            self.scorer,
+            always_bounded,
+        )
+        #: The victim heap over the live extension-backed elements: entries
+        #: ``[-cost_bound, epoch, element_id]``, largest bound first, ties in
+        #: store order.  Keys may be stale but never below the element's
+        #: bound (see :meth:`_pick_victim`).
+        self._heap: list[list] = []
+        #: Each live extension-backed element's current heap entry; any other
+        #: entry in the heap is dead (retired or superseded).
+        self._heap_entry: dict[str, list] = {}
         self.eviction_count = 0
         #: Bumped on every store/discard; plans tagged with an older epoch
         #: must re-validate their matched elements before executing.
@@ -397,6 +435,8 @@ class Cache:
         )
         self._elements[element.element_id] = element
         self._count_bytes(element, size)
+        if not element.is_generator:
+            self._file(element)
         self._by_key[key] = element.element_id
         for bucket in _buckets(self._by_pin, self._unpinned, element):
             bucket[element.element_id] = None
@@ -419,6 +459,7 @@ class Cache:
             return
         self.epoch += 1
         self._by_key.pop(key_of(element.definition), None)
+        self._heap_entry.pop(element_id, None)
         self._unfile_pins(element)
         # Prune the derivation DAG: the element's own fan-out entry, and
         # its slot in each live parent's children list.  Children keep a
@@ -521,17 +562,84 @@ class Cache:
             used -= victim_bytes
             self.eviction_count += 1
 
-    def _pick_victim(self, exempt: set[str]) -> CacheElement | None:
-        candidates = [
-            e
-            for e in self._elements.values()
-            if not e.pinned
-            and e.element_id not in exempt
-            and not self._has_pinned_descendant(e.element_id)
-        ]
+    def _evictable(self, element: CacheElement, exempt: set[str]) -> bool:
+        """Neither pinned, exempt, nor the ancestor of a pinned element."""
+        return (
+            not element.pinned
+            and element.element_id not in exempt
+            and not self._has_pinned_descendant(element.element_id)
+        )
+
+    def _scan_victim(self, exempt: set[str]) -> CacheElement | None:
+        """The victim by definition: the first highest-scoring evictable
+        element in store order, every element scored."""
+        candidates = [e for e in self._elements.values() if self._evictable(e, exempt)]
         if not candidates:
             return None
         return max(candidates, key=self.scorer)
+
+    def _pick_victim(self, exempt: set[str]) -> CacheElement | None:
+        """:meth:`_scan_victim`'s answer, scoring only the elements whose
+        bound can still beat the best score found.
+
+        Generator-backed elements (their bytes can grow, so no static
+        bound) are scored first; then heap entries pop largest bound
+        first.  An entry whose element has been touched since it was keyed
+        is re-keyed and pushed back; a current one is scored.  The pick
+        stops at the first key below the best score — every score is at
+        most its element's key — so entries whose key *equals* the best
+        are still examined, and equal scores go to the earlier store, as
+        ``max`` over store order does.  Falls back to the full scan unless
+        the installed scorer is the one :meth:`install_scorer` vouched for
+        and its bound test holds.
+        """
+        scorer, holds = self._bounded
+        if self.scorer is not scorer or holds is None or not holds():
+            return self._scan_victim(exempt)
+        best: CacheElement | None = None
+        best_score = 0.0
+        for element in self._generators.values():
+            # Condemned generators sit here too; they are pinned.
+            if self._evictable(element, exempt):
+                score = scorer(element)
+                if _beats(score, element, best_score, best):
+                    best, best_score = element, score
+        heap, entries, kept = self._heap, self._heap_entry, []
+        while heap and (best is None or -heap[0][0] >= best_score):
+            entry = heapq.heappop(heap)
+            element_id = entry[2]
+            if entries.get(element_id) is not entry:
+                continue  # retired or superseded
+            element = self._elements[element_id]
+            bound = self.cost_bound(element)
+            if bound < -entry[0]:  # touched since it was keyed
+                fresh = entries[element_id] = [-bound, entry[1], element_id]
+                heapq.heappush(heap, fresh)
+                continue
+            kept.append(entry)
+            if not self._evictable(element, exempt):
+                continue
+            score = scorer(element)
+            if _beats(score, element, best_score, best):
+                best, best_score = element, score
+        for entry in kept:
+            heapq.heappush(heap, entry)
+        self._compact()
+        return best
+
+    def _file(self, element: CacheElement) -> None:
+        """(Re-)key a live extension-backed element at its fresh bound."""
+        entry = [-self.cost_bound(element), element.epoch, element.element_id]
+        self._heap_entry[element.element_id] = entry
+        heapq.heappush(self._heap, entry)
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the current entries once dead ones
+        outnumber them, so it stays O(live elements)."""
+        if len(self._heap) > 2 * len(self._heap_entry):
+            self._heap = list(self._heap_entry.values())
+            heapq.heapify(self._heap)
 
     def _has_pinned_descendant(self, element_id: str) -> bool:
         """True when a live (transitive) derivation descendant is pinned:
@@ -581,6 +689,49 @@ class Cache:
         exact LRU while expensive, reused, compact elements are retained
         far past their recency."""
         return lru_scorer(element) - VALUE_WEIGHT * self.element_value(element)
+
+    def cost_bound(self, element: CacheElement) -> float:
+        """An upper bound on the element's :meth:`cost_scorer` score, with
+        advice's :data:`EXPENDABLE_OFFSET` included: the same float
+        operations with the decayed frequency dropped.  Frequency, cost,
+        weight and :data:`VALUE_WEIGHT` are non-negative and every rounding
+        step is monotone, so the bound holds exactly.  A touch, a cost set
+        from zero or a raised weight only lower it; :meth:`annotate` is the
+        one write that can raise it, and re-keys."""
+        bound = lru_scorer(element) - VALUE_WEIGHT * (
+            element.derivation_seconds
+            * element.advice_weight
+            / max(element.estimated_bytes(), 1)
+        )
+        if element.expendable:
+            bound += EXPENDABLE_OFFSET
+        return bound
+
+    def install_scorer(self, scorer: EvictionScorer, bounded: BoundTest | None) -> None:
+        """Install an eviction scorer.  ``bounded`` answers, at each pick,
+        whether every score is at most :meth:`cost_bound` — so the victim
+        heap may pick — or is None when that never holds."""
+        self.scorer = scorer
+        self._bounded = (scorer, bounded)
+
+    def annotate(self, element: CacheElement, expendable: bool, advised: bool) -> None:
+        """Record advice's prediction on an element just stored for a
+        query: ``expendable`` when the plan predicted a single use,
+        ``advised`` when an advised view defines the query.  Marking an
+        element expendable raises its :meth:`cost_bound`, so the element
+        is re-keyed."""
+        if expendable and element.use_count == 0:
+            element.expendable = True
+            element.advice_expected_reuse = False
+            element.advice_weight = 0.0  # predicted single-use
+        elif element.use_count > 0:
+            element.expendable = False  # reuse proved the advice wrong
+            element.advice_weight = max(element.advice_weight, 1.0)
+        elif advised:
+            element.advice_expected_reuse = True
+            element.advice_weight = 2.0  # advice predicts reuse
+        if element.element_id in self._heap_entry:
+            self._file(element)
 
     # -- lookup -----------------------------------------------------------------
     def touch(self, element: CacheElement) -> None:
@@ -741,8 +892,9 @@ class Cache:
         rebuild from scratch, refcount sanity, each stored relation's own
         audit (set semantics, schema arity, its size memo against a
         recount), the disjointness/reachability rules for the condemned
-        set, and the running byte total against a from-scratch sum.
-        Called from tests and after every fuzzer query.
+        set, the running byte total against a from-scratch sum, and the
+        victim heap (:meth:`_check_victim_heap`).  Called from tests and
+        after every fuzzer query.
         """
         if self.epoch < 0:
             raise InvariantViolation(f"cache epoch is negative: {self.epoch}")
@@ -874,6 +1026,41 @@ class Cache:
                 f"sum to {summed} (a missed adjustment, or an extension grown "
                 "in place)"
             )
+        self._check_victim_heap()
+
+    def _check_victim_heap(self) -> None:
+        """Audit the victim heap: exactly the live extension-backed
+        elements have a current entry, in the heap, keyed at or above the
+        element's fresh :meth:`cost_bound` (a touch lowers a bound without
+        re-keying, so a key may sit above it, never below), and the
+        bounded pick names the full scan's victim."""
+        extensions = [i for i, e in self._elements.items() if not e.is_generator]
+        if sorted(self._heap_entry) != sorted(extensions):
+            raise InvariantViolation(
+                f"victim heap keys {sorted(self._heap_entry)} but the live "
+                f"extension-backed elements are {sorted(extensions)}"
+            )
+        filed = sum(1 for entry in self._heap if self._heap_entry.get(entry[2]) is entry)
+        if filed != len(self._heap_entry):
+            raise InvariantViolation(
+                f"{len(self._heap_entry)} current victim-heap entries but "
+                f"{filed} of them are in the heap"
+            )
+        for element_id, entry in self._heap_entry.items():
+            element = self._elements[element_id]
+            bound = self.cost_bound(element)
+            if entry[1] != element.epoch or -entry[0] < bound:
+                raise InvariantViolation(
+                    f"{element_id}: victim-heap entry {entry} but its bound is "
+                    f"{bound} at epoch {element.epoch} (a write raised the "
+                    "bound without re-keying)"
+                )
+        picked, scanned = self._pick_victim(set()), self._scan_victim(set())
+        if picked is not scanned:
+            raise InvariantViolation(
+                f"the victim heap picks {picked and picked.element_id} but the "
+                f"full scan picks {scanned and scanned.element_id}"
+            )
 
     def clear(self) -> None:
         """Drop every element and index entry (pins notwithstanding)."""
@@ -885,6 +1072,8 @@ class Cache:
         self._children.clear()
         self._extension_bytes = 0
         self._generators.clear()
+        self._heap.clear()
+        self._heap_entry.clear()
         self.epoch += 1
 
 

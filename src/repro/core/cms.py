@@ -69,7 +69,14 @@ from repro.caql.eval import (
 )
 from repro.caql.psj import PSJQuery, psj_from_literals
 from repro.core.advice_manager import AdviceManager
-from repro.core.cache import Cache, StaleArchive, lru_scorer
+from repro.core.cache import (
+    BoundTest,
+    Cache,
+    EvictionScorer,
+    StaleArchive,
+    always_bounded,
+    lru_scorer,
+)
 from repro.core.cache_model import cache_model, cache_statistics
 from repro.core.executor import ExecutionMonitor, ResultStream
 from repro.core.planner import PlannerFeatures, QueryPlanner
@@ -227,6 +234,7 @@ class CacheManagementSystem:
         )
         self.shares_cache = cache is not None
         self.advice_manager = AdviceManager()
+        self._scorer = self._session_scorer()
         #: The remote interface: a resilient link to a lone server, or a
         #: federation's router of one-backend requests.
         self.rdi = remote_interface(remote, self.features.retry_policy)
@@ -283,7 +291,32 @@ class CacheManagementSystem:
         else:
             logger.debug("session: no advice")
         self.advice_manager.begin_session(advice)
+        self._scorer = self._session_scorer()
         self.activate()
+
+    def _session_scorer(self) -> tuple[EvictionScorer, BoundTest | None]:
+        """This session's replacement scorer and its bound test (see
+        :meth:`Cache.install_scorer`).  Built once per session: the path
+        tracker the advice offsets read is only replaced by
+        ``begin_session``.
+
+        The cost scorer is bounded by :meth:`Cache.cost_bound`, and so is
+        advice layered over it while the only offset it can add is the
+        expendable one: without a tracker, or once the tracker is lost.  A
+        live tracker may add +1e12 ("never needed again"), and LRU has no
+        value term to bound: both leave picking to the full scan.
+        """
+        scorer = self.cache.cost_scorer if self.features.cost_replacement else lru_scorer
+        tracker = None
+        if self.features.advice_replacement:
+            # Advice offsets layered over the base (cost or LRU) scorer.
+            scorer = self.advice_manager.replacement_scorer(base_scorer=scorer)
+            tracker = self.advice_manager.tracker
+        if not self.features.cost_replacement:
+            return scorer, None
+        if tracker is None:
+            return scorer, always_bounded
+        return scorer, lambda: tracker.lost
 
     def activate(self) -> None:
         """Install this session's replacement scorer on the cache.
@@ -293,18 +326,7 @@ class CacheManagementSystem:
         replacement decisions always follow the advice of the session
         whose query is running.
         """
-        base = (
-            self.cache.cost_scorer
-            if self.features.cost_replacement
-            else lru_scorer
-        )
-        if self.features.advice_replacement:
-            # Advice offsets layered over the base (cost or LRU) scorer.
-            self.cache.scorer = self.advice_manager.replacement_scorer(
-                base_scorer=base
-            )
-        else:
-            self.cache.scorer = base
+        self.cache.install_scorer(*self._scorer)
 
     # -- metadata for the IE ---------------------------------------------------------
     def statistics_of(self, table: str) -> RelationStatistics:
@@ -513,16 +535,11 @@ class CacheManagementSystem:
                 )
             except CacheCapacityError:
                 return result
-            if plan.expendable and element.use_count == 0:
-                element.expendable = True
-                element.advice_expected_reuse = False
-                element.advice_weight = 0.0  # predicted single-use
-            elif element.use_count > 0:
-                element.expendable = False  # reuse proved the advice wrong
-                element.advice_weight = max(element.advice_weight, 1.0)
-            elif self.advice_manager.view(psj.name) is not None:
-                element.advice_expected_reuse = True
-                element.advice_weight = 2.0  # advice predicts reuse
+            self.cache.annotate(
+                element,
+                expendable=plan.expendable,
+                advised=self.advice_manager.view(psj.name) is not None,
+            )
             self._build_indexes(element, plan.index_positions)
         return result
 

@@ -19,6 +19,14 @@ class Relation:
     rows are silently dropped; insertion order of first occurrences is
     preserved so results are deterministic.
 
+    **The row set is built on the first membership question.**  Only
+    :meth:`insert`, ``in`` and ``==`` need to hash rows, so a relation
+    adopted by :meth:`from_distinct_rows` or deduplicated by the
+    constructor keeps no set until one of them asks: most materialized
+    parts are read, sized and cached without any.  :meth:`with_schema`
+    builds the owner's set before sharing it, so an owner and its aliases
+    always consult one set.
+
     **Append-only contract.**  :meth:`insert` is the only mutator: a row,
     once in, is never changed, moved or removed, and row values are
     immutable.  :meth:`estimated_bytes` relies on it (it sizes each row
@@ -41,7 +49,7 @@ class Relation:
         distinct = dict.fromkeys(staged)
         self.schema = schema
         self._rows: list[tuple] = list(distinct)
-        self._row_set: set[tuple] = set(distinct)
+        self._row_set: set[tuple] | None = None
         self._sized_rows = 0
         self._sized_bytes = 0
 
@@ -52,10 +60,13 @@ class Relation:
             row = tuple(row)
         if len(row) != self.schema.arity:
             raise _arity_error(row, self.schema)
-        if row in self._row_set:
+        members = self._row_set
+        if members is None:
+            members = self._members()
+        if row in members:
             return False
         self._rows.append(row)
-        self._row_set.add(row)
+        members.add(row)
         return True
 
     def insert_all(self, rows: Iterable[tuple]) -> int:
@@ -77,10 +88,17 @@ class Relation:
         out = cls.__new__(cls)
         out.schema = schema
         out._rows = rows
-        out._row_set = set(rows)
+        out._row_set = None
         out._sized_rows = 0
         out._sized_bytes = 0
         return out
+
+    def _members(self) -> set[tuple]:
+        """The row set, built on first use (see the class docstring)."""
+        members = self._row_set
+        if members is None:
+            members = self._row_set = set(self._rows)
+        return members
 
     # -- access --------------------------------------------------------------------
     def __iter__(self) -> Iterator[tuple]:
@@ -90,7 +108,7 @@ class Relation:
         return len(self._rows)
 
     def __contains__(self, row: tuple) -> bool:
-        return tuple(row) in self._row_set
+        return tuple(row) in self._members()
 
     def __eq__(self, other: object) -> bool:
         """Set equality: same schema attributes and same rows, any order."""
@@ -98,7 +116,7 @@ class Relation:
             return NotImplemented
         return (
             self.schema.attributes == other.schema.attributes
-            and self._row_set == other._row_set
+            and self._members() == other._members()
         )
 
     def __hash__(self):  # pragma: no cover - relations are mutable
@@ -138,15 +156,17 @@ class Relation:
         """The same rows under another schema of the same arity.
 
         Rows are shared, not copied: the alias reads (and an insert
-        through it extends) the owner's append-only row list in place, so
-        it costs O(1) whatever the relation's size.
+        through it extends) the owner's append-only row list in place.
+        The owner's row set is built first and shared too, so an insert
+        through either is seen by both; after that an alias costs O(1)
+        whatever the relation's size.
         """
         if schema.arity != self.schema.arity:
             raise SchemaError(f"cannot view {self.schema} as {schema}: arity differs")
         out = Relation.__new__(Relation)
         out.schema = schema
         out._rows = self._rows
-        out._row_set = self._row_set
+        out._row_set = self._members()
         # The sized prefix of a shared append-only list is the alias's too.
         out._sized_rows = self._sized_rows
         out._sized_bytes = self._sized_bytes
@@ -195,11 +215,6 @@ class Relation:
         :meth:`estimated_bytes` that a recount of the rows disagrees with.
         """
         label = label or f"relation {self.schema.name}"
-        if len(self._rows) != len(self._row_set):
-            raise InvariantViolation(
-                f"{label}: {len(self._rows)} rows in order but "
-                f"{len(self._row_set)} distinct — duplicate production"
-            )
         arity = self.schema.arity
         for row in self._rows:
             if not isinstance(row, tuple):
@@ -208,6 +223,14 @@ class Relation:
                 raise InvariantViolation(
                     f"{label}: row {row!r} has arity {len(row)}, schema says {arity}"
                 )
+        # An unbuilt set is counted, not kept: auditing leaves a relation's
+        # footprint as it found it.
+        members = self._row_set if self._row_set is not None else set(self._rows)
+        if len(self._rows) != len(members):
+            raise InvariantViolation(
+                f"{label}: {len(self._rows)} rows in order but "
+                f"{len(members)} distinct — duplicate production"
+            )
         # A row mutated in place breaks the append-only contract and would
         # skew cache eviction silently.
         memoized, recount = self.estimated_bytes(), rows_bytes(self._rows)

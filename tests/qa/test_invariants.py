@@ -327,8 +327,7 @@ class TestStreamInvariants:
 
     def test_arity_violation(self):
         relation = Relation(self.SCHEMA, [(1, 2)])
-        relation._rows.append((1, 2, 3))
-        relation._row_set.add((1, 2, 3))
+        relation._rows.append((1, 2, 3))  # its row set is not built yet
         with pytest.raises(InvariantViolation, match="arity"):
             ResultStream(relation, "q").check_invariants()
 
