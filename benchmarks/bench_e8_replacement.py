@@ -10,7 +10,7 @@ session's query sequence exactly: a *hot* view (a full r0 scan) recurs
 every round, interleaved with one-shot filler views over r1 (disjoint
 slices, so nothing is derivable across them).  The cache is too small for
 everything.  Plain LRU evicts the hot element whenever filler results pile
-up; the advised scorer sees that passed fillers are dead (distance None)
+up; advised replacement sees that passed fillers are dead (distance None)
 and the hot view is still ahead, and evicts fillers instead.
 
 Expected shape: advised replacement re-fetches the hot view less often —
@@ -45,9 +45,9 @@ def make_cms(advised: bool) -> CacheManagementSystem:
         capacity_bytes=9_000,  # hot scan (~6.5 kB) + a couple of fillers
         features=CMSFeatures(
             advice_replacement=advised,
-            # Pin the base scorer to plain LRU in both configurations so
-            # the measured delta isolates the paper's claim (advice over
-            # LRU); the cost-based scorer is E21's subject, not E8's.
+            # A uniform value (plain LRU) in both configurations so the
+            # measured delta isolates the paper's claim (advice over
+            # LRU); cost-based replacement is E21's subject, not E8's.
             cost_replacement=False,
             prefetch=False,
             generalization=False,

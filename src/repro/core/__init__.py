@@ -1,7 +1,7 @@
 """The paper's primary contribution: the Cache Management System (CMS)."""
 
 from repro.core.advice_manager import AdviceManager
-from repro.core.cache import Cache, CacheElement, lru_scorer
+from repro.core.cache import Cache, CacheElement
 from repro.core.cache_model import CACHE_MODEL_SCHEMA, cache_model, cache_statistics
 from repro.core.cms import CacheManagementSystem, CMSFeatures
 from repro.core.executor import ExecutionMonitor, ResultStream
@@ -39,6 +39,5 @@ __all__ = [
     "derive_full_lazy",
     "derive_part",
     "find_relevant",
-    "lru_scorer",
     "match_element",
 ]

@@ -11,8 +11,10 @@ arrive, and answers the decision questions of Section 4.2:
   tracker still expects);
 * *result caching*: whether a view's result is worth keeping (predicted to
   recur, or unknown);
-* *replacement*: an advice-modified LRU score (elements the tracker says
-  are needed soon are protected; unreachable ones are evicted first);
+* *replacement*: the path tracker's rank of each view name, which makes
+  advice a priority class of the cache's GreedyDual order
+  (:mod:`repro.core.replacement`): views the tracker says can never recur
+  are evicted first, views needed soon last;
 * *attribute indexing*: consumer-annotated positions;
 * *lazy vs eager*: pure-producer views evaluate lazily;
 * *generalization*: views queried repeatedly with different constants
@@ -20,6 +22,8 @@ arrive, and answers the decision questions of Section 4.2:
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.advice.language import EMPTY_ADVICE, AdviceSet
 from repro.advice.path_expression import (
@@ -30,7 +34,7 @@ from repro.advice.path_expression import (
 )
 from repro.advice.tracker import PathTracker
 from repro.advice.view_spec import ViewSpecification
-from repro.core.cache import EXPENDABLE_OFFSET, CacheElement, lru_scorer
+from repro.core.replacement import tracker_rank
 
 
 def _views_under_repetition(expr: PathExpr) -> set[str]:
@@ -140,35 +144,11 @@ class AdviceManager:
         return view_name in self._repeating_views
 
     # -- replacement -------------------------------------------------------------------
-    def replacement_scorer(self, base_scorer=None):
-        """An eviction scorer: a base scorer modified by path-expression
-        distance.
-
-        Elements whose view the tracker will never request again are
-        evicted first; elements needed within a few queries are protected.
-        Falls back to the plain base without a (live) tracker.
-        ``base_scorer`` defaults to LRU; the CMS passes the cache's
-        cost-based scorer so advice offsets layer on top of value.
-        """
+    def replacement_ranks(self) -> Callable[[str], float] | None:
+        """The live path tracker's replacement rank of a view name (see
+        :func:`~repro.core.replacement.tracker_rank`), or None without a
+        tracker or once it is lost."""
         tracker = self.tracker
-        if base_scorer is None:
-            base_scorer = lru_scorer
-
-        def scorer(element: CacheElement) -> float:
-            base = base_scorer(element)
-            if element.expendable:
-                base += EXPENDABLE_OFFSET  # advice marked it single-use
-            if element.kind == "intermediate":
-                # Path expressions name whole views; distance is undefined
-                # for an operator-level intermediate, which would otherwise
-                # always look "never needed again" and be dumped first.
-                return base
-            if tracker is None or tracker.lost:
-                return base
-            distance = tracker.distance_to(element.view_name)
-            if distance is None:
-                return base + 1e12  # never needed again: evict first
-            # Needed soon: strong protection, decaying with distance.
-            return base - 1e12 / distance
-
-        return scorer
+        if tracker is None or tracker.lost:
+            return None
+        return lambda view_name: tracker_rank(tracker.distance_to(view_name))

@@ -19,10 +19,8 @@ index (Section 5.3.2); the :class:`StaleArchive` beside it is a bounded FIFO.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.clock import SimClock
 from repro.common.errors import CacheCapacityError, CacheError, InvariantViolation
@@ -41,36 +39,14 @@ from repro.relational.relation import Relation
 from repro.caql.implication import ContainmentSignature, PinSlot
 from repro.caql.psj import PSJQuery
 from repro.core.canonical import audit_canonical, canonical_key
+from repro.core.replacement import GreedyDual
 
-#: Scores an element's eviction priority; higher = evict sooner.
-EvictionScorer = Callable[["CacheElement"], float]
-#: Answers whether the installed scorer is bounded by
-#: :meth:`Cache.cost_bound` right now (see :meth:`Cache.install_scorer`).
-BoundTest = Callable[[], bool]
-
-#: Half-life, in simulated seconds, of the observed-reuse signal: an
-#: element's hit frequency halves for every such interval it sits idle.
-REUSE_HALF_LIFE = 30.0
-#: Scale of the cost-based value term relative to the LRU sequence.  Large
-#: enough that any nonzero value dominates recency deltas, small enough to
-#: stay below the advice manager's 1e12 path-expression offsets (advice
-#: "needed next" / "never needed" verdicts still override cost).
-VALUE_WEIGHT = 1e9
 #: Fraction of a reuse event credited to each derivation-ancestor level:
 #: a hit on a derived element warms its parents at this share, its
 #: grandparents at the share squared, and so on (see ``touch``).
 ANCESTOR_SHARE = 0.5
 #: How many remote answers the :class:`StaleArchive` keeps (FIFO beyond it).
 ARCHIVE_ELEMENTS = 64
-#: What advice adds to the score of an element it marked single-use
-#: (:attr:`CacheElement.expendable`): one value weight, below the 1e12
-#: path-expression offsets.
-EXPENDABLE_OFFSET = 1e9
-
-
-def always_bounded() -> bool:
-    """The bound test of a scorer :meth:`Cache.cost_bound` always bounds."""
-    return True
 
 
 @dataclass
@@ -120,8 +96,8 @@ class CacheElement:
     operator: str = ""
     #: Longest parent chain below this element (0 for roots).
     depth: int = 0
-    #: Exponentially decayed observed hit frequency (the reuse predictor's
-    #: measured half; see ``Cache.cost_scorer``).
+    #: Observed uses: 1 per touch, plus the shares ancestor warming credits
+    #: (the reuse predictor's measured half; see ``replacement.value``).
     reuse_frequency: float = 0.0
     #: Advice half of the reuse predictor: 1.0 neutral, raised when advice
     #: expects reuse, zeroed for expendable elements.
@@ -174,11 +150,6 @@ class CacheElement:
     def has_index_on(self, attributes: tuple[str, ...]) -> bool:
         """True when an index on exactly these attributes exists."""
         return self._indexes is not None and self._indexes.get(attributes) is not None
-
-
-def lru_scorer(element: CacheElement) -> float:
-    """Plain LRU: the least recently touched element scores highest."""
-    return -float(element.sequence)
 
 
 def pin_anchor(signature: ContainmentSignature) -> tuple[PinSlot, object] | None:
@@ -244,16 +215,6 @@ def _drop(index: dict, path: tuple, element_id: str) -> None:
         del index[key]
 
 
-def _beats(
-    score: float, element: CacheElement, best_score: float, best: CacheElement | None
-) -> bool:
-    """``max``'s order over store order: a higher score, or an equal score
-    stored earlier (a smaller epoch), takes the place of the best so far."""
-    return best is None or score > best_score or (
-        score == best_score and element.epoch < best.epoch
-    )
-
-
 def key_of(definition: PSJQuery) -> tuple:
     """The canonical identity the cache and the MQO registry share.
 
@@ -270,13 +231,12 @@ def key_of(definition: PSJQuery) -> tuple:
 
 
 class Cache:
-    """Bounded storage of cache elements with pluggable replacement.
+    """Bounded storage of cache elements.
 
     ``capacity_bytes`` bounds the summed size estimates of all elements;
-    eviction runs on insert.  The eviction scorer is cost-based by default
-    and is replaced by the Advice Manager with an advice-modified scorer
-    when a path expression is being tracked.  Elements keep their efficacy
-    ledger; :mod:`repro.core.cache_model` renders it.
+    eviction runs on insert, in :attr:`replacement`'s GreedyDual order,
+    which the CMS points at the running session's advice.  Elements keep
+    their efficacy ledger; :mod:`repro.core.cache_model` renders it.
     """
 
     def __init__(
@@ -290,9 +250,8 @@ class Cache:
             raise CacheError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.metrics = metrics if metrics is not None else Metrics()
-        #: Stamps the efficacy ledger's created/last-used times and ages and
-        #: decays reuse.  A private clock never advances: timestamps stay
-        #: 0.0 and nothing decays.
+        #: Stamps the efficacy ledger's created/last-used times.  A private
+        #: clock never advances: timestamps stay 0.0.
         self.clock = clock if clock is not None else SimClock()
         if tracer is None:
             from repro.obs.tracer import Tracer
@@ -318,25 +277,8 @@ class Cache:
         self._children: dict[str, dict[str, None]] = {}
         self._clock = itertools.count(1)
         self._ids = itertools.count(1)
-        #: Cost-based by default (see :meth:`cost_scorer`); the Advice
-        #: Manager layers path-expression offsets on top of it, and tests
-        #: may install plain :func:`lru_scorer` or a custom one.
-        self.scorer: EvictionScorer = self.cost_scorer
-        #: The scorer :meth:`install_scorer` vouched for, and its bound test:
-        #: any other scorer (one assigned to :attr:`scorer` directly) is
-        #: picked for by the full scan.
-        self._bounded: tuple[EvictionScorer, BoundTest | None] = (
-            self.scorer,
-            always_bounded,
-        )
-        #: The victim heap over the live extension-backed elements: entries
-        #: ``[-cost_bound, epoch, element_id]``, largest bound first, ties in
-        #: store order.  Keys may be stale but never below the element's
-        #: bound (see :meth:`_pick_victim`).
-        self._heap: list[list] = []
-        #: Each live extension-backed element's current heap entry; any other
-        #: entry in the heap is dead (retired or superseded).
-        self._heap_entry: dict[str, list] = {}
+        #: The victim order: every live element's GreedyDual priority.
+        self.replacement = GreedyDual()
         self.eviction_count = 0
         #: Bumped on every store/discard; plans tagged with an older epoch
         #: must re-validate their matched elements before executing.
@@ -383,7 +325,10 @@ class Cache:
         existing_id = self._by_key.get(key)
         if existing_id is not None:
             element = self._elements[existing_id]
-            self.touch(element)
+            # Not a use (a whole-ship fetch is registered before the CMS
+            # stores the same answer): recency moves, the use count and
+            # the observed frequency do not.
+            element.sequence = next(self._clock)
             if kind == "view" and element.kind == "intermediate":
                 # A named view now backs this definition (a whole-ship
                 # fetch is registered before the CMS stores its answer):
@@ -398,6 +343,7 @@ class Cache:
                 element.derivation_seconds = max(derivation_seconds, 0.0)
             if use:
                 element.uses.add(use)
+            self.replacement.rekey(element)
             return element
 
         self.epoch += 1
@@ -435,8 +381,7 @@ class Cache:
         )
         self._elements[element.element_id] = element
         self._count_bytes(element, size)
-        if not element.is_generator:
-            self._file(element)
+        self.replacement.rekey(element)
         self._by_key[key] = element.element_id
         for bucket in _buckets(self._by_pin, self._unpinned, element):
             bucket[element.element_id] = None
@@ -459,7 +404,7 @@ class Cache:
             return
         self.epoch += 1
         self._by_key.pop(key_of(element.definition), None)
-        self._heap_entry.pop(element_id, None)
+        self.replacement.forget(element_id)
         self._unfile_pins(element)
         # Prune the derivation DAG: the element's own fan-out entry, and
         # its slot in each live parent's children list.  Children keep a
@@ -550,6 +495,7 @@ class Cache:
                     "or has a pinned derivation descendant"
                 )
             victim_bytes = victim.estimated_bytes()
+            self.replacement.evict(victim)
             self.metrics.incr(CACHE_EVICTIONS)
             self.metrics.observe(H_EVICTED_ELEMENT_BYTES, victim_bytes)
             self.tracer.event(
@@ -570,76 +516,9 @@ class Cache:
             and not self._has_pinned_descendant(element.element_id)
         )
 
-    def _scan_victim(self, exempt: set[str]) -> CacheElement | None:
-        """The victim by definition: the first highest-scoring evictable
-        element in store order, every element scored."""
-        candidates = [e for e in self._elements.values() if self._evictable(e, exempt)]
-        if not candidates:
-            return None
-        return max(candidates, key=self.scorer)
-
     def _pick_victim(self, exempt: set[str]) -> CacheElement | None:
-        """:meth:`_scan_victim`'s answer, scoring only the elements whose
-        bound can still beat the best score found.
-
-        Generator-backed elements (their bytes can grow, so no static
-        bound) are scored first; then heap entries pop largest bound
-        first.  An entry whose element has been touched since it was keyed
-        is re-keyed and pushed back; a current one is scored.  The pick
-        stops at the first key below the best score — every score is at
-        most its element's key — so entries whose key *equals* the best
-        are still examined, and equal scores go to the earlier store, as
-        ``max`` over store order does.  Falls back to the full scan unless
-        the installed scorer is the one :meth:`install_scorer` vouched for
-        and its bound test holds.
-        """
-        scorer, holds = self._bounded
-        if self.scorer is not scorer or holds is None or not holds():
-            return self._scan_victim(exempt)
-        best: CacheElement | None = None
-        best_score = 0.0
-        for element in self._generators.values():
-            # Condemned generators sit here too; they are pinned.
-            if self._evictable(element, exempt):
-                score = scorer(element)
-                if _beats(score, element, best_score, best):
-                    best, best_score = element, score
-        heap, entries, kept = self._heap, self._heap_entry, []
-        while heap and (best is None or -heap[0][0] >= best_score):
-            entry = heapq.heappop(heap)
-            element_id = entry[2]
-            if entries.get(element_id) is not entry:
-                continue  # retired or superseded
-            element = self._elements[element_id]
-            bound = self.cost_bound(element)
-            if bound < -entry[0]:  # touched since it was keyed
-                fresh = entries[element_id] = [-bound, entry[1], element_id]
-                heapq.heappush(heap, fresh)
-                continue
-            kept.append(entry)
-            if not self._evictable(element, exempt):
-                continue
-            score = scorer(element)
-            if _beats(score, element, best_score, best):
-                best, best_score = element, score
-        for entry in kept:
-            heapq.heappush(heap, entry)
-        self._compact()
-        return best
-
-    def _file(self, element: CacheElement) -> None:
-        """(Re-)key a live extension-backed element at its fresh bound."""
-        entry = [-self.cost_bound(element), element.epoch, element.element_id]
-        self._heap_entry[element.element_id] = entry
-        heapq.heappush(self._heap, entry)
-        self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap from the current entries once dead ones
-        outnumber them, so it stays O(live elements)."""
-        if len(self._heap) > 2 * len(self._heap_entry):
-            self._heap = list(self._heap_entry.values())
-            heapq.heapify(self._heap)
+        """The least ``(class, H, sequence)`` evictable element, or None."""
+        return self.replacement.pick(lambda element: self._evictable(element, exempt))
 
     def _has_pinned_descendant(self, element_id: str) -> bool:
         """True when a live (transitive) derivation descendant is pinned:
@@ -660,66 +539,12 @@ class Cache:
             stack.extend(self._children.get(child_id, ()))
         return False
 
-    # -- cost-based replacement ---------------------------------------------------
-    def decayed_frequency(self, element: CacheElement) -> float:
-        """The element's observed hit frequency, decayed by idle time
-        (half-life :data:`REUSE_HALF_LIFE`)."""
-        frequency = element.reuse_frequency
-        if frequency <= 0.0:
-            return 0.0
-        idle = max(self.clock.now - element.last_used_at, 0.0)
-        if idle > 0.0:
-            frequency *= 0.5 ** (idle / REUSE_HALF_LIFE)
-        return frequency
-
-    def element_value(self, element: CacheElement) -> float:
-        """GreedyDual-style retention value: measured recomputation cost x
-        predicted reuse (advice weight + decayed observed frequency) per
-        byte of cache spent keeping it."""
-        reuse = element.advice_weight + self.decayed_frequency(element)
-        return (
-            element.derivation_seconds
-            * reuse
-            / max(element.estimated_bytes(), 1)
-        )
-
-    def cost_scorer(self, element: CacheElement) -> float:
-        """The default eviction scorer: LRU recency minus a scaled value
-        term, so zero-cost elements (derivation_seconds == 0) degrade to
-        exact LRU while expensive, reused, compact elements are retained
-        far past their recency."""
-        return lru_scorer(element) - VALUE_WEIGHT * self.element_value(element)
-
-    def cost_bound(self, element: CacheElement) -> float:
-        """An upper bound on the element's :meth:`cost_scorer` score, with
-        advice's :data:`EXPENDABLE_OFFSET` included: the same float
-        operations with the decayed frequency dropped.  Frequency, cost,
-        weight and :data:`VALUE_WEIGHT` are non-negative and every rounding
-        step is monotone, so the bound holds exactly.  A touch, a cost set
-        from zero or a raised weight only lower it; :meth:`annotate` is the
-        one write that can raise it, and re-keys."""
-        bound = lru_scorer(element) - VALUE_WEIGHT * (
-            element.derivation_seconds
-            * element.advice_weight
-            / max(element.estimated_bytes(), 1)
-        )
-        if element.expendable:
-            bound += EXPENDABLE_OFFSET
-        return bound
-
-    def install_scorer(self, scorer: EvictionScorer, bounded: BoundTest | None) -> None:
-        """Install an eviction scorer.  ``bounded`` answers, at each pick,
-        whether every score is at most :meth:`cost_bound` — so the victim
-        heap may pick — or is None when that never holds."""
-        self.scorer = scorer
-        self._bounded = (scorer, bounded)
-
+    # -- advice ---------------------------------------------------------------------
     def annotate(self, element: CacheElement, expendable: bool, advised: bool) -> None:
         """Record advice's prediction on an element just stored for a
         query: ``expendable`` when the plan predicted a single use,
-        ``advised`` when an advised view defines the query.  Marking an
-        element expendable raises its :meth:`cost_bound`, so the element
-        is re-keyed."""
+        ``advised`` when an advised view defines the query.  Re-keys the
+        element: its class or value may have moved."""
         if expendable and element.use_count == 0:
             element.expendable = True
             element.advice_expected_reuse = False
@@ -730,20 +555,21 @@ class Cache:
         elif advised:
             element.advice_expected_reuse = True
             element.advice_weight = 2.0  # advice predicts reuse
-        if element.element_id in self._heap_entry:
-            self._file(element)
+        self.replacement.rekey(element)
 
     # -- lookup -----------------------------------------------------------------
     def touch(self, element: CacheElement) -> None:
-        """Record a use: bumps the LRU clock, the use count, and the
-        decayed reuse frequency — and warms derivation ancestors, so a hit
-        on a derived element keeps the inputs it came from alive (policy:
-        each ancestor level receives :data:`ANCESTOR_SHARE` of the hit,
-        geometrically attenuated; sequence/use_count/ledger untouched)."""
+        """Record a use: bumps the LRU clock, the use count and the observed
+        frequency, re-keys the element — and warms derivation ancestors, so
+        a hit on a derived element keeps the inputs it came from alive
+        (policy: each ancestor level receives :data:`ANCESTOR_SHARE` of the
+        hit, geometrically attenuated; sequence/use_count/ledger
+        untouched)."""
         element.sequence = next(self._clock)
         element.use_count += 1
-        element.reuse_frequency = self.decayed_frequency(element) + 1.0
+        element.reuse_frequency += 1.0
         element.last_used_at = self.clock.now
+        self.replacement.rekey(element)
         self._warm_ancestors(element)
 
     def _warm_ancestors(self, element: CacheElement) -> None:
@@ -761,10 +587,9 @@ class Cache:
                 parent = self._elements.get(parent_id)
                 if parent is None:
                     continue
-                parent.reuse_frequency = (
-                    self.decayed_frequency(parent) + share
-                )
+                parent.reuse_frequency += share
                 parent.last_used_at = self.clock.now
+                self.replacement.rekey(parent)
                 next_frontier.extend(parent.parents)
             frontier = next_frontier
             share *= ANCESTOR_SHARE
@@ -893,7 +718,7 @@ class Cache:
         audit (set semantics, schema arity, its size memo against a
         recount), the disjointness/reachability rules for the condemned
         set, the running byte total against a from-scratch sum, and the
-        victim heap (:meth:`_check_victim_heap`).  Called from tests and
+        victim order (:meth:`GreedyDual.check`).  Called from tests and
         after every fuzzer query.
         """
         if self.epoch < 0:
@@ -1026,41 +851,9 @@ class Cache:
                 f"sum to {summed} (a missed adjustment, or an extension grown "
                 "in place)"
             )
-        self._check_victim_heap()
-
-    def _check_victim_heap(self) -> None:
-        """Audit the victim heap: exactly the live extension-backed
-        elements have a current entry, in the heap, keyed at or above the
-        element's fresh :meth:`cost_bound` (a touch lowers a bound without
-        re-keying, so a key may sit above it, never below), and the
-        bounded pick names the full scan's victim."""
-        extensions = [i for i, e in self._elements.items() if not e.is_generator]
-        if sorted(self._heap_entry) != sorted(extensions):
-            raise InvariantViolation(
-                f"victim heap keys {sorted(self._heap_entry)} but the live "
-                f"extension-backed elements are {sorted(extensions)}"
-            )
-        filed = sum(1 for entry in self._heap if self._heap_entry.get(entry[2]) is entry)
-        if filed != len(self._heap_entry):
-            raise InvariantViolation(
-                f"{len(self._heap_entry)} current victim-heap entries but "
-                f"{filed} of them are in the heap"
-            )
-        for element_id, entry in self._heap_entry.items():
-            element = self._elements[element_id]
-            bound = self.cost_bound(element)
-            if entry[1] != element.epoch or -entry[0] < bound:
-                raise InvariantViolation(
-                    f"{element_id}: victim-heap entry {entry} but its bound is "
-                    f"{bound} at epoch {element.epoch} (a write raised the "
-                    "bound without re-keying)"
-                )
-        picked, scanned = self._pick_victim(set()), self._scan_victim(set())
-        if picked is not scanned:
-            raise InvariantViolation(
-                f"the victim heap picks {picked and picked.element_id} but the "
-                f"full scan picks {scanned and scanned.element_id}"
-            )
+        self.replacement.check(
+            self._elements, lambda element: self._evictable(element, set())
+        )
 
     def clear(self) -> None:
         """Drop every element and index entry (pins notwithstanding)."""
@@ -1072,8 +865,7 @@ class Cache:
         self._children.clear()
         self._extension_bytes = 0
         self._generators.clear()
-        self._heap.clear()
-        self._heap_entry.clear()
+        self.replacement.clear()
         self.epoch += 1
 
 

@@ -69,14 +69,7 @@ from repro.caql.eval import (
 )
 from repro.caql.psj import PSJQuery, psj_from_literals
 from repro.core.advice_manager import AdviceManager
-from repro.core.cache import (
-    BoundTest,
-    Cache,
-    EvictionScorer,
-    StaleArchive,
-    always_bounded,
-    lru_scorer,
-)
+from repro.core.cache import Cache, StaleArchive
 from repro.core.cache_model import cache_model, cache_statistics
 from repro.core.executor import ExecutionMonitor, ResultStream
 from repro.core.planner import PlannerFeatures, QueryPlanner
@@ -156,9 +149,10 @@ class CMSFeatures(PlannerFeatures):
     #: in-flight identical remote subplans (needs a server-provided
     #: registry; inert for a standalone CMS).
     mqo: bool = True
-    #: Cost-based replacement: retain expensive, reused, compact elements
-    #: past their LRU recency (``Cache.cost_scorer``).  Off = plain LRU as
-    #: the base scorer (advice offsets, if any, still apply on top).
+    #: Cost-based replacement: an element's GreedyDual priority adds its
+    #: benefit per byte (``replacement.value``), so expensive, reused,
+    #: compact elements outlive their LRU recency.  Off = a uniform value,
+    #: which is exact LRU (advice classes, if any, still apply).
     cost_replacement: bool = True
     #: Batch a path expression's prefetch companions into one round trip.
     batching: bool = True
@@ -234,7 +228,6 @@ class CacheManagementSystem:
         )
         self.shares_cache = cache is not None
         self.advice_manager = AdviceManager()
-        self._scorer = self._session_scorer()
         #: The remote interface: a resilient link to a lone server, or a
         #: federation's router of one-backend requests.
         self.rdi = remote_interface(remote, self.features.retry_policy)
@@ -291,42 +284,19 @@ class CacheManagementSystem:
         else:
             logger.debug("session: no advice")
         self.advice_manager.begin_session(advice)
-        self._scorer = self._session_scorer()
         self.activate()
 
-    def _session_scorer(self) -> tuple[EvictionScorer, BoundTest | None]:
-        """This session's replacement scorer and its bound test (see
-        :meth:`Cache.install_scorer`).  Built once per session: the path
-        tracker the advice offsets read is only replaced by
-        ``begin_session``.
-
-        The cost scorer is bounded by :meth:`Cache.cost_bound`, and so is
-        advice layered over it while the only offset it can add is the
-        expendable one: without a tracker, or once the tracker is lost.  A
-        live tracker may add +1e12 ("never needed again"), and LRU has no
-        value term to bound: both leave picking to the full scan.
-        """
-        scorer = self.cache.cost_scorer if self.features.cost_replacement else lru_scorer
-        tracker = None
-        if self.features.advice_replacement:
-            # Advice offsets layered over the base (cost or LRU) scorer.
-            scorer = self.advice_manager.replacement_scorer(base_scorer=scorer)
-            tracker = self.advice_manager.tracker
-        if not self.features.cost_replacement:
-            return scorer, None
-        if tracker is None:
-            return scorer, always_bounded
-        return scorer, lambda: tracker.lost
-
     def activate(self) -> None:
-        """Install this session's replacement scorer on the cache.
+        """Point the cache's replacement at this session's advice.
 
         With a private cache this runs once per ``begin_session``; with a
         shared cache the server calls it before every scheduled step, so
         replacement decisions always follow the advice of the session
         whose query is running.
         """
-        self.cache.install_scorer(*self._scorer)
+        policy = self.cache.replacement
+        policy.advice = self.advice_manager if self.features.advice_replacement else None
+        policy.cost_based = self.features.cost_replacement
 
     # -- metadata for the IE ---------------------------------------------------------
     def statistics_of(self, table: str) -> RelationStatistics:

@@ -45,7 +45,7 @@ class TestAdviceManagerLostTracker:
         from repro.advice.view_spec import annotate
         from repro.caql.parser import parse_query
         from repro.core.advice_manager import AdviceManager
-        from repro.core.cache import lru_scorer
+        from tests.core.test_advice_manager import advised_cache, store_view
 
         view = annotate(parse_query("d1(X) :- b1(X)"), "^")
         path = Sequence((QueryPattern("d1"),), lower=1, upper=1)
@@ -53,16 +53,12 @@ class TestAdviceManagerLostTracker:
         manager.begin_session(AdviceSet.from_views([view], path_expression=path))
         manager.observe_query("unexpected_view")  # tracker goes lost
         assert manager.tracker.lost
-        scorer = manager.replacement_scorer()
-        # With a lost tracker the scorer degenerates to LRU ordering.
-        from tests.core.test_advice_manager import element_for
-
-        old = element_for("d1(X) :- b1(X)")
-        old.sequence = 1
-        new = element_for("d1(X) :- b1(X)", "E2")
-        new.sequence = 9
-        assert scorer(old) > scorer(new)
-        assert scorer(new) == lru_scorer(new)
+        assert manager.replacement_ranks() is None
+        # With a lost tracker the victim order degenerates to LRU.
+        cache = advised_cache(manager)
+        old = store_view(cache, "d1(X) :- b1(X)")
+        store_view(cache, "d2(X) :- b2(X)")
+        assert cache._pick_victim(set()) is old
 
     def test_lost_tracker_keeps_companions_unfiltered(self):
         from repro.advice.language import AdviceSet

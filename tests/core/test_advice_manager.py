@@ -12,12 +12,19 @@ from repro.advice.path_expression import (
 )
 from repro.advice.view_spec import annotate
 from repro.core.advice_manager import AdviceManager, _views_under_repetition
-from repro.core.cache import CacheElement
+from repro.core.cache import Cache
 
 
-def element_for(view_text, element_id="E1"):
+def advised_cache(manager):
+    """A cache whose replacement follows ``manager``'s advice."""
+    cache = Cache()
+    cache.replacement.advice = manager
+    return cache
+
+
+def store_view(cache, view_text):
     psj = psj_of(parse_query(view_text))
-    return CacheElement(element_id, psj, Relation(result_schema(psj.name, max(psj.arity, 1))))
+    return cache.store(psj, Relation(result_schema(psj.name, max(psj.arity, 1))))
 
 
 def paper_advice():
@@ -138,32 +145,29 @@ class TestPrefetch:
 
 
 class TestReplacementScorer:
+    """Advice as replacement classes, read through a cache's victim order."""
+
     def test_without_tracker_is_lru(self):
-        manager = manager_with(None)
-        scorer = manager.replacement_scorer()
-        old = element_for("d1(Y) :- b1(c1, Y)")
-        old.sequence = 1
-        new = element_for("d2(X, Y) :- b2(X, Y)", "E2")
-        new.sequence = 5
-        assert scorer(old) > scorer(new)
+        cache = advised_cache(manager_with(None))
+        old = store_view(cache, "d1(Y) :- b1(c1, Y)")
+        store_view(cache, "d2(X, Y) :- b2(X, Y)")
+        assert cache._pick_victim(set()) is old
 
     def test_unreachable_views_evicted_first(self):
         manager = manager_with(paper_advice())
         manager.observe_query("d1")  # d1 cannot recur (outer <1,1>)
-        scorer = manager.replacement_scorer()
-        d1_element = element_for("d1(Y) :- b1(c1, Y)")
-        d1_element.sequence = 100  # most recently used
-        d2_element = element_for("d2(X, Y) :- b2(X, Z), b3(Z, c2, Y)", "E2")
-        d2_element.sequence = 1  # least recently used
+        cache = advised_cache(manager)
+        store_view(cache, "d2(X, Y) :- b2(X, Z), b3(Z, c2, Y)")  # least recent
+        d1_element = store_view(cache, "d1(Y) :- b1(c1, Y)")
         # Advice overrides LRU: d1 is dead, d2 is needed next.
-        assert scorer(d1_element) > scorer(d2_element)
+        assert manager.replacement_ranks()("d1") < manager.replacement_ranks()("d2")
+        assert cache._pick_victim(set()) is d1_element
 
     def test_nearer_views_better_protected(self):
         manager = manager_with(paper_advice())
         manager.observe_query("d1")
-        scorer = manager.replacement_scorer()
-        d2_element = element_for("d2(X, Y) :- b2(X, Z), b3(Z, c2, Y)", "E2")
-        d3_element = element_for("d3(X, Y) :- b3(X, c3, Z), b1(Z, Y)", "E3")
-        d2_element.sequence = d3_element.sequence = 10
+        cache = advised_cache(manager)
+        store_view(cache, "d2(X, Y) :- b2(X, Z), b3(Z, c2, Y)")
+        d3_element = store_view(cache, "d3(X, Y) :- b3(X, c3, Z), b1(Z, Y)")
         # d2 is predicted next (distance 1), d3 after it (distance 2).
-        assert scorer(d2_element) < scorer(d3_element)
+        assert cache._pick_victim(set()) is d3_element

@@ -9,7 +9,7 @@ from repro.relational.generator import generator_from_rows
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
-from repro.core.cache import Cache, CacheElement, lru_scorer
+from repro.core.cache import Cache, CacheElement
 
 
 def make_psj(text):
@@ -121,6 +121,14 @@ class TestLookup:
         assert element.sequence > before
         assert element.use_count == 1
 
+    def test_re_storing_is_not_a_use(self):
+        cache = Cache()
+        element = store(cache, "d1(X, Y) :- b1(X, Y)")
+        before = element.sequence
+        assert store(cache, "d1(A, B) :- b1(A, B)") is element
+        assert element.sequence > before  # recency moves
+        assert element.use_count == 0 and element.reuse_frequency == 0.0
+
 
 class TestEviction:
     def small_cache(self):
@@ -159,19 +167,6 @@ class TestEviction:
         cache.pin(e2)
         with pytest.raises(CacheCapacityError):
             store(cache, "d3(X, Y) :- b3(X, Y)")
-
-    def test_custom_scorer_changes_victim(self):
-        cache = self.small_cache()
-        e1 = store(cache, "d1(X, Y) :- b1(X, Y)")
-        e2 = store(cache, "d2(X, Y) :- b2(X, Y)")
-        # Score d2 low (protect), d1 high (evict) despite LRU order.
-        def scorer(e):
-            return 100.0 if e.view_name == "d1" else 0.0
-
-        cache.scorer = scorer
-        store(cache, "d3(X, Y) :- b3(X, Y)")
-        assert e1.element_id not in cache
-        assert e2.element_id in cache
 
     def test_used_bytes_tracks_contents(self):
         cache = Cache()
@@ -329,8 +324,3 @@ class TestCacheElement:
         element = CacheElement("E1", psj, make_relation("d7", 1))
         assert element.view_name == "d7"
 
-    def test_lru_scorer_orders_by_recency(self):
-        psj = make_psj("d1(X, Y) :- b1(X, Y)")
-        old = CacheElement("E1", psj, make_relation("d1", 1), sequence=1)
-        new = CacheElement("E2", psj, make_relation("d1", 1), sequence=9)
-        assert lru_scorer(old) > lru_scorer(new)

@@ -218,16 +218,18 @@ class TestPinnedDescendantProtection:
 
 
 class TestCostScorer:
+    """Cost-based replacement, read through the victim order."""
+
     def test_zero_derivation_degrades_to_lru(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
+        cache = Cache()
         older = store(cache, "a1(X, Y) :- b1(X, Y)")
         newer = store(cache, "a2(X, Y) :- b2(X, Y)")
-        assert cache.cost_scorer(older) > cache.cost_scorer(newer)
+        assert cache._pick_victim(set()) is older
+        cache.touch(older)
+        assert cache._pick_victim(set()) is newer
 
     def test_expensive_reused_element_outlives_recency(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
+        cache = Cache()
         expensive = store(
             cache, "a1(X, Y) :- b1(X, Y)", derivation_seconds=2.0
         )
@@ -235,37 +237,27 @@ class TestCostScorer:
         cheap_but_recent = store(cache, "a2(X, Y) :- b2(X, Y)")
         cache.touch(cheap_but_recent)
         cache.touch(cheap_but_recent)
-        # Higher score = evicted first: the cheap element must rank above
-        # the expensive one despite being more recently used.
-        assert cache.cost_scorer(cheap_but_recent) > cache.cost_scorer(expensive)
-
-    def test_reuse_frequency_decays_with_idle_time(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
-        element = store(cache, "a1(X, Y) :- b1(X, Y)", derivation_seconds=1.0)
-        cache.touch(element)
-        fresh = cache.decayed_frequency(element)
-        clock.advance(60.0)  # two half-lives
-        assert cache.decayed_frequency(element) == pytest.approx(fresh / 4)
+        # The cheap element goes first despite being more recently used.
+        assert cache._pick_victim(set()) is cheap_but_recent
 
 
 class TestAncestorWarming:
     def test_touch_warms_parents(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
+        cache = Cache()
         root = store(cache, "r1(X, Y) :- b1(X, Y)", derivation_seconds=1.0)
+        twin = store(cache, "r2(X, Y) :- b2(X, Y)", derivation_seconds=1.0)
         child = store(
             cache,
             "c1(X, Y) :- b1(X, Y), X >= 3",
             kind="intermediate",
             parents=(root.element_id,),
         )
-        before = cache.decayed_frequency(root)
+        assert cache._pick_victim({child.element_id}) is root  # older twin
         cache.touch(child)
-        after = cache.decayed_frequency(root)
-        assert after > before
-        # The warm is a share of a hit, not a full hit.
-        assert after - before < 1.0
+        # The warm is a share of a hit, not a full hit, and it re-keys
+        # the parent above its equally valued twin.
+        assert 0.0 < root.reuse_frequency < 1.0
+        assert cache._pick_victim({child.element_id}) is twin
 
     def test_read_warms_ancestors_without_charging_time(self):
         clock = SimClock()
@@ -279,15 +271,14 @@ class TestAncestorWarming:
             derivation_seconds=0.5,
         )
         before_clock = clock.now
-        before_freq = cache.decayed_frequency(root)
+        before_freq = root.reuse_frequency
         cache.read(child)
         assert clock.now == before_clock  # pure bookkeeping
-        assert cache.decayed_frequency(root) > before_freq
+        assert root.reuse_frequency > before_freq
         assert child.saved_seconds == pytest.approx(0.5)
 
     def test_warming_attenuates_geometrically(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
+        cache = Cache()
         root = store(cache, "r1(X, Y) :- b1(X, Y)")
         mid = store(
             cache, "m1(X, Y) :- b1(X, Y), X >= 2", parents=(root.element_id,)
@@ -296,7 +287,7 @@ class TestAncestorWarming:
             cache, "l1(X) :- b1(X, Y), X >= 4", parents=(mid.element_id,)
         )
         cache.touch(leaf)
-        assert cache.decayed_frequency(mid) > cache.decayed_frequency(root) > 0
+        assert mid.reuse_frequency > root.reuse_frequency > 0
 
 
 class TestEvictionCorrectnessProperty:

@@ -353,3 +353,25 @@ class TestIndexedDerivation:
         # ... and no wrong answer was stored for the other spelling to hit.
         respelled = "q(C) :- parent(P, C), P = bob, P = tom"
         assert system.query(parse_query(respelled)).fetch_all() == []
+
+
+class TestReStoreIsNotAUse:
+    """The executor registers a whole-ship fetch as an intermediate before
+    the CMS stores the answer: that second store must not count as a use,
+    or advice's single-use prediction is thrown away and the efficacy
+    ledger counts a hit that never happened."""
+
+    @pytest.mark.parametrize("intermediates", [True, False])
+    def test_single_use_prediction_survives(self, intermediates):
+        d1 = annotate(parse_query("d1(C) :- parent(tom, C)"), "^")
+        d2 = annotate(parse_query("d2(P, A) :- age(P, A)"), "^^")
+        path = Sequence((QueryPattern("d1"), QueryPattern("d2")), lower=1, upper=1)
+        system = CacheManagementSystem(
+            load_tables(RemoteDBMS()), features=CMSFeatures(intermediates=intermediates)
+        )
+        system.begin_session(AdviceSet.from_views([d1, d2], path_expression=path))
+        system.query(parse_query("d1(C) :- parent(tom, C)")).fetch_all()
+        (element,) = [e for e in system.cache.elements() if e.view_name == "d1"]
+        assert element.use_count == 0
+        assert element.expendable is True
+        assert element.advice_expected_reuse is False

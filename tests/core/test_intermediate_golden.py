@@ -7,6 +7,9 @@ is logged as operator, canonical key, projection, parents, row count and
 ``repr(derivation_seconds)``.  The log hashes to a digest recorded **before
 the monitor's three registration routes became one offer**; a registration
 gained, lost, reordered, re-keyed, re-parented or re-priced changes it.
+Eviction order changes it too (what is resident decides what a later plan
+registers): the digest was refrozen once, when replacement became
+GreedyDual, where the first event to differ is a victim.
 """
 
 import hashlib
@@ -22,8 +25,8 @@ from repro.qa import CaseConfig, CaseGenerator, run_case
 from tests.core.test_semijoin_widening import DRILL, SELECT, TIGHTER, build_cms
 
 CASES_PER_PROFILE = 25
-REGISTRATIONS = 244
-LOG_SHA256 = "3a9878871b75ed43398dee5b78970e50ba86d434dd9f70982fb221f93f327a6e"
+REGISTRATIONS = 245
+LOG_SHA256 = "a889264d401ad7fa2ae6dabf22ebe2ae14c57d01e375f2a3412b267a72281720"
 
 
 def _widening_kinds(definition) -> set[str]:

@@ -2,8 +2,10 @@
 
 Output parity: each digest below is the SHA-256 of what the command prints
 for a committed artifact, recorded when these renderers were four separate
-scripts; the one CLI must print the same bytes.  Paths are relative to the
-checkout root because the trace, metrics and lineage headers echo them.
+scripts; the one CLI must print the same bytes.  E14's and E21's were
+refrozen once, when the artifacts themselves moved (replacement became
+GreedyDual) and the renderers did not.  Paths are relative to the checkout
+root because the trace, metrics and lineage headers echo them.
 """
 
 import hashlib
@@ -19,8 +21,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = "benchmarks/results"
 
 PARITY = {
-    ("trace", f"{RESULTS}/E14.trace.jsonl"): "0d4108b615271b820a94b243a0deb5429da2b1285da08642eeb2a312f0011d89",
-    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "2913807a5e6d19d7de321bee29ee5d20519c8c86648263387254145d938d9723",
+    ("trace", f"{RESULTS}/E14.trace.jsonl"): "7095725e67bf8168dee2b836784d4bda1ed43ef52a582fe91383d281c8ca61d3",
+    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "869e2c0e640602455fd2719140d1c9b7a97fd827a9b325f282e4be255d4e8e65",
     ("trace", f"{RESULTS}/E15.trace.jsonl"): "58e01f4092321c12232946a5d057f6ff601d5fc80731d4554f52abe086d926c4",
     ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "3b357a0f23377cec7905e208db9f5801e47417e6405dabbaddb1daffc94d03ed",
     ("trace", f"{RESULTS}/E16.trace.jsonl"): "e411c2c345b29aeb2d387aa22738e9ba8064a8614fe1a9623b52ead103f0afe6",
@@ -32,7 +34,7 @@ PARITY = {
     ("trace", f"{RESULTS}/E20.trace.jsonl"): "bb83a4e1b0620b0f76ca9278b4abf2ddd3f185fa1e00abc59f39894ed662fac8",
     ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "f83d8fa0fe56cfc14fbac8ff6e8e051dd0db5117cd459b774ccfc3c0309558ea",
     ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "0f2aaa0cbfde888a5a45977375f4e1e5bcc410f8086eb635e4654303d893fec9",
-    ("lineage", f"{RESULTS}/E21.json"): "977acab58100f0f829ba483168ebf496e29196a181f51e34daf28746171bf4ce",
+    ("lineage", f"{RESULTS}/E21.json"): "f6826fc8f5379993bd0ce417e630af27eefc96f730ee303303cacedf923dc6e9",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "128c0e4a825c5beeaffa73fdd97b54c9f29aa177499d7b88952308f16a87ca35",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "78116f1e26aa2ddea9d76de3d54734d0a253c0ecb71f85045cc8b5a18224b98c",
     ("profile", f"{RESULTS}/E20.trace.jsonl"): "6d738a7d77d975eac7785d229544aad71d35f7576c4d6f1b18fcb884a2f68c38",

@@ -1,60 +1,73 @@
 """Acceptance: planted bugs in the write path of a stored part are caught, and where.
 
-The victim heap (``Cache._pick_victim``) scores only elements whose bound
-can still beat the best score found, and a relation builds its row set on
-the first membership question.  Three mutants, one per thing those fast
-paths must keep:
+The cache's GreedyDual order (``repro.core.replacement``) is exact only if
+every write that moves a priority re-keys it and every pick reads the
+classes; a relation builds its row set on the first membership question.
+Four mutants, one per thing those paths must keep:
 
-* ``unkeyed`` — :meth:`Cache.annotate` marks an element expendable (its
-  score rises by 1e9) but does not re-key it, so its heap key sits below
-  its score and the pick stops before reaching it.  Killed by the hand
-  case, by ``Cache.check_invariants`` (a key below its element's bound)
-  and by the victim model property.
-* ``heap_position`` — equal scores go to the entry popped first, not to
-  the element stored first as ``max`` over store order has it.  Killed by
-  the hand case and by the victim model property.
+* ``flat_inflation`` — eviction does not raise L to the victim's H, so an
+  element nobody touches never ages out.  Killed by the hand case and by
+  the model property.
+* ``unkeyed_touch`` — a touch or an ancestor warm updates the element but
+  files no new entry, so the pick reads its old recency and priority.
+  Killed by the hand case, by ``Cache.check_invariants`` (an entry whose
+  sequence is stale) and by the model property.
+* ``classless`` — the pick ignores the live tracker's classes, as if no
+  tracker were live.  Killed by the hand case and by the model property.
 * ``shared_unbuilt`` — ``Relation.with_schema`` shares the owner's row
   set as it is, unbuilt, so owner and alias later build two sets over one
   row list and an insert through one is invisible to the other.  Killed by
   the hand case and by the lazy-set model property.
 
-The ``churny`` fuzz profile kills neither of the first two through the
-audit: at the size FINGERPRINTS.json pins (75 cases) its traffic marks no
-element expendable (the annotation that raises a bound never runs) and no
-pick meets two equal top scores.
+Which fuzz profile, through the audit, kills each of the first three is
+recorded in EXPERIMENTS.md ("GreedyDual replacement").
 """
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-import repro.core.cache as cache_module
 from repro.common.errors import InvariantViolation
+from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
+from repro.core.replacement import GreedyDual
 from repro.relational.relation import Relation
-from tests.core import test_victim_heap as victims
+from tests.core import test_replacement as policy
 from tests.relational import test_lazy_row_set as rowsets
 
-real_annotate = Cache.annotate
+real_touch, real_warm = Cache.touch, Cache._warm_ancestors
 
 
-def _unkeyed(monkeypatch):
-    def annotate(self, element, expendable, advised):
-        self._file = lambda element: None  # the re-key never happens
-        try:
-            real_annotate(self, element, expendable, advised)
-        finally:
-            del self._file
-
-    monkeypatch.setattr(Cache, "annotate", annotate)
-
-
-def _heap_position(monkeypatch):
+def _flat_inflation(monkeypatch):
     monkeypatch.setattr(
-        cache_module,
-        "_beats",
-        lambda score, element, best_score, best: best is None or score > best_score,
+        GreedyDual, "evict", lambda self, element: self._entries.pop(element.element_id)
     )
+
+
+def _unkeyed_touch(monkeypatch):
+    real_rekey, muted = GreedyDual.rekey, []
+
+    def rekey(self, element):
+        if not muted:
+            real_rekey(self, element)
+
+    def muting(real):
+        def write(self, element):
+            muted.append(element)  # no new entry while a touch or warm runs
+            try:
+                real(self, element)
+            finally:
+                muted.pop()
+
+        return write
+
+    monkeypatch.setattr(GreedyDual, "rekey", rekey)
+    monkeypatch.setattr(Cache, "touch", muting(real_touch))
+    monkeypatch.setattr(Cache, "_warm_ancestors", muting(real_warm))
+
+
+def _classless(monkeypatch):
+    monkeypatch.setattr(AdviceManager, "replacement_ranks", lambda self: None)
 
 
 def _shared_unbuilt(monkeypatch):
@@ -74,48 +87,63 @@ PINNED = dict(
     deadline=None,
     database=None,
     derandomize=True,
-    phases=(Phase.generate, Phase.shrink),
+    # A kill needs one failing example, not a shrunk one.
+    phases=(Phase.generate,),
+    report_multiple_bugs=False,
 )
 
 
-def run_victim_property(examples: int) -> None:
-    inner = victims.test_every_pick_names_the_full_scan_victim.hypothesis.inner_test
-    settings(max_examples=examples, **PINNED)(given(victims.OPERATIONS, victims.EXEMPT)(inner))()
+def run_model_property(examples: int) -> None:
+    inner = policy.test_every_pick_is_the_model_argmin.hypothesis.inner_test
+    strategies = (policy.OPERATIONS, policy.EXEMPT, policy.FEATURES)
+    settings(max_examples=examples, **PINNED)(given(*strategies)(inner))()
 
 
-class TestUnkeyedAnnotation:
+class TestFlatInflation:
     def test_killed_by_the_hand_case(self, monkeypatch):
-        victims.check_marking_an_element_expendable_re_keys_it()
-        _unkeyed(monkeypatch)
+        policy.check_eviction_raises_inflation()
+        _flat_inflation(monkeypatch)
         with pytest.raises(AssertionError):
-            victims.check_marking_an_element_expendable_re_keys_it()
+            policy.check_eviction_raises_inflation()
+
+    def test_killed_by_the_model_property(self, monkeypatch):
+        _flat_inflation(monkeypatch)
+        with pytest.raises((AssertionError, InvariantViolation)):
+            run_model_property(200)
+
+
+class TestUnkeyedTouch:
+    def test_killed_by_the_hand_case(self, monkeypatch):
+        policy.check_touch_and_warm_re_key()
+        _unkeyed_touch(monkeypatch)
+        with pytest.raises(AssertionError):
+            policy.check_touch_and_warm_re_key()
 
     def test_killed_by_check_invariants(self, monkeypatch):
-        _unkeyed(monkeypatch)
-        _, cache = victims.session_cache()
-        victims.store(cache, "e(X) :- b(X, 1)")
-        newer = victims.store(cache, "f(X) :- b(X, 2)")
-        cache.annotate(newer, expendable=True, advised=False)
-        with pytest.raises(InvariantViolation, match="without re-keying"):
+        _unkeyed_touch(monkeypatch)
+        cache = Cache()
+        element = policy.store(cache, "e(X) :- b(X, 1)")
+        cache.touch(element)
+        with pytest.raises(InvariantViolation, match="did not re-key"):
             cache.check_invariants()
 
     def test_killed_by_the_model_property(self, monkeypatch):
-        _unkeyed(monkeypatch)
+        _unkeyed_touch(monkeypatch)
         with pytest.raises((AssertionError, InvariantViolation)):
-            run_victim_property(200)
+            run_model_property(200)
 
 
-class TestHeapPositionTies:
+class TestClassless:
     def test_killed_by_the_hand_case(self, monkeypatch):
-        victims.check_equal_scores_go_to_the_earlier_store()
-        _heap_position(monkeypatch)
+        policy.check_tracker_classes()
+        _classless(monkeypatch)
         with pytest.raises(AssertionError):
-            victims.check_equal_scores_go_to_the_earlier_store()
+            policy.check_tracker_classes()
 
     def test_killed_by_the_model_property(self, monkeypatch):
-        _heap_position(monkeypatch)
+        _classless(monkeypatch)
         with pytest.raises((AssertionError, InvariantViolation)):
-            run_victim_property(200)
+            run_model_property(200)
 
 
 class TestSharedUnbuiltSet:
