@@ -29,7 +29,6 @@ from repro.logic.kb import KnowledgeBase
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.caql.ast import ConjunctiveQuery
 from repro.core.cms import CacheManagementSystem
-from repro.ie.extractor import extract_problem_graph
 from repro.ie.problem_graph import (
     BUILTIN,
     DATABASE,
@@ -38,8 +37,8 @@ from repro.ie.problem_graph import (
     AndNode,
     OrNode,
 )
-from repro.ie.shaper import shape
-from repro.ie.view_specifier import SpecifierConfig, SpecifierResult, specify_views
+from repro.ie.template import GraphTemplate, GraphTemplates
+from repro.ie.view_specifier import SpecifierConfig, SpecifierResult
 
 
 #: Deepest OR-node recursion inference (and answer justification) may
@@ -56,12 +55,14 @@ class DepthFirstController:
         cms: CacheManagementSystem,
         views: SpecifierResult,
         config: SpecifierConfig,
+        templates: GraphTemplates,
         use_statistics: bool = False,
     ):
         self.kb = kb
         self.cms = cms
         self.views = views
         self.config = config
+        self.templates = templates
         self.clock = cms.clock
         self.profile = cms.profile
         self.metrics = cms.metrics
@@ -77,12 +78,15 @@ class DepthFirstController:
         self.tracer.event("ie.step")
 
     # -- entry point ----------------------------------------------------------------
-    def solve(self, root: OrNode) -> Iterator[Substitution]:
-        """All solutions of the root goal, lazily, as substitutions over
-        the root goal's variables."""
-        root_vars = root.goal.variables()
-        for solution in self._solve_or(root, Substitution(), depth=0):
-            yield solution.restricted(root_vars)
+    def solve(
+        self, root: OrNode, goal: Atom, scope: Substitution
+    ) -> Iterator[Substitution]:
+        """All solutions of ``goal``, lazily, as substitutions over its
+        variables: ``root`` is its graph, solved under ``scope`` (which
+        binds a template's slots and variables to the goal's)."""
+        goal_vars = goal.variables()
+        for solution in self._solve_or(root, scope, depth=0):
+            yield solution.restricted(goal_vars)
 
     # -- OR nodes ----------------------------------------------------------------------
     def _solve_or(self, node: OrNode, subst: Substitution, depth: int) -> Iterator[Substitution]:
@@ -185,7 +189,8 @@ class DepthFirstController:
             return
         run = next((r for r in node.runs if r[0] == index), None)
         if run is not None:
-            start, end, name, answers = run
+            start, end, key, answers = run
+            name = self.views.run_index[key]
             instantiated = self._instantiate_run(name, answers, node, start, end, subst)
             for extended in self._stream_bindings(instantiated, subst):
                 yield from self._solve_body(node, end, extended, depth)
@@ -221,21 +226,42 @@ class DepthFirstController:
     ) -> Iterator[Substitution]:
         """Re-expand a recursive reference on demand.
 
-        The fresh subgraph shares the view registry, so re-expanded runs
-        reuse the view names the advice already declared (the path
-        expression marked this region unbounded).
+        The subgraph's views are named in the session's view registry, so
+        re-expanded runs reuse the view names the advice already declared
+        (the path expression marked this region unbounded).  A shape's
+        template is solved in a scope of its own — nested activations of
+        one template share its variables — while a graph built for this
+        goal alone is solved in the caller's.
         """
         positive = goal.positive()
-        subgraph = extract_problem_graph(self.kb, positive)
-        shape(
-            subgraph,
-            self.kb,
-            stats_of=self.cms.statistics_of if self.use_statistics else None,
+        template = self.templates.graph_for(
+            positive,
+            self.config,
+            self.cms.statistics_of if self.use_statistics else None,
         )
-        specify_views(subgraph, self.kb, self.config, result=self.views)
+        scope = template.bind(positive)
+        template.register(self.views, scope)
+        if template.memoised:
+            def attempts():
+                return self._solve_template(template, positive, scope, subst, depth + 1)
+        else:
+            def attempts():
+                return self._solve_or(template.root, subst, depth + 1)
         if goal.negated:
-            yield from self._negation_as_failure(
-                lambda: self._solve_or(subgraph, subst, depth + 1), subst
-            )
+            yield from self._negation_as_failure(attempts, subst)
             return
-        yield from self._solve_or(subgraph, subst, depth + 1)
+        yield from attempts()
+
+    def _solve_template(
+        self,
+        template: GraphTemplate,
+        goal: Atom,
+        scope: Substitution,
+        subst: Substitution,
+        depth: int,
+    ) -> Iterator[Substitution]:
+        """Solve ``goal``'s template under its own ``scope``; each solution
+        reaches the caller's ``subst`` through the goal's variables only."""
+        goal_vars = tuple(dict.fromkeys(a for a in goal.args if isinstance(a, Var)))
+        for solution in self._solve_or(template.root, scope, depth):
+            yield template.carry(solution, goal_vars, subst)

@@ -23,17 +23,15 @@ from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atom
 from repro.logic.terms import Atom, Substitution, Var
 from repro.core.cms import CacheManagementSystem
-from repro.ie.advice_gen import generate_advice
 from repro.ie.controller import DepthFirstController
-from repro.ie.extractor import extract_problem_graph
 from repro.ie.problem_graph import OrNode
-from repro.ie.shaper import shape
 from repro.ie.strategies import (
     STRATEGIES,
     CompiledResult,
     CompiledStrategy,
     specifier_config_for,
 )
+from repro.ie.template import GraphTemplates
 
 
 class Solutions:
@@ -97,8 +95,13 @@ class InferenceEngine:
         self.generate_advice = generate_advice
         self.use_statistics = use_statistics
         #: The last session's artifacts, for inspection and tests.
+        #: ``last_graph`` is the graph that was solved: the goal shape's
+        #: template (over slot variables, runs naming views by run key)
+        #: unless the shape is solved one graph per ask.
         self.last_graph: OrNode | None = None
         self.last_advice = None
+        #: One problem graph per goal shape (:mod:`repro.ie.template`).
+        self.templates = GraphTemplates(kb)
         # ``cms`` may be a baseline bridge (loose coupling shims) without a
         # tracer; those simply stay untraced.
         from repro.obs.tracer import Tracer
@@ -148,14 +151,13 @@ class InferenceEngine:
             "ie.ask", goal=str(goal), strategy=self.strategy
         ):
             config = specifier_config_for(self.strategy)
-            graph = extract_problem_graph(self.kb, goal)
-            shape(
-                graph,
-                self.kb,
-                stats_of=self.cms.statistics_of if self.use_statistics else None,
+            template = self.templates.graph_for(
+                goal,
+                config,
+                self.cms.statistics_of if self.use_statistics else None,
             )
-            advice, views = generate_advice(graph, self.kb, goal, config)
-            self.last_graph = graph
+            advice, views, scope = template.session(goal)
+            self.last_graph = template.root
             self.last_advice = advice if self.generate_advice else None
             self.cms.begin_session(self.last_advice)
             controller = DepthFirstController(
@@ -163,12 +165,13 @@ class InferenceEngine:
                 self.cms,
                 views,
                 config,
+                self.templates,
                 use_statistics=self.use_statistics,
             )
         # The span covers session setup; solutions are pulled lazily, so
         # the inference itself is traced by the controller's step events
         # and the CMS's query spans as the consumer drives it.
-        return Solutions(goal, controller.solve(graph))
+        return Solutions(goal, controller.solve(template.root, goal, scope))
 
     # -- compiled path ---------------------------------------------------------------------
     def _ask_compiled(self, goal: Atom) -> Solutions:

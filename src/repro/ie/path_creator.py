@@ -57,6 +57,24 @@ def create_path_expression(
     return Sequence((expr,), lower=1, upper=1)
 
 
+def bind_path_expression(
+    expr: PathExpr, views: SpecifierResult, names: dict[str, str]
+) -> PathExpr:
+    """A template's path expression for one session: each pattern re-read
+    from the session's view of that name, each ``|V|`` bound renamed
+    through ``names``."""
+    if isinstance(expr, QueryPattern):
+        return _pattern_of(views.by_name[expr.view])
+    if isinstance(expr, Alternation):
+        members = tuple(bind_path_expression(m, views, names) for m in expr.members)
+        return Alternation(members, selection=expr.selection)
+    elements = tuple(bind_path_expression(e, views, names) for e in expr.elements)
+    upper = expr.upper
+    if isinstance(upper, Cardinality):
+        upper = Cardinality(names.get(upper.variable, upper.variable))
+    return Sequence(elements, lower=expr.lower, upper=upper)
+
+
 def _pattern_of(view: ViewSpecification) -> QueryPattern:
     args = tuple(
         f"{term}{annotation}"

@@ -30,6 +30,8 @@ from repro.ie.problem_graph import (
     USER,
     AndNode,
     OrNode,
+    PlaceholderRead,
+    is_placeholder,
 )
 
 #: Resolves a database predicate to its remote statistics; raises
@@ -90,7 +92,11 @@ def _shape_and(node: AndNode, kb: KnowledgeBase, stats_of, reorder: bool) -> boo
 
 
 def _fold_builtins(node: AndNode, kb: KnowledgeBase) -> bool:
-    """Evaluate decided built-ins; returns False if one fails."""
+    """Evaluate decided built-ins; returns False if one fails.
+
+    Both folds read their constants' values, so neither may run over a
+    template goal's placeholder (:class:`~repro.ie.problem_graph.Placeholder`).
+    """
     changed = True
     while changed:
         changed = False
@@ -98,6 +104,10 @@ def _fold_builtins(node: AndNode, kb: KnowledgeBase) -> bool:
             if child.kind != BUILTIN or child.goal.negated:
                 continue
             goal = child.goal
+            if any(is_placeholder(arg) for arg in goal.args) and (
+                goal.is_ground() or goal.pred == "="
+            ):
+                raise PlaceholderRead(f"built-in {goal} over a placeholder")
             if goal.is_ground():
                 try:
                     holds = any(True for _ in kb.builtins.evaluate(goal, Substitution()))

@@ -53,10 +53,11 @@ class SpecifierConfig:
 class SpecifierResult:
     """The view specifications of a session, shared across re-expansions.
 
-    The controller re-expands recursive references at solve time; passing
-    the same result object back into :func:`specify_views` makes
-    structurally identical runs reuse their view names, so the emitted
-    query stream keeps matching the advice's path expression.
+    The controller re-expands recursive references at solve time; each
+    re-expanded graph names its views here by run key
+    (:meth:`~repro.ie.template.GraphTemplate.register`), so structurally
+    identical runs reuse their view names and the emitted query stream
+    keeps matching the advice's path expression.
     """
 
     views: list[ViewSpecification] = field(default_factory=list)
@@ -71,6 +72,27 @@ class SpecifierResult:
     def next_name(self) -> str:
         """The next unused view name (d1, d2, ...)."""
         return f"d{next(self._counter)}"
+
+    def add_view(
+        self,
+        key: tuple | None,
+        answers: tuple,
+        literals: tuple,
+        annotations: tuple[Binding, ...],
+        rule_ids: tuple[str, ...],
+    ) -> ViewSpecification:
+        """Name and record a new view; ``key`` is its run key (None for
+        the root view)."""
+        name = self.next_name()
+        definition = ConjunctiveQuery(name, tuple(answers), tuple(literals))
+        view = ViewSpecification(definition, annotations, rule_ids=rule_ids)
+        self.views.append(view)
+        self.by_name[name] = view
+        if key is None:
+            self.root_view = name
+        else:
+            self.run_index[key] = name
+        return view
 
 
 def flatten_graph(root: OrNode, rounds: int) -> OrNode:
@@ -119,7 +141,6 @@ def specify_views(
     kb: KnowledgeBase,
     config: SpecifierConfig | None = None,
     bound_at_root: set[Var] | None = None,
-    result: SpecifierResult | None = None,
 ) -> SpecifierResult:
     """Produce view specifications for every database run in the graph.
 
@@ -130,8 +151,7 @@ def specify_views(
     """
     config = config if config is not None else SpecifierConfig()
     flatten_graph(root, config.flatten)
-    if result is None:
-        result = SpecifierResult()
+    result = SpecifierResult()
     if root.kind == DATABASE and not root.goal.negated:
         _make_root_view(root, result)
         return result
@@ -141,19 +161,9 @@ def specify_views(
 
 def _make_root_view(root: OrNode, result: SpecifierResult) -> None:
     """A synthetic view for an AI query directly on a database relation."""
-    if result.root_view is not None:
-        return
-    answers = []
-    for arg in root.goal.args:
-        if isinstance(arg, Var) and arg not in answers:
-            answers.append(arg)
-    name = result.next_name()
-    definition = ConjunctiveQuery(name, tuple(answers), (root.goal,))
+    answers = tuple(dict.fromkeys(a for a in root.goal.args if isinstance(a, Var)))
     annotations = tuple(Binding.PRODUCER for _ in answers)
-    view = ViewSpecification(definition, annotations, rule_ids=("query",))
-    result.views.append(view)
-    result.by_name[name] = view
-    result.root_view = name
+    result.add_view(None, answers, (root.goal,), annotations, ("query",))
 
 
 def minimal_argument_set(
@@ -278,10 +288,4 @@ def _make_view(
     existing = result.run_index.get(key)
     if existing is not None:
         return result.by_name[existing]
-    name = result.next_name()
-    definition = ConjunctiveQuery(name, tuple(answers), tuple(run_literals))
-    view = ViewSpecification(definition, annotations, rule_ids=(node.rule_id,))
-    result.views.append(view)
-    result.by_name[name] = view
-    result.run_index[key] = name
-    return view
+    return result.add_view(key, answers, run_literals, annotations, (node.rule_id,))

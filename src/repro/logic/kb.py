@@ -82,6 +82,25 @@ class KnowledgeBase:
         """Register a second-order assertion."""
         self.soas.add(soa)
 
+    @property
+    def epoch(self) -> tuple:
+        """Changes whenever a clause, a database declaration, an SOA or a
+        built-in is added: what the IE compiled before is stale after.
+
+        Every registry only grows, so their sizes (and the built-ins'
+        signature set) are the epoch; a re-registered built-in of the
+        same signature does not move it.
+        """
+        soas = self.soas
+        return (
+            len(self._clause_order),
+            len(self._database),
+            len(soas.mutual_exclusions),
+            len(soas.functional_dependencies),
+            len(soas.recursive_structures),
+            self.builtins.signatures,
+        )
+
     # -- classification ----------------------------------------------------------
     def is_database(self, atom: Atom) -> bool:
         """True when the atom names a remote base relation."""

@@ -1,16 +1,20 @@
 """End-to-end tests for the inference engine across all strategies."""
 
+import sys
+
 import pytest
 
 from repro.common.errors import CircuitOpenError, InferenceError
 from repro.common.metrics import IE_CAQL_QUERIES, REMOTE_REQUESTS, REMOTE_TUPLES
 from repro.logic.kb import KnowledgeBase
+from repro.logic.parser import parse_atom
 from repro.logic.soa import RecursiveStructure
 from repro.relational.relation import relation_from_columns
 from repro.remote.server import RemoteDBMS
 from repro.core.cms import CacheManagementSystem
 from repro.ie.controller import MAX_DEPTH
 from repro.ie.engine import InferenceEngine
+from repro.workloads.genealogy import genealogy
 
 FAMILY = {
     "parent": dict(
@@ -248,7 +252,9 @@ class TestStatisticsLookupFailures:
         kb, cms = build_system()
         if statistics_of is not None:
             cms.statistics_of = statistics_of
-        engine = InferenceEngine(kb, cms, strategy="conjunction", **kwargs)
+        return self.plan(InferenceEngine(kb, cms, strategy="conjunction", **kwargs))
+
+    def plan(self, engine):
         answers = sorted({s["X"] for s in engine.ask_all(self.GOAL)})
         (rule,) = engine.last_graph.alternatives
         return answers, [child.goal.pred for child in rule.body]
@@ -260,9 +266,77 @@ class TestStatisticsLookupFailures:
         assert self.ask(dark) == self.ask(use_statistics=False)
         assert self.ask(dark)[0] == self.ask()[0] == ["bob", "liz", "tom"]
 
+    def test_a_graph_shaped_in_the_dark_is_not_kept(self):
+        kb, cms = build_system()
+        engine = InferenceEngine(kb, cms, strategy="conjunction")
+        healthy, looked_up = cms.statistics_of, []
+
+        def dark(pred):
+            looked_up.append(pred)
+            raise CircuitOpenError("breaker open")
+
+        def counting(pred):
+            looked_up.append(pred)
+            return healthy(pred)
+
+        cms.statistics_of = dark
+        assert self.plan(engine) == self.ask(dark)
+        assert looked_up
+        looked_up.clear()
+        cms.statistics_of = counting
+        assert self.plan(engine) == self.ask()
+        assert looked_up, "the healthy ask must retry the lookups"
+        looked_up.clear()
+        assert self.plan(engine) == self.ask()
+        assert not looked_up, "a graph shaped healthy is kept"
+
     def test_a_programming_error_in_the_lookup_surfaces(self):
         def broken(pred):
             raise ZeroDivisionError("planted")
 
         with pytest.raises(ZeroDivisionError, match="planted"):
             self.ask(broken)
+
+
+@pytest.mark.parametrize("strategy", ["interpreted", "conjunction"])
+def test_a_goal_shape_is_built_once(strategy, monkeypatch):
+    """Asking ``ancestor(pK, W)`` for every person, plus one goal of each
+    other kind, builds one graph per shape — not one per ask and per
+    recursive re-expansion."""
+    builds = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "extract_problem_graph", None)
+        if name.startswith("repro.ie.") and name != "repro.ie.extractor" and real:
+
+            def counting(kb, goal, real=real):
+                builds.append(goal)
+                return real(kb, goal)
+
+            monkeypatch.setattr(module, "extract_problem_graph", counting)
+    family = genealogy(generations=4, branching=2, roots=2, seed=5)
+    server = RemoteDBMS()
+    for table in family.tables:
+        server.load_table(table)
+    engine = InferenceEngine(family.build_kb(), CacheManagementSystem(server), strategy=strategy)
+    people = sorted({row[0] for row in family.tables[3]}, key=lambda p: int(p[1:]))
+    person, relative = people[0], people[-1]
+    goals = [f"ancestor({p}, W)" for p in people] + [
+        f"father({person}, Y)",
+        f"mother({person}, Y)",
+        f"sibling({relative}, S)",
+        f"brother({relative}, Y)",
+        f"sister({relative}, Y)",
+        f"grandparent({person}, W)",
+        f"uncle(U, {relative})",
+        f"aunt(U, {relative})",
+        f"cousin({relative}, Y)",
+        "adult(X)",
+        "minor(X)",
+        "elder(X)",
+        "parent_of_minor(X)",
+        f"same_generation({relative}, Q)",
+    ]
+    solutions = [engine.ask_all(goal) for goal in goals]
+    assert any(solutions[: len(people)]) and any(solutions[len(people):])
+    shapes = {(g.pred, tuple(type(a) for a in g.args)) for g in map(parse_atom, goals)}
+    assert len(builds) <= len(shapes), (len(builds), len(shapes))

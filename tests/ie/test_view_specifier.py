@@ -3,12 +3,14 @@
 
 from repro.logic.kb import KnowledgeBase
 from repro.logic.parser import parse_atom, parse_clause
-from repro.logic.terms import Var
+from repro.logic.terms import Substitution, Var
 from repro.advice.view_spec import Binding
 from repro.ie.extractor import extract_problem_graph
 from repro.ie.shaper import shape
+from repro.ie.template import GraphTemplates
 from repro.ie.view_specifier import (
     SpecifierConfig,
+    SpecifierResult,
     minimal_argument_set,
     specify_views,
 )
@@ -201,8 +203,10 @@ class TestRootDatabaseQuery:
 class TestViewNameReuse:
     def test_identical_runs_share_names(self):
         kb = paper_kb()
-        graph, result = specified(kb, "k1(X, Y)")
-        before = len(result.views)
-        # Re-specify the same graph into the same registry: nothing new.
-        specify_views(graph, kb, result=result)
-        assert len(result.views) == before
+        graph = GraphTemplates(kb).graph_for(parse_atom("k1(X, Y)"), SpecifierConfig(), None)
+        session = SpecifierResult()
+        graph.register(session, Substitution())
+        before = list(session.views)
+        # Register the same graph into the same registry: nothing new.
+        graph.register(session, Substitution())
+        assert session.views == before
