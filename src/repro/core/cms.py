@@ -9,8 +9,9 @@ The request path for one conjunctive CAQL query:
 
 1. track the query against the session's path expression;
 2. normalize to PSJ (evaluable literals split off as a local residue);
-3. plan (Section 5.3's three steps: generalize?, find relevant elements,
-   generate plan) and execute (parallel cache/remote, streams);
+3. ask the exact tier (the canonical key): a hit is read as stored;
+   otherwise plan (Section 5.3's three steps: generalize?, find relevant
+   elements, generate plan) and execute (parallel cache/remote, streams);
 4. cache the result (advice permitting), build advised indexes;
 5. prefetch sequence companions predicted by the path expression.
 
@@ -72,7 +73,7 @@ from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache, StaleArchive
 from repro.core.cache_model import cache_model, cache_statistics
 from repro.core.executor import ExecutionMonitor, ResultStream
-from repro.core.planner import PlannerFeatures, QueryPlanner
+from repro.core.planner import ExactHit, PlannerFeatures, QueryPlanner
 from repro.core.rdi import remote_interface
 
 #: ``psj_from_literals`` has no caller in this module since ``core_plan``
@@ -234,8 +235,9 @@ class CacheManagementSystem:
         self._archive = StaleArchive() if self.features.degradation else None
         self._last_degraded = False
         #: The most recent plan the planner produced for this CMS (the one
-        #: actually executed, post-replan).  Purely observational: the qa
-        #: subsystem audits it after every query.
+        #: actually executed, post-replan); None after an exact hit, which
+        #: is read without one.  Purely observational: the qa subsystem
+        #: audits it after every query.
         self.last_plan = None
         self.planner = QueryPlanner(
             self.cache,
@@ -427,34 +429,30 @@ class CacheManagementSystem:
             self.last_plan.check_invariants(self.planner.backend_of)
 
     def _answer_psj(self, psj: PSJQuery) -> Relation | GeneratorRelation:
-        plan = self.planner.plan(psj)
+        # The exact tier is the first question: a hit is read as stored,
+        # with no plan and no executor pass.
+        hit = self.planner.exact_hit(psj)
+        plan = None
+        if hit is None:
+            plan = self.planner.plan(psj)
+            if plan.prefetches:
+                # Generalization (step 1): fetch the general form first,
+                # then ask again.
+                self._generalize(psj, plan.prefetches)
+                hit = self.planner.exact_hit(psj)
+                plan = None if hit is not None else self.planner.plan(psj)
         self.last_plan = plan
 
-        # Generalization (step 1): fetch the general form first, replan.
-        # A failed prefetch must not fail the query it was meant to help.
-        if plan.prefetches:
-            for general in plan.prefetches:
-                logger.debug("generalize: fetching %s for %s", general.name, psj.name)
-                try:
-                    self._fetch_and_cache(general, view_name=psj.name)
-                except CacheCapacityError:
-                    logger.debug("generalize: %s did not fit the cache", general.name)
-                    continue
-                except RemoteDBMSError:
-                    logger.debug("generalize: remote failure fetching %s", general.name)
-                    continue
-                self.metrics.incr(CACHE_GENERALIZATIONS)
-                self.tracer.event("cms.generalized", view=psj.name, general=general.name)
-            plan = self.planner.plan(psj)
-            self.last_plan = plan
-
-        if plan.strategy == "exact":
+        if hit is not None:
             self.metrics.incr(CACHE_HITS_EXACT)
-            if plan.canonical_hit:
+            if hit.canonical:
                 # Served by the canonical tier: a variant spelling of a
                 # stored definition, recognized without subsumption.
                 self.metrics.incr(CACHE_HITS_CANONICAL)
-        elif plan.strategy in ("cache-full", "hybrid"):
+            logger.debug("plan[exact] for %s: read %s", psj.name,
+                         hit.element.element_id)
+            return self._read_exact(hit)
+        if plan.strategy in ("cache-full", "hybrid"):
             self.metrics.incr(CACHE_HITS_SUBSUMED)
         elif plan.strategy == "remote":
             self.metrics.incr(CACHE_MISSES)
@@ -472,6 +470,10 @@ class CacheManagementSystem:
                 self.metrics.incr(CACHE_STALE_REPLANS)
                 self.tracer.event("cms.stale_replan", view=psj.name)
                 logger.debug("stale plan for %s: replanning", psj.name)
+                hit = self.planner.exact_hit(psj)
+                if hit is not None:
+                    self.last_plan = None
+                    return self._read_exact(hit)
                 plan = self.planner.plan(psj)
                 self.last_plan = plan
                 result = self.monitor.execute(plan)
@@ -493,7 +495,7 @@ class CacheManagementSystem:
             # future outage (survives eviction from the cache proper).
             self._archive.store(psj, result.to_extension())
 
-        if plan.cache_result and plan.strategy != "exact":
+        if plan.cache_result:
             try:
                 # The efficacy ledger records what deriving this answer
                 # actually cost in simulated time — the price a future
@@ -512,6 +514,43 @@ class CacheManagementSystem:
             )
             self._build_indexes(element, plan.index_positions)
         return result
+
+    def _generalize(self, psj: PSJQuery, generals) -> None:
+        """Fetch and cache each generalized query the plan for ``psj``
+        asked for.  A failed prefetch must not fail the query it was meant
+        to help."""
+        for general in generals:
+            logger.debug("generalize: fetching %s for %s", general.name, psj.name)
+            try:
+                self._fetch_and_cache(general, view_name=psj.name)
+            except CacheCapacityError:
+                logger.debug("generalize: %s did not fit the cache", general.name)
+                continue
+            except RemoteDBMSError:
+                logger.debug("generalize: remote failure fetching %s", general.name)
+                continue
+            self.metrics.incr(CACHE_GENERALIZATIONS)
+            self.tracer.event("cms.generalized", view=psj.name, general=general.name)
+
+    def _read_exact(self, hit: ExactHit) -> Relation | GeneratorRelation:
+        """Serve an exact hit: one :meth:`Cache.read` (touch, ancestor
+        warming, efficacy credit), the stored rows charged to ``local``,
+        and the stored relation itself as the answer — a generator keeps
+        its element pinned until it drains.  Traced, the hit is one
+        ``cms.exact_hit`` event carrying the seconds charged."""
+        element = hit.element
+        self.cache.read(element)
+        charged_from = self.clock.now
+        self.monitor.charge_local(element.rows_materialized())
+        self.monitor.pin_for_stream(element, element.relation)
+        if self.tracer.enabled:
+            self.tracer.event(
+                "cms.exact_hit",
+                element=element.element_id,
+                canonical=hit.canonical,
+                seconds=self.clock.now - charged_from,
+            )
+        return element.relation
 
     def _degraded_answer(
         self, psj: PSJQuery, plan, error: RemoteDBMSError

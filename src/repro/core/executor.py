@@ -204,7 +204,8 @@ class ExecutionMonitor:
         self.subplan_registry = subplan_registry
 
     # -- cost helpers ----------------------------------------------------------------
-    def _charge_local(self, tuples: int) -> None:
+    def charge_local(self, tuples: int) -> None:
+        """Charge ``tuples`` rows of cache-side work to the ``local`` track."""
         self.metrics.incr(CACHE_TUPLES_PROCESSED, tuples)
         self.clock.charge("local", self.profile.cache_per_tuple * tuples)
 
@@ -256,28 +257,18 @@ class ExecutionMonitor:
             return Relation(result_schema(plan.query.name, plan.query.arity))
         if strategy == "unit":
             return unit_result(plan.query)
-        if strategy == "exact":
-            return self._execute_exact(plan)
         if strategy == "cache-full":
             return self._execute_cache_full(plan)
         if strategy in ("hybrid", "remote"):
             return self._execute_parts(plan)
         raise PlanningError(f"unknown plan strategy: {strategy}")
 
-    def _pin_for_stream(self, element, relation) -> None:
-        """Keep ``element`` pinned until the lazy ``relation`` drains."""
+    def pin_for_stream(self, element, relation) -> None:
+        """Keep ``element`` pinned until the lazy ``relation`` drains (with
+        :attr:`pin_streams`; an exhausted relation needs no pin)."""
         if self.pin_streams and not relation.exhausted:
             self.cache.pin(element)
             relation.when_exhausted(lambda: self.cache.unpin(element))
-
-    def _execute_exact(self, plan: QueryPlan) -> Relation | GeneratorRelation:
-        element = plan.exact_element
-        if element is None:
-            raise PlanningError("exact plan without an element")
-        self.cache.read(element)
-        self._charge_local(element.rows_materialized())
-        self._pin_for_stream(element, element.relation)
-        return element.relation
 
     def _execute_cache_full(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         match = plan.full_match
@@ -287,10 +278,10 @@ class ExecutionMonitor:
         if plan.lazy:
             gen = derive_full_lazy(match, plan.query)
             gen.on_produce = self._on_lazy_tuple
-            self._pin_for_stream(match.element, gen)
+            self.pin_for_stream(match.element, gen)
             return gen
         result, touched = self._derive_full_indexed(match, plan.query)
-        self._charge_local(touched + len(result))
+        self.charge_local(touched + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
@@ -403,7 +394,7 @@ class ExecutionMonitor:
         self.cache.read(element)
         rows_read = element.rows_materialized()
         relation = derive_part(part.match, list(part.columns))
-        self._charge_local(rows_read + len(relation))
+        self.charge_local(rows_read + len(relation))
         return relation, rows_read
 
     # -- shared multi-query optimization (MQO) --------------------------------------
@@ -423,7 +414,7 @@ class ExecutionMonitor:
         self.tracer.event(
             "mqo.share", view=part.sub_query.name, rows=len(relation)
         )
-        self._charge_local(len(relation))
+        self.charge_local(len(relation))
         return relation
 
     def _publish_subplan(self, part: RemotePart, relation: Relation) -> None:
@@ -578,7 +569,7 @@ class ExecutionMonitor:
                         for position in range(len(source_row)):
                             if prior[position] != source_row[position]:
                                 conflicted.add(position)
-                self._charge_local(len(extension))  # the functional-check pass
+                self.charge_local(len(extension))  # the functional-check pass
                 for q_col, attr in column_map.items():
                     if q_col in taken:
                         continue
@@ -660,7 +651,7 @@ class ExecutionMonitor:
                 continue  # source column not exposed: fall back to unbound
             index, values = found
             # The extraction pass re-reads the part's rows.
-            self._charge_local(len(relations[index]))
+            self.charge_local(len(relations[index]))
             if spec.remote_column in bindings:
                 kept = set(bindings[spec.remote_column])
                 values = tuple(v for v in values if v in kept)
@@ -696,7 +687,7 @@ class ExecutionMonitor:
         charged.
         """
         result = derive_full(match, query)
-        self._charge_local(match.element.rows_materialized() + len(result))
+        self.charge_local(match.element.rows_materialized() + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
@@ -737,7 +728,7 @@ class ExecutionMonitor:
         result, touched = combine_parts(
             parts, plan.cross_conditions, plan.query, partial=partial
         )
-        self._charge_local(touched + len(result))
+        self.charge_local(touched + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 

@@ -9,9 +9,9 @@ leading unbound remote parts are mutually independent and share one
 parallel region; a remote part carrying binding specs runs after it,
 since its IN-lists draw on the parts before it (cache parts or earlier
 backends' remote parts).  The **combine** stage (join + residual
-conditions + projection) on the workstation comes last.  An exact plan
-has no parts: it carries the cache element whose stored relation is the
-answer.
+conditions + projection) on the workstation comes last.  An exact hit
+has no plan at all: the CMS reads the element the planner's exact tier
+found (:meth:`~repro.core.planner.QueryPlanner.exact_hit`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.relational.operators import existence_part
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.psj import ConstProj, PSJQuery
-from repro.core.cache import CacheElement
 from repro.core.subsumption import SubsumptionMatch
 
 
@@ -172,13 +171,11 @@ class QueryPlan:
     """The complete plan for one CAQL query."""
 
     query: PSJQuery
-    #: One of: exact, cache-full, hybrid, remote, unsatisfiable, unit.
+    #: One of: cache-full, hybrid, remote, unsatisfiable, unit.
     strategy: str
     parts: tuple[PlanPart, ...] = ()
     #: Cache-full strategy: the match to derive from.
     full_match: SubsumptionMatch | None = None
-    #: Exact strategy: the element whose stored relation *is* the answer.
-    exact_element: CacheElement | None = None
     #: Conditions spanning parts, applied at the combine stage.
     cross_conditions: tuple[Comparison, ...] = ()
     #: Evaluate lazily (only legal when nothing remote is involved).
@@ -199,10 +196,6 @@ class QueryPlan:
     #: execution time the executor re-validates every matched element and
     #: raises :class:`~repro.common.errors.StalePlanError` if one is gone.
     epoch: int = -1
-    #: Exact strategy only: the hit came from the canonical tier — the
-    #: stored definition is an alpha-equivalent variant spelling rather
-    #: than structurally identical (metrics: ``cache.canonical_hits``).
-    canonical_hit: bool = False
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -211,11 +204,8 @@ class QueryPlan:
         return any(isinstance(p, RemotePart) for p in self.parts)
 
     def cache_elements(self):
-        """Every cache element this plan reads (exact element, full match,
-        cache parts)."""
+        """Every cache element this plan reads (full match, cache parts)."""
         elements = []
-        if self.exact_element is not None:
-            elements.append(self.exact_element)
         if self.full_match is not None:
             elements.append(self.full_match.element)
         for part in self.parts:
@@ -230,8 +220,8 @@ class QueryPlan:
         plan could not possibly execute correctly: an occurrence of the
         query left uncovered by any part, a part claiming a tag the query
         does not have, a missing epoch stamp on a plan that reads the
-        cache, an exact plan without its element, a lazy plan that touches
-        the remote DBMS, two remote parts bound for one backend, or a
+        cache, a cache-full plan without its match, a lazy plan that
+        touches the remote DBMS, two remote parts bound for one backend, or a
         semijoin binding whose source column no earlier part exposes.
         ``backend_of`` resolves a base relation to ``(backend name, …)``
         (the RDI's ``cost_profile_of``): a remote part's backends come
@@ -242,18 +232,14 @@ class QueryPlan:
         query_tags = {occ.tag for occ in self.query.occurrences}
         if self.strategy in ("unsatisfiable", "unit"):
             return
-        if self.strategy in ("exact", "cache-full"):
-            if self.strategy == "cache-full" and self.full_match is None:
+        if self.strategy == "cache-full":
+            if self.full_match is None:
                 raise InvariantViolation(
                     f"cache-full plan for {self.query.name} has no full match"
                 )
-            if self.strategy == "exact" and self.exact_element is None:
-                raise InvariantViolation(
-                    f"exact plan for {self.query.name} carries no element"
-                )
             if self.epoch < 0:
                 raise InvariantViolation(
-                    f"{self.strategy} plan for {self.query.name} was never "
+                    f"cache-full plan for {self.query.name} was never "
                     "stamped with a cache epoch"
                 )
             return

@@ -7,18 +7,22 @@ than needed, amortized over predicted repetitions).
 Step 2 — *determine relevant cache elements*: run subsumption over the
 cache (delegated to :mod:`repro.core.subsumption`).
 
-Step 3 — *generate the plan*: choose among answering entirely from cache
-(exact or derived), a hybrid split (cache parts + the remote component,
+Step 3 — *generate the plan*: choose among deriving the answer entirely
+from cache, a hybrid split (cache parts + the remote component,
 unbound remote parts overlapping the cache track), or shipping the whole
 query to the remote DBMS — by comparing estimated costs under the
 session's cost profile.  The remote component is one request per home
 backend (one request on a single server).
+
+Ahead of all three steps sits the **exact tier**,
+:meth:`QueryPlanner.exact_hit`: one canonical-key lookup whose hit is the
+answer as stored, so the CMS reads it without asking for a plan at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.common.clock import CostProfile
 from repro.common.errors import TranslationError
@@ -26,7 +30,7 @@ from repro.relational.expressions import Comparison
 from repro.relational.statistics import RelationStatistics
 from repro.caql.psj import ConstProj, PSJQuery, parse_column, psj_from_literals
 from repro.core.advice_manager import AdviceManager
-from repro.core.cache import Cache
+from repro.core.cache import Cache, CacheElement
 from repro.core.canonical import audit_canonical, canonicalize
 from repro.core.plan import (
     BackendOf,
@@ -82,6 +86,33 @@ class PlannerFeatures:
 StatsLookup = Callable[[str], RelationStatistics]
 
 
+class ExactHit(NamedTuple):
+    """The exact tier's answer: a cache element whose stored relation *is*
+    the answer to the query."""
+
+    element: CacheElement
+    #: The stored definition is an alpha-equivalent variant spelling, not
+    #: a structurally identical one (metrics: ``cache.canonical_hits``).
+    canonical: bool
+
+    def notes(self) -> list[str]:
+        """What ``explain`` reports for the hit."""
+        element = self.element
+        if self.canonical:
+            notes = [
+                "canonical hit: variant spelling of "
+                f"{element.element_id} ({element.view_name})"
+            ]
+        else:
+            notes = ["exact-match result reuse"]
+        if element.kind == "intermediate":
+            notes.append(
+                f"reuses intermediate {element.element_id} "
+                f"({element.operator or 'unknown-op'}, depth {element.depth})"
+            )
+        return notes
+
+
 class QueryPlanner:
     """Produces a :class:`QueryPlan` for each PSJ query."""
 
@@ -120,13 +151,42 @@ class QueryPlanner:
         #: Off by default (tests and the fuzzer flip it on).
         self.audit = False
 
-    # -- entry point -------------------------------------------------------------
+    # -- entry points ------------------------------------------------------------
+    def exact_hit(self, query: PSJQuery) -> ExactHit | None:
+        """The exact tier, asked before anything is planned: the element
+        the cache keys under ``query``'s canonical key, or None.
+
+        A query the planner answers without the cache (contradictory, or
+        with no occurrences) has no hit.  When the stored definition is
+        not structurally identical the hit is a **canonical hit** — a
+        variant spelling served without subsumption scoring — which the
+        ``canonical=False`` ablation refuses.  Nothing is read or charged
+        here: the caller reads the element in the same call, so no cache
+        epoch can pass between the lookup and the read.
+        """
+        if not self.features.caching or query.unsatisfiable or not query.occurrences:
+            return None
+        if self.features.canonical and canonicalize(query).unsatisfiable:
+            return None
+        element = self.cache.lookup_exact(query)
+        if element is None:
+            return None
+        canonical = element.definition.canonical_key() != query.canonical_key()
+        if canonical and not self.features.canonical:
+            return None  # ablation: structural exact matching only
+        if self.audit:
+            audit_canonical(query)
+        return ExactHit(element, canonical)
+
     def plan(self, query: PSJQuery) -> QueryPlan:
         """Produce a plan for one PSJ query (the QPO's three steps).
 
-        The plan is tagged with the cache epoch at planning time; an
-        executor seeing a newer epoch re-validates the matched elements,
-        which makes planning safe under multi-session interleaving.
+        Asked after :meth:`exact_hit` came back empty: an exactly cached
+        query planned anyway is derived from its element like any other
+        subsumed one.  The plan is tagged with the cache epoch at planning
+        time; an executor seeing a newer epoch re-validates the matched
+        elements, which makes planning safe under multi-session
+        interleaving.
         """
         with self.tracer.span("planner.plan", view=query.name) as span:
             # With a real tracer attached (or under audit), the probe
@@ -142,19 +202,17 @@ class QueryPlanner:
                 audit_prefilter(self.cache, query, reports)
                 audit_canonical(query)
             if self.tracer.enabled:
-                self._trace_decision(span, query, plan, reports)
+                self._trace_decision(span, plan, reports)
             return plan
 
     def _trace_decision(
-        self, span, query: PSJQuery, plan: QueryPlan, reports: list[CandidateReport]
+        self, span, plan: QueryPlan, reports: list[CandidateReport]
     ) -> None:
         """Record the planner's full rationale on its span (tracing only).
 
         The subsumption rationale comes from ``reports``, collected by the
-        probe ``_plan`` ran.  Only a plan answered *before* subsumption
-        (exact hit, unsatisfiable, unit) never probed; for those the probe
-        runs here — pure bookkeeping over an unchanged cache, so it cannot
-        perturb the plan.
+        probe ``_plan`` ran.  A plan answered *before* subsumption
+        (unsatisfiable, unit) never probed, and has no rationale to show.
         """
         span.set("strategy", plan.strategy)
         span.set("lazy", plan.lazy)
@@ -168,27 +226,24 @@ class QueryPlanner:
         span.set("estimated_local_cost", plan.estimated_local_cost)
         span.set("estimated_remote_cost", plan.estimated_remote_cost)
         span.set("remote_available", self.remote_available())
-        if self.features.caching and self.features.subsumption:
-            if plan.strategy in ("exact", "unsatisfiable", "unit"):
-                find_relevant(self.cache, query, reports)
-            for report in ranked(reports):
-                if report.matched:
-                    best = report.matches[0]
-                    span.event(
-                        "subsume.match",
-                        element=report.element_id,
-                        view=report.view_name,
-                        full=any(m.is_full for m in report.matches),
-                        covered=sorted(best.covered_tags),
-                        residual=len(best.residual_conditions),
-                    )
-                else:
-                    span.event(
-                        "subsume.reject",
-                        element=report.element_id,
-                        view=report.view_name,
-                        reasons=list(report.rejections),
-                    )
+        for report in ranked(reports):
+            if report.matched:
+                best = report.matches[0]
+                span.event(
+                    "subsume.match",
+                    element=report.element_id,
+                    view=report.view_name,
+                    full=any(m.is_full for m in report.matches),
+                    covered=sorted(best.covered_tags),
+                    residual=len(best.residual_conditions),
+                )
+            else:
+                span.event(
+                    "subsume.reject",
+                    element=report.element_id,
+                    view=report.view_name,
+                    reasons=list(report.rejections),
+                )
 
     def _plan(
         self, query: PSJQuery, reports: list[CandidateReport] | None
@@ -219,42 +274,8 @@ class QueryPlanner:
             self.advice.index_positions(view_name) if self.features.indexing else ()
         )
 
-        # -- step 2 first: an exact or derived cache answer needs no step 1.
+        # -- step 2 first: a derived cache answer needs no step 1.
         if self.features.caching:
-            exact = self.cache.lookup_exact(query)
-            canonical_hit = False
-            if exact is not None:
-                # The cache indexes by canonical key; when the stored
-                # definition is not structurally identical this is a
-                # **canonical hit** — a variant spelling served without
-                # subsumption scoring.
-                canonical_hit = (
-                    exact.definition.canonical_key() != query.canonical_key()
-                )
-                if canonical_hit and not self.features.canonical:
-                    exact = None  # ablation: structural exact matching only
-            if exact is not None:
-                if canonical_hit:
-                    exact_notes = [
-                        "canonical hit: variant spelling of "
-                        f"{exact.element_id} ({exact.view_name})"
-                    ]
-                else:
-                    exact_notes = ["exact-match result reuse"]
-                if exact.kind == "intermediate":
-                    exact_notes.append(
-                        f"reuses intermediate {exact.element_id} "
-                        f"({exact.operator or 'unknown-op'}, depth {exact.depth})"
-                    )
-                return QueryPlan(
-                    query,
-                    "exact",
-                    exact_element=exact,
-                    cache_result=False,  # already cached
-                    lazy=False,
-                    notes=exact_notes,
-                    canonical_hit=canonical_hit,
-                )
             if self.features.subsumption:
                 matches = find_relevant(self.cache, query, reports)
             else:

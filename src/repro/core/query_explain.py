@@ -8,8 +8,9 @@ advice session's usage statistics.
 
 The planner itself is side-effect free (it reads the cache, the advice,
 and cached statistics), so explanation is simply: normalize the query the
-same way :meth:`~repro.core.cms.CacheManagementSystem.query` would, plan
-it, and run the subsumption probe with rejection recording
+same way :meth:`~repro.core.cms.CacheManagementSystem.query` would, ask
+the exact tier and plan it on a miss, and run the subsumption probe with
+rejection recording
 (:func:`~repro.core.subsumption.explain_candidates` — the planner's own
 :func:`~repro.core.subsumption.find_relevant` walk, collecting reports).
 """
@@ -148,12 +149,31 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
 
     psj, _core_vars, _evaluable = core_plan(q, cms.builtins)
 
-    plan = cms.planner.plan(psj)
     if cms.features.caching and cms.features.subsumption:
         candidates = tuple(explain_candidates(cms.cache, psj))
     else:
         candidates = ()
+    # The same first question the CMS asks: an exact hit is read as
+    # stored, so it has no plan to show.
+    hit = cms.planner.exact_hit(psj)
+    if hit is not None:
+        return PlanExplanation(
+            query_name=psj.name,
+            strategy="exact",
+            lazy=False,
+            cache_result=False,
+            expendable=False,
+            notes=tuple(hit.notes()),
+            parts=(),
+            prefetches=(),
+            estimated_local_cost=0.0,
+            estimated_remote_cost=0.0,
+            candidates=candidates,
+            epoch=cms.cache.epoch,
+            element_efficacy=(element_report(cms.cache, hit.element),),
+        )
 
+    plan = cms.planner.plan(psj)
     parts = tuple(plan.part_labels())
     if plan.full_match is not None:
         parts = (f"cache:{plan.full_match.element.element_id}",) + parts

@@ -6,8 +6,8 @@ top-level ``cms.query`` span's simulated time to **phases**:
 
 ========  =======================================================
 plan      ``planner.plan`` (strategy choice, subsumption probes)
-cache     cache-track derivation (exact hits, full-match derivations,
-          the local side of a parallel region)
+cache     cache-track derivation (exact-hit reads, full-match
+          derivations, the local side of a parallel region)
 remote    ``rdi.fetch`` / ``rdi.fetch_table`` / ``rdi.fetch_batch``
           round trips, net of retry backoff
 retry     backoff seconds re-attributed from ``rdi.retry`` events
@@ -33,6 +33,9 @@ Two span shapes need care:
   ``remote``-rooted tracks → remote, anything else → cache.
 * ``rdi.retry`` events carry ``backoff_seconds``; their sum (clamped to
   the owning fetch span's self time) moves from remote to retry.
+* An exact hit opens no span of its own: the ``cms.exact_hit`` event on
+  its ``cms.query`` span carries the ``seconds`` the read charged, which
+  move from compute to cache.
 
 The profiler is read-only and deterministic; rendering is flame-style
 text bars plus a canonical JSON form, both printed by
@@ -52,7 +55,7 @@ PHASES = ("plan", "cache", "remote", "retry", "gather", "compute")
 _FETCH_SPANS = frozenset({"rdi.fetch", "rdi.fetch_table", "rdi.fetch_batch"})
 
 #: Executor strategies whose residual work is cache-track derivation.
-_CACHE_STRATEGIES = frozenset({"exact", "cache-full", "unit", "unsatisfiable"})
+_CACHE_STRATEGIES = frozenset({"cache-full", "unit", "unsatisfiable"})
 
 
 def _duration(span: dict) -> float:
@@ -87,14 +90,14 @@ def _classify(span: dict) -> str | None:
     return None
 
 
-def _retry_seconds(span: dict) -> float:
-    """Summed backoff of ``rdi.retry`` events recorded on this span."""
+def _event_seconds(span: dict, event_name: str, attribute: str) -> float:
+    """Summed ``attribute`` of the ``event_name`` events on this span."""
     total = 0.0
     for event in span.get("events", []):
-        if event.get("name") == "rdi.retry":
-            backoff = event.get("attributes", {}).get("backoff_seconds", 0.0)
-            if isinstance(backoff, (int, float)):
-                total += backoff
+        if event.get("name") == event_name:
+            seconds = event.get("attributes", {}).get(attribute, 0.0)
+            if isinstance(seconds, (int, float)):
+                total += seconds
     return total
 
 
@@ -260,10 +263,21 @@ def profile_trace(trace: str | list[dict]) -> TraceProfile:
                 hot_tables[str(attrs["table"])] = (
                     hot_tables.get(str(attrs["table"]), 0) + 1
                 )
-            retry = min(_retry_seconds(span), max(self_time, 0.0))
+            retry = min(
+                _event_seconds(span, "rdi.retry", "backoff_seconds"),
+                max(self_time, 0.0),
+            )
             if retry > 0:
                 out["retry"] = out.get("retry", 0.0) + retry
                 self_time -= retry
+        if name == "cms.query":
+            read = min(
+                _event_seconds(span, "cms.exact_hit", "seconds"),
+                max(self_time, 0.0),
+            )
+            if read > 0:
+                out["cache"] = out.get("cache", 0.0) + read
+                self_time -= read
         if name == "planner.plan":
             for part in attrs.get("parts", []) or []:
                 if isinstance(part, str) and part.startswith("cache:"):

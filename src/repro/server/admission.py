@@ -10,9 +10,10 @@ here, before any work is done:
   :class:`~repro.common.errors.ServerOverloadError`, which is the
   backpressure signal clients retry/back off on;
 * the **per-session in-flight limit** (:data:`MAX_INFLIGHT_PER_SESSION`)
-  caps how many of one session's requests may be started-but-undrained at
-  once, so a client that floods the server cannot monopolize scheduler
-  steps or pin unbounded cache state mid-stream.
+  caps how many of one session's lazy streams may be started-but-undrained
+  at once, so a client that floods the server cannot pin unbounded cache
+  state mid-stream.  An eager answer completes in its execute step and
+  is never in flight, so the limit only ever binds on lazy streams.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.common.metrics import (
 from repro.obs.tracer import Tracer
 from repro.server.session import Session
 
-#: Started-but-undrained requests one session may hold at once.
+#: Started-but-undrained (lazy) requests one session may hold at once.
 MAX_INFLIGHT_PER_SESSION = 4
 
 
@@ -91,12 +92,12 @@ class AdmissionController:
         return len(session.in_flight) < MAX_INFLIGHT_PER_SESSION
 
     def is_eligible(self, session: Session) -> bool:
-        """Does this session have any step the scheduler could run now?"""
-        if not session.open:
-            return False
-        if session.in_flight:
-            return True
-        return bool(session.backlog) and self.may_start(session)
+        """Does this session have any step the scheduler could run now?
+
+        A session with a stream in flight can always drain it; one with
+        none in flight is below its limit, so any backlog can start.
+        """
+        return session.open and bool(session.in_flight or session.backlog)
 
     def utilization(self) -> float:
         """Queue fill fraction (the overload signal clients can poll)."""

@@ -13,17 +13,22 @@ A request's life:
    :class:`ServerOverloadError` when the queue bound is hit, otherwise
    queued on the session's backlog stamped with the current simulated
    time;
-2. an **execute** step — the scheduler picks the session, the session's
-   CMS plans and runs the query (cache elements it reads are pinned;
-   lazy results hold their pins until drained);
-3. a **drain** step — the stream is consumed and the request completes;
-   latency is drain-time minus submit-time, so waiting behind other
-   sessions' steps counts, which is what fairness policies bound.
+2. an **execute** step — the scheduler picks the session and the
+   session's CMS answers the query (cache elements it reads are pinned
+   for the call).  An eager answer is already an extension: it is
+   drained and the request completes in this same step;
+3. a **drain** step, for a lazy answer only — the generator is consumed
+   and the request completes.  Until then the request is *in flight*
+   and the element it derives from stays pinned.
 
-Steps from different sessions interleave between a request's execute and
-drain — exactly the window where one session's replacement could trash
-another session's in-flight stream, and exactly what cache pinning and
-epoch-tagged invalidation make safe.
+Latency is completion time minus submit time, so waiting behind other
+sessions' steps counts, which is what fairness policies bound.
+
+Steps from different sessions interleave between a lazy request's
+execute and drain — exactly the window where one session's replacement
+could trash another session's in-flight stream, and exactly what stream
+pins and epoch-tagged invalidation make safe.  An eager answer has no
+such window, so it is never parked.
 
 Everything is deterministic: same seed, sessions, and submissions →
 byte-identical schedule traces and per-session results.
@@ -87,7 +92,7 @@ class StepRecord:
     """One scheduler decision, for the reproducible schedule trace."""
 
     index: int
-    phase: str  # "execute" | "drain"
+    phase: str  # "execute" | "drain" (a lazy answer's second step)
     session: str
     request_id: str
     clock: float
@@ -280,6 +285,9 @@ class BraidServer:
             request.stream = session.cms.query(request.query)
         except BraidError as error:
             self._finish(session, request, error=error)
+            return
+        if not request.stream.lazy:
+            self._drain(session, request)
             return
         session.in_flight.append(request)
         session.note_in_flight()

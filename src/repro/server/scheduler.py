@@ -1,9 +1,10 @@
 """Deterministic cooperative scheduling of session steps.
 
 The server is single-threaded on the simulated clock: concurrency is
-*cooperative interleaving* of per-session steps (execute one query, or
-drain one result stream), which keeps every run exactly reproducible —
-the same seed and submissions yield byte-identical schedules.
+*cooperative interleaving* of per-session steps (execute one query —
+an eager answer completes there — or drain one lazy result stream),
+which keeps every run exactly reproducible — the same seed and
+submissions yield byte-identical schedules.
 
 Two policies, each a class with ``note_session`` / ``forget_session`` /
 ``pick``; the server holds the one its configuration names:

@@ -54,7 +54,8 @@ class Request:
     rows: list[tuple] | None = None
     degraded: bool = False
     error: str | None = None
-    #: The undrained stream between the execute and drain phases.
+    #: The answer's stream; a lazy one stays undrained between the
+    #: execute and drain phases.
     stream: ResultStream | None = field(default=None, repr=False)
 
     @property
@@ -94,7 +95,8 @@ class Session:
         self.open = True
         #: Admitted requests not yet started (FIFO within the session).
         self.backlog: deque[Request] = deque()
-        #: Started (executed) requests whose streams are not yet drained.
+        #: Started (executed) requests whose lazy streams are not yet
+        #: drained.
         self.in_flight: deque[Request] = deque()
         self.completed: list[Request] = []
         #: Highest simultaneous in-flight count this session ever reached.
@@ -174,10 +176,11 @@ class SessionManager:
         #: every session's CMS so concurrent identical remote subplans are
         #: computed once.  None disables sharing.
         self.subplan_registry = subplan_registry
-        #: Server sessions drain every stream (the drain phase), so pins
-        #: held for a stream's lifetime are always released; a directly
-        #: embedded single session passes False (the IE may abandon
-        #: streams, and an unreleased pin would block eviction forever).
+        #: Server sessions drain every stream (a lazy one in its drain
+        #: phase, an eager one at once), so pins held for a stream's
+        #: lifetime are always released; a directly embedded single
+        #: session passes False (the IE may abandon streams, and an
+        #: unreleased pin would block eviction forever).
         self.pin_streams = pin_streams
         self._sessions: dict[str, Session] = {}
         self._ever_opened = 0

@@ -173,17 +173,21 @@ class TestStaleReplan:
         cms.begin_session()
         return cms
 
-    def test_executor_detects_invalidated_exact_plan(self):
-        from repro.common.errors import StalePlanError
-
+    def test_an_exact_hit_never_reads_a_retired_element(self):
+        # The exact tier has no plan to go stale: the lookup and the read
+        # are one call, so a retired element is simply not found.
         cms = self.make_cms()
-        cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
-        # An exact-reuse plan whose element is yanked before execution.
-        plan = cms.planner.plan(psj_of(parse_query("q2(I, V) :- item(I, cat0, V)")))
-        assert plan.strategy == "exact"
+        expected = sorted(
+            cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
+        )
+        respelled = psj_of(parse_query("q2(I, V) :- item(I, cat0, V)"))
+        (element,) = cms.cache.elements()
+        assert cms.planner.exact_hit(respelled).element is element
         cms.cache.clear()
-        with pytest.raises(StalePlanError):
-            cms.monitor.execute(plan)
+        assert cms.planner.exact_hit(respelled) is None
+        rows = cms.query(parse_query("q2(I, V) :- item(I, cat0, V)")).fetch_all()
+        assert sorted(rows) == expected
+        assert cms.metrics.get(CACHE_STALE_REPLANS) == 0
 
     def test_executor_detects_invalidated_derived_plan(self):
         from repro.common.errors import StalePlanError
@@ -206,9 +210,8 @@ class TestStaleReplan:
         from repro.common.errors import StalePlanError
 
         cms = self.make_cms()
-        expected = sorted(
-            cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
-        )
+        warm = cms.query(parse_query("q(I, V) :- item(I, cat0, V)")).fetch_all()
+        expected = sorted(row for row in warm if row[1] >= 300)
         calls = {"n": 0}
         real_execute = cms.monitor.execute
 
@@ -219,8 +222,11 @@ class TestStaleReplan:
             return real_execute(plan)
 
         monkeypatch.setattr(cms.monitor, "execute", invalidated_once)
+        # A derived (not exact) answer: only a plan can go stale.
         rows = sorted(
-            cms.query(parse_query("q2(I, V) :- item(I, cat0, V)")).fetch_all()
+            cms.query(
+                parse_query("q2(I, V) :- item(I, cat0, V), V >= 300")
+            ).fetch_all()
         )
         assert rows == expected
         assert cms.metrics.get(CACHE_STALE_REPLANS) == 1

@@ -102,7 +102,7 @@ class TestCachingBehaviour:
         assert cms.metrics.get(REMOTE_REQUESTS) == requests_before
         assert cms.metrics.get(CACHE_HITS_EXACT) == 1
 
-    def test_exact_plan_carries_the_element_it_found(self, cms, monkeypatch):
+    def test_exact_hit_reads_the_element_it_found(self, cms, monkeypatch):
         q = parse_query("q(Y) :- parent(tom, Y)")
         cms.query(q)
         (element,) = cms.cache.elements()
@@ -114,15 +114,17 @@ class TestCachingBehaviour:
             return real_lookup(cache, definition)
 
         monkeypatch.setattr(type(cms.cache), "lookup_exact", counting_lookup)
+        uses = element.use_count
         assert set(cms.query(q).fetch_all()) == {("bob",), ("liz",)}
-        # One canonical-key probe per exact hit: the planner's.  The
-        # executor reads the element off the plan, pins and validates it.
+        # One canonical-key probe per exact hit: the exact tier's.  The
+        # CMS reads the element it found in the same call: no plan.
         assert probes == ["q"]
-        plan = cms.last_plan
-        assert plan.strategy == "exact" and plan.cache_elements() == [element]
-        assert plan.part_labels() == [] and element.pin_count == 0
-        assert cms.explain(q).element_efficacy[0]["element"] == element.element_id
-        assert probes == ["q", "q"]  # explain plans; it does not re-probe
+        assert cms.last_plan is None
+        assert element.use_count == uses + 1 and element.pin_count == 0
+        explanation = cms.explain(q)
+        assert explanation.strategy == "exact" and explanation.parts == ()
+        assert explanation.element_efficacy[0]["element"] == element.element_id
+        assert probes == ["q", "q"]  # explain asks the exact tier once
 
     def test_subsumption_reuse(self, cms):
         cms.query(parse_query("scan(X, Y) :- parent(X, Y)"))

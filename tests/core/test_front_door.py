@@ -22,6 +22,7 @@ from repro.caql.eval import core_plan, psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 from repro.common.errors import InvariantViolation
+from repro.common.metrics import CACHE_HITS_EXACT
 from repro.core.cache import Cache
 from repro.core.canonical import canonical_key, canonicalize
 from repro.core.cms import CacheManagementSystem
@@ -89,8 +90,10 @@ class TestWarmedExactHit:
         lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
         renders = count(monkeypatch, (psj_module, "_structural_key"))
 
+        hits = cms.metrics.get(CACHE_HITS_EXACT)
         stream = cms.query(parse_query(text))
-        assert cms.last_plan.strategy == "exact"
+        assert cms.metrics.get(CACHE_HITS_EXACT) == hits + 1
+        assert cms.last_plan is None  # an exact hit is read, never planned
         assert stream.fetch_all() == warm
         assert translations.calls == 1
         assert builds.calls == 0
@@ -121,9 +124,11 @@ class TestReaskedQueryObject:
         )
         lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
         renders = count(monkeypatch, (psj_module, "_structural_key"))
+        hits = cms.metrics.get(CACHE_HITS_EXACT)
         for _ in range(10):
             assert cms.query(query).fetch_all() == first
-            assert cms.last_plan.strategy == "exact"
+            assert cms.last_plan is None  # an exact hit is read, never planned
+        assert cms.metrics.get(CACHE_HITS_EXACT) == hits + 10
         # The first ask only recorded the object (a one-shot query keeps
         # no PSJ alive); the second translated and kept it for the rest.
         assert translations.calls == 1

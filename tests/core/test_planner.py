@@ -81,10 +81,15 @@ class TestStrategySelection:
 
     def test_exact_hit(self):
         cache = cache_with("q(X, Z) :- b2(X, Z)")
+        (element,) = cache.elements()
         planner = make_planner(cache)
-        plan = planner.plan(make_psj("q2(A, B) :- b2(A, B)"))
-        assert plan.strategy == "exact"
-        assert not plan.cache_result  # already cached
+        psj = make_psj("q2(A, B) :- b2(A, B)")
+        hit = planner.exact_hit(psj)
+        assert hit.element is element and not hit.canonical
+        # The exact tier is asked before planning; ``plan`` itself has no
+        # exact branch and derives such a query like any subsumed one.
+        assert planner.plan(psj).strategy == "cache-full"
+        assert planner.exact_hit(make_psj("q(Z) :- b2(2, Z)")) is None
 
     def test_full_subsumption(self):
         cache = cache_with("scan(X, Z) :- b2(X, Z)")
@@ -147,7 +152,7 @@ class TestStrategySelection:
         features = PlannerFeatures(subsumption=False)
         planner = make_planner(cache, features=features)
         assert planner.plan(make_psj("q(Z) :- b2(2, Z)")).strategy == "remote"
-        assert planner.plan(make_psj("q(X, Z) :- b2(X, Z)")).strategy == "exact"
+        assert planner.exact_hit(make_psj("q(X, Z) :- b2(X, Z)")) is not None
 
 
 class TestAdviceDrivenDecisions:
@@ -310,19 +315,38 @@ class TestTracedProbe:
             for r in expected
         ]
 
-    def test_a_plan_answered_before_the_probe_still_explains_itself(self):
+    def test_a_plan_answered_before_the_probe_still_explains_itself(
+        self, monkeypatch
+    ):
         from repro.common.clock import SimClock
+        from repro.core import planner as planner_module
         from repro.obs.tracer import Tracer
 
         cache = cache_with(*self.ELEMENTS)
         tracer = Tracer(SimClock())
         planner = make_planner(cache)
         planner.tracer = tracer
-        plan = planner.plan(make_psj("again(X, Z) :- b2(X, Z)"))
-        assert plan.strategy == "exact"
+        probes = []
+        real = planner_module.find_relevant
+
+        def counting(*args, **kwargs):
+            probes.append(args[1].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "find_relevant", counting)
+        plan = planner.plan(make_psj("none(X, Z) :- b2(X, Z), X > 3, X < 2"))
+        assert plan.strategy == "unsatisfiable"
+        # The span carries the decision, and no rationale for a probe that
+        # never ran: tracing runs none of its own.
         (span,) = tracer.spans
-        assert [e.name for e in span.events].count("subsume.match") == 1
-        assert [e.name for e in span.events].count("subsume.reject") == 2
+        attributes = dict(span.attributes)
+        assert attributes["strategy"] == "unsatisfiable"
+        assert attributes["notes"] == plan.notes
+        assert not [e for e in span.events if e.name.startswith("subsume.")]
+        assert probes == []
+        # The exact tier answers before any plan: no span, no probe.
+        assert planner.exact_hit(make_psj("again(X, Z) :- b2(X, Z)")) is not None
+        assert len(tracer.spans) == 1 and probes == []
 
 
 class TestPrefilterAudit:

@@ -4,7 +4,11 @@ Output parity: each digest below is the SHA-256 of what the command prints
 for a committed artifact, recorded when these renderers were four separate
 scripts; the one CLI must print the same bytes.  E14's and E21's were
 refrozen once, when the artifacts themselves moved (replacement became
-GreedyDual) and the renderers did not.  Paths are relative to the checkout
+GreedyDual) and the renderers did not.  Every trace digest, E20's
+metrics and both profiles were refrozen again when the traces moved: an
+exact hit lost its planner and executor spans (the profile's phase totals
+are unchanged; its subsumption match counts lost the rationale-only
+probes), and an eager answer its drain step.  Paths are relative to the checkout
 root because the trace, metrics and lineage headers echo them.
 """
 
@@ -21,24 +25,24 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = "benchmarks/results"
 
 PARITY = {
-    ("trace", f"{RESULTS}/E14.trace.jsonl"): "7095725e67bf8168dee2b836784d4bda1ed43ef52a582fe91383d281c8ca61d3",
-    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "869e2c0e640602455fd2719140d1c9b7a97fd827a9b325f282e4be255d4e8e65",
-    ("trace", f"{RESULTS}/E15.trace.jsonl"): "58e01f4092321c12232946a5d057f6ff601d5fc80731d4554f52abe086d926c4",
-    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "3b357a0f23377cec7905e208db9f5801e47417e6405dabbaddb1daffc94d03ed",
-    ("trace", f"{RESULTS}/E16.trace.jsonl"): "e411c2c345b29aeb2d387aa22738e9ba8064a8614fe1a9623b52ead103f0afe6",
-    ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "1024fa9a6f2ee341e5b0eaa222ab192c462b1b3781834adcda4a4e170bdbc263",
+    ("trace", f"{RESULTS}/E14.trace.jsonl"): "310dde5564144d8692ea9a989107469cadca67a26645c418102dabf8a6847540",
+    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "21049f38b6d18f3814ed0d6c15ebf420422bee63274dfa7243016f8341568885",
+    ("trace", f"{RESULTS}/E15.trace.jsonl"): "188bc757608aac570e330fbad17fa528567c8bcdb998be2fdb38d8b0aca32de7",
+    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "80e5cd614ee4cd4ef51bb6532a4577ee0aaba904d780cfa392f53b035745abd8",
+    ("trace", f"{RESULTS}/E16.trace.jsonl"): "1817a6112ada558caebc7a91b63070b583411173921e9bf67632960024042fc3",
+    ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "d938ffd954b1abca7e30033f1f8b2a2c6868a113b7c743e1cbdb12905c9418e8",
     ("trace", f"{RESULTS}/E17.trace.jsonl"): "9fd548464ba52019f91cadda042f58b5b12a41df856faa705ef30bb98c422bb9",
     ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "dbcdd7f7dd8c16d4a78e9c205a9621cd390bd553c874c49e6b735531cd834ff7",
-    ("trace", f"{RESULTS}/E19.trace.jsonl"): "f8a085775f1bc55fbf88f10e3a9ec7ff8f5a3576a260eb763b2d93665eed3da6",
-    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "eb5118793e163e9066e5d95a696fdab8de87facb4e3c205e8b773fe3b890d34c",
-    ("trace", f"{RESULTS}/E20.trace.jsonl"): "bb83a4e1b0620b0f76ca9278b4abf2ddd3f185fa1e00abc59f39894ed662fac8",
-    ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "f83d8fa0fe56cfc14fbac8ff6e8e051dd0db5117cd459b774ccfc3c0309558ea",
-    ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "0f2aaa0cbfde888a5a45977375f4e1e5bcc410f8086eb635e4654303d893fec9",
+    ("trace", f"{RESULTS}/E19.trace.jsonl"): "76c4982fc87c5e5d5a633acd0a2c18adc529e3815321aa1a42d81e4cf78d8c58",
+    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
+    ("trace", f"{RESULTS}/E20.trace.jsonl"): "fd7679f17e027af5bd4cf3aa2e36bf2d2e3d410e9e16716c1a58d6175a44013e",
+    ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "c5463bc971828b15a17e28f27f4d50fedf8e903e635e3960d887e196e0db2eb1",
+    ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "779511a7bf19b710b15d360dca321bcfff38feba9526db59b7019a3054e2cd78",
     ("lineage", f"{RESULTS}/E21.json"): "f6826fc8f5379993bd0ce417e630af27eefc96f730ee303303cacedf923dc6e9",
-    ("profile", f"{RESULTS}/E19.trace.jsonl"): "128c0e4a825c5beeaffa73fdd97b54c9f29aa177499d7b88952308f16a87ca35",
-    ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "78116f1e26aa2ddea9d76de3d54734d0a253c0ecb71f85045cc8b5a18224b98c",
-    ("profile", f"{RESULTS}/E20.trace.jsonl"): "6d738a7d77d975eac7785d229544aad71d35f7576c4d6f1b18fcb884a2f68c38",
-    ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "9dfbd15cd0ab337ced2c511d584a41efe4c4375b6826266086cb5ccd0e7221cb",
+    ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
+    ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",
+    ("profile", f"{RESULTS}/E20.trace.jsonl"): "4c11ce22aaa8673e599a30d01cd8129a9d4a0f8ee10701b2e74ad93463672d45",
+    ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "8f2a99f4d5e36709e2bbbee0ac39e6bbe7dd2f44e95af7d82dd84f140518d5e3",
 }
 
 

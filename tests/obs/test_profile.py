@@ -89,11 +89,25 @@ class TestSyntheticAttribution:
         spans = [
             span("q", "cms.query", 0.0, 0.5, attributes={"view": "v"}),
             span("x", "executor.execute", 0.0, 0.4, parent="q",
-                 attributes={"strategy": "exact"}),
+                 attributes={"strategy": "cache-full"}),
         ]
         phases = profile_trace(spans).queries[0].phases
         assert phases["cache"] == pytest.approx(0.4)
         assert phases["compute"] == pytest.approx(0.1)
+
+    def test_an_exact_hit_read_moves_from_compute_to_cache(self):
+        # An exact hit opens no executor span: its read is charged inside
+        # the query span, and the event says how much of it was the read.
+        spans = [
+            span("q", "cms.query", 0.0, 0.5, attributes={"view": "v"},
+                 events=[{"name": "cms.exact_hit", "t": 0.3,
+                          "attributes": {"element": "E1", "canonical": False,
+                                         "seconds": 0.3}}]),
+        ]
+        phases = profile_trace(spans).queries[0].phases
+        assert phases["cache"] == pytest.approx(0.3)
+        assert phases["compute"] == pytest.approx(0.2)
+        assert sum(phases.values()) == pytest.approx(0.5)
 
     def test_parallel_tracks_attributed_to_dominant_track(self):
         spans = [

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.caql.eval import _project_result, evaluate_conjunctive, result_schema
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, Occurrence, PSJQuery, projection_entries
+from repro.common.metrics import CACHE_HITS_EXACT
 from repro.core import engine as engine_module
 from repro.core.plan import CachePart, RemotePart
 from repro.qa.differential import (
@@ -182,10 +183,16 @@ def test_the_full_cms_plans_every_shape_the_sequence_is_named_for(monkeypatch):
     cms.begin_session(case.build_advice())
     for (text, shape), query in zip(SEQUENCE, case.parsed_queries()):
         del probes[:]
+        hits = cms.metrics.get(CACHE_HITS_EXACT)
         stream = cms.query(query)
         assert stream.lazy == (shape == "lazy"), text
         assert set(stream.fetch_all()) == oracle(text), text
-        assert shape_of(cms.last_plan, indexed=probes == [True]) == shape, text
+        exact = cms.metrics.get(CACHE_HITS_EXACT) - hits
+        assert exact == (shape == "exact"), text
+        if exact:
+            assert cms.last_plan is None, text  # read as stored, never planned
+        else:
+            assert shape_of(cms.last_plan, indexed=probes == [True]) == shape, text
         cms.check_invariants()
         stream.check_invariants()
 
@@ -238,8 +245,10 @@ def test_a_drained_lazy_element_served_exactly_is_traced_not_crashed():
     lazy = parse_query("lz :- r(X, Y), Y < 9")
     cms.query(parse_query("w(X, Y) :- r(X, Y)")).fetch_all()
     assert cms.query(lazy).fetch_all() == [(True,)]
+    hits = cms.metrics.get(CACHE_HITS_EXACT)
     again = cms.query(lazy)
-    assert cms.last_plan.strategy == "exact" and again.lazy
+    assert cms.metrics.get(CACHE_HITS_EXACT) == hits + 1
+    assert cms.last_plan is None and again.lazy
     assert again.fetch_all() == [(True,)]
 
 

@@ -14,6 +14,7 @@ from repro.common.metrics import Metrics
 from repro.core.cache import Cache, pin_anchor
 from repro.core.executor import ResultStream
 from repro.core.plan import BindingSpec, QueryPlan, RemotePart
+from repro.core.subsumption import find_relevant
 from repro.qa import (
     CaseConfig,
     CaseGenerator,
@@ -229,17 +230,21 @@ class TestPlanInvariants:
         with pytest.raises(InvariantViolation, match="no full match"):
             plan.check_invariants(lone_server)
 
-    def test_exact_plan_without_epoch_stamp(self):
-        _cache, element = stored_cache()
-        plan = QueryPlan(self.PSJ, "exact", exact_element=element)  # epoch left at -1
+    def test_cache_full_plan_without_epoch_stamp(self):
+        cache, _element = stored_cache()
+        psj = psj_of(parse_query("q(X, Y) :- r(X, Y), X > 1"))
+        (match,) = find_relevant(cache, psj)
+        plan = QueryPlan(psj, "cache-full", full_match=match)  # epoch left at -1
         with pytest.raises(InvariantViolation, match="epoch"):
             plan.check_invariants(lone_server)
         plan.epoch = 0
         plan.check_invariants(lone_server)
 
     def test_exact_plan_without_its_element(self):
+        # An exact hit is read without a plan; a plan claiming the
+        # strategy covers nothing.
         plan = QueryPlan(self.PSJ, "exact", epoch=0)
-        with pytest.raises(InvariantViolation, match="carries no element"):
+        with pytest.raises(InvariantViolation, match="covered by no part"):
             plan.check_invariants(lone_server)
 
     def test_second_remote_part(self):

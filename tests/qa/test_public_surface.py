@@ -292,10 +292,14 @@ def test_the_executor_has_one_route_for_a_plans_remote_part():
 
 def test_the_executor_reads_and_registers_through_one_route_each():
     source = (PACKAGE / "core" / "executor.py").read_text()
-    # Exact hit, cache-full derivation, and every cache part (healthy or
-    # degraded): each read is one ``Cache.read``.
-    assert source.count("self.cache.read(") == 3
+    # Cache-full derivation, and every cache part (healthy or degraded):
+    # each read is one ``Cache.read``.  An exact hit is the CMS's one
+    # read, with no executor pass.
+    assert source.count("self.cache.read(") == 2
     assert "self.cache.touch(" not in source
+    cms = (PACKAGE / "core" / "cms.py").read_text()
+    assert cms.count("self.cache.read(") == 1
+    assert "self.cache.touch(" not in cms
     # Cache parts and remote parts, through the one offer and its one store.
     assert source.count("self._offer(") == 2
     assert source.count("self.cache.store(") == 1

@@ -10,6 +10,8 @@ from repro.common.metrics import (
     SERVER_REQUESTS_REJECTED,
     Metrics,
 )
+from repro.advice.language import AdviceSet
+from repro.advice.view_spec import annotate
 from repro.logic.terms import Atom, Const, Var
 from repro.server import BraidServer, ServerConfig
 from repro.server.admission import MAX_INFLIGHT_PER_SESSION, AdmissionController
@@ -133,14 +135,36 @@ class TestServerBackpressure:
     def test_in_flight_limit_forces_drain_before_next_start(self):
         limit = MAX_INFLIGHT_PER_SESSION
         server = self.make_server(max_queue_depth=limit + 1)
-        server.open_session("alice")
-        for query in self.queries(limit + 1):
-            server.submit("alice", query)
+        # Advice that prefers lazy evaluation for every view: each answer
+        # derived from the warmed table is a stream, drained in its own step.
+        lazy = self.queries(limit + 1)
+        server.open_session(
+            "alice", advice=AdviceSet.from_views([annotate(q, "^^") for q in lazy])
+        )
+        server.submit("alice", parse_query("warm(I, C, V) :- item(I, C, V)"))
         server.run_until_idle()
+        assert [record.phase for record in server.schedule_trace] == ["execute"]
+        del server.schedule_trace[:]
+        requests = [server.submit("alice", query) for query in lazy]
+        server.run_until_idle()
+        assert all(request.stream.lazy for request in requests)
         # One session at its in-flight limit must drain before it starts
         # its last request.
         phases = [record.phase for record in server.schedule_trace]
         assert phases == ["execute"] * limit + ["drain", "execute"] + ["drain"] * limit
+
+    def test_an_eager_answer_is_never_in_flight(self):
+        limit = MAX_INFLIGHT_PER_SESSION
+        server = self.make_server(max_queue_depth=limit + 1)
+        server.open_session("alice")
+        for query in self.queries(limit + 1):
+            server.submit("alice", query)
+        server.run_until_idle()
+        # Each eager request completes in its execute step: the limit on
+        # undrained streams never binds.
+        phases = [record.phase for record in server.schedule_trace]
+        assert phases == ["execute"] * (limit + 1)
+        assert server.sessions.get("alice").in_flight_peak == 0
 
     def test_close_releases_abandoned_admissions(self):
         server = self.make_server()

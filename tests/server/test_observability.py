@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.advice.language import AdviceSet
+from repro.advice.view_spec import annotate
 from repro.caql.parser import parse_query
 from repro.common.errors import ServerOverloadError
 from repro.common.metrics import (
@@ -32,13 +34,27 @@ def queries(count: int, tag: str = "q"):
     ]
 
 
-def run_workload(server: BraidServer, per_session: int = 3) -> None:
-    server.open_session("alice")
-    server.open_session("bob")
-    for query in queries(per_session, tag="qa"):
-        server.submit("alice", query)
-    for query in queries(per_session, tag="qb"):
-        server.submit("bob", query)
+def run_workload(
+    server: BraidServer, per_session: int = 3, lazy: bool = False
+) -> None:
+    """Two sessions' queries.  ``lazy``: their advice prefers lazy
+    evaluation and alice warms the table first, so every answer is a
+    stream parked in flight until its drain step."""
+    streams = {
+        "alice": queries(per_session, tag="qa"),
+        "bob": queries(per_session, tag="qb"),
+    }
+    for name, stream in streams.items():
+        advice = (
+            AdviceSet.from_views([annotate(q, "^^") for q in stream]) if lazy else None
+        )
+        server.open_session(name, advice=advice)
+    if lazy:
+        server.submit("alice", parse_query("warm(I, C, V) :- item(I, C, V)"))
+        server.run_until_idle()
+    for name, stream in streams.items():
+        for query in stream:
+            server.submit(name, query)
     server.run_until_idle()
 
 
@@ -52,15 +68,17 @@ def spans_of(server: BraidServer) -> list[dict]:
 
 class TestSessionScoping:
     def test_server_steps_carry_phase_session_and_request(self):
-        server = make_server()
-        run_workload(server)
-        steps = [s for s in spans_of(server) if s["name"] == "server.step"]
-        assert steps
-        assert {s["attributes"]["session"] for s in steps} == {"alice", "bob"}
-        assert {s["attributes"]["phase"] for s in steps} == {"execute", "drain"}
-        for step in steps:
-            assert step["attributes"]["request"]
-            assert "eligible" in step["attributes"]
+        # Only a lazy stream takes a drain step of its own.
+        for lazy, phases in ((False, {"execute"}), (True, {"execute", "drain"})):
+            server = make_server()
+            run_workload(server, lazy=lazy)
+            steps = [s for s in spans_of(server) if s["name"] == "server.step"]
+            assert steps
+            assert {s["attributes"]["session"] for s in steps} == {"alice", "bob"}
+            assert {s["attributes"]["phase"] for s in steps} == phases
+            for step in steps:
+                assert step["attributes"]["request"]
+                assert "eligible" in step["attributes"]
 
     def test_step_spans_mirror_the_schedule_trace(self):
         server = make_server()
@@ -99,8 +117,14 @@ class TestGauges:
         assert server.metrics.get(SERVER_QUEUE_DEPTH_HIGH_WATER) == 4
 
     def test_per_session_inflight_peaks(self):
+        eager = make_server(tracing=False)
+        run_workload(eager, per_session=MAX_INFLIGHT_PER_SESSION + 2)
+        # Eager answers complete in their execute step: never in flight.
+        assert all(s.in_flight_peak == 0 for s in eager.sessions.sessions())
+        assert eager.metrics.get(SERVER_SESSION_INFLIGHT_HIGH_WATER) == 0
+
         server = make_server(tracing=False)
-        run_workload(server, per_session=MAX_INFLIGHT_PER_SESSION + 2)
+        run_workload(server, per_session=MAX_INFLIGHT_PER_SESSION + 2, lazy=True)
         alice = server.sessions.get("alice")
         assert alice.in_flight_peak == MAX_INFLIGHT_PER_SESSION
         assert (

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.advice.language import AdviceSet
+from repro.advice.view_spec import annotate
 from repro.caql.parser import parse_query
 from repro.common.errors import ServerError
 from repro.server import BraidServer, ServerConfig
@@ -120,16 +122,34 @@ class TestSchedulerWrapper:
 
 
 class TestServerDeterminism:
-    def run_server(self, policy, seed):
+    def run_server(self, policy, seed, lazy=False):
+        """Five requests per session.  ``lazy``: both sessions' advice
+        prefers lazy evaluation and the table is warmed first, so every
+        answer is a stream derived from the cache."""
         server = BraidServer(
             tables=selection_universe(rows=40, seed=5).tables,
             config=ServerConfig(scheduler_policy=policy, scheduler_seed=seed),
         )
-        server.open_session("alice", weight=2.0)
-        server.open_session("bob")
+        streams = {
+            name: [
+                parse_query(f"{name[0]}{i}(I, V) :- item(I, cat{i}, V)")
+                for i in range(5)
+            ]
+            for name in ("alice", "bob")
+        }
+        for name, weight in (("alice", 2.0), ("bob", 1.0)):
+            advice = (
+                AdviceSet.from_views([annotate(q, "^^") for q in streams[name]])
+                if lazy
+                else None
+            )
+            server.open_session(name, advice=advice, weight=weight)
+        if lazy:
+            server.submit("alice", parse_query("warm(I, C, V) :- item(I, C, V)"))
+            server.run_until_idle()
         for i in range(5):
-            server.submit("alice", parse_query(f"a{i}(I, V) :- item(I, cat{i}, V)"))
-            server.submit("bob", parse_query(f"b{i}(I, V) :- item(I, cat{i}, V)"))
+            server.submit("alice", streams["alice"][i])
+            server.submit("bob", streams["bob"][i])
         server.run_until_idle()
         return server
 
@@ -150,12 +170,30 @@ class TestServerDeterminism:
             assert fields[1] in ("execute", "drain")
             assert fields[2] in ("alice", "bob")
 
-    def test_every_request_executes_then_drains(self):
-        server = self.run_server("weighted-fair", seed=9)
+    @staticmethod
+    def phases_by_request(server):
         seen: dict[str, list[str]] = {}
         for record in server.schedule_trace:
             seen.setdefault(record.request_id, []).append(record.phase)
-        assert all(phases == ["execute", "drain"] for phases in seen.values())
+        return seen
+
+    def test_every_request_executes_then_drains(self):
+        # An eager answer is drained in the step that produced it ...
+        eager = self.phases_by_request(self.run_server("weighted-fair", seed=9))
+        assert len(eager) == 10
+        assert all(phases == ["execute"] for phases in eager.values())
+        # ... and only a lazy stream takes a second step to drain.
+        server = self.run_server("weighted-fair", seed=9, lazy=True)
+        lazy = self.phases_by_request(server)
+        warm = lazy.pop("alice#1")
+        assert warm == ["execute"]
+        assert len(lazy) == 10
+        assert all(phases == ["execute", "drain"] for phases in lazy.values())
+        assert all(
+            request.rows is not None
+            for name in ("alice", "bob")
+            for request in server.results(name)
+        )
 
     def test_weighted_fair_respects_weights_in_steps(self):
         server = self.run_server("weighted-fair", seed=3)
