@@ -208,7 +208,9 @@ def core_plan(
     registry's signatures are the ones it was split under — the split
     reads nothing else of the registry.  Every later ask gets the same
     frozen ``PSJQuery`` back, so what is carried on it is a dict probe.
-    The result is shared, hence tuples.
+    The result is shared, hence tuples.  (The one other per-object
+    translation, a view's generalized form, is carried on the view's
+    definition by ``QueryPlanner.generalization_of``.)
     """
     signatures = registry.signatures
     key = id(query)

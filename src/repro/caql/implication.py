@@ -81,7 +81,7 @@ class _Bound(NamedTuple):
     strict: bool  # True for < / >, False for <= / >=
 
 
-@dataclass
+@dataclass(slots=True)
 class _Interval:
     """One comparability kind's folded range bounds."""
 
@@ -126,7 +126,7 @@ def _fold_upper(interval: _Interval, value: object, strict: bool) -> None:
         interval.upper = _Bound(value, strict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClassInfo:
     """Folded constraints for one equivalence class of columns."""
 
@@ -139,6 +139,10 @@ class _ClassInfo:
     #: ``!=`` constants, ``==``-deduplicated; a list, so an unhashable
     #: constant is a value like any other.
     excluded: list[object] = field(default_factory=list)
+    #: :meth:`literals` as the canonical key renders them after the
+    #: class's column, ``" op constant"`` with the constant encoded
+    #: (:func:`encode_constant`); filled once the fold has settled.
+    spelled: list[str] = field(default_factory=list, compare=False, repr=False)
 
     def admits(self, value: object) -> bool:
         """False when some bound of the class rules ``value`` out."""
@@ -244,37 +248,49 @@ class ConditionSet:
         parent = self._parent
 
         def find(col: str) -> str:
-            up = parent.setdefault(col, col)
-            if up == col:
-                return col
-            root = parent[col] = find(up)
+            # Iterative, so the closure holds no reference to itself: a
+            # self-recursive closure is a reference cycle, and every fold
+            # would then wait for the cyclic collector to be freed.
+            root = parent.setdefault(col, col)
+            while (up := parent[root]) != root:
+                root = up
+            while col != root:
+                parent[col], col = root, parent[col]
             return root
 
         literal: list[tuple[str, str, object]] = []
         general: list[tuple[str, str, str]] = []
         for condition in conditions:
-            condition = condition.normalized()
+            # Read in :meth:`Comparison.normalized` form: the constant on
+            # the right, column-column operands in name order.
             left, op, right = condition.left, condition.op, condition.right
-            if isinstance(left, Lit):
-                continue  # literal vs literal: constant-folded upstream
             if isinstance(right, Lit):
-                find(left.name)
-                literal.append((left.name, op, right.value))
-            elif op == "=":
-                left_root, right_root = find(left.name), find(right.name)
-                if left_root != right_root:
-                    parent[left_root] = right_root
+                if isinstance(left, Lit):
+                    continue  # literal vs literal: constant-folded upstream
+                col, value = left.name, right.value
+            elif isinstance(left, Lit):
+                col, op, value = right.name, FLIPPED[op], left.value
             else:
-                find(left.name)
-                find(right.name)
-                general.append((left.name, op, right.name))
-        # Flatten: every column points straight at its class root, so from
-        # here on ``_find`` is one lookup and writes nothing.
-        for col in parent:
-            parent[col] = find(col)
-
+                left, right = left.name, right.name
+                if right < left:
+                    left, op, right = right, FLIPPED[op], left
+                if op == "=":
+                    left_root, right_root = find(left), find(right)
+                    if left_root != right_root:
+                        parent[left_root] = right_root
+                else:
+                    parent.setdefault(left, left)
+                    parent.setdefault(right, right)
+                    general.append((left, op, right))
+                continue
+            parent.setdefault(col, col)
+            literal.append((col, op, value))
+        # Group the columns by class root, flattening as it goes (``find``
+        # points every column on a path straight at its root), so from here
+        # on ``_find`` is one lookup and writes nothing.
         classes = self.classes
-        for col, root in parent.items():
+        for col, up in parent.items():
+            root = up if up == col else find(col)
             info = classes.get(root)
             if info is None:
                 info = classes[root] = _ClassInfo()
@@ -294,12 +310,18 @@ class ConditionSet:
                     info.excluded.append(value)
             else:
                 bounds.setdefault(root, []).append((op, value))
+        #: ``id(constant)`` -> its encoding: each constant is encoded at most
+        #: once per fold.  Ids are sound keys here, as every constant is
+        #: held by ``literal`` until the fold is done.
+        encoded: dict[int, str] = {}
         for root, entries in bounds.items():
             intervals = classes[root].intervals
             # Canonical digestion order, so folding (which calls ``holds``
             # pairwise) cannot depend on source conjunct order.
             if len(entries) > 1:
-                entries.sort(key=lambda e: (e[0], encode_constant(e[1])))
+                for _op, value in entries:
+                    encoded[id(value)] = encode_constant(value)
+                entries.sort(key=lambda e: (e[0], encoded[id(e[1])]))
             for op, value in entries:
                 kind = _kind(value)
                 interval = intervals.get(kind)
@@ -321,6 +343,10 @@ class ConditionSet:
                 continue  # x <= x / x >= x: always holds
             if entry not in self.general:
                 self.general.append(entry)
+        for info in classes.values():
+            spelled = info.spelled
+            for op, value in info.literals():
+                spelled.append(f" {op} {encoded.get(id(value)) or encode_constant(value)}")
         return True
 
     def _find(self, col: str) -> str:

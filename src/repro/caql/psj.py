@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.common.errors import TranslationError
-from repro.logic.terms import Atom, Const, Term, Var
-from repro.relational.expressions import Col, Comparison, Lit, holds
+from repro.logic.terms import Atom, Const, Term
+from repro.relational.expressions import FLIPPED, Col, Comparison, Lit, holds
 
 #: CAQL comparison predicate -> condition operator.
 _OP_MAP = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=": "=", "\\=": "!="}
@@ -110,8 +111,8 @@ class PSJQuery:
     unsatisfiable: bool = False
 
     def __post_init__(self) -> None:
-        tags = [o.tag for o in self.occurrences]
-        if len(set(tags)) != len(tags):
+        if len({o.tag for o in self.occurrences}) != len(self.occurrences):
+            tags = [o.tag for o in self.occurrences]
             raise TranslationError(f"duplicate occurrence tags in {self.name}: {tags}")
 
     # -- structure ------------------------------------------------------------
@@ -180,6 +181,23 @@ def _structural_key(query: PSJQuery) -> tuple:
     )
 
 
+@lru_cache(maxsize=4096)
+def _occurrence(index: int, pred: str, arity: int) -> tuple[Occurrence, tuple[Col, ...]]:
+    """The ``index``-th occurrence of ``pred/arity`` and its argument
+    columns.  Both are frozen, so every translation shares one of each;
+    there are only as many as relations times body positions."""
+    tag = f"t{index}"
+    return Occurrence(tag, pred, arity), tuple(
+        Col(column(tag, position)) for position in range(arity)
+    )
+
+
+def _unbound(role: str, term: Term, name: str):
+    raise TranslationError(
+        f"{role} variable {term} is not bound by any relation literal in {name}"
+    )
+
+
 def psj_from_literals(
     name: str,
     relation_literals: list[Atom],
@@ -191,72 +209,78 @@ def psj_from_literals(
     ``relation_literals`` become occurrences; shared variables and constant
     arguments become conditions; ``comparison_literals`` become conditions
     through variable representatives; ``answers`` become the projection.
+    Every condition is emitted already in :meth:`Comparison.normalized`
+    form (the constant on the right, column-column operands in name order),
+    so no second pass rebuilds them.
     """
     occurrences: list[Occurrence] = []
     conditions: list[Comparison] = []
-    representative: dict[Var, str] = {}
-    all_columns: dict[Var, list[str]] = {}
+    #: Variable name -> its representative column (the first it binds).
+    representative: dict[str, Col] = {}
+    #: Variable name -> every qualified column it binds, in order.
+    all_columns: dict[str, list[str]] = {}
     unsatisfiable = False
 
     for index, literal in enumerate(relation_literals):
-        tag = f"t{index}"
-        occurrences.append(Occurrence(tag, literal.pred, literal.arity))
-        for position, arg in enumerate(literal.args):
-            qualified = column(tag, position)
+        args = literal.args
+        occurrence, columns = _occurrence(index, literal.pred, len(args))
+        occurrences.append(occurrence)
+        for col, arg in zip(columns, args):
             if isinstance(arg, Const):
-                conditions.append(Comparison(Col(qualified), "=", Lit(arg.value)))
+                conditions.append(Comparison(col, "=", Lit(arg.value)))
+                continue
+            rep = representative.get(arg.name)
+            if rep is None:
+                representative[arg.name] = col
+                all_columns[arg.name] = [col.name]
+                continue
+            # ``t10.c0`` sorts before ``t9.c1``: a later column can be the
+            # smaller name.
+            if col.name < rep.name:
+                conditions.append(Comparison(col, "=", rep))
             else:
-                if arg in representative:
-                    conditions.append(
-                        Comparison(Col(representative[arg]), "=", Col(qualified))
-                    )
-                else:
-                    representative[arg] = qualified
-                all_columns.setdefault(arg, []).append(qualified)
-
-    def operand(term: Term):
-        if isinstance(term, Const):
-            return Lit(term.value)
-        rep = representative.get(term)
-        if rep is None:
-            raise TranslationError(
-                f"comparison variable {term} is not bound by any relation literal in {name}"
-            )
-        return Col(rep)
+                conditions.append(Comparison(rep, "=", col))
+            all_columns[arg.name].append(col.name)
 
     for literal in comparison_literals:
-        if literal.pred not in _OP_MAP or literal.arity != 2:
+        op = _OP_MAP.get(literal.pred)
+        if op is None or len(literal.args) != 2:
             raise TranslationError(f"{literal} is not a binary comparison in {name}")
-        op = _OP_MAP[literal.pred]
-        left_term, right_term = literal.args
-        if isinstance(left_term, Const) and isinstance(right_term, Const):
-            # Constant-fold: either trivially true (drop) or the whole
-            # query is unsatisfiable.
-            if not holds(left_term.value, op, right_term.value):
-                unsatisfiable = True
+        left, right = literal.args
+        if isinstance(left, Const):
+            if isinstance(right, Const):
+                # Constant-fold: either trivially true (drop) or the whole
+                # query is unsatisfiable.
+                if not holds(left.value, op, right.value):
+                    unsatisfiable = True
+                continue
+            # The constant goes on the right.
+            col = representative.get(right.name) or _unbound("comparison", right, name)
+            conditions.append(Comparison(col, FLIPPED[op], Lit(left.value)))
             continue
-        conditions.append(Comparison(operand(left_term), op, operand(right_term)))
+        col = representative.get(left.name) or _unbound("comparison", left, name)
+        if isinstance(right, Const):
+            conditions.append(Comparison(col, op, Lit(right.value)))
+            continue
+        other = representative.get(right.name) or _unbound("comparison", right, name)
+        if other.name < col.name:
+            conditions.append(Comparison(other, FLIPPED[op], col))
+        else:
+            conditions.append(Comparison(col, op, other))
 
     projection: list[ProjEntry] = []
     for term in answers:
         if isinstance(term, Const):
             projection.append(ConstProj(term.value))
         else:
-            rep = representative.get(term)
-            if rep is None:
-                raise TranslationError(
-                    f"answer variable {term} is not bound by any relation literal in {name}"
-                )
-            projection.append(rep)
+            rep = representative.get(term.name) or _unbound("answer", term, name)
+            projection.append(rep.name)
 
-    var_columns = tuple(
-        (var.name, tuple(cols)) for var, cols in all_columns.items()
-    )
     return PSJQuery(
         name,
         tuple(occurrences),
-        tuple(c.normalized() for c in conditions),
+        tuple(conditions),
         tuple(projection),
-        var_columns=var_columns,
+        var_columns=tuple([(var, tuple(cols)) for var, cols in all_columns.items()]),
         unsatisfiable=unsatisfiable,
     )

@@ -46,12 +46,17 @@ behavior.  The equivalent-query mutation fuzzer
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable
 
 from repro.common.errors import InvariantViolation
-from repro.caql.implication import ConditionSet, canonical_constant, encode_constant
+from repro.caql.implication import (
+    ConditionSet,
+    _ClassInfo,
+    canonical_constant,
+    encode_constant,
+)
 from repro.caql.psj import ConstProj, Occurrence, PSJQuery
 from repro.relational.expressions import Col, Comparison, FLIPPED, Lit
 
@@ -69,7 +74,7 @@ def _encode_raw(value: object) -> str:
 # -- the canonical form ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """The canonicalizer's output for one PSJ query.
 
@@ -110,51 +115,79 @@ def canonicalize(query: PSJQuery) -> CanonicalForm:
     """
     form = query.__dict__.get("_canonical")
     if form is None:
+        occurrences, conditions = query.occurrences, query.conditions
+        projection, unsatisfiable = query.projection, query.unsatisfiable
         try:
             form = _canonicalize_cached(
-                query.occurrences,
-                query.conditions,
-                query.projection,
-                query.unsatisfiable,
-                _spelling(query),
+                occurrences, conditions, projection, unsatisfiable, _spelling(query)
             )
-        except TypeError:  # an unhashable constant somewhere: compute directly
-            form = _build(query)
+        except TypeError:  # an unhashable answer constant: compute directly
+            form = _build(occurrences, conditions, projection, unsatisfiable)
         query.__dict__["_canonical"] = form
     return form
 
 
-def _spelling(query: PSJQuery) -> tuple[str, ...]:
-    """Every constant's exact spelling, for the memo key.
+def _spelling(query: PSJQuery) -> tuple:
+    """The query's occurrences and conditions spelled out, for the memo key.
 
-    Queries that compare ``==``-equal can still differ in constant
-    *spellings* (``ConstProj(1)`` vs ``ConstProj(1.0)``), and answer
-    spellings change the canonical key — so equality alone must not
-    share a memo row.
+    Each occurrence as its tag, relation and arity, each condition as its
+    operator and operands — a column by name, a constant by its exact
+    spelling (type name and ``repr``) — flat, in order, then the spelling
+    of every pinned answer constant.  Queries that compare ``==``-equal can
+    still differ in constant *spellings* (``ConstProj(1)`` vs
+    ``ConstProj(1.0)``), and answer spellings change the canonical key —
+    so equality alone must not share a memo row.  A qualified column name
+    never holds the ``!`` every spelling does, so no column reads as a
+    constant; and strings hash in C, where the condition objects would
+    each run a Python ``__hash__``.
     """
-    parts = []
-    for condition in query.conditions:
-        for operand in (condition.left, condition.right):
-            if isinstance(operand, Lit):
-                parts.append(_encode_raw(operand.value))
+    occurrences, conditions = query.occurrences, query.conditions
+    parts: list = [len(occurrences)]
+    for occ in occurrences:
+        parts += (occ.tag, occ.pred, occ.arity)
+    parts.append(len(conditions))
+    for condition in conditions:
+        left, right = condition.left, condition.right
+        parts += (
+            left.name if type(left) is Col else _encode_raw(left.value),
+            condition.op,
+            right.name if type(right) is Col else _encode_raw(right.value),
+        )
     for entry in query.projection:
         if isinstance(entry, ConstProj):
             parts.append(_encode_raw(entry.value))
     return tuple(parts)
 
 
-@lru_cache(maxsize=4096)
+#: How many forms the memo keeps, least recently used out first.
+MEMO_BOUND = 4096
+
+
+#: The memo's rows, least recently used first.
+_memo: OrderedDict[tuple, CanonicalForm] = OrderedDict()
+
+
 def _canonicalize_cached(
-    occurrences, conditions, projection, unsatisfiable, _spelled
+    occurrences, conditions, projection, unsatisfiable, spelled
 ) -> CanonicalForm:
-    # Keyed on exactly what ``_build`` reads: not the query's name and not
-    # its variable names, so a re-ask under fresh variable names (the IE
-    # renames apart on every resolution step) and a sub-query that differs
-    # from its query in name alone share the row.  ``_spelled``
-    # disambiguates ==-equal queries with different constant spellings.
-    return _build(
-        PSJQuery("", occurrences, conditions, projection, unsatisfiable=unsatisfiable)
-    )
+    """The form of the query these parts make up, through the memo.
+
+    Keyed on ``spelled`` (:func:`_spelling`), the projection and the
+    unsatisfiable flag — exactly what ``_build`` reads: not the query's
+    name and not its variable names, so a re-ask under fresh variable
+    names (the IE renames apart on every resolution step) and a sub-query
+    that differs from its query in name alone share the row.  Raises
+    ``TypeError`` when an answer constant cannot be hashed.
+    """
+    key = (spelled, projection, unsatisfiable)
+    form = _memo.get(key)
+    if form is None:
+        form = _memo[key] = _build(occurrences, conditions, projection, unsatisfiable)
+        if len(_memo) > MEMO_BOUND:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return form
 
 
 def canonical_key(query: PSJQuery) -> tuple:
@@ -188,7 +221,9 @@ def audit_canonical(query: PSJQuery) -> tuple:
     :class:`~repro.common.errors.InvariantViolation` when
     :func:`canonicalize` disagrees with the recomputation.
     """
-    fresh = _build(query)
+    fresh = _build(
+        query.occurrences, query.conditions, query.projection, query.unsatisfiable
+    )
     form = canonicalize(query)
     if (form.key, form.unsatisfiable) != (fresh.key, fresh.unsatisfiable):
         raise InvariantViolation(
@@ -206,46 +241,119 @@ def audit_canonical(query: PSJQuery) -> tuple:
 
 def clear_cache() -> None:
     """Drop the memo table (tests that patch the fold seam use this)."""
-    _canonicalize_cached.cache_clear()
+    _memo.clear()
 
 
 # -- construction ---------------------------------------------------------------------
 
 
-def _build(query: PSJQuery) -> CanonicalForm:
-    folded = ConditionSet(query.conditions)
-    if query.unsatisfiable or not folded.satisfiable:
-        return CanonicalForm(("unsat", str(query.arity)), True, folded)
+def _build(occurrences, conditions, projection, unsatisfiable) -> CanonicalForm:
+    """The canonical form of the query these parts make up (the memo's
+    miss path, and the audit's from-scratch recomputation)."""
+    folded = ConditionSet(conditions)
+    if unsatisfiable or not folded.satisfiable:
+        return CanonicalForm(("unsat", str(len(projection))), True, folded)
 
-    best_key = None
-    best_order = None
-    for order in _candidate_orders(query, folded):
-        mapping = {
-            query.occurrences[old].tag: f"t{new}" for new, old in enumerate(order)
-        }
-        key = (
-            "q",
-            tuple(
-                f"{query.occurrences[old].pred}/{query.occurrences[old].arity}"
-                for old in order
-            ),
-            tuple(sorted(_render_conditions(folded, mapping))),
-            tuple(_render_projection(query, mapping)),
-        )
-        if best_key is None or key < best_key:
+    orders = _candidate_orders(occurrences, folded)
+    for entry in projection:
+        if isinstance(entry, ConstProj):  # rendered once, for every order
+            projection = [
+                entry if isinstance(entry, str) else f"const!{_encode_raw(entry.value)}"
+                for entry in projection
+            ]
+            break
+    best_order = orders[0]
+    best_key = _key(folded, occurrences, projection, best_order)
+    for order in orders[1:]:
+        key = _key(folded, occurrences, projection, order)
+        if key < best_key:
             best_key = key
             best_order = order
-
     return CanonicalForm(best_key, False, folded, tuple(best_order))
+
+
+def _key(folded: ConditionSet, occurrences, projection, order) -> tuple:
+    """The key under ``order``: occurrence ``order[i]`` is tagged ``ti``.
+
+    The fold has rendered every literal fact once, as the text after its
+    class's column (:attr:`~repro.caql.implication._ClassInfo.spelled`),
+    and ``projection`` comes with its pinned constants rendered; an order
+    only renames columns, names each class by its least member and sorts.
+    The order that keeps every tag — the usual one, as a translated
+    query's tags are ``t0, t1, ...`` in body order — renames nothing.
+    """
+    tags = None  # old tag -> new tag, when ``order`` moves any
+    for new, old in enumerate(order):
+        tag = f"t{new}"
+        if occurrences[old].tag != tag:
+            if tags is None:
+                tags = {occ.tag: occ.tag for occ in occurrences}
+            tags[occurrences[old].tag] = tag
+    renamed = None
+    if tags is not None:
+
+        def renamed(column: str) -> str:
+            tag, dot, rest = column.partition(".")
+            return tags[tag] + dot + rest
+
+        projection = [
+            entry if entry.startswith("const!") else renamed(entry)
+            for entry in projection
+        ]
+    classes, between = _classes_under(folded, renamed)
+    rendered = [f"{left} {op} {right}" for left, op, right in between]
+    for rep, info in classes:
+        for tail in info.spelled:
+            rendered.append(rep + tail)
+    rendered.sort()
+    signatures = tuple(f"{occurrences[old].pred}/{occurrences[old].arity}" for old in order)
+    return ("q", signatures, tuple(rendered), tuple(projection))
+
+
+def _classes_under(
+    folded: ConditionSet, rename: Callable[[str], str] | None
+) -> tuple[list[tuple[str, _ClassInfo]], list[tuple[str, str, str]]]:
+    """The fold's classes and column-to-column conditions with every column
+    passed through ``rename`` (None keeps the names).
+
+    Each class speaks through its representative, its least member, so
+    what is said depends on the fold and the renaming alone: the classes
+    as ``(representative, facts)``, and as ``(left, op, right)`` each other
+    member equal to its representative and each general condition between
+    representatives, in name order.  The key (:func:`_key`) and the
+    normalized expression (:func:`_normalized_query`) are both read off it.
+    """
+    classes: list[tuple[str, _ClassInfo]] = []
+    between: list[tuple[str, str, str]] = []
+    reps: dict[str, str] = {}  # class root -> its representative
+    for root, info in folded.classes.items():
+        members = sorted(info.columns if rename is None else [rename(c) for c in info.columns])
+        rep = reps[root] = members[0]
+        classes.append((rep, info))
+        for member in members[1:]:
+            between.append((rep, "=", member))
+    for left, op, right in folded.general:
+        left, right = reps[left], reps[right]
+        if right < left:
+            left, op, right = right, FLIPPED[op], left
+        between.append((left, op, right))
+    return classes, between
 
 
 # -- occurrence ordering --------------------------------------------------------------
 
 
-def _candidate_orders(query: PSJQuery, folded: ConditionSet):
+def _candidate_orders(occurrences, folded: ConditionSet) -> list[list[int]]:
     """Occurrence orders to try: per-signature permutations, capped."""
+    previous = None
+    for occ in occurrences:  # in strictly ascending signature order: the one order
+        if previous is not None and (previous.pred, previous.arity) >= (occ.pred, occ.arity):
+            break
+        previous = occ
+    else:
+        return [list(range(len(occurrences)))]
     groups: dict[tuple[str, int], list[int]] = {}
-    for index, occ in enumerate(query.occurrences):
+    for index, occ in enumerate(occurrences):
         groups.setdefault((occ.pred, occ.arity), []).append(index)
     signatures = sorted(groups)
 
@@ -256,7 +364,7 @@ def _candidate_orders(query: PSJQuery, folded: ConditionSet):
         if total > PERMUTATION_CAP:
             break
     if total > PERMUTATION_CAP:
-        return [_refined_order(query, signatures, groups, folded)]
+        return [_refined_order(occurrences, signatures, groups, folded)]
 
     per_group = [itertools.permutations(groups[s]) for s in signatures]
     orders = []
@@ -266,7 +374,7 @@ def _candidate_orders(query: PSJQuery, folded: ConditionSet):
     return orders
 
 
-def _refined_order(query, signatures, groups, folded: ConditionSet) -> list[int]:
+def _refined_order(occurrences, signatures, groups, folded: ConditionSet) -> list[int]:
     """Deterministic fallback beyond the permutation cap.
 
     Occurrences are refined within their signature group by a
@@ -275,17 +383,15 @@ def _refined_order(query, signatures, groups, folded: ConditionSet) -> list[int]
     to identical keys.
     """
     digests: dict[int, tuple] = {}
-    for index, occ in enumerate(query.occurrences):
+    for index, occ in enumerate(occurrences):
         prefix = occ.tag + "."
         local: list[str] = []
         for info in folded.classes.values():
             for col in info.columns:
                 if col.startswith(prefix):
+                    # ``c<position> op constant``
                     position = col.split(".c", 1)[1]
-                    local.extend(
-                        f"c{position} {op} {encode_constant(value)}"
-                        for op, value in info.literals()
-                    )
+                    local.extend(f"c{position}{tail}" for tail in info.spelled)
         digests[index] = (tuple(sorted(local)), index)
     order: list[int] = []
     for signature in signatures:
@@ -293,54 +399,12 @@ def _refined_order(query, signatures, groups, folded: ConditionSet) -> list[int]
     return order
 
 
-# -- rendering ------------------------------------------------------------------------
+# -- the normalized expression --------------------------------------------------------
 
 
 def _map_column(column: str, mapping: dict[str, str]) -> str:
     tag, _, rest = column.partition(".")
     return f"{mapping[tag]}.{rest}"
-
-
-def _conditions(
-    folded: ConditionSet, mapping: dict[str, str]
-) -> Iterator[tuple[str, str, object, bool]]:
-    """The folded conjunction over ``mapping``'s tags, one condition at a
-    time as ``(left column, op, right, literal)``: ``right`` is a constant
-    when ``literal``, else a column.  Each class speaks through its least
-    member, so the conditions depend on the fold and the mapping alone."""
-    reps: dict[str, str] = {}  # class root -> representative under mapping
-    for root, info in folded.classes.items():
-        members = sorted(_map_column(c, mapping) for c in info.columns)
-        rep = reps[root] = members[0]
-        for member in members[1:]:
-            yield rep, "=", member, False
-        for op, value in info.literals():
-            yield rep, op, value, True
-    for left_root, op, right_root in folded.general:
-        left, right = reps[left_root], reps[right_root]
-        if right < left:
-            left, op, right = right, FLIPPED[op], left
-        yield left, op, right, False
-
-
-def _render_conditions(folded: ConditionSet, mapping: dict[str, str]) -> list[str]:
-    return [
-        f"{left} {op} {encode_constant(right) if literal else right}"
-        for left, op, right, literal in _conditions(folded, mapping)
-    ]
-
-
-def _render_projection(query: PSJQuery, mapping: dict[str, str]) -> list[str]:
-    out = []
-    for entry in query.projection:
-        if isinstance(entry, ConstProj):
-            out.append(f"const!{_encode_raw(entry.value)}")
-        else:
-            out.append(_map_column(entry, mapping))
-    return out
-
-
-# -- the normalized expression --------------------------------------------------------
 
 
 def _normalized_query(query, folded: ConditionSet, order) -> PSJQuery:
@@ -350,16 +414,17 @@ def _normalized_query(query, folded: ConditionSet, order) -> PSJQuery:
         for new, old in enumerate(order)
     )
 
-    conditions: list[tuple[str, Comparison]] = []
-    for left, op, right, literal in _conditions(folded, mapping):
-        if literal:
-            right = canonical_constant(right)
-            rendered, operand = encode_constant(right), Lit(right)
-        else:
-            rendered, operand = right, Col(right)
-        conditions.append(
-            (f"{left} {op} {rendered}", Comparison(Col(left), op, operand))
-        )
+    classes, between = _classes_under(folded, lambda column: _map_column(column, mapping))
+    conditions: list[tuple[str, Comparison]] = [
+        (f"{left} {op} {right}", Comparison(Col(left), op, Col(right)))
+        for left, op, right in between
+    ]
+    for rep, info in classes:
+        for op, value in info.literals():
+            value = canonical_constant(value)
+            conditions.append(
+                (f"{rep} {op} {encode_constant(value)}", Comparison(Col(rep), op, Lit(value)))
+            )
     conditions.sort(key=lambda pair: pair[0])
     projection = tuple(
         entry if isinstance(entry, ConstProj) else _map_column(entry, mapping)

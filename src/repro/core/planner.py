@@ -160,7 +160,10 @@ class QueryPlanner:
         with no occurrences) has no hit.  When the stored definition is
         not structurally identical the hit is a **canonical hit** — a
         variant spelling served without subsumption scoring — which the
-        ``canonical=False`` ablation refuses.  Nothing is read or charged
+        ``canonical=False`` ablation refuses.  A query whose relations,
+        condition count or projection length differ from the definition's
+        is told canonical without rendering its structural key; only a
+        query alike in all three renders it.  Nothing is read or charged
         here: the caller reads the element in the same call, so no cache
         epoch can pass between the lookup and the read.
         """
@@ -171,7 +174,7 @@ class QueryPlanner:
         element = self.cache.lookup_exact(query)
         if element is None:
             return None
-        canonical = element.definition.canonical_key() != query.canonical_key()
+        canonical = _variant_spelling(element.definition, query)
         if canonical and not self.features.canonical:
             return None  # ablation: structural exact matching only
         if self.audit:
@@ -342,28 +345,21 @@ class QueryPlanner:
         (uninstantiated) definition, which subsumes every instance the IE
         will send.  None when there is no such view or it cannot be
         fetched as one PSJ query (then it is neither generalizable nor
-        prefetchable)."""
+        prefetchable).
+
+        Translated once per definition: ``ConjunctiveQuery`` is frozen, so
+        the answer is kept in the definition's instance dict (as a
+        ``PSJQuery`` keeps its canonical form), and every later call —
+        one per prefetch candidate per query — returns the same object,
+        canonical form and all.  (A query's own translation is kept
+        apart, in ``caql.eval.core_plan``'s identity table.)"""
         view = self.advice.view(view_name)
         if view is None:
             return None
-        definition = view.definition
-        relations = definition.relation_literals()
-        comparisons = definition.comparison_literals()
-        if len(relations) + len(comparisons) != len(definition.literals):
-            return None  # evaluable literals: exact-match only (Section 5.3.2)
-        try:
-            return psj_from_literals(
-                f"{definition.name}__general",
-                relations,
-                comparisons,
-                definition.answers,
-            )
-        except TranslationError:
-            # A comparison in the view references a variable bound outside
-            # the run (legal in an instantiated IE-query, where it arrives
-            # as a constant): the uninstantiated form is not a well-formed
-            # query, so this view cannot be generalized.
-            return None
+        carried = view.definition.__dict__
+        if "_general" not in carried:
+            carried["_general"] = _generalized(view.definition)
+        return carried["_general"]
 
     # -- step 3: part selection ------------------------------------------------------
     def _choose_parts(
@@ -743,6 +739,55 @@ class QueryPlanner:
     def _derive_cost(self, match: SubsumptionMatch) -> float:
         rows = match.element.rows_materialized()
         return self.profile.cache_per_tuple * (rows + 1)
+
+
+def _generalized(definition) -> PSJQuery | None:
+    """:meth:`QueryPlanner.generalization_of` from scratch."""
+    relations = definition.relation_literals()
+    comparisons = definition.comparison_literals()
+    if len(relations) + len(comparisons) != len(definition.literals):
+        return None  # evaluable literals: exact-match only (Section 5.3.2)
+    try:
+        return psj_from_literals(
+            f"{definition.name}__general",
+            relations,
+            comparisons,
+            definition.answers,
+        )
+    except TranslationError:
+        # A comparison in the view references a variable bound outside
+        # the run (legal in an instantiated IE-query, where it arrives
+        # as a constant): the uninstantiated form is not a well-formed
+        # query, so this view cannot be generalized.
+        return None
+
+
+def _variant_spelling(definition: PSJQuery, query: PSJQuery) -> bool:
+    """True when ``query`` is not structurally identical to ``definition``
+    (their :meth:`PSJQuery.canonical_key` differ): the exact tier's test
+    for a canonical hit.  :func:`_unlike` decides most queries without
+    rendering the query's structural key."""
+    return _unlike(definition, query) or definition.canonical_key() != query.canonical_key()
+
+
+def _unlike(a: PSJQuery, b: PSJQuery) -> bool:
+    """True when the structural keys of ``a`` and ``b`` (what
+    :meth:`PSJQuery.canonical_key` renders) must differ, read off without
+    rendering either: a different ``(pred, arity)`` sequence, condition
+    count or projection length.  False decides nothing.  Occurrences are
+    compared by relation, not as objects: the structural key ignores tags.
+    """
+    if len(a.conditions) != len(b.conditions) or len(a.projection) != len(b.projection):
+        return True
+    mine, theirs = a.occurrences, b.occurrences
+    if mine == theirs:  # translation shares occurrence objects: usually by identity
+        return False
+    if len(mine) != len(theirs):
+        return True
+    for x, y in zip(mine, theirs):
+        if x.pred != y.pred or x.arity != y.arity:
+            return True
+    return False
 
 
 def _semijoin_note(spec: BindingSpec) -> str:

@@ -10,14 +10,20 @@ hand-built definitions for what the generator cannot reach.  The
 hash to digests recorded **at the parent of ISSUE 23**, when the
 canonicalizer still owned a private fold; a fold that renders one key
 differently, or finds one contradiction more or fewer, changes them.
+
+A third digest pins the exact tier's variant test (which respelling of a
+stored definition is a canonical hit) over the same corpus, each
+definition against its normalized expression and a retagged copy,
+recorded while that test still rendered both structural keys every time.
 """
 
 import hashlib
 from dataclasses import replace
 
+import repro.core.planner as planner_module
 from repro.caql.eval import psj_of
 from repro.caql.parser import parse_query
-from repro.caql.psj import Occurrence, PSJQuery
+from repro.caql.psj import ConstProj, Occurrence, PSJQuery, parse_column
 from repro.core.canonical import PERMUTATION_CAP, canonicalize, normalized
 from repro.qa import CaseConfig, CaseGenerator
 from repro.relational.expressions import Col, Comparison, Lit
@@ -25,6 +31,10 @@ from repro.relational.expressions import Col, Comparison, Lit
 CASES_PER_PROFILE = 150
 KEYS_SHA256 = "953a3f68d0f185d3c5b8714cfeaa4388ba958e56ba55528f8c574b55c99e0f2a"
 NORMALIZED_SHA256 = "9c4e224fd04b4e65514f0f4df15f2a0bcd0ba3a6bd62c186124f25a3bf579eb9"
+#: The exact tier's variant test over the corpus, recorded when it was the
+#: structural keys' inequality alone (before it read the query's shape
+#: first).
+VARIANTS_SHA256 = "b37f0d4424f793b26c08efaca1c3549669cdcb521885133ea86fe5d6b48043c3"
 
 
 def _identity(query: PSJQuery) -> tuple:
@@ -32,7 +42,9 @@ def _identity(query: PSJQuery) -> tuple:
     return query.occurrences, repr(query.conditions), repr(query.projection)
 
 
-def _generated() -> list[PSJQuery]:
+def corpus_texts() -> list[str]:
+    """Every query and advice view text the five profile configs draw, in
+    draw order (repeats included)."""
     configs = (
         CaseConfig(),
         CaseConfig.faulty(),
@@ -40,12 +52,18 @@ def _generated() -> list[PSJQuery]:
         CaseConfig.churny(),
         CaseConfig.variants(),
     )
-    drawn: dict[tuple, PSJQuery] = {}
+    texts: list[str] = []
     for offset, config in enumerate(configs):
         for case in CaseGenerator(23 + offset, config).corpus(CASES_PER_PROFILE):
-            for text in case.queries + case.advice_views:
-                query = psj_of(parse_query(text))
-                drawn.setdefault(_identity(query), query)
+            texts.extend(case.queries + case.advice_views)
+    return texts
+
+
+def _generated() -> list[PSJQuery]:
+    drawn: dict[tuple, PSJQuery] = {}
+    for text in corpus_texts():
+        query = psj_of(parse_query(text))
+        drawn.setdefault(_identity(query), query)
     crossed: dict[tuple, PSJQuery] = {}
     latest: dict[tuple, PSJQuery] = {}
     for query in drawn.values():
@@ -131,3 +149,57 @@ def test_keys_and_normalized_expressions_are_the_parents_byte_for_byte():
     keys, expressions = _digests(_generated() + _hand_built())
     assert keys == KEYS_SHA256
     assert expressions == NORMALIZED_SHA256
+
+
+def _retagged(query: PSJQuery) -> PSJQuery:
+    """``query`` with every occurrence tag moved up by one (``t0`` -> ``t1``)."""
+    tags = {occ.tag: f"t{index + 1}" for index, occ in enumerate(query.occurrences)}
+
+    def column(name: str) -> str:
+        tag, position = parse_column(name)
+        return f"{tags[tag]}.c{position}"
+
+    def operand(x):
+        return Col(column(x.name)) if isinstance(x, Col) else x
+
+    return PSJQuery(
+        query.name,
+        tuple(Occurrence(tags[o.tag], o.pred, o.arity) for o in query.occurrences),
+        tuple(Comparison(operand(c.left), c.op, operand(c.right)) for c in query.conditions),
+        tuple(p if isinstance(p, ConstProj) else column(p) for p in query.projection),
+        unsatisfiable=query.unsatisfiable,
+    )
+
+
+def _tag_free() -> list[PSJQuery]:
+    """Definitions whose structural key names no tag (no condition, a
+    constant-only projection): retagging one keeps it structurally
+    identical."""
+    one = (Occurrence("t0", "b0", 2),)
+    two = (Occurrence("t0", "b0", 2), Occurrence("t1", "b1", 1))
+    return [
+        PSJQuery("g", one, (), (ConstProj(1),)),
+        PSJQuery("g", two, (), (ConstProj("c"), ConstProj(2.0))),
+        PSJQuery("g", one, (), ()),
+    ]
+
+
+def variants_digest() -> str:
+    """Which alpha-equivalent respelling the exact tier counts as a
+    canonical hit: each definition against its normalized expression and
+    against a retagged copy."""
+    digest = hashlib.sha256()
+    for definition in _generated() + _hand_built() + _tag_free():
+        for other in (normalized(definition), _retagged(definition)):
+            variant = planner_module._variant_spelling(definition, other)
+            digest.update(b"1" if variant else b"0")
+    return digest.hexdigest()
+
+
+def keys_digest() -> str:
+    """The ``(canonical key, unsatisfiable)`` digest of the whole corpus."""
+    return _digests(_generated() + _hand_built())[0]
+
+
+def test_the_exact_tiers_variant_test_is_the_parents():
+    assert variants_digest() == VARIANTS_SHA256

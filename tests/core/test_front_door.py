@@ -17,12 +17,13 @@ import repro.caql.eval as eval_module
 import repro.caql.psj as psj_module
 import repro.core.canonical as canonical
 import repro.core.cms as cms_module
+import repro.core.planner as planner_module
 from repro.braid import BraidSystem
 from repro.caql.eval import core_plan, psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 from repro.common.errors import InvariantViolation
-from repro.common.metrics import CACHE_HITS_EXACT
+from repro.common.metrics import CACHE_HITS_CANONICAL, CACHE_HITS_EXACT
 from repro.core.cache import Cache
 from repro.core.canonical import canonical_key, canonicalize
 from repro.core.cms import CacheManagementSystem
@@ -101,6 +102,95 @@ class TestWarmedExactHit:
         # The stored definition rendered its structural key on its first
         # hit; from then on only the fresh query renders one.
         assert renders.calls == 1
+
+
+class TestCanonicalHit:
+    """A variant spelling is told from the stored one by its shape when it
+    can be: only a query alike in relations, condition count and
+    projection length renders its structural key."""
+
+    TEXT = "d0(X, Y) :- b0(X, Y), X > 1, Y < 40"
+
+    def _warm(self):
+        remote = RemoteDBMS()
+        remote.load_table(
+            relation_from_columns("b0", a=[1, 2, 3, 4], b=[10, 20, 30, 40])
+        )
+        cms = CacheManagementSystem(remote)
+        cms.begin_session()
+        rows = cms.query(parse_query(self.TEXT)).fetch_all()
+        return cms, rows
+
+    def _ask(self, monkeypatch, cms, text):
+        renders = count(monkeypatch, (psj_module, "_structural_key"))
+        hits = cms.metrics.get(CACHE_HITS_CANONICAL)
+        rows = cms.query(parse_query(text)).fetch_all()
+        assert cms.metrics.get(CACHE_HITS_CANONICAL) == hits + 1
+        return rows, renders.calls
+
+    def test_a_spelling_with_a_condition_more_renders_no_structural_key(
+        self, monkeypatch
+    ):
+        cms, warm = self._warm()
+        rows, renders = self._ask(
+            monkeypatch, cms, "e(B, A) :- A < 50, b0(B, A), A < 40, B > 1"
+        )
+        assert rows == warm
+        assert renders == 0
+
+    def test_a_spelling_alike_in_shape_renders_it(self, monkeypatch):
+        cms, warm = self._warm()
+        rows, renders = self._ask(
+            monkeypatch, cms, "e(B, A) :- b0(B, A), A < 40.0, B > 1"
+        )
+        assert rows == warm
+        # The query's key, and the stored definition's on its first test.
+        assert renders == 2
+
+
+class TestGeneralizedViewTranslatedOnce:
+    """``generalization_of`` runs once per prefetch candidate per query,
+    over a handful of view definitions: each is translated once and its
+    PSJ carried on the definition, which changes no counter."""
+
+    GOALS = (
+        "ancestor(p0, W)",
+        "grandparent(p3, W)",
+        "sibling(p5, S)",
+        "uncle(U, p7)",
+        "cousin(p9, Y)",
+        "ancestor(p2, W)",
+        "cousin(p1, Y)",
+    )
+
+    def _session(self, monkeypatch, from_scratch: bool):
+        real = planner_module.QueryPlanner.generalization_of
+        asked: list[int] = []
+
+        def generalization_of(planner, view_name):
+            view = planner.advice.view(view_name)
+            if view is not None:
+                asked.append(id(view.definition))
+                if from_scratch:
+                    view.definition.__dict__.pop("_general", None)
+            return real(planner, view_name)
+
+        monkeypatch.setattr(
+            planner_module.QueryPlanner, "generalization_of", generalization_of
+        )
+        translations = count(monkeypatch, (planner_module, "psj_from_literals"))
+        system = BraidSystem.from_workload(genealogy())
+        answers = [system.ask_all(goal) for goal in self.GOALS]
+        return answers, system.metrics.snapshot(), asked, translations.calls
+
+    def test_once_per_definition_and_every_counter_unmoved(self, monkeypatch):
+        answers, counters, asked, translations = self._session(monkeypatch, False)
+        assert len(asked) > len(set(asked)) > 0
+        assert translations <= len(set(asked))
+        with monkeypatch.context() as scratch:
+            reference = self._session(scratch, True)
+        assert reference[3] == len(reference[2])  # one translation per call
+        assert (answers, counters) == reference[:2]
 
 
 class TestReaskedQueryObject:

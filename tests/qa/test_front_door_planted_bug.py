@@ -39,29 +39,20 @@ CORPUS = 40  # well inside the CI smoke's 150 healthy cases
 real_memo = canonical_module._canonicalize_cached
 
 
-class ProjectionBlindMemo:
+def projection_blind_memo(occurrences, conditions, projection, unsatisfiable, spelled):
     """``_canonicalize_cached`` with ``projection`` left out of its key."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def __call__(self, occurrences, conditions, projection, unsatisfiable, spelled):
-        key = (occurrences, conditions, unsatisfiable, spelled)
-        if key not in self.rows:
-            self.rows[key] = real_memo.__wrapped__(
-                occurrences, conditions, projection, unsatisfiable, spelled
-            )
-        return self.rows[key]
-
-    def cache_clear(self):
-        self.rows.clear()
+    rows = canonical_module._memo
+    key = (spelled, unsatisfiable)
+    if key not in rows:
+        rows[key] = canonical_module._build(
+            occurrences, conditions, projection, unsatisfiable
+        )
+    return rows[key]
 
 
 @pytest.fixture
 def planted_bug(monkeypatch):
-    monkeypatch.setattr(
-        canonical_module, "_canonicalize_cached", ProjectionBlindMemo()
-    )
+    monkeypatch.setattr(canonical_module, "_canonicalize_cached", projection_blind_memo)
 
 
 @pytest.fixture
