@@ -82,9 +82,10 @@ class CacheElement:
     #: False = expendable (no reuse expected), None = advice was silent.
     advice_expected_reuse: bool | None = None
     # -- derivation lineage (operator-level intermediates) ----------------
-    #: "view" for advised views / whole query results; "intermediate" for
-    #: operator-level results registered during execution (remote parts,
-    #: select-project subsets, semijoin-reduced fetches).
+    #: "view" for whole query results (a fetched or hybrid answer, or a
+    #: lazy derived one; an eager derived answer is not stored);
+    #: "intermediate" for the remote parts a plan fetched, plain or
+    #: semijoin-reduced.
     kind: str = "view"
     #: Element ids of the inputs this element was derived from (empty for
     #: base fetches).  Lineage is advisory metadata: a parent may be
@@ -92,7 +93,7 @@ class CacheElement:
     #: self-contained — but never while a descendant is pinned.
     parents: tuple[str, ...] = ()
     #: The operator that produced this element ("remote-fetch",
-    #: "select-project", "semijoin-fetch", "" = view).
+    #: "semijoin-fetch", "" = view).
     operator: str = ""
     #: Longest parent chain below this element (0 for roots).
     depth: int = 0

@@ -13,8 +13,9 @@ sum (Section 5.3.3); a remote part bound on earlier parts' values runs
 after the region.
 
 Every answer served from a cache element is recorded by one
-:meth:`~repro.core.cache.Cache.read`, and every part a plan materialises
-is offered to the cache, with its lineage, by one ``_offer``.
+:meth:`~repro.core.cache.Cache.read`, and every part a plan fetches from
+the remote DBMS is offered to the cache, with its lineage, by one
+``_offer``.
 
 Results are returned to the IE as a :class:`ResultStream` — "the CMS
 returns the result for the query using a stream" (Section 3) — which wraps
@@ -146,9 +147,8 @@ class _Record(NamedTuple):
     definition: PSJQuery
     #: Ids of the cache elements the rows were read from.
     parents: tuple[str, ...] = ()
-    #: A cache part's match, and how many element rows deriving it read.
+    #: A cache part's match.
     match: SubsumptionMatch | None = None
-    rows_read: int = 0
 
 
 class _Produced(NamedTuple):
@@ -341,7 +341,7 @@ class ExecutionMonitor:
         its IN-lists draw on what the parts before it produced.  An empty
         remote part, or an empty binding set, proves the conjunctive join
         empty: every later remote part is skipped with zero requests.  Each
-        part is offered to the cache as it is produced."""
+        remote part is offered to the cache as it is produced."""
         produced: list[_Produced] = []
         cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
         remote_parts = [p for p in plan.parts if isinstance(p, RemotePart)]
@@ -358,11 +358,10 @@ class ExecutionMonitor:
 
         def run_cache() -> None:
             for part in cache_parts:
-                relation, rows_read = self._derive_cache_part(part)
-                record = self._covered_definition(plan, part, rows_read)
-                seconds = (rows_read + len(relation)) * self.profile.cache_per_tuple
-                self._offer(relation, record, seconds)
-                produced.append(_Produced(relation, record))
+                relation = self._derive_cache_part(part)
+                produced.append(
+                    _Produced(relation, self._covered_definition(plan, part))
+                )
 
         if self.parallel and unbound and cache_parts:
             with self.tracer.span(
@@ -387,15 +386,13 @@ class ExecutionMonitor:
         run_remote(remote_parts[unbound:])
         return self._combine([p.relation for p in produced], plan)
 
-    def _derive_cache_part(self, part: CachePart) -> tuple[Relation, int]:
-        """Read a cache part's element and derive the part from it; returns
-        the part's relation and the element rows the derivation read."""
+    def _derive_cache_part(self, part: CachePart) -> Relation:
+        """Read a cache part's element and derive the part from it."""
         element = part.match.element
         self.cache.read(element)
-        rows_read = element.rows_materialized()
         relation = derive_part(part.match, list(part.columns))
-        self.charge_local(rows_read + len(relation))
-        return relation, rows_read
+        self.charge_local(element.rows_materialized() + len(relation))
+        return relation
 
     # -- shared multi-query optimization (MQO) --------------------------------------
     def _shared_subplan(self, part: RemotePart) -> Relation | None:
@@ -422,7 +419,7 @@ class ExecutionMonitor:
         if self.subplan_registry is not None and not part.bind_columns:
             self.subplan_registry.publish(part.sub_query, relation)
 
-    # -- operator-level intermediates: one record per part, one offer --------------
+    # -- operator-level intermediates: one record per part, one offer per fetch ----
     def _remote_part_estimate(self, relation: Relation) -> float:
         """The cost model's price of the fetch that produced ``relation``.
 
@@ -434,9 +431,7 @@ class ExecutionMonitor:
             + len(relation) * self.profile.transfer_per_tuple
         )
 
-    def _covered_definition(
-        self, plan: QueryPlan, part: CachePart, rows_read: int
-    ) -> _Record:
+    def _covered_definition(self, plan: QueryPlan, part: CachePart) -> _Record:
         """A cache part's record: the query occurrences its match covers,
         the exact condition set the derived rows satisfy, and the part's
         columns as projection, all in query column space.
@@ -467,32 +462,31 @@ class ExecutionMonitor:
             _distinct_conditions(conditions),
             tuple(part.columns),
         )
-        return _Record(definition, (match.element.element_id,), match, rows_read)
+        return _Record(definition, (match.element.element_id,), match)
 
     def _offer(
         self,
         relation: Relation,
-        record: _Record,
+        definition: PSJQuery,
         seconds: float,
         sources: Sequence[tuple[BindingSpec, int, _Record | None]] = (),
     ) -> None:
-        """Offer one produced part to the cache as an intermediate element
+        """Offer one fetched part to the cache as an intermediate element
         carrying its lineage.  This is the one registration route, so one
         set of guards decides: nothing with the feature off or for an
         existence-only part, and a silent drop when the cache cannot make
         room (a tiny cache whose every resident element this very plan has
-        pinned).
+        pinned).  A cache part is never offered: its rows are a selection
+        over an element that is already resident, and re-deriving them is
+        local work the planner prices.
 
-        ``record`` is what the rows answer; ``seconds`` is what producing
-        them cost, and a remote fetch that reads zero (timed inside a
-        parallel region) is priced by the cost model instead.  ``sources``
-        pairs each binding spec that reduced a fetch with the index and
-        record of the part it drew on.
+        ``definition`` is the sub-query fetched; ``seconds`` is what the
+        fetch cost, and one that reads zero (timed inside a parallel
+        region) is priced by the cost model instead.  ``sources`` pairs
+        each binding spec that reduced the fetch with the index and record
+        of the part it drew on.
 
-        Unreduced, a remote part registers its sub-query (``remote-fetch``)
-        and a cache part its covered definition (``select-project``, child
-        of its element) — only when strictly smaller than the element; a
-        near-copy would just crowd the cache.
+        Unreduced, a remote part registers its sub-query (``remote-fetch``).
 
         Reduced, a fetch registers as ``semijoin-fetch`` under the merged
         definition: the sub-query joined with every source's record on the
@@ -515,13 +509,10 @@ class ExecutionMonitor:
         a later tighter drill-down can re-apply its residual locally
         instead of re-fetching.
         """
-        definition = record.definition
         if not self.cache_intermediates or not definition.projection:
             return  # off, or an existence-only part: nothing reusable
-        match = record.match
-        if match is None:
-            seconds = seconds or self._remote_part_estimate(relation)
-        operator, stored, parents = "remote-fetch", relation, record.parents
+        seconds = seconds or self._remote_part_estimate(relation)
+        operator, stored, parents = "remote-fetch", relation, ()
         if sources:
             indexes = [index for _spec, index, _source in sources]
             columns = [spec.remote_column for spec, _index, _source in sources]
@@ -598,13 +589,6 @@ class ExecutionMonitor:
                 name, tuple(occurrences), _distinct_conditions(conditions), projection
             )
             operator, parents = "semijoin-fetch", tuple(dict.fromkeys(lineage))
-        elif match is not None:
-            arity = len(definition.projection)
-            narrower = arity < match.element.definition.arity
-            if len(relation) >= record.rows_read and not narrower:
-                return  # not strictly smaller than its element
-            operator = "select-project"
-            stored = Relation(result_schema(definition.name, arity), iter(relation))
         try:
             self.cache.store(
                 definition,
@@ -634,8 +618,7 @@ class ExecutionMonitor:
         produced instead.
         """
         label = part.sub_query.name
-        own = _Record(part.sub_query)
-        record = None if part.bind_columns else own
+        record = None if part.bind_columns else _Record(part.sub_query)
         if empty:
             columns = [spec.remote_column for spec in part.bind_columns]
             return _Produced(self._short_circuit(part, columns), record)
@@ -663,7 +646,7 @@ class ExecutionMonitor:
         started = self.clock.now
         relation = self.rdi.fetch(part.sub_query, bindings=bindings or None)
         self._publish_subplan(part, relation)
-        self._offer(relation, own, self.clock.now - started, sources)
+        self._offer(relation, part.sub_query, self.clock.now - started, sources)
         return _Produced(label_part(relation, part.columns, label), record)
 
     def _short_circuit(self, part: RemotePart, columns: list[str]) -> Relation:
@@ -706,7 +689,7 @@ class ExecutionMonitor:
         produced: list[Relation] = []
         for part in plan.parts:
             if isinstance(part, CachePart):
-                produced.append(self._derive_cache_part(part)[0])
+                produced.append(self._derive_cache_part(part))
             elif retry:
                 relation = self.rdi.fetch_partial(part.sub_query)
                 if relation is not None:

@@ -267,11 +267,9 @@ class QueryPlanner:
             return QueryPlan(query, "unit", cache_result=False)
 
         view_name = query.name
-        # Results are stored whenever caching is on; advice that predicts
-        # no further request downgrades the element to *expendable* (first
-        # in line for eviction) rather than refusing storage — future
-        # sessions may still profit from it.
-        cache_result = self.features.caching
+        # Advice that predicts no further request downgrades the element
+        # to *expendable* (first in line for eviction) rather than refusing
+        # storage — future sessions may still profit from it.
         expendable = not self.advice.should_cache_result(view_name)
         index_positions = (
             self.advice.index_positions(view_name) if self.features.indexing else ()
@@ -294,7 +292,12 @@ class QueryPlanner:
                     "cache-full",
                     full_match=full,
                     lazy=lazy,
-                    cache_result=cache_result,
+                    # An eager derived answer is a local selection over a
+                    # resident parent: re-deriving it is work this branch
+                    # already prices, so it is not copied into the cache.
+                    # A lazy one is a generator over its parent (§5.1) and
+                    # copies no row, so it is stored.
+                    cache_result=lazy,
                     expendable=expendable,
                     index_positions=index_positions,
                     estimated_local_cost=self._derive_cost(full),
@@ -321,7 +324,7 @@ class QueryPlanner:
         chosen = self._choose_parts(query, matches)
         notes.extend(self._intermediate_notes(chosen))
         plan = self._assemble(query, chosen, notes)
-        plan.cache_result = cache_result
+        plan.cache_result = self.features.caching
         plan.expendable = expendable
         plan.index_positions = index_positions
         plan.prefetches = tuple(prefetches)

@@ -8,7 +8,10 @@ GreedyDual) and the renderers did not.  Every trace digest, E20's
 metrics and both profiles were refrozen again when the traces moved: an
 exact hit lost its planner and executor spans (the profile's phase totals
 are unchanged; its subsumption match counts lost the rationale-only
-probes), and an eager answer its drain step.  Paths are relative to the checkout
+probes), and an eager answer its drain step.  The E15, E17 and E20
+traces, E20's profiles and E21's lineage were refrozen once more when an
+eager derived answer stopped being stored (the new code prints the old
+digests for the old artifacts).  Paths are relative to the checkout
 root because the trace, metrics and lineage headers echo them.
 """
 
@@ -27,22 +30,22 @@ RESULTS = "benchmarks/results"
 PARITY = {
     ("trace", f"{RESULTS}/E14.trace.jsonl"): "310dde5564144d8692ea9a989107469cadca67a26645c418102dabf8a6847540",
     ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "21049f38b6d18f3814ed0d6c15ebf420422bee63274dfa7243016f8341568885",
-    ("trace", f"{RESULTS}/E15.trace.jsonl"): "188bc757608aac570e330fbad17fa528567c8bcdb998be2fdb38d8b0aca32de7",
-    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "80e5cd614ee4cd4ef51bb6532a4577ee0aaba904d780cfa392f53b035745abd8",
+    ("trace", f"{RESULTS}/E15.trace.jsonl"): "5287e8a0cbec3a875d9f84d7155b895c6e50058d3c91e7a152deb09b4ad3aac9",
+    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "ac1725fb6d4d82158e862b5d6b02df9807ed334e101fd26947fc209bc6fd6fd8",
     ("trace", f"{RESULTS}/E16.trace.jsonl"): "1817a6112ada558caebc7a91b63070b583411173921e9bf67632960024042fc3",
     ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "d938ffd954b1abca7e30033f1f8b2a2c6868a113b7c743e1cbdb12905c9418e8",
-    ("trace", f"{RESULTS}/E17.trace.jsonl"): "9fd548464ba52019f91cadda042f58b5b12a41df856faa705ef30bb98c422bb9",
-    ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "dbcdd7f7dd8c16d4a78e9c205a9621cd390bd553c874c49e6b735531cd834ff7",
+    ("trace", f"{RESULTS}/E17.trace.jsonl"): "fffa846bd30e7dfd93c2a69336e21e213c258729c3d1d857ede3c990f986b284",
+    ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "544e074b3601baca91463753475d7c3a5103bac0011ba2b35ecbe35b014bd9e2",
     ("trace", f"{RESULTS}/E19.trace.jsonl"): "76c4982fc87c5e5d5a633acd0a2c18adc529e3815321aa1a42d81e4cf78d8c58",
     ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
-    ("trace", f"{RESULTS}/E20.trace.jsonl"): "fd7679f17e027af5bd4cf3aa2e36bf2d2e3d410e9e16716c1a58d6175a44013e",
-    ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "c5463bc971828b15a17e28f27f4d50fedf8e903e635e3960d887e196e0db2eb1",
+    ("trace", f"{RESULTS}/E20.trace.jsonl"): "328adebce7da96f6d5048b4cfc0fb28ed4bafac57c4bb6c6237e257053e7a115",
+    ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "45b8af3cd544d403e14efd6fc2f9bdbdf091c437d3d84b3980f827764937d15e",
     ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "779511a7bf19b710b15d360dca321bcfff38feba9526db59b7019a3054e2cd78",
-    ("lineage", f"{RESULTS}/E21.json"): "f6826fc8f5379993bd0ce417e630af27eefc96f730ee303303cacedf923dc6e9",
+    ("lineage", f"{RESULTS}/E21.json"): "509674e209fb3b04a0a8d355a6c23a2417283ecbbc28b7ee16f8c69eec60ed8f",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",
-    ("profile", f"{RESULTS}/E20.trace.jsonl"): "4c11ce22aaa8673e599a30d01cd8129a9d4a0f8ee10701b2e74ad93463672d45",
-    ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "8f2a99f4d5e36709e2bbbee0ac39e6bbe7dd2f44e95af7d82dd84f140518d5e3",
+    ("profile", f"{RESULTS}/E20.trace.jsonl"): "d2426b96d6a51e63fba9c7453b342422e4b0e498c5cf45952ffa24ed141df08c",
+    ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "d0cbc3771e0ee34ea42e05c0c03158e9e4425317e2b407a37172c1f835579600",
 }
 
 

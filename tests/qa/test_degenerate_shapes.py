@@ -72,7 +72,9 @@ SEQUENCE = [
     ("h2(Z) :- r(97, Y), t(Z)", "hybrid cache-exists"),
     ("h3(X) :- r(X, 2), u(5)", "hybrid remote-exists"),
     ("h4(X) :- r(X, 2), u(6)", "hybrid remote-exists"),
-    ("k1(7, 8) :- r(3, Y)", "cache-full"),  # off b1's cached (True,) row
+    ("k0(7, 8) :- s(2, 102)", "cache-full"),  # off b0's fetched (True,) row
+    # b1 was derived, so not stored: k1 derives off w through its index.
+    ("k1(7, 8) :- r(3, Y)", "indexed"),
     ("k2(7, 8) :- r(96, Y)", "indexed"),
     ("k3(7) :- r(X, Y), Y > 5", "cache-full"),
     ("k4(7) :- r(X, Y), Y > 9", "cache-full"),

@@ -300,8 +300,9 @@ def test_the_executor_reads_and_registers_through_one_route_each():
     cms = (PACKAGE / "core" / "cms.py").read_text()
     assert cms.count("self.cache.read(") == 1
     assert "self.cache.touch(" not in cms
-    # Cache parts and remote parts, through the one offer and its one store.
-    assert source.count("self._offer(") == 2
+    # Fetched parts, through the one offer and its one store.  A cache
+    # part is a selection over a resident element and is never offered.
+    assert source.count("self._offer(") == 1
     assert source.count("self.cache.store(") == 1
     assert "isinstance(source" not in source
 
