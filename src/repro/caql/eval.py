@@ -9,13 +9,12 @@ results are :func:`repro.core.subsumption.derive_full_lazy`'s job.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
-from weakref import ref
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.common.errors import EvaluationError, TranslationError
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
-from repro.relational.expressions import Comparison
+from repro.relational.expressions import Comparison, Lit, holds
 from repro.relational.operators import aggregate as relational_aggregate
 from repro.relational.operators import join, select
 from repro.relational.relation import Relation
@@ -26,7 +25,8 @@ from repro.caql.ast import (
     ConjunctiveQuery,
     SetOfQuery,
 )
-from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
+from repro.caql.implication import comparability_kind
+from repro.caql.psj import _OP_MAP, ConstProj, PSJQuery, psj_from_literals
 
 #: Resolves a base-relation name to its extension (cache lookup).
 RelationLookup = Callable[[str], Relation]
@@ -169,21 +169,181 @@ def split_literals(
     return relations, comparisons, evaluable
 
 
-#: How many query objects :func:`core_plan` remembers (FIFO).  A kept
-#: translation holds the PSJ core and what is carried on it (canonical
-#: form, structural key, containment signature) alive, about 5 KB, so a
-#: full table pins about 1.3 MB.  Only a second ask admits a translation:
-#: a first ask records a weak reference alone, so a stream of one-shot
-#: queries, which would never hit, keeps no PSJ alive.
-TRANSLATION_BOUND = 256
+class Slot(NamedTuple):
+    """A shape's stand-in for one constant of a query: its index in the
+    constants an ask binds (:func:`_skeleton`'s order) and its
+    comparability kind.  A template's conditions and pinned answers hold
+    slots where a query holds values."""
 
-#: ``id(query)`` -> ``(weak reference to the query, registry signatures,
-#: core_plan's result)``, the result ``None`` until the object is asked
-#: again.  A hit needs the reference to still resolve to this very object
-#: (an id is reused once its object dies).  The table keeps no query alive:
-#: on the IE's traffic every ask is a first ask of a fresh object, and
-#: holding those objects cost ``ie_session`` about 5 % of ``ops_per_s``.
-_translations: dict[int, tuple] = {}
+    index: int
+    kind: str
+
+
+def _skeleton(query: ConjunctiveQuery) -> tuple[tuple, list, list[str]]:
+    """A query's constant-free skeleton, its constants and its variable
+    names.
+
+    The skeleton is flat: the literal count, then per literal its
+    predicate, its arity (bitwise-negated when the literal is negated)
+    and each argument — a variable as its number by first occurrence, a
+    constant as its comparability kind — then the answers alike.  Numbers
+    are ints and kinds are strings, so no two shapes spell the same.
+    Constants and variable names come out in slot and number order.
+    """
+    numbers: dict[str, int] = {}
+    values: list = []
+    literals = query.literals
+    parts: list = [len(literals)]
+    part, constant, number_of = parts.append, values.append, numbers.setdefault
+    for literal in literals:
+        args = literal.args
+        part(literal.pred)
+        part(~len(args) if literal.negated else len(args))
+        for arg in args:
+            if type(arg) is Var:
+                part(number_of(arg.name, len(numbers)))
+            else:
+                constant(arg.value)
+                part(comparability_kind(arg.value))
+    for arg in query.answers:
+        if type(arg) is Var:
+            part(numbers[arg.name])
+        else:
+            constant(arg.value)
+            part(comparability_kind(arg.value))
+    return tuple(parts), values, list(numbers)
+
+
+class ShapePlan:
+    """Everything answering a query of one shape needs that no constant
+    changes: a prepared CAQL query (the paper's IE-query is "an instance
+    of one of the view specifications with constant bindings", §5.3.1).
+
+    Built once per shape from the template — the shape's translation with
+    every constant a :class:`Slot` — it holds the PSJ template and, from
+    the canonicalizer, the fold's classes and the key's constant-free
+    fragments (:class:`repro.core.canonical.FormPlan`).  :meth:`bind`
+    makes one ask's ``PSJQuery`` and carries its ``CanonicalForm`` on it;
+    both are what ``_translate`` and a from-scratch canonicalization give
+    (``audit_canonical`` checks the form).
+    """
+
+    __slots__ = (
+        "occurrences", "conditions", "slotted", "projection", "pinned",
+        "var_numbers", "var_columns", "checks", "form",
+    )
+
+    def __init__(self, template: PSJQuery, checks: tuple):
+        from repro.core.canonical import FormPlan  # repro.core imports this module
+
+        self.occurrences = template.occurrences
+        self.conditions = template.conditions
+        #: ``(condition position, column, op, slot index)`` per
+        #: column-vs-literal condition: the literal the slot binds.
+        self.slotted = tuple(
+            (position, condition.left, condition.op, condition.right.value.index)
+            for position, condition in enumerate(template.conditions)
+            if type(condition.right) is Lit
+        )
+        self.projection = template.projection
+        self.pinned = tuple(
+            (position, entry.value.index)
+            for position, entry in enumerate(template.projection)
+            if isinstance(entry, ConstProj)
+        )
+        #: Each variable's number (template names are numbers) and its
+        #: columns, in ``var_columns`` order.
+        self.var_numbers = tuple(int(name) for name, _cols in template.var_columns)
+        self.var_columns = tuple(cols for _name, cols in template.var_columns)
+        #: ``(slot, op, slot)`` per comparison of two constants, which
+        #: translation folds away: the query is empty when one fails.
+        self.checks = checks
+        self.form = FormPlan(template)
+
+    def bind(self, name: str, values: list, names: list[str]) -> PSJQuery:
+        """The PSJ query of the ask whose constants are ``values`` and
+        whose variables are ``names``, its canonical form carried."""
+        conditions = self.conditions
+        if self.slotted:
+            conditions = list(conditions)
+            for position, column, op, slot in self.slotted:
+                conditions[position] = Comparison(column, op, Lit(values[slot]))
+            conditions = tuple(conditions)
+        projection = self.projection
+        if self.pinned:
+            projection = list(projection)
+            for position, slot in self.pinned:
+                projection[position] = ConstProj(values[slot])
+            projection = tuple(projection)
+        unsatisfiable = False
+        for left, op, right in self.checks:
+            if not holds(values[left], op, values[right]):
+                unsatisfiable = True
+        # The fields ``PSJQuery.__init__`` sets, without its check that the
+        # tags are distinct: the template's were checked when it was built.
+        psj = object.__new__(PSJQuery)
+        psj.__dict__.update(
+            name=name,
+            occurrences=self.occurrences,
+            conditions=conditions,
+            projection=projection,
+            var_columns=tuple(zip(map(names.__getitem__, self.var_numbers), self.var_columns)),
+            unsatisfiable=unsatisfiable,
+            _canonical=self.form.bind(values, projection, unsatisfiable),
+        )
+        return psj
+
+
+def _plan_shape(
+    query: ConjunctiveQuery, registry: BuiltinRegistry, values: list
+) -> ShapePlan | None:
+    """The shape plan of ``query``'s shape, or None for a shape that is
+    translated per ask: one with an evaluable residue, or one whose
+    translation fails (it fails for every ask of the shape, each with its
+    own names in the message)."""
+    slots = iter([Slot(index, comparability_kind(value)) for index, value in enumerate(values)])
+    numbers: dict[str, Var] = {}
+
+    def template(term):
+        if type(term) is Var:
+            var = numbers.get(term.name)
+            if var is None:
+                var = numbers[term.name] = Var(str(len(numbers)))
+            return var
+        return Const(next(slots))
+
+    literals = [
+        Atom(literal.pred, tuple(template(arg) for arg in literal.args), literal.negated)
+        for literal in query.literals
+    ]
+    answers = tuple(template(term) for term in query.answers)
+    checks = tuple(
+        (literal.args[0].value.index, _OP_MAP[literal.pred], literal.args[1].value.index)
+        for literal in literals
+        if literal.pred in _OP_MAP
+        and len(literal.args) == 2
+        and all(type(arg) is Const for arg in literal.args)
+    )
+    try:
+        psj, _core_vars, evaluable = _translate(
+            ConjunctiveQuery(query.name, answers, tuple(literals)), registry
+        )
+    except TranslationError:
+        return None
+    if evaluable:
+        return None
+    return ShapePlan(psj, checks)
+
+
+#: How many shapes :func:`core_plan` keeps plans for (FIFO).  A plan
+#: holds no query, only its template and key fragments (a few KB).
+SHAPE_BOUND = 1024
+
+#: ``(skeleton, registry signatures)`` -> the shape's plan, or None for a
+#: shape translated per ask.  The signatures are in the key because which
+#: literals are evaluable is the one thing translation reads of the
+#: registry.
+_shapes: dict[tuple, ShapePlan | None] = {}
 
 
 def core_plan(
@@ -202,34 +362,41 @@ def core_plan(
     core-variable order to thread, so callers answer it directly — one
     translation per query, and this is the only place the CMS does it.
 
+    A query is translated once per *shape* (:func:`_skeleton`): the first
+    ask of a shape builds its :class:`ShapePlan`, and every ask binds its
+    constants and variable names into it — no translation and no fold of
+    the query's structure, only of its constants.  A shape with an
+    evaluable residue is translated per ask (:func:`_translate`).
+
     A re-asked query *object* (the IE asks instances of its view
-    specifications again and again) is translated at most twice: its
-    second ask keeps the result, keyed by identity, for as long as the
-    registry's signatures are the ones it was split under — the split
-    reads nothing else of the registry.  Every later ask gets the same
-    frozen ``PSJQuery`` back, so what is carried on it is a dict probe.
-    The result is shared, hence tuples.  (The one other per-object
-    translation, a view's generalized form, is carried on the view's
-    definition by ``QueryPlanner.generalization_of``.)
+    specifications again and again) carries its result from the second
+    ask on, for as long as the registry's signatures are the ones it was
+    split under, so every later ask is a dict probe and gets the same
+    frozen ``PSJQuery`` back (the result is shared, hence tuples).  A
+    first ask leaves only a mark, so a stream of one-shot queries keeps
+    no PSJ alive.  (The one other per-object translation, a view's
+    generalized form, is carried on the view's definition by
+    ``QueryPlanner.generalization_of``.)
     """
     signatures = registry.signatures
-    key = id(query)
-    entry = _translations.get(key)
-    if entry is not None and entry[0]() is query:
-        if entry[2] is not None and entry[1] == signatures:
-            return entry[2]
+    carried = query.__dict__.get("_core")
+    if carried is not None and carried[1] is not None and (
+        carried[0] is signatures or carried[0] == signatures
+    ):
+        return carried[1]
+    skeleton, values, names = _skeleton(query)
+    key = (skeleton, signatures)
+    plan = _shapes.get(key, False)
+    if plan is False:
+        if len(_shapes) >= SHAPE_BOUND:
+            del _shapes[next(iter(_shapes))]
+        plan = _shapes[key] = _plan_shape(query, registry, values)
+    if plan is None:
         result = _translate(query, registry)
-        _translations[key] = (entry[0], signatures, result)
-        return result
-    if len(_translations) >= TRANSLATION_BOUND:
-        del _translations[next(iter(_translations))]
-    _translations[key] = (ref(query), signatures, None)
-    return _translate(query, registry)
-
-
-def clear_translations() -> None:
-    """Drop :func:`core_plan`'s table (tests that count translations)."""
-    _translations.clear()
+    else:
+        result = (plan.bind(query.name, values, names), (), ())
+    query.__dict__["_core"] = (signatures, None if carried is None else result)
+    return result
 
 
 def _translate(

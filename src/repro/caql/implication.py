@@ -66,7 +66,7 @@ def encode_constant(value: object) -> str:
     return f"{type(v).__name__}!{v!r}"
 
 
-def _kind(value: object) -> str:
+def comparability_kind(value: object) -> str:
     """Comparability kind: values of one kind never raise on comparison."""
     if isinstance(value, (bool, int, float)):
         return "num"
@@ -168,17 +168,21 @@ class _ClassInfo:
                         return False
                     self.pinned, self.has_pin = lower.value, True
                     break
+        excluded = self.excluded
         if self.has_pin:
             pinned = self.pinned
-            if not self.admits(pinned) or any(pinned == v for v in self.excluded):
+            if (self.intervals and not self.admits(pinned)) or (
+                excluded and any(pinned == v for v in excluded)
+            ):
                 return False
             self.intervals, self.excluded = {}, []
             return True
-        self.excluded = [
-            value
-            for value in self.excluded
-            if self.intervals.get(_kind(value), _NO_BOUNDS).admits(value)
-        ]
+        if excluded:
+            self.excluded = [
+                value
+                for value in excluded
+                if self.intervals.get(comparability_kind(value), _NO_BOUNDS).admits(value)
+            ]
         return True
 
     def literals(self) -> Iterator[tuple[str, object]]:
@@ -198,7 +202,7 @@ class _ClassInfo:
         """Per kind, the range the class lies in (a pin is a closed point)."""
         if self.has_pin:
             point = _Bound(self.pinned, False)
-            return {_kind(self.pinned): _Interval(point, point)}
+            return {comparability_kind(self.pinned): _Interval(point, point)}
         return self.intervals
 
 
@@ -217,12 +221,128 @@ def _before(upper: _Bound | None, lower: _Bound | None, strict: bool) -> bool:
     return holds(upper.value, "<=", lower.value)
 
 
+def _digest(conditions: Iterable[Comparison]):
+    """What a conjunction's fold reads of its columns alone: the
+    column -> class root map (flattened), the classes' members, the
+    column-vs-literal conditions as ``(root, op, value)`` in condition
+    order, and the column-to-column conditions between classes (see
+    :func:`_between`)."""
+    parent: dict[str, str] = {}
+
+    def find(col: str) -> str:
+        # Iterative, so the closure holds no reference to itself: a
+        # self-recursive closure is a reference cycle, and every fold
+        # would then wait for the cyclic collector to be freed.
+        root = parent.setdefault(col, col)
+        while (up := parent[root]) != root:
+            root = up
+        while col != root:
+            parent[col], col = root, parent[col]
+        return root
+
+    literal: list[tuple[str, str, object]] = []
+    general: list[tuple[str, str, str]] = []
+    for condition in conditions:
+        # Read in :meth:`Comparison.normalized` form: the constant on
+        # the right, column-column operands in name order.
+        left, op, right = condition.left, condition.op, condition.right
+        if isinstance(right, Lit):
+            if isinstance(left, Lit):
+                continue  # literal vs literal: constant-folded upstream
+            col, value = left.name, right.value
+        elif isinstance(left, Lit):
+            col, op, value = right.name, FLIPPED[op], left.value
+        else:
+            left, right = left.name, right.name
+            if right < left:
+                left, op, right = right, FLIPPED[op], left
+            if op == "=":
+                left_root, right_root = find(left), find(right)
+                if left_root != right_root:
+                    parent[left_root] = right_root
+            else:
+                parent.setdefault(left, left)
+                parent.setdefault(right, right)
+                general.append((left, op, right))
+            continue
+        parent.setdefault(col, col)
+        literal.append((col, op, value))
+    # Group the columns by class root, flattening as it goes (``find``
+    # points every column on a path straight at its root), so from here
+    # on ``_find`` is one lookup and writes nothing.
+    members: dict[str, list[str]] = {}
+    for col, up in parent.items():
+        root = up if up == col else find(col)
+        columns = members.get(root)
+        if columns is None:
+            columns = members[root] = []
+        columns.append(col)
+    return (
+        parent,
+        members,
+        [(parent[col], op, value) for col, op, value in literal],
+        _between(parent, general),
+    )
+
+
+def _between(
+    parent: dict[str, str], general: list[tuple[str, str, str]]
+) -> tuple[list[tuple[str, str, str]], bool]:
+    """The column-to-column conditions as ``(left root, op, right root)``
+    between different classes, deduplicated, and False when one relates a
+    class to itself by ``<``, ``>`` or ``!=`` (then only the conditions
+    before it, as the fold leaves them)."""
+    between: list[tuple[str, str, str]] = []
+    for left, op, right in general:
+        entry = (parent[left], op, parent[right])
+        if entry[0] == entry[2]:
+            if op in ("<", ">", "!="):
+                return between, False  # x < x / x != x: never holds
+            continue  # x <= x / x >= x: always holds
+        if entry not in between:
+            between.append(entry)
+    return between, True
+
+
+class FoldPlan:
+    """The constant-free half of a fold, digested once per query shape.
+
+    Built from a conjunction whose literals are slots
+    (:class:`~repro.caql.eval.Slot`: an index into the constants an ask
+    binds, and the constant's comparability kind) rather than values:
+    the equivalence classes, each slot-bearing condition's class and
+    kind, and the column-to-column conditions between classes.
+    :meth:`ConditionSet.from_plan` starts from it and folds only the
+    constants.
+    """
+
+    __slots__ = ("parent", "members", "literal", "general", "consistent")
+
+    def __init__(self, conditions: Iterable[Comparison]):
+        parent, members, literal, (general, consistent) = _digest(conditions)
+        #: Column -> its class root (shared, read-only, by every bound fold).
+        self.parent = parent
+        #: ``(root, member columns)`` per class, in fold order; every
+        #: bound fold's class shares the list (nothing writes to it).
+        self.members = tuple(members.items())
+        #: ``(root, op, slot index, kind)`` per column-vs-literal condition.
+        self.literal = tuple(
+            (root, op, slot.index, slot.kind) for root, op, slot in literal
+        )
+        self.general = tuple(general)
+        #: False when a column-to-column condition alone is a contradiction.
+        self.consistent = consistent
+
+
 class ConditionSet:
     """A conjunction of conditions, folded for implication queries.
 
     The one fold of a conjunction: the implication questions below and the
     canonical key (:mod:`repro.core.canonical` reads :attr:`classes` and
-    :attr:`general`) are answered from the same facts.
+    :attr:`general`) are answered from the same facts.  It is entered
+    from the conditions, or — for a query bound from a shape plan — from
+    the shape's :class:`FoldPlan` and the ask's constants
+    (:meth:`from_plan`); both fold the constants in :meth:`_fold`.
 
     Answers are independent of conjunct order: bounds are folded in a
     canonical order and per comparability kind, so no spelling of one
@@ -233,72 +353,45 @@ class ConditionSet:
     the set, so one set can serve every probe of its definition."""
 
     def __init__(self, conditions: Iterable[Comparison]):
+        parent, members, literal, (general, consistent) = _digest(conditions)
         #: column -> root of its equivalence class, for every column mentioned.
-        self._parent: dict[str, str] = {}
+        self._parent: dict[str, str] = parent
         #: class root -> folded facts (partial when not :attr:`satisfiable`).
-        self.classes: dict[str, _ClassInfo] = {}
+        self.classes: dict[str, _ClassInfo] = {
+            root: _ClassInfo(columns) for root, columns in members.items()
+        }
         #: Non-equality column-column conditions between *different*
         #: classes, as ``(left root, op, right root)``, deduplicated.
         self.general: list[tuple[str, str, str]] = []
         #: False when the fold proved that no assignment satisfies the set.
-        self.satisfiable = self._build(conditions)
+        self.satisfiable = self._fold(
+            [(root, op, value, None) for root, op, value in literal], general, consistent, None
+        )
+
+    @classmethod
+    def from_plan(cls, plan: FoldPlan, values: list) -> "ConditionSet":
+        """The fold of the conjunction ``plan`` was digested from, with
+        slot ``i`` bound to ``values[i]``: equal, attribute for attribute,
+        to folding that conjunction's conditions from scratch."""
+        folded = cls.__new__(cls)
+        folded._parent = plan.parent
+        folded.classes = {root: _ClassInfo(columns) for root, columns in plan.members}
+        folded.general = []
+        folded.satisfiable = folded._fold(plan.literal, plan.general, plan.consistent, values)
+        return folded
 
     # -- digestion --------------------------------------------------------------
-    def _build(self, conditions: Iterable[Comparison]) -> bool:
-        parent = self._parent
-
-        def find(col: str) -> str:
-            # Iterative, so the closure holds no reference to itself: a
-            # self-recursive closure is a reference cycle, and every fold
-            # would then wait for the cyclic collector to be freed.
-            root = parent.setdefault(col, col)
-            while (up := parent[root]) != root:
-                root = up
-            while col != root:
-                parent[col], col = root, parent[col]
-            return root
-
-        literal: list[tuple[str, str, object]] = []
-        general: list[tuple[str, str, str]] = []
-        for condition in conditions:
-            # Read in :meth:`Comparison.normalized` form: the constant on
-            # the right, column-column operands in name order.
-            left, op, right = condition.left, condition.op, condition.right
-            if isinstance(right, Lit):
-                if isinstance(left, Lit):
-                    continue  # literal vs literal: constant-folded upstream
-                col, value = left.name, right.value
-            elif isinstance(left, Lit):
-                col, op, value = right.name, FLIPPED[op], left.value
-            else:
-                left, right = left.name, right.name
-                if right < left:
-                    left, op, right = right, FLIPPED[op], left
-                if op == "=":
-                    left_root, right_root = find(left), find(right)
-                    if left_root != right_root:
-                        parent[left_root] = right_root
-                else:
-                    parent.setdefault(left, left)
-                    parent.setdefault(right, right)
-                    general.append((left, op, right))
-                continue
-            parent.setdefault(col, col)
-            literal.append((col, op, value))
-        # Group the columns by class root, flattening as it goes (``find``
-        # points every column on a path straight at its root), so from here
-        # on ``_find`` is one lookup and writes nothing.
+    def _fold(self, literal, general, consistent: bool, values: list | None) -> bool:
+        """Fold the column-vs-literal conditions ``(root, op, value, kind)``
+        into the classes (``kind`` None: read off the value; with
+        ``values``, ``value`` is the index of the value in it), then take
+        ``general`` (:func:`_between`); False on a contradiction, leaving
+        the facts folded so far."""
         classes = self.classes
-        for col, up in parent.items():
-            root = up if up == col else find(col)
-            info = classes.get(root)
-            if info is None:
-                info = classes[root] = _ClassInfo()
-            info.columns.append(col)
-
-        bounds: dict[str, list[tuple[str, object]]] = {}
-        for col, op, value in literal:
-            root = parent[col]
+        bounds: dict[str, list[tuple[str, object, str | None]]] = {}
+        for root, op, value, kind in literal:
+            if values is not None:
+                value = values[value]
             info = classes[root]
             if op == "=":
                 if not info.has_pin:
@@ -309,7 +402,10 @@ class ConditionSet:
                 if not any(value == seen for seen in info.excluded):
                     info.excluded.append(value)
             else:
-                bounds.setdefault(root, []).append((op, value))
+                entries = bounds.get(root)
+                if entries is None:
+                    entries = bounds[root] = []
+                entries.append((op, value, kind))
         #: ``id(constant)`` -> its encoding: each constant is encoded at most
         #: once per fold.  Ids are sound keys here, as every constant is
         #: held by ``literal`` until the fold is done.
@@ -319,11 +415,12 @@ class ConditionSet:
             # Canonical digestion order, so folding (which calls ``holds``
             # pairwise) cannot depend on source conjunct order.
             if len(entries) > 1:
-                for _op, value in entries:
+                for _op, value, _ in entries:
                     encoded[id(value)] = encode_constant(value)
                 entries.sort(key=lambda e: (e[0], encoded[id(e[1])]))
-            for op, value in entries:
-                kind = _kind(value)
+            for op, value, kind in entries:
+                if kind is None:
+                    kind = comparability_kind(value)
                 interval = intervals.get(kind)
                 if interval is None:
                     interval = intervals[kind] = _Interval()
@@ -332,21 +429,17 @@ class ConditionSet:
                 else:
                     _fold_lower(interval, value, op == ">")
         for info in classes.values():
-            if not info.settle():
+            if (info.has_pin or info.intervals or info.excluded) and not info.settle():
                 return False
 
-        for left, op, right in general:
-            entry = (parent[left], op, parent[right])
-            if entry[0] == entry[2]:
-                if op in ("<", ">", "!="):
-                    return False  # x < x / x != x: never holds
-                continue  # x <= x / x >= x: always holds
-            if entry not in self.general:
-                self.general.append(entry)
+        self.general = list(general)
+        if not consistent:
+            return False
         for info in classes.values():
-            spelled = info.spelled
-            for op, value in info.literals():
-                spelled.append(f" {op} {encoded.get(id(value)) or encode_constant(value)}")
+            if info.has_pin or info.intervals or info.excluded:
+                spelled = info.spelled
+                for op, value in info.literals():
+                    spelled.append(f" {op} {encoded.get(id(value)) or encode_constant(value)}")
         return True
 
     def _find(self, col: str) -> str:
@@ -393,7 +486,7 @@ class ConditionSet:
             return False  # unpinned class can take other values
         if op == "!=":
             return any(value == seen for seen in info.excluded) or not info.admits(value)
-        interval = info.intervals.get(_kind(value), _NO_BOUNDS)
+        interval = info.intervals.get(comparability_kind(value), _NO_BOUNDS)
         if op[0] == "<":
             bound = interval.upper
             # col <= u guarantees col < value only when u < value.

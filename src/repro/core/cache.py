@@ -326,20 +326,9 @@ class Cache:
         existing_id = self._by_key.get(key)
         if existing_id is not None:
             element = self._elements[existing_id]
-            # Not a use (a whole-ship fetch is registered before the CMS
-            # stores the same answer): recency moves, the use count and
-            # the observed frequency do not.
+            # Not a use: recency moves, the use count and the observed
+            # frequency do not.
             element.sequence = next(self._clock)
-            if kind == "view" and element.kind == "intermediate":
-                # A named view now backs this definition (a whole-ship
-                # fetch is registered before the CMS stores its answer):
-                # promote it so view-level policies — advice path-distance
-                # offsets name whole views — apply.  The alpha-equivalent
-                # view definition replaces the internal one (same
-                # canonical key, but the *view's* name is what path
-                # expressions track).  Lineage is kept.
-                element.kind = "view"
-                self._redefine(element, definition)
             if element.derivation_seconds <= 0.0:
                 element.derivation_seconds = max(derivation_seconds, 0.0)
             if use:
@@ -438,19 +427,6 @@ class Cache:
                 _drop(self._unpinned, (pred,), element.element_id)
             else:
                 _drop(self._by_pin, (pred, *anchor), element.element_id)
-
-    def _redefine(self, element: CacheElement, definition: PSJQuery) -> None:
-        """Adopt an alpha-equivalent definition (same canonical key) and
-        re-anchor the element: the spelling may list its pins in another
-        order."""
-        self._unfile_pins(element)
-        element.definition = definition
-        for bucket in _buckets(self._by_pin, self._unpinned, element):
-            bucket[element.element_id] = None
-            if len(bucket) > 1:  # back into store order
-                ordered = sorted(bucket, key=lambda i: self._elements[i].epoch)
-                bucket.clear()
-                bucket.update(dict.fromkeys(ordered))
 
     # -- concurrency control ------------------------------------------------------
     def pin(self, element: CacheElement) -> None:
@@ -782,10 +758,10 @@ class Cache:
                         f"{element_id} missing from live parent "
                         f"{parent_id}'s children index"
                     )
-            # Recomputed with neither the form the definition carries nor
-            # the memo row it shares (raises when either disagrees — on the
-            # key, or on the fold the subsumption probe reads), so the index
-            # and the probe are checked against what the definition *means*.
+            # Recomputed without the form the definition carries (raises
+            # when they disagree — on the key, or on the fold the
+            # subsumption probe reads), so the index and the probe are
+            # checked against what the definition *means*.
             key = audit_canonical(element.definition)
             if self._by_key.get(key) != element_id:
                 raise InvariantViolation(

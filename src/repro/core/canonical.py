@@ -46,14 +46,13 @@ behavior.  The equivalent-query mutation fuzzer
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.common.errors import InvariantViolation
 from repro.caql.implication import (
     ConditionSet,
-    _ClassInfo,
+    FoldPlan,
     canonical_constant,
     encode_constant,
 )
@@ -78,17 +77,16 @@ def _encode_raw(value: object) -> str:
 class CanonicalForm:
     """The canonicalizer's output for one PSJ query.
 
-    A form is shared by every query that agrees on what :func:`_build`
-    reads — through the memo, by queries that differ only in ``name`` or
-    variable names — so it holds nothing of any one query: the normalized
-    *expression* is :func:`normalized`, built on demand.
+    A form can be shared by queries that agree on what :func:`_build`
+    reads — a query and its whole-query sub-query, which differ in
+    ``name`` alone (:func:`repro.core.plan.sub_query`) — so it holds
+    nothing of any one query: the normalized *expression* is
+    :func:`normalized`, built on demand.
 
     Besides the key it carries the fold the key was rendered from, so the
     subsumption probe asks its implication questions of the same
     :class:`~repro.caql.implication.ConditionSet` instead of folding the
-    conditions again.  A fold reads ``conditions`` alone, which the memo
-    keys on, so sharing it is exact; and it is read-only once ``_build``
-    has returned.
+    conditions again.  The fold is read-only once built.
     """
 
     #: The stable canonical key — nested tuples of strings only, so
@@ -111,82 +109,15 @@ def canonicalize(query: PSJQuery) -> CanonicalForm:
     dict, which ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never
     read — and every later call on the same object (the planner's lookup,
     the subsumption probe's, a stored definition's for as long as it is
-    stored) is a dict probe.
+    stored) is a dict probe.  A query bound from a shape plan
+    (:func:`repro.caql.eval.core_plan`) arrives with its form already
+    carried (:meth:`FormPlan.bind`); any other is built here.
     """
     form = query.__dict__.get("_canonical")
     if form is None:
-        occurrences, conditions = query.occurrences, query.conditions
-        projection, unsatisfiable = query.projection, query.unsatisfiable
-        try:
-            form = _canonicalize_cached(
-                occurrences, conditions, projection, unsatisfiable, _spelling(query)
-            )
-        except TypeError:  # an unhashable answer constant: compute directly
-            form = _build(occurrences, conditions, projection, unsatisfiable)
-        query.__dict__["_canonical"] = form
-    return form
-
-
-def _spelling(query: PSJQuery) -> tuple:
-    """The query's occurrences and conditions spelled out, for the memo key.
-
-    Each occurrence as its tag, relation and arity, each condition as its
-    operator and operands — a column by name, a constant by its exact
-    spelling (type name and ``repr``) — flat, in order, then the spelling
-    of every pinned answer constant.  Queries that compare ``==``-equal can
-    still differ in constant *spellings* (``ConstProj(1)`` vs
-    ``ConstProj(1.0)``), and answer spellings change the canonical key —
-    so equality alone must not share a memo row.  A qualified column name
-    never holds the ``!`` every spelling does, so no column reads as a
-    constant; and strings hash in C, where the condition objects would
-    each run a Python ``__hash__``.
-    """
-    occurrences, conditions = query.occurrences, query.conditions
-    parts: list = [len(occurrences)]
-    for occ in occurrences:
-        parts += (occ.tag, occ.pred, occ.arity)
-    parts.append(len(conditions))
-    for condition in conditions:
-        left, right = condition.left, condition.right
-        parts += (
-            left.name if type(left) is Col else _encode_raw(left.value),
-            condition.op,
-            right.name if type(right) is Col else _encode_raw(right.value),
+        form = query.__dict__["_canonical"] = _build(
+            query.occurrences, query.conditions, query.projection, query.unsatisfiable
         )
-    for entry in query.projection:
-        if isinstance(entry, ConstProj):
-            parts.append(_encode_raw(entry.value))
-    return tuple(parts)
-
-
-#: How many forms the memo keeps, least recently used out first.
-MEMO_BOUND = 4096
-
-
-#: The memo's rows, least recently used first.
-_memo: OrderedDict[tuple, CanonicalForm] = OrderedDict()
-
-
-def _canonicalize_cached(
-    occurrences, conditions, projection, unsatisfiable, spelled
-) -> CanonicalForm:
-    """The form of the query these parts make up, through the memo.
-
-    Keyed on ``spelled`` (:func:`_spelling`), the projection and the
-    unsatisfiable flag — exactly what ``_build`` reads: not the query's
-    name and not its variable names, so a re-ask under fresh variable
-    names (the IE renames apart on every resolution step) and a sub-query
-    that differs from its query in name alone share the row.  Raises
-    ``TypeError`` when an answer constant cannot be hashed.
-    """
-    key = (spelled, projection, unsatisfiable)
-    form = _memo.get(key)
-    if form is None:
-        form = _memo[key] = _build(occurrences, conditions, projection, unsatisfiable)
-        if len(_memo) > MEMO_BOUND:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(key)
     return form
 
 
@@ -211,13 +142,15 @@ def normalized(query: PSJQuery) -> PSJQuery:
 
 
 def audit_canonical(query: PSJQuery) -> tuple:
-    """The key of ``query`` recomputed from scratch — no carry, no memo.
+    """The key of ``query`` recomputed from scratch — no carry, no plan.
 
-    Both shortcuts hand a query a form that was built for another object;
-    this is the check that they only ever do so for a query the form is
-    right for — its key, and the carried fold's every fact (classes, pins,
-    per-kind bounds, exclusions, general conditions), which is what the
-    subsumption probe reads.  Raises
+    Both shortcuts hand a query a form that was not built from it — one
+    bound from a plan built for another query of its shape, or one
+    carried over from the query a sub-query is the whole of; this is the
+    check that the form is right for the query all the same — its key,
+    and the carried fold's every fact (classes, pins, per-kind bounds,
+    exclusions, general conditions), which is what the subsumption probe
+    reads.  Raises
     :class:`~repro.common.errors.InvariantViolation` when
     :func:`canonicalize` disagrees with the recomputation.
     """
@@ -228,60 +161,61 @@ def audit_canonical(query: PSJQuery) -> tuple:
     if (form.key, form.unsatisfiable) != (fresh.key, fresh.unsatisfiable):
         raise InvariantViolation(
             f"canonical form of {query.name} is not what building it from "
-            f"scratch gives: carried/memoised {form.key}, fresh {fresh.key}"
+            f"scratch gives: carried {form.key}, fresh {fresh.key}"
         )
     if vars(form.conditions) != vars(fresh.conditions):
         raise InvariantViolation(
             f"carried fold of {query.name} is not what folding its conditions "
-            f"gives: carried/memoised {vars(form.conditions)}, fresh "
+            f"gives: carried {vars(form.conditions)}, fresh "
             f"{vars(fresh.conditions)}"
         )
     return fresh.key
-
-
-def clear_cache() -> None:
-    """Drop the memo table (tests that patch the fold seam use this)."""
-    _memo.clear()
 
 
 # -- construction ---------------------------------------------------------------------
 
 
 def _build(occurrences, conditions, projection, unsatisfiable) -> CanonicalForm:
-    """The canonical form of the query these parts make up (the memo's
-    miss path, and the audit's from-scratch recomputation)."""
-    folded = ConditionSet(conditions)
+    """The canonical form of the query these parts make up, from scratch
+    (a query no shape plan bound, and the audit's recomputation)."""
+    return _form(ConditionSet(conditions), occurrences, projection, unsatisfiable)
+
+
+def _form(folded: ConditionSet, occurrences, projection, unsatisfiable) -> CanonicalForm:
+    """The canonical form over ``folded``, the fold of the query's
+    conditions: the least key over the candidate occurrence orders."""
     if unsatisfiable or not folded.satisfiable:
         return CanonicalForm(("unsat", str(len(projection))), True, folded)
+    # Pinned answer constants are rendered once, for every order.
+    template, constants = [], {}
+    for position, entry in enumerate(projection):
+        if isinstance(entry, ConstProj):
+            constants[position] = f"const!{_encode_raw(entry.value)}"
+            entry = position
+        template.append(entry)
+    members = [(root, info.columns) for root, info in folded.classes.items()]
+    candidates = [
+        (order, _fragments(members, folded.general, occurrences, template, order))
+        for order in _candidate_orders(occurrences, folded)
+    ]
+    return _least(folded, candidates, constants)
 
-    orders = _candidate_orders(occurrences, folded)
-    for entry in projection:
-        if isinstance(entry, ConstProj):  # rendered once, for every order
-            projection = [
-                entry if isinstance(entry, str) else f"const!{_encode_raw(entry.value)}"
-                for entry in projection
-            ]
-            break
-    best_order = orders[0]
-    best_key = _key(folded, occurrences, projection, best_order)
-    for order in orders[1:]:
-        key = _key(folded, occurrences, projection, order)
-        if key < best_key:
-            best_key = key
-            best_order = order
+
+def _least(folded: ConditionSet, candidates, constants) -> CanonicalForm:
+    """The form under the candidate ``(order, fragments)`` whose key is
+    least — the first of equal ones."""
+    best_order = best_key = None
+    for order, fragments in candidates:
+        key = _key(folded, fragments, constants)
+        if best_key is None or key < best_key:
+            best_order, best_key = order, key
     return CanonicalForm(best_key, False, folded, tuple(best_order))
 
 
-def _key(folded: ConditionSet, occurrences, projection, order) -> tuple:
-    """The key under ``order``: occurrence ``order[i]`` is tagged ``ti``.
-
-    The fold has rendered every literal fact once, as the text after its
-    class's column (:attr:`~repro.caql.implication._ClassInfo.spelled`),
-    and ``projection`` comes with its pinned constants rendered; an order
-    only renames columns, names each class by its least member and sorts.
-    The order that keeps every tag — the usual one, as a translated
-    query's tags are ``t0, t1, ...`` in body order — renames nothing.
-    """
+def _renaming(occurrences, order) -> Callable[[str], str] | None:
+    """Moves a column to its tag under ``order`` (occurrence ``order[i]``
+    is tagged ``ti``); None when ``order`` keeps every tag — the usual
+    case, as a translated query's tags are ``t0, t1, ...`` in body order."""
     tags = None  # old tag -> new tag, when ``order`` moves any
     for new, old in enumerate(order):
         tag = f"t{new}"
@@ -289,55 +223,136 @@ def _key(folded: ConditionSet, occurrences, projection, order) -> tuple:
             if tags is None:
                 tags = {occ.tag: occ.tag for occ in occurrences}
             tags[occurrences[old].tag] = tag
-    renamed = None
-    if tags is not None:
+    if tags is None:
+        return None
 
-        def renamed(column: str) -> str:
-            tag, dot, rest = column.partition(".")
-            return tags[tag] + dot + rest
+    def renamed(column: str) -> str:
+        tag, dot, rest = column.partition(".")
+        return tags[tag] + dot + rest
 
-        projection = [
-            entry if entry.startswith("const!") else renamed(entry)
-            for entry in projection
-        ]
-    classes, between = _classes_under(folded, renamed)
-    rendered = [f"{left} {op} {right}" for left, op, right in between]
-    for rep, info in classes:
+    return renamed
+
+
+def _fragments(members, general, occurrences, projection, order) -> tuple:
+    """What the key says under ``order`` (occurrence ``order[i]`` is
+    tagged ``ti``) that no constant changes: the relation signatures, each
+    class's representative (in fold order), the member equalities and
+    general conditions rendered, and ``projection`` with its columns
+    renamed — its other entries are keys into the ``constants`` that
+    :func:`_key` is given."""
+    renamed = _renaming(occurrences, order)
+    if renamed is not None:
+        projection = [entry if type(entry) is int else renamed(entry) for entry in projection]
+    reps, between = _classes_under(members, general, renamed)
+    return (
+        tuple(f"{occurrences[old].pred}/{occurrences[old].arity}" for old in order),
+        tuple(reps),
+        tuple([f"{left} {op} {right}" for left, op, right in between]),
+        tuple(projection),
+    )
+
+
+def _key(folded: ConditionSet, fragments: tuple, constants: dict | None) -> tuple:
+    """The key of ``folded`` under one candidate order's ``fragments``.
+
+    The fold has rendered every literal fact once, as the text after its
+    class's column (:attr:`~repro.caql.implication._ClassInfo.spelled`),
+    and the pinned answer constants are rendered once, into
+    ``constants``; an order only names each class by its representative
+    under it and sorts.
+    """
+    signatures, reps, between, projection = fragments
+    rendered = list(between)
+    for rep, info in zip(reps, folded.classes.values()):
         for tail in info.spelled:
             rendered.append(rep + tail)
     rendered.sort()
-    signatures = tuple(f"{occurrences[old].pred}/{occurrences[old].arity}" for old in order)
-    return ("q", signatures, tuple(rendered), tuple(projection))
+    if constants:
+        projection = tuple(
+            [entry if type(entry) is str else constants[entry] for entry in projection]
+        )
+    return ("q", signatures, tuple(rendered), projection)
 
 
 def _classes_under(
-    folded: ConditionSet, rename: Callable[[str], str] | None
-) -> tuple[list[tuple[str, _ClassInfo]], list[tuple[str, str, str]]]:
-    """The fold's classes and column-to-column conditions with every column
-    passed through ``rename`` (None keeps the names).
+    members, general, rename: Callable[[str], str] | None
+) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """A fold's classes (``members``: ``(root, columns)`` per class, in
+    fold order) and column-to-column conditions (``general``: ``(left
+    root, op, right root)``) with every column passed through ``rename``
+    (None keeps the names).
 
     Each class speaks through its representative, its least member, so
-    what is said depends on the fold and the renaming alone: the classes
-    as ``(representative, facts)``, and as ``(left, op, right)`` each other
-    member equal to its representative and each general condition between
-    representatives, in name order.  The key (:func:`_key`) and the
-    normalized expression (:func:`_normalized_query`) are both read off it.
+    what is said depends on the classes and the renaming alone: each
+    class's representative, in fold order, and as ``(left, op, right)``
+    each other member equal to its representative and each general
+    condition between representatives, in name order.  The key
+    (:func:`_fragments`) and the normalized expression
+    (:func:`_normalized_query`) are both read off it.
     """
-    classes: list[tuple[str, _ClassInfo]] = []
+    reps: list[str] = []
     between: list[tuple[str, str, str]] = []
-    reps: dict[str, str] = {}  # class root -> its representative
-    for root, info in folded.classes.items():
-        members = sorted(info.columns if rename is None else [rename(c) for c in info.columns])
-        rep = reps[root] = members[0]
-        classes.append((rep, info))
-        for member in members[1:]:
+    by_root: dict[str, str] = {}  # class root -> its representative
+    for root, columns in members:
+        names = sorted(columns if rename is None else [rename(c) for c in columns])
+        rep = by_root[root] = names[0]
+        reps.append(rep)
+        for member in names[1:]:
             between.append((rep, "=", member))
-    for left, op, right in folded.general:
-        left, right = reps[left], reps[right]
+    for left, op, right in general:
+        left, right = by_root[left], by_root[right]
         if right < left:
             left, op, right = right, FLIPPED[op], left
         between.append((left, op, right))
-    return classes, between
+    return reps, between
+
+
+class FormPlan:
+    """The constant-free half of a canonical form, built once per query
+    shape (:func:`repro.caql.eval.core_plan`'s shape plan).
+
+    Built from the shape's template — its translation with every constant
+    a :class:`~repro.caql.eval.Slot` — it holds the fold's classes
+    (:class:`~repro.caql.implication.FoldPlan`) and, per candidate
+    occurrence order, everything the key says under it that no constant
+    changes, already rendered (:func:`_fragments`).  An ask (:meth:`bind`)
+    folds its constants into the classes, renders only their facts, and
+    takes the least key over the candidates — one, when no relation
+    occurs twice; which one wins otherwise depends on the constants.  A
+    shape with more same-relation permutations than
+    :data:`PERMUTATION_CAP` keeps no candidates: its order is refined
+    from each ask's fold, as :func:`_build` does.
+    """
+
+    __slots__ = ("fold", "occurrences", "slots", "candidates")
+
+    def __init__(self, template: PSJQuery):
+        fold = self.fold = FoldPlan(template.conditions)
+        occurrences = self.occurrences = template.occurrences
+        #: The projection as the key renders it: a column's name, or the
+        #: slot index of a pinned answer constant.
+        projection = [
+            entry.value.index if isinstance(entry, ConstProj) else entry
+            for entry in template.projection
+        ]
+        self.slots = tuple(entry for entry in projection if type(entry) is int)
+        orders = _permutations(occurrences)
+        self.candidates = None if orders is None else tuple(
+            (tuple(order), _fragments(fold.members, fold.general, occurrences, projection, order))
+            for order in orders
+        )
+
+    def bind(self, values: list, projection: tuple, unsatisfiable: bool) -> CanonicalForm:
+        """The form of the shape's query with slot ``i`` bound to
+        ``values[i]`` — ``projection`` is that query's — identical, key
+        and fold, to what :func:`_build` makes of it."""
+        folded = ConditionSet.from_plan(self.fold, values)
+        if self.candidates is None or unsatisfiable or not folded.satisfiable:
+            return _form(folded, self.occurrences, projection, unsatisfiable)
+        constants = None
+        if self.slots:
+            constants = {slot: f"const!{_encode_raw(values[slot])}" for slot in self.slots}
+        return _least(folded, self.candidates, constants)
 
 
 # -- occurrence ordering --------------------------------------------------------------
@@ -345,6 +360,13 @@ def _classes_under(
 
 def _candidate_orders(occurrences, folded: ConditionSet) -> list[list[int]]:
     """Occurrence orders to try: per-signature permutations, capped."""
+    return _permutations(occurrences) or [_refined_order(occurrences, folded)]
+
+
+def _permutations(occurrences) -> list[list[int]] | None:
+    """Every order that permutes occurrences within their ``(pred,
+    arity)`` group, groups in signature order — one order when no
+    signature repeats — or None past :data:`PERMUTATION_CAP`."""
     previous = None
     for occ in occurrences:  # in strictly ascending signature order: the one order
         if previous is not None and (previous.pred, previous.arity) >= (occ.pred, occ.arity):
@@ -352,21 +374,14 @@ def _candidate_orders(occurrences, folded: ConditionSet) -> list[list[int]]:
         previous = occ
     else:
         return [list(range(len(occurrences)))]
-    groups: dict[tuple[str, int], list[int]] = {}
-    for index, occ in enumerate(occurrences):
-        groups.setdefault((occ.pred, occ.arity), []).append(index)
-    signatures = sorted(groups)
-
+    groups = _signature_groups(occurrences)
     total = 1
-    for signature in signatures:
-        for k in range(2, len(groups[signature]) + 1):
+    for group in groups.values():
+        for k in range(2, len(group) + 1):
             total *= k
         if total > PERMUTATION_CAP:
-            break
-    if total > PERMUTATION_CAP:
-        return [_refined_order(occurrences, signatures, groups, folded)]
-
-    per_group = [itertools.permutations(groups[s]) for s in signatures]
+            return None
+    per_group = [itertools.permutations(groups[s]) for s in sorted(groups)]
     orders = []
     for combo in itertools.product(*per_group):
         order = [index for group in combo for index in group]
@@ -374,7 +389,15 @@ def _candidate_orders(occurrences, folded: ConditionSet) -> list[list[int]]:
     return orders
 
 
-def _refined_order(occurrences, signatures, groups, folded: ConditionSet) -> list[int]:
+def _signature_groups(occurrences) -> dict[tuple[str, int], list[int]]:
+    """Occurrence indexes by ``(pred, arity)``, in occurrence order."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for index, occ in enumerate(occurrences):
+        groups.setdefault((occ.pred, occ.arity), []).append(index)
+    return groups
+
+
+def _refined_order(occurrences, folded: ConditionSet) -> list[int]:
     """Deterministic fallback beyond the permutation cap.
 
     Occurrences are refined within their signature group by a
@@ -393,8 +416,9 @@ def _refined_order(occurrences, signatures, groups, folded: ConditionSet) -> lis
                     position = col.split(".c", 1)[1]
                     local.extend(f"c{position}{tail}" for tail in info.spelled)
         digests[index] = (tuple(sorted(local)), index)
+    groups = _signature_groups(occurrences)
     order: list[int] = []
-    for signature in signatures:
+    for signature in sorted(groups):
         order.extend(sorted(groups[signature], key=digests.__getitem__))
     return order
 
@@ -414,12 +438,16 @@ def _normalized_query(query, folded: ConditionSet, order) -> PSJQuery:
         for new, old in enumerate(order)
     )
 
-    classes, between = _classes_under(folded, lambda column: _map_column(column, mapping))
+    reps, between = _classes_under(
+        [(root, info.columns) for root, info in folded.classes.items()],
+        folded.general,
+        lambda column: _map_column(column, mapping),
+    )
     conditions: list[tuple[str, Comparison]] = [
         (f"{left} {op} {right}", Comparison(Col(left), op, Col(right)))
         for left, op, right in between
     ]
-    for rep, info in classes:
+    for rep, info in zip(reps, folded.classes.values()):
         for op, value in info.literals():
             value = canonical_constant(value)
             conditions.append(

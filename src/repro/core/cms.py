@@ -87,8 +87,9 @@ logger = logging.getLogger("repro.cms")
 # The front door is in this module, not beside ``ResultStream``, because
 # ``core_plan`` has to be resolved here: this module's binding is the one
 # the wall benchmark's probe table patches to bill translation to ``caql``.
-# A re-asked query object's translation is kept inside ``core_plan``, so
-# the probe still bills that table lookup to ``caql``, hit or miss.
+# A query's shape plan, and a re-asked object's carried translation, are
+# read inside ``core_plan``, so the probe bills binding a plan — the
+# canonical form included — and that dict probe to ``caql``.
 def answer_caql(q: CAQLQuery, query, answer_conjunctive) -> ResultStream:
     """The one CAQL front door every bridge answers through.
 
@@ -496,15 +497,15 @@ class CacheManagementSystem:
             self._archive.store(psj, result.to_extension())
 
         if plan.cache_result:
+            # The efficacy ledger records what deriving this answer
+            # actually cost in simulated time — the price a future reuse
+            # avoids re-paying; for a whole-query fetch, what the fetch
+            # cost, as its intermediate would have recorded it.
+            seconds = self.monitor.fetch_seconds
+            if seconds is None:
+                seconds = self.clock.now - derivation_started
             try:
-                # The efficacy ledger records what deriving this answer
-                # actually cost in simulated time — the price a future
-                # reuse avoids re-paying.
-                element = self.cache.store(
-                    psj,
-                    result,
-                    derivation_seconds=self.clock.now - derivation_started,
-                )
+                element = self.cache.store(psj, result, derivation_seconds=seconds)
             except CacheCapacityError:
                 return result
             self.cache.annotate(

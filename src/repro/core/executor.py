@@ -139,6 +139,10 @@ class ResultStream:
                 )
 
 
+#: How many functional checks of source elements the executor keeps (FIFO).
+FUNCTIONAL_CHECKS_KEPT = 64
+
+
 class _Record(NamedTuple):
     """What a produced part's rows answer, in query column space."""
 
@@ -202,6 +206,14 @@ class ExecutionMonitor:
         #: Consulted before every *unreduced* remote part fetch; a hit
         #: reuses another session's identical round trip.
         self.subplan_registry = subplan_registry
+        #: What the fetch answering the last plan cost, when that plan
+        #: shipped the whole query and its answer is to be stored (set
+        #: with intermediates on, None otherwise): the part is not offered
+        #: — the CMS stores the answer once, as its view, at this price.
+        self.fetch_seconds: float | None = None
+        #: ``(element id, key position)`` -> ``(the extension checked, key
+        #: -> first row, conflicted positions)``: :meth:`_functional_check`.
+        self._functional: dict[tuple[str, int], tuple[Relation, dict, set[int]]] = {}
 
     # -- cost helpers ----------------------------------------------------------------
     def charge_local(self, tuples: int) -> None:
@@ -229,6 +241,7 @@ class ExecutionMonitor:
         invalidated since planning raises :class:`StalePlanError` so the
         caller can replan against the current cache state.
         """
+        self.fetch_seconds = None
         elements = plan.cache_elements()
         if plan.epoch >= 0 and plan.epoch != self.cache.epoch:
             for element in elements:
@@ -341,7 +354,9 @@ class ExecutionMonitor:
         its IN-lists draw on what the parts before it produced.  An empty
         remote part, or an empty binding set, proves the conjunctive join
         empty: every later remote part is skipped with zero requests.  Each
-        remote part is offered to the cache as it is produced."""
+        remote part is offered to the cache as it is produced — but the one
+        part of a plan that ships the whole query and stores its answer:
+        that answer is stored once, by the CMS."""
         produced: list[_Produced] = []
         cache_parts = [p for p in plan.parts if isinstance(p, CachePart)]
         remote_parts = [p for p in plan.parts if isinstance(p, RemotePart)]
@@ -349,11 +364,12 @@ class ExecutionMonitor:
         while unbound < len(remote_parts) and not remote_parts[unbound].bind_columns:
             unbound += 1
         empty = False
+        offer = not (plan.cache_result and len(plan.parts) == unbound == 1)
 
         def run_remote(parts) -> None:
             nonlocal empty
             for part in parts:
-                produced.append(self._fetch_remote(part, produced, empty))
+                produced.append(self._fetch_remote(part, produced, empty, offer))
                 empty = empty or not len(produced[-1].relation)
 
         def run_cache() -> None:
@@ -430,6 +446,32 @@ class ExecutionMonitor:
             self.profile.remote_latency
             + len(relation) * self.profile.transfer_per_tuple
         )
+
+    def _functional_check(
+        self, element, extension: Relation, key_pos: int
+    ) -> tuple[dict, set[int]]:
+        """Which of ``extension``'s columns its column ``key_pos``
+        determines: each key value's first row, and the positions at
+        which two rows of one key disagree.  Charged as the pass over the
+        element it is; computed once per (element, key column) while the
+        element's extension is the same object (a bounded table)."""
+        self.charge_local(len(extension))  # the functional-check pass
+        slot = (element.element_id, key_pos)
+        kept = self._functional.get(slot)
+        if kept is not None and kept[0] is extension:
+            return kept[1], kept[2]
+        mapping: dict = {}
+        conflicted: set[int] = set()
+        for source_row in extension:
+            prior = mapping.setdefault(source_row[key_pos], source_row)
+            if prior is not source_row:
+                for position in range(len(source_row)):
+                    if prior[position] != source_row[position]:
+                        conflicted.add(position)
+        if len(self._functional) >= FUNCTIONAL_CHECKS_KEPT:
+            del self._functional[next(iter(self._functional))]
+        self._functional[slot] = (extension, mapping, conflicted)
+        return mapping, conflicted
 
     def _covered_definition(self, plan: QueryPlan, part: CachePart) -> _Record:
         """A cache part's record: the query occurrences its match covers,
@@ -523,7 +565,11 @@ class ExecutionMonitor:
             conditions = list(definition.conditions)
             lineage: list[str] = []
             widen_names: list[str] = []
-            widen_fns: list = []  # fetched row -> appended value
+            #: Per source, what each fetched row gains: ``(position of the
+            #: bound column, whether the row copies its value, the source
+            #: rows by binding value, the positions of the source columns
+            #: the value determines, those columns by binding value)``.
+            widenings: list[tuple[int, bool, dict, list[int], dict]] = []
             taken = set(projection)
             for spec, _index, source in sources:
                 if source is None:
@@ -535,56 +581,64 @@ class ExecutionMonitor:
                 if spec.remote_column not in projection:
                     continue
                 remote_pos = projection.index(spec.remote_column)
-                if spec.source_column not in taken:
-                    # The equality makes the source-side name a duplicate of
-                    # the fetched column, row for row.
+                # The equality makes the source-side name a duplicate of
+                # the fetched column, row for row.
+                copies = spec.source_column not in taken
+                if copies:
                     widen_names.append(spec.source_column)
-                    widen_fns.append(lambda row, p=remote_pos: row[p])
                     taken.add(spec.source_column)
-                if source.match is None:
-                    continue
+                mapping, positions = {}, []
                 # Join-determined source columns come from the source
                 # *element* (the produced part may already have projected
                 # them away).
-                column_map = dict(source.match.column_map)
+                column_map = dict(source.match.column_map) if source.match else {}
                 key_attr = column_map.get(spec.source_column)
-                if key_attr is None:
-                    continue
-                extension = source.match.element.extension()
-                key_pos = extension.schema.position(key_attr)
-                mapping: dict = {}
-                conflicted: set[int] = set()
-                for source_row in extension:
-                    prior = mapping.setdefault(source_row[key_pos], source_row)
-                    if prior is not source_row:
-                        for position in range(len(source_row)):
-                            if prior[position] != source_row[position]:
-                                conflicted.add(position)
-                self.charge_local(len(extension))  # the functional-check pass
-                for q_col, attr in column_map.items():
-                    if q_col in taken:
-                        continue
-                    position = extension.schema.position(attr)
-                    if position == key_pos or position in conflicted:
-                        continue
-                    widen_names.append(q_col)
-                    widen_fns.append(
-                        lambda row, m=mapping, rp=remote_pos, sp=position: m[row[rp]][sp]
+                if key_attr is not None:
+                    extension = source.match.element.extension()
+                    key_pos = extension.schema.position(key_attr)
+                    mapping, conflicted = self._functional_check(
+                        source.match.element, extension, key_pos
                     )
-                    taken.add(q_col)
+                    for q_col, attr in column_map.items():
+                        if q_col in taken:
+                            continue
+                        position = extension.schema.position(attr)
+                        if position == key_pos or position in conflicted:
+                            continue
+                        widen_names.append(q_col)
+                        positions.append(position)
+                        taken.add(q_col)
+                if copies or positions:
+                    widenings.append((remote_pos, copies, mapping, positions, {}))
             name = f"{definition.name}#semijoin"
             projection = tuple(projection) + tuple(widen_names)
             if widen_names:
+                rows = []
                 try:
-                    rows = [
-                        row + tuple([fn(row) for fn in widen_fns]) for row in relation
-                    ]
+                    for row in relation:
+                        for remote_pos, copies, mapping, positions, tails in widenings:
+                            value = row[remote_pos]
+                            if copies:
+                                row += (value,)
+                            if positions:
+                                # Built once per binding value.
+                                tail = tails.get(value)
+                                if tail is None:
+                                    source_row = mapping[value]
+                                    tail = tails[value] = tuple(
+                                        [source_row[p] for p in positions]
+                                    )
+                                row += tail
+                        rows.append(row)
                 except KeyError:
                     # A fetched value outside the binding source (should not
                     # happen — the IN-list came from it); widening would be
                     # guesswork, so register nothing.
                     return
-                stored = Relation(result_schema(name, len(projection)), rows)
+                # Distinct: the fetched rows are, and widening only appends.
+                stored = Relation.from_distinct_rows(
+                    result_schema(name, len(projection)), rows
+                )
             definition = PSJQuery(
                 name, tuple(occurrences), _distinct_conditions(conditions), projection
             )
@@ -604,13 +658,14 @@ class ExecutionMonitor:
 
     # -- the plan's remote parts ------------------------------------------------------
     def _fetch_remote(
-        self, part: RemotePart, produced: list[_Produced], empty: bool
+        self, part: RemotePart, produced: list[_Produced], empty: bool, offer: bool
     ) -> _Produced:
         """Fetch one remote part: a concurrent session's identical round
         trip if the MQO registry holds one, else a fetch reduced by the
         bindings its specs draw from ``produced`` (a column bound twice
-        ships the intersection), published to the registry and offered to
-        the cache.
+        ships the intersection), published to the registry and, with
+        ``offer``, offered to the cache — without, its cost is kept in
+        :attr:`fetch_seconds` where an offer would have registered it.
 
         When an earlier remote part came back ``empty``, or a binding set
         is empty, the combine-stage join is provably empty: the round trip
@@ -646,7 +701,11 @@ class ExecutionMonitor:
         started = self.clock.now
         relation = self.rdi.fetch(part.sub_query, bindings=bindings or None)
         self._publish_subplan(part, relation)
-        self._offer(relation, part.sub_query, self.clock.now - started, sources)
+        seconds = self.clock.now - started
+        if offer:
+            self._offer(relation, part.sub_query, seconds, sources)
+        elif self.cache_intermediates and part.sub_query.projection:
+            self.fetch_seconds = seconds or self._remote_part_estimate(relation)
         return _Produced(label_part(relation, part.columns, label), record)
 
     def _short_circuit(self, part: RemotePart, columns: list[str]) -> Relation:

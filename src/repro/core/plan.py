@@ -75,7 +75,11 @@ def needed_columns(query: PSJQuery, tags: frozenset[str]) -> list[str]:
 def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
     """The component of ``query`` over ``tags`` as a self-contained PSJ
     query: conditions entirely inside the part are pushed down, the
-    projection is narrowed to :func:`needed_columns`."""
+    projection is narrowed to :func:`needed_columns`.
+
+    A component that is the whole query under another name (every
+    occurrence, every condition, the same projection) carries the
+    query's canonical form, which reads none of what differs."""
     prefixes = tuple(tag + "." for tag in tags)
     occurrences = tuple(o for o in query.occurrences if o.tag in tags)
     conditions = tuple(
@@ -83,9 +87,17 @@ def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
         for c in query.conditions
         if c.columns() and all(col.startswith(prefixes) for col in c.columns())
     )
-    return PSJQuery(
-        name, occurrences, conditions, tuple(needed_columns(query, tags))
-    )
+    part = PSJQuery(name, occurrences, conditions, tuple(needed_columns(query, tags)))
+    form = query.__dict__.get("_canonical")
+    if (
+        form is not None
+        and not query.unsatisfiable
+        and len(occurrences) == len(query.occurrences)
+        and len(conditions) == len(query.conditions)
+        and part.projection == query.projection
+    ):
+        part.__dict__["_canonical"] = form
+    return part
 
 
 def label_part(rows, columns: tuple[str, ...], label: str) -> Relation:

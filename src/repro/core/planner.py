@@ -354,8 +354,8 @@ class QueryPlanner:
         the answer is kept in the definition's instance dict (as a
         ``PSJQuery`` keeps its canonical form), and every later call —
         one per prefetch candidate per query — returns the same object,
-        canonical form and all.  (A query's own translation is kept
-        apart, in ``caql.eval.core_plan``'s identity table.)"""
+        canonical form and all.  (A query's own translation is carried on
+        the query, by ``caql.eval.core_plan``.)"""
         view = self.advice.view(view_name)
         if view is None:
             return None

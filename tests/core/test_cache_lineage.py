@@ -108,53 +108,31 @@ class TestSignatureFollowsDefinition:
     INTERMEDIATE = "m(X, Z) :- b2(Y, Z), b1(X, Y), X >= 3"
     VIEW = "v(X, Z) :- b1(X, Y), b2(Y, Z), X >= 3"  # same key, tags swapped
 
-    def test_promotion_to_a_view_refreshes_the_signature(self):
+    def test_a_view_stored_over_an_intermediate_keeps_what_was_stored(self):
+        # A whole-query fetch is stored once, by the CMS, so a view never
+        # lands on its own fetch's intermediate; one stored over another
+        # intermediate of its key finds that element as it was stored.
         from repro.caql.implication import ContainmentSignature
-        from repro.core.subsumption import find_relevant
 
         cache = Cache()
         element = store(cache, self.INTERMEDIATE, kind="intermediate")
         before = element.signature
+        assert store(cache, self.VIEW) is element
+        assert element.kind == "intermediate" and element.definition.name == "m"
+        assert element.signature is before
         assert before == ContainmentSignature.of(make_psj(self.INTERMEDIATE))
-        promoted = store(cache, self.VIEW)
-        assert promoted is element and element.kind == "view"
-        assert element.definition.name == "v"
-        assert element.signature == ContainmentSignature.of(make_psj(self.VIEW))
-        assert element.signature != before
         cache.check_invariants()
-        # And the walk still derives a tighter query from it.
-        (match,) = find_relevant(
-            cache, make_psj("q(X, Z) :- b1(X, Y), b2(Y, Z), X >= 5")
-        )
-        assert match.is_full and match.element is element
-
-    def test_promotion_re_anchors_the_element_in_store_order(self):
-        # The view spells the intermediate's pins the other way round, so
-        # its anchor moves from b1's first argument to its second — into a
-        # bucket an element stored *later* already occupies.
-        from repro.caql.implication import ContainmentProbe
-        from repro.core.canonical import canonicalize
-
-        cache = Cache()
-        element = store(cache, "m(X, Y) :- b1(X, Y), X = 1, Y = 2", kind="intermediate")
-        later = store(cache, "w(X) :- b1(X, 2)")
-        promoted = store(cache, "v(X, Y) :- b1(X, Y), Y = 2, X = 1")
-        assert promoted is element and element.kind == "view"
-        cache.check_invariants()  # the rebuild compares bucket order too
-        query = make_psj("q(X) :- b1(X, 2), X > 0")
-        pins = ContainmentProbe(query, canonicalize(query).conditions).pins()
-        assert cache.elements_for_predicate("b1", pins) == [element, later]
 
     def test_a_definition_swapped_behind_the_signature_takes_its_own_along(self):
-        # The fault the audit used to catch — a definition replaced outside
-        # a promotion, leaving a stale stored signature — cannot be built
+        # The fault the audit used to catch — a definition replaced behind
+        # the cache's back, leaving a stale stored signature — cannot be built
         # any more: the signature is read off whatever definition is there.
         from repro.caql.implication import ContainmentSignature
 
         cache = Cache()
         element = store(cache, self.INTERMEDIATE, kind="intermediate")
         swapped = make_psj(self.VIEW)
-        element.definition = swapped  # not via a promotion
+        element.definition = swapped
         assert element.signature is ContainmentSignature.of(swapped)
         assert element.signature == ContainmentSignature.of(make_psj(self.VIEW))
         cache.check_invariants()

@@ -2,13 +2,15 @@
 
 Every op pays text -> PSJ -> canonical key -> exact lookup, so what these
 tests pin is *how often* each step runs, counted by wrapping the module
-attributes the steps are reached through: one translation and at most one
-memo lookup per query, no cold build for a query the memo has seen under
-other variable names, and a carried form that never leaks to a different
+attributes the steps are reached through: one translation per query
+shape, one shape-plan bind per fresh query object and none for a re-asked
+one, no cold build for a query whose shape was seen under other variable
+names and constants, and a carried form that never leaks to a different
 value.  Answers are the oracle's business (``tests/qa``); only the last
 class here looks at them.
 """
 
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -29,6 +31,7 @@ from repro.core.canonical import canonical_key, canonicalize
 from repro.core.cms import CacheManagementSystem
 from repro.core.plan import sub_query
 from repro.logic.builtins import BuiltinRegistry
+from repro.logic.terms import Const
 from repro.qa import CaseConfig, CaseGenerator
 from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation, relation_from_columns
@@ -57,13 +60,20 @@ def count(monkeypatch, *sites):
     return counter
 
 
+def count_binds(monkeypatch):
+    """A counter over ``ShapePlan.bind``: one per query bound from a plan."""
+    counter = Counter(eval_module.ShapePlan.bind)
+    monkeypatch.setattr(
+        eval_module.ShapePlan, "bind", lambda plan, *args: counter(plan, *args)
+    )
+    return counter
+
+
 @pytest.fixture(autouse=True)
-def cold_memo():
-    canonical.clear_cache()
-    eval_module.clear_translations()
+def cold_shapes():
+    eval_module._shapes.clear()
     yield
-    canonical.clear_cache()
-    eval_module.clear_translations()
+    eval_module._shapes.clear()
 
 
 def psj(text: str) -> PSJQuery:
@@ -88,7 +98,7 @@ class TestWarmedExactHit:
             (cms_module, "psj_from_literals"),
         )
         builds = count(monkeypatch, (canonical, "_build"))
-        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        binds = count_binds(monkeypatch)
         renders = count(monkeypatch, (psj_module, "_structural_key"))
 
         hits = cms.metrics.get(CACHE_HITS_EXACT)
@@ -96,9 +106,11 @@ class TestWarmedExactHit:
         assert cms.metrics.get(CACHE_HITS_EXACT) == hits + 1
         assert cms.last_plan is None  # an exact hit is read, never planned
         assert stream.fetch_all() == warm
-        assert translations.calls == 1
+        # The shape was translated once, by the miss; this ask binds it.
+        assert translations.calls == 0
+        assert len(eval_module._shapes) == 1
         assert builds.calls == 0
-        assert lookups.calls <= 1
+        assert binds.calls == 1
         # The stored definition rendered its structural key on its first
         # hit; from then on only the fresh query renders one.
         assert renders.calls == 1
@@ -194,8 +206,8 @@ class TestGeneralizedViewTranslatedOnce:
 
 
 class TestReaskedQueryObject:
-    """The IE re-asks one parsed object: ``core_plan`` keeps its translation
-    from the second ask on, so the PSJ and what it carries are reused."""
+    """The IE re-asks one parsed object: it carries its translation from
+    the second ask on, so the PSJ and what it carries are reused."""
 
     def test_ten_reasks_translate_once(self, monkeypatch):
         remote = RemoteDBMS()
@@ -212,61 +224,86 @@ class TestReaskedQueryObject:
             (eval_module, "psj_from_literals"),
             (cms_module, "psj_from_literals"),
         )
-        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        skeletons = count(monkeypatch, (eval_module, "_skeleton"))
+        binds = count_binds(monkeypatch)
         renders = count(monkeypatch, (psj_module, "_structural_key"))
         hits = cms.metrics.get(CACHE_HITS_EXACT)
         for _ in range(10):
             assert cms.query(query).fetch_all() == first
             assert cms.last_plan is None  # an exact hit is read, never planned
         assert cms.metrics.get(CACHE_HITS_EXACT) == hits + 10
-        # The first ask only recorded the object (a one-shot query keeps
-        # no PSJ alive); the second translated and kept it for the rest.
-        assert translations.calls == 1
-        assert lookups.calls <= 1
+        # The first ask only marked the object (a one-shot query keeps no
+        # PSJ alive); the second bound the shape's plan — translated by
+        # the first — and the object carries it for the rest.
+        assert translations.calls == 0
+        assert skeletons.calls == binds.calls == 1
         # The kept PSJ renders its key once, the stored element its own once.
         assert renders.calls <= 2
         assert core_plan(query, cms.builtins)[0] is core_plan(query, cms.builtins)[0]
 
     def test_one_shot_queries_leave_at_most_the_bound(self):
         registry = BuiltinRegistry()
-        bound = eval_module.TRANSLATION_BOUND
+        bound = eval_module.SHAPE_BOUND
+        # Each query its own shape: the relation names differ.
         queries = [
-            parse_query(f"d{i}(X) :- b0(X, Y), Y > {i}") for i in range(2 * bound)
+            parse_query(f"d{i}(X) :- b{i}(X, Y), Y > {i}") for i in range(2 * bound)
         ]
         for query in queries:
             core_plan(query, registry)
-        table = eval_module._translations
-        assert len(table) <= bound
-        assert all(entry[2] is None for entry in table.values())
-        for query in queries:  # every one asked twice: the FIFO still holds
-            core_plan(query, registry)
-            core_plan(query, registry)
-        assert len(table) <= bound
-        assert table[id(queries[-1])][2] is not None
-        del queries, query  # the table holds its queries weakly
-        assert all(entry[0]() is None for entry in table.values())
+        assert len(eval_module._shapes) == bound  # first in, first out
+        # A first ask leaves a mark, not its PSJ.
+        assert all(vars(query)["_core"][1] is None for query in queries)
+        for query in queries[-3:]:
+            kept = core_plan(query, registry)
+            assert vars(query)["_core"][1] is kept
+            assert core_plan(query, registry) is kept
+        # The table holds no query: plans are built from templates.
+        for plan in eval_module._shapes.values():
+            assert all(
+                not isinstance(value, type(queries[0]))
+                for value in (getattr(plan, name) for name in type(plan).__slots__)
+            )
 
 
 class TestReaskUnderFreshVariableNames:
     def test_genealogy_reask_builds_nothing(self, monkeypatch):
         system = BraidSystem.from_workload(genealogy())
-        builds = count(monkeypatch, (canonical, "_build"))
+        translations = count(monkeypatch, (eval_module, "_translate"))
+        asked: list = []  # every definition the cache keyed by a built form
+        real_build = canonical._build
+
+        def build(occurrences, conditions, projection, unsatisfiable):
+            asked.append(sys._getframe(3).f_locals.get("definition", None))
+            return real_build(occurrences, conditions, projection, unsatisfiable)
+
+        monkeypatch.setattr(canonical, "_build", build)
         first = system.ask_all("ancestor(p0, W)")
-        cold = builds.calls
+        cold = translations.calls
         assert 0 < cold <= 18
+        built = len(asked)
         # The IE renames apart on every resolution step, so the re-ask's
-        # CAQL queries differ from the first ask's in variable names only.
+        # CAQL queries differ from the first ask's in variable names only:
+        # every one binds a plan its shape already has.  The one form
+        # built is a prefetch's generalized view, translated per view
+        # definition (the re-ask's views are fresh objects).
         again = system.ask_all("ancestor(p0, W)")
-        assert builds.calls == cold
+        assert translations.calls == cold
+        (general,) = asked[built:]
+        assert general.name.endswith("__general")
         assert again == first
 
     def test_name_and_variable_names_are_not_in_the_memo_key(self, monkeypatch):
         builds = count(monkeypatch, (canonical, "_build"))
+        translations = count(monkeypatch, (eval_module, "_translate"))
         one = psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2")
-        other = psj("view9(U, W) :- b0(U, V), b1(V, W), U > 2")
+        other = psj("view9(U, W) :- b0(U, V), b1(V, W), U > 5")
         assert one != other and one.var_columns != other.var_columns
-        assert canonical_key(one) == canonical_key(other)
-        assert builds.calls == 1
+        assert canonical_key(one) != canonical_key(other)
+        again = psj("view9(U, W) :- b0(U, V), b1(V, W), U > 2")
+        assert canonical_key(one) == canonical_key(again)
+        # One shape: translated once, and no form built from scratch.
+        assert translations.calls == 1 and len(eval_module._shapes) == 1
+        assert builds.calls == 0
 
 
 class TestTheCarryNeverCrossesValues:
@@ -285,6 +322,11 @@ class TestTheCarryNeverCrossesValues:
             assert vars(derived).keys() == {f.name for f in fields(PSJQuery)}
             assert canonicalize(derived).key != form.key
             assert derived.canonical_key() != structural
+        # The whole query under another name (a one-backend remote part)
+        # reads nothing of what differs, so it carries the query's form.
+        whole = sub_query(query, frozenset({"t0", "t1"}), "d0__rest")
+        assert canonicalize(whole) is form
+        canonical.audit_canonical(whole)
         # ... and the carried form is invisible to value semantics.
         assert query == psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2")
         assert hash(query) == hash(psj("d0(X, Y) :- b0(X, Z), b1(Z, Y), X > 2"))
@@ -306,7 +348,7 @@ class TestTheCarryNeverCrossesValues:
         assert builds.calls == 4
 
     def test_unhashable_constant_takes_the_fallback(self, monkeypatch):
-        lookups = count(monkeypatch, (canonical, "_canonicalize_cached"))
+        builds = count(monkeypatch, (canonical, "_build"))
         base = psj("d0(X) :- b0(X, Y)")
         listed = replace(
             base, conditions=(Comparison(Col("t0.c0"), "=", Lit([1, 2])),)
@@ -314,7 +356,19 @@ class TestTheCarryNeverCrossesValues:
         form = canonicalize(listed)
         assert "t0.c0 = list![1, 2]" in form.key[2]
         assert canonicalize(listed) is form  # carried all the same
-        assert lookups.calls == 1
+        assert builds.calls == 1
+        # Nothing in a shape plan hashes a constant: a CAQL query with an
+        # unhashable one binds like any other.
+        registry = BuiltinRegistry()
+        query = parse_query("d0(X) :- b0(X, Y), Y = 1")
+        query = replace(
+            query,
+            literals=query.literals[:1]
+            + (replace(query.literals[1], args=(query.literals[1].args[0], Const([1, 2]))),),
+        )
+        bound = core_plan(query, registry)[0]
+        assert bound == eval_module._translate(query, registry)[0]
+        assert canonical.audit_canonical(bound) == canonicalize(bound).key
 
 
 class TestTheAuditChecksTheCarriedFold:
@@ -341,9 +395,9 @@ class TestTheAuditChecksTheCarriedFold:
         one, other = self.spellings()
         cache = Cache()
         rows = Relation(result_schema(one.name, one.arity))
-        element = cache.store(one, rows, kind="intermediate")
-        assert cache.store(other, rows) is element  # promoted: redefined
-        assert element.definition is other
+        element = cache.store(one, rows)
+        assert cache.store(other, rows) is element  # one key, one element
+        element.definition = other  # redefined by hand: the cache never does
         cache.check_invariants()  # the adopted spelling carries its own fold
         vars(other)["_canonical"] = canonicalize(one)
         with pytest.raises(InvariantViolation, match="carried fold of d0"):

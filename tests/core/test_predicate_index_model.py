@@ -6,14 +6,15 @@ the predicate's unpinned ones.  With no pins, ``elements_for_predicate``
 merges every bucket of the predicate back into store order by epoch; with
 pins, it merges only the buckets those pins could reach.  A concatenation
 of the buckets would look right whenever a predicate has one bucket, so
-the operations below interleave pinned and unpinned elements, move anchors
-by promotion, and retire elements every way the cache can:
+the operations below interleave pinned and unpinned elements, re-store
+under other spellings, and retire elements every way the cache can:
 
 * store (as a view or as an intermediate), possibly under a key already
-  held — a re-store, which promotes an intermediate to the new spelling;
-* re-store under an alpha-equivalent spelling (a promotion: atoms and
-  comparisons reversed, variables renamed, ``1``/``1.0`` respelled — the
-  anchor may move to another slot or another spelling of the constant);
+  held — a re-store, which keeps the element as it was stored;
+* re-store under an alpha-equivalent spelling (atoms and comparisons
+  reversed, variables renamed, ``1``/``1.0`` respelled — a spelling whose
+  anchor would sit at another slot or under another spelling of the
+  constant): the element keeps its definition, and so its anchor;
 * discard;
 * pin, then discard (the element is condemned), then unpin (reclaimed);
 * clear.
@@ -96,7 +97,7 @@ OPERATIONS = st.lists(
         STORE,
         STORE,
         STORE,
-        st.tuples(st.just("promote"), st.integers(0, 20)),
+        st.tuples(st.just("respell"), st.integers(0, 20)),
         st.tuples(st.just("discard"), st.integers(0, 20)),
         st.tuples(st.just("pin-discard-unpin"), st.integers(0, 20)),
         st.tuples(st.just("clear")),
@@ -157,23 +158,21 @@ def test_the_one_index_follows_the_reference_list(operations, drawn_pins):
                 live.append(element)
                 # A head variable shared by two atoms projects whichever
                 # column its spelling names first, and the canonical key
-                # keeps that choice: such a pair is no promotion.
+                # keeps that choice: such a pair is no respelling.
                 if key_of(other) == key_of(psj):
                     respelling[element.element_id] = other
             else:
                 assert element is held
-                promoted = element_kind == "view" and before[1] == "intermediate"
-                assert element.definition is (psj if promoted else before[0])
-        elif kind == "promote":
-            intermediates = [
-                e for e in live if e.kind == "intermediate" and e.element_id in respelling
-            ]
-            if not intermediates:
+                assert (element.definition, element.kind) == before
+        elif kind == "respell":
+            respelled = [e for e in live if e.element_id in respelling]
+            if not respelled:
                 continue
-            element = intermediates[operation[1] % len(intermediates)]
+            element = respelled[operation[1] % len(respelled)]
+            before = (element.definition, element.kind)
             other = respelling[element.element_id]
             assert cache.store(other, relation_for(other)) is element
-            assert element.kind == "view" and element.definition is other
+            assert (element.definition, element.kind) == before
         elif kind == "discard":
             if not live:
                 continue

@@ -17,7 +17,6 @@ from repro.relational.relation import Relation
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
 from repro.caql.implication import ConditionSet, ContainmentProbe
 from repro.caql.parser import parse_query
-from repro.core import canonical
 from repro.core.cache import Cache
 from repro.core.subsumption import (
     derive_full,
@@ -385,15 +384,20 @@ class TestFoldCount:
 
     @classmethod
     def folds_over_a_drill_stream(cls, monkeypatch, views):
-        canonical.clear_cache()
         sites = []
         real = ConditionSet.__init__
+        real_from_plan = ConditionSet.from_plan.__func__
 
         def counting(self, conditions):
             sites.append(sys._getframe(1).f_code.co_name)
             real(self, conditions)
 
+        def counting_from_plan(klass, plan, values):
+            sites.append(sys._getframe(1).f_code.co_name)
+            return real_from_plan(klass, plan, values)
+
         monkeypatch.setattr(ConditionSet, "__init__", counting)
+        monkeypatch.setattr(ConditionSet, "from_plan", classmethod(counting_from_plan))
         cache = Cache()
         for n in range(views):
             psj = make_psj(f"w{n}(X, Y) :- b2(X, Y), X < {1000 + n}")
@@ -415,9 +419,10 @@ class TestFoldCount:
         # Stored views plus drills; nothing per probe, candidate or mapping.
         assert len(few) == 2 + self.DRILLS
         assert len(many) == 9 + self.DRILLS
-        # ... and every one of them in the canonicalizer's ``_build``: none
-        # in ``ContainmentProbe.__init__``, none in ``match_element``.
-        assert set(few) == set(many) == {"_build"}
+        # ... and every one of them the canonicalizer's — the fold a
+        # shape plan binds (``FormPlan.bind``) — none in
+        # ``ContainmentProbe.__init__``, none in ``match_element``.
+        assert set(few) == set(many) == {"bind"}
 
 
 class TestLazyDerivation:

@@ -29,7 +29,10 @@ RESULTS = "benchmarks/results"
 
 PARITY = {
     ("trace", f"{RESULTS}/E14.trace.jsonl"): "310dde5564144d8692ea9a989107469cadca67a26645c418102dabf8a6847540",
-    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "21049f38b6d18f3814ed0d6c15ebf420422bee63274dfa7243016f8341568885",
+    # Refrozen when a whole-query fetch became one store: one answer's two
+    # eviction events now sit on its ``cms.query`` span, where the CMS
+    # stores it after the combine, not on ``executor.execute``; same victims.
+    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "b8ba7491e472fe7870b979a5ee0f33432102f4bd69cdcc8653279f7e199c9f0a",
     ("trace", f"{RESULTS}/E15.trace.jsonl"): "5287e8a0cbec3a875d9f84d7155b895c6e50058d3c91e7a152deb09b4ad3aac9",
     ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "ac1725fb6d4d82158e862b5d6b02df9807ed334e101fd26947fc209bc6fd6fd8",
     ("trace", f"{RESULTS}/E16.trace.jsonl"): "1817a6112ada558caebc7a91b63070b583411173921e9bf67632960024042fc3",
@@ -40,7 +43,9 @@ PARITY = {
     ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
     ("trace", f"{RESULTS}/E20.trace.jsonl"): "328adebce7da96f6d5048b4cfc0fb28ed4bafac57c4bb6c6237e257053e7a115",
     ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "45b8af3cd544d403e14efd6fc2f9bdbdf091c437d3d84b3980f827764937d15e",
-    ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "779511a7bf19b710b15d360dca321bcfff38feba9526db59b7019a3054e2cd78",
+    # Refrozen when a whole-query fetch became one store: the artifact's
+    # ``cache.intermediate_stores`` deltas are gone, nothing else moved.
+    ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "084fce8663c7e10164ffd27c3cf46fd6a484ff82ff29830a1135189b148f7edd",
     ("lineage", f"{RESULTS}/E21.json"): "509674e209fb3b04a0a8d355a6c23a2417283ecbbc28b7ee16f8c69eec60ed8f",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",

@@ -16,7 +16,6 @@ key, so the canonical tier serves one query's cached rows for the other.
 import pytest
 
 import repro.caql.implication as implication_module
-import repro.core.canonical as canonical_module
 from repro.caql.implication import _fold_upper as real_fold_upper
 from repro.qa import CaseConfig, CaseGenerator, case_failure, run_case, shrink
 
@@ -36,15 +35,12 @@ def _conjunct_dropping_fold_upper(interval, value, strict):
 @pytest.fixture
 def planted_bug(monkeypatch):
     # Patch the module attribute: the fold resolves its seam at call
-    # time.  Forms built with the real seam linger in the canonicalizer's
-    # memo (and on query objects, but every run parses fresh ones), so
-    # clear it on the way in and — the mutant's rows — on the way out.
+    # time.  Shape plans hold no folded facts — every ask folds its own
+    # constants — and every run parses fresh query objects, so no form
+    # built with the real seam lingers.
     monkeypatch.setattr(
         implication_module, "_fold_upper", _conjunct_dropping_fold_upper
     )
-    canonical_module.clear_cache()
-    yield
-    canonical_module.clear_cache()
 
 
 def _failing_case():
@@ -81,5 +77,4 @@ class TestPlantedCanonicalBugIsCaught:
     def test_clean_again_once_the_bug_is_fixed(self, planted_bug, monkeypatch):
         case = _failing_case()
         monkeypatch.setattr(implication_module, "_fold_upper", real_fold_upper)
-        canonical_module.clear_cache()
         assert case_failure(case) is None

@@ -50,8 +50,8 @@ def _first_order_only():
     under and reuses them for every later order of the same fold."""
     first: dict[int, tuple] = {}  # id(fold) -> (fold, its first key)
 
-    def key(folded, occurrences, projection, order):
-        rendered = real_key(folded, occurrences, projection, order)
+    def key(folded, fragments, constants):
+        rendered = real_key(folded, fragments, constants)
         kept = first.setdefault(id(folded), (folded, rendered))[1]
         return rendered[:2] + (kept[2],) + rendered[3:]
 
@@ -66,9 +66,6 @@ def tagged_occurrences(monkeypatch):
 @pytest.fixture
 def first_order_only(monkeypatch):
     monkeypatch.setattr(canonical_module, "_key", _first_order_only())
-    canonical_module.clear_cache()
-    yield
-    canonical_module.clear_cache()
 
 
 # -- the hand cases ------------------------------------------------------------------

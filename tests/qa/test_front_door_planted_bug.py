@@ -1,21 +1,25 @@
-"""Acceptance: a planted canonicalizer-memo bug is caught, twice over.
+"""Acceptance: a planted shape-plan bug is caught, twice over.
 
 Companion of ``test_canonical_planted_bug`` (a wrong *fold*) and
 ``test_signature_planted_bug`` (a wrong *prefilter*), for the shortcut in
-front of ``canonical._build``: the memo is keyed on what ``_build`` reads,
-not on the whole query, so leaving out one thing it does read hands a
-query the form that was built for another.
+front of ``canonical._build``: a query bound from its shape's plan gets a
+canonical form assembled from fragments rendered once per shape, and
+rendering a fragment once that an ask changes hands a query the key of
+another.
 
-The mutant leaves out ``projection``: two queries that differ only in
-their answer columns share a row, the second is indexed under the first's
-key, and the cache serves it the first's rows.  ``QueryPlanner.audit``
-(``audit_canonical``: carried/memoised form vs a from-scratch ``_build``)
-stops it at the first such pair, before any row is served; with the audit
-taken out, the ``healthy`` differential profile still kills it on rows.
+The mutant renders the class facts once per plan: two queries of one
+shape that differ only in their constants get one key, the second is
+indexed under the first's, and the cache serves it the first's rows.  ``QueryPlanner.audit`` (``audit_canonical``: carried form vs a
+from-scratch ``_build``) stops it at the first such pair, before any row
+is served; with the audit taken out, the ``healthy`` differential profile
+still kills it on rows.
 """
+
+from dataclasses import replace
 
 import pytest
 
+import repro.caql.eval as eval_module
 import repro.core.cache as cache_module
 import repro.core.canonical as canonical_module
 import repro.core.planner as planner_module
@@ -36,23 +40,30 @@ from repro.remote.server import RemoteDBMS
 
 CORPUS = 40  # well inside the CI smoke's 150 healthy cases
 
-real_memo = canonical_module._canonicalize_cached
+real_bind = canonical_module.FormPlan.bind
 
 
-def projection_blind_memo(occurrences, conditions, projection, unsatisfiable, spelled):
-    """``_canonicalize_cached`` with ``projection`` left out of its key."""
-    rows = canonical_module._memo
-    key = (spelled, unsatisfiable)
-    if key not in rows:
-        rows[key] = canonical_module._build(
-            occurrences, conditions, projection, unsatisfiable
-        )
-    return rows[key]
+def facts_once_bind(plan, values, projection, unsatisfiable):
+    """``FormPlan.bind`` whose key keeps the rendered conditions of the
+    plan's first ask."""
+    form = real_bind(plan, values, projection, unsatisfiable)
+    if form.unsatisfiable:
+        return form
+    first = plan.__dict__.setdefault("first_facts", form.key[2])
+    return replace(form, key=form.key[:2] + (first,) + form.key[3:])
+
+
+class _Mutable(canonical_module.FormPlan):
+    """``FormPlan`` with an instance dict, for the mutant's memory."""
 
 
 @pytest.fixture
 def planted_bug(monkeypatch):
-    monkeypatch.setattr(canonical_module, "_canonicalize_cached", projection_blind_memo)
+    monkeypatch.setattr(canonical_module, "FormPlan", _Mutable)
+    monkeypatch.setattr(_Mutable, "bind", facts_once_bind)
+    eval_module._shapes.clear()
+    yield
+    eval_module._shapes.clear()
 
 
 @pytest.fixture
@@ -64,10 +75,10 @@ def audits_off(monkeypatch):
 
 
 def failure(case):
-    """``case_failure`` as a fresh process would see it: a memo row left by
+    """``case_failure`` as a fresh process would see it: a plan left by
     an earlier case (or an earlier shrink step) must not be what fails —
     the repro has to fail on its own when replayed."""
-    canonical_module.clear_cache()
+    eval_module._shapes.clear()
     return case_failure(case)
 
 
@@ -75,7 +86,7 @@ def _failing_case():
     for case in CaseGenerator(0, CaseConfig()).corpus(CORPUS):
         if failure(case) is not None:
             return case
-    pytest.fail("planted memo-key bug escaped the healthy corpus")
+    pytest.fail("planted shape-plan bug escaped the healthy corpus")
 
 
 class TestPlantedMemoKeyBugIsCaught:
@@ -85,16 +96,16 @@ class TestPlantedMemoKeyBugIsCaught:
         cms = CacheManagementSystem(remote)
         cms.begin_session()
         cms.planner.audit = True
-        assert cms.query(parse_query("d0(X) :- b0(X, Y)")).fetch_all() == [(1,), (2,)]
+        assert cms.query(parse_query("d0(X) :- b0(X, Y), Y > 5")).fetch_all() == [(1,), (2,)]
         with pytest.raises(InvariantViolation, match="canonical form of d1"):
-            cms.query(parse_query("d1(Y) :- b0(X, Y)"))
+            cms.query(parse_query("d1(X) :- b0(X, Y), Y > 15"))
         # The audit is all that stands between the mutant and wrong rows.
         cms.planner.audit = False
-        assert cms.query(parse_query("d1(Y) :- b0(X, Y)")).fetch_all() == [(1,), (2,)]
+        assert cms.query(parse_query("d1(X) :- b0(X, Y), Y > 15")).fetch_all() == [(1,), (2,)]
 
     def test_detected_by_the_audit_under_the_differential_runner(self, planted_bug):
         case = _failing_case()
-        canonical_module.clear_cache()
+        eval_module._shapes.clear()
         report = run_case(case)
         assert report.failed
         assert {d.kind for d in report.divergences} == {"unexpected-error"}
@@ -118,10 +129,10 @@ class TestPlantedMemoKeyBugIsCaught:
         assert "wrong-rows" in result.reason
         path = tmp_path / "repro-front-door.json"
         write_repro(str(path), result.case, reason=result.reason)
-        canonical_module.clear_cache()
+        eval_module._shapes.clear()
         assert replay(str(path)).failed
 
     def test_clean_again_once_the_bug_is_fixed(self, planted_bug, monkeypatch):
         case = _failing_case()
-        monkeypatch.setattr(canonical_module, "_canonicalize_cached", real_memo)
+        monkeypatch.setattr(_Mutable, "bind", real_bind)
         assert failure(case) is None

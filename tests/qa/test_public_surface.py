@@ -26,8 +26,6 @@ TRAFFIC = ("src", "benchmarks", "examples")
 ALLOWED = {
     "advance": "SimClock.advance: how tests (and E-series set-ups) move simulated time by hand",
     "case_from_relations": "test seam: lets property suites hand the differential runner a case built from their own relations",
-    "clear_cache": "test seam: planted-bug tests that patch the fold seam must drop the canonicalizer's memo",
-    "clear_translations": "test seam: tests that count translations must drop core_plan's table",
     "close_session": "BraidServer's session teardown (pins released, admission slots returned): API no workload exercises yet",
     "generator_from_rows": "test seam: a GeneratorRelation over a fixed row list",
     "parse_query_pattern": "text front end of cms.query_pattern (ROADMAP item 5 builds on it)",

@@ -1,22 +1,24 @@
-"""Acceptance: the translation table in front of ``core_plan`` answers
-like a fresh parse, and a planted bug in it is caught.
+"""Acceptance: the shape table in front of ``_translate`` answers like a
+fresh parse, and a planted bug in it is caught.
 
-``core_plan`` keeps a re-asked query object's translation, checked against
-the builtin registry's signatures: which literals are evaluable is the one
-thing the split reads from the registry.  The mutant, ``signature_blind``,
-leaves that check out, so a builtin registered after an object's second
-ask is never split off — the object keeps being answered as a join with a
-remote table of the same name.  The differential fuzzer cannot see it (its
-cases register no builtins), so it is killed here twice: by a re-ask that
-must answer like a fresh parse, and by the property that memoised
-``core_plan`` equals a from-scratch translation over the ``CaseGenerator``
-corpus, with and without an extra builtin.
+``core_plan`` translates a query once per shape — its skeleton, read
+with the builtin registry's signatures, because which literals are
+evaluable is the one thing the split reads from the registry — and a
+re-asked object carries its translation under those signatures.  The
+mutant, ``signature_blind``, reads the signatures as they were when
+nothing was registered, so a builtin registered after an object's second
+ask is never split off: the object, and every query of its shape, keeps
+being answered as a join with a remote table of the same name.  The
+differential fuzzer cannot see it (its cases register no builtins), so
+it is killed here twice: by a re-ask that must answer like a fresh
+parse, and by the property that ``core_plan`` — its PSJ and the
+canonical form the PSJ carries — equals a from-scratch translation and
+canonicalization over the ``CaseGenerator`` corpus, with and without an
+extra builtin.
 
 The oracle (``evaluate_conjunctive``) translates from scratch, so a wrong
 entry corrupts the CMS but not the answer it is compared with.
 """
-
-from weakref import ref
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -27,6 +29,7 @@ import repro.core.cms as cms_module
 from repro.caql.eval import evaluate_conjunctive
 from repro.caql.parser import parse_query
 from repro.common.errors import BraidError
+from repro.core.canonical import audit_canonical, canonicalize
 from repro.core.cms import CacheManagementSystem
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Const, Var
@@ -34,6 +37,7 @@ from repro.qa import CaseConfig, CaseGenerator
 from repro.relational.relation import relation_from_columns
 from repro.remote.server import RemoteDBMS
 
+real_core_plan = eval_module.core_plan
 real_translate = eval_module._translate
 
 QUERY = "q(X, Y) :- b0(X, Z), double(Z, Y)"
@@ -41,27 +45,32 @@ QUERY = "q(X, Y) :- b0(X, Z), double(Z, Y)"
 
 @pytest.fixture(autouse=True)
 def cold_table():
-    eval_module.clear_translations()
+    eval_module._shapes.clear()
     yield
-    eval_module.clear_translations()
+    eval_module._shapes.clear()
+
+
+class _Unregistered:
+    """A registry as ``signature_blind`` sees it: live evaluators, but the
+    signatures of a registry nothing was ever registered in."""
+
+    signatures = BuiltinRegistry().signatures
+
+    def __init__(self, registry):
+        self._registry = registry
+
+    def __getattr__(self, name):
+        return getattr(self._registry, name)
 
 
 def signature_blind(query, registry):
-    """``core_plan`` whose hit never looks at the registry's signatures."""
-    table = eval_module._translations
-    entry = table.get(id(query))
-    if entry is not None and entry[0]() is query:
-        if entry[2] is None:
-            kept = real_translate(query, registry)
-            table[id(query)] = (entry[0], registry.signatures, kept)
-        return table[id(query)][2]
-    table[id(query)] = (ref(query), registry.signatures, None)
-    return real_translate(query, registry)
+    """``core_plan`` whose carry and shape key never see a registration."""
+    return real_core_plan(query, _Unregistered(registry))
 
 
 def plant(query, registry, translation):
-    """Put ``translation`` in ``query``'s table entry, as kept."""
-    eval_module._translations[id(query)] = (ref(query), registry.signatures, translation)
+    """Carry ``translation`` on ``query``, as a second ask leaves it."""
+    vars(query)["_core"] = (registry.signatures, translation)
 
 
 def _signature_blind(monkeypatch):
@@ -117,11 +126,16 @@ CORPUS = [
 
 
 def outcome(translate, query, registry):
-    """``translate``'s result, or the type of the error it raised."""
+    """``translate``'s result and its PSJ's canonical key, or the type of
+    the error it raised.  The key is checked against a from-scratch build
+    (:func:`audit_canonical`: key and fold), so a carried form that is
+    not the PSJ's own raises."""
     try:
-        return translate(query, registry)
+        psj, core_vars, evaluable = translate(query, registry)
     except BraidError as error:
         return type(error)
+    audit_canonical(psj)
+    return psj, psj.var_columns, core_vars, evaluable, canonicalize(psj).key
 
 
 def check_memo_matches_fresh(query, asks, extra):
@@ -132,13 +146,13 @@ def check_memo_matches_fresh(query, asks, extra):
     for _ in range(asks):
         assert outcome(eval_module.core_plan, query, registry) == outcome(
             real_translate, query, registry
-        )
+        ), f"planned translation of {query} is not a fresh one's"
     if extra is not None:
         registry.register(*extra, double)
     for _ in range(asks):
         assert outcome(eval_module.core_plan, query, registry) == outcome(
             real_translate, query, registry
-        ), f"memoised translation of {query} is not a fresh one's after registering {extra}"
+        ), f"planned translation of {query} is not a fresh one's after registering {extra}"
 
 
 @st.composite
@@ -161,8 +175,9 @@ class TestRegisteredAfterTheSecondAsk:
     def test_killed_signature_blind(self, monkeypatch):
         _signature_blind(monkeypatch)
         reask, fresh = reask_after_registering()
-        assert sorted(reask) == [(1, 99), (2, 98)]  # still the join
-        assert reask != fresh
+        # Still the join: the re-asked object, and a fresh parse too, whose
+        # shape finds the plan built before ``double/2`` was registered.
+        assert sorted(reask) == sorted(fresh) == [(1, 99), (2, 98)]
 
 
 class TestTheOracleTranslatesFromScratch:
@@ -205,6 +220,7 @@ PROPERTY = settings(
 @PROPERTY
 @given(memo_cases())
 def test_memoised_core_plan_equals_a_fresh_translation(case):
+    # "Memoised" is the shape table now: every ask of a planned shape binds.
     check_memo_matches_fresh(*case)
 
 
@@ -216,5 +232,5 @@ def test_the_property_kills_signature_blind(monkeypatch):
     def memo_matches_fresh(case):
         check_memo_matches_fresh(*case)
 
-    with pytest.raises(AssertionError, match="is not a fresh one's"):
+    with pytest.raises(AssertionError, match="is not a fresh one's after registering"):
         memo_matches_fresh()
