@@ -13,8 +13,13 @@ The tracing layer's contract is twofold:
 Both are asserted here on the E2 caching workload (a seeded
 repeated-selection stream against the genealogy database).  Determinism
 is asserted too: two same-seed traced runs export byte-identical JSONL
-with matching SHA-256 fingerprints.  What tracing costs in wall time is
-measured by ``benchmarks/wall`` (``obs.tracer_overhead_ratio``), not here.
+with matching SHA-256 fingerprints.  So is conservation: the
+trace-driven profiler partitions each query's simulated time into phases
+by self-time, so a query's phases sum to its span duration exactly, and
+— the clock moving only inside ``cms.query`` in this sequential session —
+the profile total is the run's simulated seconds.  What tracing costs in
+wall time is measured by ``benchmarks/wall``
+(``obs.tracer_overhead_ratio``), not here.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cms import CacheManagementSystem
-from repro.obs import Tracer
+from repro.obs import Tracer, profile_trace
 from repro.remote.server import RemoteDBMS
 from repro.workloads.genealogy import genealogy
 from repro.workloads.queries import StreamSpec, repeated_selection_stream
@@ -114,3 +119,20 @@ def test_same_seed_traces_are_byte_identical(traced):
     again = run_session(traced=True)
     assert again["trace_jsonl"] == traced["trace_jsonl"]
     assert again["fingerprint"] == traced["fingerprint"]
+
+
+# -- the profiler -------------------------------------------------------------------
+def test_profiler_phases_sum_to_query_durations(traced):
+    profile = profile_trace(traced["trace_jsonl"])
+    assert len(profile.queries) == LENGTH
+    for query in profile.queries:
+        assert sum(query.phases.values()) == pytest.approx(
+            query.duration, abs=1e-9
+        )
+
+
+def test_profiler_total_is_the_simulated_run(traced):
+    profile = profile_trace(traced["trace_jsonl"])
+    assert profile.total_seconds == pytest.approx(
+        traced["simulated_seconds"], abs=1e-9
+    )

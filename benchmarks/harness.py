@@ -67,18 +67,12 @@ def record(
     table: str,
     notes: str = "",
     data: dict | None = None,
-    telemetry=None,
 ) -> None:
     """Persist an experiment's table and print it (visible with -s).
 
     ``data`` is the machine-readable form of the same results: it is
     written by :func:`repro.obs.export.canonical_json` (byte-identical
     across same-seed runs) to ``results/<experiment>.json``.
-
-    ``telemetry`` is an attached :class:`repro.obs.MetricsSampler` (or its
-    JSONL text); when given, the series lands canonically at
-    ``results/<experiment>.telemetry.jsonl`` — byte-identical across
-    same-seed runs, like the trace artifacts.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     body = f"{experiment}: {title}\n\n{table}\n"
@@ -88,9 +82,6 @@ def record(
     if data is not None:
         document = {"experiment": experiment, "title": title, "results": data}
         (RESULTS_DIR / f"{experiment}.json").write_text(canonical_json(document) + "\n")
-    if telemetry is not None:
-        series = telemetry if isinstance(telemetry, str) else telemetry.to_jsonl()
-        (RESULTS_DIR / f"{experiment}.telemetry.jsonl").write_text(series)
     print(f"\n{body}")
 
 

@@ -4,7 +4,6 @@ Usage::
 
     PYTHONPATH=src python -m repro trace benchmarks/results/E16.trace.jsonl
     PYTHONPATH=src python -m repro trace --demo --events
-    PYTHONPATH=src python -m repro metrics benchmarks/results/E20.telemetry.jsonl
     PYTHONPATH=src python -m repro lineage benchmarks/results/E21.json
     PYTHONPATH=src python -m repro profile --top 5 benchmarks/results/E19.trace.jsonl
     PYTHONPATH=src python -m repro fuzz --profile federated --cases 75 --check-determinism
@@ -12,7 +11,6 @@ Usage::
 
 Argument parsing and dispatch only: each artifact format is read and
 rendered by the module that writes it (:mod:`repro.obs.export` for traces,
-:mod:`repro.obs.telemetry` for telemetry series,
 :mod:`repro.core.cache_model` for cache reports, :mod:`repro.qa` for fuzz
 reports and repro files).
 
@@ -31,7 +29,6 @@ import time
 from repro.core.cache_model import render_lineage
 from repro.obs.export import render_trace
 from repro.obs.profile import profile_trace
-from repro.obs.telemetry import render_series
 from repro.qa import (
     CaseConfig,
     CaseGenerator,
@@ -88,10 +85,9 @@ def _trace(args) -> int:
     return 0
 
 
-def _render(args) -> int:
-    """``metrics`` and ``lineage``: a header naming the file, then its rendering."""
-    rendered = _load(args.path, args.render)
-    print(f"{args.header}: {args.path}")
+def _lineage(args) -> int:
+    rendered = _load(args.path, render_lineage)
+    print(f"lineage: {args.path}")
     print(rendered)
     return 0
 
@@ -203,15 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.set_defaults(run=_trace)
 
-    metrics = commands.add_parser("metrics", help="render a telemetry series")
-    metrics.add_argument("path", help="a .telemetry.jsonl file")
-    metrics.set_defaults(run=_render, render=render_series, header="telemetry")
-
     lineage = commands.add_parser(
         "lineage", help="render a cache report as a derivation-lineage forest"
     )
     lineage.add_argument("path", help="a cache report JSON, or a result file embedding one")
-    lineage.set_defaults(run=_render, render=render_lineage, header="lineage")
+    lineage.set_defaults(run=_lineage)
 
     profile = commands.add_parser(
         "profile", parents=[trace_input], help="attribute a trace's simulated time to phases"

@@ -14,62 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
-class Histogram:
-    """A value distribution: raw observations plus summary statistics.
-
-    Counters answer "how much in total"; histograms answer "how was it
-    distributed" — per-query latencies, tuples shipped per request,
-    element sizes at eviction.  Observations are kept in arrival order
-    (deterministic), and summaries are computed on demand from a sorted
-    copy, so recording stays O(1) per observation.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: list[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the observations (p in [0, 100])."""
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-        return ordered[int(rank) - 1]
-
-    def summary(self) -> dict[str, float]:
-        """Count, total, min/mean/max, and p50/p90/p99 (zeros when empty)."""
-        if not self.values:
-            return {
-                "count": 0, "total": 0.0, "min": 0.0, "mean": 0.0,
-                "max": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
-            }
-        return {
-            "count": len(self.values),
-            "total": self.total,
-            "min": min(self.values),
-            "mean": self.total / len(self.values),
-            "max": max(self.values),
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram(count={self.count}, total={self.total:.6g})"
-
-
 def format_value(value: float) -> str:
     """Render a counter value: integer-valued floats print as integers
     (counters are floats, so ``1.0`` would otherwise print where ``1`` is
@@ -83,13 +27,12 @@ def format_value(value: float) -> str:
 
 @dataclass
 class Metrics:
-    """A hierarchical counter/histogram/gauge ledger.
+    """A hierarchical counter/gauge ledger.
 
     Counters are named with dotted paths (``"remote.requests"``,
     ``"cache.hits.subsumed"``).  Components only ever increment counters;
-    reports aggregate by prefix.  Histograms (:meth:`observe`) record
-    distributions next to the counters, and :meth:`gauge_max` keeps
-    high-water marks (queue depths, in-flight peaks).
+    reports aggregate by prefix.  :meth:`gauge_max` keeps high-water marks
+    (queue depths, in-flight peaks) next to the counters.
 
     A ledger can be subdivided into named child **scopes** (one per server
     session, say): a scope is itself a ``Metrics`` whose increments also
@@ -103,9 +46,6 @@ class Metrics:
     scope_name: str = ""
     parent: "Metrics | None" = field(default=None, repr=False, compare=False)
     _children: dict[str, "Metrics"] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    histograms: dict[str, Histogram] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -126,24 +66,6 @@ class Metrics:
             self.counters[name] = value
         if self.parent is not None:
             self.parent.gauge_max(name, value)
-
-    # -- histograms ----------------------------------------------------------------
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into histogram ``name`` (created on first
-        use).  Like counters, observations propagate to ancestor scopes."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        histogram.observe(value)
-        if self.parent is not None:
-            self.parent.observe(name, value)
-
-    def histogram_summaries(self) -> dict[str, dict[str, float]]:
-        """Summary statistics for every histogram, sorted by name."""
-        return {
-            name: self.histograms[name].summary()
-            for name in sorted(self.histograms)
-        }
 
     # -- scopes --------------------------------------------------------------
     def scope(self, name: str) -> "Metrics":
@@ -217,11 +139,10 @@ class Metrics:
         """Audit the ledger (cheap, read-only, recursive over scopes).
 
         Raises :class:`~repro.common.errors.InvariantViolation` on any
-        negative or non-finite counter, a histogram whose bookkeeping
-        disagrees with its observations, or a child scope whose parent
-        pointer does not lead back here.  Counters only ever grow and
-        observations are plain appends, so none of these can happen
-        without a bug in the component doing the recording.
+        negative or non-finite counter, or a child scope whose parent
+        pointer does not lead back here.  Counters only ever grow, so
+        neither can happen without a bug in the component doing the
+        recording.
 
         Note there is no parent-equals-sum-of-children check: high-water
         gauges (:meth:`gauge_max`) keep the *max* over scopes, and a
@@ -242,13 +163,6 @@ class Metrics:
                 raise InvariantViolation(
                     f"metrics {where}: counter {name!r} is negative ({value})"
                 )
-        for name, histogram in self.histograms.items():
-            for value in histogram.values:
-                if not math.isfinite(value):
-                    raise InvariantViolation(
-                        f"metrics {where}: histogram {name!r} holds a "
-                        f"non-finite observation ({value})"
-                    )
         for name, child in self._children.items():
             if child.parent is not self:
                 raise InvariantViolation(
@@ -328,15 +242,3 @@ SERVER_SESSION_INFLIGHT_HIGH_WATER = "server.session_inflight_high_water"
 #: efficacy ledger's aggregate; per-element shares in
 #: :func:`repro.core.cache_model.cache_report`).
 CACHE_SAVED_SECONDS = "cache.saved_seconds"
-#: Sliding-window SLO transitions into breach (see :mod:`repro.obs.slo`).
-SLO_BREACHES = "slo.breaches"
-
-#: Counter names with this suffix are high-water gauges: absolute values,
-#: not accumulating totals.  The telemetry sampler reports them as levels
-#: rather than per-interval deltas.
-GAUGE_SUFFIX = "_high_water"
-
-# Canonical histogram names (recorded with :meth:`Metrics.observe`).
-H_QUERY_SIM_SECONDS = "cms.query_sim_seconds"
-H_REMOTE_TUPLES_PER_REQUEST = "remote.tuples_per_request"
-H_EVICTED_ELEMENT_BYTES = "cache.evicted_element_bytes"

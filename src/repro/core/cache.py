@@ -30,7 +30,6 @@ from repro.common.metrics import (
     CACHE_INTERMEDIATE_STORES,
     CACHE_PIN_DEFERRALS,
     CACHE_SAVED_SECONDS,
-    H_EVICTED_ELEMENT_BYTES,
     Metrics,
 )
 from repro.relational.generator import GeneratorRelation
@@ -474,7 +473,6 @@ class Cache:
             victim_bytes = victim.estimated_bytes()
             self.replacement.evict(victim)
             self.metrics.incr(CACHE_EVICTIONS)
-            self.metrics.observe(H_EVICTED_ELEMENT_BYTES, victim_bytes)
             self.tracer.event(
                 "cache.evict",
                 element=victim.element_id,

@@ -41,7 +41,6 @@ from repro.common.metrics import (
     CACHE_MISSES,
     CACHE_PREFETCHES,
     CACHE_STALE_REPLANS,
-    H_QUERY_SIM_SECONDS,
     IE_CAQL_QUERIES,
     REMOTE_DEGRADED_ANSWERS,
     Metrics,
@@ -319,10 +318,8 @@ class CacheManagementSystem:
         """Execute a CAQL query; returns a result stream.
 
         Every call (nested sub-queries of aggregates/quantifiers included)
-        is traced as a ``cms.query`` span and its simulated latency lands
-        in the :data:`~repro.common.metrics.H_QUERY_SIM_SECONDS` histogram
-        — latency recording is unconditional, tracing costs nothing when
-        the tracer is disabled.
+        is traced as a ``cms.query`` span, which carries its simulated
+        start and end; tracing costs nothing when the tracer is disabled.
         """
         view = getattr(q, "name", None) or getattr(
             getattr(q, "base", None), "name", type(q).__name__
@@ -330,9 +327,7 @@ class CacheManagementSystem:
         with self.tracer.span(
             "cms.query", view=view, session=self.metrics.scope_name
         ) as span:
-            start = self.clock.now
             stream = answer_caql(q, self.query, self._answer_conjunctive)
-            self.metrics.observe(H_QUERY_SIM_SECONDS, self.clock.now - start)
             if self.tracer.enabled:
                 span.set("degraded", stream.degraded)
                 span.set("lazy", stream.lazy)

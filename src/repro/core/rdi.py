@@ -33,7 +33,6 @@ from repro.common.errors import (
     UnknownRelationError,
 )
 from repro.common.metrics import (
-    H_REMOTE_TUPLES_PER_REQUEST,
     REMOTE_RETRIES,
     REMOTE_SEMIJOIN_REQUESTS,
     REMOTE_TIMEOUTS,
@@ -198,7 +197,6 @@ class RemoteInterface:
             rows, _schema = self._resilient(
                 lambda: self._attempt_fetch(translation.query)
             )
-            self._server.metrics.observe(H_REMOTE_TUPLES_PER_REQUEST, len(rows))
             span.set("tuples", len(rows))
             if in_lists:
                 span.set("semijoin", True)
@@ -230,7 +228,6 @@ class RemoteInterface:
             )
             relations: list[Relation] = []
             for translation, (rows, _schema) in zip(translations, results):
-                self._server.metrics.observe(H_REMOTE_TUPLES_PER_REQUEST, len(rows))
                 relations.append(translation.rebuild(rows))
             span.set("tuples", sum(len(r) for r in relations))
             return relations
@@ -245,7 +242,6 @@ class RemoteInterface:
             rows, schema = self._resilient(
                 lambda: self._attempt_fetch(FetchTableQuery(table))
             )
-            self._server.metrics.observe(H_REMOTE_TUPLES_PER_REQUEST, len(rows))
             span.set("tuples", len(rows))
         # Results are exposed under positional attribute names, matching
         # how PSJ queries address base relations.

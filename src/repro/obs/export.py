@@ -1,7 +1,7 @@
 """Canonical JSON, and the span-trace JSONL format: writer, reader, renderer.
 
-Every fingerprinted artifact — traces, telemetry series, experiment
-results, fuzz reports and repro files — is written by
+Every fingerprinted artifact — traces, experiment results, fuzz
+reports and repro files — is written by
 :func:`canonical_json`: sorted keys, fixed separators, no
 ``NaN``/``Infinity``, and nothing derived from wall time or object
 identity.  Two same-seed runs therefore export byte-identical artifacts,

@@ -20,9 +20,9 @@ compute   everything charged directly inside ``cms.query`` (residue
 Attribution is an **exact partition**: each span's *self time* is its
 duration minus the summed durations of its children, assigned to the
 span's phase; children recurse.  The per-phase totals of one query
-therefore sum to the query span's duration — which equals the
-``cms.query_sim_seconds`` histogram observation for that query — to
-float tolerance, with nothing double-counted and nothing dropped.
+therefore sum to the query span's duration — the simulated seconds
+that query took — to float tolerance, with nothing double-counted and
+nothing dropped.
 
 Two span shapes need care:
 

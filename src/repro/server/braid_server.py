@@ -48,8 +48,6 @@ from repro.common.metrics import (
 )
 from repro.advice.language import AdviceSet
 from repro.caql.ast import CAQLQuery
-from repro.obs.slo import SLOMonitor, SLOPolicy
-from repro.obs.telemetry import MetricsSampler
 from repro.obs.tracer import Tracer
 from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
@@ -73,11 +71,6 @@ class ServerConfig:
     #: Collect a full span trace of every request's lifecycle.  Off by
     #: default: the disabled tracer makes every hook a no-op.
     tracing: bool = False
-    #: Sample the metrics ledger every this many simulated seconds
-    #: (None disables telemetry; sampling never advances the clock).
-    telemetry_interval: float | None = None
-    #: Per-session latency objectives; None disables SLO monitoring.
-    slo: SLOPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.scheduler_policy not in POLICIES:
@@ -164,20 +157,6 @@ class BraidServer:
             self.config.scheduler_seed
         )
         self.schedule_trace: list[StepRecord] = []
-        #: Fixed-cadence ledger sampler; read-only over metrics, so it can
-        #: never perturb the simulation (E16's invariant extends to it).
-        self.telemetry: MetricsSampler | None = (
-            MetricsSampler(
-                self.metrics, self.clock, self.config.telemetry_interval
-            )
-            if self.config.telemetry_interval is not None
-            else None
-        )
-        self.slo_monitor: SLOMonitor | None = (
-            SLOMonitor(self.config.slo, self.clock, self.metrics, tracer)
-            if self.config.slo is not None
-            else None
-        )
 
     # -- session lifecycle --------------------------------------------------------
     def open_session(
@@ -246,8 +225,6 @@ class BraidServer:
             else:
                 self._drain(session, request)
         self.metrics.incr(SERVER_SCHEDULER_STEPS)
-        if self.telemetry is not None:
-            self.telemetry.maybe_sample()
         self.schedule_trace.append(
             StepRecord(
                 index=len(self.schedule_trace),
@@ -311,8 +288,6 @@ class BraidServer:
         session.completed.append(request)
         self.admission.release()
         self.metrics.incr(SERVER_REQUESTS_COMPLETED)
-        if self.slo_monitor is not None and error is None:
-            self.slo_monitor.observe(session.name, request.latency)
 
     # -- reproducibility artifacts --------------------------------------------------
     def schedule_lines(self) -> list[str]:
@@ -334,18 +309,6 @@ class BraidServer:
     def trace_fingerprint(self) -> str:
         """SHA-256 over the span trace, the schedule-fingerprint analogue."""
         return self.tracer.fingerprint()
-
-    def telemetry_jsonl(self) -> str:
-        """The telemetry series in canonical JSONL ("" when sampling is off)."""
-        return self.telemetry.to_jsonl() if self.telemetry is not None else ""
-
-    def telemetry_fingerprint(self) -> str:
-        """SHA-256 over the telemetry series ("" when sampling is off)."""
-        return self.telemetry.fingerprint() if self.telemetry is not None else ""
-
-    def slo_report(self) -> dict[str, dict[str, float]]:
-        """Per-session SLO window statistics ({} when monitoring is off)."""
-        return self.slo_monitor.report() if self.slo_monitor is not None else {}
 
     def session_results_snapshot(self) -> dict[str, list[tuple]]:
         """Canonical per-session results, for byte-identical comparisons."""

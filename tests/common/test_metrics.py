@@ -204,52 +204,3 @@ class TestGauges:
         assert root.scope("bob").get("g") == 5
         assert root.get("g") == 5  # not 8
 
-
-class TestHistograms:
-    def test_observe_creates_on_first_use(self):
-        m = Metrics()
-        assert "lat" not in m.histograms
-        m.observe("lat", 0.5)
-        assert m.histograms["lat"].count == 1
-
-    def test_summary_statistics(self):
-        m = Metrics()
-        for value in [1, 2, 3, 4, 5]:
-            m.observe("lat", value)
-        summary = m.histograms["lat"].summary()
-        assert summary["count"] == 5
-        assert summary["total"] == 15
-        assert summary["min"] == 1
-        assert summary["max"] == 5
-        assert summary["mean"] == 3
-        assert summary["p50"] == 3
-
-    def test_nearest_rank_percentiles(self):
-        m = Metrics()
-        for value in range(1, 101):
-            m.observe("lat", value)
-        h = m.histograms["lat"]
-        assert h.percentile(50) == 50
-        assert h.percentile(90) == 90
-        assert h.percentile(99) == 99
-        assert h.percentile(100) == 100
-
-    def test_empty_histogram_summary_is_zeros(self):
-        from repro.common.metrics import Histogram
-
-        summary = Histogram().summary()
-        assert summary["count"] == 0
-        assert summary["p99"] == 0.0
-
-    def test_observations_propagate_to_ancestor_scopes(self):
-        root = Metrics()
-        root.scope("alice").observe("lat", 1.0)
-        root.scope("bob").observe("lat", 3.0)
-        assert root.histograms["lat"].count == 2
-        assert root.scope("alice").histograms["lat"].count == 1
-
-    def test_histogram_summaries_sorted_by_name(self):
-        m = Metrics()
-        m.observe("z", 1)
-        m.observe("a", 2)
-        assert list(m.histogram_summaries()) == ["a", "z"]

@@ -1,14 +1,9 @@
-"""The trace and telemetry renderers behind ``python -m repro trace`` and
-``python -m repro metrics``: root detection on truncated traces, zero-span
-tolerance, and the telemetry rendering."""
+"""The trace renderer behind ``python -m repro trace``: root detection on
+truncated traces and zero-span tolerance."""
 
 import json
 
-import pytest
-
-from repro.__main__ import main
 from repro.obs.export import load_trace, render_trace, render_tree
-from repro.obs.telemetry import render_series
 
 
 def span_line(span_id, name, start, end, parent=None) -> str:
@@ -51,56 +46,3 @@ class TestRootDetection:
         assert render_trace("") == "(empty trace)"
         assert render_trace("\n\n") == "(empty trace)"
 
-
-class TestMetricsRendering:
-    def series(self) -> str:
-        header = {
-            "series": "telemetry",
-            "version": 1,
-            "interval": 0.5,
-            "scope": "",
-        }
-        sample = {
-            "sample": 0,
-            "t": 0.5,
-            "due": 0.5,
-            "label": "",
-            "deltas": {"remote.requests": 3},
-            "gauges": {"server.queue_depth_high_water": 2},
-            "histograms": {
-                "cms.query_sim_seconds": {
-                    "count": 3,
-                    "p50": 0.1,
-                    "p99": 0.2,
-                    "max": 0.2,
-                }
-            },
-            "scopes": {"alice": {"deltas": {"remote.requests": 2}, "gauges": {}}},
-        }
-        return json.dumps(header) + "\n" + json.dumps(sample) + "\n"
-
-    def test_renders_deltas_gauges_scopes_and_histograms(self):
-        text = render_series(self.series())
-        assert "interval=0.5s" in text
-        assert "remote.requests" in text
-        assert "server.queue_depth_high_water" in text
-        assert "scope alice" in text
-        assert "cms.query_sim_seconds" in text
-        assert "p99=0.200000" in text
-
-    def test_rejects_non_telemetry_input(self):
-        with pytest.raises(ValueError):
-            render_series('{"not": "telemetry"}\n')
-
-    def test_empty_series_is_tolerated(self):
-        assert render_series("") == "(empty telemetry series)"
-
-    def test_cli_metrics_mode(self, tmp_path, capsys):
-        path = tmp_path / "series.telemetry.jsonl"
-        path.write_text(self.series())
-        assert main(["metrics", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "remote.requests" in out
-
-    def test_cli_metrics_mode_missing_file(self, capsys):
-        assert main(["metrics", "/nonexistent/x.jsonl"]) == 2

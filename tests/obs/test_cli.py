@@ -4,15 +4,14 @@ Output parity: each digest below is the SHA-256 of what the command prints
 for a committed artifact, recorded when these renderers were four separate
 scripts; the one CLI must print the same bytes.  E14's and E21's were
 refrozen once, when the artifacts themselves moved (replacement became
-GreedyDual) and the renderers did not.  Every trace digest, E20's
-metrics and both profiles were refrozen again when the traces moved: an
-exact hit lost its planner and executor spans (the profile's phase totals
-are unchanged; its subsumption match counts lost the rationale-only
-probes), and an eager answer its drain step.  The E15, E17 and E20
-traces, E20's profiles and E21's lineage were refrozen once more when an
+GreedyDual) and the renderers did not.  Every trace digest and E19's
+profiles were refrozen again when the traces moved: an exact hit lost
+its planner and executor spans, and an eager answer its drain step.  The
+E15 and E17 traces and E21's lineage were refrozen once more when an
 eager derived answer stopped being stored (the new code prints the old
-digests for the old artifacts).  Paths are relative to the checkout
-root because the trace, metrics and lineage headers echo them.
+digests for the old artifacts).  E15's profiles pin the profiler on a
+multi-session server trace.  Paths are relative to the checkout root
+because the trace and lineage headers echo them.
 """
 
 import hashlib
@@ -41,16 +40,11 @@ PARITY = {
     ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "544e074b3601baca91463753475d7c3a5103bac0011ba2b35ecbe35b014bd9e2",
     ("trace", f"{RESULTS}/E19.trace.jsonl"): "76c4982fc87c5e5d5a633acd0a2c18adc529e3815321aa1a42d81e4cf78d8c58",
     ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
-    ("trace", f"{RESULTS}/E20.trace.jsonl"): "328adebce7da96f6d5048b4cfc0fb28ed4bafac57c4bb6c6237e257053e7a115",
-    ("trace", "--events", f"{RESULTS}/E20.trace.jsonl"): "45b8af3cd544d403e14efd6fc2f9bdbdf091c437d3d84b3980f827764937d15e",
-    # Refrozen when a whole-query fetch became one store: the artifact's
-    # ``cache.intermediate_stores`` deltas are gone, nothing else moved.
-    ("metrics", f"{RESULTS}/E20.telemetry.jsonl"): "084fce8663c7e10164ffd27c3cf46fd6a484ff82ff29830a1135189b148f7edd",
     ("lineage", f"{RESULTS}/E21.json"): "509674e209fb3b04a0a8d355a6c23a2417283ecbbc28b7ee16f8c69eec60ed8f",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",
-    ("profile", f"{RESULTS}/E20.trace.jsonl"): "d2426b96d6a51e63fba9c7453b342422e4b0e498c5cf45952ffa24ed141df08c",
-    ("profile", "--json", f"{RESULTS}/E20.trace.jsonl"): "d0cbc3771e0ee34ea42e05c0c03158e9e4425317e2b407a37172c1f835579600",
+    ("profile", f"{RESULTS}/E15.trace.jsonl"): "fff7fd88f4a5ec5348b670b94050651b35a85562d6d44272f51e6b85d519b258",
+    ("profile", "--json", f"{RESULTS}/E15.trace.jsonl"): "5118d1c81e788619d4f176c7c7cd7714ae54696895e190a32adb45db6af8cf98",
 }
 
 
@@ -68,12 +62,12 @@ def test_output_matches_the_recorded_digest(argv, capsys, monkeypatch):
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["trace", "metrics", "lineage", "profile"])
+    @pytest.mark.parametrize("command", ["trace", "lineage", "profile"])
     def test_a_missing_file_exits_2(self, command, capsys):
         assert main([command, "/nonexistent/artifact.jsonl"]) == 2
         assert "artifact.jsonl" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["trace", "metrics", "lineage", "profile"])
+    @pytest.mark.parametrize("command", ["trace", "lineage", "profile"])
     def test_a_malformed_line_exits_2(self, command, capsys, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"span": 1, "name": "cms.query"}\n{not json\n')

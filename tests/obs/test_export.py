@@ -14,8 +14,8 @@ from repro.obs.export import canonical_json
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 RESULT_FILES = sorted(RESULTS.glob("E*.json"))
-#: What one experiment may write: its table, its data, a trace, a telemetry series.
-ARTIFACT = re.compile(r"E\d+\.(txt|json|trace\.jsonl|telemetry\.jsonl)")
+#: What one experiment may write: its table, its data, a trace.
+ARTIFACT = re.compile(r"E\d+\.(txt|json|trace\.jsonl)")
 
 
 def sample_tracer() -> Tracer:

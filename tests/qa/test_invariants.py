@@ -279,7 +279,6 @@ class TestMetricsInvariants:
     def test_healthy_ledger_passes(self):
         metrics = Metrics()
         metrics.incr("remote.requests")
-        metrics.observe("latency", 1.5)
         metrics.scope("session").incr("cache.hits")
         metrics.check_invariants()
 
@@ -292,13 +291,6 @@ class TestMetricsInvariants:
     def test_non_finite_counter(self):
         metrics = Metrics()
         metrics.counters["x"] = float("inf")
-        with pytest.raises(InvariantViolation, match="non-finite"):
-            metrics.check_invariants()
-
-    def test_non_finite_observation(self):
-        metrics = Metrics()
-        metrics.observe("h", 1.0)
-        metrics.histograms["h"].values.append(float("nan"))
         with pytest.raises(InvariantViolation, match="non-finite"):
             metrics.check_invariants()
 

@@ -125,7 +125,6 @@ SETTABLE_SURFACES = {
     "server/admission.py": ("AdmissionController.__init__",),
     "core/cms.py": ("CMSFeatures", "CacheManagementSystem.__init__"),
     "remote/faults.py": ("RetryPolicy", "FaultPolicy"),
-    "obs/slo.py": ("SLOPolicy",),
     "federation/bootstrap.py": (
         "BackendSpec",
         "Federation.cms",
