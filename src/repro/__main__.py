@@ -4,15 +4,13 @@ Usage::
 
     PYTHONPATH=src python -m repro trace benchmarks/results/E16.trace.jsonl
     PYTHONPATH=src python -m repro trace --demo --events
-    PYTHONPATH=src python -m repro lineage benchmarks/results/E21.json
     PYTHONPATH=src python -m repro profile --top 5 benchmarks/results/E19.trace.jsonl
     PYTHONPATH=src python -m repro fuzz --profile federated --cases 75 --check-determinism
     PYTHONPATH=src python -m repro fuzz --replay .qa-repros/repro-c17.json
 
 Argument parsing and dispatch only: each artifact format is read and
 rendered by the module that writes it (:mod:`repro.obs.export` for traces,
-:mod:`repro.core.cache_model` for cache reports, :mod:`repro.qa` for fuzz
-reports and repro files).
+:mod:`repro.qa` for fuzz reports and repro files).
 
 Exit status: 0 on success; 1 when ``fuzz`` finds a failing case; 2 on a
 usage error or an input file that cannot be read or parsed.
@@ -26,7 +24,6 @@ import os
 import sys
 import time
 
-from repro.core.cache_model import render_lineage
 from repro.obs.export import render_trace
 from repro.obs.profile import profile_trace
 from repro.qa import (
@@ -81,13 +78,6 @@ def _trace(args) -> int:
     else:
         rendered = _load(args.path, lambda text: render_trace(text, args.events))
         print(f"trace: {args.path}")
-    print(rendered)
-    return 0
-
-
-def _lineage(args) -> int:
-    rendered = _load(args.path, render_lineage)
-    print(f"lineage: {args.path}")
     print(rendered)
     return 0
 
@@ -198,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", action="store_true", help="also print span events (and orphan events)"
     )
     trace.set_defaults(run=_trace)
-
-    lineage = commands.add_parser(
-        "lineage", help="render a cache report as a derivation-lineage forest"
-    )
-    lineage.add_argument("path", help="a cache report JSON, or a result file embedding one")
-    lineage.set_defaults(run=_lineage)
 
     profile = commands.add_parser(
         "profile", parents=[trace_input], help="attribute a trace's simulated time to phases"

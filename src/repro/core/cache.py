@@ -40,10 +40,6 @@ from repro.caql.psj import PSJQuery
 from repro.core.canonical import audit_canonical, canonical_key
 from repro.core.replacement import GreedyDual
 
-#: Fraction of a reuse event credited to each derivation-ancestor level:
-#: a hit on a derived element warms its parents at this share, its
-#: grandparents at the share squared, and so on (see ``touch``).
-ANCESTOR_SHARE = 0.5
 #: How many remote answers the :class:`StaleArchive` keeps (FIFO beyond it).
 ARCHIVE_ELEMENTS = 64
 
@@ -80,24 +76,17 @@ class CacheElement:
     #: What the advice predicted at store time: True = reuse expected,
     #: False = expendable (no reuse expected), None = advice was silent.
     advice_expected_reuse: bool | None = None
-    # -- derivation lineage (operator-level intermediates) ----------------
+    # -- kind, and the reuse predictor ------------------------------------
     #: "view" for whole query results (a fetched or hybrid answer, or a
     #: lazy derived one; an eager derived answer is not stored);
     #: "intermediate" for the remote parts a plan fetched, plain or
     #: semijoin-reduced.
     kind: str = "view"
-    #: Element ids of the inputs this element was derived from (empty for
-    #: base fetches).  Lineage is advisory metadata: a parent may be
-    #: evicted before its children — the child's stored relation is
-    #: self-contained — but never while a descendant is pinned.
-    parents: tuple[str, ...] = ()
     #: The operator that produced this element ("remote-fetch",
     #: "semijoin-fetch", "" = view).
     operator: str = ""
-    #: Longest parent chain below this element (0 for roots).
-    depth: int = 0
-    #: Observed uses: 1 per touch, plus the shares ancestor warming credits
-    #: (the reuse predictor's measured half; see ``replacement.value``).
+    #: Observed uses, 1 per touch (the reuse predictor's measured half;
+    #: see ``replacement.value``).
     reuse_frequency: float = 0.0
     #: Advice half of the reuse predictor: 1.0 neutral, raised when advice
     #: expects reuse, zeroed for expendable elements.
@@ -271,10 +260,6 @@ class Cache:
         #: Per predicate, the elements with no anchor, in store order.
         self._unpinned: dict[str, dict[str, None]] = {}
         self._by_key: dict[tuple, str] = {}
-        #: Derivation DAG, parent id -> child ids in insertion order (an
-        #: inner dict, not a set, for the same determinism reason as the
-        #: predicate index).  Only live parent/child pairs are kept.
-        self._children: dict[str, dict[str, None]] = {}
         self._clock = itertools.count(1)
         self._ids = itertools.count(1)
         #: The victim order: every live element's GreedyDual priority.
@@ -302,24 +287,17 @@ class Cache:
         use: str | None = None,
         derivation_seconds: float = 0.0,
         kind: str = "view",
-        parents: tuple[str, ...] = (),
         operator: str = "",
     ) -> CacheElement:
         """Insert a new element (evicting as needed); returns it.
 
-        If an element with a structurally identical definition exists, it
-        is reused (Section 5.2: "the CMS is able to use a single instance
-        of the relation in the cache ... to represent more than one of
-        these uses").  ``derivation_seconds`` seeds the efficacy ledger of
-        a *newly created* element only — an existing element keeps the
-        cost it was actually derived at, and likewise keeps its original
-        kind and lineage.
-
-        ``kind``/``parents``/``operator`` record derivation lineage for
-        operator-level intermediates: ``parents`` are ids of live elements
-        this one was computed from (ids of already-retired elements are
-        dropped — the DAG only ever points at live ancestors, which also
-        makes cycles impossible by construction).
+        If an element with the same canonical key (:func:`key_of`) exists,
+        it is reused (Section 5.2: "the CMS is able to use a single
+        instance of the relation in the cache ... to represent more than
+        one of these uses").  ``derivation_seconds`` seeds the efficacy
+        ledger of a *newly created* element only — an existing element
+        keeps the cost it was actually derived at, and likewise keeps its
+        original ``kind`` and ``operator``.
         """
         key = key_of(definition)
         existing_id = self._by_key.get(key)
@@ -337,14 +315,6 @@ class Cache:
 
         self.epoch += 1
         now = self.clock.now
-        live_parents = [
-            p for p in dict.fromkeys(parents) if p in self._elements
-        ]
-        depth = (
-            1 + max(self._elements[p].depth for p in live_parents)
-            if live_parents
-            else 0
-        )
         element = CacheElement(
             element_id=f"E{next(self._ids)}",
             definition=definition,
@@ -355,27 +325,18 @@ class Cache:
             last_used_at=now,
             derivation_seconds=max(derivation_seconds, 0.0),
             kind=kind,
-            parents=tuple(live_parents),
             operator=operator,
-            depth=depth,
         )
         if use:
             element.uses.add(use)
         size = element.estimated_bytes()
         self._make_room(size, exempt={element.element_id})
-        # Making room may itself have evicted a parent: lineage only ever
-        # points at elements that are live at registration time.
-        element.parents = tuple(
-            p for p in element.parents if p in self._elements
-        )
         self._elements[element.element_id] = element
         self._count_bytes(element, size)
         self.replacement.rekey(element)
         self._by_key[key] = element.element_id
         for bucket in _buckets(self._by_pin, self._unpinned, element):
             bucket[element.element_id] = None
-        for parent_id in element.parents:
-            self._children.setdefault(parent_id, {})[element.element_id] = None
         if kind == "intermediate":
             self.metrics.incr(CACHE_INTERMEDIATE_STORES)
         return element
@@ -395,16 +356,6 @@ class Cache:
         self._by_key.pop(key_of(element.definition), None)
         self.replacement.forget(element_id)
         self._unfile_pins(element)
-        # Prune the derivation DAG: the element's own fan-out entry, and
-        # its slot in each live parent's children list.  Children keep a
-        # stale id in ``parents`` (harmless: every walk checks liveness).
-        self._children.pop(element_id, None)
-        for parent_id in element.parents:
-            members = self._children.get(parent_id)
-            if members is not None:
-                members.pop(element_id, None)
-                if not members:
-                    del self._children[parent_id]
         if element.pin_count > 0:
             element.condemned = True
             self._condemned[element_id] = element
@@ -465,10 +416,9 @@ class Cache:
                 raise CacheCapacityError(
                     "cache full and every element is pinned or exempt"
                 )
-            if victim.pinned or self._has_pinned_descendant(victim.element_id):
+            if victim.pinned:
                 raise InvariantViolation(
-                    f"eviction chose {victim.element_id}, which is pinned "
-                    "or has a pinned derivation descendant"
+                    f"eviction chose {victim.element_id}, which is pinned"
                 )
             victim_bytes = victim.estimated_bytes()
             self.replacement.evict(victim)
@@ -484,35 +434,12 @@ class Cache:
             self.eviction_count += 1
 
     def _evictable(self, element: CacheElement, exempt: set[str]) -> bool:
-        """Neither pinned, exempt, nor the ancestor of a pinned element."""
-        return (
-            not element.pinned
-            and element.element_id not in exempt
-            and not self._has_pinned_descendant(element.element_id)
-        )
+        """Neither pinned nor exempt."""
+        return not element.pinned and element.element_id not in exempt
 
     def _pick_victim(self, exempt: set[str]) -> CacheElement | None:
         """The least ``(class, H, sequence)`` evictable element, or None."""
         return self.replacement.pick(lambda element: self._evictable(element, exempt))
-
-    def _has_pinned_descendant(self, element_id: str) -> bool:
-        """True when a live (transitive) derivation descendant is pinned:
-        such an element must not be evicted — a concurrent plan holding
-        the descendant may still walk its lineage."""
-        stack = list(self._children.get(element_id, ()))
-        seen: set[str] = set()
-        while stack:
-            child_id = stack.pop()
-            if child_id in seen:
-                continue
-            seen.add(child_id)
-            child = self._elements.get(child_id)
-            if child is None:
-                continue
-            if child.pinned:
-                return True
-            stack.extend(self._children.get(child_id, ()))
-        return False
 
     # -- advice ---------------------------------------------------------------------
     def annotate(self, element: CacheElement, expendable: bool, advised: bool) -> None:
@@ -535,39 +462,12 @@ class Cache:
     # -- lookup -----------------------------------------------------------------
     def touch(self, element: CacheElement) -> None:
         """Record a use: bumps the LRU clock, the use count and the observed
-        frequency, re-keys the element — and warms derivation ancestors, so
-        a hit on a derived element keeps the inputs it came from alive
-        (policy: each ancestor level receives :data:`ANCESTOR_SHARE` of the
-        hit, geometrically attenuated; sequence/use_count/ledger
-        untouched)."""
+        frequency, and re-keys the element."""
         element.sequence = next(self._clock)
         element.use_count += 1
         element.reuse_frequency += 1.0
         element.last_used_at = self.clock.now
         self.replacement.rekey(element)
-        self._warm_ancestors(element)
-
-    def _warm_ancestors(self, element: CacheElement) -> None:
-        """Propagate a reuse event up the derivation DAG (breadth-first,
-        each element warmed at most once per event)."""
-        share = ANCESTOR_SHARE
-        frontier = list(element.parents)
-        seen = {element.element_id}
-        while frontier and share > 1e-6:
-            next_frontier: list[str] = []
-            for parent_id in frontier:
-                if parent_id in seen:
-                    continue
-                seen.add(parent_id)
-                parent = self._elements.get(parent_id)
-                if parent is None:
-                    continue
-                parent.reuse_frequency += share
-                parent.last_used_at = self.clock.now
-                self.replacement.rekey(parent)
-                next_frontier.extend(parent.parents)
-            frontier = next_frontier
-            share *= ANCESTOR_SHARE
 
     def read(self, element: CacheElement) -> None:
         """Record that an answer was served from ``element``: :meth:`touch`
@@ -577,9 +477,7 @@ class Cache:
 
         Pure bookkeeping — no simulated time is charged, no trace event is
         emitted; the credits add up in
-        :data:`~repro.common.metrics.CACHE_SAVED_SECONDS`.  A credit warms
-        derivation ancestors once more (the saving was only possible
-        because the inputs were retained).
+        :data:`~repro.common.metrics.CACHE_SAVED_SECONDS`.
         """
         self.touch(element)
         if element.kind == "intermediate":
@@ -588,7 +486,6 @@ class Cache:
         if saved > 0:
             element.saved_seconds += saved
             self.metrics.incr(CACHE_SAVED_SECONDS, saved)
-            self._warm_ancestors(element)
 
     def get(self, element_id: str) -> CacheElement | None:
         """The element with this id, or None."""
@@ -674,15 +571,6 @@ class Cache:
             self._extension_bytes -= element.estimated_bytes()
 
     # -- invariants -----------------------------------------------------------------
-    @staticmethod
-    def _numeric_id(element_id: str) -> int:
-        """The allocation number behind an ``E<n>`` element id (ids that
-        do not follow the pattern sort first, conservatively)."""
-        try:
-            return int(element_id.lstrip("E"))
-        except ValueError:
-            return -1
-
     def check_invariants(self) -> None:
         """Audit the cache's internal consistency (cheap, read-only).
 
@@ -732,30 +620,11 @@ class Cache:
                     f"{element_id}: last used at {element.last_used_at} "
                     f"before created at {element.created_at}"
                 )
-            if element.depth < 0 or element.reuse_frequency < 0:
+            if element.reuse_frequency < 0:
                 raise InvariantViolation(
-                    f"{element_id}: negative lineage statistics "
-                    f"(depth={element.depth}, "
-                    f"frequency={element.reuse_frequency})"
+                    f"{element_id}: negative reuse frequency "
+                    f"{element.reuse_frequency}"
                 )
-            for parent_id in element.parents:
-                parent = self._elements.get(parent_id)
-                if parent is None:
-                    continue  # evicted ancestor: stale id is expected
-                # Ids are allocated in store order and parents must exist
-                # when their child is stored, so every live edge points
-                # from a smaller numeric id to a larger one — which is
-                # also a proof of DAG acyclicity.
-                if self._numeric_id(parent_id) >= self._numeric_id(element_id):
-                    raise InvariantViolation(
-                        f"{element_id}: lineage edge from {parent_id} does "
-                        "not respect store order (cycle risk)"
-                    )
-                if element_id not in self._children.get(parent_id, ()):
-                    raise InvariantViolation(
-                        f"{element_id} missing from live parent "
-                        f"{parent_id}'s children index"
-                    )
             # Recomputed without the form the definition carries (raises
             # when they disagree — on the key, or on the fold the
             # subsumption probe reads), so the index and the probe are
@@ -770,27 +639,6 @@ class Cache:
                 f"key index has {len(self._by_key)} entries for "
                 f"{len(self._elements)} elements"
             )
-        for parent_id, members in self._children.items():
-            if parent_id not in self._elements:
-                raise InvariantViolation(
-                    f"children index keeps retired parent {parent_id}"
-                )
-            if not members:
-                raise InvariantViolation(
-                    f"empty children-index bucket for {parent_id}"
-                )
-            for child_id in members:
-                child = self._elements.get(child_id)
-                if child is None:
-                    raise InvariantViolation(
-                        f"children index of {parent_id} references retired "
-                        f"element {child_id}"
-                    )
-                if parent_id not in child.parents:
-                    raise InvariantViolation(
-                        f"{child_id} listed under {parent_id} but does not "
-                        "name it as a parent"
-                    )
         # The one index against a rebuild from every live element's anchor,
         # bucket order included (``_elements`` iterates in store order): a
         # stale, missing, retired or misplaced entry, or an empty level,
@@ -837,7 +685,6 @@ class Cache:
         self._by_pin.clear()
         self._unpinned.clear()
         self._by_key.clear()
-        self._children.clear()
         self._extension_bytes = 0
         self._generators.clear()
         self.replacement.clear()
@@ -856,7 +703,7 @@ class StaleArchive:
     freshness is unknown.
 
     Not a second cache: a count-bounded FIFO of elements by canonical key
-    (:func:`key_of`), with no byte accounting, pin index, lineage or
+    (:func:`key_of`), with no byte accounting, pin index or
     replacement advice.  Re-storing a key swaps in the fresher relation
     but keeps the first definition and its place in line.  Subsumption
     search asks it what it asks a cache: :meth:`elements_for_predicate`

@@ -7,14 +7,10 @@ exposed as an ordinary relation the IE (or anything else) can query.
 
 The other half of that meta-data is the efficacy ledger every element
 keeps: :func:`cache_report` renders it, as the experiments write it to
-``benchmarks/results/E*.json``, and :func:`render_lineage` reads it back
-and draws its derivation forest (``python -m repro lineage``).
+``benchmarks/results/E*.json``.
 """
 
 from __future__ import annotations
-
-import json
-from collections import defaultdict
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -85,8 +81,6 @@ def element_report(cache: Cache, element: CacheElement) -> dict:
         "view": element.view_name,
         "kind": element.kind,
         "operator": element.operator,
-        "parents": list(element.parents),
-        "depth": element.depth,
         "bytes": element.estimated_bytes(),
         "rows": element.rows_materialized(),
         "hits": element.use_count,
@@ -130,76 +124,5 @@ def cache_report(cache: Cache) -> dict:
             "advised": len(advised),
             "advice_correct": sum(1 for e in advised if e["advice_agrees"]),
             "intermediates": sum(1 for e in entries if e["kind"] == "intermediate"),
-            "max_depth": max((e["depth"] for e in entries), default=0),
         },
     }
-
-
-def render_lineage(text: str) -> str:
-    """Render a cache report (:func:`cache_report` as JSON) as a derivation
-    forest: each element under its first live parent, annotated with kind,
-    operator, rows, hits, and value inputs.
-
-    Accepts either the report dict itself or any JSON object with a
-    ``cache_report`` key (benchmark result files embed it that way, possibly
-    inside a ``results``/``data`` wrapper).  Raises ``ValueError`` when the
-    text is not JSON or holds no report.
-    """
-    payload = json.loads(text)
-    if isinstance(payload, dict):
-        for wrapper in ("results", "data"):
-            inner = payload.get(wrapper)
-            if isinstance(inner, dict) and "cache_report" in inner:
-                payload = inner
-                break
-        if "cache_report" in payload:
-            payload = payload["cache_report"]
-    if not isinstance(payload, dict) or "elements" not in payload:
-        raise ValueError("not a cache report: no 'elements' key")
-
-    entries = payload["elements"]
-    by_id = {entry["element"]: entry for entry in entries}
-    children: dict[str, list[str]] = defaultdict(list)
-    roots: list[str] = []
-    for entry in entries:
-        live_parents = [p for p in entry.get("parents", []) if p in by_id]
-        if live_parents:
-            # Render under the first live parent; extra parents are noted
-            # inline so the DAG (not a tree) stays visible.
-            children[live_parents[0]].append(entry["element"])
-        else:
-            roots.append(entry["element"])
-
-    totals = payload.get("totals", {})
-    lines = [
-        f"cache lineage: elements={totals.get('elements', len(entries))} "
-        f"intermediates={totals.get('intermediates', 0)} "
-        f"max_depth={totals.get('max_depth', 0)} "
-        f"evictions={totals.get('evictions', 0)}"
-    ]
-
-    def describe(entry: dict) -> str:
-        label = f"{entry['element']} ({entry.get('view', '?')})"
-        if entry.get("kind", "view") == "intermediate":
-            label += f" [{entry.get('operator') or 'intermediate'}]"
-        label += (
-            f" rows={entry.get('rows', 0)} hits={entry.get('hits', 0)}"
-            f" derivation={entry.get('derivation_seconds', 0.0):.4f}s"
-            f" freq={entry.get('reuse_frequency', 0.0):.2f}"
-        )
-        extra = [p for p in entry.get("parents", []) if p in by_id][1:]
-        if extra:
-            label += f" also-from={','.join(extra)}"
-        stale = [p for p in entry.get("parents", []) if p not in by_id]
-        if stale:
-            label += f" evicted-parents={','.join(stale)}"
-        return label
-
-    def emit(element_id: str, depth: int) -> None:
-        lines.append("  " * depth + "  " + describe(by_id[element_id]))
-        for child in children.get(element_id, []):
-            emit(child, depth + 1)
-
-    for root in roots:
-        emit(root, 0)
-    return "\n".join(lines)

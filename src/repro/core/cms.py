@@ -142,9 +142,8 @@ class CMSFeatures(PlannerFeatures):
     experiment (E1, E8, E17, E21) or by the failure-injection suite."""
 
     advice_replacement: bool = True
-    #: Register operator-level intermediates (remote plan parts, derived
-    #: cache subsets, semijoin-reduced fetches) as first-class cache
-    #: elements with derivation lineage.
+    #: Register the remote parts a plan fetches, plain or semijoin-reduced,
+    #: as intermediate cache elements.
     intermediates: bool = True
     #: Shared multi-query optimization: reuse concurrent sessions'
     #: in-flight identical remote subplans (needs a server-provided
@@ -529,8 +528,8 @@ class CacheManagementSystem:
             self.tracer.event("cms.generalized", view=psj.name, general=general.name)
 
     def _read_exact(self, hit: ExactHit) -> Relation | GeneratorRelation:
-        """Serve an exact hit: one :meth:`Cache.read` (touch, ancestor
-        warming, efficacy credit), the stored rows charged to ``local``,
+        """Serve an exact hit: one :meth:`Cache.read` (touch, efficacy
+        credit), the stored rows charged to ``local``,
         and the stored relation itself as the answer — a generator keeps
         its element pinned until it drains.  Traced, the hit is one
         ``cms.exact_hit`` event carrying the seconds charged."""
@@ -595,9 +594,8 @@ class CacheManagementSystem:
         element = self.cache.store(
             psj, relation, derivation_seconds=self.clock.now - fetch_started
         )
-        if view_name is not None and self.features.indexing:
-            positions = self.advice_manager.index_positions(view_name)
-            self._build_indexes(element, positions)
+        if view_name is not None:
+            self._build_indexes(element, self.advice_manager.index_positions(view_name))
 
     def _build_indexes(self, element, positions: tuple[int, ...]) -> None:
         if not self.features.indexing:
@@ -656,10 +654,7 @@ class CacheManagementSystem:
                     )
                 except CacheCapacityError:
                     continue
-                if self.features.indexing:
-                    self._build_indexes(
-                        element, self.advice_manager.index_positions(companion)
-                    )
+                self._build_indexes(element, self.advice_manager.index_positions(companion))
                 self.metrics.incr(CACHE_PREFETCHES)
         for companion, general in wanted:
             try:

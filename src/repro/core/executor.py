@@ -14,8 +14,7 @@ after the region.
 
 Every answer served from a cache element is recorded by one
 :meth:`~repro.core.cache.Cache.read`, and every part a plan fetches from
-the remote DBMS is offered to the cache, with its lineage, by one
-``_offer``.
+the remote DBMS is offered to the cache by one ``_offer``.
 
 Results are returned to the IE as a :class:`ResultStream` — "the CMS
 returns the result for the query using a stream" (Section 3) — which wraps
@@ -149,8 +148,6 @@ class _Record(NamedTuple):
     #: The definition the rows answer exactly: a cache part's covered
     #: definition, or a remote part's sub-query.
     definition: PSJQuery
-    #: Ids of the cache elements the rows were read from.
-    parents: tuple[str, ...] = ()
     #: A cache part's match.
     match: SubsumptionMatch | None = None
 
@@ -198,9 +195,8 @@ class ExecutionMonitor:
         #: is consumed; left off for direct single-session use, where the
         #: IE may abandon a stream and the pin would block eviction forever.
         self.pin_streams = pin_streams
-        #: Register operator-level results (remote plan parts, derived
-        #: cache subsets, semijoin-reduced fetches) as cache elements with
-        #: derivation lineage at materialization time.
+        #: Register the remote parts a plan fetches, plain or
+        #: semijoin-reduced, as intermediate cache elements.
         self.cache_intermediates = cache_intermediates
         #: The server's in-flight shared-subplan registry (MQO), or None.
         #: Consulted before every *unreduced* remote part fetch; a hit
@@ -504,7 +500,7 @@ class ExecutionMonitor:
             _distinct_conditions(conditions),
             tuple(part.columns),
         )
-        return _Record(definition, (match.element.element_id,), match)
+        return _Record(definition, match)
 
     def _offer(
         self,
@@ -513,12 +509,11 @@ class ExecutionMonitor:
         seconds: float,
         sources: Sequence[tuple[BindingSpec, int, _Record | None]] = (),
     ) -> None:
-        """Offer one fetched part to the cache as an intermediate element
-        carrying its lineage.  This is the one registration route, so one
-        set of guards decides: nothing with the feature off or for an
-        existence-only part, and a silent drop when the cache cannot make
-        room (a tiny cache whose every resident element this very plan has
-        pinned).  A cache part is never offered: its rows are a selection
+        """Offer one fetched part to the cache as an intermediate element.
+        This is the one registration route, so one set of guards decides:
+        nothing with the feature off or for an existence-only part, and a
+        silent drop when the cache cannot make room (a tiny cache whose
+        every resident element this very plan has pinned).  A cache part is never offered: its rows are a selection
         over an element that is already resident, and re-deriving them is
         local work the planner prices.
 
@@ -554,7 +549,7 @@ class ExecutionMonitor:
         if not self.cache_intermediates or not definition.projection:
             return  # off, or an existence-only part: nothing reusable
         seconds = seconds or self._remote_part_estimate(relation)
-        operator, stored, parents = "remote-fetch", relation, ()
+        operator, stored = "remote-fetch", relation
         if sources:
             indexes = [index for _spec, index, _source in sources]
             columns = [spec.remote_column for spec, _index, _source in sources]
@@ -563,7 +558,6 @@ class ExecutionMonitor:
             projection = definition.projection
             occurrences = list(definition.occurrences)
             conditions = list(definition.conditions)
-            lineage: list[str] = []
             widen_names: list[str] = []
             #: Per source, what each fetched row gains: ``(position of the
             #: bound column, whether the row copies its value, the source
@@ -577,7 +571,6 @@ class ExecutionMonitor:
                 occurrences.extend(source.definition.occurrences)
                 conditions.extend(source.definition.conditions)
                 conditions.append(spec.condition)
-                lineage.extend(source.parents)
                 if spec.remote_column not in projection:
                     continue
                 remote_pos = projection.index(spec.remote_column)
@@ -642,14 +635,13 @@ class ExecutionMonitor:
             definition = PSJQuery(
                 name, tuple(occurrences), _distinct_conditions(conditions), projection
             )
-            operator, parents = "semijoin-fetch", tuple(dict.fromkeys(lineage))
+            operator = "semijoin-fetch"
         try:
             self.cache.store(
                 definition,
                 stored,
                 use="intermediate",
                 kind="intermediate",
-                parents=parents,
                 operator=operator,
                 derivation_seconds=max(seconds, 0.0),
             )

@@ -108,7 +108,7 @@ class ExactHit(NamedTuple):
         if element.kind == "intermediate":
             notes.append(
                 f"reuses intermediate {element.element_id} "
-                f"({element.operator or 'unknown-op'}, depth {element.depth})"
+                f"({element.operator or 'unknown-op'})"
             )
         return notes
 
@@ -334,10 +334,10 @@ class QueryPlanner:
     def _intermediate_notes(matches) -> list[str]:
         """Plan notes for every chosen match that subsumes against an
         operator-level intermediate (observability: ``explain`` and trace
-        spans surface which lineage the plan rode on)."""
+        spans surface which intermediate the plan rode on)."""
         return [
             f"reuses intermediate {m.element.element_id} "
-            f"({m.element.operator or 'unknown-op'}, depth {m.element.depth})"
+            f"({m.element.operator or 'unknown-op'})"
             for m in matches
             if m.element.kind == "intermediate"
         ]

@@ -111,11 +111,6 @@ class PlanExplanation:
             if row.get("kind") == "intermediate":
                 line += f" kind=intermediate op={row.get('operator') or '?'}"
             out.append(line)
-            if row.get("parents"):
-                out.append(
-                    f"    lineage: depth={row.get('depth', 0)} "
-                    f"parents={','.join(row['parents'])}"
-                )
         if not self.candidates:
             out.append("  subsumption: no candidate cache elements")
         for report in self.candidates:

@@ -3,10 +3,9 @@
 Section 5.4's Cache Manager replaces "using an LRU scheme which may be
 modified due to advi[c]e".  That scheme is GreedyDual (Young 1994; Cao &
 Irani's GreedyDual-Size, 1997): each element's priority ``H = L +
-value(e)`` is set when it is stored, touched, warmed through a descendant
-or annotated; the victim is the least ``(class, H, sequence)`` among the
-evictable elements, and evicting it raises the inflation ``L`` to its
-``H``.  Inflation is the aging, and a uniform value is exact LRU.
+value(e)`` is set when it is stored, touched or annotated; the victim is
+the least ``(class, H, sequence)`` among the evictable elements, and
+evicting it raises the inflation ``L`` to its ``H``.  Inflation is the aging, and a uniform value is exact LRU.
 
 Advice is a class, not an offset: ``(tracker rank, expendable rank)``,
 least first — never needed again, expendable, default, needed within

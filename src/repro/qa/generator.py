@@ -111,10 +111,10 @@ class CaseConfig:
     def churny(cls) -> "CaseConfig":
         """The eviction-churn profile: more views and queries over small
         caches, with scans on most tables so hybrid plans (and therefore
-        operator-level intermediates — cache-derived parts, semijoin
-        fetches, lineage chains) form and then get evicted mid-sequence.
-        Exercises cost-based replacement and the pinned-descendant
-        invariant under sustained pressure."""
+        operator-level intermediates — plain and semijoin-reduced remote
+        fetches) form and then get evicted mid-sequence.  Exercises
+        cost-based replacement and the pin rules under sustained
+        pressure."""
         return cls(
             views=(3, 6),
             queries=(8, 16),

@@ -1,5 +1,5 @@
-"""Tests for the derivation DAG, cost-based replacement, and the
-eviction-safety invariants behind operator-level intermediate caching."""
+"""Eviction: cost-based victim order, the pin rules, and answers that
+stay correct however much a small cache churns."""
 
 import random
 
@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.clock import SimClock
-from repro.common.errors import InvariantViolation
+from repro.common.metrics import REMOTE_REQUESTS
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
 from repro.caql.eval import psj_of, result_schema
 from repro.core.cache import Cache
+
+from tests.core.test_semijoin_widening import (
+    DRILL,
+    SELECT,
+    TIGHTER,
+    build_cms,
+    ground_truth,
+    run,
+)
 
 
 def make_psj(text):
@@ -33,71 +41,60 @@ def store(cache, text, rows=5, **kwargs):
     )
 
 
-class TestLineage:
-    def test_parents_and_depth(self):
-        cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
-            operator="select-project",
-        )
-        grand = store(
-            cache,
-            "g1(X) :- b1(X, Y), X >= 5",
-            kind="intermediate",
-            parents=(child.element_id,),
-            operator="select-project",
-        )
-        assert root.depth == 0 and child.depth == 1 and grand.depth == 2
-        assert child.parents == (root.element_id,)
-        assert grand.parents == (child.element_id,)
-        cache.check_invariants()
+class TestCostScorer:
+    """Cost-based replacement, read through the victim order."""
 
-    def test_retired_parent_ids_are_dropped_at_store(self):
+    def test_zero_derivation_degrades_to_lru(self):
         cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        cache.discard(root.element_id)
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
-        )
-        assert child.parents == ()
-        assert child.depth == 0
-        cache.check_invariants()
+        older = store(cache, "a1(X, Y) :- b1(X, Y)")
+        newer = store(cache, "a2(X, Y) :- b2(X, Y)")
+        assert cache._pick_victim(set()) is older
+        cache.touch(older)
+        assert cache._pick_victim(set()) is newer
 
-    def test_eviction_leaves_stale_parent_ids_tolerated(self):
+    def test_expensive_reused_element_outlives_recency(self):
         cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
+        expensive = store(
+            cache, "a1(X, Y) :- b1(X, Y)", derivation_seconds=2.0
         )
-        cache.discard(root.element_id)
-        # The child keeps the stale id; every walk checks liveness.
-        assert child.parents == (root.element_id,)
-        assert cache.get(root.element_id) is None
-        cache.check_invariants()
+        cache.touch(expensive)  # observed reuse
+        cheap_but_recent = store(cache, "a2(X, Y) :- b2(X, Y)")
+        cache.touch(cheap_but_recent)
+        cache.touch(cheap_but_recent)
+        # The cheap element goes first despite being more recently used.
+        assert cache._pick_victim(set()) is cheap_but_recent
 
-    def test_store_order_edge_direction_is_enforced(self):
-        cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            parents=(root.element_id,),
-        )
-        # Force a cycle-shaped edge by hand: the audit must catch it.
-        root.parents = (child.element_id,)
-        cache._children.setdefault(child.element_id, {})[root.element_id] = None
-        with pytest.raises(InvariantViolation):
-            cache.check_invariants()
+
+class TestPinnedIntermediate:
+    """A pin guards the element it is on, and nothing else: an
+    intermediate's rows are self-contained, so the view a semijoin fetch
+    was reduced by can go while the fetch is pinned."""
+
+    def test_the_view_behind_a_pinned_semijoin_fetch_can_be_the_victim(self):
+        cms = build_cms(intermediates=True)
+        run(cms, SELECT)
+        run(cms, DRILL)
+        cache = cms.cache
+        (view,) = [e for e in cache.elements() if e.view_name == "s"]
+        (fetched,) = [e for e in cache.elements() if e.operator == "semijoin-fetch"]
+        rows = sorted(fetched.extension())
+        others = {e.element_id for e in cache.elements()} - {
+            view.element_id,
+            fetched.element_id,
+        }
+        cache.pin(fetched)
+        try:
+            assert cache._pick_victim(others) is view
+            # Room for one byte more than is free: exactly one eviction.
+            cache._make_room(cache.capacity_bytes - cache.used_bytes() + 1, others)
+            assert view.element_id not in cache and fetched.element_id in cache
+            assert sorted(fetched.extension()) == rows
+            requests = cms.metrics.get(REMOTE_REQUESTS)
+            assert run(cms, TIGHTER) == ground_truth("cat3", 700)
+            assert cms.metrics.get(REMOTE_REQUESTS) == requests
+        finally:
+            cache.unpin(fetched)
+        cache.check_invariants()
 
 
 class TestSignatureFollowsDefinition:
@@ -148,124 +145,6 @@ class TestSignatureFollowsDefinition:
         archived = archive.find_full(psj).element
         assert archived is not element
         assert archived.signature is element.signature
-
-
-class TestPinnedDescendantProtection:
-    def test_ancestor_of_pinned_element_is_never_victim(self):
-        clock = SimClock()
-        cache = Cache(capacity_bytes=900, clock=clock)
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
-        )
-        cache.pin(child)
-        try:
-            # Filling the cache must evict neither the pinned child nor
-            # its (unpinned) ancestor — a concurrent plan holding the
-            # child may still walk its lineage.
-            for index in range(6):
-                try:
-                    store(cache, f"f{index}(X, Y) :- b{index + 2}(X, Y)")
-                except Exception:
-                    break
-            assert cache.get(root.element_id) is not None
-            assert cache.get(child.element_id) is not None
-        finally:
-            cache.unpin(child)
-        cache.check_invariants()
-
-    def test_transitive_protection(self):
-        cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        mid = store(
-            cache, "m1(X, Y) :- b1(X, Y), X >= 2", parents=(root.element_id,)
-        )
-        leaf = store(
-            cache, "l1(X) :- b1(X, Y), X >= 4", parents=(mid.element_id,)
-        )
-        cache.pin(leaf)
-        try:
-            assert cache._has_pinned_descendant(root.element_id)
-            assert cache._has_pinned_descendant(mid.element_id)
-            assert not cache._has_pinned_descendant(leaf.element_id)
-        finally:
-            cache.unpin(leaf)
-
-
-class TestCostScorer:
-    """Cost-based replacement, read through the victim order."""
-
-    def test_zero_derivation_degrades_to_lru(self):
-        cache = Cache()
-        older = store(cache, "a1(X, Y) :- b1(X, Y)")
-        newer = store(cache, "a2(X, Y) :- b2(X, Y)")
-        assert cache._pick_victim(set()) is older
-        cache.touch(older)
-        assert cache._pick_victim(set()) is newer
-
-    def test_expensive_reused_element_outlives_recency(self):
-        cache = Cache()
-        expensive = store(
-            cache, "a1(X, Y) :- b1(X, Y)", derivation_seconds=2.0
-        )
-        cache.touch(expensive)  # observed reuse
-        cheap_but_recent = store(cache, "a2(X, Y) :- b2(X, Y)")
-        cache.touch(cheap_but_recent)
-        cache.touch(cheap_but_recent)
-        # The cheap element goes first despite being more recently used.
-        assert cache._pick_victim(set()) is cheap_but_recent
-
-
-class TestAncestorWarming:
-    def test_touch_warms_parents(self):
-        cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)", derivation_seconds=1.0)
-        twin = store(cache, "r2(X, Y) :- b2(X, Y)", derivation_seconds=1.0)
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
-        )
-        assert cache._pick_victim({child.element_id}) is root  # older twin
-        cache.touch(child)
-        # The warm is a share of a hit, not a full hit, and it re-keys
-        # the parent above its equally valued twin.
-        assert 0.0 < root.reuse_frequency < 1.0
-        assert cache._pick_victim({child.element_id}) is twin
-
-    def test_read_warms_ancestors_without_charging_time(self):
-        clock = SimClock()
-        cache = Cache(clock=clock)
-        root = store(cache, "r1(X, Y) :- b1(X, Y)", derivation_seconds=1.0)
-        child = store(
-            cache,
-            "c1(X, Y) :- b1(X, Y), X >= 3",
-            kind="intermediate",
-            parents=(root.element_id,),
-            derivation_seconds=0.5,
-        )
-        before_clock = clock.now
-        before_freq = root.reuse_frequency
-        cache.read(child)
-        assert clock.now == before_clock  # pure bookkeeping
-        assert root.reuse_frequency > before_freq
-        assert child.saved_seconds == pytest.approx(0.5)
-
-    def test_warming_attenuates_geometrically(self):
-        cache = Cache()
-        root = store(cache, "r1(X, Y) :- b1(X, Y)")
-        mid = store(
-            cache, "m1(X, Y) :- b1(X, Y), X >= 2", parents=(root.element_id,)
-        )
-        leaf = store(
-            cache, "l1(X) :- b1(X, Y), X >= 4", parents=(mid.element_id,)
-        )
-        cache.touch(leaf)
-        assert mid.reuse_frequency > root.reuse_frequency > 0
 
 
 class TestEvictionCorrectnessProperty:
@@ -332,7 +211,7 @@ class TestEvictionCorrectnessProperty:
         """Hypothesis drives the shapes: whatever overlapping sequence of
         selections and drills runs against a cache too small to hold it,
         every answer matches direct evaluation on a churn-free cache and
-        the lineage invariants hold after every step."""
+        the cache's invariants hold after every step."""
         from repro.remote.server import RemoteDBMS
         from repro.core.cms import CacheManagementSystem, CMSFeatures
         from repro.workloads.synthetic import retail_universe

@@ -1,18 +1,18 @@
 """The replacement policy: GreedyDual over advice classes.
 
 ``repro.core.replacement`` gives every element a priority H = L + value(e)
-at store, touch, ancestor warm and annotation; the victim is the least
+at store, touch and annotation; the victim is the least
 (class, H, sequence) among the evictable elements, and evicting it raises
 the inflation L to its H.  Four parts:
 
 * **Count test.**  N residents (10, 100, 1 000), every one reused: each
   admission that evicts one victim evaluates ``value`` at most twice.
 * **Hand cases.**  Eviction raises L, so an untouched element ages out;
-  a touch and an ancestor warm re-key; equal priorities go to the lower
+  a touch re-keys; equal priorities go to the lower
   sequence; an annotation re-keys; a live tracker's classes come before
   H, and a lost tracker's do not.
-* **Model property.**  Random store (views and intermediates, with
-  parents), re-store, read, pin/unpin, annotation, generator growth,
+* **Model property.**  Random store (views and intermediates, some
+  pinned at once), re-store, read, pin/unpin, annotation, generator growth,
   discard and session changes (no advice, a live tracker, a step, a lost
   one) under random features: every pick — each eviction, and one per
   step over random exempt sets — is the argmin of (class, H, sequence)
@@ -49,11 +49,9 @@ def one_row(psj, value=0) -> Relation:
     return Relation(result_schema(psj.name, psj.arity), [(value,) * psj.arity])
 
 
-def store(cache, text, cost=0.0, kind="view", parents=()):
+def store(cache, text, cost=0.0, kind="view"):
     psj = make_psj(text)
-    return cache.store(
-        psj, one_row(psj), derivation_seconds=cost, kind=kind, parents=parents
-    )
+    return cache.store(psj, one_row(psj), derivation_seconds=cost, kind=kind)
 
 
 def victim(cache, exempt=()):
@@ -101,22 +99,13 @@ def check_eviction_raises_inflation():
     assert aging.element_id not in cache and second.element_id in cache
 
 
-def check_touch_and_warm_re_key():
+def check_touch_re_keys():
     cache = Cache()
     older = store(cache, "a(X) :- b(X, 1)")
     newer = store(cache, "c(X) :- b(X, 2)")
     assert victim(cache) is older
     cache.touch(older)
     assert victim(cache) is newer
-    cache.discard(older.element_id)
-    cache.discard(newer.element_id)
-    root = store(cache, "r(X) :- b(X, 3)", cost=1.0)
-    twin = store(cache, "s(X) :- b(X, 4)", cost=1.0)
-    child = store(cache, "t(X) :- b(X, 3), X > 0", kind="intermediate",
-                  parents=(root.element_id,))
-    assert victim(cache, {child.element_id}) is root  # equal H, lower sequence
-    cache.touch(child)  # warms root: a share of a use raises its H
-    assert victim(cache, {child.element_id}) is twin
 
 
 def check_tracker_classes():
@@ -137,8 +126,8 @@ class TestHandCases:
     def test_eviction_raises_inflation(self):
         check_eviction_raises_inflation()
 
-    def test_touch_and_warm_re_key(self):
-        check_touch_and_warm_re_key()
+    def test_touch_re_keys(self):
+        check_touch_re_keys()
 
     def test_tracker_classes(self):
         check_tracker_classes()
@@ -247,14 +236,13 @@ COSTS = st.sampled_from((0.0, 1.0, 2.0, 3.0))
 PICK = st.integers(0, 30)
 SESSION = st.tuples(st.just("session"), st.sampled_from(("none", "live", "lost", "d1", "d2")))
 STORE = st.tuples(st.just("store"), st.sampled_from(NAMES), COSTS, st.integers(1, 2),
-                  st.sampled_from(("view", "intermediate")), st.none() | PICK)
+                  st.sampled_from(("view", "intermediate")))
 OPERATIONS = st.lists(
     st.one_of(
         STORE,
         STORE,
-        # An intermediate derived from a live element, pinned at once: its
-        # ancestors are not evictable until it is unpinned.
-        st.tuples(st.just("derive"), PICK, COSTS),
+        # An intermediate pinned at once: not evictable until it is unpinned.
+        st.tuples(st.just("derive"), COSTS),
         st.tuples(st.just("generator"), COSTS, st.integers(1, 2)),
         st.tuples(st.just("restore"), PICK, COSTS),
         st.tuples(st.just("grow"), PICK),
@@ -292,15 +280,14 @@ def test_every_pick_is_the_model_argmin(operations, exempt_picks, features):
         kind = operation[0]
         live = cache.elements()
         chosen = live[operation[1] % len(live)] if live and kind in (
-            "derive", "restore", "grow", "read", "pin", "annotate", "discard"
+            "restore", "grow", "read", "pin", "annotate", "discard"
         ) else None
         annotated = None
         if kind in ("store", "generator"):
             if kind == "store":
-                _, name, cost, rows, element_kind, parent = operation
-                parents = (live[parent % len(live)].element_id,) if live and parent is not None else ()
+                _, name, cost, rows, element_kind = operation
             else:
-                name, cost, rows, element_kind, parents = "g", operation[1], operation[2], "view", ()
+                name, cost, rows, element_kind = "g", operation[1], operation[2], "view"
             stored += 1
             psj = make_psj(f"{name}(X) :- b(X, {stored})")
             schema = result_schema(psj.name, 1)
@@ -310,8 +297,7 @@ def test_every_pick_is_the_model_argmin(operations, exempt_picks, features):
             else:
                 relation = Relation(schema, [(i,) for i in range(rows)])
             try:
-                cache.store(psj, relation, derivation_seconds=cost, kind=element_kind,
-                            parents=parents)
+                cache.store(psj, relation, derivation_seconds=cost, kind=element_kind)
             except CacheCapacityError:
                 pass
         elif kind == "session":
@@ -326,18 +312,18 @@ def test_every_pick_is_the_model_argmin(operations, exempt_picks, features):
         elif kind == "unpin":
             if pins:  # condemned elements too: the last unpin reclaims them
                 cache.unpin(pins.pop(operation[1] % len(pins)))
-        elif chosen is None:
-            continue
         elif kind == "derive":
             stored += 1
             try:
-                child = store(cache, f"t(X) :- b(X, {stored})", cost=operation[2],
-                              kind="intermediate", parents=(chosen.element_id,))
+                child = store(cache, f"t(X) :- b(X, {stored})", cost=operation[1],
+                              kind="intermediate")
             except CacheCapacityError:
                 pass
             else:
                 cache.pin(child)
                 pins.append(child)
+        elif chosen is None:
+            continue
         elif kind == "restore":  # the same definition, stored again
             cache.store(chosen.definition, chosen.relation, derivation_seconds=operation[2])
         elif kind == "grow":

@@ -69,7 +69,6 @@ class TestWidenedIntermediateServesTighterDrill:
         widened = [e for e in elements if e["operator"] == "semijoin-fetch"]
         assert widened, "the drill's reduced fetch was not registered"
         assert all(e["kind"] == "intermediate" for e in widened)
-        assert any(e["parents"] for e in widened)
         warmed.cache.check_invariants()
 
     def test_tighter_drill_is_answered_cache_only(self, warmed):

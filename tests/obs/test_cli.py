@@ -4,14 +4,15 @@ Output parity: each digest below is the SHA-256 of what the command prints
 for a committed artifact, recorded when these renderers were four separate
 scripts; the one CLI must print the same bytes.  E14's and E21's were
 refrozen once, when the artifacts themselves moved (replacement became
-GreedyDual) and the renderers did not.  Every trace digest and E19's
+GreedyDual) and the renderers did not; E21's went with the ``lineage``
+command, which rendered it.  Every trace digest and E19's
 profiles were refrozen again when the traces moved: an exact hit lost
 its planner and executor spans, and an eager answer its drain step.  The
-E15 and E17 traces and E21's lineage were refrozen once more when an
+E15 and E17 traces were refrozen once more when an
 eager derived answer stopped being stored (the new code prints the old
 digests for the old artifacts).  E15's profiles pin the profiler on a
 multi-session server trace.  Paths are relative to the checkout root
-because the trace and lineage headers echo them.
+because the trace headers echo them.
 """
 
 import hashlib
@@ -40,7 +41,6 @@ PARITY = {
     ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "544e074b3601baca91463753475d7c3a5103bac0011ba2b35ecbe35b014bd9e2",
     ("trace", f"{RESULTS}/E19.trace.jsonl"): "76c4982fc87c5e5d5a633acd0a2c18adc529e3815321aa1a42d81e4cf78d8c58",
     ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
-    ("lineage", f"{RESULTS}/E21.json"): "509674e209fb3b04a0a8d355a6c23a2417283ecbbc28b7ee16f8c69eec60ed8f",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",
     ("profile", f"{RESULTS}/E15.trace.jsonl"): "fff7fd88f4a5ec5348b670b94050651b35a85562d6d44272f51e6b85d519b258",
@@ -62,12 +62,12 @@ def test_output_matches_the_recorded_digest(argv, capsys, monkeypatch):
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["trace", "lineage", "profile"])
+    @pytest.mark.parametrize("command", ["trace", "profile"])
     def test_a_missing_file_exits_2(self, command, capsys):
         assert main([command, "/nonexistent/artifact.jsonl"]) == 2
         assert "artifact.jsonl" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["trace", "lineage", "profile"])
+    @pytest.mark.parametrize("command", ["trace", "profile"])
     def test_a_malformed_line_exits_2(self, command, capsys, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"span": 1, "name": "cms.query"}\n{not json\n')

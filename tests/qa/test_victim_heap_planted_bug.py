@@ -8,9 +8,8 @@ Four mutants, one per thing those paths must keep:
 * ``flat_inflation`` — eviction does not raise L to the victim's H, so an
   element nobody touches never ages out.  Killed by the hand case and by
   the model property.
-* ``unkeyed_touch`` — a touch or an ancestor warm updates the element but
-  files no new entry, so the pick reads its old recency and priority.
-  Killed by the hand case, by ``Cache.check_invariants`` (an entry whose
+* ``unkeyed_touch`` — a touch updates the element but files no new
+  entry, so the pick reads its old recency and priority.  Killed by the hand case, by ``Cache.check_invariants`` (an entry whose
   sequence is stale) and by the model property.
 * ``classless`` — the pick ignores the live tracker's classes, as if no
   tracker were live.  Killed by the hand case and by the model property.
@@ -35,7 +34,7 @@ from repro.relational.relation import Relation
 from tests.core import test_replacement as policy
 from tests.relational import test_lazy_row_set as rowsets
 
-real_touch, real_warm = Cache.touch, Cache._warm_ancestors
+real_touch = Cache.touch
 
 
 def _flat_inflation(monkeypatch):
@@ -51,19 +50,15 @@ def _unkeyed_touch(monkeypatch):
         if not muted:
             real_rekey(self, element)
 
-    def muting(real):
-        def write(self, element):
-            muted.append(element)  # no new entry while a touch or warm runs
-            try:
-                real(self, element)
-            finally:
-                muted.pop()
-
-        return write
+    def touch(self, element):
+        muted.append(element)  # no new entry while a touch runs
+        try:
+            real_touch(self, element)
+        finally:
+            muted.pop()
 
     monkeypatch.setattr(GreedyDual, "rekey", rekey)
-    monkeypatch.setattr(Cache, "touch", muting(real_touch))
-    monkeypatch.setattr(Cache, "_warm_ancestors", muting(real_warm))
+    monkeypatch.setattr(Cache, "touch", touch)
 
 
 def _classless(monkeypatch):
@@ -114,10 +109,10 @@ class TestFlatInflation:
 
 class TestUnkeyedTouch:
     def test_killed_by_the_hand_case(self, monkeypatch):
-        policy.check_touch_and_warm_re_key()
+        policy.check_touch_re_keys()
         _unkeyed_touch(monkeypatch)
         with pytest.raises(AssertionError):
-            policy.check_touch_and_warm_re_key()
+            policy.check_touch_re_keys()
 
     def test_killed_by_check_invariants(self, monkeypatch):
         _unkeyed_touch(monkeypatch)
