@@ -42,6 +42,8 @@ from repro.core.replacement import GreedyDual
 
 #: How many remote answers the :class:`StaleArchive` keeps (FIFO beyond it).
 ARCHIVE_ELEMENTS = 64
+#: How many views' semijoin-part records the cache keeps (FIFO beyond it).
+SEMIJOIN_VIEWS_KEPT = 64
 
 
 @dataclass
@@ -278,6 +280,10 @@ class Cache:
         #: Generator-backed resident elements, live and condemned: their
         #: memo can still grow, so :meth:`used_bytes` reads them fresh.
         self._generators: dict[str, CacheElement] = {}
+        #: Per semijoin part name (``<sub-query>#semijoin``), in first-offer
+        #: order: whether a stored part of that name has been read since.
+        #: :meth:`admit_semijoin` decides from it.
+        self._semijoin_views: dict[str, bool] = {}
 
     # -- storage ---------------------------------------------------------------
     def store(
@@ -378,6 +384,27 @@ class Cache:
             else:
                 _drop(self._by_pin, (pred, *anchor), element.element_id)
 
+    # -- admission -----------------------------------------------------------------
+    def admit_semijoin(self, name: str) -> bool:
+        """Whether a semijoin-reduced part named ``name`` earns a store:
+        the first one offered under its name does, a later one only once
+        an earlier one has been :meth:`read`.  A reduced fetch answers
+        one binding set, so a view whose parts no op reads would only pay
+        for widening, sizing and, eventually, evicting each of them."""
+        read = self._semijoin_views.get(name)
+        if read is None:
+            self._note_semijoin(name, False)
+            return True
+        return read
+
+    def _note_semijoin(self, name: str, read: bool) -> None:
+        """Record ``name``'s read flag; the oldest name goes beyond
+        :data:`SEMIJOIN_VIEWS_KEPT`."""
+        views = self._semijoin_views
+        if name not in views and len(views) >= SEMIJOIN_VIEWS_KEPT:
+            del views[next(iter(views))]
+        views[name] = read
+
     # -- concurrency control ------------------------------------------------------
     def pin(self, element: CacheElement) -> None:
         """Take a reference on ``element``: exempt from eviction, and its
@@ -471,7 +498,8 @@ class Cache:
 
     def read(self, element: CacheElement) -> None:
         """Record that an answer was served from ``element``: :meth:`touch`
-        it, count ``cache.intermediate_hits`` when it is an intermediate,
+        it, count ``cache.intermediate_hits`` when it is an intermediate
+        (and note a semijoin part's name as read, :meth:`admit_semijoin`),
         and credit the efficacy ledger with its recorded derivation cost —
         what serving from it avoided re-paying.
 
@@ -482,6 +510,8 @@ class Cache:
         self.touch(element)
         if element.kind == "intermediate":
             self.metrics.incr(CACHE_INTERMEDIATE_HITS)
+            if element.operator == "semijoin-fetch":
+                self._note_semijoin(element.view_name, True)
         saved = element.derivation_seconds
         if saved > 0:
             element.saved_seconds += saved
@@ -580,9 +610,10 @@ class Cache:
         rebuild from scratch, refcount sanity, each stored relation's own
         audit (set semantics, schema arity, its size memo against a
         recount), the disjointness/reachability rules for the condemned
-        set, the running byte total against a from-scratch sum, and the
-        victim order (:meth:`GreedyDual.check`).  Called from tests and
-        after every fuzzer query.
+        set, the running byte total against a from-scratch sum, the
+        victim order (:meth:`GreedyDual.check`), and the semijoin part
+        records' bound and shape.  Called from tests and after every
+        fuzzer query.
         """
         if self.epoch < 0:
             raise InvariantViolation(f"cache epoch is negative: {self.epoch}")
@@ -677,6 +708,17 @@ class Cache:
         self.replacement.check(
             self._elements, lambda element: self._evictable(element, set())
         )
+        if len(self._semijoin_views) > SEMIJOIN_VIEWS_KEPT:
+            raise InvariantViolation(
+                f"{len(self._semijoin_views)} semijoin part records kept, "
+                f"over the bound of {SEMIJOIN_VIEWS_KEPT}"
+            )
+        for name, read in self._semijoin_views.items():
+            if not name.endswith("#semijoin") or not isinstance(read, bool):
+                raise InvariantViolation(
+                    f"semijoin part record {name!r} -> {read!r} is not a "
+                    "part name with a read flag"
+                )
 
     def clear(self) -> None:
         """Drop every element and index entry (pins notwithstanding)."""

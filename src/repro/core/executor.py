@@ -138,10 +138,6 @@ class ResultStream:
                 )
 
 
-#: How many functional checks of source elements the executor keeps (FIFO).
-FUNCTIONAL_CHECKS_KEPT = 64
-
-
 class _Record(NamedTuple):
     """What a produced part's rows answer, in query column space."""
 
@@ -207,9 +203,6 @@ class ExecutionMonitor:
         #: with intermediates on, None otherwise): the part is not offered
         #: — the CMS stores the answer once, as its view, at this price.
         self.fetch_seconds: float | None = None
-        #: ``(element id, key position)`` -> ``(the extension checked, key
-        #: -> first row, conflicted positions)``: :meth:`_functional_check`.
-        self._functional: dict[tuple[str, int], tuple[Relation, dict, set[int]]] = {}
 
     # -- cost helpers ----------------------------------------------------------------
     def charge_local(self, tuples: int) -> None:
@@ -444,18 +437,13 @@ class ExecutionMonitor:
         )
 
     def _functional_check(
-        self, element, extension: Relation, key_pos: int
+        self, extension: Relation, key_pos: int
     ) -> tuple[dict, set[int]]:
         """Which of ``extension``'s columns its column ``key_pos``
         determines: each key value's first row, and the positions at
         which two rows of one key disagree.  Charged as the pass over the
-        element it is; computed once per (element, key column) while the
-        element's extension is the same object (a bounded table)."""
+        element it is."""
         self.charge_local(len(extension))  # the functional-check pass
-        slot = (element.element_id, key_pos)
-        kept = self._functional.get(slot)
-        if kept is not None and kept[0] is extension:
-            return kept[1], kept[2]
         mapping: dict = {}
         conflicted: set[int] = set()
         for source_row in extension:
@@ -464,9 +452,6 @@ class ExecutionMonitor:
                 for position in range(len(source_row)):
                     if prior[position] != source_row[position]:
                         conflicted.add(position)
-        if len(self._functional) >= FUNCTIONAL_CHECKS_KEPT:
-            del self._functional[next(iter(self._functional))]
-        self._functional[slot] = (extension, mapping, conflicted)
         return mapping, conflicted
 
     def _covered_definition(self, plan: QueryPlan, part: CachePart) -> _Record:
@@ -535,7 +520,9 @@ class ExecutionMonitor:
         the same source part (the join correlates them row-wise), two specs
         reducing the same remote column (the later IN-list replaced the
         earlier), or a source without a record (a reduced part answers less
-        than its sub-query).
+        than its sub-query), nor where the cache does not admit the part
+        (:meth:`~repro.core.cache.Cache.admit_semijoin`), which is asked
+        before any widening work.
 
         The merged projection is *widened* with source-side columns the
         join determines: the equality column itself (equal to the fetched
@@ -555,6 +542,9 @@ class ExecutionMonitor:
             columns = [spec.remote_column for spec, _index, _source in sources]
             if len(set(indexes)) != len(indexes) or len(set(columns)) != len(columns):
                 return  # independent IN-lists, weaker than the join
+            name = f"{definition.name}#semijoin"
+            if not self.cache.admit_semijoin(name):
+                return  # no earlier part of this view was read
             projection = definition.projection
             occurrences = list(definition.occurrences)
             conditions = list(definition.conditions)
@@ -562,8 +552,8 @@ class ExecutionMonitor:
             #: Per source, what each fetched row gains: ``(position of the
             #: bound column, whether the row copies its value, the source
             #: rows by binding value, the positions of the source columns
-            #: the value determines, those columns by binding value)``.
-            widenings: list[tuple[int, bool, dict, list[int], dict]] = []
+            #: the value determines)``.
+            widenings: list[tuple[int, bool, dict, list[int]]] = []
             taken = set(projection)
             for spec, _index, source in sources:
                 if source is None:
@@ -589,9 +579,7 @@ class ExecutionMonitor:
                 if key_attr is not None:
                     extension = source.match.element.extension()
                     key_pos = extension.schema.position(key_attr)
-                    mapping, conflicted = self._functional_check(
-                        source.match.element, extension, key_pos
-                    )
+                    mapping, conflicted = self._functional_check(extension, key_pos)
                     for q_col, attr in column_map.items():
                         if q_col in taken:
                             continue
@@ -602,26 +590,19 @@ class ExecutionMonitor:
                         positions.append(position)
                         taken.add(q_col)
                 if copies or positions:
-                    widenings.append((remote_pos, copies, mapping, positions, {}))
-            name = f"{definition.name}#semijoin"
+                    widenings.append((remote_pos, copies, mapping, positions))
             projection = tuple(projection) + tuple(widen_names)
             if widen_names:
                 rows = []
                 try:
                     for row in relation:
-                        for remote_pos, copies, mapping, positions, tails in widenings:
+                        for remote_pos, copies, mapping, positions in widenings:
                             value = row[remote_pos]
                             if copies:
                                 row += (value,)
                             if positions:
-                                # Built once per binding value.
-                                tail = tails.get(value)
-                                if tail is None:
-                                    source_row = mapping[value]
-                                    tail = tails[value] = tuple(
-                                        [source_row[p] for p in positions]
-                                    )
-                                row += tail
+                                source_row = mapping[value]
+                                row += tuple([source_row[p] for p in positions])
                         rows.append(row)
                 except KeyError:
                     # A fetched value outside the binding source (should not

@@ -13,8 +13,19 @@ each killed by one of them:
 * ``admit_nothing`` — no answer is stored.
 * ``no_generators`` — a lazy cache-full answer is not stored either.
 
+A semijoin-reduced part answers one binding set, and most are never
+read again: one is stored only if it is the first offered under its
+name, or an earlier part of that name has been read.  Two more count
+cases pin that, and two mutants of the cache's semijoin admission are
+each killed by one of them:
+
+* ``admit_every_part`` — every reduced part is stored (the rule before
+  a semijoin part had to earn its place).
+* ``admit_no_part`` — no reduced part is stored.
+
 Which fuzz profile also kills each is recorded in EXPERIMENTS.md ("A
-derived answer is not stored") and ROADMAP item 8.
+derived answer is not stored", "A semijoin part earns its place") and
+ROADMAP item 8.
 """
 
 import pytest
@@ -22,14 +33,22 @@ import pytest
 from repro.advice.language import AdviceSet
 from repro.advice.view_spec import annotate
 from repro.caql.parser import parse_query
-from repro.common.metrics import CACHE_HITS_EXACT, CACHE_HITS_SUBSUMED
+from repro.common.metrics import (
+    CACHE_HITS_EXACT,
+    CACHE_HITS_SUBSUMED,
+    REMOTE_REQUESTS,
+)
 from repro.core.cache import Cache
 from repro.core.cms import CacheManagementSystem
+from repro.core.executor import ExecutionMonitor
 from repro.core.planner import QueryPlanner
 from repro.relational.generator import GeneratorRelation
 from repro.remote.server import RemoteDBMS
 from repro.server import BraidServer, ServerConfig
 from repro.workloads.synthetic import selection_universe
+
+from tests.core.test_semijoin_widening import build_cms, ground_truth, run
+from tests.federation.conftest import make_federation, oracle
 
 TABLES = selection_universe(rows=200, seed=5).tables
 
@@ -135,6 +154,58 @@ def check_a_fetched_re_ask_is_one_step_exact_hit(monkeypatch):
     assert again.error is None and again.rows == first.rows
 
 
+def semijoin_stores(monkeypatch) -> list:
+    """Spy on ``Cache.store``: the returned list names every
+    ``semijoin-fetch`` part stored."""
+    stored = []
+    real = Cache.store
+
+    def spy(self, definition, *args, **kwargs):
+        if kwargs.get("operator") == "semijoin-fetch":
+            stored.append(definition.name)
+        return real(self, definition, *args, **kwargs)
+
+    monkeypatch.setattr(Cache, "store", spy)
+    return stored
+
+
+def check_an_unread_views_semijoin_parts_store_one(monkeypatch):
+    """Three spanning asks of one view over three backends each ship a
+    semijoin-reduced part, and none of those parts is read: only the
+    first is stored."""
+    stored = semijoin_stores(monkeypatch)
+    offers = counting(monkeypatch, ExecutionMonitor, "_offer")
+    cms = make_federation().cms()
+    cms.begin_session()
+    for city in (100, 200, 300):
+        text = f"q(S, P) :- sup(S, {city}), ship(S, P, Q), part(P, X)"
+        assert set(cms.query(parse_query(text)).fetch_all()) == oracle(text)
+    reduced = [e for e in cms.cache.elements() if e.operator == "semijoin-fetch"]
+    assert [r.schema.name for r in offers].count("q__rest__gamma") == 3
+    assert stored == ["q__rest__gamma#semijoin"]
+    assert [e.use_count for e in reduced] == [0]
+
+
+def check_a_read_views_semijoin_parts_keep_being_stored(monkeypatch):
+    """The drill-down ladder over three categories: each looser drill
+    stores its widened semijoin part, and each tighter drill is answered
+    from that part alone — a view whose parts get read keeps storing
+    them."""
+    stored = semijoin_stores(monkeypatch)
+    cms = build_cms(intermediates=True)
+    for cat in ("cat3", "cat4", "cat5"):
+        run(cms, f"s(I, V) :- item(I, {cat}, V), V >= 300")
+        drill = f"j1(I, Q) :- item(I, {cat}, V), ord(I, Q), V >= 500"
+        assert run(cms, drill) == ground_truth(cat, 500)
+        requests = cms.metrics.get(REMOTE_REQUESTS)
+        tighter = f"j2(I, Q) :- item(I, {cat}, V), ord(I, Q), V >= 700"
+        assert run(cms, tighter) == ground_truth(cat, 700)
+        assert cms.metrics.get(REMOTE_REQUESTS) == requests, cat
+        assert cms.last_plan.strategy == "cache-full"
+    assert len(stored) == 3
+    cms.cache.check_invariants()
+
+
 # -- the mutants -----------------------------------------------------------------------
 
 
@@ -170,11 +241,21 @@ def _no_generators(monkeypatch):
     )
 
 
+def _admit_every_part(monkeypatch):
+    monkeypatch.setattr(Cache, "admit_semijoin", lambda cache, name: True)
+
+
+def _admit_no_part(monkeypatch):
+    monkeypatch.setattr(Cache, "admit_semijoin", lambda cache, name: False)
+
+
 COUNT_CASES = [
     check_eager_drills_store_nothing,
     check_a_derived_re_ask_is_derived_again,
     check_a_lazy_derived_answer_is_a_stored_generator,
     check_a_fetched_re_ask_is_one_step_exact_hit,
+    check_an_unread_views_semijoin_parts_store_one,
+    check_a_read_views_semijoin_parts_keep_being_stored,
 ]
 
 
@@ -191,6 +272,9 @@ def test_the_count_case_holds(check, monkeypatch):
         (check_a_fetched_re_ask_is_one_step_exact_hit, _admit_nothing),
         (check_a_lazy_derived_answer_is_a_stored_generator, _admit_nothing),
         (check_a_lazy_derived_answer_is_a_stored_generator, _no_generators),
+        (check_an_unread_views_semijoin_parts_store_one, _admit_every_part),
+        (check_an_unread_views_semijoin_parts_store_one, _admit_no_part),
+        (check_a_read_views_semijoin_parts_keep_being_stored, _admit_no_part),
     ],
     ids=[
         "admit_everything-drills",
@@ -198,6 +282,9 @@ def test_the_count_case_holds(check, monkeypatch):
         "admit_nothing-fetched",
         "admit_nothing-lazy",
         "no_generators",
+        "admit_every_part-unread",
+        "admit_no_part-unread",
+        "admit_no_part-ladder",
     ],
 )
 def test_killed_by_a_count_case(check, plant, monkeypatch):
