@@ -91,12 +91,6 @@ def run_shared(
         for request in s.completed
         if request.error is not None
     )
-    lazy = sum(
-        1
-        for s in server.sessions.sessions()
-        for request in s.completed
-        if request.stream is not None and request.stream.lazy
-    )
     fairness = server.fairness_report()
     return {
         "hit_rate": hit_rate(server.metrics),
@@ -104,7 +98,6 @@ def run_shared(
         "completed": completed,
         "errors": errors,
         "steps": steps,
-        "lazy": lazy,
         "simulated_seconds": server.clock.now,
         "fairness_ratio": fairness["max_min_latency_ratio"],
         "schedule_lines": server.schedule_lines(),
@@ -210,11 +203,8 @@ def test_all_requests_complete_without_errors(sweep):
         shared = r["shared"]
         assert shared["completed"] == shared["submitted"]
         assert shared["errors"] == 0
-        # An eager answer completes in its execute step; only a lazy
-        # stream takes a drain step too.  No client here has advice, so
-        # every answer is eager: one step per request.
-        assert shared["lazy"] == 0
-        assert shared["steps"] == shared["submitted"] + shared["lazy"]
+        # Every request completes in the step that executes it.
+        assert shared["steps"] == shared["submitted"]
 
 
 def test_shared_and_isolated_agree_on_answers(sweep):

@@ -86,9 +86,6 @@ class BraidSystem:
                     cache_capacity_bytes=self.config.cache_capacity_bytes
                 ),
                 remote=self.remote,
-                # The IE consumes streams lazily and may abandon them, so
-                # stream-lifetime pins (a server-drain guarantee) stay off.
-                pin_streams=False,
             )
             return self.server.open_session("main").cms
         if bridge == "loose":

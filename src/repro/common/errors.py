@@ -97,17 +97,6 @@ class PlanningError(BraidError):
     """The query planner/optimizer could not produce a plan."""
 
 
-class StalePlanError(PlanningError):
-    """A plan referenced cache elements that were invalidated before it ran.
-
-    Under multi-session interleaving another session's eviction,
-    generalization, or replacement can retire an element between planning
-    and execution; the executor detects this through the cache epoch and
-    element identity, and the CMS responds by replanning against the
-    current cache state.
-    """
-
-
 class ServerError(BraidError):
     """The multi-session BrAID server refused or failed a request."""
 

@@ -32,7 +32,7 @@ class Metrics:
     Counters are named with dotted paths (``"remote.requests"``,
     ``"cache.hits.subsumed"``).  Components only ever increment counters;
     reports aggregate by prefix.  :meth:`gauge_max` keeps high-water marks
-    (queue depths, in-flight peaks) next to the counters.
+    (queue depths) next to the counters.
 
     A ledger can be subdivided into named child **scopes** (one per server
     session, say): a scope is itself a ``Metrics`` whose increments also
@@ -216,8 +216,6 @@ CACHE_PREFETCHES = "cache.prefetches"
 CACHE_GENERALIZATIONS = "cache.generalizations"
 CACHE_INDEX_BUILDS = "cache.index_builds"
 CACHE_TUPLES_PROCESSED = "cache.tuples_processed"
-CACHE_PIN_DEFERRALS = "cache.pin_deferrals"
-CACHE_STALE_REPLANS = "cache.stale_replans"
 #: Lookups served from an operator-level intermediate element.
 CACHE_INTERMEDIATE_HITS = "cache.intermediate_hits"
 #: Operator-level intermediates registered at materialization time.
@@ -237,7 +235,6 @@ SERVER_SCHEDULER_STEPS = "server.scheduler_steps"
 SERVER_SHARED_SUBPLANS = "server.shared_subplans"
 #: High-water gauges (kept with :meth:`Metrics.gauge_max`).
 SERVER_QUEUE_DEPTH_HIGH_WATER = "server.queue_depth_high_water"
-SERVER_SESSION_INFLIGHT_HIGH_WATER = "server.session_inflight_high_water"
 #: Simulated derivation seconds cache reuse avoided re-paying (the
 #: efficacy ledger's aggregate; per-element shares in
 #: :func:`repro.core.cache_model.cache_report`).

@@ -28,7 +28,6 @@ from repro.common.metrics import (
     CACHE_EVICTIONS,
     CACHE_INTERMEDIATE_HITS,
     CACHE_INTERMEDIATE_STORES,
-    CACHE_PIN_DEFERRALS,
     CACHE_SAVED_SECONDS,
     Metrics,
 )
@@ -56,14 +55,11 @@ class CacheElement:
     sequence: int = 0  # LRU clock value of the last touch
     use_count: int = 0
     uses: set[str] = field(default_factory=set)
-    #: Active pins (in-flight uses); a pinned element is exempt from
-    #: eviction and its reclamation is deferred until the last unpin.
+    #: Pins held by executing plans; a pinned element is exempt from
+    #: eviction until the plan finishes.
     pin_count: int = 0
-    #: Cache epoch at which this element was stored (staleness tag).
+    #: Cache epoch at which this element was stored (its store order).
     epoch: int = 0
-    #: Logically discarded while pinned: invisible to lookups, reclaimed
-    #: for real when the last pin is released.
-    condemned: bool = False
     #: Advice predicted no further use: first in line for eviction.
     expendable: bool = False
     # -- efficacy ledger (per-element lifetime accounting) ---------------
@@ -104,7 +100,7 @@ class CacheElement:
 
     @property
     def pinned(self) -> bool:
-        """True while at least one in-flight use holds a pin."""
+        """True while at least one executing plan holds a pin."""
         return self.pin_count > 0
 
     @property
@@ -250,9 +246,6 @@ class Cache:
             tracer = Tracer.disabled()
         self.tracer = tracer
         self._elements: dict[str, CacheElement] = {}
-        #: Discarded-while-pinned elements: logically gone (no lookups),
-        #: physically resident until the last pin is released.
-        self._condemned: dict[str, CacheElement] = {}
         #: The predicate index, which is also the pin index in front of the
         #: containment signature: predicate -> anchor slot (:func:`pin_anchor`)
         #: -> pinned constant -> element ids in store order (dicts, not
@@ -267,18 +260,14 @@ class Cache:
         #: The victim order: every live element's GreedyDual priority.
         self.replacement = GreedyDual()
         self.eviction_count = 0
-        #: Bumped on every store/discard; plans tagged with an older epoch
-        #: must re-validate their matched elements before executing.
+        #: Bumped on every store and discard: an element's ``epoch`` is its
+        #: store order.
         self.epoch = 0
-        #: Elements whose storage was actually released — immediately for
-        #: unpinned discards, on the last unpin for condemned ones; each
-        #: element counts exactly once.
-        self.reclaim_count = 0
-        #: Running size total of the extension-backed resident elements,
-        #: live and condemned (an extension never grows once stored).
+        #: Running size total of the extension-backed elements (an
+        #: extension never grows once stored).
         self._extension_bytes = 0
-        #: Generator-backed resident elements, live and condemned: their
-        #: memo can still grow, so :meth:`used_bytes` reads them fresh.
+        #: Generator-backed elements: their memo can still grow, so
+        #: :meth:`used_bytes` reads them fresh.
         self._generators: dict[str, CacheElement] = {}
         #: Per semijoin part name (``<sub-query>#semijoin``), in first-offer
         #: order: whether a stored part of that name has been read since.
@@ -350,29 +339,21 @@ class Cache:
     def discard(self, element_id: str) -> None:
         """Remove an element and its index entries (no-op if absent).
 
-        A pinned element is *condemned* instead: it disappears from every
-        lookup structure immediately (new queries cannot find it) but its
-        storage stays accounted until the last pin is released, at which
-        point it is reclaimed exactly once.
+        A pinned element is in use by an executing plan: discarding it
+        raises :class:`CacheError`.
         """
-        element = self._elements.pop(element_id, None)
+        element = self._elements.get(element_id)
         if element is None:
             return
+        if element.pinned:
+            raise CacheError(f"discard of {element_id}, which is pinned")
+        del self._elements[element_id]
         self.epoch += 1
         self._by_key.pop(key_of(element.definition), None)
         self.replacement.forget(element_id)
         self._unfile_pins(element)
-        if element.pin_count > 0:
-            element.condemned = True
-            self._condemned[element_id] = element
-            self.metrics.incr(CACHE_PIN_DEFERRALS)
-        else:
-            self._reclaim(element)
-
-    def _reclaim(self, element: CacheElement) -> None:
-        """Release a retired element's storage (exactly once per element)."""
-        self.reclaim_count += 1
-        self._uncount_bytes(element)
+        if self._generators.pop(element_id, None) is None:
+            self._extension_bytes -= element.estimated_bytes()
 
     # -- pin index ---------------------------------------------------------------
     def _unfile_pins(self, element: CacheElement) -> None:
@@ -405,28 +386,19 @@ class Cache:
             del views[next(iter(views))]
         views[name] = read
 
-    # -- concurrency control ------------------------------------------------------
+    # -- pins ---------------------------------------------------------------------
     def pin(self, element: CacheElement) -> None:
-        """Take a reference on ``element``: exempt from eviction, and its
-        reclamation is deferred until the matching :meth:`unpin`."""
+        """Take a reference on ``element``: exempt from eviction (and from
+        :meth:`discard`) until the matching :meth:`unpin`."""
         element.pin_count += 1
 
     def unpin(self, element: CacheElement) -> None:
-        """Release one pin; reclaims a condemned element on the last one."""
+        """Release one pin."""
         if element.pin_count <= 0:
             raise CacheError(
                 f"unpin of {element.element_id} without a matching pin"
             )
         element.pin_count -= 1
-        if element.pin_count == 0 and element.condemned:
-            if self._condemned.pop(element.element_id, None) is not None:
-                self._reclaim(element)
-
-    def validate(self, element: CacheElement) -> bool:
-        """True while ``element`` is still the live entry for its id —
-        i.e. it has not been evicted, condemned, or replaced since it was
-        matched (epoch-tagged invalidation for in-flight plans)."""
-        return self._elements.get(element.element_id) is element
 
     def _make_room(self, incoming_bytes: int, exempt: set[str]) -> None:
         if incoming_bytes > self.capacity_bytes:
@@ -434,8 +406,7 @@ class Cache:
                 f"element of ~{incoming_bytes} bytes exceeds cache capacity "
                 f"{self.capacity_bytes}"
             )
-        # Sized once: a victim is never pinned, so ``discard`` reclaims it
-        # at once and the total drops by exactly its bytes.
+        # Sized once: the total drops by exactly each victim's bytes.
         used = self.used_bytes()
         while used + incoming_bytes > self.capacity_bytes:
             victim = self._pick_victim(exempt)
@@ -576,18 +547,15 @@ class Cache:
 
     # -- accounting ----------------------------------------------------------------
     def used_bytes(self) -> int:
-        """Summed size estimates of all resident elements (condemned ones
-        still occupy their storage until the last pin is released): the
-        running extension total plus a fresh read of each generator."""
+        """Summed size estimates of all elements: the running extension
+        total plus a fresh read of each generator."""
         return self._extension_bytes + sum(
             e.estimated_bytes() for e in self._generators.values()
         )
 
     def _summed_bytes(self) -> int:
         """:meth:`used_bytes` from scratch, for the audit."""
-        return sum(e.estimated_bytes() for e in self._elements.values()) + sum(
-            e.estimated_bytes() for e in self._condemned.values()
-        )
+        return sum(e.estimated_bytes() for e in self._elements.values())
 
     def _count_bytes(self, element: CacheElement, size: int) -> None:
         """Add a newly resident element (``size`` = its estimate now)."""
@@ -595,10 +563,6 @@ class Cache:
             self._generators[element.element_id] = element
         else:
             self._extension_bytes += size
-
-    def _uncount_bytes(self, element: CacheElement) -> None:
-        if self._generators.pop(element.element_id, None) is None:
-            self._extension_bytes -= element.estimated_bytes()
 
     # -- invariants -----------------------------------------------------------------
     def check_invariants(self) -> None:
@@ -609,8 +573,7 @@ class Cache:
         the definition-key bijection, the predicate (pin) index against a
         rebuild from scratch, refcount sanity, each stored relation's own
         audit (set semantics, schema arity, its size memo against a
-        recount), the disjointness/reachability rules for the condemned
-        set, the running byte total against a from-scratch sum, the
+        recount), the running byte total against a from-scratch sum, the
         victim order (:meth:`GreedyDual.check`), and the semijoin part
         records' bound and shape.  Called from tests and after every
         fuzzer query.
@@ -630,10 +593,6 @@ class Cache:
             if element.use_count < 0:
                 raise InvariantViolation(
                     f"{element_id}: negative use count {element.use_count}"
-                )
-            if element.condemned:
-                raise InvariantViolation(
-                    f"{element_id} is live but flagged condemned"
                 )
             # Selections and joins adopt their output unchecked (distinct by
             # construction), and a row mutated in place would skew eviction
@@ -685,19 +644,6 @@ class Cache:
                         f"pin index files {indexed.get(key)} under {key!r} but "
                         f"the live elements' anchors give {fresh.get(key)}"
                     )
-        for element_id, element in self._condemned.items():
-            if element_id in self._elements:
-                raise InvariantViolation(
-                    f"{element_id} is both live and condemned"
-                )
-            if not element.condemned:
-                raise InvariantViolation(
-                    f"{element_id} sits in the condemned set without the flag"
-                )
-            if element.pin_count <= 0:
-                raise InvariantViolation(
-                    f"condemned {element_id} has no pins and was never reclaimed"
-                )
         used, summed = self.used_bytes(), self._summed_bytes()
         if used != summed:
             raise InvariantViolation(
@@ -723,7 +669,6 @@ class Cache:
     def clear(self) -> None:
         """Drop every element and index entry (pins notwithstanding)."""
         self._elements.clear()
-        self._condemned.clear()
         self._by_pin.clear()
         self._unpinned.clear()
         self._by_key.clear()

@@ -28,7 +28,7 @@ CACHE_MODEL_SCHEMA = Schema(
         "use_count",   # touches since creation
         "uses",        # comma-joined named uses (Section 5.2)
         "pinned",      # 1 when exempt from replacement
-        "pin_count",   # active in-flight references
+        "pin_count",   # pins held by executing plans
         "epoch",       # cache epoch at which the element was stored
     ),
 )

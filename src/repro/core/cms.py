@@ -31,7 +31,6 @@ from repro.common.errors import (
     CacheCapacityError,
     PlanningError,
     RemoteDBMSError,
-    StalePlanError,
 )
 from repro.common.metrics import (
     CACHE_GENERALIZATIONS,
@@ -40,7 +39,6 @@ from repro.common.metrics import (
     CACHE_HITS_SUBSUMED,
     CACHE_MISSES,
     CACHE_PREFETCHES,
-    CACHE_STALE_REPLANS,
     IE_CAQL_QUERIES,
     REMOTE_DEGRADED_ANSWERS,
     Metrics,
@@ -196,7 +194,6 @@ class CacheManagementSystem:
         features: CMSFeatures | None = None,
         cache: Cache | None = None,
         metrics: Metrics | None = None,
-        pin_streams: bool = False,
         subplan_registry=None,
     ):
         self.remote = remote
@@ -234,9 +231,9 @@ class CacheManagementSystem:
         self._archive = StaleArchive() if self.features.degradation else None
         self._last_degraded = False
         #: The most recent plan the planner produced for this CMS (the one
-        #: actually executed, post-replan); None after an exact hit, which
-        #: is read without one.  Purely observational: the qa subsystem
-        #: audits it after every query.
+        #: executed); None after an exact hit, which is read without one.
+        #: Purely observational: the qa subsystem audits it after every
+        #: query.
         self.last_plan = None
         self.planner = QueryPlanner(
             self.cache,
@@ -256,7 +253,6 @@ class CacheManagementSystem:
             self.metrics,
             parallel=self.features.parallel,
             should_index=self._should_auto_index,
-            pin_streams=pin_streams,
             tracer=self.tracer,
             cache_intermediates=(
                 self.features.caching and self.features.intermediates
@@ -336,8 +332,7 @@ class CacheManagementSystem:
     def _trace_stream_drain(self, stream: ResultStream, view: str) -> None:
         """Emit ``stream.ready`` now (eager) or ``stream.drained`` when a
         lazy stream's generator exhausts — wherever the drain happens, the
-        event lands on whatever span is open there (a server drain step,
-        say), which is exactly the interleaving worth seeing."""
+        event lands on whatever span is open there."""
         relation = stream._relation
         if not relation.exhausted:
             relation.when_exhausted(
@@ -456,22 +451,7 @@ class CacheManagementSystem:
                      " (lazy)" if plan.lazy else "")
         derivation_started = self.clock.now
         try:
-            try:
-                result = self.monitor.execute(plan)
-            except StalePlanError:
-                # A concurrent session retired a matched element between
-                # planning and execution (epoch-tagged invalidation):
-                # replan once against the current cache state.
-                self.metrics.incr(CACHE_STALE_REPLANS)
-                self.tracer.event("cms.stale_replan", view=psj.name)
-                logger.debug("stale plan for %s: replanning", psj.name)
-                hit = self.planner.exact_hit(psj)
-                if hit is not None:
-                    self.last_plan = None
-                    return self._read_exact(hit)
-                plan = self.planner.plan(psj)
-                self.last_plan = plan
-                result = self.monitor.execute(plan)
+            result = self.monitor.execute(plan)
         except RemoteDBMSError as error:
             # Retries are exhausted (or the breaker is open): degrade to
             # whatever the cache can still prove, rather than propagating
@@ -530,14 +510,12 @@ class CacheManagementSystem:
     def _read_exact(self, hit: ExactHit) -> Relation | GeneratorRelation:
         """Serve an exact hit: one :meth:`Cache.read` (touch, efficacy
         credit), the stored rows charged to ``local``,
-        and the stored relation itself as the answer — a generator keeps
-        its element pinned until it drains.  Traced, the hit is one
+        and the stored relation itself as the answer.  Traced, the hit is one
         ``cms.exact_hit`` event carrying the seconds charged."""
         element = hit.element
         self.cache.read(element)
         charged_from = self.clock.now
         self.monitor.charge_local(element.rows_materialized())
-        self.monitor.pin_for_stream(element, element.relation)
         if self.tracer.enabled:
             self.tracer.event(
                 "cms.exact_hit",

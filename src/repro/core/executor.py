@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from repro.common.clock import CostProfile, SimClock
-from repro.common.errors import CacheCapacityError, PlanningError, StalePlanError
+from repro.common.errors import CacheCapacityError, PlanningError
 from repro.common.metrics import (
     CACHE_INDEX_BUILDS,
     CACHE_TUPLES_PROCESSED,
@@ -169,7 +169,6 @@ class ExecutionMonitor:
         metrics: Metrics,
         parallel: bool = True,
         should_index=None,
-        pin_streams: bool = False,
         tracer=None,
         cache_intermediates: bool = False,
         subplan_registry=None,
@@ -185,12 +184,6 @@ class ExecutionMonitor:
         #: matched element's probe attributes?  (Consumer-annotation
         #: advice; Section 5.3.3's "index E12 on the third attribute".)
         self.should_index = should_index if should_index is not None else (lambda _name: False)
-        #: Hold a pin on the backing element for the lifetime of a lazy
-        #: result stream (released when the stream drains).  Enabled by the
-        #: multi-session server, whose drain phase guarantees every stream
-        #: is consumed; left off for direct single-session use, where the
-        #: IE may abandon a stream and the pin would block eviction forever.
-        self.pin_streams = pin_streams
         #: Register the remote parts a plan fetches, plain or
         #: semijoin-reduced, as intermediate cache elements.
         self.cache_intermediates = cache_intermediates
@@ -224,21 +217,11 @@ class ExecutionMonitor:
         """Run a query plan; returns a relation or a generator.
 
         Every cache element the plan reads is pinned for the duration of
-        the call (and, for lazy results with :attr:`pin_streams`, for the
-        stream's lifetime), so a concurrent session's replacement pass can
-        never reclaim an element mid-execution.  A plan whose elements were
-        invalidated since planning raises :class:`StalePlanError` so the
-        caller can replan against the current cache state.
+        the call, so the plan's own offers cannot evict an element it has
+        not derived from yet.
         """
         self.fetch_seconds = None
         elements = plan.cache_elements()
-        if plan.epoch >= 0 and plan.epoch != self.cache.epoch:
-            for element in elements:
-                if not self.cache.validate(element):
-                    raise StalePlanError(
-                        f"plan for {plan.query.name} references retired cache "
-                        f"element {element.element_id}"
-                    )
         for element in elements:
             self.cache.pin(element)
         try:
@@ -265,13 +248,6 @@ class ExecutionMonitor:
             return self._execute_parts(plan)
         raise PlanningError(f"unknown plan strategy: {strategy}")
 
-    def pin_for_stream(self, element, relation) -> None:
-        """Keep ``element`` pinned until the lazy ``relation`` drains (with
-        :attr:`pin_streams`; an exhausted relation needs no pin)."""
-        if self.pin_streams and not relation.exhausted:
-            self.cache.pin(element)
-            relation.when_exhausted(lambda: self.cache.unpin(element))
-
     def _execute_cache_full(self, plan: QueryPlan) -> Relation | GeneratorRelation:
         match = plan.full_match
         if match is None:
@@ -280,7 +256,6 @@ class ExecutionMonitor:
         if plan.lazy:
             gen = derive_full_lazy(match, plan.query)
             gen.on_produce = self._on_lazy_tuple
-            self.pin_for_stream(match.element, gen)
             return gen
         result, touched = self._derive_full_indexed(match, plan.query)
         self.charge_local(touched + len(result))

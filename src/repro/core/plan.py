@@ -204,10 +204,6 @@ class QueryPlan:
     #: Extra PSJ queries to fetch and cache ahead of need (prefetch and
     #: generalization both surface here).
     prefetches: tuple[PSJQuery, ...] = ()
-    #: Cache epoch at planning time.  When the cache has moved on by
-    #: execution time the executor re-validates every matched element and
-    #: raises :class:`~repro.common.errors.StalePlanError` if one is gone.
-    epoch: int = -1
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -231,8 +227,7 @@ class QueryPlan:
         Raises :class:`~repro.common.errors.InvariantViolation` when the
         plan could not possibly execute correctly: an occurrence of the
         query left uncovered by any part, a part claiming a tag the query
-        does not have, a missing epoch stamp on a plan that reads the
-        cache, a cache-full plan without its match, a lazy plan that
+        does not have, a cache-full plan without its match, a lazy plan that
         touches the remote DBMS, two remote parts bound for one backend, or a
         semijoin binding whose source column no earlier part exposes.
         ``backend_of`` resolves a base relation to ``(backend name, …)``
@@ -248,11 +243,6 @@ class QueryPlan:
             if self.full_match is None:
                 raise InvariantViolation(
                     f"cache-full plan for {self.query.name} has no full match"
-                )
-            if self.epoch < 0:
-                raise InvariantViolation(
-                    f"cache-full plan for {self.query.name} was never "
-                    "stamped with a cache epoch"
                 )
             return
         covered: set[str] = set()
@@ -277,12 +267,6 @@ class QueryPlan:
         if self.lazy and self.touches_remote:
             raise InvariantViolation(
                 f"lazy plan for {self.query.name} touches the remote DBMS"
-            )
-        reads_cache = any(isinstance(p, CachePart) for p in self.parts)
-        if reads_cache and self.epoch < 0:
-            raise InvariantViolation(
-                f"plan for {self.query.name} reads cache parts but was "
-                "never stamped with a cache epoch"
             )
         backends: set[str] = set()
         exposed: set[str] = set()

@@ -164,8 +164,8 @@ class QueryPlanner:
         condition count or projection length differ from the definition's
         is told canonical without rendering its structural key; only a
         query alike in all three renders it.  Nothing is read or charged
-        here: the caller reads the element in the same call, so no cache
-        epoch can pass between the lookup and the read.
+        here: the caller reads the element in the same call, so no store
+        or discard can come between the lookup and the read.
         """
         if not self.features.caching or query.unsatisfiable or not query.occurrences:
             return None
@@ -186,10 +186,8 @@ class QueryPlanner:
 
         Asked after :meth:`exact_hit` came back empty: an exactly cached
         query planned anyway is derived from its element like any other
-        subsumed one.  The plan is tagged with the cache epoch at planning
-        time; an executor seeing a newer epoch re-validates the matched
-        elements, which makes planning safe under multi-session
-        interleaving.
+        subsumed one.  Every caller executes the plan next, with no store
+        or discard in between, so the elements it matched are still live.
         """
         with self.tracer.span("planner.plan", view=query.name) as span:
             # With a real tracer attached (or under audit), the probe
@@ -199,7 +197,6 @@ class QueryPlanner:
                 [] if self.tracer.enabled or self.audit else None
             )
             plan = self._plan(query, reports)
-            plan.epoch = self.cache.epoch
             if self.audit:
                 plan.check_invariants(self.backend_of)
                 audit_prefilter(self.cache, query, reports)
@@ -221,7 +218,7 @@ class QueryPlanner:
         span.set("lazy", plan.lazy)
         span.set("cache_result", plan.cache_result)
         span.set("expendable", plan.expendable)
-        span.set("epoch", plan.epoch)
+        span.set("epoch", self.cache.epoch)
         span.set("notes", list(plan.notes))
         span.set("parts", plan.part_labels())
         if plan.prefetches:
@@ -492,7 +489,6 @@ class QueryPlanner:
             parts=tuple(parts),
             cross_conditions=tuple(self._cross_conditions(query, parts)),
             cache_result=False,
-            epoch=self.cache.epoch,
             notes=notes,
         )
         if self.audit:

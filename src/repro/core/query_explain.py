@@ -193,6 +193,6 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
         estimated_local_cost=plan.estimated_local_cost,
         estimated_remote_cost=plan.estimated_remote_cost,
         candidates=candidates,
-        epoch=plan.epoch,
+        epoch=cms.cache.epoch,
         element_efficacy=tuple(efficacy),
     )

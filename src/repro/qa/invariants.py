@@ -5,9 +5,9 @@ methods that raise :class:`~repro.common.errors.InvariantViolation` when
 an internal consistency property is broken:
 
 * :meth:`repro.core.cache.Cache.check_invariants` — index bijections,
-  refcount sanity, condemned-set disjointness;
+  refcount sanity, the running byte total;
 * :meth:`repro.core.plan.QueryPlan.check_invariants` — every occurrence
-  covered by exactly one part, epoch stamps, semijoin binding sources
+  covered by exactly one part, semijoin binding sources
   (enabled on every plan via :attr:`QueryPlanner.audit`);
 * :meth:`repro.core.executor.ResultStream.check_invariants` — set
   semantics, schema arity, and the drain-once contract (a drained

@@ -47,8 +47,8 @@ class GeneratorRelation:
         self._exhausted = False
         #: Optional callback fired for each newly produced row (metrics hook).
         self.on_produce: Callable[[tuple], None] | None = None
-        #: Optional callback fired once when the source drains (the cache
-        #: uses it to release pins held for the stream's lifetime).
+        #: Optional callback fired once when the source drains (the CMS
+        #: traces a lazy stream's ``stream.drained`` event from it).
         self.on_exhausted: Callable[[], None] | None = None
 
     # -- production -------------------------------------------------------------

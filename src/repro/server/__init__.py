@@ -2,9 +2,9 @@
 
 Turns the paper's single-IE CMS into a shared bridge serving many named
 IE sessions over one cache: session management (per-session advice and
-metrics), admission control (bounded queue, backpressure, per-session
-in-flight limits), and deterministic cooperative scheduling (round-robin
-and weighted-fair) on the simulated clock.  See ``docs/server.md``.
+metrics), admission control (bounded queue, backpressure), and
+deterministic cooperative scheduling (round-robin and weighted-fair) on
+the simulated clock.  See ``docs/server.md``.
 """
 
 from repro.server.admission import AdmissionController

@@ -1,19 +1,12 @@
 """Admission control: bounded queueing and backpressure.
 
-A server in front of a shared cache has two saturation surfaces: the
-total backlog it is willing to hold (memory), and how much of the
-scheduler one session may occupy at once (fairness).  Both are enforced
-here, before any work is done:
-
-* the **request queue bound** caps pending requests across all sessions —
-  a submit beyond it is rejected immediately with a typed
-  :class:`~repro.common.errors.ServerOverloadError`, which is the
-  backpressure signal clients retry/back off on;
-* the **per-session in-flight limit** (:data:`MAX_INFLIGHT_PER_SESSION`)
-  caps how many of one session's lazy streams may be started-but-undrained
-  at once, so a client that floods the server cannot pin unbounded cache
-  state mid-stream.  An eager answer completes in its execute step and
-  is never in flight, so the limit only ever binds on lazy streams.
+A server in front of a shared cache bounds the total backlog it is
+willing to hold, before any work is done: the **request queue bound**
+caps pending requests across all sessions — a submit beyond it is
+rejected immediately with a typed
+:class:`~repro.common.errors.ServerOverloadError`, which is the
+backpressure signal clients retry/back off on.  (Every request completes
+in the step that executes it, so nothing else is held per session.)
 """
 
 from __future__ import annotations
@@ -28,9 +21,6 @@ from repro.common.metrics import (
 from repro.obs.tracer import Tracer
 from repro.server.session import Session
 
-#: Started-but-undrained (lazy) requests one session may hold at once.
-MAX_INFLIGHT_PER_SESSION = 4
-
 
 class AdmissionController:
     """Decides, per request, whether the server takes on more work."""
@@ -41,8 +31,6 @@ class AdmissionController:
         metrics: Metrics | None = None,
         tracer=None,
     ):
-        if max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive")
         self.max_queue_depth = max_queue_depth
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else Tracer.disabled()
@@ -82,22 +70,9 @@ class AdmissionController:
         self.queued -= 1
 
     # -- eligibility ------------------------------------------------------------
-    def may_start(self, session: Session) -> bool:
-        """May the scheduler start another of this session's requests?
-
-        False while the session sits at its in-flight limit; it can still
-        be scheduled to *drain* (draining reduces in-flight, so progress
-        is always possible).
-        """
-        return len(session.in_flight) < MAX_INFLIGHT_PER_SESSION
-
     def is_eligible(self, session: Session) -> bool:
-        """Does this session have any step the scheduler could run now?
-
-        A session with a stream in flight can always drain it; one with
-        none in flight is below its limit, so any backlog can start.
-        """
-        return session.open and bool(session.in_flight or session.backlog)
+        """Does this session have a request the scheduler could run now?"""
+        return session.open and bool(session.backlog)
 
     def utilization(self) -> float:
         """Queue fill fraction (the overload signal clients can poll)."""

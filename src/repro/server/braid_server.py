@@ -2,10 +2,10 @@
 
 Ties the pieces together: a :class:`SessionManager` (named IE sessions,
 each with private advice and metrics, all over one shared cache), an
-:class:`AdmissionController` (bounded queue, typed overload rejections,
-per-session in-flight limits), and a deterministic cooperative
-:class:`Scheduler` (round-robin or weighted-fair) that interleaves
-session steps on the shared :class:`SimClock`.
+:class:`AdmissionController` (bounded queue, typed overload rejections),
+and a deterministic cooperative :class:`Scheduler` (round-robin or
+weighted-fair) that interleaves session steps on the shared
+:class:`SimClock`.
 
 A request's life:
 
@@ -13,22 +13,15 @@ A request's life:
    :class:`ServerOverloadError` when the queue bound is hit, otherwise
    queued on the session's backlog stamped with the current simulated
    time;
-2. an **execute** step — the scheduler picks the session and the
-   session's CMS answers the query (cache elements it reads are pinned
-   for the call).  An eager answer is already an extension: it is
-   drained and the request completes in this same step;
-3. a **drain** step, for a lazy answer only — the generator is consumed
-   and the request completes.  Until then the request is *in flight*
-   and the element it derives from stays pinned.
+2. one **execute** step — the scheduler picks the session, the session's
+   CMS answers the query (cache elements it reads are pinned for the
+   call), the answer is drained — a lazy one too — and the request
+   completes.
 
 Latency is completion time minus submit time, so waiting behind other
-sessions' steps counts, which is what fairness policies bound.
-
-Steps from different sessions interleave between a lazy request's
-execute and drain — exactly the window where one session's replacement
-could trash another session's in-flight stream, and exactly what stream
-pins and epoch-tagged invalidation make safe.  An eager answer has no
-such window, so it is never parked.
+sessions' steps counts, which is what fairness policies bound.  Steps
+never interleave inside a request: the server does not stream to its
+client, so no answer is held open while another session runs.
 
 Everything is deterministic: same seed, sessions, and submissions →
 byte-identical schedule traces and per-session results.
@@ -67,7 +60,7 @@ class ServerConfig:
     features: CMSFeatures | None = None
     scheduler_policy: str = "round-robin"  # or "weighted-fair"
     scheduler_seed: int = 0
-    max_queue_depth: int = 256
+    max_queue_depth: int = 256  # must be positive
     #: Collect a full span trace of every request's lifecycle.  Off by
     #: default: the disabled tracer makes every hook a no-op.
     tracing: bool = False
@@ -78,6 +71,10 @@ class ServerConfig:
                 f"unknown scheduler policy {self.scheduler_policy!r}; "
                 f"have {tuple(POLICIES)}"
             )
+        if self.max_queue_depth <= 0:
+            raise ServerError(
+                f"max_queue_depth must be positive, got {self.max_queue_depth}"
+            )
 
 
 @dataclass
@@ -85,7 +82,7 @@ class StepRecord:
     """One scheduler decision, for the reproducible schedule trace."""
 
     index: int
-    phase: str  # "execute" | "drain" (a lazy answer's second step)
+    phase: str  # "execute": every request completes in one step
     session: str
     request_id: str
     clock: float
@@ -102,7 +99,6 @@ class BraidServer:
         tables: list[Relation] | None = None,
         config: ServerConfig | None = None,
         remote: RemoteDBMS | None = None,
-        pin_streams: bool = True,
     ):
         self.config = config if config is not None else ServerConfig()
         self.remote = remote if remote is not None else RemoteDBMS()
@@ -145,7 +141,6 @@ class BraidServer:
             self.cache,
             features=self.config.features,
             metrics=self.metrics,
-            pin_streams=pin_streams,
             subplan_registry=self.subplan_registry,
         )
         self.admission = AdmissionController(
@@ -173,7 +168,7 @@ class BraidServer:
     def close_session(self, name: str) -> Session:
         """Close a session, abandoning whatever it still had pending."""
         session = self.sessions.get(name)
-        abandoned = session.pending_count
+        abandoned = len(session.backlog)
         closed = self.sessions.close(name)
         for _ in range(abandoned):
             self.admission.release()
@@ -205,30 +200,22 @@ class BraidServer:
         # The running session's advice governs shared-cache replacement
         # for the duration of its step.
         session.activate()
-        if session.backlog and self.admission.may_start(session):
-            request = session.backlog.popleft()
-            phase = "execute"
-        else:
-            request = session.in_flight.popleft()
-            phase = "drain"
+        request = session.backlog.popleft()
         with self.tracer.span(
             "server.step",
-            phase=phase,
+            phase="execute",
             session=session.name,
             request=request.request_id,
             index=len(self.schedule_trace),
         ) as span:
             if self.tracer.enabled:
                 span.set("eligible", [s.name for s in eligible])
-            if phase == "execute":
-                self._execute(session, request)
-            else:
-                self._drain(session, request)
+            self._execute(session, request)
         self.metrics.incr(SERVER_SCHEDULER_STEPS)
         self.schedule_trace.append(
             StepRecord(
                 index=len(self.schedule_trace),
-                phase=phase,
+                phase="execute",
                 session=session.name,
                 request_id=request.request_id,
                 clock=self.clock.now,
@@ -255,36 +242,17 @@ class BraidServer:
         """Completed requests of an open session, in completion order."""
         return list(self.sessions.get(session_name).completed)
 
-    # -- step phases --------------------------------------------------------------
+    # -- the execute step ---------------------------------------------------------
     def _execute(self, session: Session, request: Request) -> None:
+        """Answer ``request`` and drain its stream, lazy or eager."""
         request.started_at = self.clock.now
         try:
-            request.stream = session.cms.query(request.query)
+            stream = session.cms.query(request.query)
+            request.rows = stream.fetch_all()
+            request.degraded = stream.degraded
         except BraidError as error:
-            self._finish(session, request, error=error)
-            return
-        if not request.stream.lazy:
-            self._drain(session, request)
-            return
-        session.in_flight.append(request)
-        session.note_in_flight()
-
-    def _drain(self, session: Session, request: Request) -> None:
-        try:
-            assert request.stream is not None
-            request.rows = request.stream.fetch_all()
-            request.degraded = request.stream.degraded
-        except BraidError as error:
-            self._finish(session, request, error=error)
-            return
-        self._finish(session, request)
-
-    def _finish(
-        self, session: Session, request: Request, error: BraidError | None = None
-    ) -> None:
-        request.completed_at = self.clock.now
-        if error is not None:
             request.error = f"{type(error).__name__}: {error}"
+        request.completed_at = self.clock.now
         session.completed.append(request)
         self.admission.release()
         self.metrics.incr(SERVER_REQUESTS_COMPLETED)

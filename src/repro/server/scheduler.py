@@ -1,9 +1,8 @@
 """Deterministic cooperative scheduling of session steps.
 
 The server is single-threaded on the simulated clock: concurrency is
-*cooperative interleaving* of per-session steps (execute one query —
-an eager answer completes there — or drain one lazy result stream),
-which keeps every run exactly reproducible — the same seed and
+*cooperative interleaving* of per-session steps (execute and drain one
+query), which keeps every run exactly reproducible — the same seed and
 submissions yield byte-identical schedules.
 
 Two policies, each a class with ``note_session`` / ``forget_session`` /

@@ -8,8 +8,8 @@ that into many named IE sessions sharing one cache.  Each session owns
   IE and the CMS, so it must never leak across clients;
 * its own :class:`~repro.common.metrics.Metrics` child scope — a session's
   counters are its share alone, while the server root aggregates;
-* its own request bookkeeping (backlog, in-flight streams, completions,
-  per-request simulated latency).
+* its own request bookkeeping (backlog, completions, per-request
+  simulated latency).
 
 What sessions *share* is the cache (plus the remote link): cross-session
 reuse — one client's cached view answering another client's query through
@@ -20,7 +20,7 @@ traffic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import (
     ServerError,
@@ -28,7 +28,6 @@ from repro.common.errors import (
     UnknownSessionError,
 )
 from repro.common.metrics import (
-    SERVER_SESSION_INFLIGHT_HIGH_WATER,
     SERVER_SESSIONS_CLOSED,
     SERVER_SESSIONS_OPENED,
     Metrics,
@@ -37,7 +36,6 @@ from repro.advice.language import AdviceSet
 from repro.caql.ast import CAQLQuery
 from repro.core.cache import Cache
 from repro.core.cms import CacheManagementSystem, CMSFeatures
-from repro.core.executor import ResultStream
 from repro.remote.server import RemoteDBMS
 
 
@@ -54,9 +52,6 @@ class Request:
     rows: list[tuple] | None = None
     degraded: bool = False
     error: str | None = None
-    #: The answer's stream; a lazy one stays undrained between the
-    #: execute and drain phases.
-    stream: ResultStream | None = field(default=None, repr=False)
 
     @property
     def latency(self) -> float | None:
@@ -72,7 +67,7 @@ class Request:
 
     @property
     def finished(self) -> bool:
-        """True once drained (or failed)."""
+        """True once answered (or failed)."""
         return self.completed_at is not None
 
 
@@ -95,32 +90,13 @@ class Session:
         self.open = True
         #: Admitted requests not yet started (FIFO within the session).
         self.backlog: deque[Request] = deque()
-        #: Started (executed) requests whose lazy streams are not yet
-        #: drained.
-        self.in_flight: deque[Request] = deque()
         self.completed: list[Request] = []
-        #: Highest simultaneous in-flight count this session ever reached.
-        self.in_flight_peak = 0
         self._next_request = 1
-
-    def note_in_flight(self) -> None:
-        """Record the current in-flight depth against the session's peak
-        (and the ``server.session_inflight_high_water`` gauge — the parent
-        scope keeps the maximum over all sessions)."""
-        depth = len(self.in_flight)
-        if depth > self.in_flight_peak:
-            self.in_flight_peak = depth
-        self.metrics.gauge_max(SERVER_SESSION_INFLIGHT_HIGH_WATER, depth)
 
     def new_request_id(self) -> str:
         request_id = f"{self.name}#{self._next_request}"
         self._next_request += 1
         return request_id
-
-    @property
-    def pending_count(self) -> int:
-        """Requests admitted but not finished (backlog + in-flight)."""
-        return len(self.backlog) + len(self.in_flight)
 
     def begin_advice(self, advice: AdviceSet | None) -> None:
         """(Re)start this session's advice context."""
@@ -146,7 +122,7 @@ class Session:
         state = "open" if self.open else "closed"
         return (
             f"Session({self.name!r}, {state}, weight={self.weight}, "
-            f"backlog={len(self.backlog)}, in_flight={len(self.in_flight)}, "
+            f"backlog={len(self.backlog)}, "
             f"completed={len(self.completed)})"
         )
 
@@ -165,7 +141,6 @@ class SessionManager:
         cache: Cache,
         features: CMSFeatures | None = None,
         metrics: Metrics | None = None,
-        pin_streams: bool = True,
         subplan_registry=None,
     ):
         self.remote = remote
@@ -176,12 +151,6 @@ class SessionManager:
         #: every session's CMS so concurrent identical remote subplans are
         #: computed once.  None disables sharing.
         self.subplan_registry = subplan_registry
-        #: Server sessions drain every stream (a lazy one in its drain
-        #: phase, an eager one at once), so pins held for a stream's
-        #: lifetime are always released; a directly embedded single
-        #: session passes False (the IE may abandon streams, and an
-        #: unreleased pin would block eviction forever).
-        self.pin_streams = pin_streams
         self._sessions: dict[str, Session] = {}
         self._ever_opened = 0
 
@@ -200,7 +169,6 @@ class SessionManager:
             features=self.features,
             cache=self.cache,
             metrics=self.metrics.scope(name),
-            pin_streams=self.pin_streams,
             subplan_registry=self.subplan_registry,
         )
         session = Session(name, cms, cms.metrics, weight=weight)
@@ -211,17 +179,8 @@ class SessionManager:
         return session
 
     def close(self, name: str) -> Session:
-        """Close a session; its pending requests are abandoned.
-
-        Undrained streams are drained first so any stream-lifetime pins
-        on shared cache elements are released (a closed session must not
-        keep pinning memory other sessions need).
-        """
+        """Close a session; its pending requests are abandoned."""
         session = self.get(name)
-        for request in session.in_flight:
-            if request.stream is not None:
-                request.stream.fetch_all()
-        session.in_flight.clear()
         session.backlog.clear()
         session.open = False
         del self._sessions[name]

@@ -16,7 +16,7 @@ under other spellings, and retire elements every way the cache can:
   anchor would sit at another slot or under another spelling of the
   constant): the element keeps its definition, and so its anchor;
 * discard;
-* pin, then discard (the element is condemned), then unpin (reclaimed);
+* pin, then discard (refused: the element stays live), then unpin;
 * clear.
 
 After every step, against the reference list of live elements in store
@@ -30,11 +30,13 @@ order:
 * ``check_invariants`` passes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.parser import parse_query
+from repro.common.errors import CacheError
 from repro.core.cache import Cache, key_of, pin_anchor
 from repro.relational.relation import Relation
 from tests.core.test_signature_property import other_spelling
@@ -181,10 +183,10 @@ def test_the_one_index_follows_the_reference_list(operations, drawn_pins):
         elif kind == "pin-discard-unpin":
             if not live:
                 continue
-            element = live.pop(operation[1] % len(live))
+            element = live[operation[1] % len(live)]
             cache.pin(element)
-            cache.discard(element.element_id)
-            assert element.condemned
+            with pytest.raises(CacheError, match="pinned"):
+                cache.discard(element.element_id)
             check(cache, live, drawn_pins)
             cache.unpin(element)
         else:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.caql.eval import psj_of, result_schema
 from repro.caql.parser import parse_query
-from repro.common.errors import CacheCapacityError
+from repro.common.errors import CacheCapacityError, CacheError
 from repro.core import replacement
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
@@ -310,7 +310,7 @@ def test_every_pick_is_the_model_argmin(operations, exempt_picks, features):
                 if operation[1] == "lost":
                     cms.advice_manager.observe_query("nowhere")
         elif kind == "unpin":
-            if pins:  # condemned elements too: the last unpin reclaims them
+            if pins:
                 cache.unpin(pins.pop(operation[1] % len(pins)))
         elif kind == "derive":
             stored += 1
@@ -337,6 +337,9 @@ def test_every_pick_is_the_model_argmin(operations, exempt_picks, features):
         elif kind == "annotate":
             cache.annotate(chosen, expendable=operation[2], advised=operation[3])
             annotated = chosen
+        elif chosen.pinned:
+            with pytest.raises(CacheError, match="pinned"):
+                cache.discard(chosen.element_id)
         else:
             cache.discard(chosen.element_id)
         model.sync(cache, annotated)

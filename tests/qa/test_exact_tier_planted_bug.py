@@ -1,9 +1,9 @@
-"""Acceptance: planted bugs in the exact tier and the fused eager step are
+"""Acceptance: planted bugs in the exact tier and the one-step request are
 caught by hand cases.
 
 An exact hit is one ``Cache.read`` in one server step: the planner's
-exact tier finds the element, the CMS reads it, and the server drains an
-eager answer in the step that produced it.  Three mutants, one per thing
+exact tier finds the element, the CMS reads it, and the server drains
+the answer in the step that produced it.  Three mutants, one per thing
 that path must keep:
 
 * ``unread`` — the exact tier serves the element without
@@ -12,21 +12,18 @@ that path must keep:
 * ``structural_blind`` — the exact tier ignores ``canonical=False`` and
   serves variant spellings as canonical hits in the structural-only
   ablation (E22's baseline).
-* ``fused_lazy`` — the server drains *every* stream in its execute step,
-  lazy ones included, so a lazy stream's pin is released before its
-  drain step and the in-flight limit never binds.
+* ``leaked_pin`` — the executor skips the ``finally`` unpin after a
+  plan, so the element a lazy answer derives from stays pinned after its
+  step — exempt from eviction for good.
 
-Which fuzz profile also kills each is recorded in EXPERIMENTS.md ("One
-read, one step") and ROADMAP item 8.
+Which fuzz profile also kills the first two is recorded in EXPERIMENTS.md
+("One read, one step") and ROADMAP item 8.
 """
 
 import pytest
 
-from repro.advice.language import AdviceSet
-from repro.advice.view_spec import annotate
 from repro.caql.eval import psj_of
 from repro.caql.parser import parse_query
-from repro.common.errors import BraidError
 from repro.common.metrics import (
     CACHE_HITS_CANONICAL,
     CACHE_HITS_EXACT,
@@ -35,10 +32,11 @@ from repro.common.metrics import (
 )
 from repro.core.canonical import canonicalize
 from repro.core.cms import CacheManagementSystem, CMSFeatures
+from repro.core.executor import ExecutionMonitor
 from repro.core.planner import ExactHit, QueryPlanner
 from repro.remote.server import RemoteDBMS
-from repro.server import BraidServer, ServerConfig
 from repro.workloads.synthetic import selection_universe
+from tests.server.test_admission import check_every_answer_completes_in_its_execute_step
 
 TABLES = selection_universe(rows=40, seed=5).tables
 
@@ -110,26 +108,6 @@ def check_the_structural_ablation_refuses_a_variant():
         assert cms.metrics.get(CACHE_HITS_SUBSUMED) == subsumed, canonical
 
 
-def check_a_lazy_stream_stays_in_flight_and_pinned():
-    """A lazy answer's execute step parks it, pinned, until a drain step."""
-    lazy = parse_query("z(I, V) :- item(I, cat4, V)")
-    server = BraidServer(tables=TABLES, config=ServerConfig())
-    server.open_session("s", advice=AdviceSet.from_views([annotate(lazy, "^^")]))
-    server.submit("s", parse_query("warm(I, C, V) :- item(I, C, V)"))
-    server.run_until_idle()
-    (warm,) = server.cache.elements()
-
-    request = server.submit("s", lazy)
-    assert server.step()
-    assert request.stream.lazy and not request.finished
-    assert warm.pin_count == 1  # held for the stream's lifetime
-    assert [r.phase for r in server.schedule_trace[-1:]] == ["execute"]
-    assert server.step()
-    assert request.finished and request.rows
-    assert warm.pin_count == 0
-    assert server.schedule_trace[-1].phase == "drain"
-
-
 # -- the mutants -----------------------------------------------------------------------
 
 
@@ -137,7 +115,6 @@ def _unread(monkeypatch):
     def read_exact(self, hit):
         element = hit.element  # the mutation: no ``self.cache.read``
         self.monitor.charge_local(element.rows_materialized())
-        self.monitor.pin_for_stream(element, element.relation)
         return element.relation
 
     monkeypatch.setattr(CacheManagementSystem, "_read_exact", read_exact)
@@ -160,17 +137,15 @@ def _structural_blind(monkeypatch):
     monkeypatch.setattr(QueryPlanner, "exact_hit", exact_hit)
 
 
-def _fused_lazy(monkeypatch):
-    def execute(self, session, request):
-        request.started_at = self.clock.now
-        try:
-            request.stream = session.cms.query(request.query)
-        except BraidError as error:
-            self._finish(session, request, error=error)
-            return
-        self._drain(session, request)  # the mutation: lazy streams too
+def _leaked_pin(monkeypatch):
+    def execute(self, plan):
+        self.fetch_seconds = None
+        for element in plan.cache_elements():
+            self.cache.pin(element)
+        # The mutation: no ``finally`` releasing the pins.
+        return self._dispatch(plan)
 
-    monkeypatch.setattr(BraidServer, "_execute", execute)
+    monkeypatch.setattr(ExecutionMonitor, "execute", execute)
 
 
 @pytest.mark.parametrize(
@@ -178,9 +153,9 @@ def _fused_lazy(monkeypatch):
     [
         (check_an_exact_hit_is_one_read, _unread),
         (check_the_structural_ablation_refuses_a_variant, _structural_blind),
-        (check_a_lazy_stream_stays_in_flight_and_pinned, _fused_lazy),
+        (check_every_answer_completes_in_its_execute_step, _leaked_pin),
     ],
-    ids=["unread", "structural_blind", "fused_lazy"],
+    ids=["unread", "structural_blind", "leaked_pin"],
 )
 def test_killed_by_the_hand_case(check, plant, monkeypatch):
     check()

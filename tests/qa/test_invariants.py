@@ -52,12 +52,6 @@ class TestCacheInvariants:
         with pytest.raises(InvariantViolation, match="pin count"):
             cache.check_invariants()
 
-    def test_live_element_flagged_condemned(self):
-        cache, element = stored_cache()
-        element.condemned = True
-        with pytest.raises(InvariantViolation, match="condemned"):
-            cache.check_invariants()
-
     def test_row_mutated_in_place_after_sizing(self):
         # Breaks Relation's append-only contract: the memoized size no
         # longer matches what a recount of the rows gives.
@@ -226,24 +220,20 @@ class TestPlanInvariants:
             plan.check_invariants(lone_server)
 
     def test_cache_full_without_full_match(self):
-        plan = QueryPlan(self.PSJ, "cache-full", epoch=0)
+        plan = QueryPlan(self.PSJ, "cache-full")
         with pytest.raises(InvariantViolation, match="no full match"):
             plan.check_invariants(lone_server)
 
-    def test_cache_full_plan_without_epoch_stamp(self):
+    def test_cache_full_plan_with_its_match_passes(self):
         cache, _element = stored_cache()
         psj = psj_of(parse_query("q(X, Y) :- r(X, Y), X > 1"))
         (match,) = find_relevant(cache, psj)
-        plan = QueryPlan(psj, "cache-full", full_match=match)  # epoch left at -1
-        with pytest.raises(InvariantViolation, match="epoch"):
-            plan.check_invariants(lone_server)
-        plan.epoch = 0
-        plan.check_invariants(lone_server)
+        QueryPlan(psj, "cache-full", full_match=match).check_invariants(lone_server)
 
     def test_exact_plan_without_its_element(self):
         # An exact hit is read without a plan; a plan claiming the
         # strategy covers nothing.
-        plan = QueryPlan(self.PSJ, "exact", epoch=0)
+        plan = QueryPlan(self.PSJ, "exact")
         with pytest.raises(InvariantViolation, match="covered by no part"):
             plan.check_invariants(lone_server)
 
@@ -270,7 +260,7 @@ class TestPlanInvariants:
                 ),
             ),
         )
-        plan = QueryPlan(self.PSJ, "hybrid", parts=(part,), epoch=0)
+        plan = QueryPlan(self.PSJ, "hybrid", parts=(part,))
         with pytest.raises(InvariantViolation):
             plan.check_invariants(lone_server)
 

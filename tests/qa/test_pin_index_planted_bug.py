@@ -69,7 +69,7 @@ def _forgetful(monkeypatch):
         element = self.get(element_id)
         total = self._extension_bytes
         real_discard(self, element_id)
-        if element is not None and not element.condemned:
+        if element is not None:
             self._extension_bytes = total  # the subtraction never happened
 
     monkeypatch.setattr(Cache, "discard", discard)

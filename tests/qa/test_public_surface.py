@@ -26,13 +26,14 @@ TRAFFIC = ("src", "benchmarks", "examples")
 ALLOWED = {
     "advance": "SimClock.advance: how tests (and E-series set-ups) move simulated time by hand",
     "case_from_relations": "test seam: lets property suites hand the differential runner a case built from their own relations",
-    "close_session": "BraidServer's session teardown (pins released, admission slots returned): API no workload exercises yet",
+    "close_session": "BraidServer's session teardown (admission slots returned): API no workload exercises yet",
     "generator_from_rows": "test seam: a GeneratorRelation over a fixed row list",
     "parse_query_pattern": "text front end of cms.query_pattern (ROADMAP item 5 builds on it)",
     "predicted_next": "PathTracker's position is otherwise unobservable: tests/advice and tests/ie assert on it",
     "psj_of": "test seam: CAQL text -> PSJ in one call, used by a dozen test modules",
     "reset_predicate_cache": "test seam: planted-bug tests must drop code generated before the mutant",
     "served_from_cache": "PlanExplanation accessor (cms.explain, ROADMAP item 7)",
+    "validate": "KnowledgeBase.validate: the undefined-predicate check tests/workloads runs over every shipped knowledge base",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.:]*")

@@ -1,20 +1,23 @@
-"""Tests for admission control: queue bounds, backpressure, in-flight limits."""
+"""Tests for admission control: queue bounds, backpressure, and the
+one-step life of a request."""
 
 import pytest
 
 from repro.caql.ast import ConjunctiveQuery
 from repro.caql.parser import parse_query
-from repro.common.errors import ServerOverloadError
+from repro.common.errors import ServerError, ServerOverloadError
 from repro.common.metrics import (
+    LAZY_TUPLES_PRODUCED,
     SERVER_REQUESTS_ACCEPTED,
     SERVER_REQUESTS_REJECTED,
+    SERVER_SCHEDULER_STEPS,
     Metrics,
 )
 from repro.advice.language import AdviceSet
 from repro.advice.view_spec import annotate
 from repro.logic.terms import Atom, Const, Var
 from repro.server import BraidServer, ServerConfig
-from repro.server.admission import MAX_INFLIGHT_PER_SESSION, AdmissionController
+from repro.server.admission import AdmissionController
 from repro.server.session import Request, Session
 from repro.workloads.synthetic import selection_universe
 
@@ -26,7 +29,6 @@ def stub_session(name="s"):
     session.name = name
     session.open = True
     session.backlog = []
-    session.in_flight = []
     return session
 
 
@@ -37,6 +39,42 @@ def stub_request(session, n):
         query=None,
         submitted_at=0.0,
     )
+
+
+def run_one_step_session(lazy: bool) -> tuple[BraidServer, list]:
+    """Warm the table, then ask five views of it from one session, one
+    ``step()`` at a time; after each step, every request it executed has
+    completed and no cache element is still pinned.  ``lazy``: the
+    session's advice prefers lazy evaluation, so every view is a stream
+    derived from the warmed element."""
+    views = [parse_query(f"q{i}(I, V) :- item(I, cat{i}, V)") for i in range(5)]
+    server = BraidServer(
+        tables=selection_universe(rows=30, seed=5).tables,
+        config=ServerConfig(max_queue_depth=8),
+    )
+    advice = AdviceSet.from_views([annotate(q, "^^") for q in views]) if lazy else None
+    server.open_session("alice", advice=advice)
+    requests = [server.submit("alice", parse_query("warm(I, C, V) :- item(I, C, V)"))]
+    requests += [server.submit("alice", query) for query in views]
+    for request in requests:
+        assert server.step()
+        assert request.finished and request.error is None
+        assert all(e.pin_count == 0 for e in server.cache.elements())
+    assert not server.step()
+    return server, [request.rows for request in requests]
+
+
+def check_every_answer_completes_in_its_execute_step():
+    """A lazy answer, like an eager one, is drained in the step that
+    executes it: one step per request, no pin outlives its step, and the
+    rows are those of the same requests without advice."""
+    server, rows = run_one_step_session(lazy=True)
+    assert server.metrics.get(LAZY_TUPLES_PRODUCED) > 0
+    assert server.metrics.get(SERVER_SCHEDULER_STEPS) == len(rows)
+    assert [r.phase for r in server.schedule_trace] == ["execute"] * len(rows)
+    eager, eager_rows = run_one_step_session(lazy=False)
+    assert eager.metrics.get(LAZY_TUPLES_PRODUCED) == 0
+    assert [sorted(r) for r in rows] == [sorted(r) for r in eager_rows]
 
 
 class TestController:
@@ -65,18 +103,11 @@ class TestController:
             AdmissionController().release()
 
     def test_bounds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_queue_depth=0)
-
-    def test_may_start_caps_in_flight(self):
-        controller = AdmissionController()
-        session = stub_session()
-        session.in_flight = [
-            stub_request(session, n) for n in range(MAX_INFLIGHT_PER_SESSION - 1)
-        ]
-        assert controller.may_start(session)
-        session.in_flight.append(stub_request(session, MAX_INFLIGHT_PER_SESSION))
-        assert not controller.may_start(session)
+        # One check, at the server boundary, typed like every other
+        # configuration error.
+        for depth in (0, -1):
+            with pytest.raises(ServerError, match="max_queue_depth"):
+                BraidServer(config=ServerConfig(max_queue_depth=depth))
 
     def test_eligibility(self):
         controller = AdmissionController()
@@ -84,13 +115,6 @@ class TestController:
         assert not controller.is_eligible(session)  # nothing to do
         session.backlog = [stub_request(session, 0)]
         assert controller.is_eligible(session)  # can start
-        session.in_flight = [
-            stub_request(session, n) for n in range(1, MAX_INFLIGHT_PER_SESSION + 1)
-        ]
-        assert controller.is_eligible(session)  # can drain (but not start)
-        assert not controller.may_start(session)
-        session.backlog = []
-        session.in_flight = []
         session.open = False
         assert not controller.is_eligible(session)
 
@@ -132,39 +156,19 @@ class TestServerBackpressure:
         server.run_until_idle()
         assert len(server.results("alice")) == 4
 
-    def test_in_flight_limit_forces_drain_before_next_start(self):
-        limit = MAX_INFLIGHT_PER_SESSION
-        server = self.make_server(max_queue_depth=limit + 1)
-        # Advice that prefers lazy evaluation for every view: each answer
-        # derived from the warmed table is a stream, drained in its own step.
-        lazy = self.queries(limit + 1)
-        server.open_session(
-            "alice", advice=AdviceSet.from_views([annotate(q, "^^") for q in lazy])
-        )
-        server.submit("alice", parse_query("warm(I, C, V) :- item(I, C, V)"))
-        server.run_until_idle()
-        assert [record.phase for record in server.schedule_trace] == ["execute"]
-        del server.schedule_trace[:]
-        requests = [server.submit("alice", query) for query in lazy]
-        server.run_until_idle()
-        assert all(request.stream.lazy for request in requests)
-        # One session at its in-flight limit must drain before it starts
-        # its last request.
-        phases = [record.phase for record in server.schedule_trace]
-        assert phases == ["execute"] * limit + ["drain", "execute"] + ["drain"] * limit
+    def test_every_answer_completes_in_its_execute_step(self):
+        check_every_answer_completes_in_its_execute_step()
 
     def test_an_eager_answer_is_never_in_flight(self):
-        limit = MAX_INFLIGHT_PER_SESSION
-        server = self.make_server(max_queue_depth=limit + 1)
+        server = self.make_server(max_queue_depth=5)
         server.open_session("alice")
-        for query in self.queries(limit + 1):
-            server.submit("alice", query)
+        requests = [server.submit("alice", query) for query in self.queries(5)]
         server.run_until_idle()
-        # Each eager request completes in its execute step: the limit on
-        # undrained streams never binds.
-        phases = [record.phase for record in server.schedule_trace]
-        assert phases == ["execute"] * (limit + 1)
-        assert server.sessions.get("alice").in_flight_peak == 0
+        # Each request completes in its execute step: nothing is left
+        # between steps, and no pin outlives one.
+        assert [record.phase for record in server.schedule_trace] == ["execute"] * 5
+        assert all(request.rows is not None for request in requests)
+        assert all(e.pin_count == 0 for e in server.cache.elements())
 
     def test_close_releases_abandoned_admissions(self):
         server = self.make_server()

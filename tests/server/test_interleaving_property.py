@@ -103,7 +103,7 @@ def test_tie_break_seeds_never_change_answers(scheduler_seed):
 
 def test_eviction_pressure_does_not_change_answers():
     # A cache small enough that elements are evicted during the run: the
-    # pin/epoch machinery must keep in-flight streams correct anyway.
+    # pin held for each plan must keep its derivations correct anyway.
     streams = client_streams(spec(7))
     expected = serial_answers(streams)
     got = server_answers(

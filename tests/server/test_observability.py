@@ -9,12 +9,8 @@ from repro.advice.language import AdviceSet
 from repro.advice.view_spec import annotate
 from repro.caql.parser import parse_query
 from repro.common.errors import ServerOverloadError
-from repro.common.metrics import (
-    SERVER_QUEUE_DEPTH_HIGH_WATER,
-    SERVER_SESSION_INFLIGHT_HIGH_WATER,
-)
+from repro.common.metrics import SERVER_QUEUE_DEPTH_HIGH_WATER
 from repro.server import BraidServer, ServerConfig
-from repro.server.admission import MAX_INFLIGHT_PER_SESSION
 from repro.workloads.synthetic import selection_universe
 
 TABLES = selection_universe(rows=60, domain=100, seed=5).tables
@@ -39,7 +35,7 @@ def run_workload(
 ) -> None:
     """Two sessions' queries.  ``lazy``: their advice prefers lazy
     evaluation and alice warms the table first, so every answer is a
-    stream parked in flight until its drain step."""
+    stream derived from the cache."""
     streams = {
         "alice": queries(per_session, tag="qa"),
         "bob": queries(per_session, tag="qb"),
@@ -68,14 +64,14 @@ def spans_of(server: BraidServer) -> list[dict]:
 
 class TestSessionScoping:
     def test_server_steps_carry_phase_session_and_request(self):
-        # Only a lazy stream takes a drain step of its own.
-        for lazy, phases in ((False, {"execute"}), (True, {"execute", "drain"})):
+        # A lazy stream is drained in its execute step too.
+        for lazy in (False, True):
             server = make_server()
             run_workload(server, lazy=lazy)
             steps = [s for s in spans_of(server) if s["name"] == "server.step"]
             assert steps
             assert {s["attributes"]["session"] for s in steps} == {"alice", "bob"}
-            assert {s["attributes"]["phase"] for s in steps} == phases
+            assert {s["attributes"]["phase"] for s in steps} == {"execute"}
             for step in steps:
                 assert step["attributes"]["request"]
                 assert "eligible" in step["attributes"]
@@ -115,25 +111,6 @@ class TestGauges:
         server.run_until_idle()
         # Draining never lowers a high-water mark.
         assert server.metrics.get(SERVER_QUEUE_DEPTH_HIGH_WATER) == 4
-
-    def test_per_session_inflight_peaks(self):
-        eager = make_server(tracing=False)
-        run_workload(eager, per_session=MAX_INFLIGHT_PER_SESSION + 2)
-        # Eager answers complete in their execute step: never in flight.
-        assert all(s.in_flight_peak == 0 for s in eager.sessions.sessions())
-        assert eager.metrics.get(SERVER_SESSION_INFLIGHT_HIGH_WATER) == 0
-
-        server = make_server(tracing=False)
-        run_workload(server, per_session=MAX_INFLIGHT_PER_SESSION + 2, lazy=True)
-        alice = server.sessions.get("alice")
-        assert alice.in_flight_peak == MAX_INFLIGHT_PER_SESSION
-        assert (
-            alice.metrics.get(SERVER_SESSION_INFLIGHT_HIGH_WATER)
-            == alice.in_flight_peak
-        )
-        # The server root keeps the max over sessions, not the sum.
-        peaks = [s.in_flight_peak for s in server.sessions.sessions()]
-        assert server.metrics.get(SERVER_SESSION_INFLIGHT_HIGH_WATER) == max(peaks)
 
 
 class TestAdmissionEvents:

@@ -156,26 +156,3 @@ class TestMetricsIsolation:
         one.cms.query(QUERY).fetch_all()
         assert one.metrics.get(CACHE_MISSES) == 1
         assert other.metrics.get(CACHE_MISSES) == 0
-
-
-class TestCloseReleasesPins:
-    def test_close_drains_in_flight_streams(self):
-        manager = make_manager(pin_streams=True)
-        session = manager.open("alice")
-        stream = session.cms.query(QUERY)
-        # Simulate the server's execute phase: the undrained stream sits
-        # on the in-flight queue when the session goes away.
-        from repro.server.session import Request
-
-        session.in_flight.append(
-            Request(
-                request_id=session.new_request_id(),
-                session_name="alice",
-                query=QUERY,
-                submitted_at=0.0,
-                stream=stream,
-            )
-        )
-        manager.close("alice")
-        assert all(e.pin_count == 0 for e in manager.cache._elements.values())
-        assert not manager.cache._condemned
