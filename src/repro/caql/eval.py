@@ -262,7 +262,9 @@ class ShapePlan:
 
     def bind(self, name: str, values: list, names: list[str]) -> PSJQuery:
         """The PSJ query of the ask whose constants are ``values`` and
-        whose variables are ``names``, its canonical form carried."""
+        whose variables are ``names``, its canonical form carried and its
+        shape (this plan) named, which the subsumption probe keys its
+        match plans by."""
         conditions = self.conditions
         if self.slotted:
             conditions = list(conditions)
@@ -290,6 +292,7 @@ class ShapePlan:
             var_columns=tuple(zip(map(names.__getitem__, self.var_numbers), self.var_columns)),
             unsatisfiable=unsatisfiable,
             _canonical=self.form.bind(values, projection, unsatisfiable),
+            _shape=self,
         )
         return psj
 
@@ -374,9 +377,8 @@ def core_plan(
     split under, so every later ask is a dict probe and gets the same
     frozen ``PSJQuery`` back (the result is shared, hence tuples).  A
     first ask leaves only a mark, so a stream of one-shot queries keeps
-    no PSJ alive.  (The one other per-object translation, a view's
-    generalized form, is carried on the view's definition by
-    ``QueryPlanner.generalization_of``.)
+    no PSJ alive.  (A view's generalized form is asked here too, and
+    carried on the view's definition by ``QueryPlanner.generalization_of``.)
     """
     signatures = registry.signatures
     carried = query.__dict__.get("_core")

@@ -462,6 +462,13 @@ class ConditionSet:
         info = self._info(col)
         return info.has_pin, info.pinned
 
+    def bounds(self, col: str) -> bool:
+        """False when the set is satisfiable and puts no constant on the
+        column's class: then it implies no column-vs-literal condition on
+        the column (:meth:`implies_literal` is False whatever the literal)."""
+        info = self._info(col)
+        return not self.satisfiable or info.has_pin or bool(info.intervals or info.excluded)
+
     def implies(self, condition: Comparison) -> bool:
         """True only if every assignment satisfying this set satisfies
         ``condition``.  (An unsatisfiable set implies everything.)"""
@@ -551,6 +558,16 @@ SplitOperand = tuple[str, int] | Lit
 SignatureRejection = tuple[RelationKey, str | None]
 
 
+def column_literal(condition: Comparison) -> tuple[str, str, object] | None:
+    """``(column, op, value)`` of a column-vs-literal condition in
+    :meth:`Comparison.normalized` form (as :meth:`ConditionSet.implies_literal`
+    is asked), None for any other condition."""
+    norm = condition.normalized()
+    if type(norm.left) is Col and type(norm.right) is Lit:
+        return norm.left.name, norm.op, norm.right.value
+    return None
+
+
 def _split(operand: Col | Lit) -> SplitOperand:
     return parse_column(operand.name) if isinstance(operand, Col) else operand
 
@@ -581,6 +598,13 @@ class ContainmentSignature:
     #: Every condition of the definition, operands pre-split, so renaming
     #: one under an occurrence mapping is a lookup instead of a parse.
     conditions: tuple[tuple[SplitOperand, str, SplitOperand], ...]
+    #: Per occurrence, in definition order: ``(argument position, column)``
+    #: for each column the projection drops and no ``=`` literal of the
+    #: occurrence pins (a satisfiable query implying the pin meets its own
+    #: conditions there, which the pin then implies).
+    dropped: tuple[tuple[tuple[int, str], ...], ...]
+    #: The fold of the definition's conditions (its canonical form's).
+    guarantees: ConditionSet = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, definition: PSJQuery) -> "ContainmentSignature":
@@ -592,14 +616,13 @@ class ContainmentSignature:
         signature = carried.get("_signature")
         if signature is not None:
             return signature
+        from repro.core.canonical import canonicalize  # repro.core imports this module
+
+        kept = {entry for entry in definition.projection if isinstance(entry, str)}
         literal: dict[str, list[tuple[int, str, object]]] = {}
-        for condition in definition.conditions:
-            norm = condition.normalized()
-            if isinstance(norm.left, Col) and isinstance(norm.right, Lit):
-                tag, position = parse_column(norm.left.name)
-                literal.setdefault(tag, []).append(
-                    (position, norm.op, norm.right.value)
-                )
+        for col, op, value in filter(None, map(column_literal, definition.conditions)):
+            tag, position = parse_column(col)
+            literal.setdefault(tag, []).append((position, op, value))
         counts: dict[RelationKey, int] = {}
         for occ in definition.occurrences:
             relation = (occ.pred, occ.arity)
@@ -614,6 +637,16 @@ class ContainmentSignature:
                 (_split(c.left), c.op, _split(c.right))
                 for c in definition.conditions
             ),
+            dropped=tuple(
+                tuple(
+                    (p, c)
+                    for p, c in enumerate(occ.columns())
+                    if c not in kept
+                    and not any(at == p and op == "=" for at, op, _ in literal.get(occ.tag, ()))
+                )
+                for occ in definition.occurrences
+            ),
+            guarantees=canonicalize(definition).conditions,
         )
         return signature
 
@@ -640,7 +673,11 @@ class ContainmentProbe:
     holds (the one its canonical form carries)."""
 
     def __init__(self, query: PSJQuery, conditions: ConditionSet):
+        self.query = query
         self.conditions = conditions
+        #: Query column -> its column-vs-literal conditions as ``(op,
+        #: value)``, read off the query on first need.
+        self._bounded: dict[str, list[tuple[str, object]]] | None = None
         self.occurrences: dict[RelationKey, list[tuple[str, list[str]]]] = {}
         for occ in query.occurrences:
             self.occurrences.setdefault((occ.pred, occ.arity), []).append(
@@ -693,3 +730,30 @@ class ContainmentProbe:
             else:
                 return relation, tag
         return None
+
+    def drops_bounded(self, signature: ContainmentSignature) -> bool:
+        """True when some element occurrence has no same-relation query
+        occurrence that implies its literal conditions and bounds none of
+        its :attr:`~ContainmentSignature.dropped` columns by a condition
+        the element does not imply (the full test would have to re-apply
+        it on a column the stored rows lack): then nothing matches."""
+        bounded = self._bounded
+        if bounded is None:
+            bounded = self._bounded = {}
+            for col, op, value in filter(None, map(column_literal, self.query.conditions)):
+                bounded.setdefault(col, []).append((op, value))
+        implied = self.conditions.implies_literal
+        guaranteed = signature.guarantees.implies_literal
+        for (_tag, relation, literal), dropped in zip(signature.occurrences, signature.dropped):
+            if not dropped:
+                continue
+            for _q_tag, columns in self.occurrences[relation]:
+                if all(
+                    guaranteed(element_col, op, value)
+                    for position, element_col in dropped
+                    for op, value in bounded.get(columns[position], ())
+                ) and all(implied(columns[p], op, value) for p, op, value in literal):
+                    break  # this query occurrence can take the element's
+            else:
+                return True
+        return False

@@ -90,6 +90,9 @@ class CacheElement:
     #: expects reuse, zeroed for expendable elements.
     advice_weight: float = 1.0
     _indexes: IndexSet | None = field(default=None, repr=False)
+    #: Query shape -> this element's match plan for it
+    #: (:func:`repro.core.subsumption._match_plan`).
+    match_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def signature(self) -> ContainmentSignature:

@@ -27,8 +27,11 @@ from typing import Callable, NamedTuple
 from repro.common.clock import CostProfile
 from repro.common.errors import TranslationError
 from repro.relational.expressions import Comparison
+from repro.logic.builtins import BuiltinRegistry
 from repro.relational.statistics import RelationStatistics
-from repro.caql.psj import ConstProj, PSJQuery, parse_column, psj_from_literals
+from repro.caql.ast import ConjunctiveQuery
+from repro.caql.eval import core_plan
+from repro.caql.psj import ConstProj, PSJQuery, parse_column
 from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache, CacheElement
 from repro.core.canonical import audit_canonical, canonicalize
@@ -146,8 +149,9 @@ class QueryPlanner:
         #: When set, every produced plan is run through
         #: :meth:`QueryPlan.check_invariants` before it leaves the planner,
         #: every candidate its probe rejected on the containment signature
-        #: is put through the full subsumption test after all, and the
-        #: query's carried canonical form is recomputed from scratch.
+        #: is put through the full subsumption test after all, every one it
+        #: let through is matched again by a plan built for this ask alone,
+        #: and the query's carried canonical form is recomputed from scratch.
         #: Off by default (tests and the fuzzer flip it on).
         self.audit = False
 
@@ -347,12 +351,13 @@ class QueryPlanner:
         fetched as one PSJ query (then it is neither generalizable nor
         prefetchable).
 
-        Translated once per definition: ``ConjunctiveQuery`` is frozen, so
-        the answer is kept in the definition's instance dict (as a
-        ``PSJQuery`` keeps its canonical form), and every later call —
-        one per prefetch candidate per query — returns the same object,
-        canonical form and all.  (A query's own translation is carried on
-        the query, by ``caql.eval.core_plan``.)"""
+        Kept per definition: ``ConjunctiveQuery`` is frozen, so the answer
+        is kept in the definition's instance dict (as a ``PSJQuery`` keeps
+        its canonical form), and every later call — one per prefetch
+        candidate per query — returns the same object, canonical form and
+        all.  A fresh definition (the IE registers its views anew on every
+        ask) binds its view's shape plan: no translation, no fold of its
+        structure."""
         view = self.advice.view(view_name)
         if view is None:
             return None
@@ -740,25 +745,27 @@ class QueryPlanner:
         return self.profile.cache_per_tuple * (rows + 1)
 
 
+#: The registry a generalized view is translated under: the default
+#: built-ins, which are all a view definition's literals can name.
+_BUILTINS = BuiltinRegistry()
+
+
 def _generalized(definition) -> PSJQuery | None:
-    """:meth:`QueryPlanner.generalization_of` from scratch."""
-    relations = definition.relation_literals()
-    comparisons = definition.comparison_literals()
-    if len(relations) + len(comparisons) != len(definition.literals):
-        return None  # evaluable literals: exact-match only (Section 5.3.2)
+    """:meth:`QueryPlanner.generalization_of` for a definition that does
+    not carry it: the view itself under ``<name>__general``, translated
+    through its shape's plan (:func:`~repro.caql.eval.core_plan`), so the
+    IE's fresh definition of each ask binds a PSJ and canonical form
+    instead of building them."""
+    general = ConjunctiveQuery(f"{definition.name}__general", definition.answers, definition.literals)
     try:
-        return psj_from_literals(
-            f"{definition.name}__general",
-            relations,
-            comparisons,
-            definition.answers,
-        )
+        psj, _core_vars, evaluable = core_plan(general, _BUILTINS)
     except TranslationError:
-        # A comparison in the view references a variable bound outside
-        # the run (legal in an instantiated IE-query, where it arrives
-        # as a constant): the uninstantiated form is not a well-formed
-        # query, so this view cannot be generalized.
+        # A negated literal, or a comparison that references a variable
+        # bound outside the run (legal in an instantiated IE-query, where
+        # it arrives as a constant): the uninstantiated form is not a
+        # well-formed query, so this view cannot be generalized.
         return None
+    return None if evaluable else psj  # evaluable: exact-match only (§5.3.2)
 
 
 def _variant_spelling(definition: PSJQuery, query: PSJQuery) -> bool:

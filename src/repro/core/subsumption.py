@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.common.errors import InvariantViolation
-from repro.relational.expressions import Comparison
+from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import (
     entry_rows,
@@ -66,6 +66,7 @@ from repro.caql.implication import (
     ContainmentProbe,
     ContainmentSignature,
     SignatureRejection,
+    column_literal,
 )
 from repro.caql.psj import (
     ConstProj,
@@ -148,6 +149,212 @@ def _element_columns(element_def: PSJQuery, tag_map: dict[str, str]) -> dict[str
     }
 
 
+#: A covered query condition the element neither implies nor keeps the
+#: columns of, by mapping and condition.
+_REAPPLIED = (
+    "[{}] query condition {} must be re-applied but its columns were "
+    "projected away by the element"
+)
+
+
+class _MappingPlan:
+    """One occurrence mapping of a :class:`MatchPlan`: everything
+    :func:`match_element` decides under it without reading a constant."""
+
+    __slots__ = ("text", "conditions", "checks", "failure", "fields", "pinned")
+
+    def __init__(self, element_def, query, tag_map, renamed, guarantees, every_tag):
+        tag_mapping = tuple(sorted(tag_map.items()))
+        self.text = ", ".join(f"{e}->{q}" for e, q in tag_mapping)
+        #: The element's conditions renamed onto the query, each with its
+        #: normalized ``(column, op, value)`` when it is a literal one.
+        self.conditions = tuple((c, column_literal(c)) for c in renamed)
+        covered = frozenset(tag_map.values())
+        is_full = covered == every_tag
+        to_element = _element_columns(element_def, tag_map)
+        # Availability: which query columns survive the element's projection.
+        available: dict[str, str] = {}
+        for index, entry in enumerate(element_def.projection):
+            if not isinstance(entry, ConstProj):
+                tag, position = parse_column(entry)
+                available.setdefault(column(tag_map[tag], position), f"a{index}")
+        #: Per covered query condition, in condition order: a literal one as
+        #: ``(position, element column, op, residual Col or None, literal
+        #: on the left)`` for each ask to put to the element's fold (no
+        #: column when the fold bounds none), and a column-column one the
+        #: element does not guarantee as its residual.
+        checks: list = []
+        #: Why every ask fails this mapping once its checks pass, or None.
+        self.failure: str | None = None
+        for position, condition in enumerate(query.conditions):
+            cols = condition.columns()
+            inside = [c for c in cols if c in to_element]
+            if not inside:
+                continue  # entirely about uncovered occurrences
+            if len(inside) == len(cols):
+                # Entirely covered: skip if the element guarantees it,
+                # else re-apply (requires availability).
+                literal = column_literal(condition)
+                if literal is not None:
+                    col, element_col = available.get(literal[0]), to_element[literal[0]]
+                    checks.append((
+                        position,
+                        element_col if guarantees.bounds(element_col) else None,
+                        literal[1],
+                        None if col is None else Col(col),
+                        type(condition.left) is Lit,
+                    ))
+                elif guarantees.implies(condition.rename_columns(to_element)):
+                    continue
+                elif all(c in available for c in cols):
+                    checks.append(condition.rename_columns({c: available[c] for c in cols}))
+                else:
+                    self.failure = _REAPPLIED.format(self.text, condition)
+                    break
+            elif not all(c in available for c in inside):
+                # Crosses the boundary: the covered side must be available
+                # for the later join against uncovered parts.
+                self.failure = (
+                    f"[{self.text}] join condition {condition} crosses the coverage "
+                    "boundary and its covered columns were projected away by the element"
+                )
+                break
+        self.checks = tuple(checks)
+        # Projection needs over covered occurrences must be available; a
+        # full match also keeps the positions an ask pins a constant at.
+        projection: list[object] = []
+        for entry in query.projection if self.failure is None else ():
+            if isinstance(entry, ConstProj):
+                projection.append(entry)
+            elif entry in to_element:
+                if entry not in available:
+                    self.failure = (
+                        f"[{self.text}] the query projects {entry} but the element "
+                        "projected that column away"
+                    )
+                    break
+                projection.append(available[entry])
+        #: A match's fields every ask shares (a full match's projection
+        #: with the pinned constants of the ask that built the plan).  Not
+        #: the element: the plan is kept on it, and must not refer back.
+        self.fields = {
+            "tag_mapping": tag_mapping,
+            "covered_tags": covered,
+            "column_map": tuple(sorted(available.items())),
+            "is_full": is_full,
+            "projection": tuple(projection) if is_full else None,
+        }
+        self.pinned = is_full and any(isinstance(e, ConstProj) for e in projection)
+
+
+class MatchPlan:
+    """What :func:`match_element` decides from a stored definition and a
+    query's *structure* alone: the occurrence mappings and, per mapping,
+    the inverse column map, what the projection keeps, the role of every
+    query condition and the parts of a match no constant changes.
+
+    Asks bound from one shape plan (:meth:`repro.caql.eval.ShapePlan.bind`)
+    differ only in their constants, so a plan is built once per (element,
+    shape) and kept on the element (:func:`_match_plan`); any other query
+    gets one of its own.  :meth:`matches` — the one evaluation — reads the
+    ask's constants: it puts the element's conditions to the query's fold
+    and each covered literal to the element's, and builds each residual
+    from the plan's column and the ask's literal.
+    """
+
+    __slots__ = ("guarantees", "mappings", "empty")
+
+    def __init__(self, element_def: PSJQuery, query: PSJQuery):
+        self.guarantees = canonicalize(element_def).conditions
+        self.empty = not element_def.occurrences
+        renamed = ContainmentSignature.of(element_def).renamed_conditions
+        every_tag = {occ.tag for occ in query.occurrences}
+        self.mappings = tuple(
+            _MappingPlan(element_def, query, tag_map, renamed(tag_map), self.guarantees, every_tag)
+            for tag_map in (() if self.empty else _assignments(element_def, query))
+        )
+
+    def matches(
+        self, element: CacheElement, query: PSJQuery, reasons: list[str] | None
+    ) -> Iterator[SubsumptionMatch]:
+        """:func:`match_element` for this ask of the plan's shape."""
+        if not self.mappings:
+            if reasons is not None:
+                reasons.append(
+                    "element definition has no relation occurrences"
+                    if self.empty
+                    else "no injective occurrence mapping: some element occurrence "
+                    "has no query occurrence with the same predicate and arity"
+                )
+            return
+        folded = canonicalize(query).conditions
+        implies, implies_literal = folded.implies, folded.implies_literal
+        guaranteed = self.guarantees.implies_literal
+        conditions = query.conditions
+        for mapping in self.mappings:
+            if mapping.failure is not None and reasons is None:
+                continue  # fails whatever the constants
+            for condition, literal in mapping.conditions:
+                if not (implies_literal(*literal) if literal else implies(condition)):
+                    if reasons is not None:
+                        reasons.append(
+                            f"[{mapping.text}] element condition {condition} is not "
+                            "implied by the query (the element is more restrictive)"
+                        )
+                    break
+            else:
+                residual: list[Comparison] = []
+                for check in mapping.checks:
+                    if type(check) is Comparison:
+                        residual.append(check)
+                        continue
+                    position, element_col, op, col, flipped = check
+                    condition = conditions[position]
+                    lit = condition.left if flipped else condition.right
+                    if element_col is not None and guaranteed(element_col, op, lit.value):
+                        continue
+                    if col is None:
+                        if reasons is not None:
+                            reasons.append(_REAPPLIED.format(mapping.text, condition))
+                        break
+                    # The ask's own literal, on the side the query wrote it.
+                    residual.append(
+                        Comparison(lit, condition.op, col)
+                        if flipped
+                        else Comparison(col, condition.op, lit)
+                    )
+                else:
+                    if mapping.failure is not None:
+                        reasons.append(mapping.failure)
+                        continue
+                    # The fields the frozen class's ``__init__`` sets.
+                    match = object.__new__(SubsumptionMatch)
+                    fields = match.__dict__
+                    fields.update(mapping.fields)
+                    fields["element"] = element
+                    fields["residual_conditions"] = tuple(residual)
+                    if mapping.pinned:  # the ask's own constants
+                        fields["projection"] = tuple(
+                            query.projection[i] if isinstance(e, ConstProj) else e
+                            for i, e in enumerate(fields["projection"])
+                        )
+                    yield match
+
+
+def _match_plan(element: CacheElement, query: PSJQuery) -> MatchPlan:
+    """The match plan of ``element`` for ``query``'s shape, built on the
+    first ask of the shape and kept on the element (the definition is
+    immutable, so the plan never goes stale, and it goes with the
+    element); a query no shape plan bound gets one of its own."""
+    shape = query.__dict__.get("_shape")
+    if shape is None:
+        return MatchPlan(element.definition, query)
+    plan = element.match_plans.get(shape)
+    if plan is None:
+        plan = element.match_plans[shape] = MatchPlan(element.definition, query)
+    return plan
+
+
 def match_element(
     element: CacheElement,
     query: PSJQuery,
@@ -158,133 +365,16 @@ def match_element(
     When ``reasons`` is given, every *failed* candidate mapping appends a
     human-readable rejection reason to it — the raw material for
     ``explain``-style subsumption rationale.  The match search itself is
-    unchanged (and pays nothing) when ``reasons`` is None.
+    unchanged when ``reasons`` is None, and skips the mappings that fail
+    whatever the constants.
 
     Nothing is folded here: both implication questions are put to the
     folds the two definitions' canonical forms carry — element conditions,
     renamed onto the query, to the query's; covered query conditions,
-    renamed onto the element, to the element's.
+    renamed onto the element, to the element's.  What reads no constant is
+    decided once per (element, query shape) in its :class:`MatchPlan`.
     """
-    element_def = element.definition
-    if not element_def.occurrences:
-        if reasons is not None:
-            reasons.append("element definition has no relation occurrences")
-        return
-    query_conditions = canonicalize(query).conditions
-    element_guarantees = canonicalize(element_def).conditions
-
-    found_assignment = False
-    for tag_map in _assignments(element_def, query):
-        found_assignment = True
-        mapping_text = (
-            ", ".join(f"{e}->{q}" for e, q in sorted(tag_map.items()))
-            if reasons is not None
-            else ""
-        )
-        renamed = element.signature.renamed_conditions(tag_map)
-        not_implied = [c for c in renamed if not query_conditions.implies(c)]
-        if not_implied:
-            if reasons is not None:
-                reasons.append(
-                    f"[{mapping_text}] element condition {not_implied[0]} is not "
-                    "implied by the query (the element is more restrictive)"
-                )
-            continue
-
-        covered = frozenset(tag_map.values())
-        to_element = _element_columns(element_def, tag_map)
-
-        # Availability: which query columns survive the element's projection.
-        available: dict[str, str] = {}
-        for index, entry in enumerate(element_def.projection):
-            if isinstance(entry, ConstProj):
-                continue
-            tag, position = parse_column(entry)
-            q_col = column(tag_map[tag], position)
-            available.setdefault(q_col, f"a{index}")
-
-        # Classify query conditions over the covered occurrences.
-        residual: list[Comparison] = []
-        feasible = True
-        for condition in query.conditions:
-            cols = condition.columns()
-            if not cols:
-                continue
-            inside = [c for c in cols if c in to_element]
-            if not inside:
-                continue  # entirely about uncovered occurrences
-            if len(inside) == len(cols):
-                # Entirely covered: skip if the element guarantees it,
-                # else re-apply (requires availability).
-                if element_guarantees.implies(condition.rename_columns(to_element)):
-                    continue
-                if not all(c in available for c in cols):
-                    feasible = False
-                    if reasons is not None:
-                        reasons.append(
-                            f"[{mapping_text}] query condition {condition} must be "
-                            "re-applied but its columns were projected away by "
-                            "the element"
-                        )
-                    break
-                residual.append(
-                    condition.rename_columns({c: available[c] for c in cols})
-                )
-            else:
-                # Crosses the boundary: the covered side must be available
-                # for the later join against uncovered parts.
-                if not all(c in available for c in inside):
-                    feasible = False
-                    if reasons is not None:
-                        reasons.append(
-                            f"[{mapping_text}] join condition {condition} crosses "
-                            "the coverage boundary and its covered columns were "
-                            "projected away by the element"
-                        )
-                    break
-        if not feasible:
-            continue
-
-        # Projection needs over covered occurrences must be available.
-        is_full = covered == {occ.tag for occ in query.occurrences}
-        projection: list[object] | None = [] if is_full else None
-        for entry in query.projection:
-            if isinstance(entry, ConstProj):
-                if is_full:
-                    projection.append(entry)
-                continue
-            if entry in to_element:
-                if entry not in available:
-                    feasible = False
-                    if reasons is not None:
-                        reasons.append(
-                            f"[{mapping_text}] the query projects {entry} but "
-                            "the element projected that column away"
-                        )
-                    break
-                if is_full:
-                    projection.append(available[entry])
-            elif is_full:  # pragma: no cover - full covers everything
-                feasible = False
-                break
-        if not feasible:
-            continue
-
-        yield SubsumptionMatch(
-            element=element,
-            tag_mapping=tuple(sorted(tag_map.items())),
-            covered_tags=covered,
-            column_map=tuple(sorted(available.items())),
-            residual_conditions=tuple(residual),
-            is_full=is_full,
-            projection=tuple(projection) if projection is not None else None,
-        )
-
-    if not found_assignment and reasons is not None:
-        reasons.append(
-            "no injective occurrence mapping: some element occurrence has no "
-            "query occurrence with the same predicate and arity"
-        )
+    return _match_plan(element, query).matches(element, query, reasons)
 
 
 @dataclass(frozen=True)
@@ -359,9 +449,10 @@ def find_relevant(
     imply; each is then tested against its stored
     :class:`~repro.caql.implication.ContainmentSignature` — too few
     occurrences of a relation in the query, or an element occurrence whose
-    pins and bounds no query occurrence implies — and only the survivors
-    pay for :func:`match_element`'s occurrence-mapping search.  Full matches
-    sort first, larger coverage first.
+    pins and bounds no query occurrence implies, or (on the plain path)
+    every one of which bounds a column the element drops — and only the
+    survivors pay for :func:`match_element`'s occurrence-mapping search.
+    Full matches sort first, larger coverage first.
 
     When ``reports`` is given, the walk also shows its working: one
     :class:`CandidateReport` per element the predicate index lists is
@@ -394,7 +485,8 @@ def find_relevant(
                 continue
             seen.add(element.element_id)
             reasons: list[str] | None = None if reports is None else []
-            rejection = probe.rejection(element.signature)
+            signature = element.signature
+            rejection = probe.rejection(signature)
             if (
                 rejection is None
                 and survivors is not None
@@ -404,13 +496,15 @@ def find_relevant(
                     f"pin index skipped {element.element_id} for "
                     f"{query.name}, but its containment signature passes it"
                 )
+            found: tuple[SubsumptionMatch, ...] = ()
             if rejection is not None:
-                found: tuple[SubsumptionMatch, ...] = ()
                 if reasons is not None:
                     reasons.append(
-                        _signature_reason(element.signature, probe, rejection)
+                        _signature_reason(signature, probe, rejection)
                     )
-            else:
+            elif reasons is not None or not probe.drops_bounded(signature):
+                # A walk that shows its working leaves a bound dropped
+                # column to match_element, to explain mapping by mapping.
                 found = tuple(match_element(element, query, reasons))
                 matches.extend(found)
             if reports is not None:
@@ -432,22 +526,41 @@ def audit_prefilter(
 ) -> None:
     """Re-run the full test on every candidate the signature rejected —
     the ones the pin index never enumerated included, so this also proves
-    "not enumerated ⇒ no match".
+    "not enumerated ⇒ no match" — and every other one through a plan built
+    for this ask alone: the kept plan was built for another ask of the
+    query's shape, and must give the same matches and reasons all the
+    same, none of them for a candidate the plain walk turns away on a
+    bound dropped column.
 
     A false reject never changes an answer, only a plan and its cost, so
     no oracle sees it; this is the check that does.  Raises
-    :class:`~repro.common.errors.InvariantViolation` when a rejected
-    element matches after all.
+    :class:`~repro.common.errors.InvariantViolation` on either.
     """
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
     for report in reports:
-        element = cache.get(report.element_id) if report.prefiltered else None
+        element = cache.get(report.element_id)
         if element is None:
             continue
-        for match in match_element(element, query):
+        if report.prefiltered:
+            for match in match_element(element, query):
+                raise InvariantViolation(
+                    f"containment signature rejected {report.element_id} "
+                    f"({'; '.join(report.rejections)}) but it matches "
+                    f"{query.name}: {match}"
+                )
+            continue
+        reasons: list[str] = []
+        fresh = tuple(MatchPlan(element.definition, query).matches(element, query, reasons))
+        if (report.matches, report.rejections) != (fresh, tuple(reasons)):
             raise InvariantViolation(
-                f"containment signature rejected {report.element_id} "
-                f"({'; '.join(report.rejections)}) but it matches "
-                f"{query.name}: {match}"
+                f"match plan of {report.element_id} kept for the shape of "
+                f"{query.name} is not what one built for this ask gives: "
+                f"{report.rejections} vs {reasons}"
+            )
+        if fresh and probe.drops_bounded(element.signature):
+            raise InvariantViolation(
+                f"{report.element_id} matches {query.name}, but the plain walk "
+                "turns it away on a dropped column the query bounds"
             )
 
 

@@ -11,7 +11,7 @@ in the step that executes it, so nothing else is held per session.)
 
 from __future__ import annotations
 
-from repro.common.errors import ServerOverloadError
+from repro.common.errors import ServerError, ServerOverloadError
 from repro.common.metrics import (
     SERVER_QUEUE_DEPTH_HIGH_WATER,
     SERVER_REQUESTS_ACCEPTED,
@@ -22,16 +22,24 @@ from repro.obs.tracer import Tracer
 from repro.server.session import Session
 
 
+def check_queue_depth(max_queue_depth: int) -> int:
+    """``max_queue_depth``, or the :class:`ServerError` a bound that is not
+    positive is — the one check, for ``ServerConfig`` and the controller."""
+    if max_queue_depth <= 0:
+        raise ServerError(f"max_queue_depth must be positive, got {max_queue_depth}")
+    return max_queue_depth
+
+
 class AdmissionController:
     """Decides, per request, whether the server takes on more work."""
 
     def __init__(
         self,
-        max_queue_depth: int = 256,
+        max_queue_depth: int,
         metrics: Metrics | None = None,
         tracer=None,
     ):
-        self.max_queue_depth = max_queue_depth
+        self.max_queue_depth = check_queue_depth(max_queue_depth)
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         #: Pending (admitted, unfinished) requests across all sessions.

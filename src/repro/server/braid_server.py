@@ -46,7 +46,7 @@ from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
 from repro.core.cache import Cache
 from repro.core.cms import CMSFeatures
-from repro.server.admission import AdmissionController
+from repro.server.admission import AdmissionController, check_queue_depth
 from repro.server.mqo import SharedSubplanRegistry
 from repro.server.scheduler import POLICIES
 from repro.server.session import Request, Session, SessionManager
@@ -71,10 +71,7 @@ class ServerConfig:
                 f"unknown scheduler policy {self.scheduler_policy!r}; "
                 f"have {tuple(POLICIES)}"
             )
-        if self.max_queue_depth <= 0:
-            raise ServerError(
-                f"max_queue_depth must be positive, got {self.max_queue_depth}"
-            )
+        check_queue_depth(self.max_queue_depth)
 
 
 @dataclass

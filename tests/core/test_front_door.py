@@ -190,7 +190,7 @@ class TestGeneralizedViewTranslatedOnce:
         monkeypatch.setattr(
             planner_module.QueryPlanner, "generalization_of", generalization_of
         )
-        translations = count(monkeypatch, (planner_module, "psj_from_literals"))
+        translations = count(monkeypatch, (planner_module, "_generalized"))
         system = BraidSystem.from_workload(genealogy())
         answers = [system.ask_all(goal) for goal in self.GOALS]
         return answers, system.metrics.snapshot(), asked, translations.calls
@@ -283,13 +283,12 @@ class TestReaskUnderFreshVariableNames:
         built = len(asked)
         # The IE renames apart on every resolution step, so the re-ask's
         # CAQL queries differ from the first ask's in variable names only:
-        # every one binds a plan its shape already has.  The one form
-        # built is a prefetch's generalized view, translated per view
-        # definition (the re-ask's views are fresh objects).
+        # every one binds a plan its shape already has — a prefetch's
+        # generalized view too, though the re-ask's view definitions are
+        # fresh objects.
         again = system.ask_all("ancestor(p0, W)")
         assert translations.calls == cold
-        (general,) = asked[built:]
-        assert general.name.endswith("__general")
+        assert asked[built:] == []
         assert again == first
 
     def test_name_and_variable_names_are_not_in_the_memo_key(self, monkeypatch):

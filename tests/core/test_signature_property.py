@@ -12,7 +12,11 @@ properties are the net:
   lists but the cache's pin index does not enumerate for a query is one the
   signature rejects;
 * **the walk is unchanged** — ``find_relevant`` returns the same matches,
-  in the same order, as the same walk with the prefilter switched off.
+  in the same order, as the same walk with the prefilter switched off;
+* **a bound dropped column is refused** — an element occurrence every
+  same-relation query occurrence bounds at a column its projection drops
+  (by a condition the element does not imply) turns the element away, and
+  then nothing matches.
 
 Pairs come from the pools of ``test_subsumption_property`` and
 ``tests/qa/test_property_subsumption`` plus a generator that aims at the
@@ -36,7 +40,8 @@ from repro.caql.parser import parse_query
 from repro.core.cache import Cache
 from repro.core.canonical import canonicalize
 from repro.core.subsumption import find_relevant, match_element
-from repro.relational.expressions import Comparison, Lit
+from repro.caql.psj import column
+from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation
 from tests.core.test_subsumption_property import ELEMENT_TEXTS, QUERY_TEXTS
 from tests.qa.test_property_subsumption import CONDITIONS, query_text
@@ -148,6 +153,89 @@ def test_signature_reject_implies_no_match(element_psj, query):
         assert tuple(match_element(element, query)) == (), (
             f"false reject: {element_psj} | {query}"
         )
+
+
+@st.composite
+def narrowed(draw, name):
+    """A definition whose projection keeps only some of its columns."""
+    psj = draw(definitions(name))
+    kept = draw(st.lists(st.sampled_from(psj.projection), unique=True)) if psj.projection else []
+    return replace(psj, projection=tuple(kept))
+
+
+def bounds_a_dropped_column(element_psj, query, e_tag, relation):
+    """True when every query occurrence of ``relation`` has a column-vs-
+    literal condition at a position element occurrence ``e_tag``'s
+    projection drops, that the element's conditions do not imply — read
+    off the two definitions directly, not off the signature."""
+    if not canonicalize(query).conditions.satisfiable:
+        return False  # the planner never probes one (and it implies every pin)
+    guarantees = canonicalize(element_psj).conditions
+    kept = {entry for entry in element_psj.projection if isinstance(entry, str)}
+    literal = [
+        (norm.left.name, norm.op, norm.right.value)
+        for norm in (c.normalized() for c in query.conditions)
+        if isinstance(norm.left, Col) and isinstance(norm.right, Lit)
+    ]
+    return all(
+        any(
+            col == column(occ.tag, position)
+            and column(e_tag, position) not in kept
+            and not guarantees.implies_literal(column(e_tag, position), op, value)
+            for position in range(occ.arity)
+            for col, op, value in literal
+        )
+        for occ in query.occurrences
+        if (occ.pred, occ.arity) == relation
+    )
+
+
+def check_a_bound_dropped_column_is_refused(element_psj, query):
+    """Completeness on the dropped columns: an element occurrence no query
+    occurrence can take on that account alone turns the element away
+    (``rejection`` or ``drops_bounded``), and soundness: then nothing
+    matches."""
+    element = stored(Cache(), element_psj)
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
+    refused = (
+        probe.rejection(element.signature) is not None
+        or probe.drops_bounded(element.signature)
+    )
+    if refused:
+        assert tuple(match_element(element, query)) == (), (
+            f"false reject: {element_psj} | {query}"
+        )
+    if any(
+        bounds_a_dropped_column(element_psj, query, occ.tag, (occ.pred, occ.arity))
+        for occ in element_psj.occurrences
+    ):
+        assert refused, f"a bound dropped column passed: {element_psj} | {query}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(narrowed("e"), definitions("q"))
+def test_a_bound_dropped_column_is_refused(element_psj, query):
+    check_a_bound_dropped_column_is_refused(element_psj, query)
+
+
+#: Elements that drop a column, and queries that bound it or not.
+DROPPING = [
+    "c(X) :- r(X, Y)",
+    "c(X) :- r(X, Y), Y > 1",
+    "c(X) :- r(X, 2)",
+    "c(Y) :- r(X, Y), X = 3",
+    "c(A, C) :- s(A, B, C), B =< 1",
+    "c(X) :- r(X, Y), r(Y, Z), Z \\= 1",
+]
+
+
+@pytest.mark.parametrize("element_text", DROPPING)
+def test_a_bound_dropped_column_is_refused_on_the_corners(element_text):
+    element_psj = psj_of(parse_query(element_text))
+    for query_text in CORNERS + DROPPING:
+        query = psj_of(parse_query(query_text))
+        for spelling in (query, respelled(query, [True] * 4)):
+            check_a_bound_dropped_column_is_refused(element_psj, spelling)
 
 
 def other_spelling(value):

@@ -376,6 +376,110 @@ class TestProbeCost:
         assert few == many == 1
 
 
+class TestDroppedColumns:
+    """The plain walk turns an element away when the query bounds a
+    column the element's projection drops, by a condition its own
+    conditions do not imply: every mapping would have to re-apply it on a
+    column the stored rows do not have."""
+
+    @staticmethod
+    def examined(monkeypatch, view, drill, reports=None):
+        from repro.core import subsumption
+
+        cache, (element,) = cache_with(view)
+        examined = []
+        real = subsumption.match_element
+
+        def counting(element, *args, **kwargs):
+            examined.append(element.element_id)
+            return real(element, *args, **kwargs)
+
+        monkeypatch.setattr(subsumption, "match_element", counting)
+        matches = find_relevant(cache, make_psj(drill), reports)
+        return examined, matches
+
+    def test_a_bound_dropped_column_is_never_matched(self, monkeypatch):
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X) :- b2(X, Z), Z > 1"
+        )
+        assert (examined, matches) == ([], [])
+
+    def test_an_implied_bound_on_a_dropped_column_still_matches(self, monkeypatch):
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z), Z > 1", "q(X) :- b2(X, Z), Z > 1, X > 0"
+        )
+        assert examined == ["E1"] and [m.is_full for m in matches] == [True]
+        assert [str(c) for c in matches[0].residual_conditions] == ["a0 > 0"]
+
+    def test_a_kept_column_is_re_applied(self, monkeypatch):
+        examined, matches = self.examined(
+            monkeypatch, "v(X, Z) :- b2(X, Z)", "q(X) :- b2(X, Z), Z > 1"
+        )
+        assert examined == ["E1"] and len(matches[0].residual_conditions) == 1
+
+    def test_a_walk_that_shows_its_working_explains_it_per_mapping(self, monkeypatch):
+        reports = []
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X) :- b2(X, Z), Z > 1", reports
+        )
+        assert (examined, matches) == (["E1"], [])
+        (report,) = reports
+        assert not report.prefiltered
+        assert report.rejections == (
+            "[t0->t0] query condition t0.c1 > 1 must be re-applied but its "
+            "columns were projected away by the element",
+        )
+
+
+class TestMatchPlans:
+    """A stored view is matched against a query *shape* once: every later
+    ask of the shape only reads its own constants."""
+
+    DRILLS = 20
+
+    def drill_stream(self, monkeypatch, spell=lambda psj: psj):
+        from repro.core import subsumption
+
+        calls = {"_assignments": 0, "_element_columns": 0}
+        for name in calls:
+            real = getattr(subsumption, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(subsumption, name, counting)
+        cache, (element,) = cache_with("wide(X, Z) :- b2(X, Z)")
+        for n in range(self.DRILLS):
+            drill = spell(make_psj(f"d{n}(X) :- b2(X, Z), X >= {n}, Z < {n + 100}"))
+            (match,) = find_relevant(cache, drill)
+            # The residual is this ask's own: the view keeps both columns.
+            assert [str(c) for c in match.residual_conditions] == [
+                f"a0 >= {n}",
+                f"a1 < {n + 100}",
+            ]
+            assert match.projection == ("a0",)
+        return calls, element
+
+    def test_mappings_and_the_inverse_map_are_built_once_per_shape(self, monkeypatch):
+        calls, element = self.drill_stream(monkeypatch)
+        assert calls == {"_assignments": 1, "_element_columns": 1}
+        assert len(element.match_plans) == 1
+
+    def test_a_query_no_shape_bound_is_planned_per_ask(self, monkeypatch):
+        calls, element = self.drill_stream(
+            monkeypatch, lambda psj: replace(psj, name=psj.name)
+        )
+        assert calls == {"_assignments": self.DRILLS, "_element_columns": self.DRILLS}
+        assert element.match_plans == {}
+
+    def test_pinned_answers_are_the_asks_own(self):
+        cache, _ = cache_with("wide(X, Z) :- b2(X, Z)")
+        for n in range(3):
+            (match,) = find_relevant(cache, make_psj(f"p(X, {n}) :- b2(X, {n})"))
+            assert match.projection[1].value == n
+
+
 class TestFoldCount:
     """One fold per definition: the probe and ``match_element`` read the
     folds the two canonical forms carry and build none of their own."""

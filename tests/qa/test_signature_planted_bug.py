@@ -14,6 +14,13 @@ Two mutants, both applied where the signature is built:
 * ``strict`` — an element's ``=<`` bound is checked as ``<``, so a query
   whose bound *equals* the element's is turned away;
 * ``shifted`` — a pin is compared one argument position over.
+
+A third, ``kept``, errs the other way: the first column each occurrence's
+projection drops is taken for kept, so a query bounding it is no longer
+turned away before the mapping search.  No answer, plan or audit can see
+that — it only costs the mappings — so the hand case in
+``tests/core/test_subsumption.py`` and the completeness property of
+``tests/core/test_signature_property.py`` are what kill it.
 """
 
 from dataclasses import replace
@@ -99,3 +106,35 @@ class TestPlantedSignatureBugIsCaught:
         case = _failing_case()
         monkeypatch.setattr(ContainmentSignature, "of", classmethod(real_of))
         assert case_failure(case) is None
+
+
+def _kept(cls, definition):
+    signature = real_of(cls, definition)
+    return replace(signature, dropped=tuple(cols[1:] for cols in signature.dropped))
+
+
+class TestPlantedKeptColumnIsCaught:
+    @pytest.fixture
+    def planted_bug(self, monkeypatch):
+        monkeypatch.setattr(ContainmentSignature, "of", classmethod(_kept))
+
+    def test_killed_by_the_hand_case(self, planted_bug, monkeypatch):
+        from tests.core.test_subsumption import TestDroppedColumns
+
+        with pytest.raises(AssertionError):
+            TestDroppedColumns().test_a_bound_dropped_column_is_never_matched(monkeypatch)
+
+    def test_killed_by_the_completeness_property(self, planted_bug):
+        from tests.core.test_signature_property import (
+            test_a_bound_dropped_column_is_refused,
+            test_a_bound_dropped_column_is_refused_on_the_corners,
+        )
+
+        with pytest.raises(AssertionError, match="a bound dropped column passed"):
+            test_a_bound_dropped_column_is_refused()
+        with pytest.raises(AssertionError, match="a bound dropped column passed"):
+            test_a_bound_dropped_column_is_refused_on_the_corners("c(X) :- r(X, Y)")
+
+    def test_silent_on_answers_and_audits(self, planted_bug):
+        for case in CaseGenerator(0, CaseConfig()).corpus(10):
+            assert case_failure(case) is None

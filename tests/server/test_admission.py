@@ -100,17 +100,24 @@ class TestController:
 
     def test_unmatched_release_rejected(self):
         with pytest.raises(ValueError):
-            AdmissionController().release()
+            AdmissionController(max_queue_depth=1).release()
 
     def test_bounds_must_be_positive(self):
-        # One check, at the server boundary, typed like every other
-        # configuration error.
+        # One check, typed like every other configuration error, at the
+        # server boundary and on a controller built directly.
         for depth in (0, -1):
             with pytest.raises(ServerError, match="max_queue_depth"):
                 BraidServer(config=ServerConfig(max_queue_depth=depth))
+            with pytest.raises(ServerError, match="max_queue_depth"):
+                AdmissionController(max_queue_depth=depth)
+
+    def test_a_controller_has_no_default_bound_of_its_own(self):
+        # The server's default lives in ``ServerConfig`` only.
+        with pytest.raises(TypeError):
+            AdmissionController()
 
     def test_eligibility(self):
-        controller = AdmissionController()
+        controller = AdmissionController(max_queue_depth=1)
         session = stub_session()
         assert not controller.is_eligible(session)  # nothing to do
         session.backlog = [stub_request(session, 0)]
