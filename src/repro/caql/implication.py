@@ -678,6 +678,8 @@ class ContainmentProbe:
         #: Query column -> its column-vs-literal conditions as ``(op,
         #: value)``, read off the query on first need.
         self._bounded: dict[str, list[tuple[str, object]]] | None = None
+        #: The columns the query projects, read off it on first need.
+        self._projected: set[str] | None = None
         self.occurrences: dict[RelationKey, list[tuple[str, list[str]]]] = {}
         for occ in query.occurrences:
             self.occurrences.setdefault((occ.pred, occ.arity), []).append(
@@ -733,15 +735,19 @@ class ContainmentProbe:
 
     def drops_bounded(self, signature: ContainmentSignature) -> bool:
         """True when some element occurrence has no same-relation query
-        occurrence that implies its literal conditions and bounds none of
-        its :attr:`~ContainmentSignature.dropped` columns by a condition
-        the element does not imply (the full test would have to re-apply
-        it on a column the stored rows lack): then nothing matches."""
-        bounded = self._bounded
+        occurrence that implies its literal conditions, projects none of
+        its :attr:`~ContainmentSignature.dropped` columns and bounds none
+        of them by a condition the element does not imply (the full test
+        would have to return or re-apply a column the stored rows lack):
+        then nothing matches."""
+        bounded, projected = self._bounded, self._projected
         if bounded is None:
             bounded = self._bounded = {}
             for col, op, value in filter(None, map(column_literal, self.query.conditions)):
                 bounded.setdefault(col, []).append((op, value))
+            projected = self._projected = {
+                entry for entry in self.query.projection if type(entry) is str
+            }
         implied = self.conditions.implies_literal
         guaranteed = signature.guarantees.implies_literal
         for (_tag, relation, literal), dropped in zip(signature.occurrences, signature.dropped):
@@ -749,9 +755,12 @@ class ContainmentProbe:
                 continue
             for _q_tag, columns in self.occurrences[relation]:
                 if all(
-                    guaranteed(element_col, op, value)
+                    columns[position] not in projected
+                    and all(
+                        guaranteed(element_col, op, value)
+                        for op, value in bounded.get(columns[position], ())
+                    )
                     for position, element_col in dropped
-                    for op, value in bounded.get(columns[position], ())
                 ) and all(implied(columns[p], op, value) for p, op, value in literal):
                     break  # this query occurrence can take the element's
             else:

@@ -404,11 +404,13 @@ class CacheManagementSystem:
 
         Runs the ``check_invariants`` hooks of the cache, the stale
         archive (whose copies ``StaleArchive.store`` refreshes in place),
-        the metrics ledger (from its root, so sibling session scopes are
-        covered too), and the last produced plan.  Cheap enough to call
-        after every query; the fuzzer does exactly that.
+        the remote links (the last translation each bound from a
+        template), the metrics ledger (from its root, so sibling session
+        scopes are covered too), and the last produced plan.  Cheap enough
+        to call after every query; the fuzzer does exactly that.
         """
         self.cache.check_invariants()
+        self.rdi.check_invariants()
         if self._archive is not None:
             self._archive.check_invariants()
         root = self.metrics

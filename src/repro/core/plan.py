@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.common.clock import CostProfile
 from repro.relational.expressions import Comparison
-from repro.relational.operators import existence_part
+from repro.relational.operators import existence_part, project_entries
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.psj import ConstProj, PSJQuery
@@ -107,7 +107,11 @@ def label_part(rows, columns: tuple[str, ...], label: str) -> Relation:
     :func:`~repro.relational.operators.existence_part`."""
     if not columns:
         return existence_part(rows, label)
-    return Relation(Schema(label, columns), iter(rows))
+    schema = Schema(label, columns)
+    if type(rows) is Relation and rows.schema.arity == schema.arity:
+        # A fetched or shared part: relabelled by the adoption rule.
+        return project_entries(rows, [("col", i) for i in range(schema.arity)], schema)
+    return Relation(schema, iter(rows))
 
 
 def distinct_values(
@@ -200,11 +204,24 @@ class QueryPlan:
     index_positions: tuple[int, ...] = ()
     #: Planner estimates, for tests and ablation reporting.
     estimated_local_cost: float = 0.0
-    estimated_remote_cost: float = 0.0
+    #: The remote estimate, or what prices it when read: a plan with no
+    #: cache part weighs its fetch against nothing, so only a trace,
+    #: ``explain`` or a test pays for the price
+    #: (:attr:`estimated_remote_cost`).
+    remote_estimate: float | Callable[[], float] = 0.0
     #: Extra PSJ queries to fetch and cache ahead of need (prefetch and
     #: generalization both surface here).
     prefetches: tuple[PSJQuery, ...] = ()
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def estimated_remote_cost(self) -> float:
+        """The planner's price of the plan's remote work, computed on the
+        first read when it was deferred."""
+        estimate = self.remote_estimate
+        if callable(estimate):
+            estimate = self.remote_estimate = estimate()
+        return estimate
 
     @property
     def touches_remote(self) -> bool:

@@ -22,6 +22,7 @@ answer as stored, so the CMS reads it without asking for a plan at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from repro.common.clock import CostProfile
@@ -408,12 +409,19 @@ class QueryPlanner:
             columns = tuple(needed_columns(query, match.covered_tags))
             parts.append(CachePart(match=match, columns=columns))
 
-        remote_cost = 0.0
+        remote_cost: float | Callable[[], float] = 0.0
         local_cost = sum(self._derive_cost(m) for m in chosen)
         specs: list[BindingSpec] = []
         if uncovered:
             sub = sub_query(query, frozenset(uncovered), f"{query.name}__rest")
-            remote_cost = self._remote_cost(sub)
+            if chosen:
+                remote_cost = self._remote_cost(sub)
+            else:
+                # Nothing to weigh the fetch against: it is priced when
+                # read.  Its statistics are asked for now, where pricing
+                # asks, so each round trip falls at the same simulated time.
+                self._statistics(sub)
+                remote_cost = partial(self._remote_cost, sub)
 
             # Semijoin reduction: if a cache part pins a join column, it
             # may be cheaper to run the cache track first and ship its
@@ -462,7 +470,7 @@ class QueryPlanner:
                     "remote",
                     parts=tuple(parts),
                     cross_conditions=tuple(self._cross_conditions(query, parts)),
-                    estimated_remote_cost=whole_remote,
+                    remote_estimate=whole_remote,
                     notes=notes,
                 )
         if uncovered:
@@ -476,7 +484,7 @@ class QueryPlanner:
             parts=tuple(parts),
             cross_conditions=cross,
             estimated_local_cost=local_cost,
-            estimated_remote_cost=remote_cost,
+            remote_estimate=remote_cost,
             notes=notes,
         )
 
@@ -709,7 +717,15 @@ class QueryPlanner:
                     rows *= 0.1
         return max(rows, 0.0)
 
+    def _statistics(self, psj: PSJQuery) -> None:
+        """Look up the statistics pricing ``psj`` reads: its relations'.
+        :meth:`_remote_cost` asks here first, so a plan priced only when
+        read has made every round trip at plan time all the same."""
+        for occ in psj.occurrences:
+            self.stats_of(occ.pred)
+
     def _remote_cost(self, psj: PSJQuery) -> float:
+        self._statistics(psj)
         shipped = self.estimate_rows(psj)
         latency, server, wire = self._remote_terms(psj)
         return latency + server + wire.transfer_per_tuple * shipped

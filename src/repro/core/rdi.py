@@ -27,6 +27,7 @@ from typing import Callable, TypeVar
 from repro.common.clock import CostProfile
 from repro.common.errors import (
     CircuitOpenError,
+    InvariantViolation,
     RemoteDBMSError,
     RemoteTimeoutError,
     TransientRemoteError,
@@ -37,14 +38,16 @@ from repro.common.metrics import (
     REMOTE_SEMIJOIN_REQUESTS,
     REMOTE_TIMEOUTS,
 )
+from repro.relational.operators import project_entries
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.remote.faults import BACKOFF_SEED, CircuitBreaker, RetryPolicy, backoff
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import DMLRequest
+from repro.caql.eval import SHAPE_BOUND
 from repro.caql.psj import PSJQuery
-from repro.caql.translate import sql_from_psj
+from repro.caql.translate import SQLTemplate, SQLTranslation, request_shape, sql_from_psj
 
 T = TypeVar("T")
 
@@ -116,6 +119,13 @@ class RemoteInterface:
         self._statistics_cache: dict[str, RelationStatistics] = {}
         self._retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random(BACKOFF_SEED)
+        #: Request shape -> its prepared translation (FIFO, ``SHAPE_BOUND``).
+        #: Per link: the first translation of a shape looks its schemas up,
+        #: and a lookup is a charged round trip on this link alone.
+        self._templates: dict[tuple, SQLTemplate] = {}
+        #: The last ask bound from a template, ``(psj, in_lists,
+        #: translation)``, for :meth:`check_invariants`.
+        self._last_bound: tuple | None = None
         #: The server's tracer, so remote round trips nest in caller spans.
         self.tracer = server.tracer
         self._breaker = CircuitBreaker(
@@ -193,14 +203,12 @@ class RemoteInterface:
                     columns=sorted(in_lists),
                     values=sum(len(v) for v in in_lists.values()),
                 )
-            translation = sql_from_psj(psj, self.schema_of, in_lists=in_lists)
-            rows, _schema = self._resilient(
-                lambda: self._attempt_fetch(translation.query)
-            )
-            span.set("tuples", len(rows))
+            translation = self._translate(psj, in_lists)
+            shipped = self._resilient(lambda: self._attempt_fetch(translation.query))
+            span.set("tuples", len(shipped))
             if in_lists:
                 span.set("semijoin", True)
-            return translation.rebuild(rows)
+            return translation.rebuild(shipped)
 
     def fetch_many(self, psjs: list[PSJQuery]) -> list[Relation]:
         """Fetch several independent PSJ queries in **one round trip**.
@@ -216,7 +224,7 @@ class RemoteInterface:
         if len(psjs) == 1:
             return [self.fetch(psjs[0])]
         with self.tracer.span("rdi.fetch_batch", count=len(psjs)) as span:
-            translations = [sql_from_psj(p, self.schema_of) for p in psjs]
+            translations = [self._translate(p, {}) for p in psjs]
             results = self._resilient(
                 lambda: self._attempt_fetch_batch([t.query for t in translations])
             )
@@ -224,11 +232,12 @@ class RemoteInterface:
                 "rdi.batch",
                 count=len(psjs),
                 views=[p.name for p in psjs],
-                tuples=sum(len(rows) for rows, _schema in results),
+                tuples=sum(len(shipped) for shipped in results),
             )
-            relations: list[Relation] = []
-            for translation, (rows, _schema) in zip(translations, results):
-                relations.append(translation.rebuild(rows))
+            relations = [
+                translation.rebuild(shipped)
+                for translation, shipped in zip(translations, results)
+            ]
             span.set("tuples", sum(len(r) for r in relations))
             return relations
 
@@ -239,15 +248,15 @@ class RemoteInterface:
         if not self.has_table(table):
             raise UnknownRelationError(table)
         with self.tracer.span("rdi.fetch_table", table=table) as span:
-            rows, schema = self._resilient(
+            shipped = self._resilient(
                 lambda: self._attempt_fetch(FetchTableQuery(table))
             )
-            span.set("tuples", len(rows))
+            span.set("tuples", len(shipped))
         # Results are exposed under positional attribute names, matching
         # how PSJ queries address base relations.
-        arity = len(schema.attributes)
+        arity = shipped.schema.arity
         positional = Schema(table, tuple(f"a{i}" for i in range(arity)))
-        return Relation(positional, rows)
+        return project_entries(shipped, [("col", i) for i in range(arity)], positional)
 
     def fetch_partial(self, psj: PSJQuery) -> Relation | None:
         """:meth:`fetch` for a degraded answer: the rows, or ``None`` when
@@ -258,43 +267,73 @@ class RemoteInterface:
         except RemoteDBMSError:
             return None
 
+    # -- translation -------------------------------------------------------------------
+    def _translate(
+        self, psj: PSJQuery, in_lists: dict[str, tuple[object, ...]]
+    ) -> SQLTranslation:
+        """``psj``'s DML request shipping ``in_lists``, bound from its
+        shape's template (:class:`~repro.caql.translate.SQLTemplate`),
+        which the shape's first ask on this link builds."""
+        if psj.unsatisfiable:
+            return sql_from_psj(psj, self.schema_of, in_lists=in_lists)  # raises
+        key = request_shape(psj, in_lists)
+        template = self._templates.get(key)
+        if template is None:
+            template = SQLTemplate(psj, self.schema_of, in_lists)
+            if len(self._templates) >= SHAPE_BOUND:
+                del self._templates[next(iter(self._templates))]
+            self._templates[key] = template
+        translation = template.bind(psj, in_lists)
+        self._last_bound = (psj, in_lists, translation)
+        return translation
+
+    def check_invariants(self) -> None:
+        """The last translation bound from a stored template is the one a
+        template built from scratch binds (schemas are local copies by
+        then: nothing is charged).  Raises
+        :class:`~repro.common.errors.InvariantViolation`."""
+        if self._last_bound is None:
+            return
+        psj, in_lists, translation = self._last_bound
+        fresh = sql_from_psj(psj, self.schema_of, in_lists=in_lists)
+        if repr(fresh) != repr(translation):
+            raise InvariantViolation(
+                f"translation of {psj.name} bound from its shape's template "
+                f"is {translation.query}, from scratch {fresh.query}"
+            )
+
     # -- resilience ---------------------------------------------------------------------
-    def _attempt_fetch(self, request: DMLRequest) -> tuple[list[tuple], Schema]:
+    def _attempt_fetch(self, request: DMLRequest) -> Relation:
         """One attempt: issue the request and drain the stream, metering the
         per-request timeout against remote seconds actually charged."""
         network = self._server.network
         timeout = self._retry.timeout_seconds
         start = network.charged_seconds
         stream = self._server.execute_stream(request, BUFFER_SIZE)
-        return self._drain(stream, start, timeout), stream.schema
+        return self._drain(stream, start, timeout)
 
-    def _attempt_fetch_batch(
-        self, requests: list[DMLRequest]
-    ) -> list[tuple[list[tuple], Schema]]:
+    def _attempt_fetch_batch(self, requests: list[DMLRequest]) -> list[Relation]:
         """One attempt at a whole batch: one round trip, every stream
         drained under a shared per-request timeout."""
         network = self._server.network
         timeout = self._retry.timeout_seconds
         start = network.charged_seconds
         streams = self._server.execute_batch(requests, BUFFER_SIZE)
-        return [
-            (self._drain(stream, start, timeout), stream.schema)
-            for stream in streams
-        ]
+        return [self._drain(stream, start, timeout) for stream in streams]
 
-    def _drain(self, stream, start: float, timeout: float | None) -> list[tuple]:
+    def _drain(self, stream, start: float, timeout: float | None) -> Relation:
+        """Pull every buffer of ``stream`` (each pays its transfer), then
+        hand over the engine's result: the drained rows, as the distinct
+        relation they were read from."""
         network = self._server.network
-        rows: list[tuple] = []
         while True:
             if timeout is not None and network.charged_seconds - start > timeout:
                 raise RemoteTimeoutError(
                     f"remote request exceeded {timeout}s of simulated remote time"
                 )
-            buffer = stream.next_buffer()
-            if not buffer:
+            if not stream.next_buffer():
                 break
-            rows.extend(buffer)
-        return rows
+        return stream.relation
 
     def _resilient(self, op: Callable[[], T]) -> T:
         """Run one remote operation under retry/backoff/timeout/breaker."""

@@ -69,6 +69,11 @@ class FederatedInterface:
         name = self.catalog.home_of(table)
         return name, self.catalog.backend(name).profile
 
+    def check_invariants(self) -> None:
+        """Every link's :meth:`RemoteInterface.check_invariants`."""
+        for link in self.links.values():
+            link.check_invariants()
+
     # -- routing ------------------------------------------------------------------
     def _backend_for(self, psj: PSJQuery) -> str:
         """The one backend owning every base relation of ``psj``."""

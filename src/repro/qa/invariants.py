@@ -12,6 +12,9 @@ an internal consistency property is broken:
 * :meth:`repro.core.executor.ResultStream.check_invariants` — set
   semantics, schema arity, and the drain-once contract (a drained
   generator replays its memo exactly and produces nothing new);
+* :meth:`repro.core.rdi.RemoteInterface.check_invariants` — the last
+  translation bound from a request shape's template is the from-scratch
+  one;
 * :meth:`repro.common.metrics.Metrics.check_invariants` — no negative or
   non-finite counters, recursive over session scopes.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from repro.relational.relation import Relation
@@ -32,10 +33,17 @@ class HashIndex:
     def __init__(self, relation: Relation, attributes: tuple[str, ...] | list[str]):
         self.attributes = tuple(attributes)
         self._relation = relation
-        self._positions = relation.schema.positions(self.attributes)
+        self._positions = positions = relation.schema.positions(self.attributes)
         self._buckets: dict[tuple, list[int]] = defaultdict(list)
-        for ordinal, row in enumerate(relation):
-            key = tuple(row[i] for i in self._positions)
+        # Keys cut by ``itemgetter``, as the row builder cuts rows: one
+        # position yields the bare value, so ``zip`` wraps it in a 1-tuple.
+        if len(positions) == 1:
+            keys = zip(map(itemgetter(positions[0]), relation))
+        elif positions:
+            keys = map(itemgetter(*positions), relation)
+        else:
+            keys = (() for _row in relation)
+        for ordinal, key in enumerate(keys):
             self._buckets[key].append(ordinal)
         self._source_len = len(relation)
 
@@ -56,6 +64,8 @@ class HashIndex:
         distinct = set(keys)
         buckets = self._buckets
         found = [buckets[key] for key in distinct if key in buckets]
+        if len(found) == 1:
+            return self._relation.rows_at(found[0])  # a bucket is in order
         return self._relation.rows_at(sorted(chain.from_iterable(found)))
 
     def __contains__(self, values: tuple) -> bool:

@@ -84,12 +84,32 @@ def project_entries(
 ) -> Relation:
     """:func:`entry_rows` materialized under ``schema``, duplicates dropped
     (first occurrences, in order): how every local finisher turns its last
-    input into its result."""
+    input into its result.
+
+    **Adoption.**  When ``rows`` is exactly a :class:`Relation` (distinct
+    by type) and the column entries take every one of its columns, the
+    projection is injective — two output rows are equal only where their
+    input rows were — so the output is adopted without a dedupe pass; the
+    identity projection is a plain copy of the row list.  Any other input
+    (a list, a product, a generator) is deduplicated as always."""
+    if entries and type(rows) is Relation:
+        every = range(rows.schema.arity)
+        positions = [value for kind, value in entries if kind == "col"]
+        if len(positions) == len(entries) and positions == list(every):
+            return Relation.from_distinct_rows(schema, list(rows))
+        if set(positions) == set(every):
+            return Relation.from_distinct_rows(schema, list(entry_rows(rows, entries)))
     projected = entry_rows(rows, entries)
     if _only_columns(entries):
         # Cut by ``itemgetter``: tuples of the right arity already.
-        return Relation.from_distinct_rows(schema, list(dict.fromkeys(projected)))
+        return Relation.from_distinct_rows(schema, distinct_rows(projected))
     return Relation(schema, projected)
+
+
+def distinct_rows(rows: Iterable[tuple]) -> list[tuple]:
+    """The first occurrence of each row, in order: the dedupe pass of a
+    projection that may merge rows."""
+    return list(dict.fromkeys(rows))
 
 
 def project(relation: Relation, attributes: Sequence[str], name: str | None = None) -> Relation:

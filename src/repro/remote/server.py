@@ -62,6 +62,8 @@ class RemoteResultStream:
     ):
         # The engine's result is nobody else's: its rows are read where
         # they are, a buffer at a time, not copied into the stream first.
+        #: The whole result, for a consumer that has drained every buffer.
+        self.relation = result
         self.schema = result.schema
         self._rows = iter(result)
         self._total = len(result)

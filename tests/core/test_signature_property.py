@@ -163,27 +163,40 @@ def narrowed(draw, name):
     return replace(psj, projection=tuple(kept))
 
 
+def _literals(psj):
+    return [
+        (norm.left.name, norm.op, norm.right.value)
+        for norm in (c.normalized() for c in psj.conditions)
+        if isinstance(norm.left, Col) and isinstance(norm.right, Lit)
+    ]
+
+
 def bounds_a_dropped_column(element_psj, query, e_tag, relation):
-    """True when every query occurrence of ``relation`` has a column-vs-
-    literal condition at a position element occurrence ``e_tag``'s
-    projection drops, that the element's conditions do not imply — read
-    off the two definitions directly, not off the signature."""
+    """True when every query occurrence of ``relation`` has, at a position
+    element occurrence ``e_tag``'s projection drops, a column-vs-literal
+    condition the element's conditions do not imply, or (where no ``=``
+    literal of the element pins it) a projection entry — read off the two
+    definitions directly, not off the signature."""
     if not canonicalize(query).conditions.satisfiable:
         return False  # the planner never probes one (and it implies every pin)
     guarantees = canonicalize(element_psj).conditions
     kept = {entry for entry in element_psj.projection if isinstance(entry, str)}
-    literal = [
-        (norm.left.name, norm.op, norm.right.value)
-        for norm in (c.normalized() for c in query.conditions)
-        if isinstance(norm.left, Col) and isinstance(norm.right, Lit)
-    ]
+    pinned = {col for col, op, _value in _literals(element_psj) if op == "="}
+    projected = {entry for entry in query.projection if isinstance(entry, str)}
+    literal = _literals(query)
     return all(
         any(
-            col == column(occ.tag, position)
-            and column(e_tag, position) not in kept
-            and not guarantees.implies_literal(column(e_tag, position), op, value)
+            column(e_tag, position) not in kept
+            and (
+                column(occ.tag, position) in projected
+                and column(e_tag, position) not in pinned
+                or any(
+                    col == column(occ.tag, position)
+                    and not guarantees.implies_literal(column(e_tag, position), op, value)
+                    for col, op, value in literal
+                )
+            )
             for position in range(occ.arity)
-            for col, op, value in literal
         )
         for occ in query.occurrences
         if (occ.pred, occ.arity) == relation

@@ -417,6 +417,33 @@ class TestDroppedColumns:
         )
         assert examined == ["E1"] and len(matches[0].residual_conditions) == 1
 
+    def test_a_projected_dropped_column_is_never_matched(self, monkeypatch):
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X, Z) :- b2(X, Z)"
+        )
+        assert (examined, matches) == ([], [])
+
+    def test_another_occurrence_that_keeps_it_still_matches(self, monkeypatch):
+        # t1's second column is projected, t0's is not: the element maps
+        # onto t0 as a partial match.
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X, W) :- b2(X, Z), b2(V, W)"
+        )
+        assert examined == ["E1"]
+        assert [sorted(m.covered_tags) for m in matches] == [["t0"]]
+
+    def test_a_projected_dropped_column_is_explained_per_mapping(self, monkeypatch):
+        reports = []
+        examined, matches = self.examined(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X, Z) :- b2(X, Z)", reports
+        )
+        assert (examined, matches) == (["E1"], [])
+        (report,) = reports
+        assert report.rejections == (
+            "[t0->t0] the query projects t0.c1 but the element projected "
+            "that column away",
+        )
+
     def test_a_walk_that_shows_its_working_explains_it_per_mapping(self, monkeypatch):
         reports = []
         examined, matches = self.examined(

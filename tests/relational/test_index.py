@@ -1,7 +1,11 @@
 """Tests for hash indexes."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.relational.index import HashIndex, IndexSet
-from repro.relational.relation import relation_from_columns
+from repro.relational.relation import Relation, relation_from_columns
+from repro.relational.schema import Schema
 
 
 def make_emp():
@@ -117,3 +121,30 @@ class TestIndexSet:
         indexes = IndexSet(make_emp())
         indexes.ensure(("dept",))
         assert indexes.find_covering({"name"}) is None
+
+
+#: A NaN equals nothing, itself included, but containers check identity
+#: first: the NaN object finds the rows holding that very object.
+NAN = float("nan")
+#: ``1``/``1.0``/``True`` are one key, ``"1"`` another.
+SOUP = [1, 1.0, True, "1", NAN, 0, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(SOUP), st.sampled_from(SOUP)), max_size=12),
+    st.lists(st.sampled_from(SOUP), max_size=3),
+    st.sampled_from([("a",), ("b", "a"), ("a", "b")]),
+)
+def test_lookup_any_returns_scan_order(rows, wanted, attributes):
+    relation = Relation(Schema("r", ("a", "b")), rows)
+    index = HashIndex(relation, attributes)
+    keys = [(value,) * len(attributes) for value in wanted]
+    positions = relation.schema.positions(attributes)
+    allowed = set(keys)
+    scan = [row for row in relation if tuple(row[p] for p in positions) in allowed]
+    assert index.lookup_any(keys) == scan
+    if keys:  # one key at a time: its bucket, as the scan finds it
+        assert index.lookup_any(keys[:1]) == [
+            row for row in relation if tuple(row[p] for p in positions) in {keys[0]}
+        ]
