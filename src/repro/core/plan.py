@@ -75,11 +75,33 @@ def needed_columns(query: PSJQuery, tags: frozenset[str]) -> list[str]:
 def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
     """The component of ``query`` over ``tags`` as a self-contained PSJ
     query: conditions entirely inside the part are pushed down, the
-    projection is narrowed to :func:`needed_columns`.
+    projection is narrowed to :func:`needed_columns`.  A component over
+    every occurrence keeps each condition that has columns and the
+    projection's columns, with no column tested against a tag.
 
     A component that is the whole query under another name (every
     occurrence, every condition, the same projection) carries the
     query's canonical form, which reads none of what differs."""
+    if all(o.tag in tags for o in query.occurrences):
+        conditions = tuple(c for c in query.conditions if c.columns())
+        columns = (e for e in query.projection if not isinstance(e, ConstProj))
+        part = PSJQuery(name, query.occurrences, conditions, tuple(dict.fromkeys(columns)))
+    else:
+        part = _filtered_sub_query(query, tags, name)
+    form = query.__dict__.get("_canonical")
+    if (
+        form is not None
+        and not query.unsatisfiable
+        and len(part.occurrences) == len(query.occurrences)
+        and len(part.conditions) == len(query.conditions)
+        and part.projection == query.projection
+    ):
+        part.__dict__["_canonical"] = form
+    return part
+
+
+def _filtered_sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
+    """:func:`sub_query` by testing every column against the tags."""
     prefixes = tuple(tag + "." for tag in tags)
     occurrences = tuple(o for o in query.occurrences if o.tag in tags)
     conditions = tuple(
@@ -87,17 +109,7 @@ def sub_query(query: PSJQuery, tags: frozenset[str], name: str) -> PSJQuery:
         for c in query.conditions
         if c.columns() and all(col.startswith(prefixes) for col in c.columns())
     )
-    part = PSJQuery(name, occurrences, conditions, tuple(needed_columns(query, tags)))
-    form = query.__dict__.get("_canonical")
-    if (
-        form is not None
-        and not query.unsatisfiable
-        and len(occurrences) == len(query.occurrences)
-        and len(conditions) == len(query.conditions)
-        and part.projection == query.projection
-    ):
-        part.__dict__["_canonical"] = form
-    return part
+    return PSJQuery(name, occurrences, conditions, tuple(needed_columns(query, tags)))
 
 
 def label_part(rows, columns: tuple[str, ...], label: str) -> Relation:

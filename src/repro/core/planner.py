@@ -464,7 +464,9 @@ class QueryPlanner:
             )
             if whole_remote < hybrid:
                 notes = notes + ["whole-query shipping beat the hybrid split"]
-                parts = self._remote_parts(query, notes)
+                # Fetch the constant-free projection, as a remote-only plan does.
+                whole = sub_query(query, frozenset(all_tags), query.name)
+                parts = self._remote_parts(whole, notes)
                 return QueryPlan(
                     query,
                     "remote",

@@ -3,16 +3,17 @@
 Conditions are built from attribute references and literals combined with
 comparison operators; conjunctions of these form the selection/join
 conditions of PSJ queries.  A conjunction compiles against a schema to
-generated Python — one function for the whole conjunction — and this module
-is the only place that happens: the tuple operators and the remote engine
-both get their predicates from :func:`compile_conjunction`.
+generated Python — a row predicate for the whole conjunction and its batch
+twin — and this module is the only place that happens: the tuple operators
+and the remote engine get theirs from :func:`compile_conjunction` and
+:func:`compile_selection`.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from repro.common.errors import SchemaError
 from repro.relational.schema import Schema
@@ -154,6 +155,21 @@ def compile_conjunction(
     under one ``try/except TypeError -> False``, which is what a guard per
     condition would give, since ``and`` stops at the first false term.
     """
+    return _bind(conditions, schema)[0]
+
+
+def compile_selection(
+    conditions: Sequence[Comparison], schema: Schema
+) -> Callable[[Iterable[tuple]], list[tuple]]:
+    """The batch twin of :func:`compile_conjunction`: the rows it accepts,
+    in order, by one loop over the same terms under one ``try``.  A type
+    clash recomputes the whole input through the row predicate (so it
+    excludes only its own row): the input may be read twice."""
+    return _bind(conditions, schema)[1]
+
+
+def _bind(conditions: Sequence[Comparison], schema: Schema) -> tuple[Callable, Callable]:
+    """The shape's ``(row predicate, batch kernel)``, bound to the literals."""
     shape = []
     literals: list = []
     for condition in conditions:
@@ -171,12 +187,30 @@ def compile_conjunction(
         if len(_SHAPE_CACHE) >= _SHAPE_CACHE_LIMIT:
             _SHAPE_CACHE.clear()  # bounded memory; regeneration is cheap
         code = _SHAPE_CACHE[key] = _generate(key)
-    make_row, _source = code
-    return make_row(*literals)
+    make, _source = code
+    return make(*literals)
+
+
+#: The generated module: a factory over the literal slots returning the row
+#: predicate and its batch twin, both built from one ``{test}`` term string.
+_TEMPLATE = """\
+def _make({slots}):
+    def _row(row):
+        try:
+            return {test}
+        except TypeError:
+            return False
+    def _rows(rows):
+        try:
+            return [row for row in rows if {test}]
+        except TypeError:
+            return [row for row in rows if _row(row)]
+    return _row, _rows
+"""
 
 
 def _generate(shape: tuple) -> tuple[Callable, str]:
-    """Emit the row predicate of ``shape`` behind a factory whose arguments
+    """Emit the functions of ``shape`` behind a factory whose arguments
     are the literals (so they are bound, never spelled)."""
 
     def side(operand: int) -> str:
@@ -189,15 +223,7 @@ def _generate(shape: tuple) -> tuple[Callable, str]:
         for operand in (left, right)
         if operand < 0
     )
-    source = (
-        f"def _make_row({slots}):\n"
-        f"    def _row(row):\n"
-        f"        try:\n"
-        f"            return {' and '.join(terms) or 'True'}\n"
-        f"        except TypeError:\n"
-        f"            return False\n"
-        f"    return _row\n"
-    )
+    source = _TEMPLATE.format(slots=slots, test=" and ".join(terms) or "True")
     namespace: dict = {}
     exec(compile(source, "<conjunction>", "exec"), namespace)
-    return namespace["_make_row"], source
+    return namespace["_make"], source

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import EvaluationError
-from repro.relational.expressions import Comparison, compile_conjunction
+from repro.relational.expressions import Comparison, compile_conjunction, compile_selection
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -26,11 +26,14 @@ from repro.relational.schema import Schema
 # ---------------------------------------------------------------------------
 
 
-def select(relation: Relation, conditions: Sequence[Comparison]) -> Relation:
-    """Rows of ``relation`` satisfying every condition."""
-    predicate = compile_conjunction(conditions, relation.schema)
+def select(relation: Relation | Product, conditions: Sequence[Comparison]) -> Relation:
+    """Rows of ``relation`` satisfying every condition, by the conjunction's
+    batch kernel.  The kernel may read its input twice, so a relation or a
+    product is read in place and anything else is listed first."""
+    rows = relation if isinstance(relation, (Relation, Product)) else list(relation)
+    kernel = compile_selection(conditions, relation.schema)
     # Selection keeps distinct rows distinct and their arity: adopt them.
-    return Relation.from_distinct_rows(relation.schema, list(filter(predicate, relation)))
+    return Relation.from_distinct_rows(relation.schema, kernel(rows))
 
 
 def select_iter(

@@ -29,7 +29,7 @@ from repro.common.metrics import CACHE_HITS_CANONICAL, CACHE_HITS_EXACT
 from repro.core.cache import Cache
 from repro.core.canonical import canonical_key, canonicalize
 from repro.core.cms import CacheManagementSystem
-from repro.core.plan import sub_query
+from repro.core.plan import _filtered_sub_query, sub_query
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Const
 from repro.qa import CaseConfig, CaseGenerator
@@ -368,6 +368,34 @@ class TestTheCarryNeverCrossesValues:
         bound = core_plan(query, registry)[0]
         assert bound == eval_module._translate(query, registry)[0]
         assert canonical.audit_canonical(bound) == canonicalize(bound).key
+
+
+class TestTheWholeComponentShortcut:
+    """A component over every occurrence (a remote-only plan's) is built
+    without testing a column against a tag; it is the component the
+    filtered build gives, down to the canonical key."""
+
+    def test_it_is_the_filtered_build_on_every_fuzz_query(self):
+        registry = BuiltinRegistry()
+        # The generator pins no answer constant and repeats no answer
+        # column; these two do.
+        texts = ["q(X, 3, C, X) :- b2(X, Y), b3(Y, C), Y > 1", "q(7) :- b2(X, X)"]
+        for config in (CaseConfig(), CaseConfig.federated(), CaseConfig.variants()):
+            for case in CaseGenerator(0, config).corpus(30):
+                texts += case.queries + case.advice_views
+        seen = 0
+        for text in texts:
+            query = core_plan(parse_query(text), registry)[0]
+            if not query.occurrences:
+                continue
+            tags = frozenset(o.tag for o in query.occurrences)
+            canonicalize(query)  # carried by an equal component
+            fast = sub_query(query, tags, f"{query.name}__rest")
+            slow = _filtered_sub_query(query, tags, f"{query.name}__rest")
+            assert fast == slow
+            assert canonical_key(fast) == canonical_key(slow)
+            seen += 1
+        assert seen > 300
 
 
 class TestTheAuditChecksTheCarriedFold:

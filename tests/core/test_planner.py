@@ -372,3 +372,33 @@ class TestPrefilterAudit:
         # Unaudited, the same bug is only a worse plan.
         planner.audit = False
         assert planner.plan(psj).strategy == "remote"
+
+
+class TestWholeQueryShipping:
+    """When shipping the whole query beats the hybrid split, the one remote
+    part fetches the query's constant-free projection, as a remote-only
+    plan does: a pinned answer constant is put back by the combine stage."""
+
+    def test_a_pinned_answer_constant_is_not_fetched(self):
+        from repro.core.cms import CacheManagementSystem
+        from repro.relational.relation import relation_from_columns
+        from repro.remote.server import RemoteDBMS
+
+        tables = {
+            "b2": relation_from_columns("b2", a=[1, 2, 3, 4], b=[10, 20, 30, 40]),
+            "b3": relation_from_columns("b3", a=[10, 20, 30], b=[7, 8, 9]),
+        }
+        server = RemoteDBMS(profile=CostProfile(cache_per_tuple=1.0))
+        for table in tables.values():
+            server.load_table(table)
+        cms = CacheManagementSystem(server)
+        cms.begin_session()
+        cms.query(parse_query("v(X, Y) :- b2(X, Y)")).fetch_all()
+        query = parse_query("q(X, 3, C) :- b2(X, Y), b3(Y, C)")
+        plan = cms.planner.plan(psj_of(query))
+        assert "whole-query shipping beat the hybrid split" in plan.notes
+        (part,) = plan.parts
+        assert part.columns == tuple(part.sub_query.projection) == ("t0.c0", "t1.c1")
+        expected = evaluate_psj(psj_of(query), tables.__getitem__)
+        assert sorted(cms.query(query).fetch_all()) == sorted(expected)
+        assert sorted(expected) == [(1, 3, 7), (2, 3, 8), (3, 3, 9)]

@@ -17,6 +17,17 @@ Two mutants, both applied where source is emitted:
 
 Each of the two properties must kill each mutant inside its own example
 budget and shrink the counterexample to one conjunct over one row.
+
+Two more mutants are planted in the batch kernel only, on what it does
+after a type clash (the row predicate is untouched):
+
+* ``no_fallback`` — the kernel returns ``[]``;
+* ``partial_fallback`` — it keeps only the rows accepted before the clash.
+
+The ``select`` property kills each and shrinks it to one conjunct over
+two rows — a clashing row and a row the conjunct accepts, since a clash
+alone is excluded by the right answer too.  The ``row`` property is blind
+to both by design: it runs the row predicate, which they leave alone.
 """
 
 import json
@@ -97,3 +108,68 @@ class TestPlantedEmitterBugIsKilled:
         monkeypatch.undo()
         reset_predicate_cache()
         run_property(name)
+
+
+#: The batch kernel's body, as the template spells it.
+KERNEL = (
+    "        try:\n"
+    "            return [row for row in rows if {test}]\n"
+    "        except TypeError:\n"
+    "            return [row for row in rows if _row(row)]\n"
+)
+
+
+def _plant_kernel(monkeypatch, body):
+    assert KERNEL in expressions._TEMPLATE
+    monkeypatch.setattr(
+        expressions, "_TEMPLATE", expressions._TEMPLATE.replace(KERNEL, body)
+    )
+
+
+def _no_fallback(monkeypatch):
+    _plant_kernel(monkeypatch, KERNEL.replace("if _row(row)]", "if False]"))
+
+
+def _partial_fallback(monkeypatch):
+    _plant_kernel(
+        monkeypatch,
+        "        kept = []\n"
+        "        try:\n"
+        "            for row in rows:\n"
+        "                if {test}:\n"
+        "                    kept.append(row)\n"
+        "        except TypeError:\n"
+        "            pass\n"
+        "        return kept\n",
+    )
+
+
+@pytest.fixture(
+    params=[_no_fallback, _partial_fallback], ids=["no_fallback", "partial_fallback"]
+)
+def planted_kernel_bug(request, monkeypatch, tmp_path):
+    monkeypatch.setenv("BRAID_QA_REPRO_DIR", str(tmp_path))
+    reset_predicate_cache()
+    request.param(monkeypatch)
+    yield
+    reset_predicate_cache()
+
+
+class TestPlantedKernelBugIsKilled:
+    def test_select_kills_it_and_shrinks_it(self, planted_kernel_bug, tmp_path):
+        with pytest.raises(Divergence) as caught:
+            run_property("select")
+        conjunction, row_list = caught.value.conjunction, caught.value.rows
+        assert len(conjunction) == 1 and len(row_list) == 2, (conjunction, row_list)
+        reasons = [
+            json.loads(path.read_text())["reason"] for path in tmp_path.iterdir()
+        ]
+        assert reasons and all(r.startswith("property: select") for r in reasons)
+
+    def test_the_row_property_is_blind_to_it(self, planted_kernel_bug):
+        run_property("row")
+
+    def test_clean_again_once_the_bug_is_fixed(self, planted_kernel_bug, monkeypatch):
+        monkeypatch.undo()
+        reset_predicate_cache()
+        run_property("select")

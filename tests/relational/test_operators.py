@@ -1,11 +1,13 @@
 """Tests for relational algebra operators (eager and pipelined)."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import EvaluationError
-from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.expressions import Col, Comparison, Lit, compile_conjunction
 from repro.relational.operators import (
     aggregate,
     entry_rows,
@@ -50,6 +52,31 @@ class TestSelect:
     def test_select_iter_lazy(self, emp):
         rows = select_iter(iter(emp), emp.schema, [eq("dept", "hw")])
         assert next(rows) == (1, "ann", "hw")
+
+    def test_a_clash_on_the_last_row_excludes_only_that_row(self):
+        # The batch loop meets the TypeError only after accepting two rows;
+        # its fallback is the per-row rule, so those two survive.
+        relation = Relation(Schema("r", ("a0",)), [(1,), (7,), (2,), ("x",)])
+        below = [Comparison(Col("a0"), "<", Lit(5))]
+        per_row = list(filter(compile_conjunction(below, relation.schema), relation))
+        assert select(relation, below).rows == per_row == [(1,), (2,)]
+
+    def test_a_homogeneous_input_runs_no_row_predicate(self, emp):
+        # One generated loop per selection, not one predicate call per row.
+        frames = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == "<conjunction>":
+                frames.append(frame.f_code.co_name)
+
+        conditions = [eq("dept", "sw"), Comparison(Col("id"), ">", Lit(2))]
+        sys.setprofile(profile)
+        try:
+            out = select(emp, conditions)
+        finally:
+            sys.setprofile(None)
+        assert out.rows == [(3, "cat", "sw")]
+        assert "_rows" in frames and "_row" not in frames
 
 
 class TestProject:
