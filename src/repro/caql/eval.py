@@ -14,7 +14,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from repro.common.errors import EvaluationError, TranslationError
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Substitution, Var
-from repro.relational.expressions import Comparison, Lit, holds
+from repro.relational.expressions import Comparison, Lit, holds, keep
 from repro.relational.operators import aggregate as relational_aggregate
 from repro.relational.operators import join, select
 from repro.relational.relation import Relation
@@ -25,7 +25,7 @@ from repro.caql.ast import (
     ConjunctiveQuery,
     SetOfQuery,
 )
-from repro.caql.implication import comparability_kind
+from repro.caql.implication import comparability_kind, occurrences_by_relation
 from repro.caql.psj import _OP_MAP, ConstProj, PSJQuery, psj_from_literals
 
 #: Resolves a base-relation name to its extension (cache lookup).
@@ -229,7 +229,7 @@ class ShapePlan:
     """
 
     __slots__ = (
-        "occurrences", "conditions", "slotted", "projection", "pinned",
+        "occurrences", "relations", "conditions", "slotted", "projection", "pinned",
         "var_numbers", "var_columns", "checks", "form",
     )
 
@@ -237,6 +237,7 @@ class ShapePlan:
         from repro.core.canonical import FormPlan  # repro.core imports this module
 
         self.occurrences = template.occurrences
+        self.relations = None  # :meth:`by_relation`, built on first need
         self.conditions = template.conditions
         #: ``(condition position, column, op, slot index)`` per
         #: column-vs-literal condition: the literal the slot binds.
@@ -259,6 +260,13 @@ class ShapePlan:
         #: translation folds away: the query is empty when one fails.
         self.checks = checks
         self.form = FormPlan(template)
+
+    def by_relation(self) -> dict:
+        """The occurrences by relation, as every containment probe of an
+        ask of this shape reads them (:func:`occurrences_by_relation`)."""
+        if self.relations is None:
+            self.relations = occurrences_by_relation(self.occurrences)
+        return self.relations
 
     def bind(self, name: str, values: list, names: list[str]) -> PSJQuery:
         """The PSJ query of the ask whose constants are ``values`` and
@@ -338,14 +346,11 @@ def _plan_shape(
     return ShapePlan(psj, checks)
 
 
-#: How many shapes :func:`core_plan` keeps plans for (FIFO).  A plan
-#: holds no query, only its template and key fragments (a few KB).
-SHAPE_BOUND = 1024
-
 #: ``(skeleton, registry signatures)`` -> the shape's plan, or None for a
 #: shape translated per ask.  The signatures are in the key because which
 #: literals are evaluable is the one thing translation reads of the
-#: registry.
+#: registry.  At most ``SHAPE_BOUND`` of them (:func:`keep`); a plan holds
+#: no query, only its template and key fragments (a few KB).
 _shapes: dict[tuple, ShapePlan | None] = {}
 
 
@@ -390,9 +395,7 @@ def core_plan(
     key = (skeleton, signatures)
     plan = _shapes.get(key, False)
     if plan is False:
-        if len(_shapes) >= SHAPE_BOUND:
-            del _shapes[next(iter(_shapes))]
-        plan = _shapes[key] = _plan_shape(query, registry, values)
+        plan = keep(_shapes, key, _plan_shape(query, registry, values))
     if plan is None:
         result = _translate(query, registry)
     else:

@@ -666,6 +666,15 @@ class ContainmentSignature:
         ]
 
 
+def occurrences_by_relation(occurrences) -> dict[RelationKey, list[tuple[str, list[str]]]]:
+    """Per ``(pred, arity)``, each occurrence's tag and column names, in
+    occurrence order: the query side :class:`ContainmentProbe` tests."""
+    relations: dict[RelationKey, list[tuple[str, list[str]]]] = {}
+    for occ in occurrences:
+        relations.setdefault((occ.pred, occ.arity), []).append((occ.tag, occ.columns()))
+    return relations
+
+
 class ContainmentProbe:
     """The query side of the signature test, built once per subsumption
     probe: the query's occurrences by relation (tag and column names) and
@@ -680,11 +689,12 @@ class ContainmentProbe:
         self._bounded: dict[str, list[tuple[str, object]]] | None = None
         #: The columns the query projects, read off it on first need.
         self._projected: set[str] | None = None
-        self.occurrences: dict[RelationKey, list[tuple[str, list[str]]]] = {}
-        for occ in query.occurrences:
-            self.occurrences.setdefault((occ.pred, occ.arity), []).append(
-                (occ.tag, occ.columns())
-            )
+        shape = query.__dict__.get("_shape")
+        #: The query's occurrences by relation: its shape plan's, when a
+        #: shape plan bound it (every ask of a shape has the same).
+        self.occurrences = (
+            occurrences_by_relation(query.occurrences) if shape is None else shape.by_relation()
+        )
 
     def pins(self) -> dict[PinSlot, list[object]] | None:
         """Per ``(relation, argument position)``, the value each query

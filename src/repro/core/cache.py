@@ -91,7 +91,8 @@ class CacheElement:
     advice_weight: float = 1.0
     _indexes: IndexSet | None = field(default=None, repr=False)
     #: Query shape -> this element's match plan for it
-    #: (:func:`repro.core.subsumption._match_plan`).
+    #: (:func:`repro.core.subsumption._match_plan`), FIFO under
+    #: ``SHAPE_BOUND`` like every per-shape table.
     match_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -522,7 +523,8 @@ class Cache:
         there, and the unanchored ones.  A pin whose lookup raises
         ``TypeError`` (an unhashable constant) turns the filter off."""
         slots = self._by_pin.get(pred, {})
-        found = [self._unpinned.get(pred, {})]
+        unpinned = self._unpinned.get(pred)
+        found = [unpinned] if unpinned else []
         if pins is None:
             found += [bucket for buckets in slots.values() for bucket in buckets.values()]
         else:
@@ -533,8 +535,8 @@ class Cache:
                         found += [buckets[v] for v in values if v in buckets]
             except TypeError:
                 return self.elements_for_predicate(pred)
-        if len(found) == 1:
-            return [self._elements[i] for i in found[0]]
+        if len(found) <= 1:  # one bucket is in store order already
+            return [self._elements[i] for bucket in found for i in bucket]
         merged = {i: self._elements[i] for bucket in found for i in bucket}
         return sorted(merged.values(), key=lambda e: e.epoch)
 

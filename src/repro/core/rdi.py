@@ -38,6 +38,7 @@ from repro.common.metrics import (
     REMOTE_SEMIJOIN_REQUESTS,
     REMOTE_TIMEOUTS,
 )
+from repro.relational.expressions import keep
 from repro.relational.operators import project_entries
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -45,7 +46,6 @@ from repro.relational.statistics import RelationStatistics
 from repro.remote.faults import BACKOFF_SEED, CircuitBreaker, RetryPolicy, backoff
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import DMLRequest
-from repro.caql.eval import SHAPE_BOUND
 from repro.caql.psj import PSJQuery
 from repro.caql.translate import SQLTemplate, SQLTranslation, request_shape, sql_from_psj
 
@@ -119,7 +119,7 @@ class RemoteInterface:
         self._statistics_cache: dict[str, RelationStatistics] = {}
         self._retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random(BACKOFF_SEED)
-        #: Request shape -> its prepared translation (FIFO, ``SHAPE_BOUND``).
+        #: Request shape -> its prepared translation (FIFO, :func:`keep`).
         #: Per link: the first translation of a shape looks its schemas up,
         #: and a lookup is a charged round trip on this link alone.
         self._templates: dict[tuple, SQLTemplate] = {}
@@ -279,10 +279,7 @@ class RemoteInterface:
         key = request_shape(psj, in_lists)
         template = self._templates.get(key)
         if template is None:
-            template = SQLTemplate(psj, self.schema_of, in_lists)
-            if len(self._templates) >= SHAPE_BOUND:
-                del self._templates[next(iter(self._templates))]
-            self._templates[key] = template
+            template = keep(self._templates, key, SQLTemplate(psj, self.schema_of, in_lists))
         translation = template.bind(psj, in_lists)
         self._last_bound = (psj, in_lists, translation)
         return translation

@@ -46,18 +46,23 @@ tiers of its own: the signature test, then :func:`match_element`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.common.errors import InvariantViolation
-from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.expressions import (
+    Col,
+    Comparison,
+    Lit,
+    keep,
+    kernel_factory,
+    selection_shape,
+)
 from repro.relational.generator import GeneratorRelation
 from repro.relational.operators import (
     entry_rows,
     existence_part,
     project_entries,
-    select,
-    select_iter,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -96,6 +101,11 @@ class SubsumptionMatch:
     is_full: bool
     #: For full matches: the query's projection over element attributes.
     projection: tuple[object, ...] | None = None
+    #: With residual conditions: ``(shape, factory, literals)``, the
+    #: generated factory of the residual's shape over the stored rows
+    #: (kept by the match plan) and this ask's literals in slot order —
+    #: the derivations bind these, deriving no shape of their own.
+    kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def available(self) -> dict[str, str]:
         """query column -> element attribute, as a dict."""
@@ -161,7 +171,7 @@ class _MappingPlan:
     """One occurrence mapping of a :class:`MatchPlan`: everything
     :func:`match_element` decides under it without reading a constant."""
 
-    __slots__ = ("text", "conditions", "checks", "failure", "fields", "pinned")
+    __slots__ = ("text", "conditions", "checks", "kernels", "failure", "fields", "pinned")
 
     def __init__(self, element_def, query, tag_map, renamed, guarantees, every_tag):
         tag_mapping = tuple(sorted(tag_map.items()))
@@ -220,6 +230,10 @@ class _MappingPlan:
                 )
                 break
         self.checks = tuple(checks)
+        #: Bitmask of the checks an ask's constants let the element
+        #: guarantee -> the ``(shape, factory)`` of the residual left (at
+        #: most one per subset of the checks).
+        self.kernels: dict[int, tuple] = {}
         # Projection needs over covered occurrences must be available; a
         # full match also keeps the positions an ask pins a constant at.
         projection: list[object] = []
@@ -245,6 +259,16 @@ class _MappingPlan:
             "projection": tuple(projection) if is_full else None,
         }
         self.pinned = is_full and any(isinstance(e, ConstProj) for e in projection)
+
+    def kernel(self, skipped: int, residual: list, element: CacheElement) -> tuple:
+        """``(shape, factory)`` of the residual left when the checks in the
+        ``skipped`` bitmask are guaranteed, derived from the first such
+        residual: the checks fix it, so later ones bind only literals."""
+        kernel = self.kernels.get(skipped)
+        if kernel is None:
+            shape = selection_shape(residual, element.relation.schema)[0]
+            kernel = self.kernels[skipped] = (shape, kernel_factory(shape))
+        return kernel
 
 
 class MatchPlan:
@@ -304,7 +328,9 @@ class MatchPlan:
                     break
             else:
                 residual: list[Comparison] = []
-                for check in mapping.checks:
+                literals: list = []
+                skipped = 0
+                for index, check in enumerate(mapping.checks):
                     if type(check) is Comparison:
                         residual.append(check)
                         continue
@@ -312,6 +338,7 @@ class MatchPlan:
                     condition = conditions[position]
                     lit = condition.left if flipped else condition.right
                     if element_col is not None and guaranteed(element_col, op, lit.value):
+                        skipped |= 1 << index
                         continue
                     if col is None:
                         if reasons is not None:
@@ -323,6 +350,7 @@ class MatchPlan:
                         if flipped
                         else Comparison(col, condition.op, lit)
                     )
+                    literals.append(lit.value)
                 else:
                     if mapping.failure is not None:
                         reasons.append(mapping.failure)
@@ -333,6 +361,8 @@ class MatchPlan:
                     fields.update(mapping.fields)
                     fields["element"] = element
                     fields["residual_conditions"] = tuple(residual)
+                    if residual:  # only this ask's literals are bound
+                        fields["kernel"] = (*mapping.kernel(skipped, residual, element), literals)
                     if mapping.pinned:  # the ask's own constants
                         fields["projection"] = tuple(
                             query.projection[i] if isinstance(e, ConstProj) else e
@@ -351,7 +381,7 @@ def _match_plan(element: CacheElement, query: PSJQuery) -> MatchPlan:
         return MatchPlan(element.definition, query)
     plan = element.match_plans.get(shape)
     if plan is None:
-        plan = element.match_plans[shape] = MatchPlan(element.definition, query)
+        plan = keep(element.match_plans, shape, MatchPlan(element.definition, query))
     return plan
 
 
@@ -452,7 +482,9 @@ def find_relevant(
     pins and bounds no query occurrence implies, or (on the plain path)
     every one of which bounds a column the element drops — and only the
     survivors pay for :func:`match_element`'s occurrence-mapping search.
-    Full matches sort first, larger coverage first.
+    On the plain path a candidate that keeps a match plan for the query's
+    shape skips the signature: the plan decides alone.  Full matches sort
+    first, larger coverage first.
 
     When ``reports`` is given, the walk also shows its working: one
     :class:`CandidateReport` per element the predicate index lists is
@@ -466,6 +498,7 @@ def find_relevant(
     """
     probe = ContainmentProbe(query, canonicalize(query).conditions)
     pins = probe.pins()
+    shape = query.__dict__.get("_shape")
     seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     # Walk predicates in query order, not set order: the sort below is
@@ -473,50 +506,49 @@ def find_relevant(
     # must not depend on per-process string hashing.
     for pred in dict.fromkeys(query.predicates()):
         if reports is None:
-            candidates = cache.elements_for_predicate(pred, pins)
-            survivors = None
-        else:
-            candidates = cache.elements_for_predicate(pred)
-            survivors = {
-                e.element_id for e in cache.elements_for_predicate(pred, pins)
-            }
-        for element in candidates:
+            for element in cache.elements_for_predicate(pred, pins):
+                if element.element_id in seen:
+                    continue
+                seen.add(element.element_id)
+                # A plan kept for the ask's shape decides alone: each
+                # signature test only ever implies "no match"
+                # (audit_prefilter proves it), which the plan finds too.
+                if (shape is not None and shape in element.match_plans) or (
+                    probe.rejection(element.signature) is None
+                    and not probe.drops_bounded(element.signature)
+                ):
+                    matches.extend(match_element(element, query))
+            continue
+        survivors = {e.element_id for e in cache.elements_for_predicate(pred, pins)}
+        for element in cache.elements_for_predicate(pred):
             if element.element_id in seen:
                 continue
             seen.add(element.element_id)
-            reasons: list[str] | None = None if reports is None else []
+            reasons: list[str] = []
             signature = element.signature
             rejection = probe.rejection(signature)
-            if (
-                rejection is None
-                and survivors is not None
-                and element.element_id not in survivors
-            ):
+            found: tuple[SubsumptionMatch, ...] = ()
+            if rejection is not None:
+                reasons.append(_signature_reason(signature, probe, rejection))
+            elif element.element_id not in survivors:
                 raise InvariantViolation(
                     f"pin index skipped {element.element_id} for "
                     f"{query.name}, but its containment signature passes it"
                 )
-            found: tuple[SubsumptionMatch, ...] = ()
-            if rejection is not None:
-                if reasons is not None:
-                    reasons.append(
-                        _signature_reason(signature, probe, rejection)
-                    )
-            elif reasons is not None or not probe.drops_bounded(signature):
+            else:
                 # A walk that shows its working leaves a bound dropped
                 # column to match_element, to explain mapping by mapping.
                 found = tuple(match_element(element, query, reasons))
                 matches.extend(found)
-            if reports is not None:
-                reports.append(
-                    CandidateReport(
-                        element_id=element.element_id,
-                        view_name=element.definition.name,
-                        matches=found,
-                        rejections=tuple(reasons),
-                        prefiltered=rejection is not None,
-                    )
+            reports.append(
+                CandidateReport(
+                    element_id=element.element_id,
+                    view_name=element.definition.name,
+                    matches=found,
+                    rejections=tuple(reasons),
+                    prefiltered=rejection is not None,
                 )
+            )
     matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
     return matches
 
@@ -530,7 +562,8 @@ def audit_prefilter(
     for this ask alone: the kept plan was built for another ask of the
     query's shape, and must give the same matches and reasons all the
     same, none of them for a candidate the plain walk turns away on a
-    bound dropped column.
+    bound dropped column, and each residual's prepared kernel must be the
+    shape a from-scratch compile derives.
 
     A false reject never changes an answer, only a plan and its cost, so
     no oracle sees it; this is the check that does.  Raises
@@ -557,6 +590,14 @@ def audit_prefilter(
                 f"{query.name} is not what one built for this ask gives: "
                 f"{report.rejections} vs {reasons}"
             )
+        for match in report.matches:
+            if match.residual_conditions and (
+                match.kernel[0], match.kernel[2]
+            ) != selection_shape(match.residual_conditions, element.relation.schema):
+                raise InvariantViolation(
+                    f"match plan of {report.element_id} prepared a kernel "
+                    f"{match.kernel[0]} for {query.name} that is not its residual's"
+                )
         if fresh and probe.drops_bounded(element.signature):
             raise InvariantViolation(
                 f"{report.element_id} matches {query.name}, but the plain walk "
@@ -615,7 +656,8 @@ def derive_full_lazy(match: SubsumptionMatch, query: PSJQuery) -> GeneratorRelat
         stored = match.element.relation  # may itself be a generator
         rows: Iterator[tuple] = iter(stored)
         if match.residual_conditions:
-            rows = select_iter(rows, stored.schema, list(match.residual_conditions))
+            _shape, make, literals = match.kernel
+            rows = filter(make(*literals)[0], rows)
         return entry_rows(rows, projection_entries(match.projection, stored.schema))
 
     return GeneratorRelation(result_schema(query.name, query.arity), source)
@@ -642,8 +684,11 @@ def derive_part(match: SubsumptionMatch, needed_columns: list[str]) -> Relation:
 
 
 def _residual_rows(match: SubsumptionMatch) -> Relation:
-    """The element's extension under the match's residual conditions."""
+    """The element's extension under the match's residual conditions, by
+    the kernel its plan prepared.  Selection keeps distinct rows distinct
+    and their arity: the result adopts them."""
     source = match.element.extension()
     if not match.residual_conditions:
         return source
-    return select(source, list(match.residual_conditions))
+    _shape, make, literals = match.kernel
+    return Relation.from_distinct_rows(source.schema, make(*literals)[1](source))

@@ -13,7 +13,6 @@ from repro.relational.operators import (
     join,
     project,
     select,
-    select_iter,
     transitive_closure,
 )
 from repro.relational.relation import Relation, relation_from_columns
@@ -38,6 +37,5 @@ __all__ = [
     "project",
     "relation_from_columns",
     "select",
-    "select_iter",
     "transitive_closure",
 ]

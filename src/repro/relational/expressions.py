@@ -129,15 +129,31 @@ def holds(left: object, op: str, right: object) -> bool:
 #: from: no column name and no constant of a query ever becomes code.
 _PY_OPS = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
+#: How many entries every per-shape table keeps, first in first out: the
+#: generated code below, ``caql.eval``'s shape plans, each link's request
+#: templates and each cache element's match plans (docs/caching.md lists
+#: them).  All four go through :func:`keep`.
+SHAPE_BOUND = 1024
+
+
+def keep(table: dict, key, value):
+    """Set ``table[key] = value`` under :data:`SHAPE_BOUND`: a full table
+    first drops its oldest entry.  Returns ``value``."""
+    if len(table) >= SHAPE_BOUND:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
 #: Generated code per conjunction *shape*: ``(predicate factory, source)``.
 #: Constants are not part of a shape, so a query stream whose constants
 #: never repeat still generates code once per shape.
 _SHAPE_CACHE: dict[tuple, tuple[Callable, str]] = {}
-_SHAPE_CACHE_LIMIT = 2048
 
 
 def reset_predicate_cache() -> None:
-    """Drop all generated code (test helper)."""
+    """Drop all generated code (test helper).  A kept match plan holds its
+    own factories (``repro.core.subsumption``) and keeps them."""
     _SHAPE_CACHE.clear()
 
 
@@ -169,7 +185,15 @@ def compile_selection(
 
 
 def _bind(conditions: Sequence[Comparison], schema: Schema) -> tuple[Callable, Callable]:
-    """The shape's ``(row predicate, batch kernel)``, bound to the literals."""
+    """The ``(row predicate, batch kernel)`` of a selection no plan
+    prepared: its shape derived here, bound to its literals."""
+    shape, literals = selection_shape(conditions, schema)
+    return kernel_factory(shape)(*literals)
+
+
+def selection_shape(conditions: Sequence[Comparison], schema: Schema) -> tuple[tuple, list]:
+    """The shape of ``conditions`` over ``schema`` and their literals in
+    slot order (:func:`compile_conjunction`)."""
     shape = []
     literals: list = []
     for condition in conditions:
@@ -181,14 +205,16 @@ def _bind(conditions: Sequence[Comparison], schema: Schema) -> tuple[Callable, C
                 literals.append(operand.value)
                 sides.append(-len(literals))  # == ~slot
         shape.append((sides[0], condition.op, sides[1]))
-    key = tuple(shape)
-    code = _SHAPE_CACHE.get(key)
+    return tuple(shape), literals
+
+
+def kernel_factory(shape: tuple) -> Callable:
+    """The generated factory of ``shape``: called with the literals in slot
+    order, it returns the ``(row predicate, batch kernel)`` pair."""
+    code = _SHAPE_CACHE.get(shape)
     if code is None:
-        if len(_SHAPE_CACHE) >= _SHAPE_CACHE_LIMIT:
-            _SHAPE_CACHE.clear()  # bounded memory; regeneration is cheap
-        code = _SHAPE_CACHE[key] = _generate(key)
-    make, _source = code
-    return make(*literals)
+        code = keep(_SHAPE_CACHE, shape, _generate(shape))
+    return code[0]
 
 
 #: The generated module: a factory over the literal slots returning the row

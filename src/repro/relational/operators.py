@@ -1,8 +1,8 @@
 """Relational algebra operators.
 
-Eager operators map :class:`Relation` to :class:`Relation`.  Selection and
-the entry projection have pipelined twins (:func:`select_iter`,
-:func:`entry_rows`) over a row iterator: the stages
+Eager operators map :class:`Relation` to :class:`Relation`.  The entry
+projection has a pipelined twin (:func:`entry_rows`) over a row iterator:
+with a match plan's row predicate, the stages
 :func:`repro.core.subsumption.derive_full_lazy` composes into the generator
 representation of Section 5.1 (a lazy cache element is a
 :class:`~repro.relational.generator.GeneratorRelation` over such a source).
@@ -34,13 +34,6 @@ def select(relation: Relation | Product, conditions: Sequence[Comparison]) -> Re
     kernel = compile_selection(conditions, relation.schema)
     # Selection keeps distinct rows distinct and their arity: adopt them.
     return Relation.from_distinct_rows(relation.schema, kernel(rows))
-
-
-def select_iter(
-    rows: Iterable[tuple], schema: Schema, conditions: Sequence[Comparison]
-) -> Iterator[tuple]:
-    """Pipelined selection."""
-    return filter(compile_conjunction(conditions, schema), rows)
 
 
 # ---------------------------------------------------------------------------

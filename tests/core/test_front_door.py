@@ -33,7 +33,7 @@ from repro.core.plan import _filtered_sub_query, sub_query
 from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Const
 from repro.qa import CaseConfig, CaseGenerator
-from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.expressions import SHAPE_BOUND, Col, Comparison, Lit
 from repro.relational.relation import Relation, relation_from_columns
 from repro.remote.server import RemoteDBMS
 from repro.workloads import genealogy
@@ -243,7 +243,7 @@ class TestReaskedQueryObject:
 
     def test_one_shot_queries_leave_at_most_the_bound(self):
         registry = BuiltinRegistry()
-        bound = eval_module.SHAPE_BOUND
+        bound = SHAPE_BOUND
         # Each query its own shape: the relation names differ.
         queries = [
             parse_query(f"d{i}(X) :- b{i}(X, Y), Y > {i}") for i in range(2 * bound)

@@ -353,7 +353,11 @@ class TestPrefilterAudit:
     """Under ``audit`` the planner puts every candidate its probe rejected
     on the containment signature through ``match_element`` after all."""
 
-    def test_a_false_reject_raises_only_under_audit(self, monkeypatch):
+    @staticmethod
+    def reject_everything(self, signature):
+        return signature.occurrences[0][1], None
+
+    def audited_then_broken(self, monkeypatch):
         from repro.caql.implication import ContainmentProbe
         from repro.common.errors import InvariantViolation
 
@@ -362,16 +366,23 @@ class TestPrefilterAudit:
         planner = make_planner(cache)
         planner.audit = True
         assert planner.plan(psj).strategy == "cache-full"  # sound: silent
-
-        def reject_everything(self, signature):
-            return signature.occurrences[0][1], None
-
-        monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
+        monkeypatch.setattr(ContainmentProbe, "rejection", self.reject_everything)
         with pytest.raises(InvariantViolation, match="signature rejected E1"):
             planner.plan(psj)
-        # Unaudited, the same bug is only a worse plan.
         planner.audit = False
-        assert planner.plan(psj).strategy == "remote"
+        return planner
+
+    def test_a_false_reject_raises_only_under_audit(self, monkeypatch):
+        planner = self.audited_then_broken(monkeypatch)
+        # Unaudited, the same bug is only a worse plan: on a shape no
+        # element keeps a match plan for, the signature still gates.
+        assert planner.plan(make_psj("q(X, Z) :- b2(X, Z), X =< 2")).strategy == "remote"
+
+    def test_a_kept_plan_decides_a_re_ask_not_the_signature(self, monkeypatch):
+        planner = self.audited_then_broken(monkeypatch)
+        # The audited ask kept E1's plan for its shape, so another ask of
+        # that shape never reaches the (broken) signature.
+        assert planner.plan(make_psj("q(X, Z) :- b2(X, Z), X < 1")).strategy == "cache-full"
 
 
 class TestWholeQueryShipping:

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.rdi as rdi_module
+import repro.relational.expressions as expressions
 import repro.relational.operators as operators
 from repro.caql.eval import psj_of
 from repro.caql.parser import parse_query
@@ -101,7 +102,7 @@ class TestTemplates:
             assert {row[1] for row in relation} == {dept}
 
     def test_the_table_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(rdi_module, "SHAPE_BOUND", 2)
+        monkeypatch.setattr(expressions, "SHAPE_BOUND", 2)
         rdi = RemoteInterface(make_server())
         for op in ("<", ">", "=<"):
             rdi.fetch(make_psj(f"q(I) :- emp(I, D, P), P {op} 20"))

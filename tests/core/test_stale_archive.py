@@ -118,10 +118,20 @@ class TestSubsumingMatch:
         narrow = make_psj("q(Y) :- b(1, Y)")
         assert archive.find_full(narrow, audit=True) is not None  # sound: silent
         monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
-        # Unaudited, a false reject silently costs the degraded answer.
-        assert archive.find_full(narrow) is None
+        # Unaudited, a false reject silently costs the degraded answer on
+        # a shape the archived copy keeps no match plan for.
+        assert archive.find_full(make_psj("q(Y) :- b(X, Y), X >= 1")) is None
         with pytest.raises(InvariantViolation, match="signature rejected"):
             archive.find_full(narrow, audit=True)
+
+    def test_a_kept_plan_decides_a_re_ask_not_the_signature(self, monkeypatch):
+        archive = StaleArchive()
+        archive.store(make_psj("d(X, Y) :- b(X, Y)"), make_relation("d", [(1, 10)]))
+        assert archive.find_full(make_psj("q(Y) :- b(1, Y)"), audit=True) is not None
+        monkeypatch.setattr(ContainmentProbe, "rejection", reject_everything)
+        # The first ask kept d's plan for the shape: a re-ask never
+        # reaches the (broken) signature.
+        assert archive.find_full(make_psj("q(Y) :- b(2, Y)")) is not None
 
     def test_refresh_leaves_the_signature_describing_the_kept_definition(self):
         archive = StaleArchive()

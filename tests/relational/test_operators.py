@@ -15,7 +15,6 @@ from repro.relational.operators import (
     project,
     project_entries,
     select,
-    select_iter,
     transitive_closure,
 )
 from repro.relational.relation import Relation, relation_from_columns
@@ -48,10 +47,6 @@ class TestSelect:
 
     def test_empty_conditions_is_copy(self, emp):
         assert len(select(emp, [])) == len(emp)
-
-    def test_select_iter_lazy(self, emp):
-        rows = select_iter(iter(emp), emp.schema, [eq("dept", "hw")])
-        assert next(rows) == (1, "ann", "hw")
 
     def test_a_clash_on_the_last_row_excludes_only_that_row(self):
         # The batch loop meets the TypeError only after accepting two rows;
