@@ -65,18 +65,6 @@ class ConjunctiveQuery:
             out |= literal.variables()
         return out
 
-    def relation_literals(self) -> list[Atom]:
-        """Body literals that are neither comparisons nor negated."""
-        return [
-            lit
-            for lit in self.literals
-            if lit.pred not in COMPARISON_PREDS and not lit.negated
-        ]
-
-    def comparison_literals(self) -> list[Atom]:
-        """Body literals that are comparison predicates."""
-        return [lit for lit in self.literals if lit.pred in COMPARISON_PREDS]
-
     @property
     def arity(self) -> int:
         """Number of answer positions."""

@@ -492,10 +492,6 @@ class Cache:
             element.saved_seconds += saved
             self.metrics.incr(CACHE_SAVED_SECONDS, saved)
 
-    def get(self, element_id: str) -> CacheElement | None:
-        """The element with this id, or None."""
-        return self._elements.get(element_id)
-
     def lookup_exact(self, definition: PSJQuery) -> CacheElement | None:
         """An element whose definition shares this canonical key.
 
@@ -698,8 +694,7 @@ class StaleArchive:
     (:func:`key_of`), with no byte accounting, pin index or
     replacement advice.  Re-storing a key swaps in the fresher relation
     but keeps the first definition and its place in line.  Subsumption
-    search asks it what it asks a cache: :meth:`elements_for_predicate`
-    and :meth:`get`.
+    search asks it what it asks a cache: :meth:`elements_for_predicate`.
     """
 
     def __init__(self):
@@ -722,10 +717,6 @@ class StaleArchive:
     def __len__(self) -> int:
         return len(self._elements)
 
-    def get(self, element_id: str) -> CacheElement | None:
-        """The archived copy with this id, or None."""
-        return next((e for e in self._elements.values() if e.element_id == element_id), None)
-
     def elements_for_predicate(self, pred: str, pins=None) -> list[CacheElement]:
         """The copies whose definition mentions ``pred``, oldest first
         (``pins`` is ignored: pruning is only an optimisation)."""
@@ -747,10 +738,9 @@ class StaleArchive:
     def find_full(self, query: PSJQuery, audit: bool = False):
         """A full subsumption match from the archive, or None.
 
-        With ``audit`` (the CMS passes :attr:`QueryPlanner.audit`), every
-        archived copy the containment signature turned away is put through
-        the full test after all, as the planner does for its own probes: a
-        false reject here would turn a stale answer into a failure.
+        With ``audit`` (the CMS passes :attr:`QueryPlanner.audit`), the
+        walk is proved as the planner proves its own probes: a false reject
+        here would turn a stale answer into a failure.
         """
         from repro.core.subsumption import audit_prefilter, find_relevant
 

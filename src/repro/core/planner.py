@@ -149,10 +149,10 @@ class QueryPlanner:
         )
         #: When set, every produced plan is run through
         #: :meth:`QueryPlan.check_invariants` before it leaves the planner,
-        #: every candidate its probe rejected on the containment signature
-        #: is put through the full subsumption test after all, every one it
-        #: let through is matched again by a plan built for this ask alone,
-        #: and the query's carried canonical form is recomputed from scratch.
+        #: every subsumption walk is proved by ``audit_prefilter`` (each
+        #: element of the query's predicates matched again by a plan built
+        #: for this ask alone), and the query's carried canonical form is
+        #: recomputed from scratch.
         #: Off by default (tests and the fuzzer flip it on).
         self.audit = False
 
@@ -204,7 +204,6 @@ class QueryPlanner:
             plan = self._plan(query, reports)
             if self.audit:
                 plan.check_invariants(self.backend_of)
-                audit_prefilter(self.cache, query, reports)
                 audit_canonical(query)
             if self.tracer.enabled:
                 self._trace_decision(span, plan, reports)
@@ -281,6 +280,8 @@ class QueryPlanner:
         if self.features.caching:
             if self.features.subsumption:
                 matches = find_relevant(self.cache, query, reports)
+                if self.audit:
+                    audit_prefilter(self.cache, query, reports)
             else:
                 matches = []
             full = next((m for m in matches if m.is_full), None)

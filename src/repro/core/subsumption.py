@@ -15,10 +15,11 @@ range-condition implication engine:
    occurrence of Q.  The index files each element under the constant it
    is anchored to (its pin index), so the lookup first drops the elements
    anchored to a constant Q does not pin where they pin it, and each
-   remaining candidate is held against its stored
+   remaining candidate without a match plan kept for Q's shape is held
+   against its stored
    :class:`~repro.caql.implication.ContainmentSignature` — conditions
    necessary for any mapping to succeed, decided without enumerating one
-   (:func:`find_relevant`).
+   (:func:`find_relevant`, one walk whether or not it shows its working).
 2. **Condition checking**: under that occurrence mapping, every condition
    of E must be implied by Q's conditions (E is no more restrictive than
    Q), and every condition of Q over the covered occurrences must be
@@ -40,8 +41,9 @@ spellings of a cached definition (conjuncts reordered, variables renamed,
 bounds respelled) are recognized up front by :mod:`repro.core.canonical`
 and served as canonical-key exact hits without entering the search here.
 What reaches this module is genuine containment — a strictly more
-specific query derivable from a strictly more general element — in two
-tiers of its own: the signature test, then :func:`match_element`.
+specific query derivable from a strictly more general element — in three
+tiers of its own: the pin index, the signature tests, then
+:func:`match_element`.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from repro.caql.psj import (
     parse_column,
     projection_entries,
 )
-from repro.core.cache import Cache, CacheElement
+from repro.core.cache import Cache, CacheElement, pin_anchor
 from repro.core.canonical import canonicalize
 
 
@@ -415,10 +417,11 @@ class CandidateReport:
     view_name: str
     matches: tuple[SubsumptionMatch, ...]
     #: Rejection reasons: one per failed candidate occurrence mapping, or
-    #: the single reason the containment signature ruled the element out.
+    #: the single reason a tier before :func:`match_element` turned the
+    #: element away (pin index, signature or dropped column).
     rejections: tuple[str, ...]
-    #: True when the containment signature rejected the element, so
-    #: :func:`match_element` never ran on it.
+    #: True when a tier before :func:`match_element` turned the element
+    #: away, so :func:`match_element` never ran on it.
     prefiltered: bool = False
 
     @property
@@ -426,13 +429,21 @@ class CandidateReport:
         return bool(self.matches)
 
 
-def _signature_reason(
+def _turn_away_reason(
     signature: ContainmentSignature,
     probe: ContainmentProbe,
-    rejection: SignatureRejection,
+    rejection: SignatureRejection | None,
 ) -> str:
-    """A signature rejection in the vocabulary of :func:`match_element`'s
-    own reasons (rendered only when a caller collects reports)."""
+    """Why the walk turned an element away before :func:`match_element`,
+    in that function's vocabulary: the signature's ``rejection``, or with
+    None, the dropped-column test (rendered only when a caller collects
+    reports)."""
+    if rejection is None:
+        dropped = ", ".join(col for cols in signature.dropped for _, col in cols)
+        return (
+            f"element projects away {dropped}, and every query occurrence "
+            "it could map onto projects or bounds one of them"
+        )
     relation, tag = rejection
     if tag is None:
         absent = {pred for (pred, _), _ in signature.relation_counts} - {
@@ -476,25 +487,23 @@ def find_relevant(
     planner chooses among them.  Candidates come from the cache's one
     per-predicate index, narrowed to the elements whose anchor pin
     (:func:`~repro.core.cache.pin_anchor`) the query's own pins could
-    imply; each is then tested against its stored
+    imply.  A candidate that keeps a match plan for the query's shape goes
+    to it: the plan decides alone.  Any other is tested against its stored
     :class:`~repro.caql.implication.ContainmentSignature` — too few
     occurrences of a relation in the query, or an element occurrence whose
-    pins and bounds no query occurrence implies, or (on the plain path)
-    every one of which bounds a column the element drops — and only the
-    survivors pay for :func:`match_element`'s occurrence-mapping search.
-    On the plain path a candidate that keeps a match plan for the query's
-    shape skips the signature: the plan decides alone.  Full matches sort
+    pins and bounds no query occurrence implies — then turned away if
+    every query occurrence it could map onto projects or bounds a column
+    the element drops, and only the survivors pay for
+    :func:`match_element`'s occurrence-mapping search.  Full matches sort
     first, larger coverage first.
 
     When ``reports`` is given, the walk also shows its working: one
-    :class:`CandidateReport` per element the predicate index lists is
-    appended, in visit order, holding either its matches or the reason it
-    was rejected (by the signature, or per occurrence mapping) — the
-    rationale behind ``cms.explain`` and the planner's subsumption trace
-    events.  An element the pin index skipped is rejected by the signature
-    too, or :class:`~repro.common.errors.InvariantViolation` is raised.
-    The returned matches are the same either way, and the plain query path
-    (``reports`` None) visits the pin index's survivors only.
+    :class:`CandidateReport` per element it visited is appended, in visit
+    order, holding either its matches or the reason of the tier that
+    turned it away — the rationale behind ``cms.explain``, the planner's
+    subsumption trace events and :func:`audit_prefilter`.  Collecting
+    reports changes neither which elements are visited nor which test
+    decides each one.
     """
     probe = ContainmentProbe(query, canonicalize(query).conditions)
     pins = probe.pins()
@@ -505,85 +514,79 @@ def find_relevant(
     # stable, so ties between matches keep visit order, and visit order
     # must not depend on per-process string hashing.
     for pred in dict.fromkeys(query.predicates()):
-        if reports is None:
-            for element in cache.elements_for_predicate(pred, pins):
-                if element.element_id in seen:
-                    continue
-                seen.add(element.element_id)
-                # A plan kept for the ask's shape decides alone: each
-                # signature test only ever implies "no match"
-                # (audit_prefilter proves it), which the plan finds too.
-                if (shape is not None and shape in element.match_plans) or (
-                    probe.rejection(element.signature) is None
-                    and not probe.drops_bounded(element.signature)
-                ):
-                    matches.extend(match_element(element, query))
-            continue
-        survivors = {e.element_id for e in cache.elements_for_predicate(pred, pins)}
-        for element in cache.elements_for_predicate(pred):
+        for element in cache.elements_for_predicate(pred, pins):
             if element.element_id in seen:
                 continue
             seen.add(element.element_id)
-            reasons: list[str] = []
-            signature = element.signature
-            rejection = probe.rejection(signature)
-            found: tuple[SubsumptionMatch, ...] = ()
-            if rejection is not None:
-                reasons.append(_signature_reason(signature, probe, rejection))
-            elif element.element_id not in survivors:
-                raise InvariantViolation(
-                    f"pin index skipped {element.element_id} for "
-                    f"{query.name}, but its containment signature passes it"
-                )
-            else:
-                # A walk that shows its working leaves a bound dropped
-                # column to match_element, to explain mapping by mapping.
+            # A plan kept for the ask's shape decides alone: each
+            # signature test only ever implies "no match"
+            # (audit_prefilter proves it), which the plan finds too.
+            if (shape is not None and shape in element.match_plans) or (
+                (rejection := probe.rejection(element.signature)) is None
+                and not probe.drops_bounded(element.signature)
+            ):
+                if reports is None:
+                    matches.extend(match_element(element, query))
+                    continue
+                reasons: list[str] = []
                 found = tuple(match_element(element, query, reasons))
                 matches.extend(found)
-            reports.append(
-                CandidateReport(
-                    element_id=element.element_id,
-                    view_name=element.definition.name,
-                    matches=found,
-                    rejections=tuple(reasons),
-                    prefiltered=rejection is not None,
-                )
-            )
+                report = CandidateReport(element.element_id, element.view_name, found, tuple(reasons))
+            elif reports is None:
+                continue
+            else:
+                reason = _turn_away_reason(element.signature, probe, rejection)
+                report = CandidateReport(element.element_id, element.view_name, (), (reason,), True)
+            reports.append(report)
     matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
     return matches
+
+
+def _predicate_elements(cache: Cache, query: PSJQuery) -> Iterator[CacheElement]:
+    """Every element that shares a predicate with ``query``, once each, in
+    walk order — the pin index's survivors and the ones it skips."""
+    seen: set[str] = set()
+    for pred in dict.fromkeys(query.predicates()):
+        for element in cache.elements_for_predicate(pred):
+            if element.element_id not in seen:
+                seen.add(element.element_id)
+                yield element
 
 
 def audit_prefilter(
     cache: Cache, query: PSJQuery, reports: list[CandidateReport]
 ) -> None:
-    """Re-run the full test on every candidate the signature rejected —
-    the ones the pin index never enumerated included, so this also proves
-    "not enumerated ⇒ no match" — and every other one through a plan built
-    for this ask alone: the kept plan was built for another ask of the
-    query's shape, and must give the same matches and reasons all the
-    same, none of them for a candidate the plain walk turns away on a
-    bound dropped column, and each residual's prepared kernel must be the
-    shape a from-scratch compile derives.
+    """Prove the :func:`find_relevant` walk that filled ``reports``: every
+    element of the query's predicates is matched through a plan built for
+    this ask alone.  One the walk never visited (the pin index skipped
+    it) or turned away (signature or dropped column) must yield no match.
+    One a plan decided — the kept plan was built for another ask of the
+    query's shape — must give the same matches and reasons all the same,
+    none of them for a candidate the signature tests would turn away, and
+    each residual's prepared kernel must be the shape a from-scratch
+    compile derives.
 
     A false reject never changes an answer, only a plan and its cost, so
     no oracle sees it; this is the check that does.  Raises
-    :class:`~repro.common.errors.InvariantViolation` on either.
+    :class:`~repro.common.errors.InvariantViolation` on any.  Asked only
+    after a walk: a query planned without one has nothing to prove.
     """
     probe = ContainmentProbe(query, canonicalize(query).conditions)
-    for report in reports:
-        element = cache.get(report.element_id)
-        if element is None:
-            continue
-        if report.prefiltered:
-            for match in match_element(element, query):
-                raise InvariantViolation(
-                    f"containment signature rejected {report.element_id} "
-                    f"({'; '.join(report.rejections)}) but it matches "
-                    f"{query.name}: {match}"
-                )
-            continue
+    decided = {report.element_id: report for report in reports}
+    for element in _predicate_elements(cache, query):
+        report = decided.get(element.element_id)
         reasons: list[str] = []
         fresh = tuple(MatchPlan(element.definition, query).matches(element, query, reasons))
+        if report is None or report.prefiltered:
+            for match in fresh:
+                raise InvariantViolation(
+                    f"pin index skipped {element.element_id} for {query.name}, "
+                    f"but it matches: {match}"
+                    if report is None
+                    else f"containment signature rejected {element.element_id} "
+                    f"({'; '.join(report.rejections)}) but it matches {query.name}: {match}"
+                )
+            continue
         if (report.matches, report.rejections) != (fresh, tuple(reasons)):
             raise InvariantViolation(
                 f"match plan of {report.element_id} kept for the shape of "
@@ -598,10 +601,14 @@ def audit_prefilter(
                     f"match plan of {report.element_id} prepared a kernel "
                     f"{match.kernel[0]} for {query.name} that is not its residual's"
                 )
-        if fresh and probe.drops_bounded(element.signature):
+        if fresh and (
+            (rejection := probe.rejection(element.signature)) is not None
+            or probe.drops_bounded(element.signature)
+        ):
             raise InvariantViolation(
-                f"{report.element_id} matches {query.name}, but the plain walk "
-                "turns it away on a dropped column the query bounds"
+                f"containment signature rejected {report.element_id} "
+                f"({_turn_away_reason(element.signature, probe, rejection)}), but "
+                f"its kept match plan matches {query.name}: {fresh[0]}"
             )
 
 
@@ -613,9 +620,22 @@ def ranked(reports: list[CandidateReport]) -> list[CandidateReport]:
 
 def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
     """The subsumption probe with its working shown: :func:`find_relevant`
-    run for its per-candidate reports, in presentation order."""
+    run for its per-candidate reports, then every element of the query's
+    predicates the pin index skipped, with the anchor it was skipped on,
+    in presentation order."""
     reports: list[CandidateReport] = []
     find_relevant(cache, query, reports)
+    visited = {report.element_id for report in reports}
+    for element in _predicate_elements(cache, query):
+        if element.element_id not in visited:
+            ((pred, arity), position), value = pin_anchor(element.signature)
+            reason = (
+                f"pin index: the element pins {pred}/{arity} argument {position} "
+                f"to {value!r}, which the query does not pin there"
+            )
+            reports.append(
+                CandidateReport(element.element_id, element.view_name, (), (reason,), True)
+            )
     return ranked(reports)
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 
 from repro.obs.export import canonical_json
 from repro.qa.generator import FuzzCase
+from repro.caql.ast import COMPARISON_PREDS
 from repro.caql.parser import parse_query
 
 #: A failure oracle: one-line reason the case fails, or None when clean.
@@ -96,9 +97,9 @@ def _ddmin(
 def _referenced_tables(case: FuzzCase) -> set[str]:
     names: set[str] = set()
     for text in list(case.queries) + list(case.advice_views):
-        query = parse_query(text)
-        for literal in query.relation_literals():
-            names.add(literal.pred)
+        for literal in parse_query(text).literals:
+            if literal.pred not in COMPARISON_PREDS and not literal.negated:
+                names.add(literal.pred)
     return names
 
 

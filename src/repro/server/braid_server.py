@@ -79,13 +79,12 @@ class StepRecord:
     """One scheduler decision, for the reproducible schedule trace."""
 
     index: int
-    phase: str  # "execute": every request completes in one step
     session: str
     request_id: str
     clock: float
 
     def line(self) -> str:
-        return f"{self.index}|{self.phase}|{self.session}|{self.request_id}|{self.clock:.9f}"
+        return f"{self.index}|{self.session}|{self.request_id}|{self.clock:.9f}"
 
 
 class BraidServer:
@@ -200,7 +199,6 @@ class BraidServer:
         request = session.backlog.popleft()
         with self.tracer.span(
             "server.step",
-            phase="execute",
             session=session.name,
             request=request.request_id,
             index=len(self.schedule_trace),
@@ -212,7 +210,6 @@ class BraidServer:
         self.schedule_trace.append(
             StepRecord(
                 index=len(self.schedule_trace),
-                phase="execute",
                 session=session.name,
                 request_id=request.request_id,
                 clock=self.clock.now,

@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import TranslationError
 from repro.logic.terms import Atom, Const, Substitution, Var
 from repro.caql.ast import AggregateQuery, ConjunctiveQuery, SetOfQuery
+from repro.caql.eval import split_literals
+from repro.logic.builtins import BuiltinRegistry
 from repro.caql.parser import parse_query
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -34,8 +36,10 @@ class TestConjunctiveQuery:
 
     def test_relation_vs_comparison_literals(self):
         query = parse_query("q(X) :- p(X, A), A >= 18")
-        assert [l.pred for l in query.relation_literals()] == ["p"]
-        assert [l.pred for l in query.comparison_literals()] == [">="]
+        relations, comparisons, evaluable = split_literals(query, BuiltinRegistry())
+        assert [l.pred for l in relations] == ["p"]
+        assert [l.pred for l in comparisons] == [">="]
+        assert evaluable == []
 
     def test_instantiate(self):
         query = d2()

@@ -13,6 +13,7 @@ from repro.caql.eval import (
     evaluate_psj,
     evaluate_setof,
     psj_of,
+    split_literals,
 )
 from repro.caql.parser import parse_query
 from repro.caql.psj import psj_from_literals
@@ -22,8 +23,7 @@ def normalize(text):
     query = parse_query(text)
     return psj_from_literals(
         query.name,
-        query.relation_literals(),
-        query.comparison_literals(),
+        *split_literals(query, BuiltinRegistry())[:2],
         query.answers,
     )
 

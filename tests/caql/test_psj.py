@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.errors import TranslationError
 from repro.relational.expressions import Col, Comparison, Lit
+from repro.caql.eval import split_literals
 from repro.caql.parser import parse_query
+from repro.logic.builtins import BuiltinRegistry
 from repro.caql.psj import ConstProj, column, parse_column, psj_from_literals
 
 
@@ -12,8 +14,7 @@ def normalize(text):
     query = parse_query(text)
     return psj_from_literals(
         query.name,
-        query.relation_literals(),
-        query.comparison_literals(),
+        *split_literals(query, BuiltinRegistry())[:2],
         query.answers,
     )
 

@@ -8,12 +8,13 @@ from repro.relational.schema import Schema
 from repro.remote.server import RemoteDBMS
 from repro.remote.sql import render_sql
 from repro.baselines import LooseCoupling
-from repro.caql.ast import ConjunctiveQuery
-from repro.caql.eval import evaluate_conjunctive
+from repro.caql.ast import COMPARISON_PREDS, ConjunctiveQuery
+from repro.caql.eval import evaluate_conjunctive, split_literals
 from repro.caql.parser import parse_query
 from repro.caql.psj import psj_from_literals
 from repro.caql.translate import sql_from_psj
 from repro.core.cms import CacheManagementSystem
+from repro.logic.builtins import BuiltinRegistry
 from repro.logic.terms import Atom, Const, Var
 
 SCHEMAS = {
@@ -26,8 +27,7 @@ def normalize(text):
     query = parse_query(text)
     return psj_from_literals(
         query.name,
-        query.relation_literals(),
-        query.comparison_literals(),
+        *split_literals(query, BuiltinRegistry())[:2],
         query.answers,
     )
 
@@ -220,7 +220,10 @@ class TestUntranslatableLiterals:
         # ``planner.generalization_of`` hands advised view definitions to
         # it directly, without going through ``split_literals``.
         with pytest.raises(TranslationError):
+            literals = self.TERNARY.literals
             psj_from_literals(
-                "d", self.TERNARY.relation_literals(),
-                self.TERNARY.comparison_literals(), self.TERNARY.answers,
+                "d",
+                [lit for lit in literals if lit.pred not in COMPARISON_PREDS],
+                [lit for lit in literals if lit.pred in COMPARISON_PREDS],
+                self.TERNARY.answers,
             )

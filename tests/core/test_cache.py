@@ -30,7 +30,7 @@ class TestStore:
     def test_store_and_get(self):
         cache = Cache()
         element = store(cache, "d1(X, Y) :- b1(X, Y)")
-        assert cache.get(element.element_id) is element
+        assert element.element_id in cache and cache.elements() == [element]
         assert len(cache) == 1
 
     def test_ids_unique(self):

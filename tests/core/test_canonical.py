@@ -8,7 +8,9 @@ property-tested in ``test_canonical_property.py``; the fuzzer's
 ``variants`` profile carries the end-to-end argument.
 """
 
+from repro.caql.eval import split_literals
 from repro.caql.parser import parse_query
+from repro.logic.builtins import BuiltinRegistry
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 from repro.core.canonical import (
     canonical_constant,
@@ -23,8 +25,7 @@ def psj(text: str) -> PSJQuery:
     query = parse_query(text)
     return psj_from_literals(
         query.name,
-        query.relation_literals(),
-        query.comparison_literals(),
+        *split_literals(query, BuiltinRegistry())[:2],
         query.answers,
     )
 

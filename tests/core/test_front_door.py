@@ -21,7 +21,7 @@ import repro.core.canonical as canonical
 import repro.core.cms as cms_module
 import repro.core.planner as planner_module
 from repro.braid import BraidSystem
-from repro.caql.eval import core_plan, psj_of, result_schema
+from repro.caql.eval import core_plan, psj_of, result_schema, split_literals
 from repro.caql.parser import parse_query
 from repro.caql.psj import ConstProj, PSJQuery, psj_from_literals
 from repro.common.errors import InvariantViolation
@@ -453,10 +453,7 @@ class TestNothingElseChanged:
                 translated, _core_vars, evaluable = core_plan(query, registry)
                 assert not evaluable
                 assert translated == psj_from_literals(
-                    query.name,
-                    query.relation_literals(),
-                    query.comparison_literals(),
-                    query.answers,
+                    query.name, *split_literals(query, registry)[:2], query.answers
                 )
                 seen += 1
         assert seen > 200

@@ -255,6 +255,13 @@ class TestTracedProbe:
         "e4(X, Y) :- b3(X, c2, Y)",
     )
 
+    #: Per query below, how many candidates the pin index skips.
+    PIN_SKIPPED = {
+        "q(X, Z) :- b2(X, Z), X < 2": 1,
+        "q(X, Y) :- b2(X, Z), b3(Z, c3, Y)": 2,
+        "q(X, Y) :- b3(X, c3, Y)": 1,
+    }
+
     @pytest.mark.parametrize(
         "text, strategy, candidates",
         [
@@ -290,30 +297,37 @@ class TestTracedProbe:
         planner.tracer = tracer
         traced = planner.plan(psj)
 
-        # Each candidate the containment signature let through went
+        # Each candidate the pin index and the signature let through went
         # through match_element exactly once, the others never ...
         assert sorted(examined) == sorted(
             r.element_id for r in expected if not r.prefiltered
         )
-        assert len(examined) < candidates  # every case has a signature reject
+        assert len(examined) < candidates  # every case turns one away
         # ... tracing did not perturb the plan ...
         assert traced.strategy == untraced.strategy
         assert traced.part_labels() == untraced.part_labels()
         assert traced.full_match == untraced.full_match
         assert traced.notes == untraced.notes
-        # ... and the span carries the full rationale, in explain's order.
+        # ... and the span carries the walk's rationale, in explain's
+        # order: every candidate but the ones the pin index skipped, which
+        # only explain lists.
         (span,) = [s for s in tracer.spans if s.name == "planner.plan"]
         events = [
             (e.name, dict(e.attributes)["element"], dict(e.attributes).get("reasons"))
             for e in span.events
             if e.name.startswith("subsume.")
         ]
+        walked = [
+            r for r in expected
+            if not any(reason.startswith("pin index: ") for reason in r.rejections)
+        ]
         assert events == [
             ("subsume.match", r.element_id, None)
             if r.matched
             else ("subsume.reject", r.element_id, list(r.rejections))
-            for r in expected
+            for r in walked
         ]
+        assert len(walked) == candidates - self.PIN_SKIPPED[text]
 
     def test_a_plan_answered_before_the_probe_still_explains_itself(
         self, monkeypatch
@@ -349,9 +363,77 @@ class TestTracedProbe:
         assert len(tracer.spans) == 1 and probes == []
 
 
+class TestOneWalk:
+    """The walk the audit and the tracer see is the one production runs:
+    per probe, ``rejection``, ``drops_bounded`` and ``match_element`` are
+    called as often with either on as with both off."""
+
+    ELEMENTS = TestTracedProbe.ELEMENTS + ("e5(X) :- b2(X, Z)",)
+    QUERIES = (
+        "q(X, Z) :- b2(X, Z), X < 2",
+        "q(X, Z) :- b2(X, Z), X < 1",  # a re-ask: kept plans decide
+        "q(Z) :- b2(1, Z)",
+        "q(Z) :- b2(2, Z)",
+        "q(X) :- b2(X, Z), Z > 1",  # e5 drops the bounded column
+        "q(X, Y) :- b2(X, Z), b3(Z, c3, Y)",
+        "q(X, Y) :- b3(X, c2, Y), X > 0",
+        "q(X, Z) :- b2(X, Z), X < 2",
+    )
+
+    @staticmethod
+    def tier_calls(monkeypatch, audit, traced):
+        from repro.caql.implication import ContainmentProbe
+        from repro.common.clock import SimClock
+        from repro.core import planner as planner_module
+        from repro.core import subsumption
+        from repro.obs.tracer import Tracer
+
+        calls = {"rejection": 0, "drops_bounded": 0, "match_element": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, count)
+
+        counting(ContainmentProbe, "rejection")
+        counting(ContainmentProbe, "drops_bounded")
+        counting(subsumption, "match_element")
+        per_probe = []
+        real_walk = planner_module.find_relevant
+
+        def walk(*args):
+            before = dict(calls)
+            matches = real_walk(*args)
+            per_probe.append({k: calls[k] - before[k] for k in calls})
+            return matches
+
+        monkeypatch.setattr(planner_module, "find_relevant", walk)
+        planner = make_planner(cache_with(*TestOneWalk.ELEMENTS))
+        planner.audit = audit
+        if traced:
+            planner.tracer = Tracer(SimClock())
+        strategies = [planner.plan(make_psj(text)).strategy for text in TestOneWalk.QUERIES]
+        monkeypatch.undo()
+        return per_probe, strategies
+
+    def test_tier_calls_per_probe_do_not_depend_on_audit_or_tracing(self, monkeypatch):
+        plain = self.tier_calls(monkeypatch, audit=False, traced=False)
+        per_probe, _ = plain
+        assert len(per_probe) == len(self.QUERIES)
+        assert all(sum(p[k] for p in per_probe) > 0 for k in per_probe[0])
+        for audit, traced in [(True, False), (False, True), (True, True)]:
+            assert self.tier_calls(monkeypatch, audit, traced) == plain, (audit, traced)
+
+
 class TestPrefilterAudit:
-    """Under ``audit`` the planner puts every candidate its probe rejected
-    on the containment signature through ``match_element`` after all."""
+    """Under ``audit`` the planner proves each walk: every element of the
+    query's predicates is matched again by a plan built for the ask, and
+    one the walk turned away, or decided by a kept plan its signature
+    would turn away, raises."""
 
     @staticmethod
     def reject_everything(self, signature):

@@ -106,17 +106,22 @@ class TestRationale:
 
     def test_rejected_candidates_carry_reasons(self, cms):
         cms.query(parse_query("q(Y) :- parent(tom, Y)")).fetch_all()
-        explanation = cms.explain(parse_query("q2(Y) :- parent(bob, Y)"))
+        cms.query(parse_query("qo(P, A) :- age(P, A), A > 30")).fetch_all()
+        explanation = cms.explain(parse_query("q2(Y, A) :- parent(bob, Y), age(Y, A)"))
         rejected = [c for c in explanation.candidates if not c.matched]
-        assert rejected
+        assert len(rejected) == 2
         reasons = [r for c in rejected for r in c.rejections]
+        # The signature's reason, and the anchor the pin index skipped on.
         assert any("more restrictive" in reason for reason in reasons)
+        assert any("pins parent/2 argument 0 to 'tom'" in reason for reason in reasons)
 
     def test_rejection_reasons_verbatim(self, cms):
         """Every way a candidate can be rejected, with the exact wording
         and order ``explain`` has always shown (matched first, then by
-        element id).  ``qp`` is asked before ``qa``: asked after, it would
-        be derived from ``qa`` and, derived eagerly, not stored."""
+        element id), each from the tier that turned the candidate away:
+        the pin index, the signature, the dropped-column test or an
+        occurrence mapping.  ``qp`` is asked before ``qa``: asked after, it
+        would be derived from ``qa`` and, derived eagerly, not stored."""
         for text in [
             "q(Y) :- parent(tom, Y)",
             "qp(X) :- parent(X, Y)",
@@ -132,20 +137,20 @@ class TestRationale:
                 for c in cms.explain(parse_query(text)).candidates
             ]
 
+        skipped_on_tom = (
+            "pin index: the element pins parent/2 argument 0 to 'tom', which "
+            "the query does not pin there",
+        )
         assert rationale("q2(Y, A) :- parent(bob, Y), age(Y, A)") == [
             ("E3", "qa", True, ()),
-            ("E1", "q", False, (
-                "[t0->t0] element condition t0.c0 = 'tom' is not implied by "
-                "the query (the element is more restrictive)",
-            )),
+            ("E1", "q", False, skipped_on_tom),
             ("E2", "qp", False, (
-                "[t0->t0] join condition t0.c1 = t1.c0 crosses the coverage "
-                "boundary and its covered columns were projected away by the "
-                "element",
+                "element projects away t0.c1, and every query occurrence it "
+                "could map onto projects or bounds one of them",
             )),
             ("E4", "qj", False, (
-                "[t0->t0, t1->t1] the query projects t0.c1 but the element "
-                "projected that column away",
+                "element projects away t0.c1, t1.c0, and every query occurrence "
+                "it could map onto projects or bounds one of them",
             )),
             ("E5", "qo", False, (
                 "[t0->t1] element condition t1.c1 > 30 is not implied by the "
@@ -154,12 +159,35 @@ class TestRationale:
         ]
         assert rationale("q3(X) :- parent(X, ann)") == [
             ("E3", "qa", True, ()),
-            ("E1", "q", False, (
-                "[t0->t0] element condition t0.c0 = 'tom' is not implied by "
-                "the query (the element is more restrictive)",
-            )),
+            ("E1", "q", False, skipped_on_tom),
             ("E2", "qp", False, (
-                "[t0->t0] query condition t0.c1 = 'ann' must be re-applied but "
+                "element projects away t0.c1, and every query occurrence it "
+                "could map onto projects or bounds one of them",
+            )),
+            ("E4", "qj", False, (
+                "element mentions predicate(s) absent from the query: age",
+            )),
+        ]
+        # What no tier before the mapping search sees, a mapping explains.
+        assert rationale("q5(X, A) :- parent(X, Y), age(Y, A), A > 5") == [
+            ("E3", "qa", True, ()),
+            ("E4", "qj", True, ()),
+            ("E1", "q", False, skipped_on_tom),
+            ("E2", "qp", False, (
+                "[t0->t0] join condition t0.c1 = t1.c0 crosses the coverage "
+                "boundary and its covered columns were projected away by the "
+                "element",
+            )),
+            ("E5", "qo", False, (
+                "[t0->t1] element condition t1.c1 > 30 is not implied by the "
+                "query (the element is more restrictive)",
+            )),
+        ]
+        assert rationale("q6(X) :- parent(X, X)") == [
+            ("E3", "qa", True, ()),
+            ("E1", "q", False, skipped_on_tom),
+            ("E2", "qp", False, (
+                "[t0->t0] query condition t0.c0 = t0.c1 must be re-applied but "
                 "its columns were projected away by the element",
             )),
             ("E4", "qj", False, (
@@ -171,7 +199,8 @@ class TestRationale:
         """A candidate the containment signature turns away carries one
         reason, in the same vocabulary: the query occurrences tried and
         the first condition that failed at the first of them, or the
-        relation the query has too few occurrences of."""
+        relation the query has too few occurrences of.  One the pin index
+        skipped names the anchor it was skipped on."""
         for text in [
             "q(Y) :- parent(tom, Y)",
             "qa(X, Y) :- parent(X, Y)",
@@ -193,15 +222,15 @@ class TestRationale:
                 "by the query (the element is more restrictive)",
             )),
             ("E1", False, True, (
-                "[t0->t0|t1] element condition t0.c0 = 'tom' is not implied by "
-                "the query (the element is more restrictive)",
+                "pin index: the element pins parent/2 argument 0 to 'tom', "
+                "which the query does not pin there",
             )),
         ]
         assert rationale("q3(A) :- parent(bob, Y), age(Y, A), A > 40") == [
             ("E2", True, False, ()),
             ("E1", False, True, (
-                "[t0->t0] element condition t0.c0 = 'tom' is not implied by "
-                "the query (the element is more restrictive)",
+                "pin index: the element pins parent/2 argument 0 to 'tom', "
+                "which the query does not pin there",
             )),
             ("E3", False, True, (
                 "no injective occurrence mapping: the element has 2 "
@@ -210,6 +239,12 @@ class TestRationale:
             ("E4", False, True, (
                 "[t0->t1] element condition t1.c1 <= 60 is not implied by the "
                 "query (the element is more restrictive)",
+            )),
+        ]
+        assert rationale("q4(A, B) :- age(P, A), age(Q, B), A > 40") == [
+            ("E4", False, True, (
+                "[t0->t0|t1] element condition t0.c1 <= 60 is not implied by "
+                "the query (the element is more restrictive)",
             )),
         ]
 

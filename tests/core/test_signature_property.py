@@ -12,7 +12,8 @@ properties are the net:
   lists but the cache's pin index does not enumerate for a query is one the
   signature rejects;
 * **the walk is unchanged** — ``find_relevant`` returns the same matches,
-  in the same order, as the same walk with the prefilter switched off;
+  in the same order, as the same walk with the prefilter switched off, and
+  every candidate it skips or turns away matches nothing there;
 * **a bound dropped column is refused** — an element occurrence every
   same-relation query occurrence bounds at a column its projection drops
   (by a condition the element does not imply) turns the element away, and
@@ -136,10 +137,11 @@ def stored(cache, psj):
 
 
 def unfiltered(cache, query, reports=None):
-    """``find_relevant`` with the signature test and the pin index in front
-    of it switched off."""
+    """``find_relevant`` with the signature tests and the pin index in
+    front of them switched off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ContainmentProbe, "rejection", lambda self, signature: None)
+        patch.setattr(ContainmentProbe, "drops_bounded", lambda self, signature: False)
         patch.setattr(ContainmentProbe, "pins", lambda self: None)
         return find_relevant(cache, query, reports)
 
@@ -324,10 +326,13 @@ def test_walk_equals_the_walk_without_the_prefilter(element_psjs, query):
     filtered = find_relevant(cache, query, reports)
     assert filtered == find_relevant(cache, query)
     assert filtered == unfiltered(cache, query, plain_reports)
-    # Same candidates in the same visit order, the same ones matched, and a
-    # signature reject only ever where the full test found nothing.
+    # The candidates the pin index enumerates, in the unfiltered visit
+    # order, the same ones matched, and a signature reject only ever where
+    # the full test found nothing; an index skip likewise.
+    visited = {r.element_id for r in reports}
     assert [(r.element_id, r.matches) for r in reports] == [
-        (r.element_id, r.matches) for r in plain_reports
+        (r.element_id, r.matches) for r in plain_reports if r.element_id in visited
     ]
+    assert not any(r.matches for r in plain_reports if r.element_id not in visited)
     assert all(len(r.rejections) == 1 for r in reports if r.prefiltered)
     assert not any(r.prefiltered for r in plain_reports)

@@ -17,8 +17,10 @@ from repro.relational.relation import Relation
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
 from repro.caql.implication import ConditionSet, ContainmentProbe
 from repro.caql.parser import parse_query
-from repro.core.cache import Cache
+from repro.core.cache import Cache, pin_anchor
+from repro.core.canonical import canonicalize
 from repro.core.subsumption import (
+    CandidateReport,
     derive_full,
     derive_full_lazy,
     derive_part,
@@ -333,8 +335,12 @@ class TestProbeCost:
         query = make_psj("q(X, Z) :- b2(X, Z), X >= 1000, X < 1001, Z = 2000")
         matches = find_relevant(cache, query, reports)
         assert [m.element.definition.name for m in matches] == ["wide"]
-        assert len(reports) == stored_drills + 1  # every candidate is still listed
-        return examined
+        walked = list(examined)
+        # The walk reports what it visited; explain still lists every
+        # candidate, the pin-skipped ones included.
+        assert [r.element_id for r in reports if not r.prefiltered] == ["E1"]
+        assert len(explain_candidates(cache, query)) == stored_drills + 1
+        return walked
 
     def test_match_element_calls_do_not_grow_with_the_cache(self, monkeypatch):
         few = self.examined_by_a_new_drill(monkeypatch, 6)
@@ -432,29 +438,48 @@ class TestDroppedColumns:
         assert examined == ["E1"]
         assert [sorted(m.covered_tags) for m in matches] == [["t0"]]
 
-    def test_a_projected_dropped_column_is_explained_per_mapping(self, monkeypatch):
+    @staticmethod
+    def explained(monkeypatch, view, drill):
+        """The walk's one report, and ``match_element``'s own reasons for
+        the pair it turned away."""
         reports = []
-        examined, matches = self.examined(
-            monkeypatch, "v(X) :- b2(X, Z)", "q(X, Z) :- b2(X, Z)", reports
-        )
-        assert (examined, matches) == (["E1"], [])
+        examined, matches = TestDroppedColumns.examined(monkeypatch, view, drill, reports)
+        assert (examined, matches) == ([], [])
         (report,) = reports
-        assert report.rejections == (
-            "[t0->t0] the query projects t0.c1 but the element projected "
-            "that column away",
+        assert report.prefiltered
+        cache, (element,) = cache_with(view)
+        reasons = []
+        assert list(match_element(element, make_psj(drill), reasons)) == []
+        return report.rejections, tuple(reasons)
+
+    def test_a_projected_dropped_column_is_explained_per_mapping(self, monkeypatch):
+        assert self.explained(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X, Z) :- b2(X, Z)"
+        ) == (
+            (
+                "element projects away t0.c1, and every query occurrence it "
+                "could map onto projects or bounds one of them",
+            ),
+            (
+                "[t0->t0] the query projects t0.c1 but the element projected "
+                "that column away",
+            ),
         )
 
     def test_a_walk_that_shows_its_working_explains_it_per_mapping(self, monkeypatch):
-        reports = []
-        examined, matches = self.examined(
-            monkeypatch, "v(X) :- b2(X, Z)", "q(X) :- b2(X, Z), Z > 1", reports
-        )
-        assert (examined, matches) == (["E1"], [])
-        (report,) = reports
-        assert not report.prefiltered
-        assert report.rejections == (
-            "[t0->t0] query condition t0.c1 > 1 must be re-applied but its "
-            "columns were projected away by the element",
+        # Collecting reports decides by the plain walk's tier, the dropped
+        # column; match_element, run on its own, explains it per mapping.
+        assert self.explained(
+            monkeypatch, "v(X) :- b2(X, Z)", "q(X) :- b2(X, Z), Z > 1"
+        ) == (
+            (
+                "element projects away t0.c1, and every query occurrence it "
+                "could map onto projects or bounds one of them",
+            ),
+            (
+                "[t0->t0] query condition t0.c1 > 1 must be re-applied but its "
+                "columns were projected away by the element",
+            ),
         )
 
 
@@ -637,15 +662,35 @@ def test_collecting_reports_does_not_change_the_probe(query_text):
         visited,
         key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)),
     ) == plain
-    # One report per candidate sharing a predicate with the query, each
-    # either matched or carrying the reason it was rejected.
+    # One report per candidate the pin index enumerates, each either
+    # matched or carrying the reason it was rejected.
+    probe = ContainmentProbe(query, canonicalize(query).conditions)
+    enumerated = {
+        e.element_id
+        for pred in query.predicates()
+        for e in cache.elements_for_predicate(pred, probe.pins())
+    }
+    assert sorted(r.element_id for r in reports) == sorted(enumerated)
+    assert all(r.matched or r.rejections for r in reports)
+    # ``explain_candidates`` is the same reports and one for every other
+    # candidate sharing a predicate with the query, naming the anchor the
+    # pin index skipped it on, matched ones first.
     query_preds = set(query.predicates())
     candidates = [
-        e.element_id for e in elements if query_preds & set(e.definition.predicates())
+        e for e in elements if query_preds & set(e.definition.predicates())
     ]
-    assert sorted(r.element_id for r in reports) == sorted(candidates)
-    assert all(r.matched or r.rejections for r in reports)
-    # ``explain_candidates`` is the same reports, matched ones first.
+    skipped = []
+    for e in candidates:
+        if e.element_id not in enumerated:
+            ((pred, arity), position), value = pin_anchor(e.signature)
+            reason = (
+                f"pin index: the element pins {pred}/{arity} argument {position} "
+                f"to {value!r}, which the query does not pin there"
+            )
+            skipped.append(
+                CandidateReport(e.element_id, e.view_name, (), (reason,), prefiltered=True)
+            )
+    assert len(reports) + len(skipped) == len(candidates)
     assert explain_candidates(cache, query) == sorted(
-        reports, key=lambda r: (not r.matched, r.element_id)
+        reports + skipped, key=lambda r: (not r.matched, r.element_id)
     )

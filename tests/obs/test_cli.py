@@ -10,7 +10,11 @@ profiles were refrozen again when the traces moved: an exact hit lost
 its planner and executor spans, and an eager answer its drain step.  The
 E15 and E17 traces were refrozen once more when an
 eager derived answer stopped being stored (the new code prints the old
-digests for the old artifacts).  E15's profiles pin the profiler on a
+digests for the old artifacts).  The E14, E15, E16 and E19 trace
+digests were refrozen when the subsumption walk became one walk (a
+``subsume.reject`` event carries the reason of the tier that turned the
+candidate away, and a candidate the pin index skipped has none), E15's
+also when ``server.step`` lost its ``phase``.  E15's profiles pin the profiler on a
 multi-session server trace.  Paths are relative to the checkout root
 because the trace headers echo them.
 """
@@ -28,19 +32,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = "benchmarks/results"
 
 PARITY = {
-    ("trace", f"{RESULTS}/E14.trace.jsonl"): "310dde5564144d8692ea9a989107469cadca67a26645c418102dabf8a6847540",
+    ("trace", f"{RESULTS}/E14.trace.jsonl"): "b07787b0e9c911d9908acb8ccb3f46cb7203d211b6f814136ac4327b0455526a",
     # Refrozen when a whole-query fetch became one store: one answer's two
     # eviction events now sit on its ``cms.query`` span, where the CMS
     # stores it after the combine, not on ``executor.execute``; same victims.
-    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "b8ba7491e472fe7870b979a5ee0f33432102f4bd69cdcc8653279f7e199c9f0a",
-    ("trace", f"{RESULTS}/E15.trace.jsonl"): "5287e8a0cbec3a875d9f84d7155b895c6e50058d3c91e7a152deb09b4ad3aac9",
-    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "ac1725fb6d4d82158e862b5d6b02df9807ed334e101fd26947fc209bc6fd6fd8",
-    ("trace", f"{RESULTS}/E16.trace.jsonl"): "1817a6112ada558caebc7a91b63070b583411173921e9bf67632960024042fc3",
-    ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "d938ffd954b1abca7e30033f1f8b2a2c6868a113b7c743e1cbdb12905c9418e8",
+    ("trace", "--events", f"{RESULTS}/E14.trace.jsonl"): "6e171f0963f4e2ae302560f04fdc785bfe695176122f6c8d688f19061be382e5",
+    ("trace", f"{RESULTS}/E15.trace.jsonl"): "bbd5ba0ebea26ccf733cb6f202b03cfeb2f73ab9d36b5416015b090e83568d72",
+    ("trace", "--events", f"{RESULTS}/E15.trace.jsonl"): "1153f370554694e7b16cb9c3a54cb4526be6493ded286226ccfd14b2c87deb77",
+    ("trace", f"{RESULTS}/E16.trace.jsonl"): "2d26d18b5d76c5b88e8d2fecaa3695272a67234d0a3c56d3fa2a0a5cd761c324",
+    ("trace", "--events", f"{RESULTS}/E16.trace.jsonl"): "7d24a9669d7bb7213500294dc3b439a55ef6ea9408bbd7fddd3c6147f199a92e",
     ("trace", f"{RESULTS}/E17.trace.jsonl"): "fffa846bd30e7dfd93c2a69336e21e213c258729c3d1d857ede3c990f986b284",
     ("trace", "--events", f"{RESULTS}/E17.trace.jsonl"): "544e074b3601baca91463753475d7c3a5103bac0011ba2b35ecbe35b014bd9e2",
     ("trace", f"{RESULTS}/E19.trace.jsonl"): "76c4982fc87c5e5d5a633acd0a2c18adc529e3815321aa1a42d81e4cf78d8c58",
-    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "8b02d7361842dcbc97bcb4eaeb351e5bf04e6d4096d30b69dc9aa5b7baa6e6c8",
+    ("trace", "--events", f"{RESULTS}/E19.trace.jsonl"): "3db0a9752d2152398e7652d4085538e2a62233ae45c1bdae05779b49344b27cb",
     ("profile", f"{RESULTS}/E19.trace.jsonl"): "df617e466c696f1f85e274f263f577625b36d8881d37a90d669b54b0e1bb9553",
     ("profile", "--json", f"{RESULTS}/E19.trace.jsonl"): "e5259930f3b6525d6571a9e89643fc91c103ee0c47814ad87c4acdafd0cbc9f6",
     ("profile", f"{RESULTS}/E15.trace.jsonl"): "fff7fd88f4a5ec5348b670b94050651b35a85562d6d44272f51e6b85d519b258",

@@ -145,7 +145,7 @@ def check_a_fetched_re_ask_is_one_step_exact_hit(monkeypatch):
     assert server.run_until_idle() == 1
     assert plans == []
     assert server.metrics.get(CACHE_HITS_EXACT) == 1
-    assert [r.phase for r in server.schedule_trace[steps:]] == ["execute"]
+    assert len(server.schedule_trace[steps:]) == 1
     # The whole-ship fetch registered the same definition as an
     # intermediate first; the stored answer is what makes it a view.
     stored = [(e.kind, e.view_name) for e in server.cache.elements()]

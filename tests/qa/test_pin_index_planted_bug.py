@@ -8,15 +8,16 @@ running byte total that replaced re-summing every element on each store.
 * ``type_strict`` — the pin index keys buckets on ``(type, value)``, so a
   query pinned to ``1.0`` misses an element pinned to ``1`` (``==`` says
   they are one value).  Such an element is never handed to the signature:
-  on the plain path its match is lost — a worse plan, never a wrong
-  answer.  What tells is the reporting walk's index-vs-signature check,
-  which every auditing variant of the differential runner runs.  No fuzz
-  profile reaches it, though: at the pinned CI sizes, and on 500-case
-  corpora of ``healthy`` and ``variants``, the generator never asks a query
-  pinned to a respelled constant that a stored element subsumes (its
-  respellings are re-asks of one view, which the canonical tier serves).
-  So the mutant is killed by a hand-built fuzz case, shrunk to a two-query
-  repro, and by the property suite's "index-skip ⇒ signature-reject".
+  its match is lost — a worse plan, never a wrong answer.  What tells is
+  ``audit_prefilter``, which every auditing variant of the differential
+  runner runs after each walk: an element the pin index skipped must
+  match nothing.  No fuzz profile reaches it, though: at the pinned CI
+  sizes, and on 500-case corpora of ``healthy`` and ``variants``, the
+  generator never asks a query pinned to a respelled constant that a
+  stored element subsumes (its respellings are re-asks of one view, which
+  the canonical tier serves).  So the mutant is killed by a hand-built
+  fuzz case, shrunk to a two-query repro, and by the property suite's
+  "index-skip ⇒ signature-reject".
 * ``forgetful`` — discarding an unpinned element forgets to subtract its
   bytes from the running total.  Killed by ``Cache.check_invariants`` —
   which the runner calls after every query — on the ``churny`` profile.
@@ -31,7 +32,7 @@ from repro.caql.implication import ContainmentProbe
 from repro.caql.parser import parse_query
 from repro.common.errors import InvariantViolation
 from repro.core.cache import Cache
-from repro.core.subsumption import find_relevant
+from repro.core.subsumption import audit_prefilter, find_relevant
 from repro.qa import CaseConfig, CaseGenerator, case_failure, run_case, shrink
 from repro.qa.generator import case_from_relations
 from repro.relational.relation import Relation
@@ -66,7 +67,7 @@ def _type_strict(monkeypatch):
 
 def _forgetful(monkeypatch):
     def discard(self, element_id):
-        element = self.get(element_id)
+        element = self._elements.get(element_id)
         total = self._extension_bytes
         real_discard(self, element_id)
         if element is not None:
@@ -83,20 +84,25 @@ class TestTypeStrictBucket:
     ELEMENT = "e(Y) :- r(1, Y)"
     QUERY = "q(Y) :- r(1.0, Y), Y > 2"
 
-    def probe(self, reports=None):
+    def cache(self):
         cache = Cache()
         psj = make_psj(self.ELEMENT)
         cache.store(psj, Relation(result_schema(psj.name, psj.arity)))
-        return find_relevant(cache, make_psj(self.QUERY), reports)
+        return cache
 
-    def test_plain_probe_loses_the_match_and_the_reporting_walk_raises(
-        self, monkeypatch
-    ):
+    def probe(self, reports=None):
+        return find_relevant(self.cache(), make_psj(self.QUERY), reports)
+
+    def test_the_walk_loses_the_match_and_the_audit_raises(self, monkeypatch):
         assert [m.element.view_name for m in self.probe()] == ["e"]
         _type_strict(monkeypatch)
         assert self.probe() == []
-        with pytest.raises(InvariantViolation, match="pin index skipped"):
-            self.probe(reports=[])
+        # Collecting reports walks the same way: the match is lost there
+        # too, and the audit of that walk names the skip.
+        reports = []
+        assert self.probe(reports) == [] and reports == []
+        with pytest.raises(InvariantViolation, match="pin index skipped E1"):
+            audit_prefilter(self.cache(), make_psj(self.QUERY), reports)
 
     def case(self):
         rows = [(1, 2), (1, 3), (2, 5), (3, 1)]

@@ -6,14 +6,16 @@ direction and the invisible one: a falsely rejected element only costs its
 plan (a remote fetch where the cache would have served), every answer stays
 right, and no oracle comparison can tell.  What tells is
 ``QueryPlanner.audit`` — the differential runner sets it on every CMS — which
-puts each signature-rejected candidate of a probe through the full test
+puts each candidate a probe skipped or turned away through the full test
 after all.
 
 Two mutants, both applied where the signature is built:
 
 * ``strict`` — an element's ``=<`` bound is checked as ``<``, so a query
-  whose bound *equals* the element's is turned away;
-* ``shifted`` — a pin is compared one argument position over.
+  whose bound *equals* the element's is turned away by the signature;
+* ``shifted`` — a pin is compared one argument position over.  The pin
+  index files an element under its signature's first pin, so the walk
+  skips the element there before the signature sees it.
 
 A third, ``kept``, errs the other way: the first column each occurrence's
 projection drops is taken for kept, so a query bounding it is no longer
@@ -60,9 +62,18 @@ def _mutant(rewrite):
     return classmethod(of)
 
 
-@pytest.fixture(params=[_strict, _shifted], ids=["strict", "shifted"])
+@pytest.fixture(
+    params=[
+        (_strict, "containment signature rejected"),
+        (_shifted, "pin index skipped"),
+    ],
+    ids=["strict", "shifted"],
+)
 def planted_bug(request, monkeypatch):
-    monkeypatch.setattr(ContainmentSignature, "of", _mutant(request.param))
+    """The mutant applied, and the tier the audit names as its culprit."""
+    rewrite, culprit = request.param
+    monkeypatch.setattr(ContainmentSignature, "of", _mutant(rewrite))
+    return culprit
 
 
 def _failing_case():
@@ -83,7 +94,7 @@ class TestPlantedSignatureBugIsCaught:
         # error on the auditing variants; no variant returns wrong rows.
         assert {d.kind for d in report.divergences} == {"unexpected-error"}
         assert all(
-            "InvariantViolation: containment signature rejected" in d.detail
+            f"InvariantViolation: {planted_bug}" in d.detail
             for d in report.divergences
         )
         # Without the hook the mutant is silent: right answers, worse plans.

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import repro.caql.eval as eval_module
 import repro.core.cms as cms_module
+from repro.caql.ast import COMPARISON_PREDS
 from repro.caql.eval import evaluate_conjunctive
 from repro.caql.parser import parse_query
 from repro.common.errors import BraidError
@@ -158,7 +159,11 @@ def check_memo_matches_fresh(query, asks, extra):
 @st.composite
 def memo_cases(draw):
     query = parse_query(draw(st.sampled_from(CORPUS)))
-    signatures = [literal.signature for literal in query.relation_literals()]
+    signatures = [
+        literal.signature
+        for literal in query.literals
+        if literal.pred not in COMPARISON_PREDS and not literal.negated
+    ]
     extra = draw(st.none() | st.sampled_from(signatures))
     return query, draw(st.integers(1, 3)), extra
 

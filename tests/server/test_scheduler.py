@@ -165,28 +165,27 @@ class TestServerDeterminism:
         server = self.run_server("round-robin", seed=0)
         for index, line in enumerate(server.schedule_lines()):
             fields = line.split("|")
-            assert len(fields) == 5
+            assert len(fields) == 4
             assert int(fields[0]) == index
-            assert fields[1] == "execute"
-            assert fields[2] in ("alice", "bob")
+            assert fields[1] in ("alice", "bob")
 
     @staticmethod
-    def phases_by_request(server):
-        seen: dict[str, list[str]] = {}
+    def steps_by_request(server):
+        seen: dict[str, int] = {}
         for record in server.schedule_trace:
-            seen.setdefault(record.request_id, []).append(record.phase)
+            seen[record.request_id] = seen.get(record.request_id, 0) + 1
         return seen
 
     def test_every_request_executes_then_drains(self):
         # An eager answer is drained in the step that produced it, and so
         # is a lazy stream: one step per request either way.
-        eager = self.phases_by_request(self.run_server("weighted-fair", seed=9))
+        eager = self.steps_by_request(self.run_server("weighted-fair", seed=9))
         assert len(eager) == 10
-        assert all(phases == ["execute"] for phases in eager.values())
+        assert all(steps == 1 for steps in eager.values())
         server = self.run_server("weighted-fair", seed=9, lazy=True)
-        lazy = self.phases_by_request(server)
+        lazy = self.steps_by_request(server)
         assert len(lazy) == 11  # the warming request, then ten streams
-        assert all(phases == ["execute"] for phases in lazy.values())
+        assert all(steps == 1 for steps in lazy.values())
         assert all(
             request.rows is not None
             for name in ("alice", "bob")

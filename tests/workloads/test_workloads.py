@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caql.ast import COMPARISON_PREDS
 from repro.workloads.genealogy import genealogy
 from repro.workloads.queries import (
     StreamSpec,
@@ -129,7 +130,7 @@ class TestQueryStreams:
         )
         assert len(stream) == 10
         for query in stream:
-            comparisons = query.comparison_literals()
+            comparisons = [lit for lit in query.literals if lit.pred in COMPARISON_PREDS]
             assert len(comparisons) == 2
 
     def test_range_stream_deterministic(self):
